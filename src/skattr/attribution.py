@@ -9,14 +9,19 @@ columns, organic included) with the empirical distribution of the null row;
 the mixing weight lambda spans the uniform (0) and null-based (1) endpoints,
 and the optimal redistribution always lies on that segment.
 
-Computation is exact: means are Fractions of integer cents, and rounding
-happens only when reports are emitted. The conservation identity
-sum_over_campaigns(attributed) == sum_over_values(mean * total) holds
-exactly for any lambda and any threshold.
+Computation is exact and integer-only. Per matrix, the bucket means in use
+are scaled to one common denominator (the lcm of their denominators), each
+campaign column accumulates one integer numerator, the null weights are
+integer numerators over one shared denominator, and one Fraction is built
+per column at the end; rounding happens only when reports are emitted. The
+conservation identity sum_over_campaigns(attributed) ==
+sum_over_values(mean * total) holds exactly for any lambda and any
+threshold.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -51,14 +56,6 @@ class RevenueProfile:
 
     def with_totals(self, totals: Mapping[int, int]) -> RevenueProfile:
         return replace(self, totals=totals)
-
-    def total_revenue(self) -> Fraction:
-        """Exact sum of mean * total over all values (cents)."""
-        acc = Fraction(0)
-        for v, n in self.totals.items():
-            if n:
-                acc += self.means[v] * n
-        return acc
 
 
 def estimate_bucket_means_window(
@@ -130,11 +127,30 @@ class AttributionFunction:
         return self.mode
 
 
-def _row_mean(profile: RevenueProfile, v: int, context: str) -> Fraction:
-    mean = profile.means.get(v)
-    if mean is None:
-        raise MissingProfileError(f"no revenue profile for value {v} ({context})")
-    return mean
+def _scaled_means(
+    profile: RevenueProfile, values: Iterable[int], context: str
+) -> tuple[dict[int, int], int]:
+    """The means of ``values`` as integer numerators over their common denominator."""
+    means: dict[int, Fraction] = {}
+    for v in values:
+        mean = profile.means.get(v)
+        if mean is None:
+            raise MissingProfileError(f"no revenue profile for value {v} ({context})")
+        means[v] = mean
+    den = math.lcm(*(m.denominator for m in means.values()))
+    return {v: m.numerator * (den // m.denominator) for v, m in means.items()}, den
+
+
+def _visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[int]:
+    """Per column, the sum of count * scaled mean over the visible rows."""
+    acc = [0] * len(matrix.columns)
+    for v, mean in scaled.items():
+        if v in matrix.suppressed:
+            continue
+        for j, count in enumerate(matrix.rows[v]):
+            if count:
+                acc[j] += count * mean
+    return acc
 
 
 def attribute_plain(matrix: CountMatrix, profile: RevenueProfile) -> dict[CampaignKey, Fraction]:
@@ -142,22 +158,17 @@ def attribute_plain(matrix: CountMatrix, profile: RevenueProfile) -> dict[Campai
 
     Accepts a privatized matrix only when its null row carries no users
     (thresholds below 2 fold nothing), since a loaded null row would need
-    the null-aware estimator.
+    the null-aware estimator. Suppressed rows of such a matrix are provably
+    empty and are skipped.
     """
     if matrix.privacy_applied and sum(matrix.null_row) > 0:
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
-    out: dict[CampaignKey, Fraction] = {k: Fraction(0) for k in matrix.columns}
-    for v in range(VALUE_RANGE):
-        if v in matrix.suppressed:
-            continue  # provably empty: its counts fold to a zero null row
-        row = matrix.rows[v]
-        if not any(row):
-            continue
-        mean = _row_mean(profile, v, f"{matrix.group}, {matrix.week}")
-        for j, count in enumerate(row):
-            if count:
-                out[matrix.columns[j]] += count * mean
-    return out
+    visible = [
+        v for v in range(VALUE_RANGE) if v not in matrix.suppressed and any(matrix.rows[v])
+    ]
+    scaled, den = _scaled_means(profile, visible, f"{matrix.group}, {matrix.week}")
+    acc = _visible_numerators(matrix, scaled)
+    return {k: Fraction(a, den) for k, a in zip(matrix.columns, acc)}
 
 
 def attribute_with_null(
@@ -181,38 +192,35 @@ def attribute_with_null(
         return attribute_plain(matrix, profile)
     n = len(matrix.columns)
     beta = fn.beta_count if fn.beta_count is not None else n
-    lam = Fraction(fn.effective_lambda)
     null_row = matrix.null_row
     null_sum = sum(null_row)
+    # weight_j = weight_num[j] / weight_den
     if null_sum == 0:
-        weights = [Fraction(1, beta)] * n
+        weight_num = [1] * n
+        weight_den = beta
     else:
-        uniform = (1 - lam) / beta
-        weights = [uniform + lam * Fraction(null_row[j], null_sum) for j in range(n)]
+        lam_num, lam_den = Fraction(fn.effective_lambda).as_integer_ratio()
+        uniform = (lam_den - lam_num) * null_sum
+        weight_num = [uniform + lam_num * beta * c for c in null_row]
+        weight_den = lam_den * beta * null_sum
 
-    covered = sum(profile.totals.get(v, 0) for v in matrix.suppressed)
+    totals = profile.totals
+    covered = sum(totals.get(v, 0) for v in matrix.suppressed)
     if covered < null_sum:
         raise MissingProfileError(
             f"developer totals cover {covered} suppressed users but the null row "
             f"folded {null_sum} ({matrix.group}, {matrix.week})"
         )
 
-    out: dict[CampaignKey, Fraction] = {k: Fraction(0) for k in matrix.columns}
-    context = f"{matrix.group}, {matrix.week}"
-    for v in range(VALUE_RANGE):
-        if v in matrix.suppressed:
-            total = profile.totals.get(v, 0)
-            if total == 0:
-                continue
-            mean = _row_mean(profile, v, context)
-            for j in range(n):
-                out[matrix.columns[j]] += mean * weights[j] * total
-        else:
-            row = matrix.rows[v]
-            if not any(row):
-                continue
-            mean = _row_mean(profile, v, context)
-            for j, count in enumerate(row):
-                if count:
-                    out[matrix.columns[j]] += count * mean
-    return out
+    used = [
+        v
+        for v in range(VALUE_RANGE)
+        if (totals.get(v, 0) if v in matrix.suppressed else any(matrix.rows[v]))
+    ]
+    scaled, den = _scaled_means(profile, used, f"{matrix.group}, {matrix.week}")
+    acc = _visible_numerators(matrix, scaled)
+    folded = sum(scaled[v] * totals[v] for v in used if v in matrix.suppressed)
+    return {
+        k: Fraction(a * weight_den + folded * w, den * weight_den)
+        for k, a, w in zip(matrix.columns, acc, weight_num)
+    }

@@ -3,15 +3,13 @@
 Stage commands (generate, simulate, privatize, attribute, evaluate) and the
 one-shot `benchmark` share the same library calls and seed substreams, so a
 pipeline split into stages reproduces the benchmark's numbers exactly. Any
-failure exits nonzero with a one-line JSON error on stderr. The env var
-SKATTR_THREADS caps worker-pool parallelism (default 1, serial).
+failure exits nonzero with a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime
@@ -48,15 +46,6 @@ from .synthgen import generate_dataset
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
-
-
-def _threads() -> int:
-    raw = os.environ.get("SKATTR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SKATTR_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def _dataset_paths(source: str, events: str | None) -> tuple[Path, Path | None]:
@@ -236,9 +225,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     else:
         users, _ = load_users(cfg.users_csv, cfg.events_csv, cfg.organic_alpha)
 
+    schemas = cfg.parsed_schemas()
     report = benchmark_matrix(
         users,
-        cfg.parsed_schemas(),
+        schemas,
         cfg.p_values,
         cfg.g_modes,
         cfg.t,
@@ -246,24 +236,28 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         lambda_grid=cfg.lambda_grid,
         include_organic=cfg.include_organic_in_error,
         profile_per_group=cfg.profile_per_group,
-        max_workers=_threads(),
     )
     report.metadata["config_hash"] = run_hash
     if cfg.windows:
+        window_schema = cfg.parsed_window_schema()
+        # The grid has already simulated the window schema when it is one of
+        # the grid's schemas; the curve then reuses that simulation.
+        simulated = next((report.artifacts[s.label] for s in schemas if s == window_schema), None)
         report.window_curve = window_error_curve(
             users,
-            cfg.parsed_window_schema(),
+            window_schema,
             cfg.window_p,
             cfg.window_g,
             cfg.windows,
             seed=seed,
             include_organic=cfg.include_organic_in_error,
             profile_per_group=cfg.profile_per_group,
+            artifacts=simulated,
         )
         save_window_csv(
             out_dir / "window_curve.csv",
             report.window_curve,
-            {"seed": seed, "config_hash": run_hash, "schema": schema_to_text(cfg.parsed_window_schema())},
+            {"seed": seed, "config_hash": run_hash, "schema": schema_to_text(window_schema)},
         )
     save_report(out_dir / "report.json", report)
     save_grid_csv(out_dir / "grid.csv", report)

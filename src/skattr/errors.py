@@ -65,3 +65,26 @@ class CsvFormatError(SkattrError):
 
 class ConfigError(SkattrError):
     """Invalid configuration or operation precondition."""
+
+
+class GridCellError(SkattrError):
+    """A benchmark grid cell failed; the cause is chained as ``__cause__``.
+
+    Carries the cell's coordinates. ``p``, ``g`` and ``lam`` are None when
+    the schema's simulation failed before any of its cells ran.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        schema: str | None = None,
+        p: int | None = None,
+        g: str | None = None,
+        lam: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.schema = schema
+        self.p = p
+        self.g = g
+        self.lam = lam

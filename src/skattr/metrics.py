@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from .attribution import (
@@ -25,6 +25,8 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DegenerateBaselineError,
+    GridCellError,
+    SkattrError,
     UndefinedWeightsError,
 )
 from .model import CampaignKey, UserRecord, revenue_between
@@ -92,11 +94,16 @@ class WindowPoint:
 
 @dataclass
 class AttributionReport:
-    """Full benchmark output: grid cells, optional window curve, metadata."""
+    """Full benchmark output: grid cells, optional window curve, metadata.
+
+    ``artifacts`` holds each grid schema's simulation by label so the window
+    curve can reuse it; it is never serialized.
+    """
 
     cells: list[CellResult]
     metadata: dict
     window_curve: list[WindowPoint] | None = None
+    artifacts: dict[str, SimArtifacts] = field(default_factory=dict, repr=False, compare=False)
 
     def cell(self, schema: str, p: int, mode: str, lam: float | None, level: str) -> CellResult:
         for c in self.cells:
@@ -111,20 +118,19 @@ def _network_label(key: CampaignKey) -> str:
     return "organic" if key.organic else f"n{key.network}"
 
 
-def _truth_cells(
+def _truth_by_week(
     users: Sequence[UserRecord],
     postbacks: Mapping[int, Postback],
     lo_day: int,
     hi_day: int,
-) -> dict[CellKey, dict[CampaignKey, int]]:
-    """Actual window revenue per (group, postback week, origin)."""
-    out: dict[CellKey, dict[CampaignKey, int]] = {}
+) -> dict[str, dict[CampaignKey, int]]:
+    """Actual window revenue per (postback week, origin), summed over groups."""
+    out: dict[str, dict[CampaignKey, int]] = {}
     for u in users:
         pb = postbacks.get(u.id)
         if pb is None:
             continue
-        cell = cell_of(pb)
-        bucket = out.setdefault(cell, {})
+        bucket = out.setdefault(cell_of(pb)[1], {})
         bucket[u.origin] = bucket.get(u.origin, 0) + revenue_between(u, lo_day, hi_day)
     return out
 
@@ -182,16 +188,6 @@ def _attribute_cells(
     return by_week
 
 
-def _schema_job(
-    args: tuple[Sequence[UserRecord], SchemaSpec, int, datetime | None, int],
-) -> tuple[SimArtifacts, RevenueProfile]:
-    """Worker-pool unit: simulate one schema and fit its revenue profile."""
-    users, schema, seed, horizon, t = args
-    art = run_schema(users, schema, seed, horizon)
-    profile = estimate_bucket_means_window(users, art.postbacks, 0, t)
-    return art, profile
-
-
 def _expand_modes(
     g_modes: Sequence[str], lambda_grid: Sequence[float], p: int
 ) -> list[tuple[str, float | None]]:
@@ -230,23 +226,19 @@ def _group_profiles(
 
 
 def _grid_error(
-    users: Sequence[UserRecord],
     artifacts: SimArtifacts,
     matrices: Mapping[CellKey, CountMatrix],
     profiles: Mapping[str | None, RevenueProfile],
     fn: AttributionFunction | None,
-    lo_day: int,
-    hi_day: int,
+    truth_by_week: Mapping[str, Mapping[CampaignKey, int]],
     include_organic: bool,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
-    """Weekly and aggregate errors at both levels for one estimator."""
+    """Weekly and aggregate errors at both levels for one estimator.
+
+    ``truth_by_week`` is ``_truth_by_week`` over the artifacts' postbacks
+    and the window the profiles were fitted on.
+    """
     attributed = _attribute_cells(artifacts, matrices, profiles, fn)
-    truth_cells = _truth_cells(users, artifacts.postbacks, lo_day, hi_day)
-    truth_by_week: dict[str, dict[CampaignKey, int]] = {}
-    for (group, week), vec in truth_cells.items():
-        acc = truth_by_week.setdefault(week, {})
-        for k, val in vec.items():
-            acc[k] = acc.get(k, 0) + val
     return {
         level: _level_errors(attributed, truth_by_week, artifacts.columns, include_organic, level)
         for level in LEVELS
@@ -266,7 +258,6 @@ def benchmark_matrix(
     profile_per_group: bool = False,
     horizon: datetime | None = None,
     prepared: dict[int, _PreppedUser] | None = None,
-    max_workers: int = 1,
 ) -> AttributionReport:
     """Run the full schema x threshold x estimator grid.
 
@@ -274,47 +265,35 @@ def benchmark_matrix(
     full-horizon-revenue schema (PV) with the uniform estimator, which
     scores 0 by construction; the campaign and network aggregation levels
     are normalized against their own baselines. Any cell failure aborts the
-    run with the failing coordinates in the message. ``max_workers`` > 1
-    fans schema simulations out to a process pool; results merge in config
-    order so parallel and serial runs are identical.
+    run with a GridCellError that carries the failing coordinates. Each
+    schema's simulation, revenue profiles and window truth are built once
+    and shared by all of its cells; the simulations are returned in the
+    report's ``artifacts``.
     """
     if not schemas or not p_values or not g_modes:
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
     if t < 1:
         raise ConfigError("revenue window t must be at least one day")
 
+    if prepared is None:
+        prepared = prepare_users(users)
     artifacts: dict[str, SimArtifacts] = {}
     profiles: dict[str, dict[str | None, RevenueProfile]] = {}
-    labels: list[str] = []
-    results: list[tuple[SimArtifacts, RevenueProfile]]
-    if max_workers > 1 and len(schemas) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(users, schema, seed, horizon, t) for schema in schemas]
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(_schema_job, jobs))
-        except (OSError, PermissionError):  # no subprocess support here
-            results = [_schema_job(job) for job in jobs]
-    else:
-        if prepared is None:
-            prepared = prepare_users(users)
-        results = []
-        for schema in schemas:
-            try:
-                art = run_schema(users, schema, seed, horizon, prepared)
-            except Exception as exc:
-                raise type(exc)(f"schema {schema.label}: {exc}") from exc
-            results.append((art, estimate_bucket_means_window(users, art.postbacks, 0, t)))
-    for art, pooled in results:
-        label = art.schema.label
+    truths: dict[str, dict[str, dict[CampaignKey, int]]] = {}
+    for schema in schemas:
+        label = schema.label
         if label in artifacts:
             raise ConfigError(f"duplicate schema {label} in benchmark grid")
-        labels.append(label)
+        try:
+            art = run_schema(users, schema, seed, horizon, prepared)
+        except SkattrError as exc:
+            raise GridCellError(
+                f"schema {label}: {type(exc).__name__}: {exc}", schema=label
+            ) from exc
         artifacts[label] = art
-        profiles[label] = {None: pooled}
-        if profile_per_group:
-            profiles[label] = _group_profiles(users, art.postbacks, 0, t, True)
+        profiles[label] = _group_profiles(users, art.postbacks, 0, t, profile_per_group)
+        truths[label] = _truth_by_week(users, art.postbacks, 0, t)
+    labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
 
@@ -331,23 +310,31 @@ def benchmark_matrix(
             }
         return privatized[key]
 
+    scored: dict[tuple[str, int, str, float | None], dict] = {}
+
     def cell_errors(label: str, p: int, mode: str, lam: float | None):
-        fn = None if mode == "plain" else AttributionFunction(mode=mode, lam=lam or 0.0)
-        try:
-            return _grid_error(
-                users,
-                artifacts[label],
-                matrices_for(label, p, fn),
-                profiles[label],
-                fn,
-                0,
-                t,
-                include_organic,
-            )
-        except Exception as exc:
-            raise type(exc)(
-                f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): {exc}"
-            ) from exc
+        key = (label, p, mode, lam)
+        if key not in scored:
+            fn = None if mode == "plain" else AttributionFunction(mode=mode, lam=lam or 0.0)
+            try:
+                scored[key] = _grid_error(
+                    artifacts[label],
+                    matrices_for(label, p, fn),
+                    profiles[label],
+                    fn,
+                    truths[label],
+                    include_organic,
+                )
+            except SkattrError as exc:
+                raise GridCellError(
+                    f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
+                    f"{type(exc).__name__}: {exc}",
+                    schema=label,
+                    p=p,
+                    g=mode,
+                    lam=lam,
+                ) from exc
+        return scored[key]
 
     baselines: dict[tuple[int, str], float] = {}
     if baseline_label is not None:
@@ -401,7 +388,7 @@ def benchmark_matrix(
         "week_start": "monday",
         "substreams": ["campaigns", "user", "postback", "ud"],
     }
-    return AttributionReport(cells=cells, metadata=metadata)
+    return AttributionReport(cells=cells, metadata=metadata, artifacts=artifacts)
 
 
 def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -428,32 +415,39 @@ def window_error_curve(
     profile_per_group: bool = False,
     horizon: datetime | None = None,
     prepared: dict[int, _PreppedUser] | None = None,
+    artifacts: SimArtifacts | None = None,
 ) -> list[WindowPoint]:
     """Campaign-level error of attributing revenue accrued per day window.
 
     The schema, counts and privacy stay fixed; only the revenue target and
     its per-window bucket means move, so the curve isolates how revenue
-    maturing away from the early signal degrades attribution.
+    maturing away from the early signal degrades attribution. ``artifacts``
+    is the schema's simulation when the caller already has it for the same
+    users, seed and horizon (a grid's ``AttributionReport.artifacts``);
+    without it the schema is simulated here.
     """
     wins = validate_windows(windows)
     if isinstance(g, str):
-        g = AttributionFunction(mode=g) if g != "plain" else AttributionFunction(mode="plain")
-    artifacts = run_schema(users, schema, seed, horizon, prepared)
-    use_null = g.mode != "plain"
-    if use_null:
+        g = AttributionFunction(mode=g)
+    if g.mode == "plain" and p >= 2:
+        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
+    if artifacts is None:
+        artifacts = run_schema(users, schema, seed, horizon, prepared)
+    elif artifacts.schema.label != schema.label:
+        raise ConfigError(
+            f"artifacts of schema {artifacts.schema.label} passed for {schema.label}"
+        )
+    if g.mode == "plain":
+        matrices = artifacts.matrices
+        fn: AttributionFunction | None = None
+    else:
         cfg = PrivacyConfig(p)
         matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
-        fn: AttributionFunction | None = g
-    else:
-        if p >= 2:
-            raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
-        matrices = artifacts.matrices
-        fn = None
+        fn = g
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(users, artifacts.postbacks, lo, hi, profile_per_group)
-        by_level = _grid_error(
-            users, artifacts, matrices, profiles, fn, lo, hi, include_organic
-        )
+        truth = _truth_by_week(users, artifacts.postbacks, lo, hi)
+        by_level = _grid_error(artifacts, matrices, profiles, fn, truth, include_organic)
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

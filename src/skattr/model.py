@@ -163,31 +163,10 @@ def cumulative_revenue(user: UserRecord, t: int) -> int:
     return revenue_between(user, 0, t)
 
 
-def revenue_at_days(user: UserRecord, days: Iterable[int]) -> dict[int, int]:
-    """Cumulative revenue at several day horizons in one pass."""
-    marks = sorted(set(days))
-    if marks and marks[0] < 0:
-        raise ConfigError("day horizons must be >= 0")
-    out = dict.fromkeys(marks, 0)
-    for e in user.events:
-        if e.kind != PURCHASE:
-            continue
-        d = day_offset(user, e.timestamp)
-        for m in marks:
-            if d < m:
-                out[m] += e.amount
-    return out
-
-
 def iso_week(d: date) -> str:
     """ISO year-week key, Monday start, e.g. '2024-W05'."""
     y, w, _ = d.isocalendar()
     return f"{y:04d}-W{w:02d}"
-
-
-def week_start(d: date) -> date:
-    """Monday of the ISO week containing ``d``."""
-    return d - timedelta(days=d.isoweekday() - 1)
 
 
 @dataclass(frozen=True)

@@ -116,14 +116,19 @@ def build_cell_matrices(
     postbacks: Mapping[int, Postback],
     organic: CampaignKey | None = None,
     campaigns: Sequence[CampaignKey] | None = None,
+    totals: Mapping[CellKey, Mapping[int, int]] | None = None,
 ) -> dict[CellKey, CountMatrix]:
-    """Pre-privacy matrices with the organic column, one per (group, week)."""
+    """Pre-privacy matrices with the organic column, one per (group, week).
+
+    ``totals`` are ``developer_totals(postbacks)`` when the caller has them.
+    """
     if organic is None:
         organic = resolve_organic(users)
     if campaigns is None:
         campaigns = paid_campaigns(users)
+    if totals is None:
+        totals = developer_totals(postbacks)
     paid = build_counts(postbacks.values(), users, campaigns)
-    totals = developer_totals(postbacks)
     out: dict[CellKey, CountMatrix] = {}
     for cell in sorted(totals):
         matrix = paid.get(cell)
@@ -168,7 +173,7 @@ def run_schema(
     fitted = resolve_schema(schema, users, seed)
     postbacks = simulate_postbacks(users, fitted, seed, horizon, prepared)
     totals = developer_totals(postbacks)
-    matrices = build_cell_matrices(users, postbacks, organic, campaigns)
+    matrices = build_cell_matrices(users, postbacks, organic, campaigns, totals)
     return SimArtifacts(
         schema=fitted,
         postbacks=postbacks,

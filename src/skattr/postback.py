@@ -101,9 +101,6 @@ class CountMatrix:
     def total(self) -> int:
         return sum(self.column_sums())
 
-    def column_index(self) -> dict[CampaignKey, int]:
-        return {k: j for j, k in enumerate(self.columns)}
-
 
 def empty_matrix(group: str, week: str, columns: Sequence[CampaignKey]) -> CountMatrix:
     cols = tuple(columns)

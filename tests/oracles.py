@@ -1,7 +1,8 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately brute force: sort-and-slice quantiles,
-linear event scans, exhaustive enumeration of user-to-campaign assignments.
+linear event scans, exhaustive enumeration of user-to-campaign assignments,
+and attribution as a plain Fraction loop over every matrix cell.
 None of it shares code with the implementation paths it verifies.
 """
 
@@ -10,7 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from skattr.attribution import AttributionFunction, RevenueProfile
+from skattr.errors import ConfigError, MissingProfileError
 from skattr.model import PURCHASE, CampaignKey, UserRecord
+from skattr.postback import CountMatrix
+from skattr.schema import VALUE_RANGE
 
 
 def scan_revenue(user: UserRecord, t: int) -> int:
@@ -128,3 +133,79 @@ def enumeration_expected_sq_error(
             d = estimate[k] - assign.get(k, 0)
             total += d * d
     return total / n
+
+
+def _fraction_row_mean(profile: RevenueProfile, v: int, context: str) -> Fraction:
+    mean = profile.means.get(v)
+    if mean is None:
+        raise MissingProfileError(f"no revenue profile for value {v} ({context})")
+    return mean
+
+
+def fraction_attribute_plain(
+    matrix: CountMatrix, profile: RevenueProfile
+) -> dict[CampaignKey, Fraction]:
+    """Plain attribution as a Fraction loop over every (value, column) cell."""
+    if matrix.privacy_applied and sum(matrix.null_row) > 0:
+        raise ConfigError("matrix has a loaded null row; use attribute_with_null")
+    out: dict[CampaignKey, Fraction] = {k: Fraction(0) for k in matrix.columns}
+    for v in range(VALUE_RANGE):
+        if v in matrix.suppressed:
+            continue
+        row = matrix.rows[v]
+        if not any(row):
+            continue
+        mean = _fraction_row_mean(profile, v, f"{matrix.group}, {matrix.week}")
+        for j, count in enumerate(row):
+            if count:
+                out[matrix.columns[j]] += count * mean
+    return out
+
+
+def fraction_attribute_with_null(
+    matrix: CountMatrix,
+    profile: RevenueProfile,
+    fn: AttributionFunction,
+) -> dict[CampaignKey, Fraction]:
+    """Null-aware attribution with one Fraction weight per column, summed cell by cell."""
+    if not matrix.privacy_applied:
+        raise ConfigError("matrix is not privatized; use attribute_plain")
+    if fn.mode == "plain":
+        return fraction_attribute_plain(matrix, profile)
+    n = len(matrix.columns)
+    beta = fn.beta_count if fn.beta_count is not None else n
+    lam = Fraction(fn.effective_lambda)
+    null_row = matrix.null_row
+    null_sum = sum(null_row)
+    if null_sum == 0:
+        weights = [Fraction(1, beta)] * n
+    else:
+        uniform = (1 - lam) / beta
+        weights = [uniform + lam * Fraction(null_row[j], null_sum) for j in range(n)]
+
+    covered = sum(profile.totals.get(v, 0) for v in matrix.suppressed)
+    if covered < null_sum:
+        raise MissingProfileError(
+            f"developer totals cover {covered} suppressed users but the null row "
+            f"folded {null_sum} ({matrix.group}, {matrix.week})"
+        )
+
+    out: dict[CampaignKey, Fraction] = {k: Fraction(0) for k in matrix.columns}
+    context = f"{matrix.group}, {matrix.week}"
+    for v in range(VALUE_RANGE):
+        if v in matrix.suppressed:
+            total = profile.totals.get(v, 0)
+            if total == 0:
+                continue
+            mean = _fraction_row_mean(profile, v, context)
+            for j in range(n):
+                out[matrix.columns[j]] += mean * weights[j] * total
+        else:
+            row = matrix.rows[v]
+            if not any(row):
+                continue
+            mean = _fraction_row_mean(profile, v, context)
+            for j, count in enumerate(row):
+                if count:
+                    out[matrix.columns[j]] += count * mean
+    return out

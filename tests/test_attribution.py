@@ -17,8 +17,14 @@ from skattr.errors import ConfigError, MissingProfileError
 from skattr.model import Event, UserRecord, encode_alpha, organic_key
 from skattr.postback import Postback, empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
+from skattr.schema import VALUE_RANGE
 
-from oracles import enumeration_expected_sq_error, enumeration_mean
+from oracles import (
+    enumeration_expected_sq_error,
+    enumeration_mean,
+    fraction_attribute_plain,
+    fraction_attribute_with_null,
+)
 
 MONDAY = date(2024, 1, 1)
 T0 = datetime(2024, 1, 1, 10)
@@ -225,6 +231,63 @@ def test_scale_equivariance(inst, k):
     scaled_out = attribute_plain(m, prof_k)
     for key in campaigns:
         assert scaled_out[key] == k * base[key]
+
+
+@st.composite
+def kernel_case(draw):
+    """A count matrix, a developer-side profile and an estimator.
+
+    Rows with counts and all-zero rows with developer-side users both occur,
+    so thresholds fold loaded rows and empty ones (an empty null row). Now
+    and then one value's totals fall one short of its counts or its mean is
+    missing.
+    """
+    n_cols = draw(st.integers(1, 4))
+    columns = tuple(encode_alpha(0, c) for c in range(n_cols - 1)) + (organic_key(100),)
+    values = draw(st.lists(st.integers(0, VALUE_RANGE - 1), min_size=1, max_size=8, unique=True))
+    rows = {}
+    for v in values:
+        if draw(st.integers(0, 3)):
+            rows[v] = tuple(draw(st.integers(0, 3)) for _ in columns)
+    means = {
+        v: Fraction(draw(st.integers(0, 10**7)), draw(st.integers(1, 5000))) for v in values
+    }
+    totals = {v: sum(rows.get(v, ())) + draw(st.integers(0, 2)) for v in values}
+    broken = draw(st.sampled_from((None, None, None, None, "short", "missing")))
+    victim = draw(st.sampled_from(values))
+    if broken == "short":
+        totals[victim] = max(0, sum(rows.get(victim, ())) - 1)
+    elif broken == "missing":
+        del means[victim]
+    p = draw(st.sampled_from((0, 2, 5)))
+    fn = AttributionFunction(
+        "null_convex",
+        draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
+        draw(st.none() | st.integers(1, 6)),
+    )
+    matrix = matrix_from(rows, columns)
+    return matrix, RevenueProfile(window_days=30, means=means, totals=totals), p, fn
+
+
+def kernel_outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except MissingProfileError as exc:
+        return ("MissingProfileError", str(exc))
+
+
+@given(case=kernel_case())
+@settings(max_examples=500, deadline=None)
+def test_integer_kernel_matches_fraction_reference(case):
+    matrix, prof, p, fn = case
+    plain = kernel_outcome(attribute_plain, matrix, prof)
+    assert plain == kernel_outcome(fraction_attribute_plain, matrix, prof)
+    privatized = apply_threshold(matrix, PrivacyConfig(p))
+    out = kernel_outcome(attribute_with_null, privatized, prof, fn)
+    assert out == kernel_outcome(fraction_attribute_with_null, privatized, prof, fn)
+    if isinstance(out, dict):
+        assert all(type(x) is Fraction for x in out.values())
+        assert list(out) == list(matrix.columns)
 
 
 def random_instance(rng):

@@ -250,21 +250,29 @@ class TestCli:
         for name in ("report.json", "grid.csv", "window_curve.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
-    def test_threads_env_smoke(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKATTR_THREADS", "2")
+    def test_benchmark_simulates_each_schema_once(self, tmp_path, monkeypatch):
+        import skattr.metrics
+
+        simulated = []
+        run_schema_impl = skattr.metrics.run_schema
+
+        def counting_run_schema(users, schema, *args, **kwargs):
+            simulated.append(schema.label)
+            return run_schema_impl(users, schema, *args, **kwargs)
+
+        monkeypatch.setattr(skattr.metrics, "run_schema", counting_run_schema)
         run_cfg = {
             "gen": {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 5},
-            "schemas": ["kind=PV;layout=VVVVVV;horizon=30", "kind=UD"],
+            "schemas": ["kind=PV;layout=VVVVVV;horizon=30", "kind=RR;layout=TTTVVV;horizon=7",
+                        "kind=UD"],
             "p_values": [0],
             "g_modes": ["plain"],
             "t": 30,
-            "windows": [],
+            "windows": [[7, 14], [14, 30]],
             "seed": 5,
         }
         (tmp_path / "run.json").write_text(json.dumps(run_cfg))
-        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", tmp_path / "par") == 0
-        monkeypatch.setenv("SKATTR_THREADS", "1")
-        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", tmp_path / "ser") == 0
-        assert (tmp_path / "par" / "report.json").read_bytes() == (
-            tmp_path / "ser" / "report.json"
-        ).read_bytes()
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", tmp_path / "o") == 0
+        assert sorted(simulated) == ["D30 PV", "D7 RR", "UD"]
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert len(report["window_curve"]) == 2

@@ -7,6 +7,8 @@ from skattr.errors import (
     AlignmentError,
     ConfigError,
     DegenerateBaselineError,
+    DegenerateFitError,
+    GridCellError,
     UndefinedWeightsError,
 )
 from skattr.metrics import (
@@ -168,6 +170,34 @@ class TestBenchmarkMatrix:
             benchmark_matrix(small_dataset(), [], [0], ["plain"], 30, seed=0)
 
 
+def no_spender_dataset():
+    cfg = GenConfig(n_users=300, n_weeks=2, event_horizon_days=35, seed=0, spender_rate=0.0)
+    return generate_dataset(cfg)[0]
+
+
+class TestGridCellError:
+    def test_failing_cell_carries_coordinates(self):
+        # No revenue at all: every week weighs zero, so the EV cell's
+        # aggregate error is undefined.
+        with pytest.raises(GridCellError) as info:
+            benchmark_matrix(no_spender_dataset(), [schema_from_text("kind=EV;layout=CCCCCC")],
+                             [0], ["plain"], 30, seed=0)
+        exc = info.value
+        assert (exc.schema, exc.p, exc.g, exc.lam) == ("EV", 0, "plain", None)
+        assert "schema=EV, p=0, g=plain, lambda=None" in str(exc)
+        assert isinstance(exc.__cause__, UndefinedWeightsError)
+
+    def test_failing_schema_carries_its_label(self):
+        # No spenders: PV bucket boundaries cannot be fitted, before any cell.
+        with pytest.raises(GridCellError) as info:
+            benchmark_matrix(no_spender_dataset(), [schema_from_text(PV)],
+                             [0], ["plain"], 30, seed=0)
+        exc = info.value
+        assert (exc.schema, exc.p, exc.g, exc.lam) == ("D30 PV", None, None, None)
+        assert str(exc).startswith("schema D30 PV: DegenerateFitError")
+        assert isinstance(exc.__cause__, DegenerateFitError)
+
+
 class TestExactZero:
     def test_pv_on_homogeneous_fixture(self):
         users = homogeneous_fixture(6, 5, None)
@@ -194,6 +224,20 @@ class TestWindowCurve:
         cell = report.cell("D7 RR", 0, "plain", None, "campaign")
         curve = window_error_curve(users, schema, 0, "plain", [(0, 30)], seed=5)
         assert curve[0].error == pytest.approx(cell.aggregate_error)
+
+    def test_grid_artifacts_give_the_fresh_curve(self):
+        users = small_dataset(seed=6, n=2000)
+        schema = schema_from_text(D7RR)
+        report = benchmark_matrix(users, [schema_from_text(PV), schema], [0, 10],
+                                  ["plain", "null_uniform"], 30, seed=6)
+        windows = [(7, 14), (14, 30)]
+        for p, g in ((0, "plain"), (10, "null_uniform")):
+            reused = window_error_curve(users, schema, p, g, windows, seed=6,
+                                        artifacts=report.artifacts["D7 RR"])
+            assert reused == window_error_curve(users, schema, p, g, windows, seed=6)
+        with pytest.raises(ConfigError):
+            window_error_curve(users, schema, 0, "plain", windows, seed=6,
+                               artifacts=report.artifacts["D30 PV"])
 
     def test_plain_rejected_with_threshold(self):
         users = small_dataset(seed=5)
