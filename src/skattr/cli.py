@@ -36,8 +36,8 @@ from .io_files import (
     save_window_csv,
 )
 from .metrics import aggregate_error, benchmark_matrix, weekly_error, window_error_curve
-from .model import ground_truth, iso_week, usd
-from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
+from .model import ground_truth, usd
+from .pipeline import cell_of, developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import schema_from_text, schema_to_text
 from .synthgen import generate_dataset
@@ -164,9 +164,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     users, _, postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
     included = [u for u in users if u.id in postbacks]
-    truth = ground_truth(
-        included, args.t, lambda u: iso_week(postbacks[u.id].postback_time.date())
-    )
+    truth = ground_truth(included, args.t, lambda u: cell_of(postbacks[u.id])[1])
 
     columns = ameta.get("columns")
     if columns is None:

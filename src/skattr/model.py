@@ -3,8 +3,12 @@
 Money is integer USD cents everywhere. Revenue windows are half-open in
 whole days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
-(Monday start). All types are immutable after construction; operations are
-pure functions.
+(Monday start), memoised per date because a cohort spans a few hundred
+dates. All types are immutable after construction; operations are pure
+functions. Each user's purchases are digested on first use into
+``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
+walks only purchases and a user without any costs one empty loop however
+many schemas and windows ask for it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from functools import cached_property, lru_cache
 
 from .errors import ConfigError, InvalidCampaignError, MaturityError, OrganicKeyError
 
@@ -139,6 +144,14 @@ class UserRecord:
     def registration_instant(self) -> datetime:
         return datetime.combine(self.registration_date, time.min)
 
+    @cached_property
+    def purchases(self) -> tuple[tuple[int, int], ...]:
+        """(day offset, cents) of each purchase in event order, built on first use."""
+        reg = self.registration_date
+        return tuple(
+            ((e.timestamp.date() - reg).days, e.amount) for e in self.events if e.kind == PURCHASE
+        )
+
 
 def day_offset(user: UserRecord, at: datetime) -> int:
     """Whole calendar days between the registration date and ``at``."""
@@ -150,9 +163,11 @@ def revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
     if lo_day < 0 or hi_day < lo_day:
         raise ConfigError(f"invalid revenue window [{lo_day}, {hi_day})")
     total = 0
-    for e in user.events:
-        if e.kind == PURCHASE and lo_day <= day_offset(user, e.timestamp) < hi_day:
-            total += e.amount
+    for day, cents in user.purchases:
+        if day >= hi_day:
+            break
+        if day >= lo_day:
+            total += cents
     return total
 
 
@@ -163,6 +178,7 @@ def cumulative_revenue(user: UserRecord, t: int) -> int:
     return revenue_between(user, 0, t)
 
 
+@lru_cache(maxsize=4096)
 def iso_week(d: date) -> str:
     """ISO year-week key, Monday start, e.g. '2024-W05'."""
     y, w, _ = d.isocalendar()

@@ -2,9 +2,12 @@
 
 Both the stage-wise CLI commands and the benchmark grid go through these
 helpers, so splitting a run into stages and running it end to end produce
-identical numbers for the same seed. Postback delay randomness comes from
-the per-user substream (seed, "postback", user_id); UD schemas without an
-explicit seed get the derived substream seed (seed, "ud").
+identical numbers for the same seed. Postback delay randomness is one
+Uniform[0, 1) draw per user from the substream (seed, "postback", user_id);
+it does not depend on the schema, so it is drawn once per (seed, user) and
+kept on the shared ``prepare_users`` digest, which every schema simulated
+from that digest reuses. UD schemas without an explicit seed get the
+derived substream seed (seed, "ud").
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 
 from .errors import ConfigError
-from .model import CampaignKey, UserRecord, cumulative_revenue, iso_week, organic_key
+from .model import CampaignKey, UserRecord, cumulative_revenue, organic_key
 from .postback import (
+    CellKey,
     CountMatrix,
     Postback,
     build_counts,
+    cell_of,
     empty_matrix,
     estimate_organic,
     finalize_postback,
@@ -33,8 +38,6 @@ from .schema import (
     prepare_users,
     simulate_traces,
 )
-
-CellKey = tuple[str, str]  # (group, week)
 
 
 def resolve_organic(users: Iterable[UserRecord], override: int | None = None) -> CampaignKey:
@@ -79,21 +82,23 @@ def simulate_postbacks(
     """One postback per user (organic users included: the developer's view).
 
     Users whose postback would land after ``horizon`` are excluded entirely;
-    they count neither in matrices nor in ground truth.
+    they count neither in matrices nor in ground truth. A user's delay draw
+    is memoised by seed on their ``prepared`` digest entry.
     """
     traces = simulate_traces(users, schema, prepared)
     by_group = {u.id: u.group for u in users}
     out: dict[int, Postback] = {}
     for uid in sorted(traces):
-        pb = finalize_postback(traces[uid], substream(seed, "postback", uid), by_group[uid])
+        prepped = prepared.get(uid) if prepared is not None else None
+        draws = prepped.postback_draws if prepped is not None else {}
+        draw = draws.get(seed)
+        if draw is None:
+            draw = draws[seed] = substream(seed, "postback", uid).random()
+        pb = finalize_postback(traces[uid], draw, by_group[uid])
         if horizon is not None and pb.postback_time > horizon:
             continue
         out[uid] = pb
     return out
-
-
-def cell_of(pb: Postback) -> CellKey:
-    return (pb.group, iso_week(pb.postback_time.date()))
 
 
 def developer_totals(postbacks: Mapping[int, Postback]) -> dict[CellKey, dict[int, int]]:

@@ -9,7 +9,6 @@ developer-side per-value totals.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -20,6 +19,8 @@ from .schema import VALUE_RANGE, UpdateTrace
 
 POSTBACK_QUIET_SECONDS = 86_400.0
 POSTBACK_JITTER_SECONDS = 86_400.0
+
+CellKey = tuple[str, str]  # (group, week)
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,20 +33,26 @@ class Postback:
     group: str
 
 
-def finalize_postback(trace: UpdateTrace, rng: random.Random, group: str) -> Postback:
+def finalize_postback(trace: UpdateTrace, draw: float, group: str) -> Postback:
     """Turn a final trace into its postback.
 
-    The delivery time is last commit + 24h quiet period + Uniform[0, 24h)
-    drawn from ``rng`` (callers derive a per-user substream so results do
-    not depend on processing order).
+    The delivery time is last commit + 24h quiet period + ``draw`` * 24h,
+    where ``draw`` is the user's Uniform[0, 1) postback draw (callers take
+    it from a per-user substream so results do not depend on processing
+    order).
     """
-    delay = POSTBACK_QUIET_SECONDS + rng.random() * POSTBACK_JITTER_SECONDS
+    delay = POSTBACK_QUIET_SECONDS + draw * POSTBACK_JITTER_SECONDS
     return Postback(
         user_id=trace.user_id,
         final_value=trace.final_value,
         postback_time=trace.last_commit + timedelta(seconds=delay),
         group=group,
     )
+
+
+def cell_of(pb: Postback) -> CellKey:
+    """The (group, ISO week of delivery) cell a postback is counted in."""
+    return (pb.group, iso_week(pb.postback_time.date()))
 
 
 @dataclass(frozen=True)
@@ -67,11 +74,12 @@ class CountMatrix:
     privacy_applied: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.rows) != VALUE_RANGE:
+        rows = self.rows
+        if len(rows) != VALUE_RANGE:
             raise ConfigError(f"count matrix must have {VALUE_RANGE} rows")
-        if any(len(r) != len(self.columns) for r in self.rows):
+        if set(map(len, rows)) != {len(self.columns)}:
             raise ConfigError("row width must match the column count")
-        if any(c < 0 for row in self.rows for c in row):
+        if self.columns and min(map(min, rows)) < 0:
             raise ConfigError("counts must be non-negative")
         if self.privacy_applied != (self.null_row is not None):
             raise ConfigError("null row present iff privacy has been applied")
@@ -117,7 +125,7 @@ def build_counts(
     postbacks: Iterable[Postback],
     users: Iterable[UserRecord],
     campaigns: Sequence[CampaignKey] | None = None,
-) -> dict[tuple[str, str], CountMatrix]:
+) -> dict[CellKey, CountMatrix]:
     """Aggregate postbacks into per-(group, week) matrices over paid columns.
 
     Postbacks of organic-origin users are skipped here; their column is
@@ -129,7 +137,7 @@ def build_counts(
         campaigns = paid_campaigns(users_by_id.values())
     cols = tuple(campaigns)
     col_index = {k: j for j, k in enumerate(cols)}
-    grids: dict[tuple[str, str], list[list[int]]] = {}
+    grids: dict[CellKey, list[list[int]]] = {}
     seen: set[int] = set()
     for pb in postbacks:
         if pb.user_id in seen:
@@ -140,7 +148,7 @@ def build_counts(
             raise ReferentialError(f"postback references unknown user {pb.user_id}")
         if user.origin.organic:
             continue
-        key = (pb.group, iso_week(pb.postback_time.date()))
+        key = cell_of(pb)
         grid = grids.get(key)
         if grid is None:
             grid = [[0] * len(cols) for _ in range(VALUE_RANGE)]

@@ -322,12 +322,18 @@ class UpdateTrace:
 
 @dataclass(frozen=True)
 class _PreppedUser:
-    """Schema-independent event digest: one entry per distinct instant."""
+    """Schema-independent event digest: one entry per distinct instant.
+
+    ``postback_draws`` maps a seed to the user's postback delay draw; the
+    pipeline fills it on first use so every schema simulated from this
+    digest reuses the draw.
+    """
 
     user: UserRecord
     # (seconds since registration midnight, instant, purchase cents, purchase
     #  count, day-0 flag bits) aggregated over simultaneous events.
     groups: tuple[tuple[float, datetime, int, int, int], ...] = field(repr=False)
+    postback_draws: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 
 def prepare_user(user: UserRecord) -> _PreppedUser:

@@ -28,6 +28,18 @@ def scan_revenue(user: UserRecord, t: int) -> int:
     return total
 
 
+def scan_revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
+    """Event walk: purchase cents from lo_day midnights up to hi_day midnights."""
+    total = 0
+    midnight = user.registration_instant
+    for e in user.events:
+        if e.kind == PURCHASE:
+            seconds = (e.timestamp - midnight).total_seconds()
+            if lo_day * 86_400 <= seconds < hi_day * 86_400:
+                total += e.amount
+    return total
+
+
 def sort_slice_quantiles(spends: list[int], n_buckets: int) -> list[int]:
     """Boundaries that cut a sorted spender population into n_buckets slices."""
     s = sorted(spends)

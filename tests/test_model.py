@@ -1,7 +1,7 @@
 from datetime import date, datetime, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skattr.errors import (
     ConfigError,
@@ -23,7 +23,7 @@ from skattr.model import (
     usd,
 )
 
-from oracles import groupby_truth, scan_revenue
+from oracles import groupby_truth, scan_revenue, scan_revenue_between
 
 MONDAY = date(2024, 1, 1)
 
@@ -113,6 +113,31 @@ class TestCumulativeRevenue:
         user = make_user(purchases=sorted(purchases))
         assert cumulative_revenue(user, t) <= cumulative_revenue(user, t + 1)
         assert cumulative_revenue(user, t) == scan_revenue(user, t)
+
+    def test_purchase_digest(self):
+        user = make_user(purchases=[(0, 0, 50), (3, 12, 100), (3, 12, 25)], flags=[(0, 10, 2)])
+        assert user.purchases == ((0, 50), (3, 100), (3, 25))
+        assert make_user().purchases == ()
+
+    # Hour 0 puts a purchase exactly on a day edge; repeated tuples are
+    # purchases at the same instant.
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from((0, 1, 12, 23)), st.integers(1, 10_000)),
+            max_size=12,
+        ),
+        st.integers(0, 45),
+        st.integers(0, 45),
+    )
+    @example(purchases=[], a=0, b=30)
+    @example(purchases=[(2, 0, 100), (7, 0, 200)], a=2, b=7)
+    @example(purchases=[(5, 0, 100), (5, 0, 100), (5, 0, 7)], a=5, b=5)
+    @example(purchases=[(5, 0, 100), (5, 0, 100), (5, 0, 7)], a=5, b=6)
+    def test_revenue_between_matches_event_walk(self, purchases, a, b):
+        lo, hi = min(a, b), max(a, b)
+        user = make_user(purchases=purchases, flags=[(0, 9, 1), (lo, 0, 3)])
+        assert revenue_between(user, lo, hi) == scan_revenue_between(user, lo, hi)
+        assert revenue_between(user, lo, lo) == 0
 
 
 class TestUserRecordInvariants:

@@ -1,9 +1,11 @@
+import sys
 from datetime import datetime
 
 import pytest
 
+from skattr import rng
 from skattr.errors import ConfigError
-from skattr.metrics import benchmark_matrix
+from skattr.metrics import benchmark_matrix, window_error_curve
 from skattr.pipeline import (
     developer_totals,
     resolve_organic,
@@ -11,10 +13,12 @@ from skattr.pipeline import (
     run_schema,
     simulate_postbacks,
 )
-from skattr.schema import schema_from_text
+from skattr.postback import finalize_postback
+from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
+D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +109,53 @@ class TestPerGroupProfiles:
                                   seed=14, profile_per_group=True)
         assert report.metadata["profile_per_group"] is True
         assert all(c.aggregate_error >= 0 for c in report.cells)
+
+
+class TestPostbackDraws:
+    """The delay draw depends on (seed, user) only and is drawn once per prepared digest."""
+
+    def fresh(self, users, schema, seed):
+        traces = simulate_traces(users, schema)
+        return {
+            u.id: finalize_postback(
+                traces[u.id], rng.substream(seed, "postback", u.id).random(), u.group
+            )
+            for u in users
+        }
+
+    def test_shared_prepared_matches_fresh_substream_draws(self, users):
+        prepared = prepare_users(users)
+        for text in (PV, D7RR, "kind=UD"):
+            schema = resolve_schema(schema_from_text(text), users, seed=3)
+            assert simulate_postbacks(users, schema, 3, prepared=prepared) == self.fresh(
+                users, schema, 3
+            )
+
+    def test_two_seeds_on_one_prepared_do_not_share_draws(self, users):
+        schema = resolve_schema(schema_from_text("kind=UD;seed=9"), users, seed=3)
+        prepared = prepare_users(users)
+        a = simulate_postbacks(users, schema, 3, prepared=prepared)
+        b = simulate_postbacks(users, schema, 4, prepared=prepared)
+        assert a == self.fresh(users, schema, 3)
+        assert b == self.fresh(users, schema, 4)
+        assert all(a[uid].postback_time != b[uid].postback_time for uid in a)
+        assert simulate_postbacks(users, schema, 3, prepared=prepared) == a
+
+    def test_one_substream_per_user_across_grid_and_curve(self, users, monkeypatch):
+        calls = []
+        original = rng.substream
+
+        def counting(seed, *path):
+            calls.append(path)
+            return original(seed, *path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("skattr") and getattr(module, "substream", None) is original:
+                monkeypatch.setattr(module, "substream", counting)
+        prepared = prepare_users(users)
+        schemas = [schema_from_text(t) for t in (PV, D7RR, "kind=UD")]
+        benchmark_matrix(users, schemas, [0], ["plain"], 30, seed=3, prepared=prepared)
+        window_error_curve(users, schemas[1], 0, "plain", [(7, 14), (14, 30)], seed=3,
+                           prepared=prepared)
+        assert len(calls) == len(users)
+        assert {path[0] for path in calls} == {"postback"}

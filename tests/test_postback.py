@@ -7,6 +7,7 @@ import pytest
 from skattr.errors import ConfigError, DuplicatePostbackError, InconsistentTotalsError
 from skattr.model import Event, UserRecord, encode_alpha, iso_week, organic_key
 from skattr.postback import (
+    CountMatrix,
     Postback,
     build_counts,
     empty_matrix,
@@ -34,26 +35,26 @@ def pb(uid, value, when, group="G"):
 
 class TestFinalizePostback:
     def test_single_commit_window(self):
-        p = finalize_postback(trace(), random.Random(1), "G")
+        p = finalize_postback(trace(), random.Random(1).random(), "G")
         assert p.final_value == 5
         delta = (p.postback_time - T0).total_seconds()
         assert 86_400 <= delta < 2 * 86_400
 
     def test_delay_arithmetic_from_last_commit(self):
         tr = trace(commits=((T0, 1), (T0 + timedelta(hours=20), 9)))
-        p = finalize_postback(tr, random.Random(2), "G")
+        p = finalize_postback(tr, random.Random(2).random(), "G")
         assert p.final_value == 9
         delta = (p.postback_time - T0).total_seconds()
         assert 44 * 3600 <= delta < 68 * 3600
 
     def test_deterministic_for_fixed_seed(self):
-        a = finalize_postback(trace(), random.Random(7), "G")
-        b = finalize_postback(trace(), random.Random(7), "G")
+        a = finalize_postback(trace(), random.Random(7).random(), "G")
+        b = finalize_postback(trace(), random.Random(7).random(), "G")
         assert a == b
 
     def test_window_property_over_many_seeds(self):
         for s in range(100):
-            p = finalize_postback(trace(), random.Random(s), "G")
+            p = finalize_postback(trace(), random.Random(s).random(), "G")
             delta = (p.postback_time - T0).total_seconds()
             assert 86_400 <= delta < 2 * 86_400
 
@@ -113,6 +114,35 @@ class TestBuildCounts:
         ]
         matrices = build_counts(pbs, users)
         assert sum(m.total() for m in matrices.values()) == len(users)
+
+
+class TestCountMatrixValidation:
+    COLS = (encode_alpha(0, 0), organic_key(100))
+
+    def matrix(self, rows, **kw):
+        return CountMatrix(group="G", week="2024-W01", columns=self.COLS, rows=tuple(rows), **kw)
+
+    def test_valid_and_zero_column_matrices(self):
+        assert self.matrix([(1, 0)] * 64).total() == 64
+        assert empty_matrix("G", "2024-W01", []).total() == 0
+
+    @pytest.mark.parametrize(
+        "rows, kw",
+        [
+            ([(0, 0)] * 63, {}),
+            ([(0, 0)] * 63 + [(0,)], {}),
+            ([(0, 0, 0)] * 64, {}),
+            ([(0, 0)] * 63 + [(2, -1)], {}),
+            ([(0, 0)] * 64, {"privacy_applied": True}),
+            ([(0, 0)] * 64, {"null_row": (0, 0)}),
+            ([(0, 0)] * 64, {"null_row": (0,), "privacy_applied": True}),
+        ],
+        ids=["row-count", "ragged-row", "row-width", "negative", "no-null-row",
+             "null-row-before-privacy", "null-row-width"],
+    )
+    def test_malformed_matrix_rejected(self, rows, kw):
+        with pytest.raises(ConfigError):
+            self.matrix(rows, **kw)
 
 
 class TestEstimateOrganic:
