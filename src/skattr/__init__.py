@@ -26,12 +26,10 @@ from .metrics import (
 from .model import (
     CampaignKey,
     Event,
-    GroundTruth,
     UserRecord,
     cumulative_revenue,
     decode_alpha,
     encode_alpha,
-    ground_truth,
     organic_key,
 )
 from .postback import (
@@ -66,7 +64,6 @@ __all__ = [
     "CountMatrix",
     "Event",
     "GenConfig",
-    "GroundTruth",
     "Postback",
     "PrivacyConfig",
     "RevenueProfile",
@@ -90,7 +87,6 @@ __all__ = [
     "finalize_postback",
     "fit_buckets",
     "generate_dataset",
-    "ground_truth",
     "homogeneous_fixture",
     "normalize_vs_baseline",
     "organic_key",

@@ -1,9 +1,11 @@
 """Batch command-line interface over the full pipeline.
 
 Stage commands (generate, simulate, privatize, attribute, evaluate) and the
-one-shot `benchmark` share the same library calls and seed substreams, so a
-pipeline split into stages reproduces the benchmark's numbers exactly. Any
-failure exits nonzero with a one-line JSON error on stderr.
+one-shot `benchmark` share the same library calls and seed substreams:
+`attribute` runs the grid's `metrics.attribute_cells`, and `evaluate` builds
+truth with `metrics.truth_by_week` and scores with `metrics.score_level`. A
+pipeline split into stages therefore reproduces the benchmark's numbers
+exactly. Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
-from .attribution import (
-    AttributionFunction,
-    attribute_plain,
-    attribute_with_null,
-    estimate_bucket_means,
-)
+from .attribution import AttributionFunction, estimate_bucket_means
 from .config import load_gen_config, load_run_config
 from .errors import ConfigError, SkattrError
 from .io_files import (
+    column_keys,
     config_hash,
     load_attribution,
     load_counts,
@@ -35,9 +33,15 @@ from .io_files import (
     save_report,
     save_window_csv,
 )
-from .metrics import aggregate_error, benchmark_matrix, weekly_error, window_error_curve
-from .model import ground_truth, usd
-from .pipeline import cell_of, developer_totals, resolve_schema, run_schema, simulate_postbacks
+from .metrics import (
+    attribute_cells,
+    benchmark_matrix,
+    score_level,
+    truth_by_week,
+    window_error_curve,
+)
+from .model import CampaignKey, usd
+from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import schema_from_text, schema_to_text
 from .synthgen import generate_dataset
@@ -125,21 +129,15 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
     users, _, postbacks = _resimulate(dict(cmeta), users_csv, events_csv, cmeta.get("organic_alpha"))
     profile = estimate_bucket_means(users, postbacks, args.t)
-    totals = developer_totals(postbacks)
 
     lam = args.lam if args.lam is not None else (1.0 if args.g == "null_empirical" else 0.0)
-    attributed: dict = {}
-    for cell in sorted(matrices):
-        matrix = matrices[cell]
-        if args.g == "plain":
-            res = attribute_plain(matrix, profile)
-        else:
-            if cell not in totals:
-                raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
-            fn = AttributionFunction(mode=args.g, lam=lam)
-            res = attribute_with_null(matrix, profile.with_totals(totals[cell]), fn)
-        for key, value in res.items():
-            attributed[(cell[0], cell[1], key)] = round(value)
+    fn = None if args.g == "plain" else AttributionFunction(mode=args.g, lam=lam)
+    cells = attribute_cells(matrices, {None: profile}, developer_totals(postbacks), fn)
+    attributed = {
+        (group, week, key): cents
+        for (group, week), res in cells.items()
+        for key, cents in res.items()
+    }
 
     meta = {
         "kind": "attribution",
@@ -163,44 +161,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     attributed, ameta = load_attribution(args.attr)
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     users, _, postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
-    included = [u for u in users if u.id in postbacks]
-    truth = ground_truth(included, args.t, lambda u: cell_of(postbacks[u.id])[1])
+    truth = truth_by_week(users, postbacks, 0, args.t)
 
-    columns = ameta.get("columns")
-    if columns is None:
+    if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")
-    attr_weekly: dict[str, dict[int, int]] = {}
-    for (group, week, alpha), cents in attributed.items():
-        if alpha not in columns:
+    columns = column_keys(ameta)
+    by_alpha = {k.alpha: k for k in columns}
+    attr_weekly: dict[str, dict[CampaignKey, int]] = {}
+    for (_, week, alpha), cents in attributed.items():
+        key = by_alpha.get(alpha)
+        if key is None:
             raise ConfigError(f"attributed alpha {alpha} is not in the declared columns")
-        acc = attr_weekly.setdefault(week, dict.fromkeys(columns, 0))
-        acc[alpha] += cents
-    truth_weekly: dict[str, dict[int, int]] = {}
-    for (group, week, key), cents in truth.values.items():
-        if key.alpha not in columns:
-            raise ConfigError(
-                f"true origin {key.alpha} is not in the declared columns; "
-                "was the attribution produced from this dataset?"
-            )
-        acc = truth_weekly.setdefault(week, dict.fromkeys(columns, 0))
-        acc[key.alpha] += cents
-    for week in attr_weekly:
-        truth_weekly.setdefault(week, dict.fromkeys(columns, 0))
+        acc = attr_weekly.setdefault(week, {})
+        acc[key] = acc.get(key, 0) + cents
+    stray = sorted({key for week_truth in truth.values() for key in week_truth} - set(columns))
+    if stray:
+        raise ConfigError(
+            f"true origin {stray[0].alpha} is not in the declared columns; "
+            "was the attribution produced from this dataset?"
+        )
 
-    weekly = []
-    weights = []
-    for week in sorted(truth_weekly):
-        att = attr_weekly.get(week, dict.fromkeys(columns, 0))
-        err = weekly_error(att, truth_weekly[week])
-        weekly.append((week, err))
-        weights.append(float(sum(truth_weekly[week].values())))
-    agg = aggregate_error(zip((e for _, e in weekly), weights))
-
+    weekly, agg = score_level(attr_weekly, truth, columns, include_organic=True, level="campaign")
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},
         "aggregate_error_usd": agg / 100.0,
-        "total_truth_usd": usd(truth.total()),
+        "total_truth_usd": usd(sum(sum(w.values()) for w in truth.values())),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -19,10 +19,6 @@ class OrganicKeyError(SkattrError):
     """Attempt to decode the organic sentinel into (network, campaign)."""
 
 
-class MaturityError(SkattrError):
-    """A user is too recent for the requested revenue window."""
-
-
 class LayoutError(SkattrError):
     """Malformed bit-layout or schema text."""
 

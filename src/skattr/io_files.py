@@ -234,15 +234,20 @@ def save_counts(
     _write_csv(Path(path), full_meta, COUNT_FIELDS, rows)
 
 
+def column_keys(meta: Mapping) -> tuple[CampaignKey, ...]:
+    """The meta line's ``columns`` as campaign keys; ``organic_alpha`` marks the organic one."""
+    organic_alpha = meta.get("organic_alpha")
+    return tuple(
+        organic_key(a) if a == organic_alpha else CampaignKey(a) for a in meta["columns"]
+    )
+
+
 def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], dict]:
     cpath = Path(path)
     meta, rows = _read_csv(cpath, COUNT_FIELDS)
     if "columns" not in meta:
         raise CsvFormatError(f"{cpath}: meta line lacks the column list")
-    organic_alpha = meta.get("organic_alpha")
-    columns = tuple(
-        organic_key(a) if a == organic_alpha else CampaignKey(a) for a in meta["columns"]
-    )
+    columns = column_keys(meta)
     col_index = {k.alpha: j for j, k in enumerate(columns)}
     privacy_applied = bool(meta.get("privacy_applied", False))
 

@@ -5,6 +5,12 @@ revenue vectors over campaigns (square root of the summed squared gaps), so
 it carries money units. Weeks aggregate by a revenue-weighted average and
 grids normalize against the omniscient-schema baseline per privacy level:
 100 * (1 - err / baseline_err), positive is better than baseline.
+
+Three functions are the only implementation of scoring, shared by the grid,
+the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
+``attribute_cells`` (estimator output in cents per cell and campaign),
+``truth_by_week`` (actual window revenue per postback week and origin) and
+``score_level`` (weekly and aggregate error at one level).
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from .errors import (
     SkattrError,
     UndefinedWeightsError,
 )
-from .model import CampaignKey, UserRecord, revenue_between
+# revenue_between is not called here but stays bound: perfbench's tracer test
+# checks that the tracer patches this module's binding of it.
+from .model import CampaignKey, UserRecord, ground_truth, revenue_between  # noqa: F401
 from .pipeline import CellKey, SimArtifacts, cell_of, prepare_users, run_schema
 from .postback import CountMatrix, Postback
 from .privacy import PrivacyConfig, apply_threshold
@@ -107,9 +115,7 @@ class AttributionReport:
 
     def cell(self, schema: str, p: int, mode: str, lam: float | None, level: str) -> CellResult:
         for c in self.cells:
-            if (c.schema, c.p, c.mode, c.level) == (schema, p, mode, level) and (
-                c.lam == lam or (c.lam is None and lam is None)
-            ):
+            if (c.schema, c.p, c.mode, c.lam, c.level) == (schema, p, mode, lam, level):
                 return c
         raise KeyError((schema, p, mode, lam, level))
 
@@ -118,36 +124,39 @@ def _network_label(key: CampaignKey) -> str:
     return "organic" if key.organic else f"n{key.network}"
 
 
-def _truth_by_week(
+def truth_by_week(
     users: Sequence[UserRecord],
     postbacks: Mapping[int, Postback],
     lo_day: int,
     hi_day: int,
 ) -> dict[str, dict[CampaignKey, int]]:
-    """Actual window revenue per (postback week, origin), summed over groups."""
-    out: dict[str, dict[CampaignKey, int]] = {}
-    for u in users:
-        pb = postbacks.get(u.id)
-        if pb is None:
-            continue
-        bucket = out.setdefault(cell_of(pb)[1], {})
-        bucket[u.origin] = bucket.get(u.origin, 0) + revenue_between(u, lo_day, hi_day)
-    return out
+    """Actual window revenue per (postback week, origin), summed over groups.
+
+    Users without a postback are not counted.
+    """
+    weeks = {uid: cell_of(pb)[1] for uid, pb in postbacks.items()}
+    return ground_truth(users, weeks, lo_day, hi_day)
 
 
-def _level_errors(
-    attributed_by_week: Mapping[str, Mapping[CampaignKey, int]],
-    truth_by_week: Mapping[str, Mapping[CampaignKey, int]],
+def score_level(
+    attributed: Mapping[str, Mapping[CampaignKey, int]],
+    truth: Mapping[str, Mapping[CampaignKey, int]],
     columns: Sequence[CampaignKey],
     include_organic: bool,
     level: str,
 ) -> tuple[tuple[tuple[str, float], ...], float]:
+    """Weekly errors and their revenue-weighted aggregate at one level.
+
+    Both sides map week -> campaign -> cents. Every week either side has is
+    scored; a side without that week counts as zero revenue there.
+    ``level`` is "campaign", or "network" to sum campaigns per network first.
+    """
     keys = [k for k in columns if include_organic or not k.organic]
     weekly: list[tuple[str, float]] = []
     weights: list[float] = []
-    for week in sorted(truth_by_week):
-        att = attributed_by_week[week]
-        tru = truth_by_week[week]
+    for week in sorted(attributed.keys() | truth.keys()):
+        att = attributed.get(week, {})
+        tru = truth.get(week, {})
         a: dict = {}
         y: dict = {}
         for k in keys:
@@ -160,32 +169,32 @@ def _level_errors(
     return tuple(weekly), agg
 
 
-def _attribute_cells(
-    artifacts: SimArtifacts,
+def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
     profiles: Mapping[str | None, RevenueProfile],
+    totals: Mapping[CellKey, Mapping[int, int]],
     fn: AttributionFunction | None,
-) -> dict[str, dict[CampaignKey, int]]:
-    """Attribute every cell and sum per week across groups.
+) -> dict[CellKey, dict[CampaignKey, int]]:
+    """Attribute every cell, in cents rounded per (group, week, campaign).
 
     ``profiles`` maps a group label to its revenue profile, with None as the
-    pooled fallback. Values are rounded to cents per (group, week, campaign),
-    the grain the attribution files emit, so errors score exactly what a
-    stage-wise run writes and both execution styles commute byte for byte.
+    pooled fallback; ``totals`` are the developer's per-value counts of each
+    cell, which the null-aware estimators (``fn`` not None) need. Cents are
+    the grain the attribution files hold, so a grid cell scores exactly what
+    a stage-wise run writes.
     """
-    by_week: dict[str, dict[CampaignKey, int]] = {}
+    out: dict[CellKey, dict[CampaignKey, int]] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
         profile = profiles.get(cell[0], profiles.get(None))
         if fn is None:
             res = attribute_plain(matrix, profile)
         else:
-            res = attribute_with_null(matrix, profile.with_totals(artifacts.cell_totals[cell]), fn)
-        week = cell[1]
-        acc = by_week.setdefault(week, {})
-        for k, val in res.items():
-            acc[k] = acc.get(k, 0) + round(val)
-    return by_week
+            if cell not in totals:
+                raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
+            res = attribute_with_null(matrix, profile.with_totals(totals[cell]), fn)
+        out[cell] = {k: round(val) for k, val in res.items()}
+    return out
 
 
 def _expand_modes(
@@ -230,17 +239,21 @@ def _grid_error(
     matrices: Mapping[CellKey, CountMatrix],
     profiles: Mapping[str | None, RevenueProfile],
     fn: AttributionFunction | None,
-    truth_by_week: Mapping[str, Mapping[CampaignKey, int]],
+    truth: Mapping[str, Mapping[CampaignKey, int]],
     include_organic: bool,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
     """Weekly and aggregate errors at both levels for one estimator.
 
-    ``truth_by_week`` is ``_truth_by_week`` over the artifacts' postbacks
-    and the window the profiles were fitted on.
+    ``truth`` is ``truth_by_week`` over the artifacts' postbacks and the
+    window the profiles were fitted on.
     """
-    attributed = _attribute_cells(artifacts, matrices, profiles, fn)
+    by_week: dict[str, dict[CampaignKey, int]] = {}
+    for (_, week), res in attribute_cells(matrices, profiles, artifacts.cell_totals, fn).items():
+        acc = by_week.setdefault(week, {})
+        for k, cents in res.items():
+            acc[k] = acc.get(k, 0) + cents
     return {
-        level: _level_errors(attributed, truth_by_week, artifacts.columns, include_organic, level)
+        level: score_level(by_week, truth, artifacts.columns, include_organic, level)
         for level in LEVELS
     }
 
@@ -292,7 +305,7 @@ def benchmark_matrix(
             ) from exc
         artifacts[label] = art
         profiles[label] = _group_profiles(users, art.postbacks, 0, t, profile_per_group)
-        truths[label] = _truth_by_week(users, art.postbacks, 0, t)
+        truths[label] = truth_by_week(users, art.postbacks, 0, t)
     labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
@@ -447,7 +460,7 @@ def window_error_curve(
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(users, artifacts.postbacks, lo, hi, profile_per_group)
-        truth = _truth_by_week(users, artifacts.postbacks, lo, hi)
+        truth = truth_by_week(users, artifacts.postbacks, lo, hi)
         by_level = _grid_error(artifacts, matrices, profiles, fn, truth, include_organic)
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

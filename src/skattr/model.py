@@ -13,12 +13,12 @@ many schemas and windows ask for it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from functools import cached_property, lru_cache
 
-from .errors import ConfigError, InvalidCampaignError, MaturityError, OrganicKeyError
+from .errors import ConfigError, InvalidCampaignError, OrganicKeyError
 
 SECONDS_PER_DAY = 86_400
 
@@ -185,40 +185,23 @@ def iso_week(d: date) -> str:
     return f"{y:04d}-W{w:02d}"
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Last-click revenue per (group, week, origin) over a fixed window."""
-
-    values: Mapping[tuple[str, str, CampaignKey], int]
-    window_days: int
-
-    def total(self) -> int:
-        return sum(self.values.values())
-
-
 def ground_truth(
-    users: Iterable[UserRecord],
-    t: int,
-    week_of: Callable[[UserRecord], str],
-    evaluation_date: date | None = None,
-) -> GroundTruth:
-    """Aggregate each user's first-``t``-day revenue onto their true origin.
+    users: Iterable[UserRecord], weeks: Mapping[int, str], lo_day: int, hi_day: int
+) -> dict[str, dict[CampaignKey, int]]:
+    """Last-click revenue in ``[lo_day, hi_day)`` per (reporting week, true origin).
 
-    ``week_of`` maps a user to the reporting week so truth and simulated
-    counts share the same cohort keying. When ``evaluation_date`` is given,
-    users registered after ``evaluation_date - t`` raise MaturityError: their
-    window revenue is not yet observable.
+    ``weeks`` maps a user id to the week the user is reported in; users
+    without a week are not counted. ``metrics.truth_by_week`` takes the
+    weeks from postbacks and is what the grid and the CLI call.
     """
-    values: dict[tuple[str, str, CampaignKey], int] = {}
+    out: dict[str, dict[CampaignKey, int]] = {}
     for u in users:
-        if evaluation_date is not None and u.registration_date > evaluation_date - timedelta(days=t):
-            raise MaturityError(
-                f"user {u.id} registered {u.registration_date.isoformat()} is not "
-                f"mature for a {t}-day window at {evaluation_date.isoformat()}"
-            )
-        cell = (u.group, week_of(u), u.origin)
-        values[cell] = values.get(cell, 0) + cumulative_revenue(u, t)
-    return GroundTruth(values=values, window_days=t)
+        week = weeks.get(u.id)
+        if week is None:
+            continue
+        bucket = out.setdefault(week, {})
+        bucket[u.origin] = bucket.get(u.origin, 0) + revenue_between(u, lo_day, hi_day)
+    return out
 
 
 def usd(cents: int | float) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from skattr.io_files import (
     save_events,
     save_users,
 )
+from skattr.metrics import truth_by_week
 from skattr.pipeline import run_schema
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import schema_from_text
@@ -126,6 +128,26 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    """One benchmark run whose D7 RR cells the stage-wise tests reproduce."""
+    tmp = tmp_path_factory.mktemp("bench")
+    run_cfg = {
+        "gen": {"n_users": 1200, "n_weeks": 2, "event_horizon_days": 35, "seed": 3},
+        "schemas": ["kind=PV;layout=VVVVVV;horizon=30", "kind=RR;layout=TTTVVV;horizon=7"],
+        "p_values": [0, 5, 10],
+        "g_modes": ["plain", "null_uniform", "null_convex"],
+        "lambda_grid": [0.5],
+        "t": 30,
+        "windows": [[7, 14], [14, 30]],
+        "seed": 3,
+    }
+    (tmp / "run.json").write_text(json.dumps(run_cfg))
+    out = tmp / "out"
+    assert run_cli("benchmark", "--config", tmp / "run.json", "--out", out) == 0
+    return out, json.loads((out / "report.json").read_text())
+
+
 class TestCli:
     def test_generate_simulate_privatize_attribute_evaluate(self, tmp_path, capsys):
         gen_cfg = {"n_users": 1200, "n_weeks": 3, "event_horizon_days": 40, "seed": 4}
@@ -190,20 +212,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] in ("ConfigError", "LayoutError", "CsvFormatError")
 
-    def test_benchmark_and_stagewise_agree(self, tmp_path):
-        run_cfg = {
-            "gen": {"n_users": 1200, "n_weeks": 2, "event_horizon_days": 35, "seed": 3},
-            "schemas": ["kind=PV;layout=VVVVVV;horizon=30", "kind=RR;layout=TTTVVV;horizon=7"],
-            "p_values": [0, 5],
-            "g_modes": ["plain", "null_uniform"],
-            "t": 30,
-            "windows": [[7, 14], [14, 30]],
-            "seed": 3,
-        }
-        (tmp_path / "run.json").write_text(json.dumps(run_cfg))
-        out = tmp_path / "bench"
-        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 0
-        report = json.loads((out / "report.json").read_text())
+    @pytest.mark.parametrize(
+        "g, p, lam",
+        [
+            pytest.param("plain", 0, None, id="plain-p0"),
+            pytest.param("null_uniform", 5, 0.0, id="null_uniform-p5"),
+            pytest.param("null_convex", 10, 0.5, id="null_convex-p10"),
+        ],
+    )
+    def test_benchmark_and_stagewise_agree(self, bench, tmp_path, g, p, lam):
+        out, report = bench
         assert (out / "grid.csv").exists() and (out / "window_curve.csv").exists()
         baseline = [
             c for c in report["cells"]
@@ -212,24 +230,27 @@ class TestCli:
         ]
         assert baseline[0]["normalized_score"] in (0.0, None)
 
-        # stage-wise pipeline reproduces the benchmark's D7 RR p=5 cell
+        # stage-wise pipeline reproduces the benchmark's D7 RR cell
         data = out / "dataset"
         counts = tmp_path / "c.csv"
-        run_cli("simulate", "--users", data, "--schema", "kind=RR;layout=TTTVVV;horizon=7",
-                "--seed", 3, "--out", counts)
-        counts_p = tmp_path / "cp.csv"
-        run_cli("privatize", "--counts", counts, "--p", 5, "--out", counts_p)
+        assert run_cli("simulate", "--users", data, "--schema", "kind=RR;layout=TTTVVV;horizon=7",
+                       "--seed", 3, "--out", counts) == 0
+        if p:
+            privatized = tmp_path / "cp.csv"
+            assert run_cli("privatize", "--counts", counts, "--p", p, "--out", privatized) == 0
+            counts = privatized
         attr = tmp_path / "attr.csv"
-        run_cli("attribute", "--counts", counts_p, "--profile-from", data, "--t", 30,
-                "--g", "null_uniform", "--out", attr)
+        lam_args = ["--lambda", lam] if g == "null_convex" else []
+        assert run_cli("attribute", "--counts", counts, "--profile-from", data, "--t", 30,
+                       "--g", g, *lam_args, "--out", attr) == 0
         stage_report = tmp_path / "stage.json"
-        run_cli("evaluate", "--attr", attr, "--truth-from", data, "--t", 30,
-                "--out", stage_report)
+        assert run_cli("evaluate", "--attr", attr, "--truth-from", data, "--t", 30,
+                       "--out", stage_report) == 0
         stage = json.loads(stage_report.read_text())
         bench_cell = [
             c for c in report["cells"]
-            if c["schema"] == "D7 RR" and c["p"] == 5 and c["mode"] == "null_uniform"
-            and c["level"] == "campaign"
+            if c["schema"] == "D7 RR" and c["p"] == p and c["mode"] == g
+            and c["lambda"] == lam and c["level"] == "campaign"
         ][0]
         assert stage["aggregate_error_usd"] == bench_cell["aggregate_error_usd"]
         assert stage["weekly_errors_usd"] == bench_cell["weekly_errors_usd"]
@@ -276,3 +297,89 @@ class TestCli:
         assert sorted(simulated) == ["D30 PV", "D7 RR", "UD"]
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert len(report["window_curve"]) == 2
+
+
+@pytest.fixture(scope="module")
+def staged(dataset, tmp_path_factory):
+    """A dataset with its D7 RR counts at p=10 and their null_uniform attribution."""
+    users, meta = dataset
+    tmp = tmp_path_factory.mktemp("staged")
+    save_dataset(tmp / "data", users, meta)
+    assert run_cli("simulate", "--users", tmp / "data", "--schema",
+                   "kind=RR;layout=TTTVVV;horizon=7", "--seed", 9, "--out", tmp / "c.csv") == 0
+    assert run_cli("privatize", "--counts", tmp / "c.csv", "--p", 10, "--out", tmp / "cp.csv") == 0
+    assert run_cli("attribute", "--counts", tmp / "cp.csv", "--profile-from", tmp / "data",
+                   "--t", 30, "--g", "null_uniform", "--out", tmp / "attr.csv") == 0
+    return tmp
+
+
+def edit_csv(src, dst, meta=lambda m: m, rows=lambda body: body):
+    """Copy a skattr CSV, passing its meta dict and its data lines through the given edits."""
+    head, header, *body = src.read_text().splitlines()
+    new_meta = meta(json.loads(head.removeprefix("# skattr-meta ")))
+    lines = ["# skattr-meta " + json.dumps(new_meta), header, *rows(body)]
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def config_error(capsys) -> str:
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    return err["message"]
+
+
+class TestCliErrors:
+    def evaluate(self, staged, attr, out):
+        return run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
+                       "--t", 30, "--out", out)
+
+    def test_counts_cell_absent_from_postbacks(self, staged, tmp_path, capsys):
+        week = (staged / "cp.csv").read_text().splitlines()[2].split(",")[1]
+        counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",
+                          rows=lambda body: [r.replace(f",{week},", ",1999-W01,") for r in body])
+        code = run_cli("attribute", "--counts", counts, "--profile-from", staged / "data",
+                       "--t", 30, "--g", "null_uniform", "--out", tmp_path / "a.csv")
+        assert code == 1
+        assert "1999-W01" in config_error(capsys)
+
+    def test_attribution_meta_without_columns(self, staged, tmp_path, capsys):
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        meta=lambda m: {k: v for k, v in m.items() if k != "columns"})
+        assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
+        assert "column list" in config_error(capsys)
+
+    def test_attributed_alpha_not_declared(self, staged, tmp_path, capsys):
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        rows=lambda body: body + ["G0,2024-W01,98765,1.00"])
+        assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
+        assert "attributed alpha 98765" in config_error(capsys)
+
+    def test_true_origin_not_declared(self, staged, tmp_path, capsys):
+        _, meta = load_attribution(staged / "attr.csv")
+        dropped = meta["columns"][0]
+        attr = edit_csv(
+            staged / "attr.csv", tmp_path / "a.csv",
+            meta=lambda m: m | {"columns": m["columns"][1:]},
+            rows=lambda body: [r for r in body if r.split(",")[2] != str(dropped)],
+        )
+        assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
+        assert f"true origin {dropped} " in config_error(capsys)
+
+    def test_missing_week_scores_against_zero(self, dataset, staged, tmp_path):
+        rows, meta = load_attribution(staged / "attr.csv")
+        weeks = sorted({week for _, week, _ in rows})
+        gone = weeks[-1]
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        rows=lambda body: [r for r in body if r.split(",")[1] != gone])
+        assert self.evaluate(staged, staged / "attr.csv", tmp_path / "full.json") == 0
+        assert self.evaluate(staged, attr, tmp_path / "cut.json") == 0
+        full = json.loads((tmp_path / "full.json").read_text())["weekly_errors_usd"]
+        cut = json.loads((tmp_path / "cut.json").read_text())["weekly_errors_usd"]
+        assert sorted(cut) == sorted(full) == weeks
+        assert all(cut[w] == full[w] for w in weeks if w != gone)
+
+        users, _ = dataset
+        postbacks = run_schema(users, schema_from_text(meta["schema"]), meta["seed"]).postbacks
+        truth = truth_by_week(users, postbacks, 0, 30)[gone]
+        assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
+        assert cut[gone] != full[gone]

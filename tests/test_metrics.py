@@ -15,10 +15,12 @@ from skattr.metrics import (
     aggregate_error,
     benchmark_matrix,
     normalize_vs_baseline,
+    score_level,
     validate_windows,
     weekly_error,
     window_error_curve,
 )
+from skattr.model import CampaignKey, organic_key
 from skattr.schema import schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
@@ -72,6 +74,20 @@ class TestAggregateError:
         weekly = [(2.0, 3.0), (9.0, 1.0), (4.0, 2.0)]
         agg = aggregate_error(weekly)
         assert min(e for e, _ in weekly) <= agg <= max(e for e, _ in weekly)
+
+
+class TestScoreLevel:
+    def test_weeks_missing_on_either_side_count_as_zero(self):
+        a, b, org = CampaignKey(101), CampaignKey(205), organic_key(900)
+        columns = (a, b, org)
+        attributed = {"W1": {a: 300, b: 100}, "W3": {a: 50}}
+        truth = {"W1": {a: 300, org: 100}, "W2": {b: 400}}
+        weekly, agg = score_level(attributed, truth, columns, True, "campaign")
+        assert weekly == (("W1", math.sqrt(2 * 100**2)), ("W2", 400.0), ("W3", 50.0))
+        assert agg == pytest.approx((math.sqrt(2 * 100**2) * 400 + 400 * 400) / 800)
+        # Networks 1 and 2 without the organic column.
+        weekly, _ = score_level(attributed, truth, columns, False, "network")
+        assert weekly == (("W1", 100.0), ("W2", 400.0), ("W3", 50.0))
 
 
 class TestNormalize:

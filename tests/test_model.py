@@ -3,12 +3,8 @@ from datetime import date, datetime, timedelta
 import pytest
 from hypothesis import example, given, strategies as st
 
-from skattr.errors import (
-    ConfigError,
-    InvalidCampaignError,
-    MaturityError,
-    OrganicKeyError,
-)
+from skattr.errors import ConfigError, InvalidCampaignError, OrganicKeyError
+from skattr.metrics import truth_by_week
 from skattr.model import (
     CampaignKey,
     Event,
@@ -16,12 +12,12 @@ from skattr.model import (
     cumulative_revenue,
     decode_alpha,
     encode_alpha,
-    ground_truth,
     iso_week,
     organic_key,
     revenue_between,
     usd,
 )
+from skattr.postback import Postback
 
 from oracles import groupby_truth, scan_revenue, scan_revenue_between
 
@@ -164,18 +160,22 @@ class TestUserRecordInvariants:
             Event(datetime(2024, 1, 1, 9), "flag", flag_index=6)
 
 
+def postbacks_at(users, when=datetime(2024, 1, 3, 12)):
+    """One postback per user, all delivered at ``when``."""
+    return {u.id: Postback(u.id, 0, when, u.group) for u in users}
+
+
 class TestGroundTruth:
     def test_single_user(self):
         user = make_user(purchases=[(1, 12, 300)])
-        gt = ground_truth([user], 7, lambda u: "2024-W01")
-        assert gt.values == {("G", "2024-W01", encode_alpha(4, 5)): 300}
+        truth = truth_by_week([user], postbacks_at([user]), 0, 7)
+        assert truth == {"2024-W01": {encode_alpha(4, 5): 300}}
 
     def test_disjoint_origins(self):
         u1 = make_user(uid=1, purchases=[(0, 12, 200)], origin=encode_alpha(4, 5))
         u2 = make_user(uid=2, purchases=[(0, 12, 500)], origin=organic_key(700))
-        gt = ground_truth([u1, u2], 7, lambda u: "2024-W01")
-        assert gt.values[("G", "2024-W01", encode_alpha(4, 5))] == 200
-        assert gt.values[("G", "2024-W01", organic_key(700))] == 500
+        truth = truth_by_week([u1, u2], postbacks_at([u1, u2]), 0, 7)
+        assert truth["2024-W01"] == {encode_alpha(4, 5): 200, organic_key(700): 500}
 
     def test_matches_groupby_oracle(self):
         import random
@@ -190,26 +190,29 @@ class TestGroundTruth:
             users.append(
                 make_user(uid=uid, purchases=sorted(purchases), origin=encode_alpha(0, uid % 3))
             )
-        gt = ground_truth(users, 7, lambda u: "w")
+        truth = truth_by_week(users, postbacks_at(users), 0, 7)
         oracle = groupby_truth(users, 7)
+        assert list(truth) == ["2024-W01"]
         for key, cents in oracle.items():
-            assert gt.values.get(("G", "w", key), 0) == cents
-        assert gt.total() == sum(oracle.values())
+            assert truth["2024-W01"].get(key, 0) == cents
+        assert sum(truth["2024-W01"].values()) == sum(oracle.values())
 
     def test_conservation(self):
         users = [
-            make_user(uid=i, purchases=[(i % 5, 12, 100 * (i + 1))], origin=encode_alpha(0, i % 2))
+            make_user(
+                uid=i,
+                purchases=[(i % 5, 12, 100 * (i + 1))],
+                origin=encode_alpha(0, i % 2),
+                group="G" if i % 3 else "H",
+            )
             for i in range(8)
         ]
-        gt = ground_truth(users, 30, lambda u: "w")
-        assert gt.total() == sum(cumulative_revenue(u, 30) for u in users)
-
-    def test_maturity_violation(self):
-        user = make_user(reg=date(2024, 3, 1))
-        with pytest.raises(MaturityError):
-            ground_truth([user], 30, lambda u: "w", evaluation_date=date(2024, 3, 15))
-        # Mature once the window has fully elapsed.
-        ground_truth([user], 30, lambda u: "w", evaluation_date=date(2024, 4, 1))
+        # Two postback weeks, and user 7 has no postback at all.
+        postbacks = postbacks_at(users[:4]) | postbacks_at(users[4:7], datetime(2024, 1, 10))
+        truth = truth_by_week(users, postbacks, 0, 30)
+        assert sorted(truth) == ["2024-W01", "2024-W02"]
+        total = sum(sum(week.values()) for week in truth.values())
+        assert total == sum(cumulative_revenue(u, 30) for u in users[:7])
 
 
 class TestWeeks:
