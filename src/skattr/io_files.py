@@ -5,6 +5,15 @@ least the seed and a config hash, so any output can be traced back to its
 inputs and re-runs can be compared byte for byte. Dates are ISO-8601 and
 money is integer cents in files, except attribution output which is the
 USD decimal its consumers expect. CSVs are RFC-4180 with header rows.
+
+Every loader reads its file in one pass through ``_csv_rows``, which checks
+the meta line and header up front and then yields rows lazily, so no file
+is held in memory as a list of rows. The events loop of ``load_users`` has
+a fast path that builds each valid row's ``Event`` directly; a row it
+cannot build goes to ``_checked_event``, which runs every check in order
+and raises the typed error, with the file and line, that names the first
+one the row fails. Bytes that are not UTF-8 and fields over the csv size
+limit are reported the same way, as ``CsvFormatError``.
 """
 
 from __future__ import annotations
@@ -12,13 +21,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from datetime import date, datetime
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
-from .model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, organic_key, usd
+from .model import EVENT_KINDS, CampaignKey, Event, UserRecord, organic_key, usd
 from .postback import CountMatrix
 from .schema import VALUE_RANGE
 
@@ -44,35 +55,74 @@ def _write_csv(path: Path, meta: Mapping, header: Sequence[str], rows: Iterable[
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, expected_header: Sequence[str]) -> tuple[dict, list[tuple[int, list[str]]]]:
-    """Returns (meta, [(line_number, row), ...])."""
+@contextmanager
+def _csv_rows(
+    path: Path, expected_header: Sequence[str]
+) -> Iterator[tuple[dict, Iterator[tuple[int, list[str]]]]]:
+    """Open a CSV, check its meta line and header, and give ``(meta, rows)``.
+
+    ``rows`` lazily yields ``(line_number, row)`` for each non-blank record.
+    The file is closed when the ``with`` block exits, also when the caller
+    raises part way through it; a suspended ``rows`` kept alive by that
+    traceback then holds only a closed file.
+    """
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
-    meta: dict = {}
-    rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        line_no = 1
-        if first.startswith(META_PREFIX):
-            try:
-                meta = json.loads(first[len(META_PREFIX):])
-            except json.JSONDecodeError as exc:
-                raise CsvFormatError(f"{path}:1: bad meta line: {exc}") from exc
-            header_line = fh.readline()
-            line_no = 2
-        else:
-            header_line = first
-        header = next(csv.reader([header_line])) if header_line else []
+        try:
+            first = fh.readline()
+            line_no = 1
+            if first.startswith(META_PREFIX):
+                try:
+                    meta = json.loads(first[len(META_PREFIX):])
+                except json.JSONDecodeError as exc:
+                    raise CsvFormatError(f"{path}:1: bad meta line: {exc}") from exc
+                if not isinstance(meta, dict):
+                    raise CsvFormatError(f"{path}:1: meta line is not a JSON object")
+                header_line = fh.readline()
+                line_no = 2
+            else:
+                meta = {}
+                header_line = first
+            header = next(csv.reader([header_line])) if header_line else []
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}:{line_no}: {exc}") from exc
         if header != list(expected_header):
             raise CsvFormatError(
                 f"{path}:{line_no}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}"
             )
+        yield meta, _records(fh, path, line_no)
+
+
+def _records(fh: TextIO, path: Path, line_no: int) -> Iterator[tuple[int, list[str]]]:
+    try:
         for row in csv.reader(fh):
             line_no += 1
             if row:
-                rows.append((line_no, row))
-    return meta, rows
+                yield line_no, row
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CsvFormatError(f"{path}:{line_no + 1}: {exc}") from exc
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> CsvFormatError:
+    """The error for a file that is not UTF-8, naming its first bad line.
+
+    The text reader decodes whole chunks ahead of the line it returns, so
+    the line is found by reading the file again with the bad bytes escaped.
+    """
+    line_no = 0
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, text in enumerate(fh, 1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+    return CsvFormatError(f"{path}:{line_no}: not UTF-8 text: {exc.reason}")
 
 
 def _parse_int(text: str, path: Path, line: int, field: str) -> int:
@@ -118,54 +168,60 @@ def load_users(
     by it). An empty or missing events file yields zero-revenue users.
     """
     upath = Path(user_csv)
-    meta, rows = _read_csv(upath, USER_FIELDS)
-    if organic_alpha is None:
-        organic_alpha = meta.get("organic_alpha")
     raw: dict[int, tuple[date, int, str]] = {}
-    for line, row in rows:
-        if len(row) != len(USER_FIELDS):
-            raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
-        uid = _parse_int(row[0], upath, line, "id")
-        try:
-            reg = date.fromisoformat(row[1])
-        except ValueError as exc:
-            raise CsvFormatError(f"{upath}:{line}: bad registration_date {row[1]!r}") from exc
-        alpha = _parse_int(row[2], upath, line, "alpha")
-        if alpha < 0:
-            raise CsvFormatError(f"{upath}:{line}: alpha must be >= 0")
-        if organic_alpha is not None and alpha > organic_alpha:
-            raise ReferentialError(
-                f"{upath}:{line}: alpha {alpha} exceeds the organic sentinel {organic_alpha}"
-            )
-        if not row[3]:
-            raise CsvFormatError(f"{upath}:{line}: group must be non-empty")
-        if uid in raw:
-            raise CsvFormatError(f"{upath}:{line}: duplicate user id {uid}")
-        raw[uid] = (reg, alpha, row[3])
+    with _csv_rows(upath, USER_FIELDS) as (meta, rows):
+        if organic_alpha is None:
+            organic_alpha = meta.get("organic_alpha")
+        for line, row in rows:
+            if len(row) != len(USER_FIELDS):
+                raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
+            uid = _parse_int(row[0], upath, line, "id")
+            try:
+                reg = date.fromisoformat(row[1])
+            except ValueError as exc:
+                raise CsvFormatError(f"{upath}:{line}: bad registration_date {row[1]!r}") from exc
+            alpha = _parse_int(row[2], upath, line, "alpha")
+            if alpha < 0:
+                raise CsvFormatError(f"{upath}:{line}: alpha must be >= 0")
+            if organic_alpha is not None and alpha > organic_alpha:
+                raise ReferentialError(
+                    f"{upath}:{line}: alpha {alpha} exceeds the organic sentinel {organic_alpha}"
+                )
+            if not row[3]:
+                raise CsvFormatError(f"{upath}:{line}: group must be non-empty")
+            if uid in raw:
+                raise CsvFormatError(f"{upath}:{line}: duplicate user id {uid}")
+            raw[uid] = (reg, alpha, row[3])
 
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
     if events_csv is not None and Path(events_csv).exists():
         epath = Path(events_csv)
-        _, erows = _read_csv(epath, EVENT_FIELDS)
-        for line, row in erows:
-            if len(row) != len(EVENT_FIELDS):
-                raise CsvFormatError(f"{epath}:{line}: expected {len(EVENT_FIELDS)} columns")
-            uid = _parse_int(row[0], epath, line, "user_id")
-            if uid not in raw:
-                raise ReferentialError(f"{epath}:{line}: event references unknown user {uid}")
-            try:
-                ts = datetime.fromisoformat(row[1])
-            except ValueError as exc:
-                raise CsvFormatError(f"{epath}:{line}: bad timestamp {row[1]!r}") from exc
-            kind = row[2]
-            if kind not in (SESSION, PURCHASE, FLAG):
-                raise CsvFormatError(f"{epath}:{line}: unknown event kind {kind!r}")
-            amount = _parse_int(row[3], epath, line, "amount_cents") if row[3] else None
-            flag_index = _parse_int(row[4], epath, line, "flag_index") if row[4] else None
-            try:
-                events[uid].append(Event(ts, kind, amount=amount, flag_index=flag_index))
-            except ConfigError as exc:
-                raise CsvFormatError(f"{epath}:{line}: {exc}") from exc
+        parse_ts = datetime.fromisoformat
+        uid_text, user_events = None, None
+        with _csv_rows(epath, EVENT_FIELDS) as (_, rows):
+            for line, row in rows:
+                # Fast path for a valid row. The file is grouped by user, so the
+                # event list is looked up only when the user_id text changes.
+                try:
+                    row_uid, ts_text, kind, amount, flag_index = row
+                    if row_uid != uid_text:
+                        user_events = events[int(row_uid)]
+                        uid_text = row_uid
+                    ts = parse_ts(ts_text)
+                    if ts.tzinfo is None:
+                        user_events.append(
+                            Event(
+                                ts,
+                                kind,
+                                int(amount) if amount else None,
+                                int(flag_index) if flag_index else None,
+                            )
+                        )
+                        continue
+                except (ValueError, KeyError):  # ConfigError is a ValueError
+                    pass
+                uid, event = _checked_event(epath, line, row, raw)
+                events[uid].append(event)
 
     users: list[UserRecord] = []
     for uid in sorted(raw):
@@ -184,6 +240,30 @@ def load_users(
         except ConfigError as exc:
             raise CsvFormatError(f"{upath}: user {uid}: {exc}") from exc
     return users, meta
+
+
+def _checked_event(path: Path, line: int, row: list[str], users: Mapping) -> tuple[int, Event]:
+    """(user id, event) of one events row, every check in order with its own error."""
+    if len(row) != len(EVENT_FIELDS):
+        raise CsvFormatError(f"{path}:{line}: expected {len(EVENT_FIELDS)} columns")
+    uid = _parse_int(row[0], path, line, "user_id")
+    if uid not in users:
+        raise ReferentialError(f"{path}:{line}: event references unknown user {uid}")
+    try:
+        ts = datetime.fromisoformat(row[1])
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}:{line}: bad timestamp {row[1]!r}") from exc
+    if ts.tzinfo is not None:
+        raise CsvFormatError(f"{path}:{line}: timestamp {row[1]!r} has a UTC offset")
+    kind = row[2]
+    if kind not in EVENT_KINDS:
+        raise CsvFormatError(f"{path}:{line}: unknown event kind {kind!r}")
+    amount = _parse_int(row[3], path, line, "amount_cents") if row[3] else None
+    flag_index = _parse_int(row[4], path, line, "flag_index") if row[4] else None
+    try:
+        return uid, Event(ts, kind, amount=amount, flag_index=flag_index)
+    except ConfigError as exc:
+        raise CsvFormatError(f"{path}:{line}: {exc}") from exc
 
 
 def save_dataset(out_dir: str | Path, users: Sequence[UserRecord], meta: Mapping) -> dict[str, Path]:
@@ -244,40 +324,39 @@ def column_keys(meta: Mapping) -> tuple[CampaignKey, ...]:
 
 def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], dict]:
     cpath = Path(path)
-    meta, rows = _read_csv(cpath, COUNT_FIELDS)
-    if "columns" not in meta:
-        raise CsvFormatError(f"{cpath}: meta line lacks the column list")
-    columns = column_keys(meta)
-    col_index = {k.alpha: j for j, k in enumerate(columns)}
-    privacy_applied = bool(meta.get("privacy_applied", False))
-
     grids: dict[tuple[str, str], list[list[int]]] = {}
     nulls: dict[tuple[str, str], list[int]] = {}
     suppressed: dict[tuple[str, str], set[int]] = {}
-    for line, row in rows:
-        if len(row) != len(COUNT_FIELDS):
-            raise CsvFormatError(f"{cpath}:{line}: expected {len(COUNT_FIELDS)} columns")
-        group, week, v_text, alpha_text, count_text = row
-        alpha = _parse_int(alpha_text, cpath, line, "alpha")
-        if alpha not in col_index:
-            raise ReferentialError(f"{cpath}:{line}: alpha {alpha} not in declared columns")
-        cell = (group, week)
-        if cell not in grids:
-            grids[cell] = [[0] * len(columns) for _ in range(VALUE_RANGE)]
-            nulls[cell] = [0] * len(columns)
-            suppressed[cell] = set()
-        if v_text == "null":
-            if not privacy_applied:
-                raise CsvFormatError(f"{cpath}:{line}: null row in a pre-privacy file")
-            nulls[cell][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
-            continue
-        v = _parse_int(v_text, cpath, line, "conversion_value")
-        if not 0 <= v < VALUE_RANGE:
-            raise CsvFormatError(f"{cpath}:{line}: conversion_value out of range")
-        if count_text == "":
-            suppressed[cell].add(v)
-        else:
-            grids[cell][v][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
+    with _csv_rows(cpath, COUNT_FIELDS) as (meta, rows):
+        if "columns" not in meta:
+            raise CsvFormatError(f"{cpath}: meta line lacks the column list")
+        columns = column_keys(meta)
+        col_index = {k.alpha: j for j, k in enumerate(columns)}
+        privacy_applied = bool(meta.get("privacy_applied", False))
+        for line, row in rows:
+            if len(row) != len(COUNT_FIELDS):
+                raise CsvFormatError(f"{cpath}:{line}: expected {len(COUNT_FIELDS)} columns")
+            group, week, v_text, alpha_text, count_text = row
+            alpha = _parse_int(alpha_text, cpath, line, "alpha")
+            if alpha not in col_index:
+                raise ReferentialError(f"{cpath}:{line}: alpha {alpha} not in declared columns")
+            cell = (group, week)
+            if cell not in grids:
+                grids[cell] = [[0] * len(columns) for _ in range(VALUE_RANGE)]
+                nulls[cell] = [0] * len(columns)
+                suppressed[cell] = set()
+            if v_text == "null":
+                if not privacy_applied:
+                    raise CsvFormatError(f"{cpath}:{line}: null row in a pre-privacy file")
+                nulls[cell][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
+                continue
+            v = _parse_int(v_text, cpath, line, "conversion_value")
+            if not 0 <= v < VALUE_RANGE:
+                raise CsvFormatError(f"{cpath}:{line}: conversion_value out of range")
+            if count_text == "":
+                suppressed[cell].add(v)
+            else:
+                grids[cell][v][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
 
     matrices: dict[tuple[str, str], CountMatrix] = {}
     for cell in sorted(grids):
@@ -332,14 +411,17 @@ def parse_usd(text: str) -> int:
 
 def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int], dict]:
     apath = Path(path)
-    meta, rows = _read_csv(apath, ATTR_FIELDS)
     out: dict[tuple[str, str, int], int] = {}
-    for line, row in rows:
-        if len(row) != len(ATTR_FIELDS):
-            raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")
-        group, week, alpha_text, amount = row
-        alpha = _parse_int(alpha_text, apath, line, "alpha")
-        out[(group, week, alpha)] = parse_usd(amount)
+    with _csv_rows(apath, ATTR_FIELDS) as (meta, rows):
+        for line, row in rows:
+            if len(row) != len(ATTR_FIELDS):
+                raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")
+            group, week, alpha_text, amount = row
+            alpha = _parse_int(alpha_text, apath, line, "alpha")
+            try:
+                out[(group, week, alpha)] = parse_usd(amount)
+            except CsvFormatError as exc:
+                raise CsvFormatError(f"{apath}:{line}: {exc}") from exc
     return out, meta
 
 

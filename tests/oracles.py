@@ -2,18 +2,24 @@
 
 Everything here is deliberately brute force: sort-and-slice quantiles,
 linear event scans, exhaustive enumeration of user-to-campaign assignments,
-and attribution as a plain Fraction loop over every matrix cell.
+attribution as a plain Fraction loop over every matrix cell, and a CSV
+loader that reads the whole file into a list and checks each field in turn.
 None of it shares code with the implementation paths it verifies.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from datetime import date, datetime
 from fractions import Fraction
+from pathlib import Path
 
 from skattr.attribution import AttributionFunction, RevenueProfile
-from skattr.errors import ConfigError, MissingProfileError
-from skattr.model import PURCHASE, CampaignKey, UserRecord
+from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
+from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
+from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, organic_key
 from skattr.postback import CountMatrix
 from skattr.schema import VALUE_RANGE
 
@@ -221,3 +227,119 @@ def fraction_attribute_with_null(
                 if count:
                     out[matrix.columns[j]] += count * mean
     return out
+
+
+def _read_csv_rows(path: Path, expected_header) -> tuple[dict, list[tuple[int, list[str]]]]:
+    """(meta, [(line_number, row), ...]) of a whole CSV, read into a list."""
+    if not path.exists():
+        raise ConfigError(f"input file {path} does not exist")
+    meta: dict = {}
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+        line_no = 1
+        if first.startswith(META_PREFIX):
+            try:
+                meta = json.loads(first[len(META_PREFIX):])
+            except json.JSONDecodeError as exc:
+                raise CsvFormatError(f"{path}:1: bad meta line: {exc}") from exc
+            header_line = fh.readline()
+            line_no = 2
+        else:
+            header_line = first
+        header = next(csv.reader([header_line])) if header_line else []
+        if header != list(expected_header):
+            raise CsvFormatError(
+                f"{path}:{line_no}: expected header {','.join(expected_header)}, "
+                f"got {','.join(header)}"
+            )
+        for row in csv.reader(fh):
+            line_no += 1
+            if row:
+                rows.append((line_no, row))
+    return meta, rows
+
+
+def _parse_int(text: str, path: Path, line: int, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}:{line}: {field} must be an integer, got {text!r}") from exc
+
+
+def reference_load_users(
+    user_csv, events_csv=None, organic_alpha: int | None = None
+) -> tuple[list[UserRecord], dict]:
+    """``io_files.load_users`` as a list-then-validate loader, every field checked in turn.
+
+    It does not reject timezone-aware timestamps, bytes that are not UTF-8
+    or fields over the csv module's size limit: those escape it as
+    ``TypeError``, ``UnicodeDecodeError`` and ``csv.Error``.
+    """
+    upath = Path(user_csv)
+    meta, rows = _read_csv_rows(upath, USER_FIELDS)
+    if organic_alpha is None:
+        organic_alpha = meta.get("organic_alpha")
+    raw: dict[int, tuple[date, int, str]] = {}
+    for line, row in rows:
+        if len(row) != len(USER_FIELDS):
+            raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
+        uid = _parse_int(row[0], upath, line, "id")
+        try:
+            reg = date.fromisoformat(row[1])
+        except ValueError as exc:
+            raise CsvFormatError(f"{upath}:{line}: bad registration_date {row[1]!r}") from exc
+        alpha = _parse_int(row[2], upath, line, "alpha")
+        if alpha < 0:
+            raise CsvFormatError(f"{upath}:{line}: alpha must be >= 0")
+        if organic_alpha is not None and alpha > organic_alpha:
+            raise ReferentialError(
+                f"{upath}:{line}: alpha {alpha} exceeds the organic sentinel {organic_alpha}"
+            )
+        if not row[3]:
+            raise CsvFormatError(f"{upath}:{line}: group must be non-empty")
+        if uid in raw:
+            raise CsvFormatError(f"{upath}:{line}: duplicate user id {uid}")
+        raw[uid] = (reg, alpha, row[3])
+
+    events: dict[int, list[Event]] = {uid: [] for uid in raw}
+    if events_csv is not None and Path(events_csv).exists():
+        epath = Path(events_csv)
+        _, erows = _read_csv_rows(epath, EVENT_FIELDS)
+        for line, row in erows:
+            if len(row) != len(EVENT_FIELDS):
+                raise CsvFormatError(f"{epath}:{line}: expected {len(EVENT_FIELDS)} columns")
+            uid = _parse_int(row[0], epath, line, "user_id")
+            if uid not in raw:
+                raise ReferentialError(f"{epath}:{line}: event references unknown user {uid}")
+            try:
+                ts = datetime.fromisoformat(row[1])
+            except ValueError as exc:
+                raise CsvFormatError(f"{epath}:{line}: bad timestamp {row[1]!r}") from exc
+            kind = row[2]
+            if kind not in (SESSION, PURCHASE, FLAG):
+                raise CsvFormatError(f"{epath}:{line}: unknown event kind {kind!r}")
+            amount = _parse_int(row[3], epath, line, "amount_cents") if row[3] else None
+            flag_index = _parse_int(row[4], epath, line, "flag_index") if row[4] else None
+            try:
+                events[uid].append(Event(ts, kind, amount=amount, flag_index=flag_index))
+            except ConfigError as exc:
+                raise CsvFormatError(f"{epath}:{line}: {exc}") from exc
+
+    users: list[UserRecord] = []
+    for uid in sorted(raw):
+        reg, alpha, group = raw[uid]
+        origin = organic_key(alpha) if alpha == organic_alpha else CampaignKey(alpha)
+        try:
+            users.append(
+                UserRecord(
+                    id=uid,
+                    registration_date=reg,
+                    origin=origin,
+                    events=tuple(events[uid]),
+                    group=group,
+                )
+            )
+        except ConfigError as exc:
+            raise CsvFormatError(f"{upath}: user {uid}: {exc}") from exc
+    return users, meta

@@ -1,10 +1,17 @@
+import csv
 import json
 import math
+import shutil
+import tempfile
+from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import skattr.io_files
 from skattr.cli import main
-from skattr.errors import CsvFormatError, ReferentialError
+from skattr.errors import CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
     load_attribution,
     load_counts,
@@ -16,10 +23,19 @@ from skattr.io_files import (
     save_users,
 )
 from skattr.metrics import truth_by_week
+from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord
 from skattr.pipeline import run_schema
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
+
+from oracles import reference_load_users
+
+# A loader that fails part way through a file must still close it.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +78,16 @@ class TestUserEventRoundTrip:
         with pytest.raises(CsvFormatError, match=":2"):
             load_users(path)
 
+    @pytest.mark.parametrize("load", [load_users, load_counts, load_attribution])
+    def test_meta_line_not_an_object(self, tmp_path, load):
+        header = {load_users: "id,registration_date,alpha,group",
+                  load_counts: "group,week,conversion_value,alpha,count",
+                  load_attribution: "group,week,alpha,attributed_usd"}[load]
+        path = tmp_path / "f.csv"
+        path.write_text(f"# skattr-meta [700]\n{header}\n")
+        with pytest.raises(CsvFormatError, match="f.csv:1: meta line is not a JSON object"):
+            load(path)
+
     def test_dangling_event_user(self, tmp_path):
         (tmp_path / "u.csv").write_text("id,registration_date,alpha,group\n1,2024-01-01,0,G\n")
         (tmp_path / "e.csv").write_text(
@@ -84,6 +110,131 @@ class TestUserEventRoundTrip:
         )
         with pytest.raises(CsvFormatError):
             load_users(tmp_path / "u.csv")
+
+
+META = {"organic_alpha": 9, "seed": 1}
+INT_TEXTS = ("x", "", "-1", "2.0", "1_0", " 1", "9" * 30, "9" * 5000)
+TIMESTAMPS = ("2024-01-01T00:00:00", "2023-12-31T23:59:59", "2024-01-09", "2024-02-30T00:00:00",
+              "soon", "")
+# Replacement texts per events column: user_id, timestamp, kind, amount_cents, flag_index.
+CELL_TEXTS = (
+    INT_TEXTS + ("99",),
+    TIMESTAMPS,
+    ("click", "Session", "", SESSION, PURCHASE, FLAG),
+    INT_TEXTS + ("0", "250"),
+    INT_TEXTS + ("0", "5", "6"),
+)
+# Inputs the list-then-validate loader lets escape as bare exceptions.
+ESCAPES = {"utc_offset": TypeError, "bad_bytes": UnicodeDecodeError, "oversized": csv.Error}
+
+
+@st.composite
+def cohorts(draw):
+    """Two to four valid users with up to three events each, at least one event in all."""
+    users = []
+    for uid in range(draw(st.integers(2, 4))):
+        reg = date(2024, 1, 1) + timedelta(days=draw(st.integers(0, 6)))
+        midnight = datetime.combine(reg, datetime.min.time())
+        offsets = draw(st.lists(st.integers(0, 5 * 86_400), min_size=int(uid == 0), max_size=3))
+        events = []
+        for seconds in sorted(offsets):
+            kind = draw(st.sampled_from((SESSION, PURCHASE, FLAG)))
+            events.append(Event(
+                midnight + timedelta(seconds=seconds),
+                kind,
+                amount=draw(st.integers(1, 9_999)) if kind == PURCHASE else None,
+                flag_index=draw(st.integers(0, 5)) if kind == FLAG else None,
+            ))
+        alpha = draw(st.integers(0, META["organic_alpha"]))
+        origin = CampaignKey(alpha, organic=alpha == META["organic_alpha"])
+        users.append(UserRecord(uid, reg, origin, tuple(events), draw(st.sampled_from("GH"))))
+    return users
+
+
+def mutate(lines: list[str], i: int, edit: str, data) -> str:
+    """The events file text with data line ``lines[i]`` (or the whole file) edited."""
+    fields = lines[i].split(",")
+    if edit == "truncate":
+        fields = fields[:data.draw(st.integers(1, 4))]
+    elif edit == "extra_column":
+        fields.append(data.draw(st.sampled_from(("", "x"))))
+    elif edit == "bad_integer":
+        fields[data.draw(st.sampled_from((0, 3, 4)))] = data.draw(st.sampled_from(INT_TEXTS))
+    elif edit == "unknown_user":
+        fields[0] = "99"
+    elif edit == "bad_kind":
+        fields[2] = data.draw(st.sampled_from(("click", "Session", "")))
+    elif edit == "amount_on_session":
+        fields[2:] = [SESSION, "250", ""]
+    elif edit == "flag_index_6":
+        fields[2:] = [FLAG, "", "6"]
+    elif edit == "timestamp":  # out of order, before registration, or not a timestamp
+        fields[1] = data.draw(st.sampled_from(TIMESTAMPS))
+    elif edit == "any_cell":
+        col = data.draw(st.integers(0, 4))
+        fields[col] = data.draw(st.sampled_from(CELL_TEXTS[col]))
+    elif edit == "utc_offset":
+        fields[1] += data.draw(st.sampled_from(("+00:00", "Z", "-05:30")))
+    elif edit == "bad_bytes":
+        fields[data.draw(st.integers(0, 4))] += "\udcff"  # written back as the byte 0xff
+    elif edit == "oversized":
+        fields[data.draw(st.integers(0, 4))] = "1" * (csv.field_size_limit() + 1)
+    lines = lines[:i] + [",".join(fields)] + lines[i + 1:]
+    return ("\r\n" if edit == "crlf" else "\n").join(lines)
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except SkattrError as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamingLoader:
+    @pytest.mark.parametrize("edit", [
+        "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
+        "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
+    ])
+    @given(cohort=cohorts(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loader(self, edit, cohort, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            upath, epath = Path(tmp) / "users.csv", Path(tmp) / "events.csv"
+            save_users(upath, cohort, META)
+            save_events(epath, cohort, META)
+            lines = epath.read_text().split("\n")  # meta, header, rows, ""
+            i = data.draw(st.integers(2, len(lines) - 2))
+            epath.write_bytes(mutate(lines, i, edit, data).encode("utf-8", "surrogateescape"))
+            if edit in ESCAPES:
+                with pytest.raises(ESCAPES[edit]):
+                    reference_load_users(upath, epath)
+                with pytest.raises(CsvFormatError) as excinfo:
+                    load_users(upath, epath)
+                assert str(excinfo.value).startswith(f"{epath}:{i + 1}: ")
+            else:
+                expected = outcome(reference_load_users, upath, epath)
+                assert outcome(load_users, upath, epath) == expected
+                if edit == "crlf":
+                    assert expected[0] == cohort
+
+    @pytest.mark.parametrize("column, edit", [
+        pytest.param(1, lambda ts: ts + "+00:00", id="utc_offset"),
+        pytest.param(2, lambda kind: kind + "\udcff", id="bad_bytes"),
+        pytest.param(2, lambda kind: "x" * (csv.field_size_limit() + 1), id="oversized"),
+    ])
+    def test_cli_reports_file_and_line(self, dataset_dir, tmp_path, capsys, column, edit):
+        epath = dataset_dir / "events.csv"
+        lines = epath.read_text().split("\n")
+        fields = lines[2].split(",")
+        fields[column] = edit(fields[column])
+        lines[2] = ",".join(fields)
+        epath.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        code = run_cli("simulate", "--users", dataset_dir, "--schema", "kind=UD",
+                       "--seed", 1, "--out", tmp_path / "c.csv")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"].startswith(f"{epath}:3: ")
 
 
 class TestCountsRoundTrip:
@@ -383,3 +534,44 @@ class TestCliErrors:
         truth = truth_by_week(users, postbacks, 0, 30)[gone]
         assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
         assert cut[gone] != full[gone]
+
+
+class TestClosedFiles:
+    """A load that fails part way through a file has closed it while the traceback lives."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(skattr.io_files, "open", recording_open, raising=False)
+        return handles
+
+    @pytest.mark.parametrize("name, load, bad_row", [
+        pytest.param("data/users.csv", lambda d: load_users(d / "data/users.csv"),
+                     "7,2024-01-01,x,G", id="users"),
+        pytest.param("data/events.csv",
+                     lambda d: load_users(d / "data/users.csv", d / "data/events.csv"),
+                     "7,2024-01-08T00:00:00,click,,", id="events"),
+        pytest.param("data/events.csv",
+                     lambda d: load_users(d / "data/users.csv", d / "data/events.csv"),
+                     "7,\udcff,session,,", id="events-bad-bytes"),
+        pytest.param("cp.csv", lambda d: load_counts(d / "cp.csv"), "G0,2024-W01,0,x,1",
+                     id="counts"),
+        pytest.param("attr.csv", lambda d: load_attribution(d / "attr.csv"),
+                     "G0,2024-W01,1,1.2.3", id="attribution"),
+    ])
+    def test_failed_load_closes_its_files(self, staged, tmp_path, opened, name, load, bad_row):
+        shutil.copytree(staged, tmp_path / "s")
+        path = tmp_path / "s" / name
+        lines = path.read_text().split("\n")
+        mid = len(lines) // 2
+        lines[mid] = bad_row
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(SkattrError) as excinfo:
+            load(tmp_path / "s")
+        assert str(excinfo.value).startswith(f"{path}:{mid + 1}: ")
+        assert opened and all(fh.closed for fh in opened)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skattr.errors import (
     AlignmentError,
@@ -45,6 +45,7 @@ class TestWeeklyError:
         st.dictionaries(st.integers(0, 5), st.integers(0, 10_000), min_size=1, max_size=6),
     )
     @settings(max_examples=80, deadline=None)
+    @example(a={0: 370, 1: 370}, b={0: 178, 1: 178})  # collinear: the sum rounds one ulp low
     def test_metric_properties(self, a, b):
         keys = set(a) | set(b)
         x = {k: a.get(k, 0) for k in keys}
@@ -53,7 +54,9 @@ class TestWeeklyError:
         assert weekly_error(x, y) >= 0
         assert weekly_error(x, y) == weekly_error(y, x)
         assert (weekly_error(x, y) == 0) == (x == y)
-        assert weekly_error(x, z) <= weekly_error(x, y) + weekly_error(y, z)
+        # Floats cannot meet an exact triangle inequality on collinear inputs.
+        rhs = weekly_error(x, y) + weekly_error(y, z)
+        assert weekly_error(x, z) <= rhs + 4 * math.ulp(rhs)
 
 
 class TestAggregateError:
