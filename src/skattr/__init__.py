@@ -43,13 +43,10 @@ from .privacy import PrivacyConfig, apply_threshold, suppression_report
 from .schema import (
     BitLayout,
     SchemaSpec,
-    UpdateTrace,
-    candidate_value,
     fit_buckets,
     parse_layout,
     schema_from_text,
     schema_to_text,
-    simulate_updates,
 )
 from .synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
@@ -69,7 +66,6 @@ __all__ = [
     "RevenueProfile",
     "SchemaSpec",
     "SkattrError",
-    "UpdateTrace",
     "UserRecord",
     "WindowPoint",
     "aggregate_error",
@@ -78,7 +74,6 @@ __all__ = [
     "attribute_with_null",
     "benchmark_matrix",
     "build_counts",
-    "candidate_value",
     "cumulative_revenue",
     "decode_alpha",
     "encode_alpha",
@@ -93,7 +88,6 @@ __all__ = [
     "parse_layout",
     "schema_from_text",
     "schema_to_text",
-    "simulate_updates",
     "suppression_report",
     "weekly_error",
     "window_error_curve",

@@ -314,6 +314,19 @@ def save_counts(
     _write_csv(Path(path), full_meta, COUNT_FIELDS, rows)
 
 
+def _check_columns(path: Path, meta: Mapping) -> None:
+    """Reject a meta ``columns`` entry that is not a list of distinct alphas (integers >= 0)."""
+    columns = meta["columns"]
+    if (
+        not isinstance(columns, list)
+        or not all(type(a) is int and a >= 0 for a in columns)
+        or len(set(columns)) != len(columns)
+    ):
+        raise CsvFormatError(
+            f"{path}:1: meta columns must be a list of distinct integers >= 0, got {columns!r}"
+        )
+
+
 def column_keys(meta: Mapping) -> tuple[CampaignKey, ...]:
     """The meta line's ``columns`` as campaign keys; ``organic_alpha`` marks the organic one."""
     organic_alpha = meta.get("organic_alpha")
@@ -330,6 +343,7 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
     with _csv_rows(cpath, COUNT_FIELDS) as (meta, rows):
         if "columns" not in meta:
             raise CsvFormatError(f"{cpath}: meta line lacks the column list")
+        _check_columns(cpath, meta)
         columns = column_keys(meta)
         col_index = {k.alpha: j for j, k in enumerate(columns)}
         privacy_applied = bool(meta.get("privacy_applied", False))
@@ -413,6 +427,8 @@ def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int],
     apath = Path(path)
     out: dict[tuple[str, str, int], int] = {}
     with _csv_rows(apath, ATTR_FIELDS) as (meta, rows):
+        if "columns" in meta:
+            _check_columns(apath, meta)
         for line, row in rows:
             if len(row) != len(ATTR_FIELDS):
                 raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")

@@ -153,11 +153,6 @@ class UserRecord:
         )
 
 
-def day_offset(user: UserRecord, at: datetime) -> int:
-    """Whole calendar days between the registration date and ``at``."""
-    return (at.date() - user.registration_date).days
-
-
 def revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
     """Purchase cents with day offset in [lo_day, hi_day)."""
     if lo_day < 0 or hi_day < lo_day:

@@ -1,4 +1,4 @@
-"""Shared orchestration: traces -> postbacks -> matrices -> attribution inputs.
+"""Shared orchestration: final values -> postbacks -> matrices -> attribution inputs.
 
 Both the stage-wise CLI commands and the benchmark grid go through these
 helpers, so splitting a run into stages and running it end to end produce
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 
 from .errors import ConfigError
 from .model import CampaignKey, UserRecord, cumulative_revenue, organic_key
@@ -81,20 +81,28 @@ def simulate_postbacks(
 ) -> dict[int, Postback]:
     """One postback per user (organic users included: the developer's view).
 
-    Users whose postback would land after ``horizon`` are excluded entirely;
-    they count neither in matrices nor in ground truth. A user's delay draw
-    is memoised by seed on their ``prepared`` digest entry.
+    ``simulate_traces`` gives each user's final value and last commit as
+    integer microseconds since registration midnight; the postback is sent
+    ``finalize_postback``'s delay after registration midnight plus those
+    microseconds, the exact last-commit instant. Users whose postback would
+    land after ``horizon`` are excluded entirely; they count neither in
+    matrices nor in ground truth. A user's delay draw is memoised by seed
+    on their ``prepared`` digest entry.
     """
-    traces = simulate_traces(users, schema, prepared)
-    by_group = {u.id: u.group for u in users}
+    finals = simulate_traces(users, schema, prepared)
+    users_by_id = {u.id: u for u in users}
     out: dict[int, Postback] = {}
-    for uid in sorted(traces):
+    for uid in sorted(finals):
+        value, last_us = finals[uid]
+        user = users_by_id[uid]
         prepped = prepared.get(uid) if prepared is not None else None
         draws = prepped.postback_draws if prepped is not None else {}
         draw = draws.get(seed)
         if draw is None:
             draw = draws[seed] = substream(seed, "postback", uid).random()
-        pb = finalize_postback(traces[uid], draw, by_group[uid])
+        # timedelta(days, seconds, microseconds): positional is the cheaper call.
+        last_commit = user.registration_instant + timedelta(0, 0, last_us)
+        pb = finalize_postback(uid, value, last_commit, draw, user.group)
         if horizon is not None and pb.postback_time > horizon:
             continue
         out[uid] = pb

@@ -1,4 +1,4 @@
-"""Conversion-value schemas and per-user update traces.
+"""Conversion-value schemas and the replay of the platform update rules.
 
 A schema maps a user's observable state to a 6-bit value in [0, 63]. Five
 kinds are supported:
@@ -13,9 +13,16 @@ kinds are supported:
 Traces follow the platform update rules: the value is committed at first
 open, a later event commits only a strictly greater value and only while it
 arrives within 24h of the previous commit (each commit resets the timer;
-non-commits do not). Once 24h pass without a commit the trace is final.
-Day indices are calendar-day offsets from the registration date; the 24h
-activity timer uses elapsed time.
+non-commits do not). Once 24h pass without a commit the trace is final;
+an event exactly 24h after the previous commit still commits.
+
+Only the final value matters downstream, so ``simulate_traces`` keeps no
+list of commits: per user it returns (final value, last-commit instant),
+the instant as integer microseconds since registration midnight. Event
+times are digested into the same integers once per cohort
+(``prepare_users``), so day indices (calendar-day offsets from the
+registration date) and the 24h timer are exact integer arithmetic, also
+for timestamps with sub-second parts.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from datetime import datetime
+from datetime import timedelta
 
 from .errors import ConfigError, DegenerateFitError, LayoutError
 from .model import (
@@ -33,13 +40,14 @@ from .model import (
     SESSION,
     UserRecord,
     cumulative_revenue,
-    day_offset,
 )
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
 VALUE_RANGE = 64  # 6 bits
-COMMIT_WINDOW_SECONDS = float(SECONDS_PER_DAY)
+US_PER_DAY = SECONDS_PER_DAY * 1_000_000
+COMMIT_WINDOW_US = US_PER_DAY
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,98 +234,10 @@ def fit_buckets(
     return replace(schema, bucket_boundaries=boundaries)
 
 
-def _clamp_day(schema: SchemaSpec, day: int) -> int:
-    cap = min(schema.horizon_days, 2 ** schema.layout.n_t - 1)
-    return max(0, min(day, cap))
-
-
 def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:
     if schema.bucket_boundaries is None:
         raise ConfigError(f"schema {schema.label} has no fitted bucket boundaries")
     return schema.bucket_boundaries
-
-
-def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
-    """The value the schema would assign at instant ``at``.
-
-    Considers events with timestamp <= ``at``. EV honors flags on the
-    registration day only; RR/RI place the clamped day offset in the T bits
-    and the revenue bucket / purchase count in the low bits; UD is the fixed
-    per-user draw; PV is the full-horizon revenue bucket regardless of
-    ``at``.
-    """
-    if at < user.registration_instant:
-        raise ConfigError("candidate instant precedes registration")
-    kind = schema.kind
-    if kind == "UD":
-        if schema.seed is None:
-            raise ConfigError("UD schema needs a seed")
-        return uniform_value(schema.seed, "ud", user.id)
-    if kind == "PV":
-        return bucket_of(cumulative_revenue(user, schema.horizon_days), _require_boundaries(schema))
-    if kind == "EV":
-        flags = 0
-        for e in user.events:
-            if e.timestamp > at:
-                break
-            if e.kind == FLAG and day_offset(user, e.timestamp) == 0:
-                flags |= 1 << e.flag_index
-        return flags
-    # RR / RI share the rolling structure.
-    revenue = 0
-    purchases = 0
-    for e in user.events:
-        if e.timestamp > at:
-            break
-        if e.kind == PURCHASE:
-            revenue += e.amount
-            purchases += 1
-    n_low = 6 - schema.layout.n_t
-    day = _clamp_day(schema, day_offset(user, at))
-    if kind == "RR":
-        low = min(bucket_of(revenue, _require_boundaries(schema)), 2**n_low - 1)
-    else:
-        low = min(purchases, 2**n_low - 1)
-    return (day << n_low) | low
-
-
-@dataclass(frozen=True)
-class UpdateTrace:
-    """Committed conversion-value updates for one user.
-
-    Values are strictly increasing, consecutive commits are at most 24h
-    apart, and the first entry is the first-open assignment.
-    """
-
-    user_id: int
-    committed: tuple[tuple[datetime, int], ...]
-    first_open: datetime
-
-    def __post_init__(self) -> None:
-        if not self.committed:
-            raise ConfigError("a trace must contain the first-open commit")
-        if self.committed[0][0] != self.first_open:
-            raise ConfigError("first commit must be at first open")
-        prev_ts, prev_v = self.committed[0]
-        if not 0 <= prev_v < VALUE_RANGE:
-            raise ConfigError(f"conversion value {prev_v} out of range")
-        for ts, v in self.committed[1:]:
-            if not 0 <= v < VALUE_RANGE:
-                raise ConfigError(f"conversion value {v} out of range")
-            if v <= prev_v:
-                raise ConfigError("committed values must be strictly increasing")
-            gap = (ts - prev_ts).total_seconds()
-            if gap < 0 or gap > COMMIT_WINDOW_SECONDS:
-                raise ConfigError("consecutive commits must be at most 24h apart")
-            prev_ts, prev_v = ts, v
-
-    @property
-    def final_value(self) -> int:
-        return self.committed[-1][1]
-
-    @property
-    def last_commit(self) -> datetime:
-        return self.committed[-1][0]
 
 
 @dataclass(frozen=True)
@@ -330,9 +250,9 @@ class _PreppedUser:
     """
 
     user: UserRecord
-    # (seconds since registration midnight, instant, purchase cents, purchase
+    # (microseconds since registration midnight, purchase cents, purchase
     #  count, day-0 flag bits) aggregated over simultaneous events.
-    groups: tuple[tuple[float, datetime, int, int, int], ...] = field(repr=False)
+    groups: tuple[tuple[int, int, int, int], ...] = field(repr=False)
     postback_draws: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -340,88 +260,98 @@ def prepare_user(user: UserRecord) -> _PreppedUser:
     if not user.events or user.events[0].kind != SESSION:
         raise ConfigError(f"user {user.id} lacks a first-open session event")
     start = user.registration_instant
-    groups: list[tuple[float, datetime, int, int, int]] = []
+    groups: list[tuple[int, int, int, int]] = []
+    prev = -1
     for e in user.events:
-        sec = (e.timestamp - start).total_seconds()
-        amount = e.amount if e.kind == PURCHASE else 0
-        n_purch = 1 if e.kind == PURCHASE else 0
-        flags = 0
-        if e.kind == FLAG and sec < SECONDS_PER_DAY:
-            flags = 1 << e.flag_index
-        if groups and groups[-1][0] == sec:
-            _, ts, a, n, f = groups[-1]
-            groups[-1] = (sec, ts, a + amount, n + n_purch, f | flags)
+        us = (e.timestamp - start) // _MICROSECOND
+        if e.kind == PURCHASE:
+            amount, n_purch, flags = e.amount, 1, 0
+        elif e.kind == FLAG and us < US_PER_DAY:
+            amount, n_purch, flags = 0, 0, 1 << e.flag_index
         else:
-            groups.append((sec, e.timestamp, amount, n_purch, flags))
+            amount = n_purch = flags = 0
+        if us == prev:
+            _, a, n, f = groups[-1]
+            groups[-1] = (us, a + amount, n + n_purch, f | flags)
+        else:
+            groups.append((us, amount, n_purch, flags))
+            prev = us
     return _PreppedUser(user=user, groups=tuple(groups))
-
-
-def simulate_updates(
-    user: UserRecord, schema: SchemaSpec, prepped: _PreppedUser | None = None
-) -> UpdateTrace:
-    """Replay a user's events through the platform update rules.
-
-    Simultaneous events are absorbed before the candidate is evaluated, so
-    at most one commit happens per distinct instant. Iteration stops at the
-    first event past the 24h commit window: the trace is final from there.
-    """
-    if prepped is None:
-        prepped = prepare_user(user)
-    groups = prepped.groups
-    kind = schema.kind
-
-    if kind in ("UD", "PV"):
-        # Constant candidates: committed once at first open, never raised.
-        value = candidate_value(user, schema, groups[0][1])
-        return UpdateTrace(user.id, ((groups[0][1], value),), groups[0][1])
-
-    if kind == "RR":
-        boundaries = _require_boundaries(schema)
-    n_low = 6 - schema.layout.n_t if kind in ("RR", "RI") else 0
-    low_cap = 2**n_low - 1
-    day_cap = min(schema.horizon_days, 2 ** schema.layout.n_t - 1) if n_low else 0
-
-    revenue = 0
-    purchases = 0
-    flags = 0
-    committed: list[tuple[datetime, int]] = []
-    last_sec = 0.0
-    current = -1
-    for sec, ts, amount, n_purch, fbits in groups:
-        if committed and sec - last_sec > COMMIT_WINDOW_SECONDS:
-            break
-        revenue += amount
-        purchases += n_purch
-        flags |= fbits
-        if kind == "EV":
-            cand = flags
-        elif kind == "RR":
-            day = min(int(sec) // SECONDS_PER_DAY, day_cap)
-            cand = (day << n_low) | min(bucket_of(revenue, boundaries), low_cap)
-        else:  # RI
-            day = min(int(sec) // SECONDS_PER_DAY, day_cap)
-            cand = (day << n_low) | min(purchases, low_cap)
-        if not committed:
-            committed.append((ts, cand))
-            current = cand
-            last_sec = sec
-        elif cand > current:
-            committed.append((ts, cand))
-            current = cand
-            last_sec = sec
-    return UpdateTrace(user.id, tuple(committed), groups[0][1])
 
 
 def simulate_traces(
     users: Iterable[UserRecord],
     schema: SchemaSpec,
     prepared: dict[int, _PreppedUser] | None = None,
-) -> dict[int, UpdateTrace]:
-    """Simulate every user's trace; ``prepared`` may be reused across schemas."""
-    out: dict[int, UpdateTrace] = {}
+) -> dict[int, tuple[int, int]]:
+    """Replay every user's events through the platform update rules.
+
+    Returns ``{user_id: (final value, last-commit microseconds since
+    registration midnight)}``. Simultaneous events are absorbed before the
+    candidate is evaluated, so at most one commit happens per distinct
+    instant, and a user's replay stops at the first instant more than 24h
+    (in whole microseconds) after the previous commit: the value is final
+    from there. UD and PV candidates do not change over time, so they are
+    committed once at first open. ``prepared`` may be reused across schemas.
+    """
+    kind = schema.kind
+    if kind == "UD" and schema.seed is None:
+        raise ConfigError("UD schema needs a seed")
+    if kind in ("RR", "PV"):
+        boundaries = _require_boundaries(schema)
+    rolling = kind in ("RR", "RI")
+    if rolling:
+        n_t = schema.layout.n_t
+        n_low = 6 - n_t
+        low_cap = 2**n_low - 1
+        day_cap = min(schema.horizon_days, 2**n_t - 1)
+        is_rr = kind == "RR"
+
+    out: dict[int, tuple[int, int]] = {}
     for u in users:
         prepped = prepared.get(u.id) if prepared is not None else None
-        out[u.id] = simulate_updates(u, schema, prepped)
+        if prepped is None:
+            prepped = prepare_user(u)
+        groups = prepped.groups
+        last, revenue, purchases, value = groups[0]  # value: day-0 flag bits
+        if rolling:
+            low = bucket_of(revenue, boundaries) if is_rr else purchases
+            if low > low_cap:
+                low = low_cap
+            day = last // US_PER_DAY
+            value = ((day if day < day_cap else day_cap) << n_low) | low
+            deadline = last + COMMIT_WINDOW_US
+            for us, amount, n_purch, _ in groups[1:]:
+                if us > deadline:
+                    break
+                if n_purch:
+                    revenue += amount
+                    purchases += n_purch
+                    low = bucket_of(revenue, boundaries) if is_rr else purchases
+                    if low > low_cap:
+                        low = low_cap
+                day = us // US_PER_DAY
+                cand = ((day if day < day_cap else day_cap) << n_low) | low
+                if cand > value:
+                    value = cand
+                    last = us
+                    deadline = us + COMMIT_WINDOW_US
+        elif kind == "EV":
+            for us, _, _, fbits in groups[1:]:
+                # Flags count on day 0 only, so the candidate is final after
+                # it; within day 0 every gap is under 24h.
+                if us >= US_PER_DAY:
+                    break
+                if fbits | value != value:
+                    value |= fbits
+                    last = us
+        elif kind == "UD":
+            value = uniform_value(schema.seed, "ud", u.id)
+        else:  # PV
+            value = bucket_of(cumulative_revenue(u, schema.horizon_days), boundaries)
+            if value >= VALUE_RANGE:
+                raise ConfigError(f"conversion value {value} out of range")
+        out[u.id] = (value, last)
     return out
 
 

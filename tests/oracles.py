@@ -1,7 +1,8 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately brute force: sort-and-slice quantiles,
-linear event scans, exhaustive enumeration of user-to-campaign assignments,
+linear event scans, a conversion-value replay that rescans the events at
+every instant and keeps every commit, exhaustive enumeration of user-to-campaign assignments,
 attribution as a plain Fraction loop over every matrix cell, and a CSV
 loader that reads the whole file into a list and checks each field in turn.
 None of it shares code with the implementation paths it verifies.
@@ -12,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from datetime import date, datetime
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +22,9 @@ from skattr.attribution import AttributionFunction, RevenueProfile
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
 from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
 from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, organic_key
-from skattr.postback import CountMatrix
-from skattr.schema import VALUE_RANGE
+from skattr.postback import CountMatrix, Postback
+from skattr.rng import substream, uniform_value
+from skattr.schema import VALUE_RANGE, SchemaSpec
 
 
 def scan_revenue(user: UserRecord, t: int) -> int:
@@ -58,6 +61,139 @@ def groupby_truth(users: list[UserRecord], t: int) -> dict[CampaignKey, int]:
     out: dict[CampaignKey, int] = {}
     for u in users:
         out[u.origin] = out.get(u.origin, 0) + scan_revenue(u, t)
+    return out
+
+
+COMMIT_WINDOW_US = 86_400 * 10**6
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
+    """The value the schema would assign at instant ``at``, by a fresh event scan.
+
+    Considers events with timestamp <= ``at``. EV honors flags on the
+    registration day only; RR/RI place the clamped day offset in the T bits
+    and the revenue bucket / purchase count in the low bits; UD is the fixed
+    per-user draw; PV is the full-horizon revenue bucket regardless of
+    ``at``. A bucket is one plus the number of boundaries below the amount.
+    """
+    if at < user.registration_instant:
+        raise ConfigError("candidate instant precedes registration")
+    kind = schema.kind
+    if kind == "UD":
+        if schema.seed is None:
+            raise ConfigError("UD schema needs a seed")
+        return uniform_value(schema.seed, "ud", user.id)
+    if kind in ("RR", "PV") and schema.bucket_boundaries is None:
+        raise ConfigError(f"schema {schema.label} has no fitted bucket boundaries")
+
+    def bucket(amount: int) -> int:
+        return 0 if amount <= 0 else 1 + sum(b < amount for b in schema.bucket_boundaries)
+
+    if kind == "PV":
+        return bucket(scan_revenue(user, schema.horizon_days))
+    if kind == "EV":
+        flags = 0
+        for e in user.events:
+            if e.timestamp > at:
+                break
+            if e.kind == FLAG and e.timestamp.date() == user.registration_date:
+                flags |= 1 << e.flag_index
+        return flags
+    # RR / RI share the rolling structure.
+    revenue = 0
+    purchases = 0
+    for e in user.events:
+        if e.timestamp > at:
+            break
+        if e.kind == PURCHASE:
+            revenue += e.amount
+            purchases += 1
+    n_t = schema.layout.n_t
+    n_low = 6 - n_t
+    day = (at.date() - user.registration_date).days
+    day = max(0, min(day, schema.horizon_days, 2**n_t - 1))
+    low = bucket(revenue) if kind == "RR" else purchases
+    return (day << n_low) | min(low, 2**n_low - 1)
+
+
+@dataclass(frozen=True)
+class UpdateTrace:
+    """Committed conversion-value updates for one user.
+
+    Values are strictly increasing, consecutive commits are at most 24h
+    apart (compared in whole microseconds), and the first entry is the
+    first-open assignment.
+    """
+
+    user_id: int
+    committed: tuple[tuple[datetime, int], ...]
+    first_open: datetime
+
+    def __post_init__(self) -> None:
+        if not self.committed:
+            raise ConfigError("a trace must contain the first-open commit")
+        if self.committed[0][0] != self.first_open:
+            raise ConfigError("first commit must be at first open")
+        prev_ts, prev_v = self.committed[0]
+        if not 0 <= prev_v < VALUE_RANGE:
+            raise ConfigError(f"conversion value {prev_v} out of range")
+        for ts, v in self.committed[1:]:
+            if not 0 <= v < VALUE_RANGE:
+                raise ConfigError(f"conversion value {v} out of range")
+            if v <= prev_v:
+                raise ConfigError("committed values must be strictly increasing")
+            gap = (ts - prev_ts) // _MICROSECOND
+            if gap < 0 or gap > COMMIT_WINDOW_US:
+                raise ConfigError("consecutive commits must be at most 24h apart")
+            prev_ts, prev_v = ts, v
+
+    @property
+    def final_value(self) -> int:
+        return self.committed[-1][1]
+
+    @property
+    def last_commit(self) -> datetime:
+        return self.committed[-1][0]
+
+
+def simulate_updates(user: UserRecord, schema: SchemaSpec) -> UpdateTrace:
+    """Replay a user's events through the platform update rules, keeping every commit.
+
+    The candidate is re-evaluated from scratch at each distinct event
+    instant (so simultaneous events are absorbed first and commit at most
+    once); it commits at first open and afterwards only when strictly
+    greater. The replay stops at the first instant more than 24h, in whole
+    microseconds, after the previous commit.
+    """
+    if not user.events or user.events[0].kind != SESSION:
+        raise ConfigError(f"user {user.id} lacks a first-open session event")
+    instants = sorted({e.timestamp for e in user.events})
+    committed: list[tuple[datetime, int]] = []
+    for at in instants:
+        if committed and (at - committed[-1][0]) // _MICROSECOND > COMMIT_WINDOW_US:
+            break
+        value = candidate_value(user, schema, at)
+        if not committed or value > committed[-1][1]:
+            committed.append((at, value))
+    return UpdateTrace(user.id, tuple(committed), instants[0])
+
+
+def oracle_postbacks(
+    users: list[UserRecord], schema: SchemaSpec, seed: int, horizon: datetime | None = None
+) -> dict[int, Postback]:
+    """Postbacks from oracle traces, each user's delay drawn from a fresh substream.
+
+    A postback is sent 24h plus draw * 24h after the last commit; one sent
+    after ``horizon`` is dropped.
+    """
+    out = {}
+    for u in sorted(users, key=lambda u: u.id):
+        trace = simulate_updates(u, schema)
+        draw = substream(seed, "postback", u.id).random()
+        sent = trace.last_commit + timedelta(seconds=86_400 + draw * 86_400)
+        if horizon is None or sent <= horizon:
+            out[u.id] = Postback(u.id, trace.final_value, sent, u.group)
     return out
 
 

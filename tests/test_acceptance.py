@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
-from oracles import enumeration_expected_sq_error, enumeration_mean
+from oracles import enumeration_expected_sq_error, enumeration_mean, simulate_updates
 
 WINDOWS = [(7, 14), (14, 30), (30, 60), (60, 90)]
 TREND_SCHEMAS = [
@@ -263,8 +264,12 @@ def test_c8_mechanics(tmp_path):
         by_group = {u.id: u.group for u in users}
         for text in TREND_SCHEMAS:
             artifacts = run_schema(users, schema_from_text(text), 12, prepared=prepared)
-            traces = simulate_traces(users, artifacts.schema, prepared)
-            seen_cells = 0
+            finals = simulate_traces(users, artifacts.schema, prepared)
+            traces = {u.id: simulate_updates(u, artifacts.schema) for u in users}
+            for u in users:
+                trace = traces[u.id]
+                last_us = (trace.last_commit - u.registration_instant) // timedelta(microseconds=1)
+                assert finals[u.id] == (trace.final_value, last_us)
             for uid, trace in traces.items():
                 values = [v for _, v in trace.committed]
                 assert all(0 <= v <= 63 for v in values)

@@ -536,6 +536,29 @@ class TestCliErrors:
         assert cut[gone] != full[gone]
 
 
+class TestMetaColumns:
+    """A meta ``columns`` that is not a list of distinct integers >= 0 fails at line 1."""
+
+    @pytest.mark.parametrize("load,header", [
+        (load_counts, "group,week,conversion_value,alpha,count"),
+        (load_attribution, "group,week,alpha,attributed_usd"),
+    ])
+    @pytest.mark.parametrize("columns", [["a"], 5, None, [1.5], [-1], [True], [3, "4"], [3, 3]])
+    def test_bad_columns(self, tmp_path, load, header, columns):
+        path = tmp_path / "f.csv"
+        path.write_text("# skattr-meta " + json.dumps({"columns": columns}) + f"\n{header}\n")
+        with pytest.raises(CsvFormatError, match=r"f\.csv:1: meta columns must be a list"):
+            load(path)
+
+    def test_cli_exits_1(self, staged, tmp_path, capsys):
+        counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",
+                          meta=lambda m: m | {"columns": ["a"]})
+        assert run_cli("privatize", "--counts", counts, "--p", 5, "--out", tmp_path / "o.csv") == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert "cp.csv:1:" in err["message"]
+
+
 class TestClosedFiles:
     """A load that fails part way through a file has closed it while the traceback lives."""
 

@@ -13,9 +13,10 @@ from skattr.pipeline import (
     run_schema,
     simulate_postbacks,
 )
-from skattr.postback import finalize_postback
-from skattr.schema import prepare_users, schema_from_text, simulate_traces
+from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
+
+from oracles import oracle_postbacks
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -115,13 +116,7 @@ class TestPostbackDraws:
     """The delay draw depends on (seed, user) only and is drawn once per prepared digest."""
 
     def fresh(self, users, schema, seed):
-        traces = simulate_traces(users, schema)
-        return {
-            u.id: finalize_postback(
-                traces[u.id], rng.substream(seed, "postback", u.id).random(), u.group
-            )
-            for u in users
-        }
+        return oracle_postbacks(users, schema, seed)
 
     def test_shared_prepared_matches_fresh_substream_draws(self, users):
         prepared = prepare_users(users)

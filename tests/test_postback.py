@@ -15,7 +15,8 @@ from skattr.postback import (
     finalize_postback,
     paid_campaigns,
 )
-from skattr.schema import UpdateTrace
+
+from oracles import UpdateTrace
 
 MONDAY = date(2024, 1, 1)
 T0 = datetime(2024, 1, 1, 10)
@@ -23,6 +24,10 @@ T0 = datetime(2024, 1, 1, 10)
 
 def trace(uid=0, commits=((T0, 5),)):
     return UpdateTrace(user_id=uid, committed=tuple(commits), first_open=commits[0][0])
+
+
+def finalize(trace, draw, group):
+    return finalize_postback(trace.user_id, trace.final_value, trace.last_commit, draw, group)
 
 
 def user(uid, alpha_key, group="G"):
@@ -35,26 +40,26 @@ def pb(uid, value, when, group="G"):
 
 class TestFinalizePostback:
     def test_single_commit_window(self):
-        p = finalize_postback(trace(), random.Random(1).random(), "G")
+        p = finalize(trace(), random.Random(1).random(), "G")
         assert p.final_value == 5
         delta = (p.postback_time - T0).total_seconds()
         assert 86_400 <= delta < 2 * 86_400
 
     def test_delay_arithmetic_from_last_commit(self):
         tr = trace(commits=((T0, 1), (T0 + timedelta(hours=20), 9)))
-        p = finalize_postback(tr, random.Random(2).random(), "G")
+        p = finalize(tr, random.Random(2).random(), "G")
         assert p.final_value == 9
         delta = (p.postback_time - T0).total_seconds()
         assert 44 * 3600 <= delta < 68 * 3600
 
     def test_deterministic_for_fixed_seed(self):
-        a = finalize_postback(trace(), random.Random(7).random(), "G")
-        b = finalize_postback(trace(), random.Random(7).random(), "G")
+        a = finalize(trace(), random.Random(7).random(), "G")
+        b = finalize(trace(), random.Random(7).random(), "G")
         assert a == b
 
     def test_window_property_over_many_seeds(self):
         for s in range(100):
-            p = finalize_postback(trace(), random.Random(s).random(), "G")
+            p = finalize(trace(), random.Random(s).random(), "G")
             delta = (p.postback_time - T0).total_seconds()
             assert 86_400 <= delta < 2 * 86_400
 

@@ -1,23 +1,33 @@
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skattr.errors import ConfigError, DegenerateFitError, LayoutError
-from skattr.model import Event, UserRecord, cumulative_revenue, encode_alpha
+from skattr.model import (
+    FLAG,
+    PURCHASE,
+    SESSION,
+    Event,
+    UserRecord,
+    cumulative_revenue,
+    encode_alpha,
+)
+from skattr.pipeline import simulate_postbacks
 from skattr.schema import (
     BitLayout,
     SchemaSpec,
     bucket_of,
-    candidate_value,
     fit_buckets,
     parse_layout,
+    prepare_users,
     schema_from_text,
     schema_to_text,
-    simulate_updates,
+    simulate_traces,
 )
 
-from oracles import sort_slice_quantiles
+from oracles import candidate_value, oracle_postbacks, simulate_updates, sort_slice_quantiles
 
 MONDAY = date(2024, 1, 1)
 START = datetime(2024, 1, 1, 10)
@@ -318,3 +328,95 @@ def test_pv_buckets_respect_quantile_ranges():
             assert r > b[v - 2]
         if v <= len(b):
             assert r <= b[v - 1]
+
+
+DAY_US = 86_400 * 10**6
+REGISTRATION = datetime(2024, 1, 1)
+KERNEL_SCHEMAS = [
+    "kind=EV",
+    "kind=RR;layout=TTTVVV;horizon=7",
+    "kind=RR;layout=TVVVVV;horizon=1",
+    "kind=RI;layout=TTTCCC;horizon=7",
+    "kind=RI;layout=TCCCCC;horizon=1",
+    "kind=UD;seed=3",
+    "kind=PV;layout=VVVVVV;horizon=1",
+    "kind=PV;layout=VVVVVV;horizon=30",
+]
+
+
+@st.composite
+def edge_user(draw, uid=0):
+    """Events at sub-second instants, stepping by 0, 24h, 24h +- 1us or to a midnight edge."""
+    t = draw(st.one_of(st.integers(0, 2 * DAY_US), st.sampled_from([DAY_US - 1, DAY_US])))
+    events = [Event(REGISTRATION + timedelta(microseconds=t), "session")]
+    for _ in range(draw(st.integers(0, 14))):
+        step = draw(st.one_of(
+            st.sampled_from([0, DAY_US - 1, DAY_US, DAY_US + 1, "midnight", "midnight-1us"]),
+            st.integers(1, 30 * 3600 * 10**6),
+        ))
+        if step == "midnight":
+            t = (t // DAY_US + 1) * DAY_US
+        elif step == "midnight-1us":
+            t = (t // DAY_US + 1) * DAY_US - 1
+        else:
+            t += step
+        ts = REGISTRATION + timedelta(microseconds=t)
+        kind = draw(st.sampled_from([SESSION, PURCHASE, FLAG]))
+        if kind == PURCHASE:
+            events.append(Event(ts, kind, amount=draw(st.integers(1, 3000))))
+        elif kind == FLAG:
+            events.append(Event(ts, kind, flag_index=draw(st.integers(0, 5))))
+        else:
+            events.append(Event(ts, kind))
+    return UserRecord(uid, REGISTRATION.date(), encode_alpha(0, uid % 3), tuple(events), "G")
+
+
+def edge_schema(text, boundaries):
+    schema = schema_from_text(text)
+    if schema.needs_boundaries():
+        schema = replace(schema, bucket_boundaries=tuple(sorted(boundaries)))
+    return schema
+
+
+def oracle_final(user, schema):
+    trace = simulate_updates(user, schema)
+    return trace.final_value, (trace.last_commit - REGISTRATION) // timedelta(microseconds=1)
+
+
+class TestReplayKernel:
+    """``simulate_traces`` gives the oracle replay's (final value, last commit)."""
+
+    def test_exact_24h_gap_with_subsecond_timestamps(self):
+        # Float seconds put this gap a hair over 24h, which froze the trace at [0].
+        schema = schema_from_text("kind=RI;layout=TTTCCC;horizon=7")
+        first = datetime.fromisoformat("2024-01-01T18:30:20.417634")
+        user = user_from_events([Event(first, "session"),
+                                 Event(first + timedelta(hours=24), "session")])
+        assert [v for _, v in simulate_updates(user, schema).committed] == [0, 8]
+        second_us = (first + timedelta(hours=24) - REGISTRATION) // timedelta(microseconds=1)
+        assert simulate_traces([user], schema) == {0: (8, second_us)}
+
+    @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
+    @given(user=edge_user(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_oracle(self, text, user, boundaries):
+        schema = edge_schema(text, boundaries)
+        expected = {user.id: oracle_final(user, schema)}
+        assert simulate_traces([user], schema) == expected
+        assert simulate_traces([user], schema, prepare_users([user])) == expected
+
+    @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
+    @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_postbacks_match_oracle_at_the_horizon(self, text, data, boundaries):
+        users = [data.draw(edge_user(uid)) for uid in range(data.draw(st.integers(1, 4)))]
+        schema = edge_schema(text, boundaries)
+        prepared = prepare_users(users)
+        everyone = oracle_postbacks(users, schema, seed=5)
+        assert simulate_postbacks(users, schema, 5, prepared=prepared) == everyone
+        edge = data.draw(st.sampled_from(sorted(everyone)))
+        at = everyone[edge].postback_time
+        for horizon in (at, at - timedelta(microseconds=1)):
+            kept = simulate_postbacks(users, schema, 5, horizon, prepared)
+            assert kept == oracle_postbacks(users, schema, 5, horizon)
+            assert (edge in kept) == (horizon == at)
