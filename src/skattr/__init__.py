@@ -34,10 +34,9 @@ from .model import (
 )
 from .postback import (
     CountMatrix,
-    Postback,
+    PostbackTable,
     build_counts,
     estimate_organic,
-    finalize_postback,
 )
 from .privacy import PrivacyConfig, apply_threshold, suppression_report
 from .schema import (
@@ -61,7 +60,7 @@ __all__ = [
     "CountMatrix",
     "Event",
     "GenConfig",
-    "Postback",
+    "PostbackTable",
     "PrivacyConfig",
     "RevenueProfile",
     "SchemaSpec",
@@ -79,7 +78,6 @@ __all__ = [
     "encode_alpha",
     "estimate_bucket_means",
     "estimate_organic",
-    "finalize_postback",
     "fit_buckets",
     "generate_dataset",
     "homogeneous_fixture",

@@ -27,8 +27,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ConfigError, MissingProfileError
-from .model import CampaignKey, UserRecord, revenue_between
-from .postback import CountMatrix, Postback
+# revenue_between is not called here but stays bound: perfbench's tracer test
+# checks that the tracer patches this module's binding of it.
+from .model import CampaignKey, revenue_between  # noqa: F401
+from .postback import CountMatrix, PostbackTable
 from .schema import VALUE_RANGE
 
 ATTRIBUTION_MODES = ("plain", "null_uniform", "null_empirical", "null_convex")
@@ -59,35 +61,31 @@ class RevenueProfile:
 
 
 def estimate_bucket_means_window(
-    users: Iterable[UserRecord],
-    postbacks: Iterable[Postback] | Mapping[int, Postback],
-    lo_day: int,
-    hi_day: int,
+    postbacks: PostbackTable, lo_day: int, hi_day: int, group: str | None = None
 ) -> RevenueProfile:
-    """Group users by final conversion value; exact means of window revenue."""
-    if isinstance(postbacks, Mapping):
-        final = {uid: pb.final_value for uid, pb in postbacks.items()}
-    else:
-        final = {pb.user_id: pb.final_value for pb in postbacks}
-    sums: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for u in users:
-        v = final.get(u.id)
-        if v is None:
-            continue
-        sums[v] = sums.get(v, 0) + revenue_between(u, lo_day, hi_day)
-        counts[v] = counts.get(v, 0) + 1
-    means = {v: Fraction(sums[v], counts[v]) for v in sorted(counts)}
-    return RevenueProfile(window_days=hi_day, means=means, totals=dict(sorted(counts.items())))
+    """Group delivered postbacks by final value; exact means of window revenue.
+
+    ``group`` restricts the profile to users of that group label.
+    """
+    cohort = postbacks.cohort
+    labels = cohort.group_labels
+    want = labels.index(group) if group in labels else -1  # -1 matches no user
+    sums = [0] * VALUE_RANGE
+    counts = [0] * VALUE_RANGE
+    for cell, value, cents, g in zip(
+        postbacks.cells, postbacks.values, cohort.window_revenue(lo_day, hi_day), cohort.group
+    ):
+        if cell >= 0 and (group is None or g == want):
+            sums[value] += cents
+            counts[value] += 1
+    used = [v for v in range(VALUE_RANGE) if counts[v]]
+    means = {v: Fraction(sums[v], counts[v]) for v in used}
+    return RevenueProfile(window_days=hi_day, means=means, totals={v: counts[v] for v in used})
 
 
-def estimate_bucket_means(
-    users: Iterable[UserRecord],
-    postbacks: Iterable[Postback] | Mapping[int, Postback],
-    t: int,
-) -> RevenueProfile:
+def estimate_bucket_means(postbacks: PostbackTable, t: int) -> RevenueProfile:
     """Revenue profile over the first ``t`` days (the developer-side table)."""
-    return estimate_bucket_means_window(users, postbacks, 0, t)
+    return estimate_bucket_means_window(postbacks, 0, t)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,9 @@ from .metrics import (
 )
 from .model import CampaignKey, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
+from .postback import PostbackTable
 from .privacy import PrivacyConfig, apply_threshold
-from .schema import schema_from_text, schema_to_text
+from .schema import prepare_users, schema_from_text, schema_to_text
 from .synthgen import generate_dataset
 
 
@@ -68,9 +69,12 @@ def _parse_horizon(text: str | None) -> datetime | None:
     if text is None:
         return None
     try:
-        return datetime.fromisoformat(text)
+        horizon = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ConfigError(f"bad horizon timestamp {text!r}") from exc
+    if horizon.utcoffset() is not None:
+        raise ConfigError(f"horizon timestamp {text!r} has a UTC offset; skattr times are naive")
+    return horizon
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -113,22 +117,24 @@ def cmd_privatize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resimulate(meta: dict, users_csv: Path, events_csv: Path | None, organic_alpha: int | None):
+def _resimulate(
+    meta: dict, users_csv: Path, events_csv: Path | None, organic_alpha: int | None
+) -> PostbackTable:
     """Rebuild the postback view a counts/attr file was produced from."""
     if "schema" not in meta or "seed" not in meta:
         raise ConfigError("file meta lacks schema/seed; cannot rebuild the postback view")
-    users, _ = load_users(users_csv, events_csv, organic_alpha)
-    schema = resolve_schema(schema_from_text(meta["schema"]), users, meta["seed"])
     horizon = _parse_horizon(meta.get("horizon"))
-    postbacks = simulate_postbacks(users, schema, meta["seed"], horizon)
-    return users, schema, postbacks
+    users, _ = load_users(users_csv, events_csv, organic_alpha)
+    cohort = prepare_users(users)
+    schema = resolve_schema(schema_from_text(meta["schema"]), users, meta["seed"], cohort)
+    return simulate_postbacks(users, schema, meta["seed"], horizon, cohort)
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     matrices, cmeta = load_counts(args.counts)
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
-    users, _, postbacks = _resimulate(dict(cmeta), users_csv, events_csv, cmeta.get("organic_alpha"))
-    profile = estimate_bucket_means(users, postbacks, args.t)
+    postbacks = _resimulate(dict(cmeta), users_csv, events_csv, cmeta.get("organic_alpha"))
+    profile = estimate_bucket_means(postbacks, args.t)
 
     lam = args.lam if args.lam is not None else (1.0 if args.g == "null_empirical" else 0.0)
     fn = None if args.g == "plain" else AttributionFunction(mode=args.g, lam=lam)
@@ -160,8 +166,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     attributed, ameta = load_attribution(args.attr)
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
-    users, _, postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
-    truth = truth_by_week(users, postbacks, 0, args.t)
+    postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
+    truth = truth_by_week(postbacks, 0, args.t)
 
     if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")
@@ -263,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", default=None, help="events CSV (default: sibling events.csv)")
     p.add_argument("--schema", required=True, help='e.g. "kind=RR;layout=TTTVVV;horizon=7"')
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--horizon", default=None, help="ISO timestamp; postbacks after it are dropped")
+    p.add_argument("--horizon", default=None,
+                   help="naive ISO timestamp; postbacks after it are dropped")
     p.add_argument("--organic-alpha", type=int, default=None, dest="organic_alpha")
     p.add_argument("--out", required=True, help="output counts CSV")
     p.set_defaults(func=cmd_simulate)

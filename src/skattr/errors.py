@@ -27,10 +27,6 @@ class DegenerateFitError(SkattrError):
     """Bucket fitting is impossible (no spenders in the population)."""
 
 
-class DuplicatePostbackError(SkattrError):
-    """More than one postback for the same user id."""
-
-
 class InconsistentTotalsError(SkattrError):
     """Developer-side totals are smaller than the observed paid counts."""
 

@@ -10,7 +10,10 @@ Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
 ``attribute_cells`` (estimator output in cents per cell and campaign),
 ``truth_by_week`` (actual window revenue per postback week and origin) and
-``score_level`` (weekly and aggregate error at one level).
+``score_level`` (weekly and aggregate error at one level). Revenue profiles
+and truth aggregate a schema's ``PostbackTable`` by cell id and origin
+column over the cohort's window-revenue memo, so each user's revenue in a
+window is computed once however many schemas and estimators use it.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from .errors import (
 )
 # revenue_between is not called here but stays bound: perfbench's tracer test
 # checks that the tracer patches this module's binding of it.
-from .model import CampaignKey, UserRecord, ground_truth, revenue_between  # noqa: F401
-from .pipeline import CellKey, SimArtifacts, cell_of, prepare_users, run_schema
-from .postback import CountMatrix, Postback
+from .model import CampaignKey, Cohort, UserRecord, ground_truth, revenue_between  # noqa: F401
+from .pipeline import CellKey, SimArtifacts, resolve_organic, run_schema
+from .postback import CountMatrix, PostbackTable
 from .privacy import PrivacyConfig, apply_threshold
-from .schema import SchemaSpec, _PreppedUser
+from .schema import SchemaSpec, prepare_users
 
 LEVELS = ("campaign", "network")
 
@@ -125,17 +128,13 @@ def _network_label(key: CampaignKey) -> str:
 
 
 def truth_by_week(
-    users: Sequence[UserRecord],
-    postbacks: Mapping[int, Postback],
-    lo_day: int,
-    hi_day: int,
+    postbacks: PostbackTable, lo_day: int, hi_day: int
 ) -> dict[str, dict[CampaignKey, int]]:
     """Actual window revenue per (postback week, origin), summed over groups.
 
     Users without a postback are not counted.
     """
-    weeks = {uid: cell_of(pb)[1] for uid, pb in postbacks.items()}
-    return ground_truth(users, weeks, lo_day, hi_day)
+    return ground_truth(postbacks, lo_day, hi_day)
 
 
 def score_level(
@@ -217,20 +216,15 @@ def _expand_modes(
 
 
 def _group_profiles(
-    users: Sequence[UserRecord],
-    postbacks: Mapping[int, Postback],
-    lo_day: int,
-    hi_day: int,
-    per_group: bool,
+    postbacks: PostbackTable, lo_day: int, hi_day: int, per_group: bool
 ) -> dict[str | None, RevenueProfile]:
     """Pooled revenue profile, optionally split per group label."""
     profiles: dict[str | None, RevenueProfile] = {
-        None: estimate_bucket_means_window(users, postbacks, lo_day, hi_day)
+        None: estimate_bucket_means_window(postbacks, lo_day, hi_day)
     }
     if per_group:
-        for group in sorted({u.group for u in users}):
-            members = [u for u in users if u.group == group]
-            profiles[group] = estimate_bucket_means_window(members, postbacks, lo_day, hi_day)
+        for group in postbacks.cohort.group_labels:
+            profiles[group] = estimate_bucket_means_window(postbacks, lo_day, hi_day, group)
     return profiles
 
 
@@ -270,7 +264,7 @@ def benchmark_matrix(
     include_organic: bool = True,
     profile_per_group: bool = False,
     horizon: datetime | None = None,
-    prepared: dict[int, _PreppedUser] | None = None,
+    prepared: Cohort | None = None,
 ) -> AttributionReport:
     """Run the full schema x threshold x estimator grid.
 
@@ -281,7 +275,8 @@ def benchmark_matrix(
     run with a GridCellError that carries the failing coordinates. Each
     schema's simulation, revenue profiles and window truth are built once
     and shared by all of its cells; the simulations are returned in the
-    report's ``artifacts``.
+    report's ``artifacts``. ``prepared`` is ``schema.prepare_users(users)``
+    when the caller shares one digest across calls.
     """
     if not schemas or not p_values or not g_modes:
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
@@ -290,6 +285,7 @@ def benchmark_matrix(
 
     if prepared is None:
         prepared = prepare_users(users)
+    organic = resolve_organic(users)
     artifacts: dict[str, SimArtifacts] = {}
     profiles: dict[str, dict[str | None, RevenueProfile]] = {}
     truths: dict[str, dict[str, dict[CampaignKey, int]]] = {}
@@ -298,14 +294,16 @@ def benchmark_matrix(
         if label in artifacts:
             raise ConfigError(f"duplicate schema {label} in benchmark grid")
         try:
-            art = run_schema(users, schema, seed, horizon, prepared)
+            art = run_schema(
+                users, schema, seed, horizon, prepared, organic, prepared.campaigns
+            )
         except SkattrError as exc:
             raise GridCellError(
                 f"schema {label}: {type(exc).__name__}: {exc}", schema=label
             ) from exc
         artifacts[label] = art
-        profiles[label] = _group_profiles(users, art.postbacks, 0, t, profile_per_group)
-        truths[label] = truth_by_week(users, art.postbacks, 0, t)
+        profiles[label] = _group_profiles(art.postbacks, 0, t, profile_per_group)
+        truths[label] = truth_by_week(art.postbacks, 0, t)
     labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
@@ -427,7 +425,7 @@ def window_error_curve(
     include_organic: bool = True,
     profile_per_group: bool = False,
     horizon: datetime | None = None,
-    prepared: dict[int, _PreppedUser] | None = None,
+    prepared: Cohort | None = None,
     artifacts: SimArtifacts | None = None,
 ) -> list[WindowPoint]:
     """Campaign-level error of attributing revenue accrued per day window.
@@ -445,7 +443,11 @@ def window_error_curve(
     if g.mode == "plain" and p >= 2:
         raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
     if artifacts is None:
-        artifacts = run_schema(users, schema, seed, horizon, prepared)
+        if prepared is None:
+            prepared = prepare_users(users)
+        artifacts = run_schema(
+            users, schema, seed, horizon, prepared, resolve_organic(users), prepared.campaigns
+        )
     elif artifacts.schema.label != schema.label:
         raise ConfigError(
             f"artifacts of schema {artifacts.schema.label} passed for {schema.label}"
@@ -459,8 +461,8 @@ def window_error_curve(
         fn = g
     points: list[WindowPoint] = []
     for lo, hi in wins:
-        profiles = _group_profiles(users, artifacts.postbacks, lo, hi, profile_per_group)
-        truth = truth_by_week(users, artifacts.postbacks, lo, hi)
+        profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
+        truth = truth_by_week(artifacts.postbacks, lo, hi)
         by_level = _grid_error(artifacts, matrices, profiles, fn, truth, include_organic)
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

@@ -1,26 +1,37 @@
-"""Core domain types: campaign keys, users, events, ground truth.
+"""Core domain types: campaign keys, users, events, cohorts, ground truth.
 
 Money is integer USD cents everywhere. Revenue windows are half-open in
 whole days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
 (Monday start), memoised per date because a cohort spans a few hundred
-dates. All types are immutable after construction; operations are pure
-functions. Each user's purchases are digested on first use into
+dates. Campaign keys, users and events are immutable after construction.
+Each user's purchases are digested on first use into
 ``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
-walks only purchases and a user without any costs one empty loop however
-many schemas and windows ask for it.
+walks only purchases.
+
+A ``Cohort`` holds the schema-independent facts of a user list as plain
+integer lists in cohort order: registration midnight in microseconds
+(date ordinal x ``US_PER_DAY``), group index, origin column (paid campaigns
+by alpha, organic last) and, memoised on first use, window revenue per
+``[lo, hi)`` and postback delay per seed. Every schema simulated over the
+cohort reads these lists instead of recomputing them per user.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InvalidCampaignError, OrganicKeyError
 
+if TYPE_CHECKING:
+    from .postback import PostbackTable
+
 SECONDS_PER_DAY = 86_400
+US_PER_DAY = SECONDS_PER_DAY * 1_000_000
 
 SESSION = "session"
 PURCHASE = "purchase"
@@ -180,22 +191,75 @@ def iso_week(d: date) -> str:
     return f"{y:04d}-W{w:02d}"
 
 
-def ground_truth(
-    users: Iterable[UserRecord], weeks: Mapping[int, str], lo_day: int, hi_day: int
-) -> dict[str, dict[CampaignKey, int]]:
-    """Last-click revenue in ``[lo_day, hi_day)`` per (reporting week, true origin).
+class Cohort:
+    """Schema-independent facts of one user list, as lists in cohort order.
 
-    ``weeks`` maps a user id to the week the user is reported in; users
-    without a week are not counted. ``metrics.truth_by_week`` takes the
-    weeks from postbacks and is what the grid and the CLI call.
+    ``origins`` are the count-matrix columns: the paid campaigns sorted by
+    alpha, then the organic sentinels present; ``column[i]`` indexes the
+    origin of user ``i``. ``digests`` are the replay kernel's per-user event
+    digests (see ``schema.prepare_users``). ``delays`` (seed -> delivery
+    delay in microseconds per user) and the cell tables (``cell_ids``: day
+    ordinal x group count + group index -> cell id; ``cell_keys``: cell id
+    -> (group, ISO week)) are filled by ``pipeline.simulate_postbacks`` on
+    first use, so every schema simulated over the cohort shares them.
     """
+
+    def __init__(self, users: Iterable[UserRecord], digests: Sequence[tuple]) -> None:
+        self.users = tuple(users)
+        self.digests = digests
+        self.ids = [u.id for u in self.users]
+        if len(set(self.ids)) != len(self.ids):
+            raise ConfigError("a cohort lists some user id more than once")
+        self.midnight_us = [u.registration_date.toordinal() * US_PER_DAY for u in self.users]
+        self.group_labels = tuple(sorted({u.group for u in self.users}))
+        group_index = {g: i for i, g in enumerate(self.group_labels)}
+        self.group = [group_index[u.group] for u in self.users]
+        # Keyed by (organic, alpha) rather than by the key itself: the
+        # dataclass hash runs in Python, once per user and lookup.
+        origins = [(u.origin.organic, u.origin.alpha) for u in self.users]
+        ordered = sorted(set(origins))  # paid (False) before organic (True), then by alpha
+        self.origins = tuple(CampaignKey(alpha, organic) for organic, alpha in ordered)
+        self.campaigns = tuple(k for k in self.origins if not k.organic)
+        column = {o: j for j, o in enumerate(ordered)}
+        self.column = [column[o] for o in origins]
+        self.delays: dict[int, list[int]] = {}
+        self.cell_ids: dict[int, int] = {}
+        self.cell_keys: list[tuple[str, str]] = []
+        self._revenue: dict[tuple[int, int], list[int]] = {}
+
+    def window_revenue(self, lo_day: int, hi_day: int) -> list[int]:
+        """Each user's purchase cents in ``[lo_day, hi_day)``, computed once per window."""
+        key = (lo_day, hi_day)
+        out = self._revenue.get(key)
+        if out is None:
+            out = self._revenue[key] = [revenue_between(u, lo_day, hi_day) for u in self.users]
+        return out
+
+
+def ground_truth(
+    postbacks: PostbackTable, lo_day: int, hi_day: int
+) -> dict[str, dict[CampaignKey, int]]:
+    """Last-click revenue in ``[lo_day, hi_day)`` per (postback week, true origin).
+
+    Sums over groups; users without a postback are not counted. An origin
+    with a postback in a week has an entry there even at zero revenue.
+    ``metrics.truth_by_week`` is the name the grid and the CLI call.
+    """
+    cohort = postbacks.cohort
+    width = len(cohort.origins)
+    acc: dict[int, int] = {}
+    for cell, j, cents in zip(
+        postbacks.cells, cohort.column, cohort.window_revenue(lo_day, hi_day)
+    ):
+        if cell >= 0:
+            k = cell * width + j
+            acc[k] = acc.get(k, 0) + cents
     out: dict[str, dict[CampaignKey, int]] = {}
-    for u in users:
-        week = weeks.get(u.id)
-        if week is None:
-            continue
-        bucket = out.setdefault(week, {})
-        bucket[u.origin] = bucket.get(u.origin, 0) + revenue_between(u, lo_day, hi_day)
+    for k, cents in acc.items():
+        cell, j = divmod(k, width)
+        bucket = out.setdefault(cohort.cell_keys[cell][1], {})
+        origin = cohort.origins[j]
+        bucket[origin] = bucket.get(origin, 0) + cents
     return out
 
 

@@ -2,42 +2,48 @@
 
 Both the stage-wise CLI commands and the benchmark grid go through these
 helpers, so splitting a run into stages and running it end to end produce
-identical numbers for the same seed. Postback delay randomness is one
-Uniform[0, 1) draw per user from the substream (seed, "postback", user_id);
-it does not depend on the schema, so it is drawn once per (seed, user) and
-kept on the shared ``prepare_users`` digest, which every schema simulated
-from that digest reuses. UD schemas without an explicit seed get the
-derived substream seed (seed, "ud").
+identical numbers for the same seed. Every step works on the cohort digest
+(``schema.prepare_users``, a ``model.Cohort``) in integers: a postback is
+delivered at registration midnight + last commit + delay microseconds,
+dropped when that is after the horizon, and counted in the cell its
+delivery day maps to. Postback delay randomness is one Uniform[0, 1) draw
+per user from the substream (seed, "postback", user_id); it does not depend
+on the schema, so it is drawn once per (seed, user) and kept on the cohort
+as microseconds, and the (group, day) -> cell memo is kept there too.
+``simulate_postbacks`` returns a ``PostbackTable``, and the developer
+totals, count matrices, revenue profiles and ground truth aggregate its
+lists by cell id and origin column. UD schemas without an explicit seed
+get the derived substream seed (seed, "ud").
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 from .errors import ConfigError
-from .model import CampaignKey, UserRecord, cumulative_revenue, organic_key
+from .model import US_PER_DAY, CampaignKey, Cohort, UserRecord, organic_key
 from .postback import (
     CellKey,
     CountMatrix,
-    Postback,
+    PostbackTable,
     build_counts,
     cell_of,
     empty_matrix,
     estimate_organic,
-    finalize_postback,
-    paid_campaigns,
+    postback_delay_us,
 )
 from .rng import hash64, substream
 from .schema import (
     VALUE_RANGE,
     SchemaSpec,
-    _PreppedUser,
+    cohort_of,
     fit_buckets,
-    prepare_users,
     simulate_traces,
 )
+
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def resolve_organic(users: Iterable[UserRecord], override: int | None = None) -> CampaignKey:
@@ -62,14 +68,53 @@ def resolve_organic(users: Iterable[UserRecord], override: int | None = None) ->
     return organic_key(max_alpha + 1)
 
 
-def resolve_schema(schema: SchemaSpec, users: Sequence[UserRecord], seed: int) -> SchemaSpec:
-    """Fit bucket boundaries and inject the derived UD seed where needed."""
+def resolve_schema(
+    schema: SchemaSpec,
+    users: Sequence[UserRecord],
+    seed: int,
+    prepared: Cohort | None = None,
+) -> SchemaSpec:
+    """Fit bucket boundaries and inject the derived UD seed where needed.
+
+    Boundaries are fitted on the cohort's ``[0, horizon)`` revenue memo.
+    """
     if schema.kind == "UD" and schema.seed is None:
         schema = replace(schema, seed=hash64(seed, "ud") & 0x7FFFFFFF)
     if schema.needs_boundaries() and schema.bucket_boundaries is None:
-        horizon = schema.horizon_days
-        schema = fit_buckets(users, schema, lambda u: cumulative_revenue(u, horizon))
+        revenue = cohort_of(users, prepared).window_revenue(0, schema.horizon_days)
+        schema = fit_buckets(revenue, schema, lambda cents: cents)
     return schema
+
+
+def horizon_us(horizon: datetime) -> int:
+    """A naive horizon instant in microseconds on the cohort's clock.
+
+    The clock counts from midnight of date ordinal 0, so registration
+    midnight is ``date.toordinal() * US_PER_DAY``.
+    """
+    if horizon.utcoffset() is not None:
+        raise ConfigError(
+            f"horizon {horizon.isoformat()!r} has a UTC offset; skattr times are naive"
+        )
+    return (horizon - datetime.min) // _MICROSECOND + US_PER_DAY
+
+
+def cell_id(cohort: Cohort, group: int, day: int) -> int:
+    """The cohort's id of the cell for group index ``group`` and day ordinal ``day``.
+
+    Runs once per distinct (group, day): it derives the (group, ISO week)
+    key with ``cell_of``, gives a key not seen before the next id, and
+    records the day in the cohort's memo, which ``simulate_postbacks``
+    reads first.
+    """
+    key = cell_of(cohort.group_labels[group], date.fromordinal(day))
+    try:
+        cell = cohort.cell_keys.index(key)
+    except ValueError:
+        cell = len(cohort.cell_keys)
+        cohort.cell_keys.append(key)
+    cohort.cell_ids[day * len(cohort.group_labels) + group] = cell
+    return cell
 
 
 def simulate_postbacks(
@@ -77,56 +122,67 @@ def simulate_postbacks(
     schema: SchemaSpec,
     seed: int,
     horizon: datetime | None = None,
-    prepared: dict[int, _PreppedUser] | None = None,
-) -> dict[int, Postback]:
+    prepared: Cohort | None = None,
+) -> PostbackTable:
     """One postback per user (organic users included: the developer's view).
 
     ``simulate_traces`` gives each user's final value and last commit as
-    integer microseconds since registration midnight; the postback is sent
-    ``finalize_postback``'s delay after registration midnight plus those
-    microseconds, the exact last-commit instant. Users whose postback would
-    land after ``horizon`` are excluded entirely; they count neither in
-    matrices nor in ground truth. A user's delay draw is memoised by seed
-    on their ``prepared`` digest entry.
+    microseconds since registration midnight; the postback is delivered
+    ``postback_delay_us`` later. Users whose postback would land after
+    ``horizon`` get cell -1: they count neither in matrices nor in ground
+    truth. The delay per (seed, user) and the cell per (group, delivery
+    day) are memoised on the cohort.
     """
-    finals = simulate_traces(users, schema, prepared)
-    users_by_id = {u.id: u for u in users}
-    out: dict[int, Postback] = {}
-    for uid in sorted(finals):
-        value, last_us = finals[uid]
-        user = users_by_id[uid]
-        prepped = prepared.get(uid) if prepared is not None else None
-        draws = prepped.postback_draws if prepped is not None else {}
-        draw = draws.get(seed)
-        if draw is None:
-            draw = draws[seed] = substream(seed, "postback", uid).random()
-        # timedelta(days, seconds, microseconds): positional is the cheaper call.
-        last_commit = user.registration_instant + timedelta(0, 0, last_us)
-        pb = finalize_postback(uid, value, last_commit, draw, user.group)
-        if horizon is not None and pb.postback_time > horizon:
+    cohort = cohort_of(users, prepared)
+    finals = simulate_traces(users, schema, cohort)
+    delays = cohort.delays.get(seed)
+    if delays is None:
+        delays = cohort.delays[seed] = [
+            postback_delay_us(substream(seed, "postback", uid).random()) for uid in cohort.ids
+        ]
+    limit = horizon_us(horizon) if horizon is not None else None
+    n_groups = len(cohort.group_labels)
+    memo = cohort.cell_ids
+    values: list[int] = []
+    cells: list[int] = []
+    sent_us: list[int] = []
+    for (value, last_us), midnight, delay, group in zip(
+        finals.values(), cohort.midnight_us, delays, cohort.group
+    ):
+        sent = midnight + last_us + delay
+        values.append(value)
+        sent_us.append(sent)
+        if limit is not None and sent > limit:
+            cells.append(-1)
             continue
-        out[uid] = pb
-    return out
+        day = sent // US_PER_DAY
+        cell = memo.get(day * n_groups + group)
+        if cell is None:
+            cell = cell_id(cohort, group, day)
+        cells.append(cell)
+    return PostbackTable(cohort, values, cells, sent_us)
 
 
-def developer_totals(postbacks: Mapping[int, Postback]) -> dict[CellKey, dict[int, int]]:
+def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:
     """Per-(group, week) user counts per conversion value, all origins.
 
     Every cell carries entries for all 64 values (zeros included) so the
     null-aware estimator can distinguish "no users" from "missing data".
     """
-    totals: dict[CellKey, dict[int, int]] = {}
-    for pb in postbacks.values():
-        cell = cell_of(pb)
-        if cell not in totals:
-            totals[cell] = dict.fromkeys(range(VALUE_RANGE), 0)
-        totals[cell][pb.final_value] += 1
-    return totals
+    rows: dict[int, list[int]] = {}
+    for cell, value in zip(postbacks.cells, postbacks.values):
+        if cell < 0:
+            continue
+        row = rows.get(cell)
+        if row is None:
+            row = rows[cell] = [0] * VALUE_RANGE
+        row[value] += 1
+    keys = postbacks.cohort.cell_keys
+    return {keys[cell]: dict(enumerate(row)) for cell, row in rows.items()}
 
 
 def build_cell_matrices(
-    users: Sequence[UserRecord],
-    postbacks: Mapping[int, Postback],
+    postbacks: PostbackTable,
     organic: CampaignKey | None = None,
     campaigns: Sequence[CampaignKey] | None = None,
     totals: Mapping[CellKey, Mapping[int, int]] | None = None,
@@ -135,13 +191,14 @@ def build_cell_matrices(
 
     ``totals`` are ``developer_totals(postbacks)`` when the caller has them.
     """
+    cohort = postbacks.cohort
     if organic is None:
-        organic = resolve_organic(users)
+        organic = resolve_organic(cohort.users)
     if campaigns is None:
-        campaigns = paid_campaigns(users)
+        campaigns = cohort.campaigns
     if totals is None:
         totals = developer_totals(postbacks)
-    paid = build_counts(postbacks.values(), users, campaigns)
+    paid = build_counts(postbacks, campaigns)
     out: dict[CellKey, CountMatrix] = {}
     for cell in sorted(totals):
         matrix = paid.get(cell)
@@ -156,7 +213,7 @@ class SimArtifacts:
     """Everything downstream stages need from one schema simulation."""
 
     schema: SchemaSpec
-    postbacks: dict[int, Postback]
+    postbacks: PostbackTable
     matrices: dict[CellKey, CountMatrix]
     cell_totals: dict[CellKey, dict[int, int]]
     organic: CampaignKey
@@ -172,21 +229,24 @@ def run_schema(
     schema: SchemaSpec,
     seed: int,
     horizon: datetime | None = None,
-    prepared: dict[int, _PreppedUser] | None = None,
+    prepared: Cohort | None = None,
     organic: CampaignKey | None = None,
     campaigns: Sequence[CampaignKey] | None = None,
 ) -> SimArtifacts:
-    """Fit, simulate and aggregate one schema over the dataset."""
+    """Fit, simulate and aggregate one schema over the dataset.
+
+    Callers running several schemas over one cohort pass its digest and the
+    resolved ``organic`` key and ``campaigns`` so they are found once.
+    """
+    prepared = cohort_of(users, prepared)
     if organic is None:
         organic = resolve_organic(users)
     if campaigns is None:
-        campaigns = paid_campaigns(users)
-    if prepared is None:
-        prepared = prepare_users(users)
-    fitted = resolve_schema(schema, users, seed)
+        campaigns = prepared.campaigns
+    fitted = resolve_schema(schema, users, seed, prepared)
     postbacks = simulate_postbacks(users, fitted, seed, horizon, prepared)
     totals = developer_totals(postbacks)
-    matrices = build_cell_matrices(users, postbacks, organic, campaigns, totals)
+    matrices = build_cell_matrices(postbacks, organic, campaigns, totals)
     return SimArtifacts(
         schema=fitted,
         postbacks=postbacks,

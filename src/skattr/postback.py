@@ -1,20 +1,24 @@
 """Postbacks and per-(group, week) count matrices.
 
 Each user produces exactly one postback: the final committed value, delivered
-at a random instant between 24h and 48h after the last commit. Counts are
-aggregated per (group, ISO week of postback) over paid campaigns; the
+at a random instant between 24h and 48h after the last commit. One schema's
+postbacks form a ``PostbackTable``, the developer's view as integer lists in
+cohort order: final value, cell id (the (group, ISO week of delivery) the
+postback is counted in, through the cohort's ``cell_keys``; -1 when it was
+delivered after the horizon) and delivery instant in microseconds. Counts
+are aggregated per cell over paid campaigns by origin column index; the
 organic column is estimated afterwards by subtracting paid counts from the
 developer-side per-value totals.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
-from .errors import ConfigError, DuplicatePostbackError, InconsistentTotalsError, ReferentialError
-from .model import CampaignKey, UserRecord, iso_week
+from .errors import ConfigError, InconsistentTotalsError
+from .model import US_PER_DAY, CampaignKey, Cohort, iso_week
 from .schema import VALUE_RANGE
 
 POSTBACK_QUIET_SECONDS = 86_400.0
@@ -22,36 +26,52 @@ POSTBACK_JITTER_SECONDS = 86_400.0
 
 CellKey = tuple[str, str]  # (group, week)
 
-
-@dataclass(frozen=True, slots=True)
-class Postback:
-    """The single anonymized report for one user."""
-
-    user_id: int
-    final_value: int
-    postback_time: datetime
-    group: str
+_MICROSECOND = timedelta(microseconds=1)
 
 
-def finalize_postback(
-    user_id: int, final_value: int, last_commit: datetime, draw: float, group: str
-) -> Postback:
-    """Turn a user's final value and last-commit instant into their postback.
+def postback_delay_us(draw: float) -> int:
+    """Delivery delay after the last commit, in microseconds: 24h + ``draw`` * 24h.
 
-    The delivery time is last commit + 24h quiet period + ``draw`` * 24h,
-    where ``draw`` is the user's Uniform[0, 1) postback draw (callers take
-    it from a per-user substream so results do not depend on processing
-    order).
+    ``draw`` is the user's Uniform[0, 1) postback draw. The float seconds
+    round to whole microseconds as ``timedelta`` rounds them.
     """
     delay = POSTBACK_QUIET_SECONDS + draw * POSTBACK_JITTER_SECONDS
-    # Positional arguments: this runs once per user and schema, and keyword
-    # arguments make each call measurably slower.
-    return Postback(user_id, final_value, last_commit + timedelta(0, delay), group)
+    return timedelta(0, delay) // _MICROSECOND
 
 
-def cell_of(pb: Postback) -> CellKey:
-    """The (group, ISO week of delivery) cell a postback is counted in."""
-    return (pb.group, iso_week(pb.postback_time.date()))
+def cell_of(group: str, day: date) -> CellKey:
+    """The (group, ISO week) cell of a postback delivered on ``day``."""
+    return (group, iso_week(day))
+
+
+@dataclass(frozen=True, eq=False)
+class PostbackTable:
+    """One schema's postbacks: the developer's view, as lists in cohort order.
+
+    ``values[i]`` is user ``i``'s final conversion value, ``sent_us[i]`` the
+    delivery instant in microseconds on the cohort's clock (date ordinal x
+    ``US_PER_DAY`` + time of day) and ``cells[i]`` the id of the cell in
+    ``cohort.cell_keys`` it is counted in, or -1 when the postback came
+    after the horizon and counts nowhere.
+    """
+
+    cohort: Cohort
+    values: list[int]
+    cells: list[int]
+    sent_us: list[int]
+
+    def __len__(self) -> int:
+        """The number of postbacks delivered by the horizon."""
+        return len(self.cells) - self.cells.count(-1)
+
+    def by_user(self) -> dict[int, tuple[int, datetime, CellKey]]:
+        """``{user id: (final value, delivery instant, (group, week))}`` of delivered postbacks."""
+        keys = self.cohort.cell_keys
+        return {
+            uid: (value, datetime.min + timedelta(microseconds=sent - US_PER_DAY), keys[cell])
+            for uid, value, cell, sent in zip(self.cohort.ids, self.values, self.cells, self.sent_us)
+            if cell >= 0
+        }
 
 
 @dataclass(frozen=True)
@@ -115,52 +135,43 @@ def empty_matrix(group: str, week: str, columns: Sequence[CampaignKey]) -> Count
     return CountMatrix(group=group, week=week, columns=cols, rows=(zero,) * VALUE_RANGE)
 
 
-def paid_campaigns(users: Iterable[UserRecord]) -> tuple[CampaignKey, ...]:
-    """All distinct paid origins in a dataset, sorted by alpha."""
-    return tuple(sorted({u.origin for u in users if not u.origin.organic}))
-
-
 def build_counts(
-    postbacks: Iterable[Postback],
-    users: Iterable[UserRecord],
-    campaigns: Sequence[CampaignKey] | None = None,
+    postbacks: PostbackTable, campaigns: Sequence[CampaignKey] | None = None
 ) -> dict[CellKey, CountMatrix]:
     """Aggregate postbacks into per-(group, week) matrices over paid columns.
 
     Postbacks of organic-origin users are skipped here; their column is
-    reconstructed by ``estimate_organic``. The column set defaults to every
-    paid origin in ``users`` so all weeks share one matrix shape.
+    reconstructed by ``estimate_organic``. The columns default to every
+    paid origin of the cohort, so all weeks share one matrix shape; given
+    ``campaigns`` must include them all.
     """
-    users_by_id = {u.id: u for u in users}
-    if campaigns is None:
-        campaigns = paid_campaigns(users_by_id.values())
-    cols = tuple(campaigns)
-    col_index = {k: j for j, k in enumerate(cols)}
-    grids: dict[CellKey, list[list[int]]] = {}
-    seen: set[int] = set()
-    for pb in postbacks:
-        if pb.user_id in seen:
-            raise DuplicatePostbackError(f"user {pb.user_id} already produced a postback")
-        seen.add(pb.user_id)
-        user = users_by_id.get(pb.user_id)
-        if user is None:
-            raise ReferentialError(f"postback references unknown user {pb.user_id}")
-        if user.origin.organic:
+    cohort = postbacks.cohort
+    cols = cohort.campaigns if campaigns is None else tuple(campaigns)
+    position = {k: j for j, k in enumerate(cols)}
+    # Matrix column of each cohort origin column; None for organic origins.
+    remap = [None if k.organic else position.get(k, -1) for k in cohort.origins]
+    if -1 in remap:
+        missing = cohort.origins[remap.index(-1)]
+        raise ConfigError(f"campaign {missing} is not among the matrix columns")
+    width = len(cols)
+    grids: dict[int, list[list[int]]] = {}
+    for cell, value, j in zip(postbacks.cells, postbacks.values, cohort.column):
+        col = remap[j]
+        if col is None or cell < 0:
             continue
-        key = cell_of(pb)
-        grid = grids.get(key)
+        grid = grids.get(cell)
         if grid is None:
-            grid = [[0] * len(cols) for _ in range(VALUE_RANGE)]
-            grids[key] = grid
-        grid[pb.final_value][col_index[user.origin]] += 1
+            grid = grids[cell] = [[0] * width for _ in range(VALUE_RANGE)]
+        grid[value][col] += 1
+    keys = cohort.cell_keys
     return {
-        key: CountMatrix(
-            group=key[0],
-            week=key[1],
+        keys[cell]: CountMatrix(
+            group=keys[cell][0],
+            week=keys[cell][1],
             columns=cols,
             rows=tuple(tuple(row) for row in grid),
         )
-        for key, grid in sorted(grids.items())
+        for cell, grid in sorted(grids.items(), key=lambda item: keys[item[0]])
     }
 
 

@@ -20,32 +20,26 @@ Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Event
 times are digested into the same integers once per cohort
-(``prepare_users``), so day indices (calendar-day offsets from the
-registration date) and the 24h timer are exact integer arithmetic, also
-for timestamps with sub-second parts.
+(``prepare_users``, which returns a ``model.Cohort``), so day indices
+(calendar-day offsets from the registration date) and the 24h timer are
+exact integer arithmetic, also for timestamps with sub-second parts. PV
+values and fitted bucket boundaries read the cohort's window-revenue memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import timedelta
+from typing import TypeVar
 
 from .errors import ConfigError, DegenerateFitError, LayoutError
-from .model import (
-    FLAG,
-    PURCHASE,
-    SECONDS_PER_DAY,
-    SESSION,
-    UserRecord,
-    cumulative_revenue,
-)
+from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
 VALUE_RANGE = 64  # 6 bits
-US_PER_DAY = SECONDS_PER_DAY * 1_000_000
 COMMIT_WINDOW_US = US_PER_DAY
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -211,16 +205,21 @@ def bucket_of(amount: int, boundaries: Sequence[int]) -> int:
     return 1 + bisect_left(boundaries, amount)
 
 
+_Item = TypeVar("_Item")
+
+
 def fit_buckets(
-    users: Iterable[UserRecord],
+    users: Iterable[_Item],
     schema: SchemaSpec,
-    revenue_fn: Callable[[UserRecord], int],
+    revenue_fn: Callable[[_Item], int],
 ) -> SchemaSpec:
     """Fit the V-bit bucket boundaries to the spender revenue distribution.
 
     Boundaries are the k/(2**b - 1) quantiles (k = 1 .. 2**b - 2) of the
     positive revenues under ``revenue_fn``, so spenders spread uniformly
     over the 2**b - 1 non-zero buckets and non-spenders map to bucket 0.
+    ``users`` may be any items ``revenue_fn`` maps to cents, such as a
+    cohort's window revenues themselves.
     """
     b = schema.n_value_bits
     if b < 1:
@@ -240,23 +239,13 @@ def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:
     return schema.bucket_boundaries
 
 
-@dataclass(frozen=True)
-class _PreppedUser:
-    """Schema-independent event digest: one entry per distinct instant.
+def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
+    """One user's event digest: one entry per distinct instant.
 
-    ``postback_draws`` maps a seed to the user's postback delay draw; the
-    pipeline fills it on first use so every schema simulated from this
-    digest reuses the draw.
+    Each entry is (microseconds since registration midnight, purchase
+    cents, purchase count, day-0 flag bits) aggregated over simultaneous
+    events.
     """
-
-    user: UserRecord
-    # (microseconds since registration midnight, purchase cents, purchase
-    #  count, day-0 flag bits) aggregated over simultaneous events.
-    groups: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    postback_draws: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
-
-
-def prepare_user(user: UserRecord) -> _PreppedUser:
     if not user.events or user.events[0].kind != SESSION:
         raise ConfigError(f"user {user.id} lacks a first-open session event")
     start = user.registration_instant
@@ -276,29 +265,59 @@ def prepare_user(user: UserRecord) -> _PreppedUser:
         else:
             groups.append((us, amount, n_purch, flags))
             prev = us
-    return _PreppedUser(user=user, groups=tuple(groups))
+    return tuple(groups)
+
+
+def prepare_users(users: Iterable[UserRecord]) -> Cohort:
+    """Digest a cohort once for every schema run over it."""
+    users = tuple(users)
+    return Cohort(users, [prepare_user(u) for u in users])
+
+
+def cohort_of(users: Iterable[UserRecord], prepared: Cohort | None) -> Cohort:
+    """``prepared`` when it digests exactly ``users``; a fresh digest when it is None."""
+    if prepared is None:
+        return prepare_users(users)
+    if prepared.users != tuple(users):
+        raise ConfigError("the prepared digest is of a different user list")
+    return prepared
 
 
 def simulate_traces(
     users: Iterable[UserRecord],
     schema: SchemaSpec,
-    prepared: dict[int, _PreppedUser] | None = None,
+    prepared: Cohort | None = None,
 ) -> dict[int, tuple[int, int]]:
     """Replay every user's events through the platform update rules.
 
     Returns ``{user_id: (final value, last-commit microseconds since
-    registration midnight)}``. Simultaneous events are absorbed before the
-    candidate is evaluated, so at most one commit happens per distinct
-    instant, and a user's replay stops at the first instant more than 24h
-    (in whole microseconds) after the previous commit: the value is final
-    from there. UD and PV candidates do not change over time, so they are
-    committed once at first open. ``prepared`` may be reused across schemas.
+    registration midnight)}`` in cohort order. Simultaneous events are
+    absorbed before the candidate is evaluated, so at most one commit
+    happens per distinct instant, and a user's replay stops at the first
+    instant more than 24h (in whole microseconds) after the previous
+    commit: the value is final from there. UD and PV candidates do not
+    change over time, so they are committed once at first open.
+    ``prepared`` (``prepare_users(users)``) may be reused across schemas.
     """
     kind = schema.kind
     if kind == "UD" and schema.seed is None:
         raise ConfigError("UD schema needs a seed")
     if kind in ("RR", "PV"):
         boundaries = _require_boundaries(schema)
+    cohort = cohort_of(users, prepared)
+    out: dict[int, tuple[int, int]] = {}
+    if kind == "UD":
+        for uid, groups in zip(cohort.ids, cohort.digests):
+            out[uid] = (uniform_value(schema.seed, "ud", uid), groups[0][0])
+        return out
+    if kind == "PV":
+        revenue = cohort.window_revenue(0, schema.horizon_days)
+        for uid, groups, cents in zip(cohort.ids, cohort.digests, revenue):
+            value = bucket_of(cents, boundaries)
+            if value >= VALUE_RANGE:
+                raise ConfigError(f"conversion value {value} out of range")
+            out[uid] = (value, groups[0][0])
+        return out
     rolling = kind in ("RR", "RI")
     if rolling:
         n_t = schema.layout.n_t
@@ -307,12 +326,7 @@ def simulate_traces(
         day_cap = min(schema.horizon_days, 2**n_t - 1)
         is_rr = kind == "RR"
 
-    out: dict[int, tuple[int, int]] = {}
-    for u in users:
-        prepped = prepared.get(u.id) if prepared is not None else None
-        if prepped is None:
-            prepped = prepare_user(u)
-        groups = prepped.groups
+    for uid, groups in zip(cohort.ids, cohort.digests):
         last, revenue, purchases, value = groups[0]  # value: day-0 flag bits
         if rolling:
             low = bucket_of(revenue, boundaries) if is_rr else purchases
@@ -336,7 +350,7 @@ def simulate_traces(
                     value = cand
                     last = us
                     deadline = us + COMMIT_WINDOW_US
-        elif kind == "EV":
+        else:  # EV
             for us, _, _, fbits in groups[1:]:
                 # Flags count on day 0 only, so the candidate is final after
                 # it; within day 0 every gap is under 24h.
@@ -345,16 +359,5 @@ def simulate_traces(
                 if fbits | value != value:
                     value |= fbits
                     last = us
-        elif kind == "UD":
-            value = uniform_value(schema.seed, "ud", u.id)
-        else:  # PV
-            value = bucket_of(cumulative_revenue(u, schema.horizon_days), boundaries)
-            if value >= VALUE_RANGE:
-                raise ConfigError(f"conversion value {value} out of range")
-        out[u.id] = (value, last)
+        out[uid] = (value, last)
     return out
-
-
-def prepare_users(users: Iterable[UserRecord]) -> dict[int, _PreppedUser]:
-    """Precompute the per-user event digest shared by all schema runs."""
-    return {u.id: prepare_user(u) for u in users}

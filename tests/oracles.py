@@ -21,8 +21,18 @@ from pathlib import Path
 from skattr.attribution import AttributionFunction, RevenueProfile
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
 from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
-from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, organic_key
-from skattr.postback import CountMatrix, Postback
+from skattr.model import (
+    FLAG,
+    PURCHASE,
+    SESSION,
+    CampaignKey,
+    Cohort,
+    Event,
+    UserRecord,
+    organic_key,
+)
+from skattr.pipeline import cell_id
+from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
 
@@ -64,7 +74,8 @@ def groupby_truth(users: list[UserRecord], t: int) -> dict[CampaignKey, int]:
     return out
 
 
-COMMIT_WINDOW_US = 86_400 * 10**6
+DAY_US = 86_400 * 10**6
+COMMIT_WINDOW_US = DAY_US
 _MICROSECOND = timedelta(microseconds=1)
 
 
@@ -179,22 +190,72 @@ def simulate_updates(user: UserRecord, schema: SchemaSpec) -> UpdateTrace:
     return UpdateTrace(user.id, tuple(committed), instants[0])
 
 
+@dataclass(frozen=True, slots=True)
+class Postback:
+    """The single anonymized report for one user, as a datetime."""
+
+    user_id: int
+    final_value: int
+    postback_time: datetime
+    group: str
+
+
+def finalize_postback(
+    user_id: int, final_value: int, last_commit: datetime, draw: float, group: str
+) -> Postback:
+    """A postback sent 24h + ``draw`` * 24h after the last commit."""
+    return Postback(user_id, final_value, last_commit + timedelta(seconds=86_400 + draw * 86_400),
+                    group)
+
+
 def oracle_postbacks(
     users: list[UserRecord], schema: SchemaSpec, seed: int, horizon: datetime | None = None
 ) -> dict[int, Postback]:
     """Postbacks from oracle traces, each user's delay drawn from a fresh substream.
 
-    A postback is sent 24h plus draw * 24h after the last commit; one sent
-    after ``horizon`` is dropped.
+    A postback sent after ``horizon`` is dropped.
     """
     out = {}
     for u in sorted(users, key=lambda u: u.id):
         trace = simulate_updates(u, schema)
         draw = substream(seed, "postback", u.id).random()
-        sent = trace.last_commit + timedelta(seconds=86_400 + draw * 86_400)
-        if horizon is None or sent <= horizon:
-            out[u.id] = Postback(u.id, trace.final_value, sent, u.group)
+        pb = finalize_postback(u.id, trace.final_value, trace.last_commit, draw, u.group)
+        if horizon is None or pb.postback_time <= horizon:
+            out[u.id] = pb
     return out
+
+
+def oracle_view(postbacks: dict[int, Postback]) -> dict[int, tuple[int, datetime, tuple[str, str]]]:
+    """``{user id: (final value, delivery instant, (group, ISO week))}`` by the calendar."""
+    out = {}
+    for uid, pb in postbacks.items():
+        year, week, _ = pb.postback_time.isocalendar()
+        out[uid] = (pb.final_value, pb.postback_time, (pb.group, "%04d-W%02d" % (year, week)))
+    return out
+
+
+def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
+    """Fixture: a library ``PostbackTable`` holding exactly the given postbacks.
+
+    ``postbacks`` are ``Postback``s (or a mapping to them) of some of
+    ``users``; the others get no postback (cell -1). The cohort carries no
+    event digests, since no schema is replayed over it.
+    """
+    if isinstance(postbacks, dict):
+        postbacks = postbacks.values()
+    cohort = Cohort(users, [()] * len(users))
+    index = {uid: i for i, uid in enumerate(cohort.ids)}
+    n = len(users)
+    values, cells, sent_us = [0] * n, [-1] * n, [0] * n
+    for pb in postbacks:
+        i = index[pb.user_id]
+        assert cells[i] == -1 and pb.group == users[i].group
+        day = pb.postback_time.toordinal()
+        values[i] = pb.final_value
+        sent_us[i] = day * DAY_US + (pb.postback_time - datetime.combine(
+            pb.postback_time.date(), datetime.min.time())) // _MICROSECOND
+        cells[i] = cell_id(cohort, cohort.group[i], day)
+    return PostbackTable(cohort, values, cells, sent_us)
 
 
 def distinct_permutations(labels: list):

@@ -138,7 +138,7 @@ def test_c2_conservation_full_grid():
         start = time.monotonic()
         for text in CONSERVATION_SCHEMAS:
             artifacts = run_schema(users, schema_from_text(text), 77, prepared=prepared)
-            profile = estimate_bucket_means(users, artifacts.postbacks, 30)
+            profile = estimate_bucket_means(artifacts.postbacks, 30)
             for p in (0, 2, 10, 100):
                 privatized = {
                     cell: apply_threshold(m, PrivacyConfig(p))
@@ -266,6 +266,7 @@ def test_c8_mechanics(tmp_path):
             artifacts = run_schema(users, schema_from_text(text), 12, prepared=prepared)
             finals = simulate_traces(users, artifacts.schema, prepared)
             traces = {u.id: simulate_updates(u, artifacts.schema) for u in users}
+            delivered = artifacts.postbacks.by_user()
             for u in users:
                 trace = traces[u.id]
                 last_us = (trace.last_commit - u.registration_instant) // timedelta(microseconds=1)
@@ -274,10 +275,10 @@ def test_c8_mechanics(tmp_path):
                 values = [v for _, v in trace.committed]
                 assert all(0 <= v <= 63 for v in values)
                 assert all(a < b for a, b in zip(values, values[1:]))
-                pb = artifacts.postbacks[uid]
-                delta = (pb.postback_time - trace.last_commit).total_seconds()
+                _, sent, (group, _) = delivered[uid]
+                delta = (sent - trace.last_commit).total_seconds()
                 assert 86_400 <= delta < 2 * 86_400
-                assert pb.group == by_group[uid]
+                assert group == by_group[uid]
             # every user lands in exactly one count cell (organic included)
             total_cells = sum(m.total() for m in artifacts.matrices.values())
             assert total_cells == len(users)

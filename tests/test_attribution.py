@@ -15,15 +15,17 @@ from skattr.attribution import (
 )
 from skattr.errors import ConfigError, MissingProfileError
 from skattr.model import Event, UserRecord, encode_alpha, organic_key
-from skattr.postback import Postback, empty_matrix
+from skattr.postback import empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import VALUE_RANGE
 
 from oracles import (
+    Postback,
     enumeration_expected_sq_error,
     enumeration_mean,
     fraction_attribute_plain,
     fraction_attribute_with_null,
+    table_of,
 )
 
 MONDAY = date(2024, 1, 1)
@@ -55,27 +57,27 @@ class TestEstimateBucketMeans:
     def test_arithmetic_mean(self):
         users = [spender(0, 0), spender(1, 0), spender(2, 600)]
         pbs = [Postback(i, 4, T0 + timedelta(days=2), "G") for i in range(3)]
-        prof = estimate_bucket_means(users, pbs, 30)
+        prof = estimate_bucket_means(table_of(users, pbs), 30)
         assert prof.means[4] == Fraction(200)
         assert prof.totals[4] == 3
 
     def test_all_zero_revenue(self):
         users = [spender(i, 0) for i in range(4)]
         pbs = [Postback(i, 0, T0 + timedelta(days=2), "G") for i in range(4)]
-        prof = estimate_bucket_means(users, pbs, 30)
+        prof = estimate_bucket_means(table_of(users, pbs), 30)
         assert prof.means == {0: Fraction(0)}
 
     def test_single_user_value_63(self):
         users = [spender(0, 499)]
         pbs = [Postback(0, 63, T0 + timedelta(days=2), "G")]
-        prof = estimate_bucket_means(users, pbs, 30)
+        prof = estimate_bucket_means(table_of(users, pbs), 30)
         assert prof.means[63] == Fraction(499)
         assert prof.totals[63] == 1
 
     def test_users_without_postback_excluded(self):
         users = [spender(0, 100), spender(1, 900)]
         pbs = [Postback(0, 2, T0 + timedelta(days=2), "G")]
-        prof = estimate_bucket_means(users, pbs, 30)
+        prof = estimate_bucket_means(table_of(users, pbs), 30)
         assert prof.totals == {2: 1}
         assert prof.means[2] == Fraction(100)
 

@@ -493,6 +493,16 @@ class TestCliErrors:
         assert code == 1
         assert "1999-W01" in config_error(capsys)
 
+    @pytest.mark.parametrize("data", ["data", "missing"])
+    def test_horizon_with_utc_offset(self, staged, tmp_path, capsys, data):
+        """Rejected before the dataset is read, so a missing dataset is not the error."""
+        code = run_cli("simulate", "--users", staged / data, "--schema", "kind=UD",
+                       "--seed", 9, "--horizon", "2024-03-01T00:00:00+00:00",
+                       "--out", tmp_path / "c.csv")
+        assert code == 1
+        assert "'2024-03-01T00:00:00+00:00' has a UTC offset" in config_error(capsys)
+        assert not (tmp_path / "c.csv").exists()
+
     def test_attribution_meta_without_columns(self, staged, tmp_path, capsys):
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         meta=lambda m: {k: v for k, v in m.items() if k != "columns"})
@@ -531,7 +541,7 @@ class TestCliErrors:
 
         users, _ = dataset
         postbacks = run_schema(users, schema_from_text(meta["schema"]), meta["seed"]).postbacks
-        truth = truth_by_week(users, postbacks, 0, 30)[gone]
+        truth = truth_by_week(postbacks, 0, 30)[gone]
         assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
         assert cut[gone] != full[gone]
 

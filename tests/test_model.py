@@ -17,9 +17,7 @@ from skattr.model import (
     revenue_between,
     usd,
 )
-from skattr.postback import Postback
-
-from oracles import groupby_truth, scan_revenue, scan_revenue_between
+from oracles import Postback, groupby_truth, scan_revenue, scan_revenue_between, table_of
 
 MONDAY = date(2024, 1, 1)
 
@@ -165,16 +163,26 @@ def postbacks_at(users, when=datetime(2024, 1, 3, 12)):
     return {u.id: Postback(u.id, 0, when, u.group) for u in users}
 
 
+def truth_of(users, postbacks, lo_day, hi_day):
+    return truth_by_week(table_of(users, postbacks), lo_day, hi_day)
+
+
 class TestGroundTruth:
     def test_single_user(self):
         user = make_user(purchases=[(1, 12, 300)])
-        truth = truth_by_week([user], postbacks_at([user]), 0, 7)
+        truth = truth_of([user], postbacks_at([user]), 0, 7)
         assert truth == {"2024-W01": {encode_alpha(4, 5): 300}}
+
+    def test_origin_without_revenue_has_an_entry(self):
+        spender = make_user(uid=1, purchases=[(1, 12, 300)], origin=encode_alpha(4, 5))
+        idle = make_user(uid=2, origin=encode_alpha(4, 6))
+        truth = truth_of([spender, idle], postbacks_at([spender, idle]), 0, 7)
+        assert truth == {"2024-W01": {encode_alpha(4, 5): 300, encode_alpha(4, 6): 0}}
 
     def test_disjoint_origins(self):
         u1 = make_user(uid=1, purchases=[(0, 12, 200)], origin=encode_alpha(4, 5))
         u2 = make_user(uid=2, purchases=[(0, 12, 500)], origin=organic_key(700))
-        truth = truth_by_week([u1, u2], postbacks_at([u1, u2]), 0, 7)
+        truth = truth_of([u1, u2], postbacks_at([u1, u2]), 0, 7)
         assert truth["2024-W01"] == {encode_alpha(4, 5): 200, organic_key(700): 500}
 
     def test_matches_groupby_oracle(self):
@@ -190,7 +198,7 @@ class TestGroundTruth:
             users.append(
                 make_user(uid=uid, purchases=sorted(purchases), origin=encode_alpha(0, uid % 3))
             )
-        truth = truth_by_week(users, postbacks_at(users), 0, 7)
+        truth = truth_of(users, postbacks_at(users), 0, 7)
         oracle = groupby_truth(users, 7)
         assert list(truth) == ["2024-W01"]
         for key, cents in oracle.items():
@@ -209,7 +217,7 @@ class TestGroundTruth:
         ]
         # Two postback weeks, and user 7 has no postback at all.
         postbacks = postbacks_at(users[:4]) | postbacks_at(users[4:7], datetime(2024, 1, 10))
-        truth = truth_by_week(users, postbacks, 0, 30)
+        truth = truth_of(users, postbacks, 0, 30)
         assert sorted(truth) == ["2024-W01", "2024-W02"]
         total = sum(sum(week.values()) for week in truth.values())
         assert total == sum(cumulative_revenue(u, 30) for u in users[:7])

@@ -1,9 +1,10 @@
 import sys
+from collections import Counter
 from datetime import datetime
 
 import pytest
 
-from skattr import rng
+from skattr import model, postback, rng
 from skattr.errors import ConfigError
 from skattr.metrics import benchmark_matrix, window_error_curve
 from skattr.pipeline import (
@@ -16,7 +17,7 @@ from skattr.pipeline import (
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import oracle_postbacks
+from oracles import oracle_postbacks, oracle_view
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -62,12 +63,12 @@ class TestResolve:
 class TestHorizon:
     def test_postbacks_beyond_horizon_excluded(self, users):
         schema = resolve_schema(schema_from_text("kind=UD"), users, seed=3)
-        all_pbs = simulate_postbacks(users, schema, 3)
+        all_pbs = simulate_postbacks(users, schema, 3).by_user()
         assert len(all_pbs) == len(users)
         horizon = datetime(2024, 1, 10)
-        cut = simulate_postbacks(users, schema, 3, horizon=horizon)
+        cut = simulate_postbacks(users, schema, 3, horizon=horizon).by_user()
         assert 0 < len(cut) < len(users)
-        assert all(pb.postback_time <= horizon for pb in cut.values())
+        assert all(sent <= horizon for _, sent, _ in cut.values())
         # identical postbacks for the users that remain
         assert all(all_pbs[uid] == pb for uid, pb in cut.items())
 
@@ -116,25 +117,25 @@ class TestPostbackDraws:
     """The delay draw depends on (seed, user) only and is drawn once per prepared digest."""
 
     def fresh(self, users, schema, seed):
-        return oracle_postbacks(users, schema, seed)
+        return oracle_view(oracle_postbacks(users, schema, seed))
 
     def test_shared_prepared_matches_fresh_substream_draws(self, users):
         prepared = prepare_users(users)
         for text in (PV, D7RR, "kind=UD"):
             schema = resolve_schema(schema_from_text(text), users, seed=3)
-            assert simulate_postbacks(users, schema, 3, prepared=prepared) == self.fresh(
+            assert simulate_postbacks(users, schema, 3, prepared=prepared).by_user() == self.fresh(
                 users, schema, 3
             )
 
     def test_two_seeds_on_one_prepared_do_not_share_draws(self, users):
         schema = resolve_schema(schema_from_text("kind=UD;seed=9"), users, seed=3)
         prepared = prepare_users(users)
-        a = simulate_postbacks(users, schema, 3, prepared=prepared)
-        b = simulate_postbacks(users, schema, 4, prepared=prepared)
+        a = simulate_postbacks(users, schema, 3, prepared=prepared).by_user()
+        b = simulate_postbacks(users, schema, 4, prepared=prepared).by_user()
         assert a == self.fresh(users, schema, 3)
         assert b == self.fresh(users, schema, 4)
-        assert all(a[uid].postback_time != b[uid].postback_time for uid in a)
-        assert simulate_postbacks(users, schema, 3, prepared=prepared) == a
+        assert all(a[uid][1] != b[uid][1] for uid in a)
+        assert simulate_postbacks(users, schema, 3, prepared=prepared).by_user() == a
 
     def test_one_substream_per_user_across_grid_and_curve(self, users, monkeypatch):
         calls = []
@@ -154,3 +155,57 @@ class TestPostbackDraws:
                            prepared=prepared)
         assert len(calls) == len(users)
         assert {path[0] for path in calls} == {"postback"}
+
+
+class TestCohortFacts:
+    """Window revenue and postback cells are derived once per cohort, not per schema."""
+
+    def test_duplicate_user_ids_rejected(self, users):
+        with pytest.raises(ConfigError, match="more than once"):
+            prepare_users([users[0], users[1], users[0]])
+
+    def test_prepared_digest_must_match_the_users(self, users):
+        prepared = prepare_users(users[:10])
+        with pytest.raises(ConfigError, match="different user list"):
+            simulate_postbacks(users[:11], schema_from_text("kind=UD;seed=1"), 3, None, prepared)
+
+    def test_grid_and_curve_share_one_cohort(self, users, monkeypatch):
+        windows = []
+        cells = []
+        revenue_impl, cell_impl = model.revenue_between, postback.cell_of
+
+        def counting_revenue(user, lo_day, hi_day):
+            windows.append((user.id, lo_day, hi_day))
+            return revenue_impl(user, lo_day, hi_day)
+
+        def counting_cell(group, day):
+            cells.append((group, day))
+            return cell_impl(group, day)
+
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("skattr"):
+                continue
+            if getattr(module, "revenue_between", None) is revenue_impl:
+                monkeypatch.setattr(module, "revenue_between", counting_revenue)
+            if getattr(module, "cell_of", None) is cell_impl:
+                monkeypatch.setattr(module, "cell_of", counting_cell)
+        prepared = prepare_users(users)
+        schemas = [schema_from_text(t) for t in (PV, D7RR, "kind=UD")]
+        report = benchmark_matrix(users, schemas, [0], ["plain"], 30, seed=3, prepared=prepared)
+        window_error_curve(users, schemas[1], 0, "plain", [(7, 14), (14, 30)], seed=3,
+                           prepared=prepared)
+        window_error_curve(users, schemas[1], 0, "plain", [(0, 7), (14, 30)], seed=3,
+                           artifacts=report.artifacts[schemas[1].label])
+
+        # [0, 30): PV fit and values, grid profiles and truth; [0, 7): D7 RR fit.
+        distinct = {(0, 30), (0, 7), (7, 14), (14, 30)}
+        assert Counter(windows) == Counter(
+            (u.id, lo, hi) for u in users for lo, hi in distinct
+        )
+        delivered = {
+            (group, sent.date())
+            for art in report.artifacts.values()
+            for _, sent, (group, _) in art.postbacks.by_user().values()
+        }
+        assert sorted(cells) == sorted(delivered)
+        assert len(cells) < len(users)

@@ -4,19 +4,12 @@ from datetime import date, datetime, timedelta
 
 import pytest
 
-from skattr.errors import ConfigError, DuplicatePostbackError, InconsistentTotalsError
+from skattr.errors import ConfigError, InconsistentTotalsError
 from skattr.model import Event, UserRecord, encode_alpha, iso_week, organic_key
-from skattr.postback import (
-    CountMatrix,
-    Postback,
-    build_counts,
-    empty_matrix,
-    estimate_organic,
-    finalize_postback,
-    paid_campaigns,
-)
+from skattr.postback import CountMatrix, build_counts, empty_matrix, estimate_organic, postback_delay_us
+from skattr.schema import prepare_users
 
-from oracles import UpdateTrace
+from oracles import Postback, UpdateTrace, table_of
 
 MONDAY = date(2024, 1, 1)
 T0 = datetime(2024, 1, 1, 10)
@@ -27,7 +20,9 @@ def trace(uid=0, commits=((T0, 5),)):
 
 
 def finalize(trace, draw, group):
-    return finalize_postback(trace.user_id, trace.final_value, trace.last_commit, draw, group)
+    """The postback the library's delay puts after the trace's last commit."""
+    sent = trace.last_commit + timedelta(microseconds=postback_delay_us(draw))
+    return Postback(trace.user_id, trace.final_value, sent, group)
 
 
 def user(uid, alpha_key, group="G"):
@@ -68,7 +63,7 @@ class TestBuildCounts:
     def test_simple_count(self):
         users = [user(i, encode_alpha(0, 0)) for i in range(3)]
         when = datetime(2024, 1, 3, 12)
-        matrices = build_counts([pb(i, 7, when) for i in range(3)], users)
+        matrices = build_counts(table_of(users, [pb(i, 7, when) for i in range(3)]))
         m = matrices[("G", iso_week(when.date()))]
         assert m.rows[7][0] == 3
         assert m.total() == 3
@@ -77,37 +72,42 @@ class TestBuildCounts:
         users = [user(0, encode_alpha(0, 0)), user(1, encode_alpha(0, 0))]
         sunday = datetime(2024, 1, 7, 23, 59)
         monday = datetime(2024, 1, 8, 0, 1)
-        matrices = build_counts([pb(0, 1, sunday), pb(1, 1, monday)], users)
+        matrices = build_counts(table_of(users, [pb(0, 1, sunday), pb(1, 1, monday)]))
         assert len(matrices) == 2
         # calendar oracle
         assert sunday.date().isocalendar()[1] != monday.date().isocalendar()[1]
 
     def test_empty_input(self):
-        assert build_counts([], [user(0, encode_alpha(0, 0))]) == {}
-
-    def test_duplicate_user_rejected(self):
-        users = [user(0, encode_alpha(0, 0))]
-        when = datetime(2024, 1, 3, 12)
-        with pytest.raises(DuplicatePostbackError):
-            build_counts([pb(0, 1, when), pb(0, 2, when)], users)
+        assert build_counts(table_of([user(0, encode_alpha(0, 0))], [])) == {}
 
     def test_permutation_invariant(self):
         rng = random.Random(3)
         users = [user(i, encode_alpha(0, i % 3)) for i in range(30)]
         pbs = [pb(i, rng.randrange(64), datetime(2024, 1, 2 + i % 14, 9)) for i in range(30)]
-        a = build_counts(pbs, users)
-        shuffled = pbs[:]
-        rng.shuffle(shuffled)
-        b = build_counts(shuffled, users)
+        a = build_counts(table_of(users, pbs))
+        order = list(range(30))
+        rng.shuffle(order)
+        b = build_counts(table_of([users[i] for i in order], [pbs[i] for i in order]))
         assert a == b
 
     def test_organic_postbacks_not_in_paid_columns(self):
         users = [user(0, encode_alpha(0, 0)), user(1, organic_key(100))]
         when = datetime(2024, 1, 3, 12)
-        matrices = build_counts([pb(0, 1, when), pb(1, 1, when)], users)
+        matrices = build_counts(table_of(users, [pb(0, 1, when), pb(1, 1, when)]))
         m = matrices[("G", iso_week(when.date()))]
         assert m.columns == (encode_alpha(0, 0),)
         assert m.total() == 1
+
+    def test_given_columns_must_cover_every_paid_origin(self):
+        a, b, c = encode_alpha(0, 0), encode_alpha(0, 1), encode_alpha(0, 2)
+        users = [user(0, a), user(1, b), user(2, b), user(3, organic_key(100))]
+        when = datetime(2024, 1, 3, 12)
+        table = table_of(users, [pb(i, 1, when) for i in range(4)])
+        m = build_counts(table, [c, b, a])[("G", iso_week(when.date()))]
+        assert m.columns == (c, b, a)
+        assert m.rows[1] == (0, 2, 1)
+        with pytest.raises(ConfigError, match="campaign 1 is not among the matrix columns"):
+            build_counts(table, [a, c])
 
     def test_each_user_in_exactly_one_cell(self):
         rng = random.Random(11)
@@ -117,7 +117,7 @@ class TestBuildCounts:
                group=u.group)
             for i, u in enumerate(users)
         ]
-        matrices = build_counts(pbs, users)
+        matrices = build_counts(table_of(users, pbs))
         assert sum(m.total() for m in matrices.values()) == len(users)
 
 
@@ -192,4 +192,7 @@ class TestEstimateOrganic:
 def test_paid_campaigns_sorted_distinct():
     users = [user(0, encode_alpha(1, 5)), user(1, encode_alpha(0, 3)),
              user(2, encode_alpha(1, 5)), user(3, organic_key(700))]
-    assert paid_campaigns(users) == (encode_alpha(0, 3), encode_alpha(1, 5))
+    cohort = prepare_users(users)
+    assert cohort.campaigns == (encode_alpha(0, 3), encode_alpha(1, 5))
+    assert cohort.origins == cohort.campaigns + (organic_key(700),)
+    assert cohort.column == [1, 0, 1, 2]

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +13,10 @@ from skattr.model import (
     UserRecord,
     cumulative_revenue,
     encode_alpha,
+    iso_week,
 )
-from skattr.pipeline import simulate_postbacks
+from skattr.pipeline import run_schema, simulate_postbacks
+from skattr.rng import substream
 from skattr.schema import (
     BitLayout,
     SchemaSpec,
@@ -27,7 +29,13 @@ from skattr.schema import (
     simulate_traces,
 )
 
-from oracles import candidate_value, oracle_postbacks, simulate_updates, sort_slice_quantiles
+from oracles import (
+    candidate_value,
+    oracle_postbacks,
+    oracle_view,
+    simulate_updates,
+    sort_slice_quantiles,
+)
 
 MONDAY = date(2024, 1, 1)
 START = datetime(2024, 1, 1, 10)
@@ -412,11 +420,71 @@ class TestReplayKernel:
         users = [data.draw(edge_user(uid)) for uid in range(data.draw(st.integers(1, 4)))]
         schema = edge_schema(text, boundaries)
         prepared = prepare_users(users)
-        everyone = oracle_postbacks(users, schema, seed=5)
-        assert simulate_postbacks(users, schema, 5, prepared=prepared) == everyone
+        everyone = oracle_view(oracle_postbacks(users, schema, seed=5))
+        assert simulate_postbacks(users, schema, 5, prepared=prepared).by_user() == everyone
         edge = data.draw(st.sampled_from(sorted(everyone)))
-        at = everyone[edge].postback_time
+        at = everyone[edge][1]
         for horizon in (at, at - timedelta(microseconds=1)):
-            kept = simulate_postbacks(users, schema, 5, horizon, prepared)
-            assert kept == oracle_postbacks(users, schema, 5, horizon)
+            kept = simulate_postbacks(users, schema, 5, horizon, prepared).by_user()
+            assert kept == oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert (edge in kept) == (horizon == at)
+
+
+# Delivery instants on either side of a week change: Sunday 2024-01-07 ->
+# Monday 2024-01-08, and the ISO-year change 2024-12-29 (2024-W52) ->
+# 2024-12-30 (2025-W01).
+WEEK_EDGES = [
+    datetime(2024, 1, 7, 23, 59, 59, 999_999),
+    datetime(2024, 1, 8),
+    datetime(2024, 12, 29, 23, 59, 59, 999_999),
+    datetime(2024, 12, 30),
+]
+
+
+def delivered_at(uid, when, seed, group):
+    """A user whose only event is first open, timed so the postback arrives at ``when``."""
+    first_open = when - timedelta(seconds=86_400 + substream(seed, "postback", uid).random() * 86_400)
+    return UserRecord(uid, first_open.date(), encode_alpha(0, uid % 3),
+                      (Event(first_open, SESSION),), group)
+
+
+class TestPostbackTable:
+    """``simulate_postbacks``'s table gives the oracle's value, instant and (group, ISO week)."""
+
+    def test_week_edges_by_the_calendar(self):
+        assert [iso_week(d.date()) for d in WEEK_EDGES] == [
+            "2024-W01", "2024-W02", "2024-W52", "2025-W01"]
+
+    @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
+    @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_table_matches_oracle(self, text, data, boundaries):
+        n_edge = data.draw(st.integers(1, 4))
+        users = [
+            delivered_at(uid, data.draw(st.sampled_from(WEEK_EDGES)), 5,
+                         data.draw(st.sampled_from(["G", "H"])))
+            for uid in range(n_edge)
+        ]
+        users += [data.draw(edge_user(uid)) for uid in range(n_edge, n_edge + data.draw(
+            st.integers(0, 3)))]
+        schema = edge_schema(text, boundaries)
+        everyone = oracle_view(oracle_postbacks(users, schema, seed=5))
+        assert {everyone[uid][1] for uid in range(n_edge)} <= set(WEEK_EDGES)
+        prepared = prepare_users(users)
+        for shared in (prepared, None):
+            assert simulate_postbacks(users, schema, 5, prepared=shared).by_user() == everyone
+        edge = data.draw(st.sampled_from(sorted(everyone)))
+        at = everyone[edge][1]
+        for horizon in (at, at - timedelta(microseconds=1)):
+            expected = oracle_view(oracle_postbacks(users, schema, 5, horizon))
+            assert (edge in expected) == (horizon == at)
+            for shared in (prepared, None):
+                table = simulate_postbacks(users, schema, 5, horizon, shared)
+                assert table.by_user() == expected
+                assert len(table) == len(expected)
+
+    def test_horizon_with_utc_offset_is_a_config_error(self):
+        users = [delivered_at(0, WEEK_EDGES[0], 5, "G")]
+        aware = datetime(2024, 3, 1, tzinfo=timezone.utc)
+        with pytest.raises(ConfigError, match="2024-03-01T00:00:00\\+00:00"):
+            run_schema(users, schema_from_text("kind=UD;seed=3"), 5, horizon=aware)
