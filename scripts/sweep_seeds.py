@@ -68,7 +68,7 @@ def main() -> int:
         )
         ordered += ok
         curve = window_error_curve(users, schemas[1], 0, "plain", WINDOWS, seed=seed,
-                                   artifacts=report.artifacts[schemas[1].label])
+                                   prepared=prepared)
         curves.append([w.error / 100 for w in curve])
         for w in curve:
             curve_rows.append((seed, f"{w.lo_day}-{w.hi_day}", f"{w.error / 100:.2f}"))

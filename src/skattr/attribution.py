@@ -93,22 +93,18 @@ class AttributionFunction:
     """Choice of estimator: plain, or a null redistribution with weight lambda.
 
     ``null_uniform`` is the lambda=0 endpoint, ``null_empirical`` lambda=1;
-    ``null_convex`` takes lambda from the field. ``beta_count`` is the number
-    of campaign columns (organic included) behind the uniform share; when
-    None it is taken from the matrix.
+    ``null_convex`` takes lambda from the field. The uniform share is over
+    the matrix's columns, organic included.
     """
 
     mode: str
     lam: float = 0.0
-    beta_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ATTRIBUTION_MODES:
             raise ConfigError(f"unknown attribution mode {self.mode!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.beta_count is not None and self.beta_count < 1:
-            raise ConfigError("beta_count must be at least 1")
 
     @property
     def effective_lambda(self) -> float:
@@ -188,13 +184,12 @@ def attribute_with_null(
         raise ConfigError("matrix is not privatized; use attribute_plain")
     if fn.mode == "plain":
         return attribute_plain(matrix, profile)
-    n = len(matrix.columns)
-    beta = fn.beta_count if fn.beta_count is not None else n
+    beta = len(matrix.columns)
     null_row = matrix.null_row
     null_sum = sum(null_row)
     # weight_j = weight_num[j] / weight_den
     if null_sum == 0:
-        weight_num = [1] * n
+        weight_num = [1] * beta
         weight_den = beta
     else:
         lam_num, lam_den = Fraction(fn.effective_lambda).as_integer_ratio()

@@ -91,7 +91,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     horizon = _parse_horizon(args.horizon)
     users_csv, events_csv = _dataset_paths(args.users, args.events)
     users, _ = load_users(users_csv, events_csv, args.organic_alpha)
-    artifacts = run_schema(users, schema, args.seed, horizon)
+    artifacts = run_schema(prepare_users(users), schema, args.seed, horizon)
     meta = {
         "kind": "counts",
         "schema": schema_to_text(artifacts.schema),
@@ -126,8 +126,8 @@ def _resimulate(
     horizon = _parse_horizon(meta.get("horizon"))
     users, _ = load_users(users_csv, events_csv, organic_alpha)
     cohort = prepare_users(users)
-    schema = resolve_schema(schema_from_text(meta["schema"]), users, meta["seed"], cohort)
-    return simulate_postbacks(users, schema, meta["seed"], horizon, cohort)
+    schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
+    return simulate_postbacks(cohort, schema, meta["seed"], horizon)
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
@@ -165,10 +165,6 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     attributed, ameta = load_attribution(args.attr)
-    users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
-    postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
-    truth = truth_by_week(postbacks, 0, args.t)
-
     if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")
     columns = column_keys(ameta)
@@ -180,6 +176,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(f"attributed alpha {alpha} is not in the declared columns")
         acc = attr_weekly.setdefault(week, {})
         acc[key] = acc.get(key, 0) + cents
+
+    users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
+    postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
+    truth = truth_by_week(postbacks, 0, args.t)
     stray = sorted({key for week_truth in truth.values() for key in week_truth} - set(columns))
     if stray:
         raise ConfigError(
@@ -216,6 +216,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         users, _ = load_users(cfg.users_csv, cfg.events_csv, cfg.organic_alpha)
 
     schemas = cfg.parsed_schemas()
+    # One cohort for the grid and the curve, so the curve reuses the grid's
+    # simulation of the window schema when it is one of the grid's schemas.
+    prepared = prepare_users(users)
     report = benchmark_matrix(
         users,
         schemas,
@@ -226,13 +229,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         lambda_grid=cfg.lambda_grid,
         include_organic=cfg.include_organic_in_error,
         profile_per_group=cfg.profile_per_group,
+        prepared=prepared,
     )
     report.metadata["config_hash"] = run_hash
     if cfg.windows:
         window_schema = cfg.parsed_window_schema()
-        # The grid has already simulated the window schema when it is one of
-        # the grid's schemas; the curve then reuses that simulation.
-        simulated = next((report.artifacts[s.label] for s in schemas if s == window_schema), None)
         report.window_curve = window_error_curve(
             users,
             window_schema,
@@ -242,7 +243,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             seed=seed,
             include_organic=cfg.include_organic_in_error,
             profile_per_group=cfg.profile_per_group,
-            artifacts=simulated,
+            prepared=prepared,
         )
         save_window_csv(
             out_dir / "window_curve.csv",

@@ -347,6 +347,7 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
         columns = column_keys(meta)
         col_index = {k.alpha: j for j, k in enumerate(columns)}
         privacy_applied = bool(meta.get("privacy_applied", False))
+        seen: dict[tuple[str, str, int, int], int] = {}  # (cell, value, alpha) -> line
         for line, row in rows:
             if len(row) != len(COUNT_FIELDS):
                 raise CsvFormatError(f"{cpath}:{line}: expected {len(COUNT_FIELDS)} columns")
@@ -362,12 +363,20 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             if v_text == "null":
                 if not privacy_applied:
                     raise CsvFormatError(f"{cpath}:{line}: null row in a pre-privacy file")
+                v = -1
+            else:
+                v = _parse_int(v_text, cpath, line, "conversion_value")
+                if not 0 <= v < VALUE_RANGE:
+                    raise CsvFormatError(f"{cpath}:{line}: conversion_value out of range")
+            first = seen.setdefault((group, week, v, alpha), line)
+            if first != line:
+                raise CsvFormatError(
+                    f"{cpath}:{line}: duplicate row for ({group}, {week}) value {v_text} "
+                    f"alpha {alpha}, first at line {first}"
+                )
+            if v < 0:
                 nulls[cell][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
-                continue
-            v = _parse_int(v_text, cpath, line, "conversion_value")
-            if not 0 <= v < VALUE_RANGE:
-                raise CsvFormatError(f"{cpath}:{line}: conversion_value out of range")
-            if count_text == "":
+            elif count_text == "":
                 suppressed[cell].add(v)
             else:
                 grids[cell][v][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
@@ -380,15 +389,18 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
                 raise CsvFormatError(
                     f"{cpath}: ({group}, {week}) value {v} mixes counts and suppression"
                 )
-        matrices[cell] = CountMatrix(
-            group=group,
-            week=week,
-            columns=columns,
-            rows=tuple(tuple(r) for r in grids[cell]),
-            suppressed=frozenset(suppressed[cell]),
-            null_row=tuple(nulls[cell]) if privacy_applied else None,
-            privacy_applied=privacy_applied,
-        )
+        try:
+            matrices[cell] = CountMatrix(
+                group=group,
+                week=week,
+                columns=columns,
+                rows=tuple(tuple(r) for r in grids[cell]),
+                suppressed=frozenset(suppressed[cell]),
+                null_row=tuple(nulls[cell]) if privacy_applied else None,
+                privacy_applied=privacy_applied,
+            )
+        except ConfigError as exc:
+            raise CsvFormatError(f"{cpath}: ({group}, {week}): {exc}") from exc
     return matrices, meta
 
 
@@ -434,8 +446,13 @@ def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int],
                 raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")
             group, week, alpha_text, amount = row
             alpha = _parse_int(alpha_text, apath, line, "alpha")
+            key = (group, week, alpha)
+            if key in out:
+                raise CsvFormatError(
+                    f"{apath}:{line}: duplicate row for ({group}, {week}) alpha {alpha}"
+                )
             try:
-                out[(group, week, alpha)] = parse_usd(amount)
+                out[key] = parse_usd(amount)
             except CsvFormatError as exc:
                 raise CsvFormatError(f"{apath}:{line}: {exc}") from exc
     return out, meta

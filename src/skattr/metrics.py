@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 from .attribution import (
@@ -41,7 +41,7 @@ from .errors import (
 # revenue_between is not called here but stays bound: perfbench's tracer test
 # checks that the tracer patches this module's binding of it.
 from .model import CampaignKey, Cohort, UserRecord, ground_truth, revenue_between  # noqa: F401
-from .pipeline import CellKey, SimArtifacts, resolve_organic, run_schema
+from .pipeline import CellKey, SimArtifacts, run_schema
 from .postback import CountMatrix, PostbackTable
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import SchemaSpec, prepare_users
@@ -105,16 +105,11 @@ class WindowPoint:
 
 @dataclass
 class AttributionReport:
-    """Full benchmark output: grid cells, optional window curve, metadata.
-
-    ``artifacts`` holds each grid schema's simulation by label so the window
-    curve can reuse it; it is never serialized.
-    """
+    """Full benchmark output: grid cells, optional window curve, metadata."""
 
     cells: list[CellResult]
     metadata: dict
     window_curve: list[WindowPoint] | None = None
-    artifacts: dict[str, SimArtifacts] = field(default_factory=dict, repr=False, compare=False)
 
     def cell(self, schema: str, p: int, mode: str, lam: float | None, level: str) -> CellResult:
         for c in self.cells:
@@ -125,6 +120,26 @@ class AttributionReport:
 
 def _network_label(key: CampaignKey) -> str:
     return "organic" if key.organic else f"n{key.network}"
+
+
+def cohort_of(users: Sequence[UserRecord], prepared: Cohort | None) -> Cohort:
+    """``prepared`` when it digests exactly ``users``; a fresh digest when it is None."""
+    if prepared is None:
+        return prepare_users(users)
+    if prepared.users != tuple(users):
+        raise ConfigError("the prepared digest is of a different user list")
+    return prepared
+
+
+def _simulation(
+    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None
+) -> SimArtifacts:
+    """``run_schema`` memoised on the cohort by (input schema, seed, horizon)."""
+    key = (schema, seed, horizon)
+    artifacts = cohort.simulations.get(key)
+    if artifacts is None:
+        artifacts = cohort.simulations[key] = run_schema(cohort, schema, seed, horizon)
+    return artifacts
 
 
 def truth_by_week(
@@ -247,7 +262,9 @@ def _grid_error(
         for k, cents in res.items():
             acc[k] = acc.get(k, 0) + cents
     return {
-        level: score_level(by_week, truth, artifacts.columns, include_organic, level)
+        level: score_level(
+            by_week, truth, artifacts.postbacks.cohort.origins, include_organic, level
+        )
         for level in LEVELS
     }
 
@@ -274,18 +291,16 @@ def benchmark_matrix(
     are normalized against their own baselines. Any cell failure aborts the
     run with a GridCellError that carries the failing coordinates. Each
     schema's simulation, revenue profiles and window truth are built once
-    and shared by all of its cells; the simulations are returned in the
-    report's ``artifacts``. ``prepared`` is ``schema.prepare_users(users)``
-    when the caller shares one digest across calls.
+    and shared by all of its cells. ``prepared`` is
+    ``schema.prepare_users(users)`` when the caller shares one cohort across
+    calls; the simulations stay memoised on it.
     """
     if not schemas or not p_values or not g_modes:
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
     if t < 1:
         raise ConfigError("revenue window t must be at least one day")
 
-    if prepared is None:
-        prepared = prepare_users(users)
-    organic = resolve_organic(users)
+    cohort = cohort_of(users, prepared)
     artifacts: dict[str, SimArtifacts] = {}
     profiles: dict[str, dict[str | None, RevenueProfile]] = {}
     truths: dict[str, dict[str, dict[CampaignKey, int]]] = {}
@@ -294,9 +309,7 @@ def benchmark_matrix(
         if label in artifacts:
             raise ConfigError(f"duplicate schema {label} in benchmark grid")
         try:
-            art = run_schema(
-                users, schema, seed, horizon, prepared, organic, prepared.campaigns
-            )
+            art = _simulation(cohort, schema, seed, horizon)
         except SkattrError as exc:
             raise GridCellError(
                 f"schema {label}: {type(exc).__name__}: {exc}", schema=label
@@ -381,12 +394,11 @@ def benchmark_matrix(
                         )
                     )
 
-    first = next(iter(artifacts.values()))
     metadata = {
         "seed": seed,
         "t": t,
-        "beta": len(first.columns),
-        "organic_alpha": first.organic.alpha,
+        "beta": len(cohort.origins),
+        "organic_alpha": cohort.organic.alpha,
         "p_values": sorted(p_values),
         "g_modes": list(g_modes),
         "lambda_grid": [float(x) for x in lambda_grid],
@@ -399,7 +411,7 @@ def benchmark_matrix(
         "week_start": "monday",
         "substreams": ["campaigns", "user", "postback", "ud"],
     }
-    return AttributionReport(cells=cells, metadata=metadata, artifacts=artifacts)
+    return AttributionReport(cells=cells, metadata=metadata)
 
 
 def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -426,32 +438,21 @@ def window_error_curve(
     profile_per_group: bool = False,
     horizon: datetime | None = None,
     prepared: Cohort | None = None,
-    artifacts: SimArtifacts | None = None,
 ) -> list[WindowPoint]:
     """Campaign-level error of attributing revenue accrued per day window.
 
     The schema, counts and privacy stay fixed; only the revenue target and
     its per-window bucket means move, so the curve isolates how revenue
-    maturing away from the early signal degrades attribution. ``artifacts``
-    is the schema's simulation when the caller already has it for the same
-    users, seed and horizon (a grid's ``AttributionReport.artifacts``);
-    without it the schema is simulated here.
+    maturing away from the early signal degrades attribution. With the
+    ``prepared`` cohort a grid ran on, the grid's simulation of the schema
+    is reused; otherwise the schema is simulated here.
     """
     wins = validate_windows(windows)
     if isinstance(g, str):
         g = AttributionFunction(mode=g)
     if g.mode == "plain" and p >= 2:
         raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
-    if artifacts is None:
-        if prepared is None:
-            prepared = prepare_users(users)
-        artifacts = run_schema(
-            users, schema, seed, horizon, prepared, resolve_organic(users), prepared.campaigns
-        )
-    elif artifacts.schema.label != schema.label:
-        raise ConfigError(
-            f"artifacts of schema {artifacts.schema.label} passed for {schema.label}"
-        )
+    artifacts = _simulation(cohort_of(users, prepared), schema, seed, horizon)
     if g.mode == "plain":
         matrices = artifacts.matrices
         fn: AttributionFunction | None = None

@@ -9,12 +9,14 @@ Each user's purchases are digested on first use into
 ``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
 walks only purchases.
 
-A ``Cohort`` holds the schema-independent facts of a user list as plain
-integer lists in cohort order: registration midnight in microseconds
-(date ordinal x ``US_PER_DAY``), group index, origin column (paid campaigns
-by alpha, organic last) and, memoised on first use, window revenue per
-``[lo, hi)`` and postback delay per seed. Every schema simulated over the
-cohort reads these lists instead of recomputing them per user.
+A ``Cohort`` is the one handle the pipeline takes for a user list. It holds
+the schema-independent facts as plain integer lists in cohort order:
+registration midnight in microseconds (date ordinal x ``US_PER_DAY``), group
+index and origin column. It fixes the count-matrix columns (paid campaigns
+by alpha, then the organic key) and memoises, on first use, window revenue
+per ``[lo, hi)``, postback delay per seed and each schema's simulation.
+Every schema simulated over the cohort reads these instead of recomputing
+them per user.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, InvalidCampaignError, OrganicKeyError
 
 if TYPE_CHECKING:
+    from .pipeline import SimArtifacts
     from .postback import PostbackTable
 
 SECONDS_PER_DAY = 86_400
@@ -194,14 +197,18 @@ def iso_week(d: date) -> str:
 class Cohort:
     """Schema-independent facts of one user list, as lists in cohort order.
 
-    ``origins`` are the count-matrix columns: the paid campaigns sorted by
-    alpha, then the organic sentinels present; ``column[i]`` indexes the
-    origin of user ``i``. ``digests`` are the replay kernel's per-user event
-    digests (see ``schema.prepare_users``). ``delays`` (seed -> delivery
-    delay in microseconds per user) and the cell tables (``cell_ids``: day
-    ordinal x group count + group index -> cell id; ``cell_keys``: cell id
-    -> (group, ISO week)) are filled by ``pipeline.simulate_postbacks`` on
-    first use, so every schema simulated over the cohort shares them.
+    ``origins`` are the count-matrix columns: the paid ``campaigns`` sorted
+    by alpha, then the ``organic`` key; ``column[i]`` indexes the origin of
+    user ``i``. The organic key is the sentinel the organic users carry, or
+    one past the largest paid alpha when there are none; a list mixing two
+    sentinels is a ``ConfigError``. ``digests`` are the replay kernel's
+    per-user event digests (see ``schema.prepare_users``). ``delays`` (seed
+    -> delivery delay in microseconds per user) and the cell tables
+    (``cell_ids``: day ordinal x group count + group index -> cell id;
+    ``cell_keys``: cell id -> (group, ISO week)) are filled by
+    ``pipeline.simulate_postbacks`` on first use, and ``simulations``
+    ((input schema, seed, horizon) -> ``pipeline.SimArtifacts``) by the
+    metrics layer, so every schema and call over the cohort shares them.
     """
 
     def __init__(self, users: Iterable[UserRecord], digests: Sequence[tuple]) -> None:
@@ -217,14 +224,21 @@ class Cohort:
         # Keyed by (organic, alpha) rather than by the key itself: the
         # dataclass hash runs in Python, once per user and lookup.
         origins = [(u.origin.organic, u.origin.alpha) for u in self.users]
-        ordered = sorted(set(origins))  # paid (False) before organic (True), then by alpha
-        self.origins = tuple(CampaignKey(alpha, organic) for organic, alpha in ordered)
-        self.campaigns = tuple(k for k in self.origins if not k.organic)
-        column = {o: j for j, o in enumerate(ordered)}
+        distinct = set(origins)
+        paid = sorted(alpha for organic, alpha in distinct if not organic)
+        sentinels = sorted(alpha for organic, alpha in distinct if organic)
+        if len(sentinels) > 1:
+            raise ConfigError(f"dataset mixes organic sentinels: {sentinels}")
+        self.campaigns = tuple(CampaignKey(alpha) for alpha in paid)
+        self.organic = organic_key(sentinels[0] if sentinels else max(paid, default=-1) + 1)
+        self.origins = self.campaigns + (self.organic,)
+        column = {(False, alpha): j for j, alpha in enumerate(paid)}
+        column[(True, self.organic.alpha)] = len(paid)
         self.column = [column[o] for o in origins]
         self.delays: dict[int, list[int]] = {}
         self.cell_ids: dict[int, int] = {}
         self.cell_keys: list[tuple[str, str]] = []
+        self.simulations: dict[tuple, SimArtifacts] = {}
         self._revenue: dict[tuple[int, int], list[int]] = {}
 
     def window_revenue(self, lo_day: int, hi_day: int) -> list[int]:

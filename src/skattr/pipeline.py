@@ -2,8 +2,9 @@
 
 Both the stage-wise CLI commands and the benchmark grid go through these
 helpers, so splitting a run into stages and running it end to end produce
-identical numbers for the same seed. Every step works on the cohort digest
-(``schema.prepare_users``, a ``model.Cohort``) in integers: a postback is
+identical numbers for the same seed. Every step takes the cohort
+(``schema.prepare_users``, a ``model.Cohort``), which fixes the users, the
+organic key and the matrix columns, and works in integers: a postback is
 delivered at registration midnight + last commit + delay microseconds,
 dropped when that is after the horizon, and counted in the cell its
 delivery day maps to. Postback delay randomness is one Uniform[0, 1) draw
@@ -18,12 +19,12 @@ get the derived substream seed (seed, "ud").
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 
 from .errors import ConfigError
-from .model import US_PER_DAY, CampaignKey, Cohort, UserRecord, organic_key
+from .model import US_PER_DAY, Cohort
 from .postback import (
     CellKey,
     CountMatrix,
@@ -35,45 +36,12 @@ from .postback import (
     postback_delay_us,
 )
 from .rng import hash64, substream
-from .schema import (
-    VALUE_RANGE,
-    SchemaSpec,
-    cohort_of,
-    fit_buckets,
-    simulate_traces,
-)
+from .schema import VALUE_RANGE, SchemaSpec, fit_buckets, simulate_traces
 
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def resolve_organic(users: Iterable[UserRecord], override: int | None = None) -> CampaignKey:
-    """The dataset's organic sentinel key.
-
-    Prefers the sentinel actually present on organic users; otherwise the
-    override, and as a last resort one past the largest paid alpha.
-    """
-    organics = {u.origin for u in users if u.origin.organic}
-    if len(organics) > 1:
-        raise ConfigError(f"dataset mixes organic sentinels: {sorted(k.alpha for k in organics)}")
-    if organics:
-        found = next(iter(organics))
-        if override is not None and override != found.alpha:
-            raise ConfigError(
-                f"organic sentinel {override} does not match the dataset's {found.alpha}"
-            )
-        return found
-    if override is not None:
-        return organic_key(override)
-    max_alpha = max((u.origin.alpha for u in users), default=-1)
-    return organic_key(max_alpha + 1)
-
-
-def resolve_schema(
-    schema: SchemaSpec,
-    users: Sequence[UserRecord],
-    seed: int,
-    prepared: Cohort | None = None,
-) -> SchemaSpec:
+def resolve_schema(schema: SchemaSpec, cohort: Cohort, seed: int) -> SchemaSpec:
     """Fit bucket boundaries and inject the derived UD seed where needed.
 
     Boundaries are fitted on the cohort's ``[0, horizon)`` revenue memo.
@@ -81,7 +49,7 @@ def resolve_schema(
     if schema.kind == "UD" and schema.seed is None:
         schema = replace(schema, seed=hash64(seed, "ud") & 0x7FFFFFFF)
     if schema.needs_boundaries() and schema.bucket_boundaries is None:
-        revenue = cohort_of(users, prepared).window_revenue(0, schema.horizon_days)
+        revenue = cohort.window_revenue(0, schema.horizon_days)
         schema = fit_buckets(revenue, schema, lambda cents: cents)
     return schema
 
@@ -118,11 +86,7 @@ def cell_id(cohort: Cohort, group: int, day: int) -> int:
 
 
 def simulate_postbacks(
-    users: Sequence[UserRecord],
-    schema: SchemaSpec,
-    seed: int,
-    horizon: datetime | None = None,
-    prepared: Cohort | None = None,
+    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None = None
 ) -> PostbackTable:
     """One postback per user (organic users included: the developer's view).
 
@@ -133,8 +97,7 @@ def simulate_postbacks(
     truth. The delay per (seed, user) and the cell per (group, delivery
     day) are memoised on the cohort.
     """
-    cohort = cohort_of(users, prepared)
-    finals = simulate_traces(users, schema, cohort)
+    finals = simulate_traces(cohort, schema)
     delays = cohort.delays.get(seed)
     if delays is None:
         delays = cohort.delays[seed] = [
@@ -183,75 +146,48 @@ def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:
 
 def build_cell_matrices(
     postbacks: PostbackTable,
-    organic: CampaignKey | None = None,
-    campaigns: Sequence[CampaignKey] | None = None,
     totals: Mapping[CellKey, Mapping[int, int]] | None = None,
 ) -> dict[CellKey, CountMatrix]:
-    """Pre-privacy matrices with the organic column, one per (group, week).
+    """Pre-privacy matrices over the cohort's columns, one per (group, week).
 
     ``totals`` are ``developer_totals(postbacks)`` when the caller has them.
     """
     cohort = postbacks.cohort
-    if organic is None:
-        organic = resolve_organic(cohort.users)
-    if campaigns is None:
-        campaigns = cohort.campaigns
     if totals is None:
         totals = developer_totals(postbacks)
-    paid = build_counts(postbacks, campaigns)
+    paid = build_counts(postbacks)
     out: dict[CellKey, CountMatrix] = {}
     for cell in sorted(totals):
         matrix = paid.get(cell)
         if matrix is None:
-            matrix = empty_matrix(cell[0], cell[1], campaigns)
-        out[cell] = estimate_organic(matrix, totals[cell], organic)
+            matrix = empty_matrix(cell[0], cell[1], cohort.campaigns)
+        out[cell] = estimate_organic(matrix, totals[cell], cohort.organic)
     return out
 
 
 @dataclass(frozen=True)
 class SimArtifacts:
-    """Everything downstream stages need from one schema simulation."""
+    """Everything downstream stages need from one schema simulation.
+
+    The matrix columns are ``postbacks.cohort.origins``.
+    """
 
     schema: SchemaSpec
     postbacks: PostbackTable
     matrices: dict[CellKey, CountMatrix]
     cell_totals: dict[CellKey, dict[int, int]]
-    organic: CampaignKey
-    campaigns: tuple[CampaignKey, ...]
-
-    @property
-    def columns(self) -> tuple[CampaignKey, ...]:
-        return self.campaigns + (self.organic,)
 
 
 def run_schema(
-    users: Sequence[UserRecord],
-    schema: SchemaSpec,
-    seed: int,
-    horizon: datetime | None = None,
-    prepared: Cohort | None = None,
-    organic: CampaignKey | None = None,
-    campaigns: Sequence[CampaignKey] | None = None,
+    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None = None
 ) -> SimArtifacts:
-    """Fit, simulate and aggregate one schema over the dataset.
-
-    Callers running several schemas over one cohort pass its digest and the
-    resolved ``organic`` key and ``campaigns`` so they are found once.
-    """
-    prepared = cohort_of(users, prepared)
-    if organic is None:
-        organic = resolve_organic(users)
-    if campaigns is None:
-        campaigns = prepared.campaigns
-    fitted = resolve_schema(schema, users, seed, prepared)
-    postbacks = simulate_postbacks(users, fitted, seed, horizon, prepared)
+    """Fit, simulate and aggregate one schema over the cohort."""
+    fitted = resolve_schema(schema, cohort, seed)
+    postbacks = simulate_postbacks(cohort, fitted, seed, horizon)
     totals = developer_totals(postbacks)
-    matrices = build_cell_matrices(postbacks, organic, campaigns, totals)
     return SimArtifacts(
         schema=fitted,
         postbacks=postbacks,
-        matrices=matrices,
+        matrices=build_cell_matrices(postbacks, totals),
         cell_totals=totals,
-        organic=organic,
-        campaigns=tuple(campaigns),
     )

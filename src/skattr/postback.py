@@ -102,8 +102,11 @@ class CountMatrix:
             raise ConfigError("counts must be non-negative")
         if self.privacy_applied != (self.null_row is not None):
             raise ConfigError("null row present iff privacy has been applied")
-        if self.null_row is not None and len(self.null_row) != len(self.columns):
-            raise ConfigError("null row width must match the column count")
+        if self.null_row is not None:
+            if len(self.null_row) != len(self.columns):
+                raise ConfigError("null row width must match the column count")
+            if self.columns and min(self.null_row) < 0:
+                raise ConfigError("null row counts must be non-negative")
 
     def cell(self, v: int, j: int) -> int | None:
         """Count at (value, column index); None when the cell is suppressed."""
@@ -135,34 +138,24 @@ def empty_matrix(group: str, week: str, columns: Sequence[CampaignKey]) -> Count
     return CountMatrix(group=group, week=week, columns=cols, rows=(zero,) * VALUE_RANGE)
 
 
-def build_counts(
-    postbacks: PostbackTable, campaigns: Sequence[CampaignKey] | None = None
-) -> dict[CellKey, CountMatrix]:
+def build_counts(postbacks: PostbackTable) -> dict[CellKey, CountMatrix]:
     """Aggregate postbacks into per-(group, week) matrices over paid columns.
 
-    Postbacks of organic-origin users are skipped here; their column is
-    reconstructed by ``estimate_organic``. The columns default to every
-    paid origin of the cohort, so all weeks share one matrix shape; given
-    ``campaigns`` must include them all.
+    The columns are every paid origin of the cohort, so all weeks share one
+    matrix shape. Postbacks of organic-origin users are skipped here; their
+    column is reconstructed by ``estimate_organic``.
     """
     cohort = postbacks.cohort
-    cols = cohort.campaigns if campaigns is None else tuple(campaigns)
-    position = {k: j for j, k in enumerate(cols)}
-    # Matrix column of each cohort origin column; None for organic origins.
-    remap = [None if k.organic else position.get(k, -1) for k in cohort.origins]
-    if -1 in remap:
-        missing = cohort.origins[remap.index(-1)]
-        raise ConfigError(f"campaign {missing} is not among the matrix columns")
-    width = len(cols)
+    cols = cohort.campaigns
+    width = len(cols)  # also the organic origin's column in ``cohort.origins``
     grids: dict[int, list[list[int]]] = {}
     for cell, value, j in zip(postbacks.cells, postbacks.values, cohort.column):
-        col = remap[j]
-        if col is None or cell < 0:
+        if j == width or cell < 0:
             continue
         grid = grids.get(cell)
         if grid is None:
             grid = grids[cell] = [[0] * width for _ in range(VALUE_RANGE)]
-        grid[value][col] += 1
+        grid[value][j] += 1
     keys = cohort.cell_keys
     return {
         keys[cell]: CountMatrix(

@@ -19,8 +19,9 @@ an event exactly 24h after the previous commit still commits.
 Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Event
-times are digested into the same integers once per cohort
-(``prepare_users``, which returns a ``model.Cohort``), so day indices
+times are digested into the same integers once per user list by
+``prepare_users``, which returns the ``model.Cohort`` that
+``simulate_traces`` and every later pipeline step take, so day indices
 (calendar-day offsets from the registration date) and the 24h timer are
 exact integer arithmetic, also for timestamps with sub-second parts. PV
 values and fitted bucket boundaries read the cohort's window-revenue memo.
@@ -269,26 +270,13 @@ def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def prepare_users(users: Iterable[UserRecord]) -> Cohort:
-    """Digest a cohort once for every schema run over it."""
+    """Digest a user list into the ``Cohort`` every schema run over it takes."""
     users = tuple(users)
     return Cohort(users, [prepare_user(u) for u in users])
 
 
-def cohort_of(users: Iterable[UserRecord], prepared: Cohort | None) -> Cohort:
-    """``prepared`` when it digests exactly ``users``; a fresh digest when it is None."""
-    if prepared is None:
-        return prepare_users(users)
-    if prepared.users != tuple(users):
-        raise ConfigError("the prepared digest is of a different user list")
-    return prepared
-
-
-def simulate_traces(
-    users: Iterable[UserRecord],
-    schema: SchemaSpec,
-    prepared: Cohort | None = None,
-) -> dict[int, tuple[int, int]]:
-    """Replay every user's events through the platform update rules.
+def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:
+    """Replay every cohort user's events through the platform update rules.
 
     Returns ``{user_id: (final value, last-commit microseconds since
     registration midnight)}`` in cohort order. Simultaneous events are
@@ -297,14 +285,12 @@ def simulate_traces(
     instant more than 24h (in whole microseconds) after the previous
     commit: the value is final from there. UD and PV candidates do not
     change over time, so they are committed once at first open.
-    ``prepared`` (``prepare_users(users)``) may be reused across schemas.
     """
     kind = schema.kind
     if kind == "UD" and schema.seed is None:
         raise ConfigError("UD schema needs a seed")
     if kind in ("RR", "PV"):
         boundaries = _require_boundaries(schema)
-    cohort = cohort_of(users, prepared)
     out: dict[int, tuple[int, int]] = {}
     if kind == "UD":
         for uid, groups in zip(cohort.ids, cohort.digests):

@@ -387,8 +387,7 @@ def fraction_attribute_with_null(
         raise ConfigError("matrix is not privatized; use attribute_plain")
     if fn.mode == "plain":
         return fraction_attribute_plain(matrix, profile)
-    n = len(matrix.columns)
-    beta = fn.beta_count if fn.beta_count is not None else n
+    n = beta = len(matrix.columns)
     lam = Fraction(fn.effective_lambda)
     null_row = matrix.null_row
     null_sum = sum(null_row)

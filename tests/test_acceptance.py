@@ -137,7 +137,7 @@ def test_c2_conservation_full_grid():
 
         start = time.monotonic()
         for text in CONSERVATION_SCHEMAS:
-            artifacts = run_schema(users, schema_from_text(text), 77, prepared=prepared)
+            artifacts = run_schema(prepared, schema_from_text(text), 77)
             profile = estimate_bucket_means(artifacts.postbacks, 30)
             for p in (0, 2, 10, 100):
                 privatized = {
@@ -263,8 +263,8 @@ def test_c8_mechanics(tmp_path):
         prepared = prepare_users(users)
         by_group = {u.id: u.group for u in users}
         for text in TREND_SCHEMAS:
-            artifacts = run_schema(users, schema_from_text(text), 12, prepared=prepared)
-            finals = simulate_traces(users, artifacts.schema, prepared)
+            artifacts = run_schema(prepared, schema_from_text(text), 12)
+            finals = simulate_traces(prepared, artifacts.schema)
             traces = {u.id: simulate_updates(u, artifacts.schema) for u in users}
             delivered = artifacts.postbacks.by_user()
             for u in users:

@@ -262,11 +262,7 @@ def kernel_case(draw):
     elif broken == "missing":
         del means[victim]
     p = draw(st.sampled_from((0, 2, 5)))
-    fn = AttributionFunction(
-        "null_convex",
-        draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
-        draw(st.none() | st.integers(1, 6)),
-    )
+    fn = AttributionFunction("null_convex", draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))))
     matrix = matrix_from(rows, columns)
     return matrix, RevenueProfile(window_days=30, means=means, totals=totals), p, fn
 

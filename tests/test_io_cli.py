@@ -26,10 +26,12 @@ from skattr.metrics import truth_by_week
 from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord
 from skattr.pipeline import run_schema
 from skattr.privacy import PrivacyConfig, apply_threshold
-from skattr.schema import schema_from_text
+from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import reference_load_users
+
+D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
 # A loader that fails part way through a file must still close it.
 pytestmark = [
@@ -240,7 +242,7 @@ class TestStreamingLoader:
 class TestCountsRoundTrip:
     def test_pre_and_post_privacy(self, dataset, tmp_path):
         users, _ = dataset
-        artifacts = run_schema(users, schema_from_text("kind=RR;layout=TTTVVV;horizon=7"), 9)
+        artifacts = run_schema(prepare_users(users), schema_from_text(D7RR), 9)
         pre = artifacts.matrices
         save_counts(tmp_path / "c.csv", pre, {"schema": "x", "seed": 9})
         loaded, meta = load_counts(tmp_path / "c.csv")
@@ -255,7 +257,7 @@ class TestCountsRoundTrip:
 
     def test_suppressed_cells_written_empty(self, dataset, tmp_path):
         users, _ = dataset
-        artifacts = run_schema(users, schema_from_text("kind=RR;layout=TTTVVV;horizon=7"), 9)
+        artifacts = run_schema(prepare_users(users), schema_from_text(D7RR), 9)
         post = {cell: apply_threshold(m, PrivacyConfig(10)) for cell, m in artifacts.matrices.items()}
         save_counts(tmp_path / "cp.csv", post, {})
         text = (tmp_path / "cp.csv").read_text()
@@ -428,9 +430,9 @@ class TestCli:
         simulated = []
         run_schema_impl = skattr.metrics.run_schema
 
-        def counting_run_schema(users, schema, *args, **kwargs):
+        def counting_run_schema(cohort, schema, *args, **kwargs):
             simulated.append(schema.label)
-            return run_schema_impl(users, schema, *args, **kwargs)
+            return run_schema_impl(cohort, schema, *args, **kwargs)
 
         monkeypatch.setattr(skattr.metrics, "run_schema", counting_run_schema)
         run_cfg = {
@@ -509,6 +511,14 @@ class TestCliErrors:
         assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
         assert "column list" in config_error(capsys)
 
+    def test_attribution_checked_before_the_dataset_is_read(self, staged, tmp_path, capsys):
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        meta=lambda m: {k: v for k, v in m.items() if k != "columns"})
+        code = run_cli("evaluate", "--attr", attr, "--truth-from", staged / "missing",
+                       "--t", 30, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert "column list" in config_error(capsys)
+
     def test_attributed_alpha_not_declared(self, staged, tmp_path, capsys):
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         rows=lambda body: body + ["G0,2024-W01,98765,1.00"])
@@ -540,7 +550,8 @@ class TestCliErrors:
         assert all(cut[w] == full[w] for w in weeks if w != gone)
 
         users, _ = dataset
-        postbacks = run_schema(users, schema_from_text(meta["schema"]), meta["seed"]).postbacks
+        schema = schema_from_text(meta["schema"])
+        postbacks = run_schema(prepare_users(users), schema, meta["seed"]).postbacks
         truth = truth_by_week(postbacks, 0, 30)[gone]
         assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
         assert cut[gone] != full[gone]
@@ -567,6 +578,47 @@ class TestMetaColumns:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CsvFormatError"
         assert "cp.csv:1:" in err["message"]
+
+
+class TestRowChecks:
+    """Counts and attribution rows the loaders reject, naming the file and the place."""
+
+    COUNTS = "group,week,conversion_value,alpha,count"
+    ATTR = "group,week,alpha,attributed_usd"
+
+    def write(self, tmp_path, meta, header, rows):
+        path = tmp_path / "f.csv"
+        path.write_text("# skattr-meta " + json.dumps(meta) + f"\n{header}\n"
+                        + "".join(f"{row}\n" for row in rows))
+        return path
+
+    @pytest.mark.parametrize("privatized,row,message", [
+        (True, "G,2024-W01,null,0,-3", "null row counts must be non-negative"),
+        (False, "G,2024-W01,5,0,-3", "counts must be non-negative"),
+    ])
+    def test_negative_count(self, tmp_path, privatized, row, message):
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized}
+        path = self.write(tmp_path, meta, self.COUNTS, [row])
+        with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): {message}"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("rows", [
+        ["G,2024-W01,5,0,2", "G,2024-W01,5,0,7"],
+        ["G,2024-W01,5,0,2", "G,2024-W01,05,0,2"],
+        ["G,2024-W01,null,0,1", "G,2024-W01,null,0,1"],
+        ["G,2024-W01,5,0,", "G,2024-W01,5,0,"],
+    ])
+    def test_duplicate_counts_row(self, tmp_path, rows):
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True}
+        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,1", *rows])
+        with pytest.raises(CsvFormatError, match=r"f\.csv:5: duplicate row .* first at line 4"):
+            load_counts(path)
+
+    def test_duplicate_attribution_row(self, tmp_path):
+        rows = ["G,2024-W01,0,1.00", "G,2024-W02,0,1.00", "G,2024-W01,0,2.00"]
+        path = self.write(tmp_path, {"columns": [0, 9]}, self.ATTR, rows)
+        with pytest.raises(CsvFormatError, match=r"f\.csv:5: duplicate row for \(G, 2024-W01\)"):
+            load_attribution(path)
 
 
 class TestClosedFiles:

@@ -21,7 +21,7 @@ from skattr.metrics import (
     window_error_curve,
 )
 from skattr.model import CampaignKey, organic_key
-from skattr.schema import schema_from_text
+from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
 
@@ -247,16 +247,15 @@ class TestWindowCurve:
     def test_grid_artifacts_give_the_fresh_curve(self):
         users = small_dataset(seed=6, n=2000)
         schema = schema_from_text(D7RR)
-        report = benchmark_matrix(users, [schema_from_text(PV), schema], [0, 10],
-                                  ["plain", "null_uniform"], 30, seed=6)
+        prepared = prepare_users(users)
+        benchmark_matrix(users, [schema_from_text(PV), schema], [0, 10],
+                         ["plain", "null_uniform"], 30, seed=6, prepared=prepared)
+        simulated = dict(prepared.simulations)
         windows = [(7, 14), (14, 30)]
         for p, g in ((0, "plain"), (10, "null_uniform")):
-            reused = window_error_curve(users, schema, p, g, windows, seed=6,
-                                        artifacts=report.artifacts["D7 RR"])
+            reused = window_error_curve(users, schema, p, g, windows, seed=6, prepared=prepared)
             assert reused == window_error_curve(users, schema, p, g, windows, seed=6)
-        with pytest.raises(ConfigError):
-            window_error_curve(users, schema, 0, "plain", windows, seed=6,
-                               artifacts=report.artifacts["D30 PV"])
+        assert prepared.simulations == simulated
 
     def test_plain_rejected_with_threshold(self):
         users = small_dataset(seed=5)

@@ -402,7 +402,7 @@ class TestReplayKernel:
                                  Event(first + timedelta(hours=24), "session")])
         assert [v for _, v in simulate_updates(user, schema).committed] == [0, 8]
         second_us = (first + timedelta(hours=24) - REGISTRATION) // timedelta(microseconds=1)
-        assert simulate_traces([user], schema) == {0: (8, second_us)}
+        assert simulate_traces(prepare_users([user]), schema) == {0: (8, second_us)}
 
     @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
     @given(user=edge_user(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
@@ -410,8 +410,7 @@ class TestReplayKernel:
     def test_kernel_matches_oracle(self, text, user, boundaries):
         schema = edge_schema(text, boundaries)
         expected = {user.id: oracle_final(user, schema)}
-        assert simulate_traces([user], schema) == expected
-        assert simulate_traces([user], schema, prepare_users([user])) == expected
+        assert simulate_traces(prepare_users([user]), schema) == expected
 
     @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
     @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
@@ -421,11 +420,11 @@ class TestReplayKernel:
         schema = edge_schema(text, boundaries)
         prepared = prepare_users(users)
         everyone = oracle_view(oracle_postbacks(users, schema, seed=5))
-        assert simulate_postbacks(users, schema, 5, prepared=prepared).by_user() == everyone
+        assert simulate_postbacks(prepared, schema, 5).by_user() == everyone
         edge = data.draw(st.sampled_from(sorted(everyone)))
         at = everyone[edge][1]
         for horizon in (at, at - timedelta(microseconds=1)):
-            kept = simulate_postbacks(users, schema, 5, horizon, prepared).by_user()
+            kept = simulate_postbacks(prepared, schema, 5, horizon).by_user()
             assert kept == oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert (edge in kept) == (horizon == at)
 
@@ -471,15 +470,15 @@ class TestPostbackTable:
         everyone = oracle_view(oracle_postbacks(users, schema, seed=5))
         assert {everyone[uid][1] for uid in range(n_edge)} <= set(WEEK_EDGES)
         prepared = prepare_users(users)
-        for shared in (prepared, None):
-            assert simulate_postbacks(users, schema, 5, prepared=shared).by_user() == everyone
+        for shared in (prepared, prepare_users(users)):
+            assert simulate_postbacks(shared, schema, 5).by_user() == everyone
         edge = data.draw(st.sampled_from(sorted(everyone)))
         at = everyone[edge][1]
         for horizon in (at, at - timedelta(microseconds=1)):
             expected = oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert (edge in expected) == (horizon == at)
-            for shared in (prepared, None):
-                table = simulate_postbacks(users, schema, 5, horizon, shared)
+            for shared in (prepared, prepare_users(users)):
+                table = simulate_postbacks(shared, schema, 5, horizon)
                 assert table.by_user() == expected
                 assert len(table) == len(expected)
 
@@ -487,4 +486,4 @@ class TestPostbackTable:
         users = [delivered_at(0, WEEK_EDGES[0], 5, "G")]
         aware = datetime(2024, 3, 1, tzinfo=timezone.utc)
         with pytest.raises(ConfigError, match="2024-03-01T00:00:00\\+00:00"):
-            run_schema(users, schema_from_text("kind=UD;seed=3"), 5, horizon=aware)
+            run_schema(prepare_users(users), schema_from_text("kind=UD;seed=3"), 5, horizon=aware)
