@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from skattr.attribution import ATTRIBUTION_MODES  # noqa: E402
 from skattr.cli import main as skattr_main  # noqa: E402
 
 
@@ -40,11 +41,11 @@ def print_grid(report: dict) -> None:
     cells = [c for c in report["cells"] if c["level"] == "campaign"]
     p_values = sorted({c["p"] for c in cells})
     schemas = list(dict.fromkeys(c["schema"] for c in cells))
-    mode_rank = {"plain": 0, "null_uniform": 1, "null_empirical": 2, "null_convex": 3}
     columns = []
     for p in p_values:
         modes = sorted({(c["mode"], c["lambda"]) for c in cells if c["p"] == p},
-                       key=lambda m: (mode_rank[m[0]], m[1] if m[1] is not None else -1))
+                       key=lambda m: (ATTRIBUTION_MODES.index(m[0]),
+                                      m[1] if m[1] is not None else -1))
         columns.extend((p, mode, lam) for mode, lam in modes)
     short = {"plain": "eq3", "null_uniform": "U", "null_empirical": "N", "null_convex": "C"}
     header = ["schema"] + [f"p{p}:{short[m]}" for p, m, _ in columns]

@@ -9,6 +9,10 @@ columns, organic included) with the empirical distribution of the null row;
 the mixing weight lambda spans the uniform (0) and null-based (1) endpoints,
 and the optimal redistribution always lies on that segment.
 
+An ``AttributionFunction`` names one estimator, ``plain`` included, and
+holds the lambda it uses; ``metrics.attribute_cells`` is the one place that
+dispatches on it to ``attribute_plain`` or ``attribute_with_null``.
+
 Computation is exact and integer-only. Per matrix, the bucket means in use
 are scaled to one common denominator (the lcm of their denominators), each
 campaign column accumulates one integer numerator, the null weights are
@@ -47,7 +51,6 @@ class RevenueProfile:
     users the cell contains.
     """
 
-    window_days: int
     means: Mapping[int, Fraction]
     totals: Mapping[int, int]
 
@@ -80,7 +83,7 @@ def estimate_bucket_means_window(
             counts[value] += 1
     used = [v for v in range(VALUE_RANGE) if counts[v]]
     means = {v: Fraction(sums[v], counts[v]) for v in used}
-    return RevenueProfile(window_days=hi_day, means=means, totals={v: counts[v] for v in used})
+    return RevenueProfile(means=means, totals={v: counts[v] for v in used})
 
 
 def estimate_bucket_means(postbacks: PostbackTable, t: int) -> RevenueProfile:
@@ -88,37 +91,37 @@ def estimate_bucket_means(postbacks: PostbackTable, t: int) -> RevenueProfile:
     return estimate_bucket_means_window(postbacks, 0, t)
 
 
+# The lambda each endpoint mode fixes; ``plain`` redistributes nothing.
+_FIXED_LAMBDA = {"plain": 0.0, "null_uniform": 0.0, "null_empirical": 1.0}
+
+
 @dataclass(frozen=True)
 class AttributionFunction:
-    """Choice of estimator: plain, or a null redistribution with weight lambda.
+    """One estimator: its mode and the lambda it redistributes with.
 
-    ``null_uniform`` is the lambda=0 endpoint, ``null_empirical`` lambda=1;
-    ``null_convex`` takes lambda from the field. The uniform share is over
-    the matrix's columns, organic included.
+    ``lam`` is resolved here, once: ``null_uniform`` fixes it at 0 and
+    ``null_empirical`` at 1, ``plain`` has 0 because it redistributes
+    nothing, and ``null_convex`` takes it from the caller, 0 when none is
+    given. An explicit lambda that contradicts the mode, or one outside
+    [0, 1], is a ``ConfigError``. The uniform share is over the matrix's
+    columns, organic included.
     """
 
     mode: str
-    lam: float = 0.0
+    lam: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ATTRIBUTION_MODES:
             raise ConfigError(f"unknown attribution mode {self.mode!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-
-    @property
-    def effective_lambda(self) -> float:
-        if self.mode == "null_uniform":
-            return 0.0
-        if self.mode == "null_empirical":
-            return 1.0
-        return self.lam
-
-    @property
-    def label(self) -> str:
-        if self.mode == "null_convex":
-            return f"null_convex:{self.effective_lambda:g}"
-        return self.mode
+        fixed = _FIXED_LAMBDA.get(self.mode)
+        lam = self.lam
+        if lam is None:
+            lam = 0.0 if fixed is None else fixed
+        elif fixed is not None and lam != fixed:
+            raise ConfigError(f"{self.mode} fixes lambda at {fixed:g}, got {lam}")
+        elif not 0.0 <= lam <= 1.0:
+            raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+        object.__setattr__(self, "lam", float(lam))
 
 
 def _scaled_means(
@@ -170,7 +173,7 @@ def attribute_with_null(
     profile: RevenueProfile,
     fn: AttributionFunction,
 ) -> dict[CampaignKey, Fraction]:
-    """Null-aware attribution over a privatized matrix.
+    """Null-aware attribution over a privatized matrix, for any mode but ``plain``.
 
     Visible cells contribute count times mean. Each suppressed value row
     contributes mean * weight_j * total users with that value, where the
@@ -180,10 +183,10 @@ def attribute_with_null(
     scope; a value absent from the map has no users, and the map must cover
     at least the mass the null row proves was folded.
     """
+    if fn.mode == "plain":
+        raise ConfigError("plain attribution redistributes nothing; use attribute_plain")
     if not matrix.privacy_applied:
         raise ConfigError("matrix is not privatized; use attribute_plain")
-    if fn.mode == "plain":
-        return attribute_plain(matrix, profile)
     beta = len(matrix.columns)
     null_row = matrix.null_row
     null_sum = sum(null_row)
@@ -192,7 +195,7 @@ def attribute_with_null(
         weight_num = [1] * beta
         weight_den = beta
     else:
-        lam_num, lam_den = Fraction(fn.effective_lambda).as_integer_ratio()
+        lam_num, lam_den = Fraction(fn.lam).as_integer_ratio()
         uniform = (lam_den - lam_num) * null_sum
         weight_num = [uniform + lam_num * beta * c for c in null_row]
         weight_den = lam_den * beta * null_sum

@@ -5,7 +5,10 @@ one-shot `benchmark` share the same library calls and seed substreams:
 `attribute` runs the grid's `metrics.attribute_cells`, and `evaluate` builds
 truth with `metrics.truth_by_week` and scores with `metrics.score_level`. A
 pipeline split into stages therefore reproduces the benchmark's numbers
-exactly. Any failure exits nonzero with a one-line JSON error on stderr.
+exactly. `attribute` passes `--g`/`--lambda` straight to
+`AttributionFunction`, which resolves the lambda the estimator uses (or
+rejects one the mode contradicts), and records that lambda in the file.
+Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
-from .attribution import AttributionFunction, estimate_bucket_means
+from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket_means
 from .config import load_gen_config, load_run_config
 from .errors import ConfigError, SkattrError
 from .io_files import (
@@ -131,13 +134,11 @@ def _resimulate(
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
+    fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
     postbacks = _resimulate(dict(cmeta), users_csv, events_csv, cmeta.get("organic_alpha"))
     profile = estimate_bucket_means(postbacks, args.t)
-
-    lam = args.lam if args.lam is not None else (1.0 if args.g == "null_empirical" else 0.0)
-    fn = None if args.g == "plain" else AttributionFunction(mode=args.g, lam=lam)
     cells = attribute_cells(matrices, {None: profile}, developer_totals(postbacks), fn)
     attributed = {
         (group, week, key): cents
@@ -154,7 +155,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         "columns": cmeta.get("columns"),
         "p": cmeta.get("p", 0),
         "g": args.g,
-        "lambda": lam,
+        "lambda": fn.lam,
         "t": args.t,
     }
     meta["config_hash"] = config_hash(meta)
@@ -288,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="users CSV or dataset directory for the revenue profile")
     p.add_argument("--events", default=None)
     p.add_argument("--t", type=int, required=True, help="revenue window in days")
-    p.add_argument("--g", required=True,
-                   choices=["plain", "null_uniform", "null_empirical", "null_convex"])
-    p.add_argument("--lambda", type=float, default=None, dest="lam")
+    p.add_argument("--g", required=True, choices=ATTRIBUTION_MODES)
+    p.add_argument("--lambda", type=float, default=None, dest="lam",
+                   help="null_convex weight in [0, 1] (default 0); the other modes fix it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 

@@ -397,7 +397,6 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
                 rows=tuple(tuple(r) for r in grids[cell]),
                 suppressed=frozenset(suppressed[cell]),
                 null_row=tuple(nulls[cell]) if privacy_applied else None,
-                privacy_applied=privacy_applied,
             )
         except ConfigError as exc:
             raise CsvFormatError(f"{cpath}: ({group}, {week}): {exc}") from exc

@@ -8,7 +8,8 @@ grids normalize against the omniscient-schema baseline per privacy level:
 
 Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
-``attribute_cells`` (estimator output in cents per cell and campaign),
+``attribute_cells`` (estimator output in cents per cell and campaign, and
+the one place that dispatches on the ``AttributionFunction``),
 ``truth_by_week`` (actual window revenue per postback week and origin) and
 ``score_level`` (weekly and aggregate error at one level). Revenue profiles
 and truth aggregate a schema's ``PostbackTable`` by cell id and origin
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import datetime
 
 from .attribution import (
     AttributionFunction,
@@ -131,25 +131,19 @@ def cohort_of(users: Sequence[UserRecord], prepared: Cohort | None) -> Cohort:
     return prepared
 
 
-def _simulation(
-    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None
-) -> SimArtifacts:
-    """``run_schema`` memoised on the cohort by (input schema, seed, horizon)."""
-    key = (schema, seed, horizon)
+def _simulation(cohort: Cohort, schema: SchemaSpec, seed: int) -> SimArtifacts:
+    """``run_schema`` memoised on the cohort by (input schema, seed)."""
+    key = (schema, seed)
     artifacts = cohort.simulations.get(key)
     if artifacts is None:
-        artifacts = cohort.simulations[key] = run_schema(cohort, schema, seed, horizon)
+        artifacts = cohort.simulations[key] = run_schema(cohort, schema, seed)
     return artifacts
 
 
-def truth_by_week(
-    postbacks: PostbackTable, lo_day: int, hi_day: int
-) -> dict[str, dict[CampaignKey, int]]:
-    """Actual window revenue per (postback week, origin), summed over groups.
-
-    Users without a postback are not counted.
-    """
-    return ground_truth(postbacks, lo_day, hi_day)
+# Actual window revenue per (postback week, origin): the name the grid and
+# the CLI call ``model.ground_truth`` by. A binding, not a wrapper, so a
+# tracer that patches the function patches it under both names.
+truth_by_week = ground_truth
 
 
 def score_level(
@@ -187,21 +181,23 @@ def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
     profiles: Mapping[str | None, RevenueProfile],
     totals: Mapping[CellKey, Mapping[int, int]],
-    fn: AttributionFunction | None,
+    fn: AttributionFunction,
 ) -> dict[CellKey, dict[CampaignKey, int]]:
     """Attribute every cell, in cents rounded per (group, week, campaign).
 
+    This is the one dispatch on the estimator: ``plain`` goes to
+    ``attribute_plain``, every other mode to ``attribute_with_null``.
     ``profiles`` maps a group label to its revenue profile, with None as the
     pooled fallback; ``totals`` are the developer's per-value counts of each
-    cell, which the null-aware estimators (``fn`` not None) need. Cents are
-    the grain the attribution files hold, so a grid cell scores exactly what
-    a stage-wise run writes.
+    cell, which the null-aware modes need. Cents are the grain the
+    attribution files hold, so a grid cell scores exactly what a stage-wise
+    run writes.
     """
     out: dict[CellKey, dict[CampaignKey, int]] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
         profile = profiles.get(cell[0], profiles.get(None))
-        if fn is None:
+        if fn.mode == "plain":
             res = attribute_plain(matrix, profile)
         else:
             if cell not in totals:
@@ -214,19 +210,44 @@ def attribute_cells(
 def _expand_modes(
     g_modes: Sequence[str], lambda_grid: Sequence[float], p: int
 ) -> list[tuple[str, float | None]]:
+    """The grid's (mode, lambda) estimator coordinates at threshold ``p``.
+
+    An endpoint mode has the lambda its ``AttributionFunction`` fixes and
+    ``plain``, which runs only below p=2, has None. A ``null_convex`` lambda
+    is checked when its cell builds the estimator, so a bad one fails with
+    the cell's coordinates.
+    """
     out: list[tuple[str, float | None]] = []
     for mode in g_modes:
-        if mode == "plain":
-            if p < 2:
-                out.append(("plain", None))
-        elif mode == "null_uniform":
-            out.append((mode, 0.0))
-        elif mode == "null_empirical":
-            out.append((mode, 1.0))
-        elif mode == "null_convex":
+        if mode == "null_convex":
             out.extend((mode, float(lam)) for lam in lambda_grid)
-        else:
-            raise ConfigError(f"unknown attribution mode {mode!r}")
+        elif mode != "plain":
+            out.append((mode, AttributionFunction(mode).lam))
+        elif p < 2:
+            out.append((mode, None))
+    return out
+
+
+def _estimator_matrices(
+    artifacts: SimArtifacts,
+    p: int,
+    fn: AttributionFunction,
+    thresholded: dict[tuple[SchemaSpec, int], dict[CellKey, CountMatrix]],
+) -> Mapping[CellKey, CountMatrix]:
+    """The matrices ``fn`` reads at threshold ``p``.
+
+    ``plain`` reads the simulated matrices; every other mode reads their
+    copy thresholded at ``p``, memoised in ``thresholded`` per (schema, p).
+    """
+    if fn.mode == "plain":
+        return artifacts.matrices
+    key = (artifacts.schema, p)
+    out = thresholded.get(key)
+    if out is None:
+        cfg = PrivacyConfig(p)
+        out = thresholded[key] = {
+            cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()
+        }
     return out
 
 
@@ -247,7 +268,7 @@ def _grid_error(
     artifacts: SimArtifacts,
     matrices: Mapping[CellKey, CountMatrix],
     profiles: Mapping[str | None, RevenueProfile],
-    fn: AttributionFunction | None,
+    fn: AttributionFunction,
     truth: Mapping[str, Mapping[CampaignKey, int]],
     include_organic: bool,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
@@ -280,7 +301,6 @@ def benchmark_matrix(
     lambda_grid: Sequence[float] = (0.0, 0.5, 1.0),
     include_organic: bool = True,
     profile_per_group: bool = False,
-    horizon: datetime | None = None,
     prepared: Cohort | None = None,
 ) -> AttributionReport:
     """Run the full schema x threshold x estimator grid.
@@ -309,7 +329,7 @@ def benchmark_matrix(
         if label in artifacts:
             raise ConfigError(f"duplicate schema {label} in benchmark grid")
         try:
-            art = _simulation(cohort, schema, seed, horizon)
+            art = _simulation(cohort, schema, seed)
         except SkattrError as exc:
             raise GridCellError(
                 f"schema {label}: {type(exc).__name__}: {exc}", schema=label
@@ -321,29 +341,17 @@ def benchmark_matrix(
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
 
-    privatized: dict[tuple[str, int], dict[CellKey, CountMatrix]] = {}
-
-    def matrices_for(label: str, p: int, fn: AttributionFunction | None):
-        if fn is None:
-            return artifacts[label].matrices
-        key = (label, p)
-        if key not in privatized:
-            cfg = PrivacyConfig(p)
-            privatized[key] = {
-                cell: apply_threshold(m, cfg) for cell, m in artifacts[label].matrices.items()
-            }
-        return privatized[key]
-
+    thresholded: dict[tuple[SchemaSpec, int], dict[CellKey, CountMatrix]] = {}
     scored: dict[tuple[str, int, str, float | None], dict] = {}
 
     def cell_errors(label: str, p: int, mode: str, lam: float | None):
         key = (label, p, mode, lam)
         if key not in scored:
-            fn = None if mode == "plain" else AttributionFunction(mode=mode, lam=lam or 0.0)
             try:
+                fn = AttributionFunction(mode, lam)
                 scored[key] = _grid_error(
                     artifacts[label],
-                    matrices_for(label, p, fn),
+                    _estimator_matrices(artifacts[label], p, fn, thresholded),
                     profiles[label],
                     fn,
                     truths[label],
@@ -363,8 +371,7 @@ def benchmark_matrix(
     baselines: dict[tuple[int, str], float] = {}
     if baseline_label is not None:
         for p in p_values:
-            base_mode = "plain" if p < 2 else "null_uniform"
-            base_lam = None if p < 2 else 0.0
+            base_mode, base_lam = _expand_modes(["plain" if p < 2 else "null_uniform"], (), p)[0]
             by_level = cell_errors(baseline_label, p, base_mode, base_lam)
             for level in LEVELS:
                 baselines[(p, level)] = by_level[level][1]
@@ -436,7 +443,6 @@ def window_error_curve(
     seed: int,
     include_organic: bool = True,
     profile_per_group: bool = False,
-    horizon: datetime | None = None,
     prepared: Cohort | None = None,
 ) -> list[WindowPoint]:
     """Campaign-level error of attributing revenue accrued per day window.
@@ -449,21 +455,15 @@ def window_error_curve(
     """
     wins = validate_windows(windows)
     if isinstance(g, str):
-        g = AttributionFunction(mode=g)
+        g = AttributionFunction(g)
     if g.mode == "plain" and p >= 2:
         raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
-    artifacts = _simulation(cohort_of(users, prepared), schema, seed, horizon)
-    if g.mode == "plain":
-        matrices = artifacts.matrices
-        fn: AttributionFunction | None = None
-    else:
-        cfg = PrivacyConfig(p)
-        matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
-        fn = g
+    artifacts = _simulation(cohort_of(users, prepared), schema, seed)
+    matrices = _estimator_matrices(artifacts, p, g, {})
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
         truth = truth_by_week(artifacts.postbacks, lo, hi)
-        by_level = _grid_error(artifacts, matrices, profiles, fn, truth, include_organic)
+        by_level = _grid_error(artifacts, matrices, profiles, g, truth, include_organic)
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

@@ -3,9 +3,8 @@
 Money is integer USD cents everywhere. Revenue windows are half-open in
 whole days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
-(Monday start), memoised per date because a cohort spans a few hundred
-dates. Campaign keys, users and events are immutable after construction.
-Each user's purchases are digested on first use into
+(Monday start). Campaign keys, users and events are immutable after
+construction. Each user's purchases are digested on first use into
 ``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
 walks only purchases.
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, time
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InvalidCampaignError, OrganicKeyError
@@ -187,7 +186,6 @@ def cumulative_revenue(user: UserRecord, t: int) -> int:
     return revenue_between(user, 0, t)
 
 
-@lru_cache(maxsize=4096)
 def iso_week(d: date) -> str:
     """ISO year-week key, Monday start, e.g. '2024-W05'."""
     y, w, _ = d.isocalendar()
@@ -207,7 +205,7 @@ class Cohort:
     (``cell_ids``: day ordinal x group count + group index -> cell id;
     ``cell_keys``: cell id -> (group, ISO week)) are filled by
     ``pipeline.simulate_postbacks`` on first use, and ``simulations``
-    ((input schema, seed, horizon) -> ``pipeline.SimArtifacts``) by the
+    ((input schema, seed) -> ``pipeline.SimArtifacts``) by the
     metrics layer, so every schema and call over the cohort shares them.
     """
 

@@ -49,8 +49,7 @@ def resolve_schema(schema: SchemaSpec, cohort: Cohort, seed: int) -> SchemaSpec:
     if schema.kind == "UD" and schema.seed is None:
         schema = replace(schema, seed=hash64(seed, "ud") & 0x7FFFFFFF)
     if schema.needs_boundaries() and schema.bucket_boundaries is None:
-        revenue = cohort.window_revenue(0, schema.horizon_days)
-        schema = fit_buckets(revenue, schema, lambda cents: cents)
+        schema = fit_buckets(cohort.window_revenue(0, schema.horizon_days), schema)
     return schema
 
 

@@ -81,7 +81,7 @@ class CountMatrix:
     ``rows`` has one 64-entry-per-column tuple per conversion value. After
     privacy is applied, suppressed rows are zeroed with their indices listed
     in ``suppressed`` (their cells read as None) and the folded counts live
-    in ``null_row``.
+    in ``null_row``, which is None before.
     """
 
     group: str
@@ -90,7 +90,6 @@ class CountMatrix:
     rows: tuple[tuple[int, ...], ...]
     suppressed: frozenset[int] = frozenset()
     null_row: tuple[int, ...] | None = None
-    privacy_applied: bool = False
 
     def __post_init__(self) -> None:
         rows = self.rows
@@ -100,13 +99,15 @@ class CountMatrix:
             raise ConfigError("row width must match the column count")
         if self.columns and min(map(min, rows)) < 0:
             raise ConfigError("counts must be non-negative")
-        if self.privacy_applied != (self.null_row is not None):
-            raise ConfigError("null row present iff privacy has been applied")
         if self.null_row is not None:
             if len(self.null_row) != len(self.columns):
                 raise ConfigError("null row width must match the column count")
             if self.columns and min(self.null_row) < 0:
                 raise ConfigError("null row counts must be non-negative")
+
+    @property
+    def privacy_applied(self) -> bool:
+        return self.null_row is not None
 
     def cell(self, v: int, j: int) -> int | None:
         """Count at (value, column index); None when the cell is suppressed."""

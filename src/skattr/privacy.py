@@ -55,7 +55,6 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
         rows=tuple(new_rows),
         suppressed=frozenset(suppressed),
         null_row=tuple(null_row),
-        privacy_applied=True,
     )
 
 

@@ -30,10 +30,9 @@ values and fitted bucket boundaries read the cohort's window-revenue memo.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from datetime import timedelta
-from typing import TypeVar
 
 from .errors import ConfigError, DegenerateFitError, LayoutError
 from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
@@ -146,10 +145,6 @@ class SchemaSpec:
         return self.layout.n_v if self.layout is not None else 0
 
     @property
-    def n_spender_buckets(self) -> int:
-        return 2 ** self.n_value_bits - 1
-
-    @property
     def label(self) -> str:
         if self.kind in ("EV", "UD"):
             return self.kind
@@ -206,26 +201,18 @@ def bucket_of(amount: int, boundaries: Sequence[int]) -> int:
     return 1 + bisect_left(boundaries, amount)
 
 
-_Item = TypeVar("_Item")
-
-
-def fit_buckets(
-    users: Iterable[_Item],
-    schema: SchemaSpec,
-    revenue_fn: Callable[[_Item], int],
-) -> SchemaSpec:
+def fit_buckets(revenues: Iterable[int], schema: SchemaSpec) -> SchemaSpec:
     """Fit the V-bit bucket boundaries to the spender revenue distribution.
 
     Boundaries are the k/(2**b - 1) quantiles (k = 1 .. 2**b - 2) of the
-    positive revenues under ``revenue_fn``, so spenders spread uniformly
-    over the 2**b - 1 non-zero buckets and non-spenders map to bucket 0.
-    ``users`` may be any items ``revenue_fn`` maps to cents, such as a
-    cohort's window revenues themselves.
+    positive ``revenues`` (cents, one per user), so spenders spread
+    uniformly over the 2**b - 1 non-zero buckets and non-spenders map to
+    bucket 0.
     """
     b = schema.n_value_bits
     if b < 1:
         raise ConfigError(f"schema {schema.label} has no value bits to fit")
-    spends = sorted(r for u in users if (r := revenue_fn(u)) > 0)
+    spends = sorted(r for r in revenues if r > 0)
     if not spends:
         raise DegenerateFitError("no spenders in population; buckets cannot be fitted")
     m = 2**b - 1

@@ -388,7 +388,7 @@ def fraction_attribute_with_null(
     if fn.mode == "plain":
         return fraction_attribute_plain(matrix, profile)
     n = beta = len(matrix.columns)
-    lam = Fraction(fn.effective_lambda)
+    lam = Fraction(fn.lam)
     null_row = matrix.null_row
     null_sum = sum(null_row)
     if null_sum == 0:

@@ -87,7 +87,6 @@ def instance_pieces(campaigns, users):
         grid[v] = [counts[v][k] for k in campaigns]
     matrix = replace(m, rows=tuple(tuple(r) for r in grid))
     profile = RevenueProfile(
-        window_days=30,
         means={v: Fraction(sums[v], ns[v]) for v in ns},
         totals=dict(ns),
     )

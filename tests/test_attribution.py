@@ -41,9 +41,9 @@ def matrix_from(rows, columns=(A, B, ORG)):
     return replace(m, rows=tuple(tuple(r) for r in grid))
 
 
-def profile(means, totals=None, t=30):
+def profile(means, totals=None):
     fr = {v: Fraction(x) for v, x in means.items()}
-    return RevenueProfile(window_days=t, means=fr, totals=totals or {v: 1 for v in means})
+    return RevenueProfile(means=fr, totals=totals or {v: 1 for v in means})
 
 
 def spender(uid, cents, value=None):
@@ -131,7 +131,7 @@ class TestAttributeWithNull:
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(0, 0, 0, 0), privacy_applied=True)
+                    null_row=(0, 0, 0, 0))
         prof = profile({5: 100}, totals={5: 8})
         out = attribute_with_null(m, prof, AttributionFunction("null_uniform"))
         assert all(out[c] == Fraction(200) for c in cols)
@@ -139,7 +139,7 @@ class TestAttributeWithNull:
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(3, 1, 0, 0), privacy_applied=True)
+                    null_row=(3, 1, 0, 0))
         prof = profile({5: 100}, totals={5: 8})
         out = attribute_with_null(m, prof, AttributionFunction("null_empirical"))
         assert out[cols[0]] == Fraction(600)
@@ -149,14 +149,14 @@ class TestAttributeWithNull:
     def test_empty_null_row_falls_back_to_uniform(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(0, 0, 0, 0), privacy_applied=True)
+                    null_row=(0, 0, 0, 0))
         prof = profile({5: 100}, totals={5: 8})
         out = attribute_with_null(m, prof, AttributionFunction("null_empirical"))
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_missing_totals_for_suppressed_value(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
-        prof = RevenueProfile(window_days=30, means={9: Fraction(100)}, totals={})
+        prof = RevenueProfile(means={9: Fraction(100)}, totals={})
         with pytest.raises(MissingProfileError):
             attribute_with_null(m, prof, AttributionFunction("null_uniform"))
 
@@ -164,11 +164,44 @@ class TestAttributeWithNull:
         with pytest.raises(ConfigError):
             attribute_with_null(matrix_from({}), profile({}), AttributionFunction("null_uniform"))
 
+    def test_rejects_plain(self):
+        m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(2))
+        with pytest.raises(ConfigError):
+            attribute_with_null(m, profile({9: 100}), AttributionFunction("plain"))
+
     def test_lambda_validation(self):
         with pytest.raises(ConfigError):
             AttributionFunction("null_convex", lam=1.5)
         with pytest.raises(ConfigError):
             AttributionFunction("nonsense")
+
+
+class TestAttributionFunction:
+    @pytest.mark.parametrize(
+        "mode, lam, resolved",
+        [
+            ("plain", None, 0.0),
+            ("plain", 0.0, 0.0),
+            ("null_uniform", None, 0.0),
+            ("null_uniform", 0, 0.0),
+            ("null_empirical", None, 1.0),
+            ("null_empirical", 1.0, 1.0),
+            ("null_convex", None, 0.0),
+            ("null_convex", 0.3, 0.3),
+            ("null_convex", 1, 1.0),
+        ],
+    )
+    def test_lambda_resolved_once(self, mode, lam, resolved):
+        fn = AttributionFunction(mode, lam)
+        assert fn.lam == resolved and isinstance(fn.lam, float)
+        assert fn == AttributionFunction(mode, resolved)
+
+    @pytest.mark.parametrize(
+        "mode, lam", [("plain", 0.9), ("null_uniform", 0.5), ("null_empirical", 0.2)]
+    )
+    def test_lambda_contradicting_the_mode_rejected(self, mode, lam):
+        with pytest.raises(ConfigError):
+            AttributionFunction(mode, lam)
 
 
 @st.composite
@@ -202,7 +235,6 @@ def instance_pieces(campaigns, users):
     rows = {v: tuple(counts[v][k] for k in campaigns) for v in counts}
     m = matrix_from(rows, columns=tuple(campaigns))
     prof = RevenueProfile(
-        window_days=30,
         means={v: Fraction(sums[v], ns[v]) for v in ns},
         totals=dict(ns),
     )
@@ -264,7 +296,7 @@ def kernel_case(draw):
     p = draw(st.sampled_from((0, 2, 5)))
     fn = AttributionFunction("null_convex", draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))))
     matrix = matrix_from(rows, columns)
-    return matrix, RevenueProfile(window_days=30, means=means, totals=totals), p, fn
+    return matrix, RevenueProfile(means=means, totals=totals), p, fn
 
 
 def kernel_outcome(kernel, *args):

@@ -10,7 +10,8 @@ from pathlib import Path
 import skattr
 import skattr.cli
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -91,3 +92,40 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
     for argv in stages:
         assert skattr.cli.main(argv) == 0, argv
     assert [name for name in traced_names() if calls[name] == 0] == []
+
+
+class _KernelUses(ast.NodeVisitor):
+    """Each use of an estimator kernel's name, with the function that holds it."""
+
+    KERNELS = ("attribute_plain", "attribute_with_null")
+
+    def __init__(self, module: str) -> None:
+        self.scope = [module]
+        self.uses: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node) -> None:
+        if node.id in self.KERNELS:
+            self.uses.append((node.id, ".".join(self.scope)))
+
+    def visit_Attribute(self, node) -> None:
+        if node.attr in self.KERNELS:
+            self.uses.append((node.attr, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_estimator_kernels_are_used_only_by_attribute_cells():
+    """``metrics.attribute_cells`` is the one dispatch on the estimator."""
+    uses = []
+    for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
+        visitor = _KernelUses(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        uses.extend(visitor.uses)
+    assert sorted(uses) == [
+        ("attribute_plain", "metrics.attribute_cells"),
+        ("attribute_with_null", "metrics.attribute_cells"),
+    ]

@@ -557,6 +557,35 @@ class TestCliErrors:
         assert cut[gone] != full[gone]
 
 
+class TestAttributeLambda:
+    """The attribution file records the lambda its estimator used, and no other."""
+
+    def attribute(self, staged, counts, out, *g_args):
+        return run_cli("attribute", "--counts", staged / counts, "--profile-from",
+                       staged / "data", "--t", 30, *g_args, "--out", out)
+
+    @pytest.mark.parametrize(
+        "g, lam, counts",
+        [("null_uniform", 0.5, "cp.csv"), ("null_empirical", 0.2, "cp.csv"),
+         ("plain", 0.9, "c.csv")],
+    )
+    def test_lambda_the_mode_fixes_otherwise(self, staged, tmp_path, capsys, g, lam, counts):
+        out = tmp_path / "a.csv"
+        assert self.attribute(staged, counts, out, "--g", g, "--lambda", lam) == 1
+        assert f"{g} fixes lambda" in config_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "g, counts, recorded",
+        [("null_empirical", "cp.csv", 1.0), ("plain", "c.csv", 0.0),
+         ("null_convex", "cp.csv", 0.0)],
+    )
+    def test_lambda_recorded_without_the_flag(self, staged, tmp_path, g, counts, recorded):
+        out = tmp_path / "a.csv"
+        assert self.attribute(staged, counts, out, "--g", g) == 0
+        assert load_attribution(out)[1]["lambda"] == recorded
+
+
 class TestMetaColumns:
     """A meta ``columns`` that is not a list of distinct integers >= 0 fails at line 1."""
 

@@ -206,6 +206,14 @@ class TestGridCellError:
         assert "schema=EV, p=0, g=plain, lambda=None" in str(exc)
         assert isinstance(exc.__cause__, UndefinedWeightsError)
 
+    def test_lambda_outside_the_unit_interval_carries_coordinates(self):
+        with pytest.raises(GridCellError) as info:
+            benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=EV")], [10],
+                             ["null_convex"], 30, seed=0, lambda_grid=(0.5, 1.5))
+        exc = info.value
+        assert (exc.schema, exc.p, exc.g, exc.lam) == ("EV", 10, "null_convex", 1.5)
+        assert isinstance(exc.__cause__, ConfigError)
+
     def test_failing_schema_carries_its_label(self):
         # No spenders: PV bucket boundaries cannot be fitted, before any cell.
         with pytest.raises(GridCellError) as info:

@@ -127,13 +127,11 @@ class TestCountMatrixValidation:
             ([(0, 0)] * 63 + [(0,)], {}),
             ([(0, 0, 0)] * 64, {}),
             ([(0, 0)] * 63 + [(2, -1)], {}),
-            ([(0, 0)] * 64, {"privacy_applied": True}),
-            ([(0, 0)] * 64, {"null_row": (0, 0)}),
-            ([(0, 0)] * 64, {"null_row": (0,), "privacy_applied": True}),
-            ([(0, 0)] * 64, {"null_row": (0, -3), "privacy_applied": True}),
+            ([(0, 0)] * 64, {"null_row": (0,)}),
+            ([(0, 0)] * 64, {"null_row": (0, -3)}),
         ],
-        ids=["row-count", "ragged-row", "row-width", "negative", "no-null-row",
-             "null-row-before-privacy", "null-row-width", "negative-null-row"],
+        ids=["row-count", "ragged-row", "row-width", "negative", "null-row-width",
+             "negative-null-row"],
     )
     def test_malformed_matrix_rejected(self, rows, kw):
         with pytest.raises(ConfigError):

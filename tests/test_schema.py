@@ -97,7 +97,7 @@ class TestFitBuckets:
     def test_uniform_split_matches_sort_oracle(self):
         users = [spender(i, (i + 1) * 100) for i in range(7)]  # 1..7 USD
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        fitted = fit_buckets(users, schema, lambda u: cumulative_revenue(u, 7))
+        fitted = fit_buckets([cumulative_revenue(u, 7) for u in users], schema)
         assert list(fitted.bucket_boundaries) == sort_slice_quantiles(
             [100, 200, 300, 400, 500, 600, 700], 7
         )
@@ -108,14 +108,14 @@ class TestFitBuckets:
     def test_identical_amounts_degenerate(self):
         users = [spender(i, 500) for i in range(5)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
-        fitted = fit_buckets(users, schema, lambda u: cumulative_revenue(u, 30))
+        fitted = fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
         assert set(fitted.bucket_boundaries) == {500}
         assert bucket_of(500, fitted.bucket_boundaries) == 1  # ties take the lowest
 
     def test_single_spender(self):
         users = [spender(0, 999)] + [spender(i, 0) for i in range(1, 4)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
-        fitted = fit_buckets(users, schema, lambda u: cumulative_revenue(u, 30))
+        fitted = fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
         assert bucket_of(999, fitted.bucket_boundaries) == 1
         assert bucket_of(0, fitted.bucket_boundaries) == 0
 
@@ -123,7 +123,7 @@ class TestFitBuckets:
         users = [spender(i, 0) for i in range(3)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
         with pytest.raises(DegenerateFitError):
-            fit_buckets(users, schema, lambda u: cumulative_revenue(u, 30))
+            fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
 
     def test_boundary_tie_rule(self):
         # strictly greater than boundary k lands in bucket k+1
@@ -174,7 +174,7 @@ class TestCandidateValue:
                      "kind=PV;layout=VVVVVV;horizon=30"):
             schema = schema_from_text(text)
             if schema.needs_boundaries():
-                schema = fit_buckets([spender(99, 100)], schema, lambda u: cumulative_revenue(u, 30))
+                schema = fit_buckets([cumulative_revenue(spender(99, 100), 30)], schema)
             assert candidate_value(user, schema, START) == 0
 
     def test_ud_reproducible_and_in_range(self):
@@ -210,7 +210,7 @@ class TestSimulateUpdates:
 
     def test_d7_rr_daily_sessions_advance_t_bits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([spender(99, 100)], schema, lambda u: cumulative_revenue(u, 7))
+        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
         events = [Event(START + timedelta(days=d), "session") for d in range(9)]
         trace = simulate_updates(user_from_events(events), schema)
         assert [v for _, v in trace.committed] == [0, 8, 16, 24, 32, 40, 48, 56]
@@ -221,7 +221,7 @@ class TestSimulateUpdates:
 
     def test_timer_expiry_freezes_trace(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([spender(99, 100)], schema, lambda u: cumulative_revenue(u, 7))
+        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
         events = [
             Event(START, "session"),
             Event(START + timedelta(days=2), "session"),
@@ -232,7 +232,7 @@ class TestSimulateUpdates:
 
     def test_exact_24h_gap_still_commits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([spender(99, 100)], schema, lambda u: cumulative_revenue(u, 7))
+        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
         events = [Event(START, "session"), Event(START + timedelta(hours=24), "session")]
         trace = simulate_updates(user_from_events(events), schema)
         assert [v for _, v in trace.committed] == [0, 8]
@@ -255,8 +255,8 @@ class TestSimulateUpdates:
     def test_pv_single_commit_at_first_open(self):
         users = [spender(i, 100 * (i + 1)) for i in range(7)]
         schema = fit_buckets(
-            users, schema_from_text("kind=PV;layout=VVVVVV;horizon=30"),
-            lambda u: cumulative_revenue(u, 30),
+            [cumulative_revenue(u, 30) for u in users],
+            schema_from_text("kind=PV;layout=VVVVVV;horizon=30"),
         )
         trace = simulate_updates(users[3], schema)
         assert len(trace.committed) == 1
@@ -290,8 +290,9 @@ def random_user(draw):
 def test_trace_invariants(text, user):
     schema = schema_from_text(text)
     if schema.needs_boundaries():
-        schema = fit_buckets([spender(99, 100), spender(98, 900)], schema,
-                             lambda u: cumulative_revenue(u, 7))
+        schema = fit_buckets(
+            [cumulative_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]], schema
+        )
     trace = simulate_updates(user, schema)
     values = [v for _, v in trace.committed]
     times = [ts for ts, _ in trace.committed]
@@ -308,9 +309,8 @@ def test_trace_invariants(text, user):
 @settings(max_examples=60, deadline=None)
 def test_rolling_candidates_non_decreasing(user, hours):
     schema = fit_buckets(
-        [spender(99, 100), spender(98, 900)],
+        [cumulative_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]],
         schema_from_text("kind=RR;layout=TTTVVV;horizon=7"),
-        lambda u: cumulative_revenue(u, 7),
     )
     instants = sorted(START + timedelta(hours=h) for h in hours)
     vals = [candidate_value(user, schema, at) for at in instants]
@@ -323,8 +323,8 @@ def test_pv_buckets_respect_quantile_ranges():
 
     rng = random.Random(0)
     users = [spender(i, rng.randrange(0, 5000)) for i in range(300)]
-    schema = fit_buckets(users, schema_from_text("kind=PV;layout=VVVVVV;horizon=30"),
-                         lambda u: cumulative_revenue(u, 30))
+    schema = fit_buckets([cumulative_revenue(u, 30) for u in users],
+                         schema_from_text("kind=PV;layout=VVVVVV;horizon=30"))
     b = schema.bucket_boundaries
     for u in users:
         r = cumulative_revenue(u, 30)
