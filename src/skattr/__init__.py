@@ -7,7 +7,6 @@ schemas -> postback simulation -> privacy thresholding -> revenue attribution
 
 from .attribution import (
     AttributionFunction,
-    RevenueProfile,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means,
@@ -62,7 +61,6 @@ __all__ = [
     "GenConfig",
     "PostbackTable",
     "PrivacyConfig",
-    "RevenueProfile",
     "SchemaSpec",
     "SkattrError",
     "UserRecord",

@@ -9,6 +9,13 @@ columns, organic included) with the empirical distribution of the null row;
 the mixing weight lambda spans the uniform (0) and null-based (1) endpoints,
 and the optimal redistribution always lies on that segment.
 
+The estimators read two developer-side inputs with different scopes. The
+bucket means, ``{value: Fraction}`` from ``estimate_bucket_means``, are
+fitted once over a whole window (pooled or per group) and shared by every
+cell. The totals, the number of users with each value, belong to one
+(group, week) cell and are an explicit argument of ``attribute_with_null``:
+a suppressed row redistributes exactly the users that cell contains.
+
 An ``AttributionFunction`` names one estimator, ``plain`` included, and
 holds the lambda it uses; ``metrics.attribute_cells`` is the one place that
 dispatches on it to ``attribute_plain`` or ``attribute_with_null``.
@@ -19,15 +26,15 @@ campaign column accumulates one integer numerator, the null weights are
 integer numerators over one shared denominator, and one Fraction is built
 per column at the end; rounding happens only when reports are emitted. The
 conservation identity sum_over_campaigns(attributed) ==
-sum_over_values(mean * total) holds exactly for any lambda and any
-threshold.
+sum_over_values(mean * total) holds exactly, over the cell's totals, for
+any lambda and any threshold.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, MissingProfileError
@@ -40,35 +47,13 @@ from .schema import VALUE_RANGE
 ATTRIBUTION_MODES = ("plain", "null_uniform", "null_empirical", "null_convex")
 
 
-@dataclass(frozen=True)
-class RevenueProfile:
-    """Developer-side revenue summary per conversion value.
-
-    ``means`` holds the exact average window revenue (cents) of users with
-    each final value; ``totals`` the user counts behind those averages.
-    Means are fitted globally; per-cell attribution swaps in that cell's
-    totals via ``with_totals`` so suppressed rows redistribute exactly the
-    users the cell contains.
-    """
-
-    means: Mapping[int, Fraction]
-    totals: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        for v, n in self.totals.items():
-            if n < 0:
-                raise ConfigError(f"negative total for value {v}")
-
-    def with_totals(self, totals: Mapping[int, int]) -> RevenueProfile:
-        return replace(self, totals=totals)
-
-
 def estimate_bucket_means_window(
     postbacks: PostbackTable, lo_day: int, hi_day: int, group: str | None = None
-) -> RevenueProfile:
-    """Group delivered postbacks by final value; exact means of window revenue.
+) -> dict[int, Fraction]:
+    """Exact mean window revenue (cents) per final value of delivered postbacks.
 
-    ``group`` restricts the profile to users of that group label.
+    Every value with a delivered postback has an entry. ``group`` restricts
+    the means to users of that group label.
     """
     cohort = postbacks.cohort
     labels = cohort.group_labels
@@ -81,13 +66,11 @@ def estimate_bucket_means_window(
         if cell >= 0 and (group is None or g == want):
             sums[value] += cents
             counts[value] += 1
-    used = [v for v in range(VALUE_RANGE) if counts[v]]
-    means = {v: Fraction(sums[v], counts[v]) for v in used}
-    return RevenueProfile(means=means, totals={v: counts[v] for v in used})
+    return {v: Fraction(sums[v], counts[v]) for v in range(VALUE_RANGE) if counts[v]}
 
 
-def estimate_bucket_means(postbacks: PostbackTable, t: int) -> RevenueProfile:
-    """Revenue profile over the first ``t`` days (the developer-side table)."""
+def estimate_bucket_means(postbacks: PostbackTable, t: int) -> dict[int, Fraction]:
+    """Bucket means over the first ``t`` days (the developer-side table)."""
     return estimate_bucket_means_window(postbacks, 0, t)
 
 
@@ -125,17 +108,17 @@ class AttributionFunction:
 
 
 def _scaled_means(
-    profile: RevenueProfile, values: Iterable[int], context: str
+    means: Mapping[int, Fraction], values: Iterable[int], context: str
 ) -> tuple[dict[int, int], int]:
     """The means of ``values`` as integer numerators over their common denominator."""
-    means: dict[int, Fraction] = {}
+    used: dict[int, Fraction] = {}
     for v in values:
-        mean = profile.means.get(v)
+        mean = means.get(v)
         if mean is None:
             raise MissingProfileError(f"no revenue profile for value {v} ({context})")
-        means[v] = mean
-    den = math.lcm(*(m.denominator for m in means.values()))
-    return {v: m.numerator * (den // m.denominator) for v, m in means.items()}, den
+        used[v] = mean
+    den = math.lcm(*(m.denominator for m in used.values()))
+    return {v: m.numerator * (den // m.denominator) for v, m in used.items()}, den
 
 
 def _visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[int]:
@@ -150,7 +133,9 @@ def _visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[
     return acc
 
 
-def attribute_plain(matrix: CountMatrix, profile: RevenueProfile) -> dict[CampaignKey, Fraction]:
+def attribute_plain(
+    matrix: CountMatrix, means: Mapping[int, Fraction]
+) -> dict[CampaignKey, Fraction]:
     """Optimal attribution without suppression: count times bucket mean.
 
     Accepts a privatized matrix only when its null row carries no users
@@ -163,14 +148,15 @@ def attribute_plain(matrix: CountMatrix, profile: RevenueProfile) -> dict[Campai
     visible = [
         v for v in range(VALUE_RANGE) if v not in matrix.suppressed and any(matrix.rows[v])
     ]
-    scaled, den = _scaled_means(profile, visible, f"{matrix.group}, {matrix.week}")
+    scaled, den = _scaled_means(means, visible, f"{matrix.group}, {matrix.week}")
     acc = _visible_numerators(matrix, scaled)
     return {k: Fraction(a, den) for k, a in zip(matrix.columns, acc)}
 
 
 def attribute_with_null(
     matrix: CountMatrix,
-    profile: RevenueProfile,
+    means: Mapping[int, Fraction],
+    totals: Mapping[int, int],
     fn: AttributionFunction,
 ) -> dict[CampaignKey, Fraction]:
     """Null-aware attribution over a privatized matrix, for any mode but ``plain``.
@@ -179,9 +165,10 @@ def attribute_with_null(
     contributes mean * weight_j * total users with that value, where the
     per-column weight is (1 - lambda)/beta + lambda * null_j / sum(null).
     An empty null row falls back to the uniform weight regardless of lambda.
-    ``profile.totals`` are the developer-side counts for this matrix's
-    scope; a value absent from the map has no users, and the map must cover
-    at least the mass the null row proves was folded.
+    ``totals`` are the developer's per-value user counts of this matrix's
+    (group, week) cell, not the counts behind ``means``; a value absent
+    from the map has no users, and the map must cover at least the mass the
+    null row proves was folded.
     """
     if fn.mode == "plain":
         raise ConfigError("plain attribution redistributes nothing; use attribute_plain")
@@ -200,7 +187,9 @@ def attribute_with_null(
         weight_num = [uniform + lam_num * beta * c for c in null_row]
         weight_den = lam_den * beta * null_sum
 
-    totals = profile.totals
+    for v in matrix.suppressed:
+        if totals.get(v, 0) < 0:
+            raise ConfigError(f"negative total for value {v}")
     covered = sum(totals.get(v, 0) for v in matrix.suppressed)
     if covered < null_sum:
         raise MissingProfileError(
@@ -213,7 +202,7 @@ def attribute_with_null(
         for v in range(VALUE_RANGE)
         if (totals.get(v, 0) if v in matrix.suppressed else any(matrix.rows[v]))
     ]
-    scaled, den = _scaled_means(profile, used, f"{matrix.group}, {matrix.week}")
+    scaled, den = _scaled_means(means, used, f"{matrix.group}, {matrix.week}")
     acc = _visible_numerators(matrix, scaled)
     folded = sum(scaled[v] * totals[v] for v in used if v in matrix.suppressed)
     return {

@@ -7,7 +7,10 @@ from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
+from .attribution import AttributionFunction
 from .errors import ConfigError
+from .metrics import validate_windows, window_estimator
+from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
 
@@ -37,7 +40,9 @@ class RunConfig:
 
     The dataset comes either from a generator config (``gen``) or from
     ``users_csv``/``events_csv`` paths. Weeks start Monday; that is the only
-    supported origin and kept explicit so files record it.
+    supported origin and kept explicit so files record it. Every estimator,
+    threshold and window is checked here, so a bad one fails before any
+    dataset is generated or read.
     """
 
     gen: GenConfig | None = None
@@ -77,6 +82,15 @@ class RunConfig:
             schema_from_text(text)  # raises on bad grammar
         if self.window_schema is not None:
             schema_from_text(self.window_schema)
+        for mode in (*self.g_modes, self.window_g):
+            AttributionFunction(mode)
+        for lam in self.lambda_grid:
+            AttributionFunction("null_convex", lam)
+        for p in (*self.p_values, self.window_p):
+            PrivacyConfig(p)
+        if self.windows:
+            validate_windows(self.windows)
+            window_estimator(self.window_g, self.window_p)
 
     def parsed_schemas(self) -> list[SchemaSpec]:
         return [schema_from_text(s) for s in self.schemas]

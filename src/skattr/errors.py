@@ -32,7 +32,7 @@ class InconsistentTotalsError(SkattrError):
 
 
 class MissingProfileError(SkattrError):
-    """A conversion value in a count matrix has no revenue-profile entry."""
+    """A conversion value in a count matrix has no bucket mean."""
 
 
 class AlignmentError(SkattrError):

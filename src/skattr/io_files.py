@@ -315,7 +315,11 @@ def save_counts(
 
 
 def _check_columns(path: Path, meta: Mapping) -> None:
-    """Reject a meta ``columns`` entry that is not a list of distinct alphas (integers >= 0)."""
+    """Check the meta line's ``columns`` and ``organic_alpha``.
+
+    ``columns`` must be a list of distinct alphas (integers >= 0) and
+    ``organic_alpha``, when present, an integer.
+    """
     columns = meta["columns"]
     if (
         not isinstance(columns, list)
@@ -324,6 +328,10 @@ def _check_columns(path: Path, meta: Mapping) -> None:
     ):
         raise CsvFormatError(
             f"{path}:1: meta columns must be a list of distinct integers >= 0, got {columns!r}"
+        )
+    if "organic_alpha" in meta and type(meta["organic_alpha"]) is not int:
+        raise CsvFormatError(
+            f"{path}:1: meta organic_alpha must be an integer, got {meta['organic_alpha']!r}"
         )
 
 
@@ -346,7 +354,11 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
         _check_columns(cpath, meta)
         columns = column_keys(meta)
         col_index = {k.alpha: j for j, k in enumerate(columns)}
-        privacy_applied = bool(meta.get("privacy_applied", False))
+        privacy_applied = meta.get("privacy_applied", False)
+        if type(privacy_applied) is not bool:
+            raise CsvFormatError(
+                f"{cpath}:1: meta privacy_applied must be true or false, got {privacy_applied!r}"
+            )
         seen: dict[tuple[str, str, int, int], int] = {}  # (cell, value, alpha) -> line
         for line, row in rows:
             if len(row) != len(COUNT_FIELDS):
@@ -377,6 +389,8 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             if v < 0:
                 nulls[cell][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
             elif count_text == "":
+                if not privacy_applied:
+                    raise CsvFormatError(f"{cpath}:{line}: suppressed count in a pre-privacy file")
                 suppressed[cell].add(v)
             else:
                 grids[cell][v][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")

@@ -11,10 +11,13 @@ the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
 ``attribute_cells`` (estimator output in cents per cell and campaign, and
 the one place that dispatches on the ``AttributionFunction``),
 ``truth_by_week`` (actual window revenue per postback week and origin) and
-``score_level`` (weekly and aggregate error at one level). Revenue profiles
-and truth aggregate a schema's ``PostbackTable`` by cell id and origin
-column over the cohort's window-revenue memo, so each user's revenue in a
-window is computed once however many schemas and estimators use it.
+``score_level`` (weekly and aggregate error at one level). Bucket means
+(``{value: Fraction}``, fitted per window and shared by every cell) and
+truth aggregate a schema's ``PostbackTable`` by cell id and origin column
+over the cohort's window-revenue memo, so each user's revenue in a window
+is computed once however many schemas and estimators use it; each cell's
+developer totals come from ``SimArtifacts.cell_totals`` and reach the
+null-aware estimator as their own argument.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .attribution import (
     AttributionFunction,
-    RevenueProfile,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means_window,
@@ -179,7 +182,7 @@ def score_level(
 
 def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
-    profiles: Mapping[str | None, RevenueProfile],
+    profiles: Mapping[str | None, Mapping[int, Fraction]],
     totals: Mapping[CellKey, Mapping[int, int]],
     fn: AttributionFunction,
 ) -> dict[CellKey, dict[CampaignKey, int]]:
@@ -187,22 +190,22 @@ def attribute_cells(
 
     This is the one dispatch on the estimator: ``plain`` goes to
     ``attribute_plain``, every other mode to ``attribute_with_null``.
-    ``profiles`` maps a group label to its revenue profile, with None as the
-    pooled fallback; ``totals`` are the developer's per-value counts of each
-    cell, which the null-aware modes need. Cents are the grain the
-    attribution files hold, so a grid cell scores exactly what a stage-wise
-    run writes.
+    ``profiles`` maps a group label to its bucket means, with None as the
+    pooled fallback; ``totals`` maps each cell to the developer's per-value
+    user counts in it, which the null-aware modes pass through as that
+    cell's totals. Cents are the grain the attribution files hold, so a
+    grid cell scores exactly what a stage-wise run writes.
     """
     out: dict[CellKey, dict[CampaignKey, int]] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
-        profile = profiles.get(cell[0], profiles.get(None))
+        means = profiles.get(cell[0], profiles.get(None))
         if fn.mode == "plain":
-            res = attribute_plain(matrix, profile)
+            res = attribute_plain(matrix, means)
         else:
             if cell not in totals:
                 raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
-            res = attribute_with_null(matrix, profile.with_totals(totals[cell]), fn)
+            res = attribute_with_null(matrix, means, totals[cell], fn)
         out[cell] = {k: round(val) for k, val in res.items()}
     return out
 
@@ -253,9 +256,9 @@ def _estimator_matrices(
 
 def _group_profiles(
     postbacks: PostbackTable, lo_day: int, hi_day: int, per_group: bool
-) -> dict[str | None, RevenueProfile]:
-    """Pooled revenue profile, optionally split per group label."""
-    profiles: dict[str | None, RevenueProfile] = {
+) -> dict[str | None, dict[int, Fraction]]:
+    """Pooled bucket means, optionally split per group label."""
+    profiles: dict[str | None, dict[int, Fraction]] = {
         None: estimate_bucket_means_window(postbacks, lo_day, hi_day)
     }
     if per_group:
@@ -267,7 +270,7 @@ def _group_profiles(
 def _grid_error(
     artifacts: SimArtifacts,
     matrices: Mapping[CellKey, CountMatrix],
-    profiles: Mapping[str | None, RevenueProfile],
+    profiles: Mapping[str | None, Mapping[int, Fraction]],
     fn: AttributionFunction,
     truth: Mapping[str, Mapping[CampaignKey, int]],
     include_organic: bool,
@@ -319,10 +322,12 @@ def benchmark_matrix(
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
     if t < 1:
         raise ConfigError("revenue window t must be at least one day")
+    for p in p_values:
+        PrivacyConfig(p)  # a negative threshold fails before anything is simulated
 
     cohort = cohort_of(users, prepared)
     artifacts: dict[str, SimArtifacts] = {}
-    profiles: dict[str, dict[str | None, RevenueProfile]] = {}
+    profiles: dict[str, dict[str | None, dict[int, Fraction]]] = {}
     truths: dict[str, dict[str, dict[CampaignKey, int]]] = {}
     for schema in schemas:
         label = schema.label
@@ -433,6 +438,15 @@ def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]
     return out
 
 
+def window_estimator(g: AttributionFunction | str, p: int) -> AttributionFunction:
+    """The window curve's estimator at threshold ``p``; ``plain`` needs p < 2."""
+    PrivacyConfig(p)
+    fn = g if isinstance(g, AttributionFunction) else AttributionFunction(g)
+    if fn.mode == "plain" and p >= 2:
+        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
+    return fn
+
+
 def window_error_curve(
     users: Sequence[UserRecord],
     schema: SchemaSpec,
@@ -454,10 +468,7 @@ def window_error_curve(
     is reused; otherwise the schema is simulated here.
     """
     wins = validate_windows(windows)
-    if isinstance(g, str):
-        g = AttributionFunction(g)
-    if g.mode == "plain" and p >= 2:
-        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
+    g = window_estimator(g, p)
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)
     matrices = _estimator_matrices(artifacts, p, g, {})
     points: list[WindowPoint] = []

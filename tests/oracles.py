@@ -18,7 +18,7 @@ from datetime import date, datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
 
-from skattr.attribution import AttributionFunction, RevenueProfile
+from skattr.attribution import AttributionFunction
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
 from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
 from skattr.model import (
@@ -350,15 +350,15 @@ def enumeration_expected_sq_error(
     return total / n
 
 
-def _fraction_row_mean(profile: RevenueProfile, v: int, context: str) -> Fraction:
-    mean = profile.means.get(v)
+def _fraction_row_mean(means: dict[int, Fraction], v: int, context: str) -> Fraction:
+    mean = means.get(v)
     if mean is None:
         raise MissingProfileError(f"no revenue profile for value {v} ({context})")
     return mean
 
 
 def fraction_attribute_plain(
-    matrix: CountMatrix, profile: RevenueProfile
+    matrix: CountMatrix, means: dict[int, Fraction]
 ) -> dict[CampaignKey, Fraction]:
     """Plain attribution as a Fraction loop over every (value, column) cell."""
     if matrix.privacy_applied and sum(matrix.null_row) > 0:
@@ -370,7 +370,7 @@ def fraction_attribute_plain(
         row = matrix.rows[v]
         if not any(row):
             continue
-        mean = _fraction_row_mean(profile, v, f"{matrix.group}, {matrix.week}")
+        mean = _fraction_row_mean(means, v, f"{matrix.group}, {matrix.week}")
         for j, count in enumerate(row):
             if count:
                 out[matrix.columns[j]] += count * mean
@@ -379,14 +379,18 @@ def fraction_attribute_plain(
 
 def fraction_attribute_with_null(
     matrix: CountMatrix,
-    profile: RevenueProfile,
+    means: dict[int, Fraction],
+    totals: dict[int, int],
     fn: AttributionFunction,
 ) -> dict[CampaignKey, Fraction]:
-    """Null-aware attribution with one Fraction weight per column, summed cell by cell."""
+    """Null-aware attribution with one Fraction weight per column, summed cell by cell.
+
+    ``totals`` are the cell's developer-side user counts per value.
+    """
     if not matrix.privacy_applied:
         raise ConfigError("matrix is not privatized; use attribute_plain")
     if fn.mode == "plain":
-        return fraction_attribute_plain(matrix, profile)
+        return fraction_attribute_plain(matrix, means)
     n = beta = len(matrix.columns)
     lam = Fraction(fn.lam)
     null_row = matrix.null_row
@@ -397,7 +401,10 @@ def fraction_attribute_with_null(
         uniform = (1 - lam) / beta
         weights = [uniform + lam * Fraction(null_row[j], null_sum) for j in range(n)]
 
-    covered = sum(profile.totals.get(v, 0) for v in matrix.suppressed)
+    for v in matrix.suppressed:
+        if totals.get(v, 0) < 0:
+            raise ConfigError(f"negative total for value {v}")
+    covered = sum(totals.get(v, 0) for v in matrix.suppressed)
     if covered < null_sum:
         raise MissingProfileError(
             f"developer totals cover {covered} suppressed users but the null row "
@@ -408,17 +415,17 @@ def fraction_attribute_with_null(
     context = f"{matrix.group}, {matrix.week}"
     for v in range(VALUE_RANGE):
         if v in matrix.suppressed:
-            total = profile.totals.get(v, 0)
+            total = totals.get(v, 0)
             if total == 0:
                 continue
-            mean = _fraction_row_mean(profile, v, context)
+            mean = _fraction_row_mean(means, v, context)
             for j in range(n):
                 out[matrix.columns[j]] += mean * weights[j] * total
         else:
             row = matrix.rows[v]
             if not any(row):
                 continue
-            mean = _fraction_row_mean(profile, v, context)
+            mean = _fraction_row_mean(means, v, context)
             for j, count in enumerate(row):
                 if count:
                     out[matrix.columns[j]] += count * mean

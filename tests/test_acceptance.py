@@ -70,8 +70,6 @@ def random_instance(rng: random.Random):
 
 
 def instance_pieces(campaigns, users):
-    from skattr.attribution import RevenueProfile
-
     counts: dict[int, dict] = {}
     sums: dict[int, int] = {}
     ns: dict[int, int] = {}
@@ -86,11 +84,8 @@ def instance_pieces(campaigns, users):
     for v in counts:
         grid[v] = [counts[v][k] for k in campaigns]
     matrix = replace(m, rows=tuple(tuple(r) for r in grid))
-    profile = RevenueProfile(
-        means={v: Fraction(sums[v], ns[v]) for v in ns},
-        totals=dict(ns),
-    )
-    return matrix, profile, truth, counts
+    means = {v: Fraction(sums[v], ns[v]) for v in ns}
+    return matrix, means, ns, truth, counts
 
 
 def test_c1_enumeration_oracle_optimality():
@@ -99,8 +94,8 @@ def test_c1_enumeration_oracle_optimality():
         start = time.monotonic()
         for _ in range(100):
             campaigns, users = random_instance(rng)
-            matrix, profile, _, counts = instance_pieces(campaigns, users)
-            attributed = attribute_plain(matrix, profile)
+            matrix, means, _, _, counts = instance_pieces(campaigns, users)
+            attributed = attribute_plain(matrix, means)
 
             buckets: dict[int, list[int]] = {}
             for key, v, r in users:
@@ -116,8 +111,8 @@ def test_c1_enumeration_oracle_optimality():
                 for sign in (1, -1):
                     perturbed = {
                         k: sum(
-                            matrix.rows[v][col[k]] * (profile.means[v] + sign * eps)
-                            for v in profile.means
+                            matrix.rows[v][col[k]] * (means[v] + sign * eps)
+                            for v in means
                         )
                         for k in campaigns
                     }
@@ -137,7 +132,7 @@ def test_c2_conservation_full_grid():
         start = time.monotonic()
         for text in CONSERVATION_SCHEMAS:
             artifacts = run_schema(prepared, schema_from_text(text), 77)
-            profile = estimate_bucket_means(artifacts.postbacks, 30)
+            means = estimate_bucket_means(artifacts.postbacks, 30)
             for p in (0, 2, 10, 100):
                 privatized = {
                     cell: apply_threshold(m, PrivacyConfig(p))
@@ -147,8 +142,8 @@ def test_c2_conservation_full_grid():
                     fn = AttributionFunction("null_convex", lam)
                     attributed = Fraction(0)
                     for cell, matrix in privatized.items():
-                        cell_profile = profile.with_totals(artifacts.cell_totals[cell])
-                        attributed += sum(attribute_with_null(matrix, cell_profile, fn).values())
+                        totals = artifacts.cell_totals[cell]
+                        attributed += sum(attribute_with_null(matrix, means, totals, fn).values())
                     assert abs(attributed - total) <= 1, (
                         f"{text} p={p} lambda={lam}: {float(attributed - total)} cents off"
                     )
@@ -241,14 +236,14 @@ def test_c7_convex_lambda_bracket():
         checked = 0
         for _ in range(200):
             campaigns, users = random_instance(rng)
-            matrix, profile, truth, _ = instance_pieces(campaigns, users)
+            matrix, means, totals, truth, _ = instance_pieces(campaigns, users)
             privatized = apply_threshold(matrix, PrivacyConfig(2))
             if sum(privatized.null_row) == 0:
                 continue
             checked += 1
             errs = {}
             for lam in [i / 10 for i in range(11)]:
-                out = attribute_with_null(privatized, profile,
+                out = attribute_with_null(privatized, means, totals,
                                           AttributionFunction("null_convex", lam))
                 errs[lam] = weekly_error(out, truth)
             assert min(errs.values()) <= min(errs[0.0], errs[1.0]) + 1e-9

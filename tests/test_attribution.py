@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from skattr.attribution import (
     AttributionFunction,
-    RevenueProfile,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means,
 )
 from skattr.errors import ConfigError, MissingProfileError
+from skattr.metrics import attribute_cells
 from skattr.model import Event, UserRecord, encode_alpha, organic_key
+from skattr.pipeline import run_schema
 from skattr.postback import empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
-from skattr.schema import VALUE_RANGE
+from skattr.schema import VALUE_RANGE, prepare_users, schema_from_text
+from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import (
     Postback,
@@ -41,9 +43,8 @@ def matrix_from(rows, columns=(A, B, ORG)):
     return replace(m, rows=tuple(tuple(r) for r in grid))
 
 
-def profile(means, totals=None):
-    fr = {v: Fraction(x) for v, x in means.items()}
-    return RevenueProfile(means=fr, totals=totals or {v: 1 for v in means})
+def means_of(means):
+    return {v: Fraction(x) for v, x in means.items()}
 
 
 def spender(uid, cents, value=None):
@@ -57,47 +58,39 @@ class TestEstimateBucketMeans:
     def test_arithmetic_mean(self):
         users = [spender(0, 0), spender(1, 0), spender(2, 600)]
         pbs = [Postback(i, 4, T0 + timedelta(days=2), "G") for i in range(3)]
-        prof = estimate_bucket_means(table_of(users, pbs), 30)
-        assert prof.means[4] == Fraction(200)
-        assert prof.totals[4] == 3
+        assert estimate_bucket_means(table_of(users, pbs), 30) == {4: Fraction(200)}
 
     def test_all_zero_revenue(self):
         users = [spender(i, 0) for i in range(4)]
         pbs = [Postback(i, 0, T0 + timedelta(days=2), "G") for i in range(4)]
-        prof = estimate_bucket_means(table_of(users, pbs), 30)
-        assert prof.means == {0: Fraction(0)}
+        assert estimate_bucket_means(table_of(users, pbs), 30) == {0: Fraction(0)}
 
     def test_single_user_value_63(self):
         users = [spender(0, 499)]
         pbs = [Postback(0, 63, T0 + timedelta(days=2), "G")]
-        prof = estimate_bucket_means(table_of(users, pbs), 30)
-        assert prof.means[63] == Fraction(499)
-        assert prof.totals[63] == 1
+        assert estimate_bucket_means(table_of(users, pbs), 30) == {63: Fraction(499)}
 
     def test_users_without_postback_excluded(self):
         users = [spender(0, 100), spender(1, 900)]
         pbs = [Postback(0, 2, T0 + timedelta(days=2), "G")]
-        prof = estimate_bucket_means(table_of(users, pbs), 30)
-        assert prof.totals == {2: 1}
-        assert prof.means[2] == Fraction(100)
+        assert estimate_bucket_means(table_of(users, pbs), 30) == {2: Fraction(100)}
 
 
 class TestAttributePlain:
     def test_single_cell_product(self):
         m = matrix_from({4: (3, 0, 0)})
-        out = attribute_plain(m, profile({4: 200}))
+        out = attribute_plain(m, means_of({4: 200}))
         assert out[A] == Fraction(600)
         assert out[B] == 0
 
     def test_all_zero_matrix(self):
-        out = attribute_plain(matrix_from({}), profile({}))
+        out = attribute_plain(matrix_from({}), {})
         assert all(v == 0 for v in out.values())
 
     def test_matches_enumeration_mean(self):
         # bucket with revenues {100, 300} split one per campaign
         m = matrix_from({7: (1, 1, 0)})
-        prof = profile({7: 200}, totals={7: 2})
-        out = attribute_plain(m, prof)
+        out = attribute_plain(m, means_of({7: 200}))
         oracle = enumeration_mean({7: [100, 300]}, {7: {A: 1, B: 1}}, [A, B])
         assert out[A] == oracle[A] == Fraction(200)
         assert out[B] == oracle[B] == Fraction(200)
@@ -105,43 +98,47 @@ class TestAttributePlain:
     def test_missing_profile(self):
         m = matrix_from({9: (1, 0, 0)})
         with pytest.raises(MissingProfileError):
-            attribute_plain(m, profile({4: 100}))
+            attribute_plain(m, means_of({4: 100}))
 
     def test_rejects_loaded_null_row(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
         assert sum(m.null_row) == 1
         with pytest.raises(ConfigError):
-            attribute_plain(m, profile({9: 100}))
+            attribute_plain(m, means_of({9: 100}))
 
     def test_accepts_privatized_with_empty_null(self):
         m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(2))
-        out = attribute_plain(m, profile({9: 100}))
+        out = attribute_plain(m, means_of({9: 100}))
         assert out[A] == Fraction(500)
 
 
 class TestAttributeWithNull:
     def test_p0_reduces_to_plain(self):
         raw = matrix_from({4: (3, 1, 2), 9: (1, 0, 1)})
-        prof = profile({4: 200, 9: 50}, totals={4: 6, 9: 2})
+        means = means_of({4: 200, 9: 50})
         privatized = apply_threshold(raw, PrivacyConfig(0))
         for mode, lam in (("null_uniform", 0.0), ("null_empirical", 1.0), ("null_convex", 0.5)):
-            out = attribute_with_null(privatized, prof, AttributionFunction(mode, lam))
-            assert out == attribute_plain(raw, prof)
+            out = attribute_with_null(
+                privatized, means, {4: 6, 9: 2}, AttributionFunction(mode, lam)
+            )
+            assert out == attribute_plain(raw, means)
 
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(0, 0, 0, 0))
-        prof = profile({5: 100}, totals={5: 8})
-        out = attribute_with_null(m, prof, AttributionFunction("null_uniform"))
+        out = attribute_with_null(
+            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_uniform")
+        )
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(3, 1, 0, 0))
-        prof = profile({5: 100}, totals={5: 8})
-        out = attribute_with_null(m, prof, AttributionFunction("null_empirical"))
+        out = attribute_with_null(
+            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_empirical")
+        )
         assert out[cols[0]] == Fraction(600)
         assert out[cols[1]] == Fraction(200)
         assert out[cols[2]] == out[cols[3]] == 0
@@ -150,24 +147,38 @@ class TestAttributeWithNull:
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(0, 0, 0, 0))
-        prof = profile({5: 100}, totals={5: 8})
-        out = attribute_with_null(m, prof, AttributionFunction("null_empirical"))
+        out = attribute_with_null(
+            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_empirical")
+        )
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_missing_totals_for_suppressed_value(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
-        prof = RevenueProfile(means={9: Fraction(100)}, totals={})
         with pytest.raises(MissingProfileError):
-            attribute_with_null(m, prof, AttributionFunction("null_uniform"))
+            attribute_with_null(m, means_of({9: 100}), {}, AttributionFunction("null_uniform"))
+
+    def test_negative_total_for_suppressed_value(self):
+        m = apply_threshold(matrix_from({9: (1, 0, 0), 4: (3, 0, 0)}), PrivacyConfig(2))
+        means = means_of({4: 100, 9: 100})
+        fn = AttributionFunction("null_uniform")
+        with pytest.raises(ConfigError, match="negative total for value 9"):
+            attribute_with_null(m, means, {9: -1}, fn)
+        with pytest.raises(ConfigError, match="negative total for value 9"):
+            fraction_attribute_with_null(m, means, {9: -1}, fn)
+
+    def test_totals_are_an_explicit_argument(self):
+        m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
+        with pytest.raises(TypeError):
+            attribute_with_null(m, means_of({9: 100}), AttributionFunction("null_uniform"))
 
     def test_requires_privatized_matrix(self):
         with pytest.raises(ConfigError):
-            attribute_with_null(matrix_from({}), profile({}), AttributionFunction("null_uniform"))
+            attribute_with_null(matrix_from({}), {}, {}, AttributionFunction("null_uniform"))
 
     def test_rejects_plain(self):
         m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(2))
         with pytest.raises(ConfigError):
-            attribute_with_null(m, profile({9: 100}), AttributionFunction("plain"))
+            attribute_with_null(m, means_of({9: 100}), {9: 5}, AttributionFunction("plain"))
 
     def test_lambda_validation(self):
         with pytest.raises(ConfigError):
@@ -222,7 +233,7 @@ def small_instance(draw):
 
 
 def instance_pieces(campaigns, users):
-    """CountMatrix + exact profile + truth from a raw instance description."""
+    """CountMatrix, exact bucket means, per-value totals and truth of a raw instance."""
     counts: dict[int, dict] = {}
     sums: dict[int, int] = {}
     ns: dict[int, int] = {}
@@ -234,23 +245,21 @@ def instance_pieces(campaigns, users):
         truth[key] += r
     rows = {v: tuple(counts[v][k] for k in campaigns) for v in counts}
     m = matrix_from(rows, columns=tuple(campaigns))
-    prof = RevenueProfile(
-        means={v: Fraction(sums[v], ns[v]) for v in ns},
-        totals=dict(ns),
-    )
-    return m, prof, truth
+    means = {v: Fraction(sums[v], ns[v]) for v in ns}
+    return m, means, ns, truth
 
 
 @given(inst=small_instance())
 @settings(max_examples=100, deadline=None)
 def test_conservation_any_p_any_lambda(inst):
     campaigns, users = inst
-    m, prof, _ = instance_pieces(campaigns, users)
+    m, means, totals, _ = instance_pieces(campaigns, users)
     total = sum(r for _, _, r in users)
     for p in (0, 2, 5):
         privatized = apply_threshold(m, PrivacyConfig(p))
         for lam in (0.0, 0.3, 1.0):
-            out = attribute_with_null(privatized, prof, AttributionFunction("null_convex", lam))
+            fn = AttributionFunction("null_convex", lam)
+            out = attribute_with_null(privatized, means, totals, fn)
             assert sum(out.values()) == Fraction(total)
 
 
@@ -258,18 +267,18 @@ def test_conservation_any_p_any_lambda(inst):
 @settings(max_examples=60, deadline=None)
 def test_scale_equivariance(inst, k):
     campaigns, users = inst
-    m, prof, _ = instance_pieces(campaigns, users)
+    m, means, _, _ = instance_pieces(campaigns, users)
     scaled = [(key, v, r * k) for key, v, r in users]
-    _, prof_k, _ = instance_pieces(campaigns, scaled)
-    base = attribute_plain(m, prof)
-    scaled_out = attribute_plain(m, prof_k)
+    _, means_k, _, _ = instance_pieces(campaigns, scaled)
+    base = attribute_plain(m, means)
+    scaled_out = attribute_plain(m, means_k)
     for key in campaigns:
         assert scaled_out[key] == k * base[key]
 
 
 @st.composite
 def kernel_case(draw):
-    """A count matrix, a developer-side profile and an estimator.
+    """A count matrix, developer-side bucket means and totals, and an estimator.
 
     Rows with counts and all-zero rows with developer-side users both occur,
     so thresholds fold loaded rows and empty ones (an empty null row). Now
@@ -296,7 +305,7 @@ def kernel_case(draw):
     p = draw(st.sampled_from((0, 2, 5)))
     fn = AttributionFunction("null_convex", draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))))
     matrix = matrix_from(rows, columns)
-    return matrix, RevenueProfile(means=means, totals=totals), p, fn
+    return matrix, means, totals, p, fn
 
 
 def kernel_outcome(kernel, *args):
@@ -309,15 +318,46 @@ def kernel_outcome(kernel, *args):
 @given(case=kernel_case())
 @settings(max_examples=500, deadline=None)
 def test_integer_kernel_matches_fraction_reference(case):
-    matrix, prof, p, fn = case
-    plain = kernel_outcome(attribute_plain, matrix, prof)
-    assert plain == kernel_outcome(fraction_attribute_plain, matrix, prof)
+    matrix, means, totals, p, fn = case
+    plain = kernel_outcome(attribute_plain, matrix, means)
+    assert plain == kernel_outcome(fraction_attribute_plain, matrix, means)
     privatized = apply_threshold(matrix, PrivacyConfig(p))
-    out = kernel_outcome(attribute_with_null, privatized, prof, fn)
-    assert out == kernel_outcome(fraction_attribute_with_null, privatized, prof, fn)
+    out = kernel_outcome(attribute_with_null, privatized, means, totals, fn)
+    assert out == kernel_outcome(fraction_attribute_with_null, privatized, means, totals, fn)
     if isinstance(out, dict):
         assert all(type(x) is Fraction for x in out.values())
         assert list(out) == list(matrix.columns)
+
+
+@pytest.mark.parametrize("schema_text", ["kind=RR;layout=TTTVVV;horizon=7", "kind=EV"])
+def test_conservation_with_pooled_means_and_cell_totals(schema_text):
+    """Means fitted once over the cohort, totals per cell: each cell conserves its users.
+
+    The pooled means rest on far more users than any cell holds, so an
+    estimator that read the suppressed rows' user counts from anywhere but
+    the cell would attribute more revenue than the cell carries. The
+    kernel must match exactly; ``attribute_cells``, which rounds each
+    campaign to cents, within half a cent per column.
+    """
+    users, _ = generate_dataset(GenConfig(n_users=1500, seed=5))
+    artifacts = run_schema(prepare_users(users), schema_from_text(schema_text), 5)
+    means = estimate_bucket_means(artifacts.postbacks, 30)
+    fns = [AttributionFunction(m, lam) for m, lam in
+           (("null_uniform", None), ("null_empirical", None), ("null_convex", 0.5))]
+    mismatches = []
+    for p in (0, 2, 10):
+        cfg = PrivacyConfig(p)
+        matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
+        for fn in fns:
+            cents = attribute_cells(matrices, {None: means}, artifacts.cell_totals, fn)
+            for cell, matrix in matrices.items():
+                totals = artifacts.cell_totals[cell]
+                expected = sum(means[v] * n for v, n in totals.items() if n)
+                exact = sum(attribute_with_null(matrix, means, totals, fn).values())
+                rounded = sum(cents[cell].values())
+                if exact != expected or abs(rounded - expected) > Fraction(len(matrix.columns), 2):
+                    mismatches.append((p, cell, fn.mode, exact, rounded, expected))
+    assert mismatches == []
 
 
 def random_instance(rng):
@@ -335,8 +375,8 @@ class TestEnumerationOptimality:
         rng = random.Random(2024)
         for _ in range(40):
             campaigns, users = random_instance(rng)
-            m, prof, _ = instance_pieces(campaigns, users)
-            out = attribute_plain(m, prof)
+            m, means, _, _ = instance_pieces(campaigns, users)
+            out = attribute_plain(m, means)
 
             buckets: dict[int, list[int]] = {}
             counts: dict[int, dict] = {}
@@ -352,8 +392,8 @@ class TestEnumerationOptimality:
                 for sign in (1, -1):
                     perturbed = {
                         k: sum(
-                            m.rows[v][j] * (prof.means[v] + sign * eps)
-                            for v in prof.means
+                            m.rows[v][j] * (means[v] + sign * eps)
+                            for v in means
                             for j in [list(m.columns).index(k)]
                         )
                         for k in campaigns
@@ -370,14 +410,14 @@ class TestConvexMixBracket:
         checked = 0
         for _ in range(60):
             campaigns, users = random_instance(rng)
-            m, prof, truth = instance_pieces(campaigns, users)
+            m, means, totals, truth = instance_pieces(campaigns, users)
             privatized = apply_threshold(m, PrivacyConfig(2))
             if sum(privatized.null_row) == 0:
                 continue
             checked += 1
             errs = {}
             for lam in [i / 10 for i in range(11)]:
-                out = attribute_with_null(privatized, prof, AttributionFunction("null_convex", lam))
-                errs[lam] = weekly_error(out, truth)
+                fn = AttributionFunction("null_convex", lam)
+                errs[lam] = weekly_error(attribute_with_null(privatized, means, totals, fn), truth)
             assert min(errs.values()) <= min(errs[0.0], errs[1.0]) + 1e-9
         assert checked >= 10

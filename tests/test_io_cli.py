@@ -486,6 +486,23 @@ class TestCliErrors:
         return run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
                        "--t", 30, "--out", out)
 
+    @pytest.mark.parametrize("bad", [
+        {"g_modes": ["plain", "bogus"]},
+        {"lambda_grid": [1.5]},
+        {"window_g": "bogus"},
+        {"p_values": [-1], "g_modes": ["plain"]},
+        {"window_p": -3},
+        {"windows": [[14, 7]]},
+        {"window_g": "plain", "window_p": 2},
+    ], ids=["g_mode", "lambda", "window_g", "p", "window_p", "window", "window_plain"])
+    def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad):
+        cfg = {"gen": {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 1}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg | bad))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        config_error(capsys)
+        assert not (out / "dataset").exists()
+
     def test_counts_cell_absent_from_postbacks(self, staged, tmp_path, capsys):
         week = (staged / "cp.csv").read_text().splitlines()[2].split(",")[1]
         counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",
@@ -600,6 +617,26 @@ class TestMetaColumns:
         with pytest.raises(CsvFormatError, match=r"f\.csv:1: meta columns must be a list"):
             load(path)
 
+    @pytest.mark.parametrize("load,header,meta,message", [
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"organic_alpha": "9"}, "meta organic_alpha must be an integer, got '9'"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"organic_alpha": "9"}, "meta organic_alpha must be an integer, got '9'"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"organic_alpha": None}, "meta organic_alpha must be an integer, got None"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": "false"}, "meta privacy_applied must be true or false, got 'false'"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": 0}, "meta privacy_applied must be true or false, got 0"),
+    ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
+            "counts-privacy_str", "counts-privacy_int"])
+    def test_bad_meta_value(self, tmp_path, load, header, meta, message):
+        path = tmp_path / "f.csv"
+        meta = {"columns": [0, 9]} | meta
+        path.write_text("# skattr-meta " + json.dumps(meta) + f"\n{header}\n")
+        with pytest.raises(CsvFormatError, match=rf"f\.csv:1: {message}"):
+            load(path)
+
     def test_cli_exits_1(self, staged, tmp_path, capsys):
         counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",
                           meta=lambda m: m | {"columns": ["a"]})
@@ -629,6 +666,16 @@ class TestRowChecks:
         meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized}
         path = self.write(tmp_path, meta, self.COUNTS, [row])
         with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): {message}"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("G,2024-W01,null,0,1", "null row in a pre-privacy file"),
+        ("G,2024-W01,5,0,", "suppressed count in a pre-privacy file"),
+    ])
+    def test_privatized_row_in_pre_privacy_file(self, tmp_path, row, message):
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": False}
+        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,1", row])
+        with pytest.raises(CsvFormatError, match=rf"f\.csv:4: {message}"):
             load_counts(path)
 
     @pytest.mark.parametrize("rows", [

@@ -189,6 +189,22 @@ class TestBenchmarkMatrix:
             benchmark_matrix(small_dataset(), [], [0], ["plain"], 30, seed=0)
 
 
+@pytest.mark.parametrize("run", [
+    lambda users, prepared: benchmark_matrix(
+        users, [schema_from_text(PV)], [0, -1], ["plain"], 30, seed=0, prepared=prepared
+    ),
+    lambda users, prepared: window_error_curve(
+        users, schema_from_text(D7RR), -1, "plain", [(0, 30)], seed=0, prepared=prepared
+    ),
+], ids=["grid", "window"])
+def test_negative_p_rejected_before_simulating(run):
+    users = small_dataset(n=300)
+    prepared = prepare_users(users)
+    with pytest.raises(ConfigError, match="privacy threshold must be >= 0"):
+        run(users, prepared)
+    assert prepared.simulations == {}
+
+
 def no_spender_dataset():
     cfg = GenConfig(n_users=300, n_weeks=2, event_horizon_days=35, seed=0, spender_rate=0.0)
     return generate_dataset(cfg)[0]
