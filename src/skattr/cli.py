@@ -3,7 +3,7 @@
 Stage commands (generate, simulate, privatize, attribute, evaluate) and the
 one-shot `benchmark` share the same library calls and seed substreams:
 `attribute` runs the grid's `metrics.attribute_cells`, and `evaluate` builds
-truth with `metrics.truth_by_week` and scores with `metrics.score_level`. A
+truth with `model.ground_truth` and scores with `metrics.score_level`. A
 pipeline split into stages therefore reproduces the benchmark's numbers
 exactly. `attribute` passes `--g`/`--lambda` straight to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
@@ -40,10 +40,9 @@ from .metrics import (
     attribute_cells,
     benchmark_matrix,
     score_level,
-    truth_by_week,
     window_error_curve,
 )
-from .model import CampaignKey, usd
+from .model import CampaignKey, ground_truth, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .postback import PostbackTable
 from .privacy import PrivacyConfig, apply_threshold
@@ -180,7 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
-    truth = truth_by_week(postbacks, 0, args.t)
+    truth = ground_truth(postbacks, 0, args.t)
     stray = sorted({key for week_truth in truth.values() for key in week_truth} - set(columns))
     if stray:
         raise ConfigError(

@@ -1,4 +1,10 @@
-"""Run configuration for the batch pipeline."""
+"""Run configuration for the batch pipeline.
+
+A config loaded from JSON is checked key by key against the field types of
+``RunConfig`` and ``GenConfig`` before either is built: a value of the
+wrong JSON type is a ``ConfigError`` naming the key, never a silent
+conversion, so a valid config is stored (and hashed) exactly as written.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ import json
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
@@ -117,14 +124,54 @@ class RunConfig:
         return out
 
 
-def gen_config_from_dict(data: dict) -> GenConfig:
-    known = {f.name for f in fields(GenConfig)}
-    unknown = set(data) - known
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the JSON type of a config field's type hint.
+
+    Booleans are not numbers; an integer fits a float field.
+    """
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is date:
+        return isinstance(value, (str, date))
+    if hint is GenConfig:  # its own keys are checked when it is built
+        return isinstance(value, dict)
+    if hint in (str, bool):
+        return isinstance(value, hint)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    # ``X | None``
+    return any(value is None if arg is type(None) else _fits(value, arg) for arg in args)
+
+
+def _check_keys(cls: type, data: dict, what: str) -> None:
+    """Reject unknown keys, and values whose JSON type does not fit the field."""
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in data and not _fits(data[f.name], hints[f.name]):
+            raise ConfigError(f"{what} key {f.name!r} must fit {f.type}, got {data[f.name]!r}")
+
+
+def gen_config_from_dict(data: dict) -> GenConfig:
+    _check_keys(GenConfig, data, "generator config")
     kwargs = dict(data)
-    if "start_date" in kwargs and isinstance(kwargs["start_date"], str):
-        kwargs["start_date"] = date.fromisoformat(kwargs["start_date"])
+    if isinstance(kwargs.get("start_date"), str):
+        try:
+            kwargs["start_date"] = date.fromisoformat(kwargs["start_date"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"generator config key 'start_date' must fit an ISO date, "
+                f"got {kwargs['start_date']!r}"
+            ) from exc
     for key in ("flag_probs", "groups"):
         if key in kwargs:
             kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in kwargs[key])
@@ -132,10 +179,7 @@ def gen_config_from_dict(data: dict) -> GenConfig:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
+    _check_keys(RunConfig, data, "run config")
     kwargs = dict(data)
     if kwargs.get("gen") is not None:
         kwargs["gen"] = gen_config_from_dict(kwargs["gen"])
@@ -143,7 +187,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
     if "windows" in kwargs:
-        kwargs["windows"] = tuple((int(lo), int(hi)) for lo, hi in kwargs["windows"])
+        kwargs["windows"] = tuple(map(tuple, kwargs["windows"]))
     return RunConfig(**kwargs)
 
 

@@ -170,6 +170,7 @@ def load_users(
     upath = Path(user_csv)
     raw: dict[int, tuple[date, int, str]] = {}
     with _csv_rows(upath, USER_FIELDS) as (meta, rows):
+        _check_organic_alpha(upath, meta)
         if organic_alpha is None:
             organic_alpha = meta.get("organic_alpha")
         for line, row in rows:
@@ -329,6 +330,11 @@ def _check_columns(path: Path, meta: Mapping) -> None:
         raise CsvFormatError(
             f"{path}:1: meta columns must be a list of distinct integers >= 0, got {columns!r}"
         )
+    _check_organic_alpha(path, meta)
+
+
+def _check_organic_alpha(path: Path, meta: Mapping) -> None:
+    """The meta line's ``organic_alpha``, when present, must be an integer."""
     if "organic_alpha" in meta and type(meta["organic_alpha"]) is not int:
         raise CsvFormatError(
             f"{path}:1: meta organic_alpha must be an integer, got {meta['organic_alpha']!r}"

@@ -10,7 +10,7 @@ Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
 ``attribute_cells`` (estimator output in cents per cell and campaign, and
 the one place that dispatches on the ``AttributionFunction``),
-``truth_by_week`` (actual window revenue per postback week and origin) and
+``model.ground_truth`` (actual window revenue per postback week and origin) and
 ``score_level`` (weekly and aggregate error at one level). Bucket means
 (``{value: Fraction}``, fitted per window and shared by every cell) and
 truth aggregate a schema's ``PostbackTable`` by cell id and origin column
@@ -143,12 +143,6 @@ def _simulation(cohort: Cohort, schema: SchemaSpec, seed: int) -> SimArtifacts:
     return artifacts
 
 
-# Actual window revenue per (postback week, origin): the name the grid and
-# the CLI call ``model.ground_truth`` by. A binding, not a wrapper, so a
-# tracer that patches the function patches it under both names.
-truth_by_week = ground_truth
-
-
 def score_level(
     attributed: Mapping[str, Mapping[CampaignKey, int]],
     truth: Mapping[str, Mapping[CampaignKey, int]],
@@ -277,7 +271,7 @@ def _grid_error(
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
     """Weekly and aggregate errors at both levels for one estimator.
 
-    ``truth`` is ``truth_by_week`` over the artifacts' postbacks and the
+    ``truth`` is ``ground_truth`` over the artifacts' postbacks and the
     window the profiles were fitted on.
     """
     by_week: dict[str, dict[CampaignKey, int]] = {}
@@ -341,7 +335,7 @@ def benchmark_matrix(
             ) from exc
         artifacts[label] = art
         profiles[label] = _group_profiles(art.postbacks, 0, t, profile_per_group)
-        truths[label] = truth_by_week(art.postbacks, 0, t)
+        truths[label] = ground_truth(art.postbacks, 0, t)
     labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
@@ -429,9 +423,11 @@ def benchmark_matrix(
 def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     for lo, hi in windows:
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in (lo, hi)):
+            raise ConfigError(f"window bounds must be whole days, got [{lo!r}, {hi!r})")
         if lo < 0 or hi <= lo:
             raise ConfigError(f"invalid window [{lo}, {hi})")
-        out.append((int(lo), int(hi)))
+        out.append((lo, hi))
     for (a_lo, a_hi), (b_lo, b_hi) in zip(out, out[1:]):
         if b_lo < a_hi:
             raise ConfigError(f"windows overlap: [{a_lo},{a_hi}) and [{b_lo},{b_hi})")
@@ -474,7 +470,7 @@ def window_error_curve(
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
-        truth = truth_by_week(artifacts.postbacks, lo, hi)
+        truth = ground_truth(artifacts.postbacks, lo, hi)
         by_level = _grid_error(artifacts, matrices, profiles, g, truth, include_organic)
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 
 SECONDS_PER_DAY = 86_400
 US_PER_DAY = SECONDS_PER_DAY * 1_000_000
+US_PER_WEEK = 7 * US_PER_DAY
 
 SESSION = "session"
 PURCHASE = "purchase"
@@ -201,9 +202,7 @@ class Cohort:
     one past the largest paid alpha when there are none; a list mixing two
     sentinels is a ``ConfigError``. ``digests`` are the replay kernel's
     per-user event digests (see ``schema.prepare_users``). ``delays`` (seed
-    -> delivery delay in microseconds per user) and the cell tables
-    (``cell_ids``: day ordinal x group count + group index -> cell id;
-    ``cell_keys``: cell id -> (group, ISO week)) are filled by
+    -> delivery delay in microseconds per user) is filled by
     ``pipeline.simulate_postbacks`` on first use, and ``simulations``
     ((input schema, seed) -> ``pipeline.SimArtifacts``) by the
     metrics layer, so every schema and call over the cohort shares them.
@@ -234,8 +233,6 @@ class Cohort:
         column[(True, self.organic.alpha)] = len(paid)
         self.column = [column[o] for o in origins]
         self.delays: dict[int, list[int]] = {}
-        self.cell_ids: dict[int, int] = {}
-        self.cell_keys: list[tuple[str, str]] = []
         self.simulations: dict[tuple, SimArtifacts] = {}
         self._revenue: dict[tuple[int, int], list[int]] = {}
 
@@ -255,7 +252,6 @@ def ground_truth(
 
     Sums over groups; users without a postback are not counted. An origin
     with a postback in a week has an entry there even at zero revenue.
-    ``metrics.truth_by_week`` is the name the grid and the CLI call.
     """
     cohort = postbacks.cohort
     width = len(cohort.origins)
@@ -269,7 +265,7 @@ def ground_truth(
     out: dict[str, dict[CampaignKey, int]] = {}
     for k, cents in acc.items():
         cell, j = divmod(k, width)
-        bucket = out.setdefault(cohort.cell_keys[cell][1], {})
+        bucket = out.setdefault(postbacks.cell_keys[cell][1], {})
         origin = cohort.origins[j]
         bucket[origin] = bucket.get(origin, 0) + cents
     return out

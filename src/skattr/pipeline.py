@@ -6,15 +6,17 @@ identical numbers for the same seed. Every step takes the cohort
 (``schema.prepare_users``, a ``model.Cohort``), which fixes the users, the
 organic key and the matrix columns, and works in integers: a postback is
 delivered at registration midnight + last commit + delay microseconds,
-dropped when that is after the horizon, and counted in the cell its
-delivery day maps to. Postback delay randomness is one Uniform[0, 1) draw
-per user from the substream (seed, "postback", user_id); it does not depend
-on the schema, so it is drawn once per (seed, user) and kept on the cohort
-as microseconds, and the (group, day) -> cell memo is kept there too.
+dropped when that is after the horizon, and counted in the (group, ISO
+week) cell of its delivery. A cell id is arithmetic on the delivery
+instant: whole weeks since the Monday on or before the cohort's first
+registration, times the group count, plus the group index. Postback delay
+randomness is one Uniform[0, 1) draw per user from the substream (seed,
+"postback", user_id); it does not depend on the schema, so it is drawn
+once per (seed, user) and kept on the cohort as microseconds.
 ``simulate_postbacks`` returns a ``PostbackTable``, and the developer
-totals, count matrices, revenue profiles and ground truth aggregate its
-lists by cell id and origin column. UD schemas without an explicit seed
-get the derived substream seed (seed, "ud").
+totals, count matrices, bucket means and ground truth aggregate its lists
+by cell id and origin column. UD schemas without an explicit seed get the
+derived substream seed (seed, "ud").
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 
 from .errors import ConfigError
-from .model import US_PER_DAY, Cohort
+from .model import US_PER_DAY, US_PER_WEEK, Cohort
 from .postback import (
     CellKey,
     CountMatrix,
@@ -66,24 +68,6 @@ def horizon_us(horizon: datetime) -> int:
     return (horizon - datetime.min) // _MICROSECOND + US_PER_DAY
 
 
-def cell_id(cohort: Cohort, group: int, day: int) -> int:
-    """The cohort's id of the cell for group index ``group`` and day ordinal ``day``.
-
-    Runs once per distinct (group, day): it derives the (group, ISO week)
-    key with ``cell_of``, gives a key not seen before the next id, and
-    records the day in the cohort's memo, which ``simulate_postbacks``
-    reads first.
-    """
-    key = cell_of(cohort.group_labels[group], date.fromordinal(day))
-    try:
-        cell = cohort.cell_keys.index(key)
-    except ValueError:
-        cell = len(cohort.cell_keys)
-        cohort.cell_keys.append(key)
-    cohort.cell_ids[day * len(cohort.group_labels) + group] = cell
-    return cell
-
-
 def simulate_postbacks(
     cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None = None
 ) -> PostbackTable:
@@ -93,8 +77,8 @@ def simulate_postbacks(
     microseconds since registration midnight; the postback is delivered
     ``postback_delay_us`` later. Users whose postback would land after
     ``horizon`` get cell -1: they count neither in matrices nor in ground
-    truth. The delay per (seed, user) and the cell per (group, delivery
-    day) are memoised on the cohort.
+    truth. The delay per (seed, user) is memoised on the cohort; the table's
+    ``cell_keys`` name each cell id it uses, one ``cell_of`` call per id.
     """
     finals = simulate_traces(cohort, schema)
     delays = cohort.delays.get(seed)
@@ -103,8 +87,11 @@ def simulate_postbacks(
             postback_delay_us(substream(seed, "postback", uid).random()) for uid in cohort.ids
         ]
     limit = horizon_us(horizon) if horizon is not None else None
-    n_groups = len(cohort.group_labels)
-    memo = cohort.cell_ids
+    labels = cohort.group_labels
+    n_groups = len(labels)
+    first_day = min(cohort.midnight_us, default=0) // US_PER_DAY
+    week0_day = first_day - (first_day - 1) % 7  # date ordinal 1 is a Monday
+    week0 = week0_day * US_PER_DAY
     values: list[int] = []
     cells: list[int] = []
     sent_us: list[int] = []
@@ -117,12 +104,12 @@ def simulate_postbacks(
         if limit is not None and sent > limit:
             cells.append(-1)
             continue
-        day = sent // US_PER_DAY
-        cell = memo.get(day * n_groups + group)
-        if cell is None:
-            cell = cell_id(cohort, group, day)
-        cells.append(cell)
-    return PostbackTable(cohort, values, cells, sent_us)
+        cells.append((sent - week0) // US_PER_WEEK * n_groups + group)
+    keys: dict[int, CellKey] = {}
+    for cell in sorted(set(cells) - {-1}):
+        week, group = divmod(cell, n_groups)
+        keys[cell] = cell_of(labels[group], date.fromordinal(week0_day + 7 * week))
+    return PostbackTable(cohort, values, cells, sent_us, keys)
 
 
 def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:
@@ -139,21 +126,18 @@ def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:
         if row is None:
             row = rows[cell] = [0] * VALUE_RANGE
         row[value] += 1
-    keys = postbacks.cohort.cell_keys
+    keys = postbacks.cell_keys
     return {keys[cell]: dict(enumerate(row)) for cell, row in rows.items()}
 
 
 def build_cell_matrices(
-    postbacks: PostbackTable,
-    totals: Mapping[CellKey, Mapping[int, int]] | None = None,
+    postbacks: PostbackTable, totals: Mapping[CellKey, Mapping[int, int]]
 ) -> dict[CellKey, CountMatrix]:
     """Pre-privacy matrices over the cohort's columns, one per (group, week).
 
-    ``totals`` are ``developer_totals(postbacks)`` when the caller has them.
+    ``totals`` are ``developer_totals(postbacks)``.
     """
     cohort = postbacks.cohort
-    if totals is None:
-        totals = developer_totals(postbacks)
     paid = build_counts(postbacks)
     out: dict[CellKey, CountMatrix] = {}
     for cell in sorted(totals):

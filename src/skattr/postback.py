@@ -4,7 +4,7 @@ Each user produces exactly one postback: the final committed value, delivered
 at a random instant between 24h and 48h after the last commit. One schema's
 postbacks form a ``PostbackTable``, the developer's view as integer lists in
 cohort order: final value, cell id (the (group, ISO week of delivery) the
-postback is counted in, through the cohort's ``cell_keys``; -1 when it was
+postback is counted in, named by the table's ``cell_keys``; -1 when it was
 delivered after the horizon) and delivery instant in microseconds. Counts
 are aggregated per cell over paid campaigns by origin column index; the
 organic column is estimated afterwards by subtracting paid counts from the
@@ -50,15 +50,16 @@ class PostbackTable:
 
     ``values[i]`` is user ``i``'s final conversion value, ``sent_us[i]`` the
     delivery instant in microseconds on the cohort's clock (date ordinal x
-    ``US_PER_DAY`` + time of day) and ``cells[i]`` the id of the cell in
-    ``cohort.cell_keys`` it is counted in, or -1 when the postback came
-    after the horizon and counts nowhere.
+    ``US_PER_DAY`` + time of day) and ``cells[i]`` the id of the cell it
+    is counted in, or -1 when the postback came after the horizon and counts
+    nowhere. ``cell_keys`` maps each id in ``cells`` to its (group, week).
     """
 
     cohort: Cohort
     values: list[int]
     cells: list[int]
     sent_us: list[int]
+    cell_keys: dict[int, CellKey]
 
     def __len__(self) -> int:
         """The number of postbacks delivered by the horizon."""
@@ -66,7 +67,7 @@ class PostbackTable:
 
     def by_user(self) -> dict[int, tuple[int, datetime, CellKey]]:
         """``{user id: (final value, delivery instant, (group, week))}`` of delivered postbacks."""
-        keys = self.cohort.cell_keys
+        keys = self.cell_keys
         return {
             uid: (value, datetime.min + timedelta(microseconds=sent - US_PER_DAY), keys[cell])
             for uid, value, cell, sent in zip(self.cohort.ids, self.values, self.cells, self.sent_us)
@@ -157,7 +158,7 @@ def build_counts(postbacks: PostbackTable) -> dict[CellKey, CountMatrix]:
         if grid is None:
             grid = grids[cell] = [[0] * width for _ in range(VALUE_RANGE)]
         grid[value][j] += 1
-    keys = cohort.cell_keys
+    keys = postbacks.cell_keys
     return {
         keys[cell]: CountMatrix(
             group=keys[cell][0],

@@ -31,7 +31,6 @@ from skattr.model import (
     UserRecord,
     organic_key,
 )
-from skattr.pipeline import cell_id
 from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
@@ -239,7 +238,8 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
 
     ``postbacks`` are ``Postback``s (or a mapping to them) of some of
     ``users``; the others get no postback (cell -1). The cohort carries no
-    event digests, since no schema is replayed over it.
+    event digests, since no schema is replayed over it. Cell ids number the
+    distinct (group, ISO week by the calendar) keys in order of first use.
     """
     if isinstance(postbacks, dict):
         postbacks = postbacks.values()
@@ -247,6 +247,7 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
     index = {uid: i for i, uid in enumerate(cohort.ids)}
     n = len(users)
     values, cells, sent_us = [0] * n, [-1] * n, [0] * n
+    ids: dict[tuple[str, str], int] = {}
     for pb in postbacks:
         i = index[pb.user_id]
         assert cells[i] == -1 and pb.group == users[i].group
@@ -254,8 +255,9 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
         values[i] = pb.final_value
         sent_us[i] = day * DAY_US + (pb.postback_time - datetime.combine(
             pb.postback_time.date(), datetime.min.time())) // _MICROSECOND
-        cells[i] = cell_id(cohort, cohort.group[i], day)
-    return PostbackTable(cohort, values, cells, sent_us)
+        year, week, _ = pb.postback_time.isocalendar()
+        cells[i] = ids.setdefault((pb.group, "%04d-W%02d" % (year, week)), len(ids))
+    return PostbackTable(cohort, values, cells, sent_us, {i: key for key, i in ids.items()})
 
 
 def distinct_permutations(labels: list):

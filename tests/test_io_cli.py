@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import skattr.io_files
 from skattr.cli import main
+from skattr.config import run_config_from_dict
 from skattr.errors import CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
     load_attribution,
@@ -22,8 +23,7 @@ from skattr.io_files import (
     save_events,
     save_users,
 )
-from skattr.metrics import truth_by_week
-from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord
+from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, ground_truth
 from skattr.pipeline import run_schema
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text
@@ -486,22 +486,44 @@ class TestCliErrors:
         return run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
                        "--t", 30, "--out", out)
 
-    @pytest.mark.parametrize("bad", [
-        {"g_modes": ["plain", "bogus"]},
-        {"lambda_grid": [1.5]},
-        {"window_g": "bogus"},
-        {"p_values": [-1], "g_modes": ["plain"]},
-        {"window_p": -3},
-        {"windows": [[14, 7]]},
-        {"window_g": "plain", "window_p": 2},
-    ], ids=["g_mode", "lambda", "window_g", "p", "window_p", "window", "window_plain"])
-    def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad):
-        cfg = {"gen": {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 1}}
-        (tmp_path / "run.json").write_text(json.dumps(cfg | bad))
+    GEN = {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 1}
+
+    @pytest.mark.parametrize("bad,key", [
+        pytest.param({"g_modes": ["plain", "bogus"]}, None, id="g_mode"),
+        pytest.param({"lambda_grid": [1.5]}, None, id="lambda"),
+        pytest.param({"window_g": "bogus"}, None, id="window_g"),
+        pytest.param({"p_values": [-1], "g_modes": ["plain"]}, None, id="p"),
+        pytest.param({"window_p": -3}, None, id="window_p"),
+        pytest.param({"windows": [[14, 7]]}, None, id="window"),
+        pytest.param({"window_g": "plain", "window_p": 2}, None, id="window_plain"),
+        pytest.param({"lambda_grid": ["0.5"]}, "run config key 'lambda_grid'", id="lambda_str"),
+        pytest.param({"p_values": ["2"]}, "run config key 'p_values'", id="p_str"),
+        pytest.param({"t": "30"}, "run config key 't'", id="t_str"),
+        pytest.param({"t": True}, "run config key 't'", id="t_bool"),
+        pytest.param({"gen": GEN | {"n_users": "600"}}, "generator config key 'n_users'",
+                     id="n_users_str"),
+        pytest.param({"gen": GEN | {"n_users": True}}, "generator config key 'n_users'",
+                     id="n_users_bool"),
+        pytest.param({"gen": GEN | {"start_date": "2024-13-01"}},
+                     "generator config key 'start_date'", id="start_date"),
+        pytest.param({"windows": [[7.5, 14]]}, "run config key 'windows'", id="window_float"),
+        pytest.param({"include_organic_in_error": 1}, "run config key 'include_organic_in_error'",
+                     id="organic_int"),
+    ])
+    def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad, key):
+        (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN} | bad))
         out = tmp_path / "out"
         assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
-        config_error(capsys)
+        message = config_error(capsys)
+        if key is not None:
+            assert message.startswith(f"{key} must fit ")
         assert not (out / "dataset").exists()
+
+    def test_integer_where_a_float_is_expected_keeps_the_config(self):
+        data = {"gen": {"n_users": 600, "organic_share": 0}, "lambda_grid": [0, 1]}
+        cfg = run_config_from_dict(data)
+        assert cfg.lambda_grid == (0, 1) and cfg.gen.organic_share == 0
+        assert cfg.to_jsonable()["lambda_grid"] == (0, 1)
 
     def test_counts_cell_absent_from_postbacks(self, staged, tmp_path, capsys):
         week = (staged / "cp.csv").read_text().splitlines()[2].split(",")[1]
@@ -569,7 +591,7 @@ class TestCliErrors:
         users, _ = dataset
         schema = schema_from_text(meta["schema"])
         postbacks = run_schema(prepare_users(users), schema, meta["seed"]).postbacks
-        truth = truth_by_week(postbacks, 0, 30)[gone]
+        truth = ground_truth(postbacks, 0, 30)[gone]
         assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
         assert cut[gone] != full[gone]
 
@@ -628,14 +650,30 @@ class TestMetaColumns:
          {"privacy_applied": "false"}, "meta privacy_applied must be true or false, got 'false'"),
         (load_counts, "group,week,conversion_value,alpha,count",
          {"privacy_applied": 0}, "meta privacy_applied must be true or false, got 0"),
+        (load_users, "id,registration_date,alpha,group",
+         {"organic_alpha": "105"}, "meta organic_alpha must be an integer, got '105'"),
+        (load_users, "id,registration_date,alpha,group",
+         {"organic_alpha": True}, "meta organic_alpha must be an integer, got True"),
     ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
-            "counts-privacy_str", "counts-privacy_int"])
+            "counts-privacy_str", "counts-privacy_int", "users-organic_str", "users-organic_bool"])
     def test_bad_meta_value(self, tmp_path, load, header, meta, message):
         path = tmp_path / "f.csv"
         meta = {"columns": [0, 9]} | meta
         path.write_text("# skattr-meta " + json.dumps(meta) + f"\n{header}\n")
         with pytest.raises(CsvFormatError, match=rf"f\.csv:1: {message}"):
             load(path)
+
+    @pytest.mark.parametrize("alpha", ["105", True])
+    def test_simulate_rejects_users_meta(self, dataset_dir, tmp_path, capsys, alpha):
+        users = dataset_dir / "users.csv"
+        edit_csv(users, users, meta=lambda m: m | {"organic_alpha": alpha})
+        code = run_cli("simulate", "--users", dataset_dir, "--schema", D7RR, "--seed", 9,
+                       "--out", tmp_path / "c.csv")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"].endswith("users.csv:1: meta organic_alpha must be an integer, "
+                                       f"got {alpha!r}")
 
     def test_cli_exits_1(self, staged, tmp_path, capsys):
         counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",

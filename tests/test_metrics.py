@@ -255,7 +255,8 @@ class TestWindowCurve:
     def test_paper_windows_validate(self):
         assert validate_windows([(7, 14), (14, 30), (30, 60), (60, 90)])
 
-    @pytest.mark.parametrize("bad", [[(7, 7)], [(10, 5)], [(-1, 5)], [(0, 10), (5, 15)]])
+    @pytest.mark.parametrize("bad", [[(7, 7)], [(10, 5)], [(-1, 5)], [(0, 10), (5, 15)],
+                                     [(7.5, 14)], [(7, 14.0)], [(False, 14)]])
     def test_invalid_windows(self, bad):
         with pytest.raises(ConfigError):
             validate_windows(bad)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from skattr.errors import ConfigError, InvalidCampaignError, OrganicKeyError
-from skattr.metrics import truth_by_week
 from skattr.model import (
     CampaignKey,
     Event,
@@ -12,6 +11,7 @@ from skattr.model import (
     cumulative_revenue,
     decode_alpha,
     encode_alpha,
+    ground_truth,
     iso_week,
     organic_key,
     revenue_between,
@@ -164,7 +164,7 @@ def postbacks_at(users, when=datetime(2024, 1, 3, 12)):
 
 
 def truth_of(users, postbacks, lo_day, hi_day):
-    return truth_by_week(table_of(users, postbacks), lo_day, hi_day)
+    return ground_truth(table_of(users, postbacks), lo_day, hi_day)
 
 
 class TestGroundTruth:

@@ -9,7 +9,7 @@ import skattr.metrics
 from skattr import model, postback, rng
 from skattr.errors import ConfigError
 from skattr.metrics import benchmark_matrix, window_error_curve
-from skattr.model import organic_key
+from skattr.model import iso_week, organic_key
 from skattr.pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
@@ -162,7 +162,7 @@ class TestPostbackDraws:
 
 
 class TestCohortFacts:
-    """Window revenue and postback cells are derived once per cohort, not per schema."""
+    """Window revenue is derived once per cohort, and a table's cell keys once per (group, week)."""
 
     def test_duplicate_user_ids_rejected(self, users):
         with pytest.raises(ConfigError, match="more than once"):
@@ -215,10 +215,10 @@ class TestCohortFacts:
         assert Counter(windows) == Counter(
             (u.id, lo, hi) for u in users for lo, hi in distinct
         )
-        delivered = {
-            (group, sent.date())
+        # One cell_of call per distinct (group, week) of each simulated table.
+        delivered = Counter(
+            key
             for art in prepared.simulations.values()
-            for _, sent, (group, _) in art.postbacks.by_user().values()
-        }
-        assert sorted(cells) == sorted(delivered)
-        assert len(cells) < len(users)
+            for key in {key for *_, key in art.postbacks.by_user().values()}
+        )
+        assert Counter((group, iso_week(day)) for group, day in cells) == delivered

@@ -433,6 +433,8 @@ class TestReplayKernel:
 # Monday 2024-01-08, and the ISO-year change 2024-12-29 (2024-W52) ->
 # 2024-12-30 (2025-W01).
 WEEK_EDGES = [
+    datetime(2021, 1, 3, 23, 59, 59, 999_999),
+    datetime(2021, 1, 4),
     datetime(2024, 1, 7, 23, 59, 59, 999_999),
     datetime(2024, 1, 8),
     datetime(2024, 12, 29, 23, 59, 59, 999_999),
@@ -452,7 +454,7 @@ class TestPostbackTable:
 
     def test_week_edges_by_the_calendar(self):
         assert [iso_week(d.date()) for d in WEEK_EDGES] == [
-            "2024-W01", "2024-W02", "2024-W52", "2025-W01"]
+            "2020-W53", "2021-W01", "2024-W01", "2024-W02", "2024-W52", "2025-W01"]
 
     @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
     @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
