@@ -36,6 +36,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .errors import ConfigError, MissingProfileError
 # revenue_between is not called here but stays bound: perfbench's tracer test
@@ -85,8 +86,9 @@ class AttributionFunction:
     ``lam`` is resolved here, once: ``null_uniform`` fixes it at 0 and
     ``null_empirical`` at 1, ``plain`` has 0 because it redistributes
     nothing, and ``null_convex`` takes it from the caller, 0 when none is
-    given. An explicit lambda that contradicts the mode, or one outside
-    [0, 1], is a ``ConfigError``. The uniform share is over the matrix's
+    given. An explicit lambda that is not a real number (a ``bool`` is
+    not), contradicts the mode, or lies outside [0, 1], is a
+    ``ConfigError``. The uniform share is over the matrix's
     columns, organic included.
     """
 
@@ -100,6 +102,8 @@ class AttributionFunction:
         lam = self.lam
         if lam is None:
             lam = 0.0 if fixed is None else fixed
+        elif not isinstance(lam, Real) or isinstance(lam, bool):
+            raise ConfigError(f"lambda must be a real number, got {lam!r}")
         elif fixed is not None and lam != fixed:
             raise ConfigError(f"{self.mode} fixes lambda at {fixed:g}, got {lam}")
         elif not 0.0 <= lam <= 1.0:

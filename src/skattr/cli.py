@@ -8,6 +8,9 @@ pipeline split into stages therefore reproduces the benchmark's numbers
 exactly. `attribute` passes `--g`/`--lambda` straight to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
 rejects one the mode contradicts), and records that lambda in the file.
+The stages that need only the cohort (`simulate`, and the rebuilds inside
+`attribute` and `evaluate`) read the dataset with `io_files.load_cohort`;
+`benchmark` on dataset paths reads `UserRecord`s with `load_users`.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
@@ -27,6 +30,7 @@ from .io_files import (
     column_keys,
     config_hash,
     load_attribution,
+    load_cohort,
     load_counts,
     load_users,
     save_attribution,
@@ -92,8 +96,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schema = schema_from_text(args.schema)
     horizon = _parse_horizon(args.horizon)
     users_csv, events_csv = _dataset_paths(args.users, args.events)
-    users, _ = load_users(users_csv, events_csv, args.organic_alpha)
-    artifacts = run_schema(prepare_users(users), schema, args.seed, horizon)
+    cohort = load_cohort(users_csv, events_csv, args.organic_alpha)
+    artifacts = run_schema(cohort, schema, args.seed, horizon)
     meta = {
         "kind": "counts",
         "schema": schema_to_text(artifacts.schema),
@@ -126,8 +130,7 @@ def _resimulate(
     if "schema" not in meta or "seed" not in meta:
         raise ConfigError("file meta lacks schema/seed; cannot rebuild the postback view")
     horizon = _parse_horizon(meta.get("horizon"))
-    users, _ = load_users(users_csv, events_csv, organic_alpha)
-    cohort = prepare_users(users)
+    cohort = load_cohort(users_csv, events_csv, organic_alpha)
     schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
     return simulate_postbacks(cohort, schema, meta["seed"], horizon)
 

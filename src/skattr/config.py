@@ -49,7 +49,8 @@ class RunConfig:
     ``users_csv``/``events_csv`` paths. Weeks start Monday; that is the only
     supported origin and kept explicit so files record it. Every estimator,
     threshold and window is checked here, so a bad one fails before any
-    dataset is generated or read.
+    dataset is generated or read; with ``gen``, a window starting at or
+    after its ``event_horizon_days`` holds no event and is rejected too.
     """
 
     gen: GenConfig | None = None
@@ -98,6 +99,14 @@ class RunConfig:
         if self.windows:
             validate_windows(self.windows)
             window_estimator(self.window_g, self.window_p)
+            horizon = self.gen.event_horizon_days if self.gen is not None else None
+            for lo, hi in self.windows:
+                # A window holding no generated day has no revenue to weigh.
+                if horizon is not None and lo >= horizon:
+                    raise ConfigError(
+                        f"windows: [{lo}, {hi}) starts at or after the generator's "
+                        f"event_horizon_days {horizon}"
+                    )
 
     def parsed_schemas(self) -> list[SchemaSpec]:
         return [schema_from_text(s) for s in self.schemas]

@@ -14,6 +14,13 @@ cannot build goes to ``_checked_event``, which runs every check in order
 and raises the typed error, with the file and line, that names the first
 one the row fails. Bytes that are not UTF-8 and fields over the csv size
 limit are reported the same way, as ``CsvFormatError``.
+
+``load_cohort`` is for callers that need only the ``model.Cohort``: it
+folds each events row straight into its user's replay digest, building no
+``Event`` or ``UserRecord``. It accepts only rows, and per-user event
+orders, that the checked path would accept; on anything else it hands the
+dataset to ``load_users`` and ``schema.prepare_users``, so every check and
+error message lives there.
 """
 
 from __future__ import annotations
@@ -23,15 +30,27 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from datetime import date, datetime
+from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import TextIO
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
-from .model import EVENT_KINDS, CampaignKey, Event, UserRecord, organic_key, usd
+from .model import (
+    EVENT_KINDS,
+    FLAG,
+    PURCHASE,
+    SESSION,
+    US_PER_DAY,
+    CampaignKey,
+    Cohort,
+    Event,
+    UserRecord,
+    organic_key,
+    usd,
+)
 from .postback import CountMatrix
-from .schema import VALUE_RANGE
+from .schema import VALUE_RANGE, prepare_users
 
 META_PREFIX = "# skattr-meta "
 
@@ -39,6 +58,7 @@ USER_FIELDS = ("id", "registration_date", "alpha", "group")
 EVENT_FIELDS = ("user_id", "timestamp", "kind", "amount_cents", "flag_index")
 COUNT_FIELDS = ("group", "week", "conversion_value", "alpha", "count")
 ATTR_FIELDS = ("group", "week", "alpha", "attributed_usd")
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def config_hash(params: object) -> str:
@@ -168,32 +188,7 @@ def load_users(
     by it). An empty or missing events file yields zero-revenue users.
     """
     upath = Path(user_csv)
-    raw: dict[int, tuple[date, int, str]] = {}
-    with _csv_rows(upath, USER_FIELDS) as (meta, rows):
-        _check_organic_alpha(upath, meta)
-        if organic_alpha is None:
-            organic_alpha = meta.get("organic_alpha")
-        for line, row in rows:
-            if len(row) != len(USER_FIELDS):
-                raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
-            uid = _parse_int(row[0], upath, line, "id")
-            try:
-                reg = date.fromisoformat(row[1])
-            except ValueError as exc:
-                raise CsvFormatError(f"{upath}:{line}: bad registration_date {row[1]!r}") from exc
-            alpha = _parse_int(row[2], upath, line, "alpha")
-            if alpha < 0:
-                raise CsvFormatError(f"{upath}:{line}: alpha must be >= 0")
-            if organic_alpha is not None and alpha > organic_alpha:
-                raise ReferentialError(
-                    f"{upath}:{line}: alpha {alpha} exceeds the organic sentinel {organic_alpha}"
-                )
-            if not row[3]:
-                raise CsvFormatError(f"{upath}:{line}: group must be non-empty")
-            if uid in raw:
-                raise CsvFormatError(f"{upath}:{line}: duplicate user id {uid}")
-            raw[uid] = (reg, alpha, row[3])
-
+    raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
     if events_csv is not None and Path(events_csv).exists():
         epath = Path(events_csv)
@@ -241,6 +236,132 @@ def load_users(
         except ConfigError as exc:
             raise CsvFormatError(f"{upath}: user {uid}: {exc}") from exc
     return users, meta
+
+
+def _user_rows(
+    upath: Path, organic_alpha: int | None
+) -> tuple[dict[int, tuple[date, int, str]], dict, int | None]:
+    """The users file as ``{id: (registration date, alpha, group)}``, its meta and the sentinel."""
+    raw: dict[int, tuple[date, int, str]] = {}
+    with _csv_rows(upath, USER_FIELDS) as (meta, rows):
+        _check_organic_alpha(upath, meta)
+        if organic_alpha is None:
+            organic_alpha = meta.get("organic_alpha")
+        for line, row in rows:
+            if len(row) != len(USER_FIELDS):
+                raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
+            uid = _parse_int(row[0], upath, line, "id")
+            try:
+                reg = date.fromisoformat(row[1])
+            except ValueError as exc:
+                raise CsvFormatError(f"{upath}:{line}: bad registration_date {row[1]!r}") from exc
+            alpha = _parse_int(row[2], upath, line, "alpha")
+            if alpha < 0:
+                raise CsvFormatError(f"{upath}:{line}: alpha must be >= 0")
+            if organic_alpha is not None and alpha > organic_alpha:
+                raise ReferentialError(
+                    f"{upath}:{line}: alpha {alpha} exceeds the organic sentinel {organic_alpha}"
+                )
+            if not row[3]:
+                raise CsvFormatError(f"{upath}:{line}: group must be non-empty")
+            if uid in raw:
+                raise CsvFormatError(f"{upath}:{line}: duplicate user id {uid}")
+            raw[uid] = (reg, alpha, row[3])
+    return raw, meta, organic_alpha
+
+
+def load_cohort(
+    user_csv: str | Path,
+    events_csv: str | Path | None = None,
+    organic_alpha: int | None = None,
+) -> Cohort:
+    """The dataset's ``Cohort``, reading each CSV once, with no ``Event`` or ``UserRecord``.
+
+    The result, or the error, is that of
+    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``.
+    Each events row this pass accepts goes straight into its user's digest;
+    on the first row it cannot accept, or when some user has no event, the
+    dataset is read again by that checked path, which raises the typed
+    error, with its file and line, that names the first check failed.
+    """
+    upath = Path(user_csv)
+    raw, _, sentinel = _user_rows(upath, organic_alpha)
+    digests: dict[int, list[tuple[int, int, int, int]]] = {uid: [] for uid in raw}
+    if _digest_events(events_csv, raw, digests) and all(digests.values()):
+        ids = sorted(raw)
+        rows = [raw[uid] for uid in ids]
+        return Cohort(
+            ids,
+            [reg.toordinal() for reg, _, _ in rows],
+            [group for _, _, group in rows],
+            [(alpha == sentinel, alpha) for _, alpha, _ in rows],
+            [tuple(digests[uid]) for uid in ids],
+        )
+    return prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])
+
+
+def _digest_events(
+    events_csv: str | Path | None,
+    users: Mapping[int, tuple[date, int, str]],
+    digests: Mapping[int, list[tuple[int, int, int, int]]],
+) -> bool:
+    """Fold each events row into its user's digest; False at the first row not accepted.
+
+    A row is accepted only when ``_checked_event`` would return its event
+    and the user's events stay in the order ``UserRecord`` and
+    ``schema.prepare_user`` require: the first one a session at or after
+    registration midnight, each later one no earlier than the one before.
+    Entries are ``prepare_user``'s: (microseconds since registration
+    midnight, purchase cents, purchase count, day-0 flag bits), one per
+    distinct instant.
+    """
+    if events_csv is None or not Path(events_csv).exists():
+        return True
+    parse_ts = datetime.fromisoformat
+    uid_text = None
+    with _csv_rows(Path(events_csv), EVENT_FIELDS) as (_, rows):
+        for _, row in rows:
+            try:
+                row_uid, ts_text, kind, amount, flag_index = row
+                if row_uid != uid_text:
+                    uid = int(row_uid)
+                    digest = digests[uid]
+                    start = datetime.combine(users[uid][0], time.min)
+                    uid_text = row_uid
+                ts = parse_ts(ts_text)
+                if kind == SESSION and not amount and not flag_index:
+                    cents = n_purch = flags = 0
+                elif kind == PURCHASE and not flag_index:
+                    cents, n_purch, flags = int(amount), 1, 0
+                    if cents <= 0:
+                        return False
+                elif kind == FLAG and not amount:
+                    index, cents, n_purch = int(flag_index), 0, 0
+                    if not 0 <= index <= 5:
+                        return False
+                    flags = 1 << index
+                else:
+                    return False
+            except (ValueError, KeyError):
+                return False
+            if ts.tzinfo is not None:
+                return False
+            us = (ts - start) // _MICROSECOND
+            if us >= US_PER_DAY:
+                flags = 0  # flags count on the registration day only
+            if digest:
+                last = digest[-1]
+                if us > last[0]:
+                    digest.append((us, cents, n_purch, flags))
+                elif us == last[0]:
+                    digest[-1] = (us, last[1] + cents, last[2] + n_purch, last[3] | flags)
+                else:
+                    return False
+            elif kind == SESSION and us >= 0:
+                digest.append((us, cents, n_purch, flags))
+            else:
+                return False
+    return True
 
 
 def _checked_event(path: Path, line: int, row: list[str], users: Mapping) -> tuple[int, Event]:

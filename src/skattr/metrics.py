@@ -126,7 +126,11 @@ def _network_label(key: CampaignKey) -> str:
 
 
 def cohort_of(users: Sequence[UserRecord], prepared: Cohort | None) -> Cohort:
-    """``prepared`` when it digests exactly ``users``; a fresh digest when it is None."""
+    """``prepared`` when it digests exactly ``users``; a fresh digest when it is None.
+
+    Only a cohort ``schema.prepare_users`` built from these records is
+    taken: one ``io_files.load_cohort`` read has no records to compare.
+    """
     if prepared is None:
         return prepare_users(users)
     if prepared.users != tuple(users):
@@ -217,7 +221,7 @@ def _expand_modes(
     out: list[tuple[str, float | None]] = []
     for mode in g_modes:
         if mode == "null_convex":
-            out.extend((mode, float(lam)) for lam in lambda_grid)
+            out.extend((mode, lam) for lam in lambda_grid)
         elif mode != "plain":
             out.append((mode, AttributionFunction(mode).lam))
         elif p < 2:
@@ -392,7 +396,7 @@ def benchmark_matrix(
                             schema=label,
                             p=p,
                             mode=mode,
-                            lam=lam,
+                            lam=None if lam is None else float(lam),
                             level=level,
                             weekly_errors=weekly,
                             aggregate_error=agg,
@@ -471,6 +475,9 @@ def window_error_curve(
     for lo, hi in wins:
         profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
         truth = ground_truth(artifacts.postbacks, lo, hi)
-        by_level = _grid_error(artifacts, matrices, profiles, g, truth, include_organic)
+        try:
+            by_level = _grid_error(artifacts, matrices, profiles, g, truth, include_organic)
+        except UndefinedWeightsError as exc:
+            raise UndefinedWeightsError(f"window [{lo}, {hi}): {exc}") from exc
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))
     return points

@@ -8,14 +8,18 @@ construction. Each user's purchases are digested on first use into
 ``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
 walks only purchases.
 
-A ``Cohort`` is the one handle the pipeline takes for a user list. It holds
-the schema-independent facts as plain integer lists in cohort order:
-registration midnight in microseconds (date ordinal x ``US_PER_DAY``), group
-index and origin column. It fixes the count-matrix columns (paid campaigns
-by alpha, then the organic key) and memoises, on first use, window revenue
-per ``[lo, hi)``, postback delay per seed and each schema's simulation.
-Every schema simulated over the cohort reads these instead of recomputing
-them per user.
+A ``Cohort`` is the one handle the pipeline takes for a user list. It is
+built from columns in cohort order (ids, registration date ordinals, group
+labels, ``(organic, alpha)`` origins and the replay digests), either by
+``schema.prepare_users`` from ``UserRecord``s or by ``io_files.load_cohort``
+straight from the dataset CSVs, and holds the schema-independent facts as
+plain integer lists: registration midnight in microseconds (date ordinal x
+``US_PER_DAY``), group index and origin column. It fixes the count-matrix
+columns (paid campaigns by alpha, then the organic key) and memoises, on
+first use, window revenue per ``[lo, hi)``, postback delay per seed and each
+schema's simulation. Window revenue reads each user's (day offset, cents)
+purchase pairs, taken once from the digests' purchase entries. Every schema
+simulated over the cohort reads these instead of recomputing them per user.
 """
 
 from __future__ import annotations
@@ -143,16 +147,17 @@ class UserRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
-        start = self.registration_instant
-        prev = start
+        if not self.events:
+            return
+        prev = self.events[0].timestamp
+        if prev < self.registration_instant:
+            raise ConfigError(f"user {self.id}: event precedes registration")
         for e in self.events:
             if e.timestamp < prev:
                 raise ConfigError(
                     f"user {self.id}: events out of order at {e.timestamp.isoformat()}"
                 )
             prev = e.timestamp
-        if self.events and self.events[0].timestamp < start:
-            raise ConfigError(f"user {self.id}: event precedes registration")
 
     @property
     def registration_instant(self) -> datetime:
@@ -167,12 +172,16 @@ class UserRecord:
         )
 
 
-def revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
-    """Purchase cents with day offset in [lo_day, hi_day)."""
+def revenue_between(purchases: Iterable[tuple[int, int]], lo_day: int, hi_day: int) -> int:
+    """Cents of the (day offset, cents) pairs with day in [lo_day, hi_day).
+
+    ``purchases`` are in day order, as ``UserRecord.purchases`` and
+    ``Cohort.purchases`` hold them.
+    """
     if lo_day < 0 or hi_day < lo_day:
         raise ConfigError(f"invalid revenue window [{lo_day}, {hi_day})")
     total = 0
-    for day, cents in user.purchases:
+    for day, cents in purchases:
         if day >= hi_day:
             break
         if day >= lo_day:
@@ -184,7 +193,7 @@ def cumulative_revenue(user: UserRecord, t: int) -> int:
     """Revenue in the user's first ``t`` days (cents); 0 for no purchases."""
     if t < 0:
         raise ConfigError(f"window days must be >= 0, got {t}")
-    return revenue_between(user, 0, t)
+    return revenue_between(user.purchases, 0, t)
 
 
 def iso_week(d: date) -> str:
@@ -196,31 +205,46 @@ def iso_week(d: date) -> str:
 class Cohort:
     """Schema-independent facts of one user list, as lists in cohort order.
 
-    ``origins`` are the count-matrix columns: the paid ``campaigns`` sorted
-    by alpha, then the ``organic`` key; ``column[i]`` indexes the origin of
-    user ``i``. The organic key is the sentinel the organic users carry, or
-    one past the largest paid alpha when there are none; a list mixing two
-    sentinels is a ``ConfigError``. ``digests`` are the replay kernel's
-    per-user event digests (see ``schema.prepare_users``). ``delays`` (seed
-    -> delivery delay in microseconds per user) is filled by
+    The columns are one entry per user: ``ids``, registration date
+    ``ordinals``, ``groups`` (labels), ``origins`` as ``(organic, alpha)``
+    and ``digests``, the replay kernel's per-user event digests (see
+    ``schema.prepare_user``). ``users`` are the records the columns were
+    taken from, when ``schema.prepare_users`` built the cohort, and None
+    when ``io_files.load_cohort`` read it from files.
+
+    ``origins`` becomes the count-matrix columns: the paid ``campaigns``
+    sorted by alpha, then the ``organic`` key; ``column[i]`` indexes the
+    origin of user ``i``. The organic key is the sentinel the organic users
+    carry, or one past the largest paid alpha when there are none; a list
+    mixing two sentinels is a ``ConfigError``. ``delays`` (seed -> delivery
+    delay in microseconds per user) is filled by
     ``pipeline.simulate_postbacks`` on first use, and ``simulations``
-    ((input schema, seed) -> ``pipeline.SimArtifacts``) by the
-    metrics layer, so every schema and call over the cohort shares them.
+    ((input schema, seed) -> ``pipeline.SimArtifacts``) by the metrics
+    layer, so every schema and call over the cohort shares them.
     """
 
-    def __init__(self, users: Iterable[UserRecord], digests: Sequence[tuple]) -> None:
-        self.users = tuple(users)
-        self.digests = digests
-        self.ids = [u.id for u in self.users]
+    def __init__(
+        self,
+        ids: Sequence[int],
+        ordinals: Sequence[int],
+        groups: Sequence[str],
+        origins: Sequence[tuple[bool, int]],
+        digests: Sequence[tuple[tuple[int, int, int, int], ...]],
+        users: tuple[UserRecord, ...] | None = None,
+    ) -> None:
+        self.ids = list(ids)
+        if not len(self.ids) == len(ordinals) == len(groups) == len(origins) == len(digests):
+            raise ConfigError("cohort columns differ in length")
         if len(set(self.ids)) != len(self.ids):
             raise ConfigError("a cohort lists some user id more than once")
-        self.midnight_us = [u.registration_date.toordinal() * US_PER_DAY for u in self.users]
-        self.group_labels = tuple(sorted({u.group for u in self.users}))
+        self.users = users
+        self.digests = digests
+        self.midnight_us = [day * US_PER_DAY for day in ordinals]
+        self.group_labels = tuple(sorted(set(groups)))
         group_index = {g: i for i, g in enumerate(self.group_labels)}
-        self.group = [group_index[u.group] for u in self.users]
+        self.group = [group_index[g] for g in groups]
         # Keyed by (organic, alpha) rather than by the key itself: the
         # dataclass hash runs in Python, once per user and lookup.
-        origins = [(u.origin.organic, u.origin.alpha) for u in self.users]
         distinct = set(origins)
         paid = sorted(alpha for organic, alpha in distinct if not organic)
         sentinels = sorted(alpha for organic, alpha in distinct if organic)
@@ -236,12 +260,22 @@ class Cohort:
         self.simulations: dict[tuple, SimArtifacts] = {}
         self._revenue: dict[tuple[int, int], list[int]] = {}
 
+    @cached_property
+    def purchases(self) -> list[tuple[tuple[int, int], ...]]:
+        """Each user's (day offset, cents) purchase pairs, from the digests' purchase entries."""
+        return [
+            tuple((us // US_PER_DAY, cents) for us, cents, n_purch, _ in digest if n_purch)
+            for digest in self.digests
+        ]
+
     def window_revenue(self, lo_day: int, hi_day: int) -> list[int]:
         """Each user's purchase cents in ``[lo_day, hi_day)``, computed once per window."""
         key = (lo_day, hi_day)
         out = self._revenue.get(key)
         if out is None:
-            out = self._revenue[key] = [revenue_between(u, lo_day, hi_day) for u in self.users]
+            out = self._revenue[key] = [
+                revenue_between(pairs, lo_day, hi_day) for pairs in self.purchases
+            ]
         return out
 
 

@@ -29,6 +29,8 @@ class PrivacyConfig:
     p: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ConfigError(f"privacy threshold must be an integer, got {self.p!r}")
         if self.p < 0:
             raise ConfigError(f"privacy threshold must be >= 0, got {self.p}")
 

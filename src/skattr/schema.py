@@ -20,8 +20,9 @@ Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Event
 times are digested into the same integers once per user list by
-``prepare_users``, which returns the ``model.Cohort`` that
-``simulate_traces`` and every later pipeline step take, so day indices
+``prepare_users`` (or per dataset by ``io_files.load_cohort``), which
+returns the ``model.Cohort`` that ``simulate_traces`` and every later
+pipeline step take, so day indices
 (calendar-day offsets from the registration date) and the 24h timer are
 exact integer arithmetic, also for timestamps with sub-second parts. PV
 values and fitted bucket boundaries read the cohort's window-revenue memo.
@@ -257,9 +258,20 @@ def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def prepare_users(users: Iterable[UserRecord]) -> Cohort:
-    """Digest a user list into the ``Cohort`` every schema run over it takes."""
+    """Digest a user list into the ``Cohort`` every schema run over it takes.
+
+    ``io_files.load_cohort`` builds the same cohort straight from the
+    dataset CSVs.
+    """
     users = tuple(users)
-    return Cohort(users, [prepare_user(u) for u in users])
+    return Cohort(
+        [u.id for u in users],
+        [u.registration_date.toordinal() for u in users],
+        [u.group for u in users],
+        [(u.origin.organic, u.origin.alpha) for u in users],
+        [prepare_user(u) for u in users],
+        users,
+    )
 
 
 def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:

@@ -237,13 +237,28 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
     """Fixture: a library ``PostbackTable`` holding exactly the given postbacks.
 
     ``postbacks`` are ``Postback``s (or a mapping to them) of some of
-    ``users``; the others get no postback (cell -1). The cohort carries no
-    event digests, since no schema is replayed over it. Cell ids number the
-    distinct (group, ISO week by the calendar) keys in order of first use.
+    ``users``; the others get no postback (cell -1). No schema is replayed
+    over the cohort, so each user's digest holds only its purchases, one
+    entry per event. Cell ids number the distinct (group, ISO week by the
+    calendar) keys in order of first use.
     """
     if isinstance(postbacks, dict):
         postbacks = postbacks.values()
-    cohort = Cohort(users, [()] * len(users))
+    digests = [
+        tuple(
+            ((e.timestamp - u.registration_instant) // _MICROSECOND, e.amount, 1, 0)
+            for e in u.events
+            if e.kind == PURCHASE
+        )
+        for u in users
+    ]
+    cohort = Cohort(
+        [u.id for u in users],
+        [u.registration_date.toordinal() for u in users],
+        [u.group for u in users],
+        [(u.origin.organic, u.origin.alpha) for u in users],
+        digests,
+    )
     index = {uid: i for i, uid in enumerate(cohort.ids)}
     n = len(users)
     values, cells, sent_us = [0] * n, [-1] * n, [0] * n

@@ -69,17 +69,23 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
 
     gen = {"n_users": 300, "n_weeks": 2, "event_horizon_days": 40, "seed": 3}
     (tmp_path / "gen.json").write_text(json.dumps(gen))
-    (tmp_path / "run.json").write_text(json.dumps({
-        "gen": gen,
+    grid = {
         "p_values": [0, 10],
         "g_modes": ["plain", "null_uniform"],
         "t": 30,
         "windows": [[7, 14], [14, 30]],
         "seed": 3,
-    }))
+    }
+    (tmp_path / "run.json").write_text(json.dumps({"gen": gen, **grid}))
+    # The stages read the dataset with load_cohort; a benchmark over the
+    # dataset's files reads it with load_users.
+    (tmp_path / "run_csv.json").write_text(json.dumps(
+        {"users_csv": "data/users.csv", "events_csv": "data/events.csv", **grid}
+    ))
     stages = [
         ["benchmark", "--config", "run.json", "--out", "bench"],
         ["generate", "--config", "gen.json", "--out", "data"],
+        ["benchmark", "--config", "run_csv.json", "--out", "bench_csv"],
         ["simulate", "--users", "data", "--schema", "kind=RR;layout=TTTVVV;horizon=7",
          "--seed", "3", "--out", "c.csv"],
         ["privatize", "--counts", "c.csv", "--p", "10", "--out", "cp.csv"],

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tempfile
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 import skattr.io_files
 from skattr.cli import main
 from skattr.config import run_config_from_dict
-from skattr.errors import CsvFormatError, ReferentialError, SkattrError
+from skattr.errors import ConfigError, CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
     load_attribution,
+    load_cohort,
     load_counts,
     load_users,
     parse_usd,
@@ -23,7 +25,18 @@ from skattr.io_files import (
     save_events,
     save_users,
 )
-from skattr.model import FLAG, PURCHASE, SESSION, CampaignKey, Event, UserRecord, ground_truth
+from skattr.metrics import benchmark_matrix
+from skattr.model import (
+    FLAG,
+    PURCHASE,
+    SESSION,
+    US_PER_DAY,
+    CampaignKey,
+    Cohort,
+    Event,
+    UserRecord,
+    ground_truth,
+)
 from skattr.pipeline import run_schema
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text
@@ -192,6 +205,15 @@ def outcome(load, *args):
         return type(exc), str(exc)
 
 
+def cohort_facts(cohort: Cohort) -> tuple:
+    """What a cohort holds for the pipeline, window revenue included."""
+    return (
+        cohort.ids, cohort.midnight_us, cohort.group_labels, cohort.group, cohort.origins,
+        cohort.column, list(cohort.digests),
+        [cohort.window_revenue(lo, hi) for lo, hi in ((0, 1), (1, 3), (0, 30))],
+    )
+
+
 class TestStreamingLoader:
     @pytest.mark.parametrize("edit", [
         "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
@@ -219,6 +241,37 @@ class TestStreamingLoader:
                 if edit == "crlf":
                     assert expected[0] == cohort
 
+    @pytest.mark.parametrize("edit", [
+        "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
+        "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
+    ])
+    @given(cohort=cohorts(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cohort_matches_reference_loader(self, edit, cohort, data):
+        if data.draw(st.booleans()):  # a first open for every user, so that the cohort loads
+            cohort = [
+                replace(u, events=(Event(u.registration_instant, SESSION), *u.events))
+                for u in cohort
+            ]
+        with tempfile.TemporaryDirectory() as tmp:
+            upath, epath = Path(tmp) / "users.csv", Path(tmp) / "events.csv"
+            save_users(upath, cohort, META)
+            save_events(epath, cohort, META)
+            lines = epath.read_text().split("\n")
+            i = data.draw(st.integers(2, len(lines) - 2))
+            epath.write_bytes(mutate(lines, i, edit, data).encode("utf-8", "surrogateescape"))
+            if edit in ESCAPES:
+                expected = outcome(load_users, upath, epath)
+                assert expected[0] is CsvFormatError
+                assert expected[1].startswith(f"{epath}:{i + 1}: ")
+            else:
+                expected = outcome(
+                    lambda *paths: cohort_facts(prepare_users(reference_load_users(*paths)[0])),
+                    upath, epath,
+                )
+            loaded = outcome(lambda *paths: cohort_facts(load_cohort(*paths)), upath, epath)
+            assert loaded == expected
+
     @pytest.mark.parametrize("column, edit", [
         pytest.param(1, lambda ts: ts + "+00:00", id="utc_offset"),
         pytest.param(2, lambda kind: kind + "\udcff", id="bad_bytes"),
@@ -237,6 +290,94 @@ class TestStreamingLoader:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CsvFormatError"
         assert err["message"].startswith(f"{epath}:3: ")
+
+
+USERS_TEXT = "id,registration_date,alpha,group\n1,2024-01-01,0,G\n2,2024-01-03,9,H\n"
+EVENTS_HEADER = "user_id,timestamp,kind,amount_cents,flag_index\n"
+
+
+class TestLoadCohort:
+    """``load_cohort`` is ``prepare_users(load_users(...)[0])`` read in one pass."""
+
+    def load(self, tmp_path, events: str | None):
+        (tmp_path / "u.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
+        if events is not None:
+            (tmp_path / "e.csv").write_text(EVENTS_HEADER + events)
+        paths = (tmp_path / "u.csv", tmp_path / "e.csv")
+        expected = outcome(lambda: cohort_facts(prepare_users(load_users(*paths)[0])))
+        result = outcome(load_cohort, *paths)
+        assert (result if isinstance(result, tuple) else cohort_facts(result)) == expected
+        return result
+
+    def test_generated_dataset(self, dataset, dataset_dir):
+        cohort = load_cohort(dataset_dir / "users.csv", dataset_dir / "events.csv")
+        assert cohort_facts(cohort) == cohort_facts(prepare_users(dataset[0]))
+
+    def test_sub_second_timestamps(self, tmp_path):
+        cohort = self.load(tmp_path, (
+            "1,2024-01-01T09:00:00.000001,session,,\n"
+            "1,2024-01-02T09:00:00.500000,purchase,250,\n"
+            "2,2024-01-03T23:59:59.999999,session,,\n"
+            "2,2024-01-04T00:00:00.25,flag,,3\n"
+        ))
+        assert cohort.digests == [
+            ((9 * 3600 * 10**6 + 1, 0, 0, 0), (33 * 3600 * 10**6 + 500_000, 250, 1, 0)),
+            ((US_PER_DAY - 1, 0, 0, 0), (US_PER_DAY + 250_000, 0, 0, 0)),
+        ]
+
+    def test_simultaneous_events_fold_into_one_entry(self, tmp_path):
+        cohort = self.load(tmp_path, (
+            "1,2024-01-01T09:00:00,session,,\n"
+            "1,2024-01-01T09:00:00,flag,,2\n"
+            "1,2024-01-01T09:00:00,purchase,100,\n"
+            "1,2024-01-01T09:00:00,purchase,25,\n"
+            "1,2024-01-01T09:00:00,flag,,0\n"
+            "2,2024-01-03T08:00:00,session,,\n"
+        ))
+        assert cohort.digests[0] == ((9 * 3600 * 10**6, 125, 2, 0b101),)
+        assert cohort.window_revenue(0, 1) == [125, 0]
+
+    def test_missing_events_file(self, tmp_path):
+        error = self.load(tmp_path, None)
+        assert error == (ConfigError, "user 1 lacks a first-open session event")
+        (tmp_path / "u.csv").write_text(USERS_TEXT.splitlines()[0] + "\n")
+        assert load_cohort(tmp_path / "u.csv", tmp_path / "e.csv").ids == []
+
+    def test_rows_interleaving_two_users(self, tmp_path):
+        cohort = self.load(tmp_path, (
+            "2,2024-01-03T08:00:00,session,,\n"
+            "1,2024-01-01T09:00:00,session,,\n"
+            "2,2024-01-04T08:00:00,purchase,70,\n"
+            "1,2024-01-01T10:00:00,purchase,30,\n"
+            "2,2024-01-04T08:00:00,session,,\n"
+        ))
+        assert cohort.window_revenue(0, 2) == [30, 70]
+        error = self.load(tmp_path, (
+            "1,2024-01-01T09:00:00,session,,\n"
+            "2,2024-01-03T08:00:00,session,,\n"
+            "1,2024-01-01T08:00:00,session,,\n"
+        ))
+        assert error == (
+            CsvFormatError,
+            f"{tmp_path / 'u.csv'}: user 1: user 1: events out of order at 2024-01-01T08:00:00",
+        )
+
+    def test_event_before_registration(self, tmp_path):
+        # User 2's first event is at 23:00 the day before registration.
+        error = self.load(tmp_path, (
+            "1,2024-01-01T09:00:00,session,,\n"
+            "2,2024-01-02T23:00:00,session,,\n"
+            "2,2024-01-03T09:00:00,session,,\n"
+        ))
+        assert error == (
+            CsvFormatError, f"{tmp_path / 'u.csv'}: user 2: user 2: event precedes registration"
+        )
+
+    def test_shared_cohort_must_be_built_from_the_users(self, dataset, dataset_dir):
+        cohort = load_cohort(dataset_dir / "users.csv", dataset_dir / "events.csv")
+        with pytest.raises(ConfigError, match="different user list"):
+            benchmark_matrix(dataset[0], [schema_from_text("kind=UD")], [0], ["plain"], 30,
+                             seed=1, prepared=cohort)
 
 
 class TestCountsRoundTrip:
@@ -518,6 +659,18 @@ class TestCliErrors:
         if key is not None:
             assert message.startswith(f"{key} must fit ")
         assert not (out / "dataset").exists()
+
+    def test_window_past_the_generator_horizon(self, tmp_path, capsys):
+        # GEN has 35 days of events; the last default window is [60, 90).
+        (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN}))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        assert config_error(capsys) == (
+            "windows: [60, 90) starts at or after the generator's event_horizon_days 35"
+        )
+        assert not (out / "dataset").exists()
+        # A window only partly past the horizon is kept.
+        assert run_config_from_dict({"gen": self.GEN, "windows": [[30, 60]]}).windows == ((30, 60),)
 
     def test_integer_where_a_float_is_expected_keeps_the_config(self):
         data = {"gen": {"n_users": 600, "organic_share": 0}, "lambda_grid": [0, 1]}

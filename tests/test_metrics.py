@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from skattr.errors import (
     GridCellError,
     UndefinedWeightsError,
 )
+from skattr.attribution import AttributionFunction
 from skattr.metrics import (
     aggregate_error,
     benchmark_matrix,
@@ -21,6 +23,7 @@ from skattr.metrics import (
     window_error_curve,
 )
 from skattr.model import CampaignKey, organic_key
+from skattr.privacy import PrivacyConfig
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
@@ -203,6 +206,27 @@ def test_negative_p_rejected_before_simulating(run):
     with pytest.raises(ConfigError, match="privacy threshold must be >= 0"):
         run(users, prepared)
     assert prepared.simulations == {}
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(lambda: PrivacyConfig("2"), "'2'", id="p_str"),
+    pytest.param(lambda: PrivacyConfig(True), "True", id="p_bool"),
+    pytest.param(lambda: PrivacyConfig(2.0), "2.0", id="p_float"),
+    pytest.param(lambda: AttributionFunction("null_convex", "0.5"), "'0.5'", id="lambda_str"),
+    pytest.param(lambda: AttributionFunction("null_convex", True), "True", id="lambda_bool"),
+    pytest.param(lambda: benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=UD")],
+                                          ["2"], ["plain"], 30, seed=1), "'2'", id="grid_p"),
+])
+def test_argument_of_the_wrong_type_is_a_config_error(build, value):
+    with pytest.raises(ConfigError, match=f"got {re.escape(value)}$"):
+        build()
+
+
+def test_window_without_revenue_names_the_window():
+    users = generate_dataset(GenConfig(n_users=300, n_weeks=2, event_horizon_days=35, seed=0))[0]
+    with pytest.raises(UndefinedWeightsError, match=r"^window \[60, 90\): all week weights"):
+        window_error_curve(users, schema_from_text("kind=UD"), 0, "plain", [(7, 14), (60, 90)],
+                           seed=0)
 
 
 def no_spender_dataset():

@@ -34,6 +34,18 @@ def make_user(uid=0, purchases=(), origin=encode_alpha(4, 5), group="G", reg=MON
     return UserRecord(id=uid, registration_date=reg, origin=origin, events=tuple(events), group=group)
 
 
+class TestEventOrder:
+    @pytest.mark.parametrize("first, second, message", [
+        (datetime(2023, 12, 31, 23), datetime(2024, 1, 1, 9), "event precedes registration"),
+        (datetime(2024, 1, 1, 9), datetime(2024, 1, 1, 8),
+         "events out of order at 2024-01-01T08:00:00"),
+    ])
+    def test_message(self, first, second, message):
+        events = (Event(first, "session"), Event(second, "session"))
+        with pytest.raises(ConfigError, match=f"^user 0: {message}$"):
+            UserRecord(0, MONDAY, encode_alpha(0, 0), events, "G")
+
+
 class TestCampaignKey:
     @pytest.mark.parametrize("n,c,alpha", [(4, 5, 405), (0, 0, 0), (3, 89, 389)])
     def test_encode(self, n, c, alpha):
@@ -93,8 +105,8 @@ class TestCumulativeRevenue:
 
     def test_revenue_between_window(self):
         user = make_user(purchases=[(1, 12, 100), (5, 12, 200), (10, 12, 400)])
-        assert revenue_between(user, 2, 7) == 200
-        assert revenue_between(user, 0, 30) == 700
+        assert revenue_between(user.purchases, 2, 7) == 200
+        assert revenue_between(user.purchases, 0, 30) == 700
 
     @given(
         st.lists(
@@ -130,8 +142,8 @@ class TestCumulativeRevenue:
     def test_revenue_between_matches_event_walk(self, purchases, a, b):
         lo, hi = min(a, b), max(a, b)
         user = make_user(purchases=purchases, flags=[(0, 9, 1), (lo, 0, 3)])
-        assert revenue_between(user, lo, hi) == scan_revenue_between(user, lo, hi)
-        assert revenue_between(user, lo, lo) == 0
+        assert revenue_between(user.purchases, lo, hi) == scan_revenue_between(user, lo, hi)
+        assert revenue_between(user.purchases, lo, lo) == 0
 
 
 class TestUserRecordInvariants:

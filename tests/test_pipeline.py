@@ -168,6 +168,10 @@ class TestCohortFacts:
         with pytest.raises(ConfigError, match="more than once"):
             prepare_users([users[0], users[1], users[0]])
 
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ConfigError, match="differ in length"):
+            model.Cohort([1, 2], [738_000, 738_001], ["G", "G"], [(False, 0)] * 2, [()])
+
     def test_prepared_digest_must_match_the_users(self, users):
         prepared = prepare_users(users[:10])
         with pytest.raises(ConfigError, match="different user list"):
@@ -185,9 +189,9 @@ class TestCohortFacts:
             simulated.append(schema.label)
             return run_schema_impl(cohort, schema, *args)
 
-        def counting_revenue(user, lo_day, hi_day):
-            windows.append((user.id, lo_day, hi_day))
-            return revenue_impl(user, lo_day, hi_day)
+        def counting_revenue(purchases, lo_day, hi_day):
+            windows.append(((lo_day, hi_day), purchases))
+            return revenue_impl(purchases, lo_day, hi_day)
 
         def counting_cell(group, day):
             cells.append((group, day))
@@ -211,10 +215,12 @@ class TestCohortFacts:
         assert sorted(simulated) == sorted(s.label for s in schemas)
 
         # [0, 30): PV fit and values, grid profiles and truth; [0, 7): D7 RR fit.
+        # Each window walks every user's purchases once, in cohort order.
         distinct = {(0, 30), (0, 7), (7, 14), (14, 30)}
-        assert Counter(windows) == Counter(
-            (u.id, lo, hi) for u in users for lo, hi in distinct
-        )
+        walked: dict[tuple[int, int], list] = {}
+        for window, purchases in windows:
+            walked.setdefault(window, []).append(purchases)
+        assert walked == {window: prepared.purchases for window in distinct}
         # One cell_of call per distinct (group, week) of each simulated table.
         delivered = Counter(
             key
