@@ -200,27 +200,27 @@ def run_config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def _load_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; any failure is a ``ConfigError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file {path} not found") from exc
+    except OSError as exc:  # a directory, or no permission to read
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("run config must be a JSON object")
-    return run_config_from_dict(data)
+        raise ConfigError(f"{what} must be a JSON object")
+    return data
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    return run_config_from_dict(_load_json_object(path, "run config"))
 
 
 def load_gen_config(path: str | Path) -> GenConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file {path} not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("generator config must be a JSON object")
-    return gen_config_from_dict(data)
+    return gen_config_from_dict(_load_json_object(path, "generator config"))

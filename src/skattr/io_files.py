@@ -8,19 +8,17 @@ USD decimal its consumers expect. CSVs are RFC-4180 with header rows.
 
 Every loader reads its file in one pass through ``_csv_rows``, which checks
 the meta line and header up front and then yields rows lazily, so no file
-is held in memory as a list of rows. The events loop of ``load_users`` has
-a fast path that builds each valid row's ``Event`` directly; a row it
-cannot build goes to ``_checked_event``, which runs every check in order
-and raises the typed error, with the file and line, that names the first
-one the row fails. Bytes that are not UTF-8 and fields over the csv size
-limit are reported the same way, as ``CsvFormatError``.
-
-``load_cohort`` is for callers that need only the ``model.Cohort``: it
-folds each events row straight into its user's replay digest, building no
-``Event`` or ``UserRecord``. It accepts only rows, and per-user event
-orders, that the checked path would accept; on anything else it hands the
-dataset to ``load_users`` and ``schema.prepare_users``, so every check and
-error message lives there.
+is held in memory as a list of rows. Events rows are read by one
+generator, ``_event_rows``, for both dataset loaders: ``load_users`` builds
+an ``Event`` from each row it yields, and ``load_cohort`` folds each into
+its user's replay digest with ``schema.fold_event``, building no ``Event``
+or ``UserRecord``. A row the generator refuses goes to
+``_raise_row_error``, which runs every check in order and raises the typed
+error, with the file and line, that names the first one the row fails.
+Bytes that are not UTF-8 and fields over the csv size limit are reported
+the same way, as ``CsvFormatError``. Only a user whose events are out of
+order, or do not start with a session, sends ``load_cohort`` back to
+``load_users`` and ``schema.prepare_users``, whose messages name it.
 """
 
 from __future__ import annotations
@@ -30,27 +28,25 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from pathlib import Path
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
 from .model import (
     EVENT_KINDS,
-    FLAG,
-    PURCHASE,
-    SESSION,
-    US_PER_DAY,
+    MICROSECOND,
     CampaignKey,
     Cohort,
     Event,
     UserRecord,
+    check_event,
     organic_key,
     usd,
 )
 from .postback import CountMatrix
-from .schema import VALUE_RANGE, prepare_users
+from .schema import VALUE_RANGE, fold_event, prepare_users
 
 META_PREFIX = "# skattr-meta "
 
@@ -58,7 +54,6 @@ USER_FIELDS = ("id", "registration_date", "alpha", "group")
 EVENT_FIELDS = ("user_id", "timestamp", "kind", "amount_cents", "flag_index")
 COUNT_FIELDS = ("group", "week", "conversion_value", "alpha", "count")
 ATTR_FIELDS = ("group", "week", "alpha", "attributed_usd")
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def config_hash(params: object) -> str:
@@ -185,39 +180,16 @@ def load_users(
 
     The organic sentinel comes from the argument or the file meta; rows with
     alpha beyond the sentinel are rejected (the combined id space is bounded
-    by it). An empty or missing events file yields zero-revenue users.
+    by it). An empty or missing events file yields zero-revenue users. Each
+    events row comes from ``_event_rows``; a user whose events are out of
+    order, or start before registration, is a ``CsvFormatError`` naming
+    the events file.
     """
     upath = Path(user_csv)
     raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
-    if events_csv is not None and Path(events_csv).exists():
-        epath = Path(events_csv)
-        parse_ts = datetime.fromisoformat
-        uid_text, user_events = None, None
-        with _csv_rows(epath, EVENT_FIELDS) as (_, rows):
-            for line, row in rows:
-                # Fast path for a valid row. The file is grouped by user, so the
-                # event list is looked up only when the user_id text changes.
-                try:
-                    row_uid, ts_text, kind, amount, flag_index = row
-                    if row_uid != uid_text:
-                        user_events = events[int(row_uid)]
-                        uid_text = row_uid
-                    ts = parse_ts(ts_text)
-                    if ts.tzinfo is None:
-                        user_events.append(
-                            Event(
-                                ts,
-                                kind,
-                                int(amount) if amount else None,
-                                int(flag_index) if flag_index else None,
-                            )
-                        )
-                        continue
-                except (ValueError, KeyError):  # ConfigError is a ValueError
-                    pass
-                uid, event = _checked_event(epath, line, row, raw)
-                events[uid].append(event)
+    for uid, ts, kind, amount, flag_index in _event_rows(events_csv, raw):
+        events[uid].append(Event(ts, kind, amount, flag_index))
 
     users: list[UserRecord] = []
     for uid in sorted(raw):
@@ -233,8 +205,8 @@ def load_users(
                     group=group,
                 )
             )
-        except ConfigError as exc:
-            raise CsvFormatError(f"{upath}: user {uid}: {exc}") from exc
+        except ConfigError as exc:  # only a user with events fails, so there is a file
+            raise CsvFormatError(f"{Path(events_csv)}: {exc}") from exc
     return users, meta
 
 
@@ -279,93 +251,74 @@ def load_cohort(
 
     The result, or the error, is that of
     ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``.
-    Each events row this pass accepts goes straight into its user's digest;
-    on the first row it cannot accept, or when some user has no event, the
-    dataset is read again by that checked path, which raises the typed
-    error, with its file and line, that names the first check failed.
+    Each row from ``_event_rows`` is folded into its user's digest by
+    ``schema.fold_event``, so a bad row raises its own error in this pass.
+    Only when some user's events are out of order, or do not start with a
+    session, is the dataset read again by that checked path, whose
+    ``UserRecord`` and ``prepare_user`` name the defect.
     """
     upath = Path(user_csv)
     raw, _, sentinel = _user_rows(upath, organic_alpha)
     digests: dict[int, list[tuple[int, int, int, int]]] = {uid: [] for uid in raw}
-    if _digest_events(events_csv, raw, digests) and all(digests.values()):
-        ids = sorted(raw)
-        rows = [raw[uid] for uid in ids]
-        return Cohort(
-            ids,
-            [reg.toordinal() for reg, _, _ in rows],
-            [group for _, _, group in rows],
-            [(alpha == sentinel, alpha) for _, alpha, _ in rows],
-            [tuple(digests[uid]) for uid in ids],
-        )
+    prev = None
+    for uid, ts, kind, amount, flag_index in _event_rows(events_csv, raw):
+        if uid != prev:
+            digest, start, prev = digests[uid], datetime.combine(raw[uid][0], time.min), uid
+        if not fold_event(digest, (ts - start) // MICROSECOND, kind, amount, flag_index):
+            break
+    else:
+        if all(digests.values()):
+            ids = sorted(raw)
+            rows = [raw[uid] for uid in ids]
+            return Cohort(
+                ids,
+                [reg.toordinal() for reg, _, _ in rows],
+                [group for _, _, group in rows],
+                [(alpha == sentinel, alpha) for _, alpha, _ in rows],
+                [tuple(digests[uid]) for uid in ids],
+            )
     return prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])
 
 
-def _digest_events(
-    events_csv: str | Path | None,
-    users: Mapping[int, tuple[date, int, str]],
-    digests: Mapping[int, list[tuple[int, int, int, int]]],
-) -> bool:
-    """Fold each events row into its user's digest; False at the first row not accepted.
+def _event_rows(
+    events_csv: str | Path | None, users: Mapping[int, object]
+) -> Iterator[tuple[int, datetime, str, int | None, int | None]]:
+    """``(user id, timestamp, kind, amount, flag_index)`` of each events row, in file order.
 
-    A row is accepted only when ``_checked_event`` would return its event
-    and the user's events stay in the order ``UserRecord`` and
-    ``schema.prepare_user`` require: the first one a session at or after
-    registration midnight, each later one no earlier than the one before.
-    Entries are ``prepare_user``'s: (microseconds since registration
-    midnight, purchase cents, purchase count, day-0 flag bits), one per
-    distinct instant.
+    Nothing when there is no events file. A row must name a known user, a
+    naive ISO timestamp and integer fields that ``model.check_event``
+    accepts; the first row that does not is handed to ``_raise_row_error``.
     """
     if events_csv is None or not Path(events_csv).exists():
-        return True
+        return
+    path = Path(events_csv)
     parse_ts = datetime.fromisoformat
     uid_text = None
-    with _csv_rows(Path(events_csv), EVENT_FIELDS) as (_, rows):
-        for _, row in rows:
+    with _csv_rows(path, EVENT_FIELDS) as (_, rows):
+        for line, row in rows:
+            # The file is grouped by user, so the user id is parsed and looked
+            # up only when its text changes.
             try:
                 row_uid, ts_text, kind, amount, flag_index = row
                 if row_uid != uid_text:
                     uid = int(row_uid)
-                    digest = digests[uid]
-                    start = datetime.combine(users[uid][0], time.min)
+                    if uid not in users:
+                        raise KeyError(uid)
                     uid_text = row_uid
                 ts = parse_ts(ts_text)
-                if kind == SESSION and not amount and not flag_index:
-                    cents = n_purch = flags = 0
-                elif kind == PURCHASE and not flag_index:
-                    cents, n_purch, flags = int(amount), 1, 0
-                    if cents <= 0:
-                        return False
-                elif kind == FLAG and not amount:
-                    index, cents, n_purch = int(flag_index), 0, 0
-                    if not 0 <= index <= 5:
-                        return False
-                    flags = 1 << index
-                else:
-                    return False
-            except (ValueError, KeyError):
-                return False
-            if ts.tzinfo is not None:
-                return False
-            us = (ts - start) // _MICROSECOND
-            if us >= US_PER_DAY:
-                flags = 0  # flags count on the registration day only
-            if digest:
-                last = digest[-1]
-                if us > last[0]:
-                    digest.append((us, cents, n_purch, flags))
-                elif us == last[0]:
-                    digest[-1] = (us, last[1] + cents, last[2] + n_purch, last[3] | flags)
-                else:
-                    return False
-            elif kind == SESSION and us >= 0:
-                digest.append((us, cents, n_purch, flags))
-            else:
-                return False
-    return True
+                amount = int(amount) if amount else None
+                flag_index = int(flag_index) if flag_index else None
+                check_event(kind, amount, flag_index)
+                valid = ts.tzinfo is None
+            except (ValueError, KeyError):  # ConfigError is a ValueError
+                valid = False
+            if not valid:
+                _raise_row_error(path, line, row, users)
+            yield uid, ts, kind, amount, flag_index
 
 
-def _checked_event(path: Path, line: int, row: list[str], users: Mapping) -> tuple[int, Event]:
-    """(user id, event) of one events row, every check in order with its own error."""
+def _raise_row_error(path: Path, line: int, row: list[str], users: Mapping) -> NoReturn:
+    """Raise the error, with the file and line, naming the first check an events row fails."""
     if len(row) != len(EVENT_FIELDS):
         raise CsvFormatError(f"{path}:{line}: expected {len(EVENT_FIELDS)} columns")
     uid = _parse_int(row[0], path, line, "user_id")
@@ -378,14 +331,15 @@ def _checked_event(path: Path, line: int, row: list[str], users: Mapping) -> tup
     if ts.tzinfo is not None:
         raise CsvFormatError(f"{path}:{line}: timestamp {row[1]!r} has a UTC offset")
     kind = row[2]
-    if kind not in EVENT_KINDS:
+    if kind not in EVENT_KINDS:  # named before a malformed number
         raise CsvFormatError(f"{path}:{line}: unknown event kind {kind!r}")
     amount = _parse_int(row[3], path, line, "amount_cents") if row[3] else None
     flag_index = _parse_int(row[4], path, line, "flag_index") if row[4] else None
     try:
-        return uid, Event(ts, kind, amount=amount, flag_index=flag_index)
+        check_event(kind, amount, flag_index)
     except ConfigError as exc:
         raise CsvFormatError(f"{path}:{line}: {exc}") from exc
+    raise AssertionError(f"{path}:{line}: events row refused, yet it passes every check")
 
 
 def save_dataset(out_dir: str | Path, users: Sequence[UserRecord], meta: Mapping) -> dict[str, Path]:

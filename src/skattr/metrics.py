@@ -318,8 +318,12 @@ def benchmark_matrix(
     """
     if not schemas or not p_values or not g_modes:
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
+    if type(t) is not int:
+        raise ConfigError(f"revenue window t must be a whole number of days, got {t!r}")
     if t < 1:
         raise ConfigError("revenue window t must be at least one day")
+    for schema in schemas:
+        _check_schema(schema)
     for p in p_values:
         PrivacyConfig(p)  # a negative threshold fails before anything is simulated
 
@@ -424,6 +428,11 @@ def benchmark_matrix(
     return AttributionReport(cells=cells, metadata=metadata)
 
 
+def _check_schema(schema: SchemaSpec) -> None:
+    if not isinstance(schema, SchemaSpec):
+        raise ConfigError(f"schema must be a SchemaSpec, got {schema!r}")
+
+
 def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     for lo, hi in windows:
@@ -467,6 +476,7 @@ def window_error_curve(
     ``prepared`` cohort a grid ran on, the grid's simulation of the schema
     is reused; otherwise the schema is simulated here.
     """
+    _check_schema(schema)
     wins = validate_windows(windows)
     g = window_estimator(g, p)
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)

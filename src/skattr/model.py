@@ -4,15 +4,17 @@ Money is integer USD cents everywhere. Revenue windows are half-open in
 whole days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
 (Monday start). Campaign keys, users and events are immutable after
-construction. Each user's purchases are digested on first use into
-``UserRecord.purchases``, (day offset, cents) pairs, so window revenue
-walks only purchases.
+construction. ``check_event`` is the rule on an event's kind and fields,
+kept by ``Event`` and by the dataset reader. Each user's purchases are
+digested on first use into ``UserRecord.purchases``, (day offset, cents)
+pairs, so window revenue walks only purchases.
 
 A ``Cohort`` is the one handle the pipeline takes for a user list. It is
 built from columns in cohort order (ids, registration date ordinals, group
 labels, ``(organic, alpha)`` origins and the replay digests), either by
 ``schema.prepare_users`` from ``UserRecord``s or by ``io_files.load_cohort``
-straight from the dataset CSVs, and holds the schema-independent facts as
+straight from the dataset CSVs, both folding each event in with
+``schema.fold_event``, and holds the schema-independent facts as
 plain integer lists: registration midnight in microseconds (date ordinal x
 ``US_PER_DAY``), group index and origin column. It fixes the count-matrix
 columns (paid campaigns by alpha, then the organic key) and memoises, on
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -39,6 +41,7 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86_400
 US_PER_DAY = SECONDS_PER_DAY * 1_000_000
 US_PER_WEEK = 7 * US_PER_DAY
+MICROSECOND = timedelta(microseconds=1)
 
 SESSION = "session"
 PURCHASE = "purchase"
@@ -113,21 +116,30 @@ class Event:
     flag_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ConfigError(f"unknown event kind {self.kind!r}")
-        if self.kind == PURCHASE:
-            if self.amount is None or self.amount <= 0:
-                raise ConfigError("purchase amount must be a positive cent count")
-            if self.flag_index is not None:
-                raise ConfigError("purchase events carry no flag_index")
-        elif self.kind == FLAG:
-            if self.flag_index is None or not 0 <= self.flag_index <= 5:
-                raise ConfigError("flag_index must be in [0, 5]")
-            if self.amount is not None:
-                raise ConfigError("flag events carry no amount")
-        else:
-            if self.amount is not None or self.flag_index is not None:
-                raise ConfigError("session events carry no amount or flag_index")
+        check_event(self.kind, self.amount, self.flag_index)
+
+
+def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
+    """Raise ``ConfigError`` unless ``kind`` carries exactly the fields it needs.
+
+    A session carries neither field, a purchase a positive cent ``amount``
+    and a flag a ``flag_index`` in [0, 5].
+    """
+    if kind == SESSION:
+        if amount is not None or flag_index is not None:
+            raise ConfigError("session events carry no amount or flag_index")
+    elif kind == PURCHASE:
+        if amount is None or amount <= 0:
+            raise ConfigError("purchase amount must be a positive cent count")
+        if flag_index is not None:
+            raise ConfigError("purchase events carry no flag_index")
+    elif kind == FLAG:
+        if flag_index is None or not 0 <= flag_index <= 5:
+            raise ConfigError("flag_index must be in [0, 5]")
+        if amount is not None:
+            raise ConfigError("flag events carry no amount")
+    else:
+        raise ConfigError(f"unknown event kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ class Cohort:
     The columns are one entry per user: ``ids``, registration date
     ``ordinals``, ``groups`` (labels), ``origins`` as ``(organic, alpha)``
     and ``digests``, the replay kernel's per-user event digests (see
-    ``schema.prepare_user``). ``users`` are the records the columns were
+    ``schema.fold_event``). ``users`` are the records the columns were
     taken from, when ``schema.prepare_users`` built the cohort, and None
     when ``io_files.load_cohort`` read it from files.
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 from .errors import ConfigError
-from .model import US_PER_DAY, US_PER_WEEK, Cohort
+from .model import MICROSECOND, US_PER_DAY, US_PER_WEEK, Cohort
 from .postback import (
     CellKey,
     CountMatrix,
@@ -39,8 +39,6 @@ from .postback import (
 )
 from .rng import hash64, substream
 from .schema import VALUE_RANGE, SchemaSpec, fit_buckets, simulate_traces
-
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def resolve_schema(schema: SchemaSpec, cohort: Cohort, seed: int) -> SchemaSpec:
@@ -65,7 +63,7 @@ def horizon_us(horizon: datetime) -> int:
         raise ConfigError(
             f"horizon {horizon.isoformat()!r} has a UTC offset; skattr times are naive"
         )
-    return (horizon - datetime.min) // _MICROSECOND + US_PER_DAY
+    return (horizon - datetime.min) // MICROSECOND + US_PER_DAY
 
 
 def simulate_postbacks(

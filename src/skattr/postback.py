@@ -18,15 +18,13 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 
 from .errors import ConfigError, InconsistentTotalsError
-from .model import US_PER_DAY, CampaignKey, Cohort, iso_week
+from .model import MICROSECOND, US_PER_DAY, CampaignKey, Cohort, iso_week
 from .schema import VALUE_RANGE
 
 POSTBACK_QUIET_SECONDS = 86_400.0
 POSTBACK_JITTER_SECONDS = 86_400.0
 
 CellKey = tuple[str, str]  # (group, week)
-
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def postback_delay_us(draw: float) -> int:
@@ -36,7 +34,7 @@ def postback_delay_us(draw: float) -> int:
     round to whole microseconds as ``timedelta`` rounds them.
     """
     delay = POSTBACK_QUIET_SECONDS + draw * POSTBACK_JITTER_SECONDS
-    return timedelta(0, delay) // _MICROSECOND
+    return timedelta(0, delay) // MICROSECOND
 
 
 def cell_of(group: str, day: date) -> CellKey:

@@ -19,13 +19,13 @@ an event exactly 24h after the previous commit still commits.
 Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Event
-times are digested into the same integers once per user list by
-``prepare_users`` (or per dataset by ``io_files.load_cohort``), which
-returns the ``model.Cohort`` that ``simulate_traces`` and every later
-pipeline step take, so day indices
-(calendar-day offsets from the registration date) and the 24h timer are
-exact integer arithmetic, also for timestamps with sub-second parts. PV
-values and fitted bucket boundaries read the cohort's window-revenue memo.
+times are digested into the same integers by ``fold_event``, one event at
+a time, for both builders of the ``model.Cohort`` that ``simulate_traces``
+and every later pipeline step take: ``prepare_users`` per user list and
+``io_files.load_cohort`` per dataset. So day indices (calendar-day offsets
+from the registration date) and the 24h timer are exact integer
+arithmetic, also for timestamps with sub-second parts. PV values and
+fitted bucket boundaries read the cohort's window-revenue memo.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from datetime import timedelta
 
 from .errors import ConfigError, DegenerateFitError, LayoutError
-from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
+from .model import FLAG, MICROSECOND, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
 VALUE_RANGE = 64  # 6 bits
 COMMIT_WINDOW_US = US_PER_DAY
-_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,40 +226,62 @@ def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:
     return schema.bucket_boundaries
 
 
-def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
-    """One user's event digest: one entry per distinct instant.
+def fold_event(
+    digest: list, us: int, kind: str, amount: int | None, flag_index: int | None
+) -> bool:
+    """Fold one event, ``us`` microseconds after registration midnight, into a digest.
 
-    Each entry is (microseconds since registration midnight, purchase
-    cents, purchase count, day-0 flag bits) aggregated over simultaneous
-    events.
+    A digest has one entry per distinct instant: (microseconds since
+    registration midnight, purchase cents, purchase count, day-0 flag bits)
+    summed over the events at that instant. Returns False, leaving the
+    digest as it was, for an event that cannot come next: a first event
+    that is not a session at or after midnight, or one earlier than the
+    entry before it.
     """
-    if not user.events or user.events[0].kind != SESSION:
-        raise ConfigError(f"user {user.id} lacks a first-open session event")
+    if kind == PURCHASE:
+        cents, n_purch, flags = amount, 1, 0
+    elif kind == FLAG and us < US_PER_DAY:
+        cents, n_purch, flags = 0, 0, 1 << flag_index
+    else:
+        cents = n_purch = flags = 0
+    if digest:
+        last = digest[-1]
+        if us > last[0]:
+            digest.append((us, cents, n_purch, flags))
+        elif us == last[0]:
+            digest[-1] = (us, last[1] + cents, last[2] + n_purch, last[3] | flags)
+        else:
+            return False
+    elif kind == SESSION and us >= 0:
+        digest.append((us, cents, n_purch, flags))
+    else:
+        return False
+    return True
+
+
+def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
+    """One user's event digest, each event folded in by ``fold_event``.
+
+    ``UserRecord`` keeps the events in order from registration midnight on,
+    so the fold refuses only a first event that is not a session.
+    """
     start = user.registration_instant
-    groups: list[tuple[int, int, int, int]] = []
-    prev = -1
+    digest: list[tuple[int, int, int, int]] = []
     for e in user.events:
-        us = (e.timestamp - start) // _MICROSECOND
-        if e.kind == PURCHASE:
-            amount, n_purch, flags = e.amount, 1, 0
-        elif e.kind == FLAG and us < US_PER_DAY:
-            amount, n_purch, flags = 0, 0, 1 << e.flag_index
-        else:
-            amount = n_purch = flags = 0
-        if us == prev:
-            _, a, n, f = groups[-1]
-            groups[-1] = (us, a + amount, n + n_purch, f | flags)
-        else:
-            groups.append((us, amount, n_purch, flags))
-            prev = us
-    return tuple(groups)
+        us = (e.timestamp - start) // MICROSECOND
+        if not fold_event(digest, us, e.kind, e.amount, e.flag_index):
+            break
+    else:
+        if digest:
+            return tuple(digest)
+    raise ConfigError(f"user {user.id} lacks a first-open session event")
 
 
 def prepare_users(users: Iterable[UserRecord]) -> Cohort:
     """Digest a user list into the ``Cohort`` every schema run over it takes.
 
     ``io_files.load_cohort`` builds the same cohort straight from the
-    dataset CSVs.
+    dataset CSVs, with the same ``fold_event``.
     """
     users = tuple(users)
     return Cohort(

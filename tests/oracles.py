@@ -561,5 +561,5 @@ def reference_load_users(
                 )
             )
         except ConfigError as exc:
-            raise CsvFormatError(f"{upath}: user {uid}: {exc}") from exc
+            raise CsvFormatError(f"{Path(events_csv)}: {exc}") from exc
     return users, meta

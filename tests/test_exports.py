@@ -135,3 +135,35 @@ def test_estimator_kernels_are_used_only_by_attribute_cells():
         ("attribute_plain", "metrics.attribute_cells"),
         ("attribute_with_null", "metrics.attribute_cells"),
     ]
+
+
+class _EventsReads(ast.NodeVisitor):
+    """Each ``_csv_rows(..., EVENT_FIELDS)`` call, by the function that makes it."""
+
+    def __init__(self, module: str) -> None:
+        self.scope = [module]
+        self.readers: list[str] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_csv_rows" and any(
+            isinstance(arg, ast.Name) and arg.id == "EVENT_FIELDS" for arg in node.args
+        ):
+            self.readers.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_events_rows_are_read_only_by_event_rows():
+    """``io_files._event_rows`` is the one loop over ``events.csv`` rows."""
+    readers = []
+    for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
+        visitor = _EventsReads(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        readers.extend(visitor.readers)
+    assert readers == ["io_files._event_rows"]

@@ -359,7 +359,7 @@ class TestLoadCohort:
         ))
         assert error == (
             CsvFormatError,
-            f"{tmp_path / 'u.csv'}: user 1: user 1: events out of order at 2024-01-01T08:00:00",
+            f"{tmp_path / 'e.csv'}: user 1: events out of order at 2024-01-01T08:00:00",
         )
 
     def test_event_before_registration(self, tmp_path):
@@ -370,7 +370,29 @@ class TestLoadCohort:
             "2,2024-01-03T09:00:00,session,,\n"
         ))
         assert error == (
-            CsvFormatError, f"{tmp_path / 'u.csv'}: user 2: user 2: event precedes registration"
+            CsvFormatError, f"{tmp_path / 'e.csv'}: user 2: event precedes registration"
+        )
+
+    @pytest.mark.parametrize("row, error", [
+        pytest.param("1,2024-01-01T10:00:00,purchase,0,", (
+            CsvFormatError, "3: purchase amount must be a positive cent count"), id="amount"),
+        pytest.param("7,2024-01-01T10:00:00,session,,", (
+            ReferentialError, "3: event references unknown user 7"), id="unknown_user"),
+        pytest.param("1,2024-01-01T10:00:00,click,,", (
+            CsvFormatError, "3: unknown event kind 'click'"), id="kind"),
+    ])
+    def test_bad_row_raises_without_a_second_read(self, tmp_path, monkeypatch, row, error):
+        def second_read(*args):
+            raise AssertionError("load_cohort read the dataset again")
+
+        (tmp_path / "u.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
+        (tmp_path / "e.csv").write_text(
+            EVENTS_HEADER + "1,2024-01-01T09:00:00,session,,\n" + row + "\n"
+            "2,2024-01-03T09:00:00,session,,\n"
+        )
+        monkeypatch.setattr(skattr.io_files, "load_users", second_read)
+        assert outcome(load_cohort, tmp_path / "u.csv", tmp_path / "e.csv") == (
+            error[0], f"{tmp_path / 'e.csv'}:{error[1]}"
         )
 
     def test_shared_cohort_must_be_built_from_the_users(self, dataset, dataset_dir):
@@ -659,6 +681,20 @@ class TestCliErrors:
         if key is not None:
             assert message.startswith(f"{key} must fit ")
         assert not (out / "dataset").exists()
+
+    @pytest.mark.parametrize("stage", ["benchmark", "generate"])
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda path: path.mkdir(), "cannot be read: Is a directory", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+                     "is not UTF-8 text: invalid start byte", id="not_utf8"),
+        pytest.param(lambda path: path.write_text("[1]"), "must be a JSON object", id="array"),
+    ])
+    def test_unreadable_config_file(self, tmp_path, capsys, stage, make, message):
+        make(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert run_cli(stage, "--config", tmp_path / "cfg.json", "--out", out) == 1
+        assert message in config_error(capsys)
+        assert not out.exists()
 
     def test_window_past_the_generator_horizon(self, tmp_path, capsys):
         # GEN has 35 days of events; the last default window is [60, 90).

@@ -216,6 +216,16 @@ def test_negative_p_rejected_before_simulating(run):
     pytest.param(lambda: AttributionFunction("null_convex", True), "True", id="lambda_bool"),
     pytest.param(lambda: benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=UD")],
                                           ["2"], ["plain"], 30, seed=1), "'2'", id="grid_p"),
+    pytest.param(lambda: benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=UD")],
+                                          [0], ["plain"], "30", seed=1), "'30'", id="grid_t_str"),
+    pytest.param(lambda: benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=UD")],
+                                          [0], ["plain"], True, seed=1), "True", id="grid_t_bool"),
+    pytest.param(lambda: benchmark_matrix(small_dataset(n=300), [schema_from_text("kind=UD")],
+                                          [0], ["plain"], 2.5, seed=1), "2.5", id="grid_t_float"),
+    pytest.param(lambda: benchmark_matrix(small_dataset(n=300), ["kind=UD"], [0], ["plain"], 30,
+                                          seed=1), "'kind=UD'", id="grid_schema_str"),
+    pytest.param(lambda: window_error_curve(small_dataset(n=300), "kind=UD", 0, "plain", [(0, 30)],
+                                            seed=0), "'kind=UD'", id="window_schema_str"),
 ])
 def test_argument_of_the_wrong_type_is_a_config_error(build, value):
     with pytest.raises(ConfigError, match=f"got {re.escape(value)}$"):
