@@ -8,9 +8,17 @@ pipeline split into stages therefore reproduces the benchmark's numbers
 exactly. `attribute` passes `--g`/`--lambda` straight to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
 rejects one the mode contradicts), and records that lambda in the file.
-The stages that need only the cohort (`simulate`, and the rebuilds inside
-`attribute` and `evaluate`) read the dataset with `io_files.load_cohort`;
-`benchmark` on dataset paths reads `UserRecord`s with `load_users`.
+`simulate` reads the dataset with `io_files.load_cohort` and writes the
+postback table it simulated beside the dataset, as a postback view
+(`postback_view.save_postback_view`): per user, the final value, delivery
+instant, cell week and purchases, keyed by the schema text, seed, horizon
+and organic alpha, with the sha256 of both dataset files. `attribute` and
+`evaluate` read that view and neither the events file nor the replay. When
+the view is missing, or its key or hashes do not match the files, they read
+the dataset and simulate again, which gives the same table. A view that
+cannot be written (a read-only dataset directory, say) does not fail
+`simulate`; the later stages then simulate again. `benchmark` on dataset
+paths reads `UserRecord`s with `load_users`.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
@@ -49,6 +57,7 @@ from .metrics import (
 from .model import CampaignKey, ground_truth, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .postback import PostbackTable
+from .postback_view import dataset_hashes, load_postback_view, save_postback_view
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import prepare_users, schema_from_text, schema_to_text
 from .synthgen import generate_dataset
@@ -96,6 +105,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schema = schema_from_text(args.schema)
     horizon = _parse_horizon(args.horizon)
     users_csv, events_csv = _dataset_paths(args.users, args.events)
+    # Hashed before the read, so a file edited during it cannot match the view.
+    hashes = dataset_hashes(users_csv, events_csv)
     cohort = load_cohort(users_csv, events_csv, args.organic_alpha)
     artifacts = run_schema(cohort, schema, args.seed, horizon)
     meta = {
@@ -106,6 +117,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     meta["config_hash"] = config_hash(meta)
     save_counts(args.out, artifacts.matrices, meta)
+    try:
+        save_postback_view(users_csv, meta, hashes, artifacts.postbacks)
+    except OSError:
+        pass  # e.g. a read-only dataset directory: later stages simulate again
     print(json.dumps({"counts": str(args.out), "cells": len(artifacts.matrices)}))
     return 0
 
@@ -123,23 +138,29 @@ def cmd_privatize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resimulate(
-    meta: dict, users_csv: Path, events_csv: Path | None, organic_alpha: int | None
-) -> PostbackTable:
-    """Rebuild the postback view a counts/attr file was produced from."""
+def _postback_table(meta: dict, users_csv: Path, events_csv: Path | None) -> PostbackTable:
+    """The postback table a counts/attr file was produced from.
+
+    It is the view ``simulate`` wrote beside the dataset when that view's
+    key and dataset hashes match; otherwise the dataset is read and
+    simulated again, which gives the same table.
+    """
     if "schema" not in meta or "seed" not in meta:
         raise ConfigError("file meta lacks schema/seed; cannot rebuild the postback view")
     horizon = _parse_horizon(meta.get("horizon"))
-    cohort = load_cohort(users_csv, events_csv, organic_alpha)
-    schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
-    return simulate_postbacks(cohort, schema, meta["seed"], horizon)
+    postbacks = load_postback_view(users_csv, events_csv, meta)
+    if postbacks is None:
+        cohort = load_cohort(users_csv, events_csv, meta.get("organic_alpha"))
+        schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
+        postbacks = simulate_postbacks(cohort, schema, meta["seed"], horizon)
+    return postbacks
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
-    postbacks = _resimulate(dict(cmeta), users_csv, events_csv, cmeta.get("organic_alpha"))
+    postbacks = _postback_table(cmeta, users_csv, events_csv)
     profile = estimate_bucket_means(postbacks, args.t)
     cells = attribute_cells(matrices, {None: profile}, developer_totals(postbacks), fn)
     attributed = {
@@ -181,7 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         acc[key] = acc.get(key, 0) + cents
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
-    postbacks = _resimulate(dict(ameta), users_csv, events_csv, ameta.get("organic_alpha"))
+    postbacks = _postback_table(ameta, users_csv, events_csv)
     truth = ground_truth(postbacks, 0, args.t)
     stray = sorted({key for week_truth in truth.values() for key in week_truth} - set(columns))
     if stray:

@@ -29,8 +29,10 @@ import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from datetime import date, datetime, time
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import NoReturn
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
@@ -76,17 +78,21 @@ def _csv_rows(
 ) -> Iterator[tuple[dict, Iterator[tuple[int, list[str]]]]]:
     """Open a CSV, check its meta line and header, and give ``(meta, rows)``.
 
-    ``rows`` lazily yields ``(line_number, row)`` for each non-blank record.
-    The file is closed when the ``with`` block exits, also when the caller
-    raises part way through it; a suspended ``rows`` kept alive by that
-    traceback then holds only a closed file.
+    ``rows`` lazily yields ``(line_number, row)`` for each non-blank record:
+    the ``csv.reader`` itself under ``enumerate``, with no Python generator
+    per row. Bytes that are not UTF-8 and ``csv.Error`` reach the ``yield``
+    while the caller iterates, and become ``CsvFormatError`` there. The
+    file is closed when the ``with`` block exits, also when the caller
+    raises part way through it; a ``rows`` kept alive by that traceback then
+    holds only a closed file.
     """
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        line_no = 1
         try:
             first = fh.readline()
-            line_no = 1
             if first.startswith(META_PREFIX):
                 try:
                     meta = json.loads(first[len(META_PREFIX):])
@@ -100,28 +106,17 @@ def _csv_rows(
                 meta = {}
                 header_line = first
             header = next(csv.reader([header_line])) if header_line else []
+            if header != list(expected_header):
+                raise CsvFormatError(
+                    f"{path}:{line_no}: expected header {','.join(expected_header)}, "
+                    f"got {','.join(header)}"
+                )
+            # A blank line is an empty row, which itemgetter(1) finds false.
+            yield meta, filter(itemgetter(1), enumerate(reader, line_no + 1))
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from exc
-        except csv.Error as exc:
-            raise CsvFormatError(f"{path}:{line_no}: {exc}") from exc
-        if header != list(expected_header):
-            raise CsvFormatError(
-                f"{path}:{line_no}: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        yield meta, _records(fh, path, line_no)
-
-
-def _records(fh: TextIO, path: Path, line_no: int) -> Iterator[tuple[int, list[str]]]:
-    try:
-        for row in csv.reader(fh):
-            line_no += 1
-            if row:
-                yield line_no, row
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise CsvFormatError(f"{path}:{line_no + 1}: {exc}") from exc
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise CsvFormatError(f"{path}:{line_no + reader.line_num}: {exc}") from exc
 
 
 def _undecodable(path: Path, exc: UnicodeDecodeError) -> CsvFormatError:
@@ -156,18 +151,24 @@ def save_users(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> 
 
 
 def save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> None:
-    rows = []
-    for u in sorted(users, key=lambda u: u.id):
-        for e in u.events:
-            rows.append(
-                (
-                    u.id,
-                    e.timestamp.isoformat(),
-                    e.kind,
-                    e.amount if e.amount is not None else "",
-                    e.flag_index if e.flag_index is not None else "",
-                )
+    """Write every user's events, in user id order.
+
+    Rows are made one user at a time as they are written, so the file is
+    never held in memory as a list of rows.
+    """
+    rows = chain.from_iterable(
+        [
+            (
+                u.id,
+                e.timestamp.isoformat(),
+                e.kind,
+                e.amount if e.amount is not None else "",
+                e.flag_index if e.flag_index is not None else "",
             )
+            for e in u.events
+        ]
+        for u in sorted(users, key=lambda u: u.id)
+    )
     _write_csv(Path(path), meta, EVENT_FIELDS, rows)
 
 
@@ -216,7 +217,7 @@ def _user_rows(
     """The users file as ``{id: (registration date, alpha, group)}``, its meta and the sentinel."""
     raw: dict[int, tuple[date, int, str]] = {}
     with _csv_rows(upath, USER_FIELDS) as (meta, rows):
-        _check_organic_alpha(upath, meta)
+        _check_meta(upath, meta, "organic_alpha")
         if organic_alpha is None:
             organic_alpha = meta.get("organic_alpha")
         for line, row in rows:
@@ -405,15 +406,27 @@ def _check_columns(path: Path, meta: Mapping) -> None:
         raise CsvFormatError(
             f"{path}:1: meta columns must be a list of distinct integers >= 0, got {columns!r}"
         )
-    _check_organic_alpha(path, meta)
+    _check_meta(path, meta, "organic_alpha")
 
 
-def _check_organic_alpha(path: Path, meta: Mapping) -> None:
-    """The meta line's ``organic_alpha``, when present, must be an integer."""
-    if "organic_alpha" in meta and type(meta["organic_alpha"]) is not int:
-        raise CsvFormatError(
-            f"{path}:1: meta organic_alpha must be an integer, got {meta['organic_alpha']!r}"
-        )
+# The meta values a later read trusts, and the types each must have.
+_META_TYPES = {
+    "organic_alpha": ((int,), "an integer"),
+    "schema": ((str,), "a string"),
+    "seed": ((int,), "an integer"),
+    "horizon": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_meta(path: Path, meta: Mapping, *keys: str) -> None:
+    """Each of the meta line's ``keys``, when present, must have its ``_META_TYPES`` type.
+
+    The types are exact, so a ``bool`` is not an integer.
+    """
+    for key in keys:
+        types, name = _META_TYPES[key]
+        if key in meta and type(meta[key]) not in types:
+            raise CsvFormatError(f"{path}:1: meta {key} must be {name}, got {meta[key]!r}")
 
 
 def column_keys(meta: Mapping) -> tuple[CampaignKey, ...]:
@@ -433,6 +446,7 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
         if "columns" not in meta:
             raise CsvFormatError(f"{cpath}: meta line lacks the column list")
         _check_columns(cpath, meta)
+        _check_meta(cpath, meta, "schema", "seed", "horizon")
         columns = column_keys(meta)
         col_index = {k.alpha: j for j, k in enumerate(columns)}
         privacy_applied = meta.get("privacy_applied", False)
@@ -535,6 +549,7 @@ def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int],
     with _csv_rows(apath, ATTR_FIELDS) as (meta, rows):
         if "columns" in meta:
             _check_columns(apath, meta)
+        _check_meta(apath, meta, "schema", "seed", "horizon")
         for line, row in rows:
             if len(row) != len(ATTR_FIELDS):
                 raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")

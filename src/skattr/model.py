@@ -20,8 +20,11 @@ plain integer lists: registration midnight in microseconds (date ordinal x
 columns (paid campaigns by alpha, then the organic key) and memoises, on
 first use, window revenue per ``[lo, hi)``, postback delay per seed and each
 schema's simulation. Window revenue reads each user's (day offset, cents)
-purchase pairs, taken once from the digests' purchase entries. Every schema
-simulated over the cohort reads these instead of recomputing them per user.
+purchase pairs, taken once from the digests' purchase entries, or given
+as they are when ``postback_view.load_postback_view`` reads the cohort from a
+postback view (such a cohort has no digests and is never replayed). Every
+schema simulated over the cohort reads these instead of recomputing them
+per user.
 """
 
 from __future__ import annotations
@@ -222,7 +225,10 @@ class Cohort:
     and ``digests``, the replay kernel's per-user event digests (see
     ``schema.fold_event``). ``users`` are the records the columns were
     taken from, when ``schema.prepare_users`` built the cohort, and None
-    when ``io_files.load_cohort`` read it from files.
+    when ``io_files.load_cohort`` read it from files. A cohort that
+    ``postback_view.load_postback_view`` reads from a postback view has no
+    digests (None) and is given each user's ``purchases`` instead: it
+    serves window revenue but cannot be replayed.
 
     ``origins`` becomes the count-matrix columns: the paid ``campaigns``
     sorted by alpha, then the ``organic`` key; ``column[i]`` indexes the
@@ -241,16 +247,23 @@ class Cohort:
         ordinals: Sequence[int],
         groups: Sequence[str],
         origins: Sequence[tuple[bool, int]],
-        digests: Sequence[tuple[tuple[int, int, int, int], ...]],
+        digests: Sequence[tuple[tuple[int, int, int, int], ...]] | None,
         users: tuple[UserRecord, ...] | None = None,
+        *,
+        purchases: Sequence[tuple[tuple[int, int], ...]] | None = None,
     ) -> None:
         self.ids = list(ids)
-        if not len(self.ids) == len(ordinals) == len(groups) == len(origins) == len(digests):
+        if (digests is None) == (purchases is None):
+            raise ConfigError("a cohort takes either the replay digests or the purchases")
+        events = digests if digests is not None else purchases
+        if not len(self.ids) == len(ordinals) == len(groups) == len(origins) == len(events):
             raise ConfigError("cohort columns differ in length")
         if len(set(self.ids)) != len(self.ids):
             raise ConfigError("a cohort lists some user id more than once")
         self.users = users
         self.digests = digests
+        if purchases is not None:
+            self.purchases = list(purchases)  # set here, so the cached property never runs
         self.midnight_us = [day * US_PER_DAY for day in ordinals]
         self.group_labels = tuple(sorted(set(groups)))
         group_index = {g: i for i, g in enumerate(self.group_labels)}

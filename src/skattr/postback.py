@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 from .errors import ConfigError, InconsistentTotalsError
-from .model import MICROSECOND, US_PER_DAY, CampaignKey, Cohort, iso_week
+from .model import MICROSECOND, CampaignKey, Cohort, iso_week
 from .schema import VALUE_RANGE
 
 POSTBACK_QUIET_SECONDS = 86_400.0
@@ -62,15 +62,6 @@ class PostbackTable:
     def __len__(self) -> int:
         """The number of postbacks delivered by the horizon."""
         return len(self.cells) - self.cells.count(-1)
-
-    def by_user(self) -> dict[int, tuple[int, datetime, CellKey]]:
-        """``{user id: (final value, delivery instant, (group, week))}`` of delivered postbacks."""
-        keys = self.cell_keys
-        return {
-            uid: (value, datetime.min + timedelta(microseconds=sent - US_PER_DAY), keys[cell])
-            for uid, value, cell, sent in zip(self.cohort.ids, self.values, self.cells, self.sent_us)
-            if cell >= 0
-        }
 
 
 @dataclass(frozen=True)

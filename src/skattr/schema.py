@@ -303,8 +303,13 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, 
     happens per distinct instant, and a user's replay stops at the first
     instant more than 24h (in whole microseconds) after the previous
     commit: the value is final from there. UD and PV candidates do not
-    change over time, so they are committed once at first open.
+    change over time, so they are committed once at first open. A cohort
+    read from a postback view holds no digests, and replaying it is a
+    ``ConfigError``.
     """
+    if cohort.digests is None:
+        raise ConfigError("the cohort holds purchases only, read from a postback view; "
+                          "its events cannot be replayed")
     kind = schema.kind
     if kind == "UD" and schema.seed is None:
         raise ConfigError("UD schema needs a seed")

@@ -233,6 +233,20 @@ def oracle_view(postbacks: dict[int, Postback]) -> dict[int, tuple[int, datetime
     return out
 
 
+def by_user(table: PostbackTable) -> dict[int, tuple[int, datetime, tuple[str, str]]]:
+    """``{user id: (final value, delivery instant, (group, week))}`` of a table's delivered postbacks.
+
+    The instant is rebuilt as a ``datetime`` from the table's microseconds,
+    which count from midnight of date ordinal 0.
+    """
+    keys = table.cell_keys
+    return {
+        uid: (value, datetime.min + timedelta(microseconds=sent - DAY_US), keys[cell])
+        for uid, value, cell, sent in zip(table.cohort.ids, table.values, table.cells, table.sent_us)
+        if cell >= 0
+    }
+
+
 def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
     """Fixture: a library ``PostbackTable`` holding exactly the given postbacks.
 

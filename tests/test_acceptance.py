@@ -29,7 +29,12 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
 
-from oracles import enumeration_expected_sq_error, enumeration_mean, simulate_updates
+from oracles import (
+    by_user,
+    enumeration_expected_sq_error,
+    enumeration_mean,
+    simulate_updates,
+)
 
 WINDOWS = [(7, 14), (14, 30), (30, 60), (60, 90)]
 TREND_SCHEMAS = [
@@ -260,7 +265,7 @@ def test_c8_mechanics(tmp_path):
             artifacts = run_schema(prepared, schema_from_text(text), 12)
             finals = simulate_traces(prepared, artifacts.schema)
             traces = {u.id: simulate_updates(u, artifacts.schema) for u in users}
-            delivered = artifacts.postbacks.by_user()
+            delivered = by_user(artifacts.postbacks)
             for u in users:
                 trace = traces[u.id]
                 last_us = (trace.last_commit - u.registration_instant) // timedelta(microseconds=1)

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -38,8 +39,9 @@ from skattr.model import (
     ground_truth,
 )
 from skattr.pipeline import run_schema
+from skattr.postback_view import load_postback_view
 from skattr.privacy import PrivacyConfig, apply_threshold
-from skattr.schema import prepare_users, schema_from_text
+from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import reference_load_users
@@ -342,6 +344,16 @@ class TestLoadCohort:
         assert error == (ConfigError, "user 1 lacks a first-open session event")
         (tmp_path / "u.csv").write_text(USERS_TEXT.splitlines()[0] + "\n")
         assert load_cohort(tmp_path / "u.csv", tmp_path / "e.csv").ids == []
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        """A blank line is no row, and a row after it is named by its own line."""
+        events = ("1,2024-01-01T09:00:00,session,,\n\n1,2024-01-02T09:00:00,purchase,250,\n"
+                  "2,2024-01-03T08:00:00,session,,\n")
+        cohort = self.load(tmp_path, events)
+        assert cohort.window_revenue(0, 2) == [250, 0]
+        (tmp_path / "e.csv").write_text(EVENTS_HEADER + events.replace(",250,", ",x,"))
+        with pytest.raises(CsvFormatError, match=r"e\.csv:4: amount_cents must be an integer"):
+            load_cohort(tmp_path / "u.csv", tmp_path / "e.csv")
 
     def test_rows_interleaving_two_users(self, tmp_path):
         cohort = self.load(tmp_path, (
@@ -814,6 +826,232 @@ class TestAttributeLambda:
         assert load_attribution(out)[1]["lambda"] == recorded
 
 
+def stage_outputs(counts_dir, data, out) -> dict[str, bytes]:
+    """Attribute the counts in ``counts_dir`` (plain at p=0, null_convex at p=10), evaluate both.
+
+    Returns the bytes of the four output files, by name.
+    """
+    out.mkdir()
+    for g, counts, extra in (("plain", "c.csv", ()), ("null_convex", "cp.csv", ("--lambda", 0.5))):
+        attr = out / f"attr_{g}.csv"
+        assert run_cli("attribute", "--counts", counts_dir / counts, "--profile-from", data,
+                       "--t", 30, "--g", g, *extra, "--out", attr) == 0
+        assert run_cli("evaluate", "--attr", attr, "--truth-from", data, "--t", 30,
+                       "--out", out / f"eval_{g}.json") == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def table_facts(table) -> tuple:
+    """What attribute and evaluate read of a postback table, cells by their (group, week)."""
+    c = table.cohort
+    cells = [table.cell_keys[cell] if cell >= 0 else None for cell in table.cells]
+    return (c.ids, c.midnight_us, c.group_labels, c.group, c.origins, c.column, c.purchases,
+            [c.window_revenue(lo, hi) for lo, hi in ((0, 1), (1, 2), (3, 30))],
+            table.values, table.sent_us, cells)
+
+
+def views(data) -> list[Path]:
+    return sorted(data.glob("postbacks-*.csv"))
+
+
+@pytest.fixture()
+def rebuilds(monkeypatch):
+    """Counts the stages' dataset reads (``load_cohort``) and trace replays (``simulate_traces``)."""
+    import skattr.cli
+    import skattr.pipeline
+
+    calls: Counter[str] = Counter()
+    for module, name in ((skattr.cli, "load_cohort"), (skattr.pipeline, "simulate_traces")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestPostbackView:
+    """``simulate`` leaves the postback table beside the dataset, and the later stages read it."""
+
+    @pytest.mark.parametrize("args", [
+        pytest.param((), id="plain"),
+        pytest.param(("--horizon", "2024-01-20T00:00:00"), id="horizon"),
+        pytest.param(("--organic-alpha", 999), id="organic_alpha"),
+        pytest.param(("--schema", "kind=UD"), id="UD"),
+    ])
+    def test_view_holds_the_simulated_table(self, dataset_dir, tmp_path, args):
+        args = ("--schema", D7RR, *args) if "--schema" not in args else args
+        assert run_cli("simulate", "--users", dataset_dir, "--seed", 9, *args,
+                       "--out", tmp_path / "c.csv") == 0
+        _, meta = load_counts(tmp_path / "c.csv")
+        users, events = dataset_dir / "users.csv", dataset_dir / "events.csv"
+        table = load_postback_view(users, events, meta)
+        cohort = load_cohort(users, events, meta["organic_alpha"])
+        horizon = meta["horizon"] and datetime.fromisoformat(meta["horizon"])
+        expected = run_schema(cohort, schema_from_text(meta["schema"]), 9, horizon).postbacks
+        if "--horizon" in args:
+            assert 0 < expected.cells.count(-1) < len(expected.cells)
+
+        assert table_facts(table) == table_facts(expected)
+        assert table.cohort.digests is None
+        with pytest.raises(ConfigError, match="cannot be replayed"):
+            simulate_traces(table.cohort, schema_from_text("kind=EV"))
+
+    def test_view_keeps_purchase_days_at_midnight(self, tmp_path):
+        """Purchases 1 us before and at midnight stay on their own days."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "users.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
+        (data / "events.csv").write_text(EVENTS_HEADER + (
+            "1,2024-01-01T09:00:00,session,,\n"
+            "1,2024-01-01T23:59:59.999999,purchase,250,\n"
+            "1,2024-01-02T00:00:00,purchase,40,\n"
+            "2,2024-01-03T08:00:00,session,,\n"
+            "2,2024-01-04T23:59:59.999999,purchase,7,\n"
+        ))
+        assert run_cli("simulate", "--users", data, "--schema", "kind=RI;layout=TCCCCC;horizon=1",
+                       "--seed", 2, "--out", tmp_path / "c.csv") == 0
+        _, meta = load_counts(tmp_path / "c.csv")
+        table = load_postback_view(data / "users.csv", data / "events.csv", meta)
+        cohort = load_cohort(data / "users.csv", data / "events.csv")
+        expected = run_schema(cohort, schema_from_text(meta["schema"]), 2).postbacks
+        assert table_facts(table) == table_facts(expected)
+        assert table.cohort.purchases == [((0, 250), (1, 40)), ((1, 7),)]
+
+    def test_fresh_view_is_read_instead_of_the_dataset(self, staged, tmp_path, rebuilds):
+        shutil.copytree(staged, tmp_path / "s")
+        data = tmp_path / "s" / "data"
+        assert len(views(data)) == 1
+        viewed = stage_outputs(tmp_path / "s", data, tmp_path / "viewed")
+        assert rebuilds == {}
+        views(data)[0].unlink()
+        assert stage_outputs(tmp_path / "s", data, tmp_path / "rebuilt") == viewed
+        assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
+
+    def test_edited_events_are_simulated_again(self, staged, tmp_path, rebuilds):
+        """A view of the dataset before an edit is not read; the stages see the edited data."""
+        shutil.copytree(staged, tmp_path / "s")
+        data = tmp_path / "s" / "data"
+        before = stage_outputs(tmp_path / "s", data, tmp_path / "before")
+        # Raise the last purchase made 8 to 29 days after registration: the D7
+        # RR counts stay as they are, and the 30-day revenue changes.
+        users = dict(line.split(",")[:2] for line in (data / "users.csv").read_text().splitlines())
+        lines = (data / "events.csv").read_text().splitlines()
+        i = max(
+            i for i, line in enumerate(lines[2:], 2)
+            if (row := line.split(","))[2] == PURCHASE
+            and 8 <= (date.fromisoformat(row[1][:10]) - date.fromisoformat(users[row[0]])).days < 30
+        )
+        row = lines[i].split(",")
+        row[3] = str(int(row[3]) + 50_000)
+        lines[i] = ",".join(row)
+        (data / "events.csv").write_text("\n".join(lines) + "\n")
+
+        rebuilds.clear()
+        after = stage_outputs(tmp_path / "s", data, tmp_path / "after")
+        assert rebuilds["load_cohort"] == 4
+        assert after != before
+
+        # A fresh run on the edited data gives the same counts and the same bytes.
+        fresh = tmp_path / "fresh"
+        (fresh / "data").mkdir(parents=True)
+        for name in ("users.csv", "events.csv"):
+            shutil.copy(data / name, fresh / "data" / name)
+        assert run_cli("simulate", "--users", fresh / "data", "--schema", D7RR, "--seed", 9,
+                       "--out", fresh / "c.csv") == 0
+        assert run_cli("privatize", "--counts", fresh / "c.csv", "--p", 10,
+                       "--out", fresh / "cp.csv") == 0
+        for name in ("c.csv", "cp.csv"):
+            assert (fresh / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+        assert stage_outputs(fresh, fresh / "data", tmp_path / "fresh_out") == after
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(("--seed", 10), id="seed"),
+        pytest.param(("--seed", 9, "--horizon", "2024-01-20T00:00:00"), id="horizon"),
+        pytest.param(("--seed", 9, "--organic-alpha", 999), id="organic_alpha"),
+    ])
+    def test_view_of_another_key_is_not_read(self, staged, tmp_path, rebuilds, args):
+        """A view whose meta key differs from the counts' is not read, even under their file name."""
+        shutil.copytree(staged, tmp_path / "s")
+        data = tmp_path / "s" / "data"
+        (theirs,) = views(data)
+        assert run_cli("simulate", "--users", data, "--schema", D7RR, *args,
+                       "--out", tmp_path / "s" / "c.csv") == 0
+        assert run_cli("privatize", "--counts", tmp_path / "s" / "c.csv", "--p", 10,
+                       "--out", tmp_path / "s" / "cp.csv") == 0
+        (ours,) = set(views(data)) - {theirs}
+        rebuilds.clear()
+        expected = stage_outputs(tmp_path / "s", data, tmp_path / "ours")
+        assert rebuilds == {}
+        shutil.copy(theirs, ours)
+        assert stage_outputs(tmp_path / "s", data, tmp_path / "theirs") == expected
+        assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
+
+    def test_read_only_dataset_directory(self, staged, tmp_path, monkeypatch, rebuilds):
+        """``simulate`` succeeds without its view, and the later stages simulate again."""
+        shutil.copytree(staged, tmp_path / "s")
+        expected = stage_outputs(tmp_path / "s", tmp_path / "s" / "data", tmp_path / "viewed")
+        data = tmp_path / "ro" / "data"
+        shutil.copytree(staged / "data", data, ignore=shutil.ignore_patterns("postbacks-*"))
+
+        # Root ignores the mode bits, so every write into the directory is refused too.
+        def refusing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and Path(file).parent == data:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(skattr.io_files, "open", refusing_open, raising=False)
+        data.chmod(0o555)
+        try:
+            assert run_cli("simulate", "--users", data, "--schema", D7RR, "--seed", 9,
+                           "--out", tmp_path / "ro" / "c.csv") == 0
+            assert run_cli("privatize", "--counts", tmp_path / "ro" / "c.csv", "--p", 10,
+                           "--out", tmp_path / "ro" / "cp.csv") == 0
+            assert sorted(p.name for p in data.iterdir()) == ["events.csv", "meta.json",
+                                                              "users.csv"]
+            rebuilds.clear()
+            assert stage_outputs(tmp_path / "ro", data, tmp_path / "rebuilt") == expected
+        finally:
+            data.chmod(0o755)
+        assert rebuilds["load_cohort"] == 4
+
+    @pytest.mark.parametrize("column, text, message", [
+        pytest.param(4, "64", "group, alpha or value out of range", id="value"),
+        pytest.param(3, "x", "invalid literal for int", id="alpha"),
+        pytest.param(1, "2024-13-01", "month must be in 1..12", id="date"),
+        pytest.param(7, "5:x", "invalid literal for int", id="purchase"),
+        pytest.param(7, "9:100 5:100", "out of order or not positive", id="purchase_order"),
+        pytest.param(8, "extra", "too many values to unpack", id="extra_column"),
+    ])
+    def test_malformed_view_names_its_line(self, staged, tmp_path, capsys, column, text, message):
+        shutil.copytree(staged, tmp_path / "s")
+        (view,) = views(tmp_path / "s" / "data")
+        lines = view.read_text().splitlines()
+        row = lines[5].split(",")
+        row[column:column + 1] = [text]
+        lines[5] = ",".join(row)
+        view.write_text("\n".join(lines) + "\n")
+        assert run_cli("attribute", "--counts", tmp_path / "s" / "c.csv", "--profile-from",
+                       tmp_path / "s" / "data", "--t", 30, "--g", "plain",
+                       "--out", tmp_path / "a.csv") == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"].startswith(f"{view}:6: bad postback view row: ")
+        assert message in err["message"]
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_view_missing_a_row(self, staged, tmp_path, capsys):
+        shutil.copytree(staged, tmp_path / "s")
+        (view,) = views(tmp_path / "s" / "data")
+        lines = view.read_text().splitlines()
+        view.write_text("\n".join(lines[:-1]) + "\n")
+        assert run_cli("evaluate", "--attr", tmp_path / "s" / "attr.csv", "--truth-from",
+                       tmp_path / "s" / "data", "--t", 30, "--out", tmp_path / "r.json") == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"] == f"{view}: 1499 rows, but the meta line says 1500"
+
+
 class TestMetaColumns:
     """A meta ``columns`` that is not a list of distinct integers >= 0 fails at line 1."""
 
@@ -843,8 +1081,26 @@ class TestMetaColumns:
          {"organic_alpha": "105"}, "meta organic_alpha must be an integer, got '105'"),
         (load_users, "id,registration_date,alpha,group",
          {"organic_alpha": True}, "meta organic_alpha must be an integer, got True"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"schema": 5}, "meta schema must be a string, got 5"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"seed": 1.5}, "meta seed must be an integer, got 1.5"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"seed": True}, "meta seed must be an integer, got True"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"seed": "1"}, "meta seed must be an integer, got '1'"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"horizon": 5}, "meta horizon must be a string or null, got 5"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"schema": None}, "meta schema must be a string, got None"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"seed": False}, "meta seed must be an integer, got False"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"horizon": ["2024-01-20"]}, r"meta horizon must be a string or null, got \['2024-01-20'\]"),
     ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
-            "counts-privacy_str", "counts-privacy_int", "users-organic_str", "users-organic_bool"])
+            "counts-privacy_str", "counts-privacy_int", "users-organic_str", "users-organic_bool",
+            "counts-schema_int", "counts-seed_float", "counts-seed_bool", "counts-seed_str",
+            "counts-horizon_int", "attr-schema_null", "attr-seed_bool", "attr-horizon_list"])
     def test_bad_meta_value(self, tmp_path, load, header, meta, message):
         path = tmp_path / "f.csv"
         meta = {"columns": [0, 9]} | meta
@@ -863,6 +1119,29 @@ class TestMetaColumns:
         assert err["error"] == "CsvFormatError"
         assert err["message"].endswith("users.csv:1: meta organic_alpha must be an integer, "
                                        f"got {alpha!r}")
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("horizon", 5, "a string or null"),
+        ("schema", 5, "a string"),
+        ("seed", 1.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("seed", "9", "an integer"),
+    ])
+    @pytest.mark.parametrize("stage", ["attribute", "evaluate"])
+    def test_stages_reject_mistyped_rebuild_keys(self, staged, tmp_path, capsys, stage, key,
+                                                 value, kind):
+        """Checked on load, before a postback view is looked up or the dataset is read."""
+        name = "cp.csv" if stage == "attribute" else "attr.csv"
+        edited = edit_csv(staged / name, tmp_path / name, meta=lambda m: m | {key: value})
+        if stage == "attribute":
+            args = ("--counts", edited, "--profile-from", staged / "data", "--g", "null_uniform")
+        else:
+            args = ("--attr", edited, "--truth-from", staged / "data")
+        assert run_cli(stage, *args, "--t", 30, "--out", tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"] == f"{edited}:1: meta {key} must be {kind}, got {value!r}"
+        assert not (tmp_path / "out").exists()
 
     def test_cli_exits_1(self, staged, tmp_path, capsys):
         counts = edit_csv(staged / "cp.csv", tmp_path / "cp.csv",

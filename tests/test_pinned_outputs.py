@@ -55,11 +55,25 @@ def test_sweep():
     assert {"sweep.json": digest} == EXPECTED["sweep"]["hashes"]
 
 
-def test_stagewise(work):
+def stagewise_hashes(work: Path, keep_view: bool) -> dict[str, str]:
+    """The stagewise outputs' hashes; without the view, ``attribute`` and ``evaluate`` simulate again."""
     gen = workload.gen_config(EXPECTED["stagewise"]["users"], SEED)
     (work / "gen.json").write_text(json.dumps(gen), encoding="utf-8")
     hashes = {}
     for stage, args, outputs in run.stagewise_commands(SEED):
         assert skattr.cli.main(args) == 0, stage
+        if stage == "simulate":
+            views = list((work / "data").glob("postbacks-*.csv"))
+            assert len(views) == 1
+            if not keep_view:
+                views[0].unlink()
         hashes.update({label: sha256(work / label) for label in outputs})
-    assert hashes == EXPECTED["stagewise"]["hashes"]
+    return hashes
+
+
+def test_stagewise(work):
+    assert stagewise_hashes(work, keep_view=True) == EXPECTED["stagewise"]["hashes"]
+
+
+def test_stagewise_without_view(work):
+    assert stagewise_hashes(work, keep_view=False) == EXPECTED["stagewise"]["hashes"]

@@ -14,7 +14,7 @@ from skattr.pipeline import developer_totals, resolve_schema, run_schema, simula
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import oracle_postbacks, oracle_view
+from oracles import by_user, oracle_postbacks, oracle_view
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -67,10 +67,10 @@ class TestResolve:
 class TestHorizon:
     def test_postbacks_beyond_horizon_excluded(self, users, cohort):
         schema = resolve_schema(schema_from_text("kind=UD"), cohort, seed=3)
-        all_pbs = simulate_postbacks(cohort, schema, 3).by_user()
+        all_pbs = by_user(simulate_postbacks(cohort, schema, 3))
         assert len(all_pbs) == len(users)
         horizon = datetime(2024, 1, 10)
-        cut = simulate_postbacks(cohort, schema, 3, horizon=horizon).by_user()
+        cut = by_user(simulate_postbacks(cohort, schema, 3, horizon=horizon))
         assert 0 < len(cut) < len(users)
         assert all(sent <= horizon for _, sent, _ in cut.values())
         # identical postbacks for the users that remain
@@ -127,19 +127,19 @@ class TestPostbackDraws:
         prepared = prepare_users(users)
         for text in (PV, D7RR, "kind=UD"):
             schema = resolve_schema(schema_from_text(text), prepared, seed=3)
-            assert simulate_postbacks(prepared, schema, 3).by_user() == self.fresh(
+            assert by_user(simulate_postbacks(prepared, schema, 3)) == self.fresh(
                 users, schema, 3
             )
 
     def test_two_seeds_on_one_prepared_do_not_share_draws(self, users):
         prepared = prepare_users(users)
         schema = resolve_schema(schema_from_text("kind=UD;seed=9"), prepared, seed=3)
-        a = simulate_postbacks(prepared, schema, 3).by_user()
-        b = simulate_postbacks(prepared, schema, 4).by_user()
+        a = by_user(simulate_postbacks(prepared, schema, 3))
+        b = by_user(simulate_postbacks(prepared, schema, 4))
         assert a == self.fresh(users, schema, 3)
         assert b == self.fresh(users, schema, 4)
         assert all(a[uid][1] != b[uid][1] for uid in a)
-        assert simulate_postbacks(prepared, schema, 3).by_user() == a
+        assert by_user(simulate_postbacks(prepared, schema, 3)) == a
 
     def test_one_substream_per_user_across_grid_and_curve(self, users, monkeypatch):
         calls = []
@@ -171,6 +171,23 @@ class TestCohortFacts:
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ConfigError, match="differ in length"):
             model.Cohort([1, 2], [738_000, 738_001], ["G", "G"], [(False, 0)] * 2, [()])
+
+    @pytest.mark.parametrize("digests, purchases", [
+        pytest.param(None, None, id="neither"),
+        pytest.param([()], [()], id="both"),
+    ])
+    def test_digests_or_purchases(self, digests, purchases):
+        with pytest.raises(ConfigError, match="either the replay digests or the purchases"):
+            model.Cohort([1], [738_000], ["G"], [(False, 0)], digests, purchases=purchases)
+
+    def test_purchases_only_cohort_serves_revenue_but_no_replay(self):
+        cohort = model.Cohort([1, 2], [738_000, 738_001], ["G", "H"], [(False, 0), (True, 9)],
+                              None, purchases=[((0, 250), (3, 100)), ()])
+        assert cohort.window_revenue(0, 3) == [250, 0]
+        assert cohort.window_revenue(0, 4) == [350, 0]
+        assert cohort.origins == (model.CampaignKey(0), organic_key(9))
+        with pytest.raises(ConfigError, match="cannot be replayed"):
+            simulate_postbacks(cohort, schema_from_text("kind=UD;seed=1"), 3)
 
     def test_prepared_digest_must_match_the_users(self, users):
         prepared = prepare_users(users[:10])
@@ -225,6 +242,6 @@ class TestCohortFacts:
         delivered = Counter(
             key
             for art in prepared.simulations.values()
-            for key in {key for *_, key in art.postbacks.by_user().values()}
+            for key in {key for *_, key in by_user(art.postbacks).values()}
         )
         assert Counter((group, iso_week(day)) for group, day in cells) == delivered

@@ -30,6 +30,7 @@ from skattr.schema import (
 )
 
 from oracles import (
+    by_user,
     candidate_value,
     oracle_postbacks,
     oracle_view,
@@ -420,11 +421,11 @@ class TestReplayKernel:
         schema = edge_schema(text, boundaries)
         prepared = prepare_users(users)
         everyone = oracle_view(oracle_postbacks(users, schema, seed=5))
-        assert simulate_postbacks(prepared, schema, 5).by_user() == everyone
+        assert by_user(simulate_postbacks(prepared, schema, 5)) == everyone
         edge = data.draw(st.sampled_from(sorted(everyone)))
         at = everyone[edge][1]
         for horizon in (at, at - timedelta(microseconds=1)):
-            kept = simulate_postbacks(prepared, schema, 5, horizon).by_user()
+            kept = by_user(simulate_postbacks(prepared, schema, 5, horizon))
             assert kept == oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert (edge in kept) == (horizon == at)
 
@@ -473,7 +474,7 @@ class TestPostbackTable:
         assert {everyone[uid][1] for uid in range(n_edge)} <= set(WEEK_EDGES)
         prepared = prepare_users(users)
         for shared in (prepared, prepare_users(users)):
-            assert simulate_postbacks(shared, schema, 5).by_user() == everyone
+            assert by_user(simulate_postbacks(shared, schema, 5)) == everyone
         edge = data.draw(st.sampled_from(sorted(everyone)))
         at = everyone[edge][1]
         for horizon in (at, at - timedelta(microseconds=1)):
@@ -481,7 +482,7 @@ class TestPostbackTable:
             assert (edge in expected) == (horizon == at)
             for shared in (prepared, prepare_users(users)):
                 table = simulate_postbacks(shared, schema, 5, horizon)
-                assert table.by_user() == expected
+                assert by_user(table) == expected
                 assert len(table) == len(expected)
 
     def test_horizon_with_utc_offset_is_a_config_error(self):
