@@ -46,7 +46,7 @@ from .schema import (
     schema_from_text,
     schema_to_text,
 )
-from .synthgen import GenConfig, generate_dataset, homogeneous_fixture
+from .synthgen import GenConfig, generate_dataset
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "estimate_organic",
     "fit_buckets",
     "generate_dataset",
-    "homogeneous_fixture",
     "normalize_vs_baseline",
     "organic_key",
     "parse_layout",

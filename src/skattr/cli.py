@@ -11,13 +11,13 @@ rejects one the mode contradicts), and records that lambda in the file.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
 postback table it simulated beside the dataset, as a postback view
 (`postback_view.save_postback_view`): per user, the final value, delivery
-instant, cell week and purchases, keyed by the schema text, seed, horizon
-and organic alpha, with the sha256 of both dataset files. `attribute` and
-`evaluate` read that view and neither the events file nor the replay. When
-the view is missing, or its key or hashes do not match the files, they read
-the dataset and simulate again, which gives the same table. A view that
-cannot be written (a read-only dataset directory, say) does not fail
-`simulate`; the later stages then simulate again. `benchmark` on dataset
+instant, cell week and purchases, keyed by the users file's name, schema
+text, seed, horizon and organic alpha, with the sha256 of both dataset
+files. `attribute` and `evaluate` read that view and neither the events
+file nor the replay. When the view is missing, or its key or hashes do not
+match the files, they read the dataset and simulate again, which gives the
+same table. A view that cannot be written (a read-only dataset directory,
+say) does not fail `simulate`; the later stages then simulate again. `benchmark` on dataset
 paths reads `UserRecord`s with `load_users`.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """

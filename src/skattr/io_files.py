@@ -28,7 +28,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from datetime import date, datetime, time
+from datetime import date, datetime
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -39,11 +39,13 @@ from .metrics import AttributionReport, WindowPoint
 from .model import (
     EVENT_KINDS,
     MICROSECOND,
+    US_PER_DAY,
     CampaignKey,
     Cohort,
     Event,
     UserRecord,
     check_event,
+    datetime_to_us,
     organic_key,
     usd,
 )
@@ -153,14 +155,18 @@ def save_users(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> 
 def save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> None:
     """Write every user's events, in user id order.
 
-    Rows are made one user at a time as they are written, so the file is
-    never held in memory as a list of rows.
+    A timestamp is written as its ``datetime``'s ``isoformat()``: whole
+    seconds as ``YYYY-MM-DDTHH:MM:SS`` (every generated event), and a
+    sub-second instant with six fraction digits. Rows are made one user at
+    a time as they are written, so the file is never held in memory as a
+    list of rows.
     """
+    epoch, tick = datetime.min, MICROSECOND  # model.us_to_datetime, inlined for the row loop
     rows = chain.from_iterable(
         [
             (
                 u.id,
-                e.timestamp.isoformat(),
+                (epoch + tick * (e.us - US_PER_DAY)).isoformat(),
                 e.kind,
                 e.amount if e.amount is not None else "",
                 e.flag_index if e.flag_index is not None else "",
@@ -189,8 +195,8 @@ def load_users(
     upath = Path(user_csv)
     raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
-    for uid, ts, kind, amount, flag_index in _event_rows(events_csv, raw):
-        events[uid].append(Event(ts, kind, amount, flag_index))
+    for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
+        events[uid].append(Event(us, kind, amount, flag_index))
 
     users: list[UserRecord] = []
     for uid in sorted(raw):
@@ -262,10 +268,10 @@ def load_cohort(
     raw, _, sentinel = _user_rows(upath, organic_alpha)
     digests: dict[int, list[tuple[int, int, int, int]]] = {uid: [] for uid in raw}
     prev = None
-    for uid, ts, kind, amount, flag_index in _event_rows(events_csv, raw):
+    for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
         if uid != prev:
-            digest, start, prev = digests[uid], datetime.combine(raw[uid][0], time.min), uid
-        if not fold_event(digest, (ts - start) // MICROSECOND, kind, amount, flag_index):
+            digest, start, prev = digests[uid], raw[uid][0].toordinal() * US_PER_DAY, uid
+        if not fold_event(digest, us - start, kind, amount, flag_index):
             break
     else:
         if all(digests.values()):
@@ -283,12 +289,14 @@ def load_cohort(
 
 def _event_rows(
     events_csv: str | Path | None, users: Mapping[int, object]
-) -> Iterator[tuple[int, datetime, str, int | None, int | None]]:
-    """``(user id, timestamp, kind, amount, flag_index)`` of each events row, in file order.
+) -> Iterator[tuple[int, int, str, int | None, int | None]]:
+    """``(user id, instant, kind, amount, flag_index)`` of each events row, in file order.
 
-    Nothing when there is no events file. A row must name a known user, a
-    naive ISO timestamp and integer fields that ``model.check_event``
-    accepts; the first row that does not is handed to ``_raise_row_error``.
+    The instant is the naive ISO timestamp in microseconds on the model's
+    clock (``model.datetime_to_us``). Nothing when there is no events file.
+    A row must name a known user, a naive ISO timestamp and integer fields
+    that ``model.check_event`` accepts; the first row that does not is
+    handed to ``_raise_row_error``.
     """
     if events_csv is None or not Path(events_csv).exists():
         return
@@ -315,7 +323,7 @@ def _event_rows(
                 valid = False
             if not valid:
                 _raise_row_error(path, line, row, users)
-            yield uid, ts, kind, amount, flag_index
+            yield uid, datetime_to_us(ts), kind, amount, flag_index
 
 
 def _raise_row_error(path: Path, line: int, row: list[str], users: Mapping) -> NoReturn:

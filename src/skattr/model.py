@@ -1,7 +1,12 @@
 """Core domain types: campaign keys, users, events, cohorts, ground truth.
 
-Money is integer USD cents everywhere. Revenue windows are half-open in
-whole days from the registration date: a purchase exactly ``t`` days after
+Money is integer USD cents everywhere. Time is integer microseconds on one
+clock that counts from midnight of date ordinal 0: a date's midnight is
+``date.toordinal() * US_PER_DAY``, and an event's instant ``Event.us`` adds
+the microseconds since that midnight. ``datetime_to_us`` and
+``us_to_datetime`` convert between the clock and naive ``datetime``s, which
+only file text and messages use. Revenue windows are half-open in whole
+days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
 (Monday start). Campaign keys, users and events are immutable after
 construction. ``check_event`` is the rule on an event's kind and fields,
@@ -109,17 +114,50 @@ def organic_key(alpha: int) -> CampaignKey:
     return CampaignKey(alpha, organic=True)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One user event: a session, a purchase (amount in cents), or a flag."""
+def datetime_to_us(ts: datetime) -> int:
+    """A naive instant as integer microseconds on the model's clock."""
+    return (ts - datetime.min) // MICROSECOND + US_PER_DAY
 
-    timestamp: datetime
+
+def us_to_datetime(us: int) -> datetime:
+    """The naive ``datetime`` of an instant on the model's clock."""
+    return datetime.min + MICROSECOND * (us - US_PER_DAY)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Event:
+    """One user event: a session, a purchase (amount in cents), or a flag.
+
+    ``us`` is the event's instant in integer microseconds on the model's
+    clock (registration midnight is ``date.toordinal() * US_PER_DAY``);
+    ``timestamp`` is the same instant as a naive ``datetime``. The fields
+    are checked by ``check_event`` and then fixed: ``__init__`` fills the
+    slots directly, which costs well under the frozen dataclass's generated
+    ``__init__``, and assigning a field afterwards raises.
+    """
+
+    us: int
     kind: str
     amount: int | None = None
     flag_index: int | None = None
 
-    def __post_init__(self) -> None:
-        check_event(self.kind, self.amount, self.flag_index)
+    def __init__(
+        self, us: int, kind: str, amount: int | None = None, flag_index: int | None = None
+    ) -> None:
+        check_event(kind, amount, flag_index)
+        _set_us(self, us)
+        _set_kind(self, kind)
+        _set_amount(self, amount)
+        _set_flag_index(self, flag_index)
+
+    @property
+    def timestamp(self) -> datetime:
+        return us_to_datetime(self.us)
+
+
+_set_us, _set_kind, _set_amount, _set_flag_index = (
+    Event.__dict__[name].__set__ for name in ("us", "kind", "amount", "flag_index")
+)
 
 
 def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
@@ -164,15 +202,21 @@ class UserRecord:
             object.__setattr__(self, "events", tuple(self.events))
         if not self.events:
             return
-        prev = self.events[0].timestamp
-        if prev < self.registration_instant:
+        prev = self.events[0].us
+        if prev < self.registration_us:
             raise ConfigError(f"user {self.id}: event precedes registration")
         for e in self.events:
-            if e.timestamp < prev:
+            us = e.us
+            if us < prev:
                 raise ConfigError(
                     f"user {self.id}: events out of order at {e.timestamp.isoformat()}"
                 )
-            prev = e.timestamp
+            prev = us
+
+    @property
+    def registration_us(self) -> int:
+        """Registration midnight on the model's clock."""
+        return self.registration_date.toordinal() * US_PER_DAY
 
     @property
     def registration_instant(self) -> datetime:
@@ -181,9 +225,9 @@ class UserRecord:
     @cached_property
     def purchases(self) -> tuple[tuple[int, int], ...]:
         """(day offset, cents) of each purchase in event order, built on first use."""
-        reg = self.registration_date
+        midnight = self.registration_us
         return tuple(
-            ((e.timestamp.date() - reg).days, e.amount) for e in self.events if e.kind == PURCHASE
+            ((e.us - midnight) // US_PER_DAY, e.amount) for e in self.events if e.kind == PURCHASE
         )
 
 

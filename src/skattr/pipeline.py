@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime
 
 from .errors import ConfigError
-from .model import MICROSECOND, US_PER_DAY, US_PER_WEEK, Cohort
+from .model import US_PER_DAY, US_PER_WEEK, Cohort, datetime_to_us
 from .postback import (
     CellKey,
     CountMatrix,
@@ -63,7 +63,7 @@ def horizon_us(horizon: datetime) -> int:
         raise ConfigError(
             f"horizon {horizon.isoformat()!r} has a UTC offset; skattr times are naive"
         )
-    return (horizon - datetime.min) // MICROSECOND + US_PER_DAY
+    return datetime_to_us(horizon)
 
 
 def simulate_postbacks(

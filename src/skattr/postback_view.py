@@ -6,10 +6,11 @@
 ``events.csv`` and replaying every trace again. This is the developer's
 side of SKAdNetwork: per user, the final conversion value, the delivery
 instant, the (group, week) cell it counts in and the user's purchases. The
-view is keyed by the schema text, seed, horizon and organic alpha of the
-counts or attribution file, and it records the sha256 of both dataset
-files; ``load_postback_view`` returns None, so the caller simulates again,
-unless all of them match.
+view is keyed by the users file's name and by the schema text, seed,
+horizon and organic alpha of the counts or attribution file, so users
+files that share a directory get one view each, and it records the sha256
+of both dataset files; ``load_postback_view`` returns None, so the caller
+simulates again, unless all of them match.
 """
 
 from __future__ import annotations
@@ -48,10 +49,15 @@ def _sha256(path: str | Path | None) -> str | None:
     return digest.hexdigest()
 
 
-def _view_key(meta: Mapping, organic_alpha: int | None) -> dict:
-    """A postback view's key: ``meta``'s schema text, seed and horizon, and the organic alpha."""
+def _view_key(users_csv: str | Path, meta: Mapping, organic_alpha: int | None) -> dict:
+    """A postback view's key: the users file's name, ``meta``'s schema text, seed and
+    horizon, and the organic alpha.
+
+    Users files that share a directory and these values get one view each.
+    """
     return {
         "kind": "postbacks",
+        "users_file": Path(users_csv).name,
         "schema": meta["schema"],
         "seed": meta["seed"],
         "horizon": meta.get("horizon"),
@@ -73,15 +79,15 @@ def save_postback_view(
     value, delivery instant in microseconds, the week of the cell the
     postback counts in (empty after the horizon) and the purchases as
     ``microseconds:cents`` entries, one per digest instant. Its key is the
-    counts ``meta``'s schema text, seed and horizon plus the cohort's
-    organic alpha; the key names the file and opens its meta line, followed
-    by ``hashes`` (``dataset_hashes`` of the files the cohort was read from)
-    and the row count. The file is written under a temporary name and then
+    users file's name, the counts ``meta``'s schema text, seed and horizon
+    and the cohort's organic alpha; the key names the file and opens its
+    meta line, followed by ``hashes`` (``dataset_hashes`` of the files the
+    cohort was read from) and the row count. The file is written under a temporary name and then
     moved into place, so an interrupted write leaves nothing under the
     view's name.
     """
     cohort = postbacks.cohort
-    key = _view_key(meta, cohort.organic.alpha)
+    key = _view_key(users_csv, meta, cohort.organic.alpha)
     path = _view_path(users_csv, key)
     labels, origins, weeks = cohort.group_labels, cohort.origins, postbacks.cell_keys
     rows = (
@@ -115,15 +121,15 @@ def load_postback_view(
     """The postback table a counts or attribution file's ``meta`` was built from, or None.
 
     The table is read from the view ``save_postback_view`` wrote beside the
-    users file, keyed by the meta's schema text, seed, horizon and organic
-    alpha. None when there is no such view, or when its meta line does not
-    carry that key and the ``dataset_hashes`` of the files as they are now;
-    the caller then simulates again. A view that matches but holds a
+    users file, keyed by the users file's name and the meta's schema text,
+    seed, horizon and organic alpha. None when there is no such view, or
+    when its meta line does not carry that key and the ``dataset_hashes``
+    of the files as they are now; the caller then simulates again. A view that matches but holds a
     malformed row is a ``CsvFormatError`` naming its line. The table's
     cohort holds each user's purchases and no replay digests, so
     ``schema.simulate_traces`` refuses it.
     """
-    key = _view_key(meta, meta.get("organic_alpha"))
+    key = _view_key(users_csv, meta, meta.get("organic_alpha"))
     path = _view_path(users_csv, key)
     if not path.exists():
         return None

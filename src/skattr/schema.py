@@ -18,10 +18,11 @@ an event exactly 24h after the previous commit still commits.
 
 Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
-the instant as integer microseconds since registration midnight. Event
-times are digested into the same integers by ``fold_event``, one event at
-a time, for both builders of the ``model.Cohort`` that ``simulate_traces``
-and every later pipeline step take: ``prepare_users`` per user list and
+the instant as integer microseconds since registration midnight. Events
+carry their instants on the model's integer clock (``Event.us``), so each
+is digested by one subtraction and ``fold_event``, one event at a time,
+for both builders of the ``model.Cohort`` that ``simulate_traces`` and
+every later pipeline step take: ``prepare_users`` per user list and
 ``io_files.load_cohort`` per dataset. So day indices (calendar-day offsets
 from the registration date) and the 24h timer are exact integer
 arithmetic, also for timestamps with sub-second parts. PV values and
@@ -35,7 +36,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, DegenerateFitError, LayoutError
-from .model import FLAG, MICROSECOND, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
+from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
@@ -262,14 +263,15 @@ def fold_event(
 def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
     """One user's event digest, each event folded in by ``fold_event``.
 
-    ``UserRecord`` keeps the events in order from registration midnight on,
-    so the fold refuses only a first event that is not a session.
+    An event's instant ``Event.us`` and registration midnight are on the
+    model's integer clock, so the offset is one subtraction. ``UserRecord``
+    keeps the events in order from registration midnight on, so the fold
+    refuses only a first event that is not a session.
     """
-    start = user.registration_instant
+    start = user.registration_us
     digest: list[tuple[int, int, int, int]] = []
     for e in user.events:
-        us = (e.timestamp - start) // MICROSECOND
-        if not fold_event(digest, us, e.kind, e.amount, e.flag_index):
+        if not fold_event(digest, e.us - start, e.kind, e.amount, e.flag_index):
             break
     else:
         if digest:

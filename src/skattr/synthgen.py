@@ -16,19 +16,27 @@ purchases land near the day's last session; flags fire on day 0 only. Every
 draw comes from a per-user substream derived from the seed and the user id,
 so generation is order-independent and a seed pins the dataset byte for
 byte.
+
+Times are drawn as integer seconds since registration midnight. A user's
+events are sorted once, as integer keys, and each ``Event`` is built in
+final order with its instant on the model's integer clock
+(``model.Event.us``); no ``datetime`` is made per event. ``tests/oracles.py``
+keeps a generator that builds every event from a ``datetime`` and checks
+that both make the same users.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, timedelta
 
 from .errors import ConfigError
 from .model import (
     FLAG,
     PURCHASE,
     SESSION,
+    US_PER_DAY,
     CampaignKey,
     Event,
     UserRecord,
@@ -172,7 +180,6 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
     group = _pick_group(cfg.groups, rng.random())
     reg_day = rng.randrange(cfg.n_weeks * 7)
     reg_date = cfg.start_date + timedelta(days=reg_day)
-    midnight = datetime.combine(reg_date, time.min)
 
     spender = rng.random() < min(1.0, cfg.spender_rate * seg.spender_mult)
     whale_shift = rng.gauss(0.0, cfg.whale_sigma) if spender else 0.0
@@ -193,22 +200,27 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
     # does not drift earlier over time.
     habit_sec = rng.randrange(28_800, 79_200)  # between 08:00 and 22:00
 
-    events: list[tuple[int, Event]] = []  # (second offset, event) for sorting
-    first_open_sec = habit_sec
+    # Each event is drawn as one integer, second * 8 + rank, with rank 0
+    # for a session, 1 for a purchase and 2 + i for flag i. Sorting these
+    # keys orders events by second, then sessions before purchases before
+    # flags. No two purchases (one a day at most) or flags share a second,
+    # so a purchase's cents are taken in drawing order.
+    keys: list[int] = []
+    amounts: list[int] = []
     for d in range(lifetime + 1):
         # Day 0 is always played; later alive days at the activity rate.
         if d > 0 and rng.random() >= cfg.activity_rate:
             continue
-        secs = sorted(
-            d * 86_400 + rng.randrange(habit_sec, 86_400)
-            for _ in range(rng.randint(0, cfg.max_sessions_per_day - 1))
-        )
+        day = d * 86_400
+        secs = [
+            day + rng.randrange(habit_sec, 86_400)
+            for _ in range(rng.randrange(cfg.max_sessions_per_day))
+        ]
         if d == 0 or rng.random() < cfg.habit_prob:
-            secs = sorted([d * 86_400 + habit_sec] + secs)
-        if not secs:
-            secs = [d * 86_400 + rng.randrange(habit_sec, 86_400)]
-        for s in secs:
-            events.append((s, Event(midnight + timedelta(seconds=s), SESSION)))
+            secs.append(day + habit_sec)
+        elif not secs:
+            secs.append(day + rng.randrange(habit_sec, 86_400))
+        keys += [s << 3 for s in secs]
         if spender:
             # Spend ramps up over the first days: players buy once the game
             # has proven itself, rarely on the install day.
@@ -217,27 +229,36 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
             if rng.random() < p_buy:
                 # Purchases land near the day's last session; spend per
                 # purchase drifts up with tenure as players progress.
-                buy_sec = min(secs[-1] + rng.randrange(60, 1800), (d + 1) * 86_400 - 1)
+                buy_sec = min(max(secs) + rng.randrange(60, 1800), day + 86_399)
                 mu_d = mu + cfg.tenure_amount_slope * d
-                amount = max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma))))
-                events.append((buy_sec, Event(midnight + timedelta(seconds=buy_sec), PURCHASE, amount=amount)))
+                amounts.append(max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma)))))
+                keys.append(buy_sec << 3 | 1)
     boost = cfg.flag_spender_boost if spender else 1.0
     for i, p in enumerate(cfg.flag_probs):
         if rng.random() < min(1.0, p * boost):
-            fsec = min(first_open_sec + 30 * (i + 1), 86_399)
-            events.append((fsec, Event(midnight + timedelta(seconds=fsec), FLAG, flag_index=i)))
+            keys.append(min(habit_sec + 30 * (i + 1), 86_399) << 3 | 2 + i)
 
-    # Stable order: by second, then sessions before purchases before flags.
     # The first-open session always sorts first: nothing is generated before
     # the earliest day-0 session second.
-    kind_rank = {SESSION: 0, PURCHASE: 1, FLAG: 2}
-    events.sort(key=lambda se: (se[0], kind_rank[se[1].kind]))
+    keys.sort()
+    midnight = reg_date.toordinal() * US_PER_DAY
+    cents = iter(amounts)
+    events = []
+    for key in keys:
+        us = midnight + (key >> 3) * 1_000_000
+        rank = key & 7
+        if rank == 0:
+            events.append(Event(us, SESSION))
+        elif rank == 1:
+            events.append(Event(us, PURCHASE, next(cents)))
+        else:
+            events.append(Event(us, FLAG, None, rank - 2))
 
     return UserRecord(
         id=uid,
         registration_date=reg_date,
         origin=seg.key,
-        events=tuple(e for _, e in events),
+        events=tuple(events),
         group=group,
     )
 
@@ -259,56 +280,3 @@ def generate_dataset(cfg: GenConfig) -> tuple[list[UserRecord], dict]:
         "substreams": ["campaigns", "user"],
     }
     return users, meta
-
-
-def homogeneous_fixture(
-    n_buckets: int,
-    users_per_bucket: int,
-    revenue_per_bucket: list[int] | tuple[int, ...] | None = None,
-    n_campaigns: int = 3,
-    start_date: date = date(2024, 1, 1),
-) -> list[UserRecord]:
-    """Users whose window revenue is exactly a per-bucket constant.
-
-    Every user plays one day-0 session; users in bucket b > 0 make one day-0
-    purchase of that bucket's constant, bucket 0 buys nothing. Origins cycle
-    over ``n_campaigns`` paid campaigns plus organic, so attribution has
-    something to disentangle while buckets stay revenue-homogeneous.
-    """
-    if users_per_bucket < 1:
-        raise ConfigError("users_per_bucket must be at least 1")
-    if n_buckets < 1 or n_buckets > 63:
-        raise ConfigError("n_buckets must be in [1, 63]")
-    if revenue_per_bucket is None:
-        revenue_per_bucket = tuple(1000 * (b + 1) for b in range(n_buckets))
-    if len(revenue_per_bucket) != n_buckets:
-        raise ConfigError("revenue_per_bucket must have one constant per bucket")
-    if len(set(revenue_per_bucket)) != n_buckets or any(r <= 0 for r in revenue_per_bucket):
-        raise ConfigError("bucket constants must be positive and distinct")
-    if start_date.isoweekday() != 1:
-        raise ConfigError("start_date must be a Monday")
-
-    origins = [encode_alpha(0, c) for c in range(n_campaigns)] + [organic_key(100)]
-    midnight = datetime.combine(start_date, time.min)
-    users: list[UserRecord] = []
-    uid = 0
-    for b in range(n_buckets + 1):  # bucket 0 = non-spenders
-        amount = None if b == 0 else revenue_per_bucket[b - 1]
-        for i in range(users_per_bucket):
-            open_sec = 3600 + 60 * uid
-            events = [Event(midnight + timedelta(seconds=open_sec), SESSION)]
-            if amount is not None:
-                events.append(
-                    Event(midnight + timedelta(seconds=open_sec + 600), PURCHASE, amount=amount)
-                )
-            users.append(
-                UserRecord(
-                    id=uid,
-                    registration_date=start_date,
-                    origin=origins[uid % len(origins)],
-                    events=tuple(events),
-                    group="G",
-                )
-            )
-            uid += 1
-    return users

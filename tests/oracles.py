@@ -4,8 +4,9 @@ Everything here is deliberately brute force: sort-and-slice quantiles,
 linear event scans, a conversion-value replay that rescans the events at
 every instant and keeps every commit, exhaustive enumeration of user-to-campaign assignments,
 attribution as a plain Fraction loop over every matrix cell, and a CSV
-loader that reads the whole file into a list and checks each field in turn.
-None of it shares code with the implementation paths it verifies.
+loader that reads the whole file into a list and checks each field in turn,
+and a cohort generator that builds every event from a ``datetime``. None
+of it shares code with the implementation paths it verifies.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from skattr.model import (
     Cohort,
     Event,
     UserRecord,
+    encode_alpha,
     organic_key,
 )
 from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
+from skattr.synthgen import GenConfig, _pick_group, _pick_segment, _segments
 
 
 def scan_revenue(user: UserRecord, t: int) -> int:
@@ -76,6 +79,11 @@ def groupby_truth(users: list[UserRecord], t: int) -> dict[CampaignKey, int]:
 DAY_US = 86_400 * 10**6
 COMMIT_WINDOW_US = DAY_US
 _MICROSECOND = timedelta(microseconds=1)
+
+
+def instant_us(ts: datetime) -> int:
+    """A naive instant as an ``Event.us``: microseconds since midnight of date ordinal 0."""
+    return (ts - datetime(1, 1, 1)) // _MICROSECOND + DAY_US
 
 
 def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
@@ -287,6 +295,127 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
         year, week, _ = pb.postback_time.isocalendar()
         cells[i] = ids.setdefault((pb.group, "%04d-W%02d" % (year, week)), len(ids))
     return PostbackTable(cohort, values, cells, sent_us, {i: key for key, i in ids.items()})
+
+
+def reference_generate_dataset(cfg: GenConfig) -> list[UserRecord]:
+    """The users ``synthgen.generate_dataset`` makes, built event by event from ``datetime``s.
+
+    Each event is ``midnight + timedelta(seconds=...)``, and a user's events
+    are sorted by (timestamp, kind rank) before the record is built. The
+    draws are those of the library generator, call for call; the origin
+    segments and the group and segment picks are the library's.
+    """
+    segments = _segments(cfg)
+    return [_reference_user(cfg, segments, uid) for uid in range(cfg.n_users)]
+
+
+def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
+    rng = substream(cfg.seed, "user", uid)
+    seg = _pick_segment(segments, rng.random())
+    group = _pick_group(cfg.groups, rng.random())
+    reg_day = rng.randrange(cfg.n_weeks * 7)
+    reg_date = cfg.start_date + timedelta(days=reg_day)
+    midnight = datetime.combine(reg_date, datetime.min.time())
+
+    spender = rng.random() < min(1.0, cfg.spender_rate * seg.spender_mult)
+    whale_shift = rng.gauss(0.0, cfg.whale_sigma) if spender else 0.0
+    mu = cfg.amount_mu + seg.amount_shift + whale_shift
+    continue_p = cfg.spender_retention_continue if spender else cfg.retention_continue
+    lifetime = 0
+    while lifetime < cfg.event_horizon_days - 1 and rng.random() < continue_p:
+        lifetime += 1
+    habit_sec = rng.randrange(28_800, 79_200)
+
+    events: list[tuple[datetime, str, int | None, int | None]] = []
+    for d in range(lifetime + 1):
+        if d > 0 and rng.random() >= cfg.activity_rate:
+            continue
+        secs = sorted(
+            d * 86_400 + rng.randrange(habit_sec, 86_400)
+            for _ in range(rng.randint(0, cfg.max_sessions_per_day - 1))
+        )
+        if d == 0 or rng.random() < cfg.habit_prob:
+            secs = sorted([d * 86_400 + habit_sec] + secs)
+        if not secs:
+            secs = [d * 86_400 + rng.randrange(habit_sec, 86_400)]
+        for s in secs:
+            events.append((midnight + timedelta(seconds=s), SESSION, None, None))
+        if spender:
+            ramp = min(1.0, d / 3) if d else 0.0
+            p_buy = cfg.purchase_day0_prob + (cfg.purchase_prob - cfg.purchase_day0_prob) * ramp
+            if rng.random() < p_buy:
+                buy_sec = min(secs[-1] + rng.randrange(60, 1800), (d + 1) * 86_400 - 1)
+                mu_d = mu + cfg.tenure_amount_slope * d
+                amount = max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma))))
+                events.append((midnight + timedelta(seconds=buy_sec), PURCHASE, amount, None))
+    boost = cfg.flag_spender_boost if spender else 1.0
+    for i, p in enumerate(cfg.flag_probs):
+        if rng.random() < min(1.0, p * boost):
+            fsec = min(habit_sec + 30 * (i + 1), 86_399)
+            events.append((midnight + timedelta(seconds=fsec), FLAG, None, i))
+
+    kind_rank = {SESSION: 0, PURCHASE: 1, FLAG: 2}
+    events.sort(key=lambda e: (e[0], kind_rank[e[1]]))
+    return UserRecord(
+        id=uid,
+        registration_date=reg_date,
+        origin=seg.key,
+        events=tuple(Event(instant_us(ts), kind, amount, flag) for ts, kind, amount, flag
+                     in events),
+        group=group,
+    )
+
+
+def homogeneous_fixture(
+    n_buckets: int,
+    users_per_bucket: int,
+    revenue_per_bucket: list[int] | tuple[int, ...] | None = None,
+    n_campaigns: int = 3,
+    start_date: date = date(2024, 1, 1),
+) -> list[UserRecord]:
+    """Fixture: users whose window revenue is exactly a per-bucket constant.
+
+    Every user plays one day-0 session; users in bucket b > 0 make one day-0
+    purchase of that bucket's constant, bucket 0 buys nothing. Origins cycle
+    over ``n_campaigns`` paid campaigns plus organic, so attribution has
+    something to disentangle while buckets stay revenue-homogeneous.
+    """
+    if users_per_bucket < 1:
+        raise ConfigError("users_per_bucket must be at least 1")
+    if n_buckets < 1 or n_buckets > 63:
+        raise ConfigError("n_buckets must be in [1, 63]")
+    if revenue_per_bucket is None:
+        revenue_per_bucket = tuple(1000 * (b + 1) for b in range(n_buckets))
+    if len(revenue_per_bucket) != n_buckets:
+        raise ConfigError("revenue_per_bucket must have one constant per bucket")
+    if len(set(revenue_per_bucket)) != n_buckets or any(r <= 0 for r in revenue_per_bucket):
+        raise ConfigError("bucket constants must be positive and distinct")
+    if start_date.isoweekday() != 1:
+        raise ConfigError("start_date must be a Monday")
+
+    origins = [encode_alpha(0, c) for c in range(n_campaigns)] + [organic_key(100)]
+    midnight = datetime.combine(start_date, datetime.min.time())
+    users: list[UserRecord] = []
+    uid = 0
+    for b in range(n_buckets + 1):  # bucket 0 = non-spenders
+        amount = None if b == 0 else revenue_per_bucket[b - 1]
+        for _ in range(users_per_bucket):
+            opened = midnight + timedelta(seconds=3600 + 60 * uid)
+            events = [Event(instant_us(opened), SESSION)]
+            if amount is not None:
+                bought = opened + timedelta(seconds=600)
+                events.append(Event(instant_us(bought), PURCHASE, amount=amount))
+            users.append(
+                UserRecord(
+                    id=uid,
+                    registration_date=start_date,
+                    origin=origins[uid % len(origins)],
+                    events=tuple(events),
+                    group="G",
+                )
+            )
+            uid += 1
+    return users
 
 
 def distinct_permutations(labels: list):
@@ -556,7 +685,9 @@ def reference_load_users(
             amount = _parse_int(row[3], epath, line, "amount_cents") if row[3] else None
             flag_index = _parse_int(row[4], epath, line, "flag_index") if row[4] else None
             try:
-                events[uid].append(Event(ts, kind, amount=amount, flag_index=flag_index))
+                events[uid].append(
+                    Event(instant_us(ts), kind, amount=amount, flag_index=flag_index)
+                )
             except ConfigError as exc:
                 raise CsvFormatError(f"{epath}:{line}: {exc}") from exc
 

@@ -27,12 +27,13 @@ from skattr.pipeline import run_schema
 from skattr.postback import empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
-from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
+from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import (
     by_user,
     enumeration_expected_sq_error,
     enumeration_mean,
+    homogeneous_fixture,
     simulate_updates,
 )
 

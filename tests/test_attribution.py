@@ -14,7 +14,7 @@ from skattr.attribution import (
 )
 from skattr.errors import ConfigError, MissingProfileError
 from skattr.metrics import attribute_cells
-from skattr.model import Event, UserRecord, encode_alpha, organic_key
+from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, organic_key
 from skattr.pipeline import run_schema
 from skattr.postback import empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
@@ -48,9 +48,9 @@ def means_of(means):
 
 
 def spender(uid, cents, value=None):
-    events = [Event(T0, "session")]
+    events = [Event(datetime_to_us(T0), "session")]
     if cents:
-        events.append(Event(T0 + timedelta(hours=1), "purchase", amount=cents))
+        events.append(Event(datetime_to_us(T0 + timedelta(hours=1)), "purchase", amount=cents))
     return UserRecord(uid, MONDAY, A, tuple(events), "G")
 
 

@@ -16,6 +16,7 @@ from skattr.cli import main
 from skattr.config import run_config_from_dict
 from skattr.errors import ConfigError, CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
+    META_PREFIX,
     load_attribution,
     load_cohort,
     load_counts,
@@ -36,7 +37,9 @@ from skattr.model import (
     Cohort,
     Event,
     UserRecord,
+    datetime_to_us,
     ground_truth,
+    us_to_datetime,
 )
 from skattr.pipeline import run_schema
 from skattr.postback_view import load_postback_view
@@ -130,6 +133,80 @@ class TestUserEventRoundTrip:
 
 
 META = {"organic_alpha": 9, "seed": 1}
+
+
+class TestTimestampEdges:
+    """``Event.us``, ``Event.timestamp`` and the events file's text agree at the edges of a day."""
+
+    @pytest.mark.parametrize("text", [
+        "2024-01-01T00:00:00",
+        "2024-01-01T23:59:59.999999",
+        "2024-01-02T09:00:00",  # 24 h after a commit at 2024-01-01T09:00:00
+        "2024-01-02T08:59:59.999999",  # ... less 1 us
+        "2024-01-02T09:00:00.000001",  # ... and 1 us more
+        "2024-01-03T12:34:56.500000",
+    ])
+    def test_instant_text_round_trip(self, tmp_path, text):
+        ts = datetime.fromisoformat(text)
+        us = datetime_to_us(ts)
+        seconds = (ts.hour * 60 + ts.minute) * 60 + ts.second
+        assert us == ts.date().toordinal() * US_PER_DAY + seconds * 10**6 + ts.microsecond
+        assert us_to_datetime(us) == ts
+        assert Event(us, SESSION).timestamp.isoformat() == text
+
+        midnight = date(2024, 1, 1).toordinal() * US_PER_DAY
+        user = UserRecord(1, date(2024, 1, 1), CampaignKey(0),
+                          (Event(midnight, SESSION), Event(us, SESSION)), "G")
+        save_dataset(tmp_path, [user], META)
+        assert f"\n1,{text},session,,\n" in (tmp_path / "events.csv").read_text()
+        (loaded,), _ = load_users(tmp_path / "users.csv", tmp_path / "events.csv")
+        assert loaded == user
+        cohort = load_cohort(tmp_path / "users.csv", tmp_path / "events.csv")
+        assert cohort.digests[0][-1][0] == us - midnight
+        assert cohort.digests == prepare_users([user]).digests
+
+    @pytest.mark.parametrize("text, commits", [
+        ("2024-01-02T08:59:59.999999", True),
+        ("2024-01-02T09:00:00", True),
+        ("2024-01-02T09:00:00.000001", False),
+    ])
+    def test_commit_timer_at_24_hours(self, tmp_path, text, commits):
+        """A purchase up to exactly 24 h after the first-open commit commits; 1 us later, not."""
+        (tmp_path / "users.csv").write_text(USERS_TEXT)
+        (tmp_path / "events.csv").write_text(
+            EVENTS_HEADER
+            + "1,2024-01-01T09:00:00,session,,\n"
+            + f"1,{text},purchase,100,\n"
+            + "2,2024-01-03T08:00:00,session,,\n"
+        )
+        cohort = load_cohort(tmp_path / "users.csv", tmp_path / "events.csv")
+        (users, _) = load_users(tmp_path / "users.csv", tmp_path / "events.csv")
+        assert prepare_users(users).digests == cohort.digests
+        midnight = datetime(2024, 1, 1)
+        at = (datetime.fromisoformat(text) if commits else datetime(2024, 1, 1, 9)) - midnight
+        value = (1 << 5) | 1 if commits else 0  # day 1, one purchase
+        final = simulate_traces(cohort, schema_from_text("kind=RI;layout=TCCCCC;horizon=1"))
+        assert final[1] == (value, at // timedelta(microseconds=1))
+
+    def test_sub_second_events_file_is_rewritten_byte_for_byte(self, tmp_path):
+        meta_line = META_PREFIX + json.dumps(META, sort_keys=True) + "\n"
+        texts = {
+            "users.csv": meta_line + USERS_TEXT,
+            "events.csv": meta_line + EVENTS_HEADER + (
+                "1,2024-01-01T00:00:00,session,,\n"
+                "1,2024-01-01T00:00:00.000001,flag,,0\n"
+                "1,2024-01-01T09:30:15.250000,purchase,250,\n"
+                "1,2024-01-01T23:59:59.999999,session,,\n"
+                "1,2024-01-02T00:00:00,purchase,40,\n"
+                "2,2024-01-03T08:00:00.999999,session,,\n"
+            ),
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        users, meta = load_users(tmp_path / "users.csv", tmp_path / "events.csv")
+        save_dataset(tmp_path / "out", users, meta)
+        for name, text in texts.items():
+            assert (tmp_path / "out" / name).read_text() == text
 INT_TEXTS = ("x", "", "-1", "2.0", "1_0", " 1", "9" * 30, "9" * 5000)
 TIMESTAMPS = ("2024-01-01T00:00:00", "2023-12-31T23:59:59", "2024-01-09", "2024-02-30T00:00:00",
               "soon", "")
@@ -157,7 +234,7 @@ def cohorts(draw):
         for seconds in sorted(offsets):
             kind = draw(st.sampled_from((SESSION, PURCHASE, FLAG)))
             events.append(Event(
-                midnight + timedelta(seconds=seconds),
+                datetime_to_us(midnight + timedelta(seconds=seconds)),
                 kind,
                 amount=draw(st.integers(1, 9_999)) if kind == PURCHASE else None,
                 flag_index=draw(st.integers(0, 5)) if kind == FLAG else None,
@@ -252,7 +329,7 @@ class TestStreamingLoader:
     def test_cohort_matches_reference_loader(self, edit, cohort, data):
         if data.draw(st.booleans()):  # a first open for every user, so that the cohort loads
             cohort = [
-                replace(u, events=(Event(u.registration_instant, SESSION), *u.events))
+                replace(u, events=(Event(u.registration_us, SESSION), *u.events))
                 for u in cohort
             ]
         with tempfile.TemporaryDirectory() as tmp:
@@ -708,6 +785,27 @@ class TestCliErrors:
         assert message in config_error(capsys)
         assert not out.exists()
 
+    def test_cohort_without_spenders(self, tmp_path, capsys):
+        """No spender: the first cell that fits buckets fails the run, after the dataset is written.
+
+        The default schemas start with D30 PV, whose buckets are fitted on
+        spender revenue; no EV or UD cell runs, and no report is written.
+        """
+        gen = {"n_users": 500, "spender_rate": 0, "seed": 1}
+        (tmp_path / "run.json").write_text(json.dumps({"gen": gen}))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "GridCellError",
+            "message": "schema D30 PV: DegenerateFitError: "
+                       "no spenders in population; buckets cannot be fitted",
+        }
+        assert sorted(p.name for p in out.iterdir()) == ["dataset"]
+        assert sorted(p.name for p in (out / "dataset").iterdir()) == [
+            "events.csv", "meta.json", "users.csv"
+        ]
+
     def test_window_past_the_generator_horizon(self, tmp_path, capsys):
         # GEN has 35 days of events; the last default window is [60, 90).
         (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN}))
@@ -986,6 +1084,45 @@ class TestPostbackView:
         shutil.copy(theirs, ours)
         assert stage_outputs(tmp_path / "s", data, tmp_path / "theirs") == expected
         assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
+
+    def test_users_files_in_one_directory_keep_their_own_views(self, staged, tmp_path,
+                                                               monkeypatch):
+        """Two users files beside one events file, simulated alike, each get a view of their own.
+
+        ``attribute`` on each then reads its own view and replays nothing.
+        """
+        import skattr.cli
+
+        root = tmp_path / "s"
+        shutil.copytree(staged, root)
+        data = root / "data"
+        lines = (data / "users.csv").read_text().splitlines()
+        row = lines[2].split(",")
+        row[3] = next(g for g in sorted({line.split(",")[3] for line in lines[2:]}) if g != row[3])
+        lines[2] = ",".join(row)  # the first user moves to the other group
+        (data / "other.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("simulate", "--users", data / "other.csv", "--schema", D7RR, "--seed", 9,
+                       "--out", root / "c_other.csv") == 0
+        assert len(views(data)) == 2
+
+        def attribute_both(out):
+            out.mkdir()
+            for counts, users in (("c.csv", data / "users.csv"), ("c_other.csv",
+                                                                   data / "other.csv")):
+                assert run_cli("attribute", "--counts", root / counts, "--profile-from", users,
+                               "--t", 30, "--g", "plain", "--out", out / counts) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a stage simulated again instead of reading its view")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(skattr.cli, "simulate_postbacks", no_replay)
+            viewed = attribute_both(tmp_path / "viewed")
+        assert viewed["c.csv"] != viewed["c_other.csv"]
+        for view in views(data):
+            view.unlink()
+        assert attribute_both(tmp_path / "rebuilt") == viewed
 
     def test_read_only_dataset_directory(self, staged, tmp_path, monkeypatch, rebuilds):
         """``simulate`` succeeds without its view, and the later stages simulate again."""

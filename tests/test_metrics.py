@@ -25,7 +25,8 @@ from skattr.metrics import (
 from skattr.model import CampaignKey, organic_key
 from skattr.privacy import PrivacyConfig
 from skattr.schema import prepare_users, schema_from_text
-from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
+from skattr.synthgen import GenConfig, generate_dataset
+from oracles import homogeneous_fixture
 
 
 class TestWeeklyError:

@@ -9,6 +9,7 @@ from skattr.model import (
     Event,
     UserRecord,
     cumulative_revenue,
+    datetime_to_us,
     decode_alpha,
     encode_alpha,
     ground_truth,
@@ -25,11 +26,14 @@ MONDAY = date(2024, 1, 1)
 def make_user(uid=0, purchases=(), origin=encode_alpha(4, 5), group="G", reg=MONDAY, flags=()):
     """User with a first-open session and purchases given as (day, hour, cents)."""
     start = datetime(reg.year, reg.month, reg.day, 9)
-    events = [Event(start, "session")]
+    events = [Event(datetime_to_us(start), "session")]
+    midnight = start.replace(hour=0)
     for day, hour, cents in purchases:
-        events.append(Event(start.replace(hour=0) + timedelta(days=day, hours=hour), "purchase", amount=cents))
+        at = datetime_to_us(midnight + timedelta(days=day, hours=hour))
+        events.append(Event(at, "purchase", amount=cents))
     for day, hour, idx in flags:
-        events.append(Event(start.replace(hour=0) + timedelta(days=day, hours=hour), "flag", flag_index=idx))
+        at = datetime_to_us(midnight + timedelta(days=day, hours=hour))
+        events.append(Event(at, "flag", flag_index=idx))
     events.sort(key=lambda e: e.timestamp)
     return UserRecord(id=uid, registration_date=reg, origin=origin, events=tuple(events), group=group)
 
@@ -39,9 +43,11 @@ class TestEventOrder:
         (datetime(2023, 12, 31, 23), datetime(2024, 1, 1, 9), "event precedes registration"),
         (datetime(2024, 1, 1, 9), datetime(2024, 1, 1, 8),
          "events out of order at 2024-01-01T08:00:00"),
+        (datetime(2024, 1, 1, 9, 0, 0, 250001), datetime(2024, 1, 1, 9, 0, 0, 250000),
+         "events out of order at 2024-01-01T09:00:00.250000"),
     ])
     def test_message(self, first, second, message):
-        events = (Event(first, "session"), Event(second, "session"))
+        events = (Event(datetime_to_us(first), "session"), Event(datetime_to_us(second), "session"))
         with pytest.raises(ConfigError, match=f"^user 0: {message}$"):
             UserRecord(0, MONDAY, encode_alpha(0, 0), events, "G")
 
@@ -150,24 +156,24 @@ class TestUserRecordInvariants:
     def test_events_must_be_ordered(self):
         start = datetime(2024, 1, 1, 9)
         events = (
-            Event(start, "session"),
-            Event(start - timedelta(hours=1), "session"),
+            Event(datetime_to_us(start), "session"),
+            Event(datetime_to_us(start - timedelta(hours=1)), "session"),
         )
         with pytest.raises(ConfigError):
             UserRecord(1, MONDAY, encode_alpha(0, 0), events, "G")
 
     def test_event_before_registration_rejected(self):
-        events = (Event(datetime(2023, 12, 31, 23), "session"),)
+        events = (Event(datetime_to_us(datetime(2023, 12, 31, 23)), "session"),)
         with pytest.raises(ConfigError):
             UserRecord(1, MONDAY, encode_alpha(0, 0), events, "G")
 
     def test_purchase_amount_positive(self):
         with pytest.raises(ConfigError):
-            Event(datetime(2024, 1, 1, 9), "purchase", amount=0)
+            Event(datetime_to_us(datetime(2024, 1, 1, 9)), "purchase", amount=0)
 
     def test_flag_index_range(self):
         with pytest.raises(ConfigError):
-            Event(datetime(2024, 1, 1, 9), "flag", flag_index=6)
+            Event(datetime_to_us(datetime(2024, 1, 1, 9)), "flag", flag_index=6)
 
 
 def postbacks_at(users, when=datetime(2024, 1, 3, 12)):

@@ -5,7 +5,7 @@ from datetime import date, datetime, timedelta
 import pytest
 
 from skattr.errors import ConfigError, InconsistentTotalsError
-from skattr.model import Event, UserRecord, encode_alpha, iso_week, organic_key
+from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, iso_week, organic_key
 from skattr.postback import CountMatrix, build_counts, empty_matrix, estimate_organic, postback_delay_us
 from skattr.schema import prepare_users
 
@@ -26,7 +26,7 @@ def finalize(trace, draw, group):
 
 
 def user(uid, alpha_key, group="G"):
-    return UserRecord(uid, MONDAY, alpha_key, (Event(T0, "session"),), group)
+    return UserRecord(uid, MONDAY, alpha_key, (Event(datetime_to_us(T0), "session"),), group)
 
 
 def pb(uid, value, when, group="G"):

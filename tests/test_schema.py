@@ -12,6 +12,7 @@ from skattr.model import (
     Event,
     UserRecord,
     cumulative_revenue,
+    datetime_to_us,
     encode_alpha,
     iso_week,
 )
@@ -48,9 +49,10 @@ def user_from_events(events, uid=0):
 
 def spender(uid, cents, day=0):
     """Single day-0 session + one purchase of the given size."""
-    events = [Event(START, "session")]
+    events = [Event(datetime_to_us(START), "session")]
     if cents:
-        events.append(Event(START + timedelta(days=day, hours=1), "purchase", amount=cents))
+        at = datetime_to_us(START + timedelta(days=day, hours=1))
+        events.append(Event(at, "purchase", amount=cents))
     return user_from_events(events, uid)
 
 
@@ -138,9 +140,9 @@ class TestFitBuckets:
 class TestCandidateValue:
     def test_ev_or_of_flags(self):
         events = [
-            Event(START, "session"),
-            Event(START + timedelta(hours=1), "flag", flag_index=0),
-            Event(START + timedelta(hours=2), "flag", flag_index=5),
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(hours=1)), "flag", flag_index=0),
+            Event(datetime_to_us(START + timedelta(hours=2)), "flag", flag_index=5),
         ]
         user = user_from_events(events)
         schema = schema_from_text("kind=EV")
@@ -148,8 +150,8 @@ class TestCandidateValue:
 
     def test_ev_ignores_flags_after_day0(self):
         events = [
-            Event(START, "session"),
-            Event(START + timedelta(days=1), "flag", flag_index=2),
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(days=1)), "flag", flag_index=2),
         ]
         user = user_from_events(events)
         schema = schema_from_text("kind=EV")
@@ -162,15 +164,15 @@ class TestCandidateValue:
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
         schema = replace(schema, bucket_boundaries=(100, 200, 300, 400, 500, 600))
         events = [
-            Event(START, "session"),
-            Event(START + timedelta(days=1), "purchase", amount=450),
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(days=1)), "purchase", amount=450),
         ]
         user = user_from_events(events)
         at = START + timedelta(days=3)
         assert candidate_value(user, schema, at) == 3 * 8 + 5 == 29
 
     def test_empty_state_is_zero(self):
-        user = user_from_events([Event(START, "session")])
+        user = user_from_events([Event(datetime_to_us(START), "session")])
         for text in ("kind=EV", "kind=RR;layout=TTTVVV;horizon=7", "kind=RI;layout=TTTCCC;horizon=7",
                      "kind=PV;layout=VVVVVV;horizon=30"):
             schema = schema_from_text(text)
@@ -190,8 +192,9 @@ class TestCandidateValue:
 
     def test_ri_counts_purchases(self):
         schema = schema_from_text("kind=RI;layout=TTTCCC;horizon=7")
-        events = [Event(START, "session")] + [
-            Event(START + timedelta(hours=h), "purchase", amount=100) for h in range(1, 12)
+        events = [Event(datetime_to_us(START), "session")] + [
+            Event(datetime_to_us(START + timedelta(hours=h)), "purchase", amount=100)
+            for h in range(1, 12)
         ]
         user = user_from_events(events)
         # 11 purchases clamp at 2**3 - 1 = 7; day 0
@@ -201,10 +204,10 @@ class TestCandidateValue:
 class TestSimulateUpdates:
     def test_day0_flag_accumulation_no_repeat_commit(self):
         events = [
-            Event(START, "session"),
-            Event(START + timedelta(hours=1), "flag", flag_index=0),
-            Event(START + timedelta(hours=2), "flag", flag_index=1),
-            Event(START + timedelta(hours=3), "session"),  # candidate still 3
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(hours=1)), "flag", flag_index=0),
+            Event(datetime_to_us(START + timedelta(hours=2)), "flag", flag_index=1),
+            Event(datetime_to_us(START + timedelta(hours=3)), "session"),  # candidate still 3
         ]
         trace = simulate_updates(user_from_events(events), schema_from_text("kind=EV"))
         assert [v for _, v in trace.committed] == [0, 1, 3]
@@ -212,7 +215,7 @@ class TestSimulateUpdates:
     def test_d7_rr_daily_sessions_advance_t_bits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
         schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
-        events = [Event(START + timedelta(days=d), "session") for d in range(9)]
+        events = [Event(datetime_to_us(START + timedelta(days=d)), "session") for d in range(9)]
         trace = simulate_updates(user_from_events(events), schema)
         assert [v for _, v in trace.committed] == [0, 8, 16, 24, 32, 40, 48, 56]
         # replay oracle: every committed value equals the candidate there
@@ -224,9 +227,9 @@ class TestSimulateUpdates:
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
         schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
         events = [
-            Event(START, "session"),
-            Event(START + timedelta(days=2), "session"),
-            Event(START + timedelta(days=2, hours=1), "purchase", amount=900),
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(days=2)), "session"),
+            Event(datetime_to_us(START + timedelta(days=2, hours=1)), "purchase", amount=900),
         ]
         trace = simulate_updates(user_from_events(events), schema)
         assert trace.committed == ((START, 0),)
@@ -234,22 +237,25 @@ class TestSimulateUpdates:
     def test_exact_24h_gap_still_commits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
         schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
-        events = [Event(START, "session"), Event(START + timedelta(hours=24), "session")]
+        events = [
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START + timedelta(hours=24)), "session"),
+        ]
         trace = simulate_updates(user_from_events(events), schema)
         assert [v for _, v in trace.committed] == [0, 8]
 
     def test_simultaneous_events_commit_once(self):
         events = [
-            Event(START, "session"),
-            Event(START, "flag", flag_index=0),
-            Event(START + timedelta(hours=1), "flag", flag_index=1),
+            Event(datetime_to_us(START), "session"),
+            Event(datetime_to_us(START), "flag", flag_index=0),
+            Event(datetime_to_us(START + timedelta(hours=1)), "flag", flag_index=1),
         ]
         trace = simulate_updates(user_from_events(events), schema_from_text("kind=EV"))
         assert [v for _, v in trace.committed] == [1, 3]
         assert trace.committed[0][0] == START
 
     def test_requires_first_open_session(self):
-        events = [Event(START, "purchase", amount=100)]
+        events = [Event(datetime_to_us(START), "purchase", amount=100)]
         with pytest.raises(ConfigError):
             simulate_updates(user_from_events(events), schema_from_text("kind=EV"))
 
@@ -267,17 +273,18 @@ class TestSimulateUpdates:
 @st.composite
 def random_user(draw):
     n_days = draw(st.integers(0, 10))
-    events = [Event(START, "session")]
+    events = [Event(datetime_to_us(START), "session")]
     for d in range(1, n_days + 1):
         if draw(st.booleans()):
             hour = draw(st.integers(0, 23))
             ts = datetime(2024, 1, 1 + d, hour)
-            events.append(Event(ts, "session"))
+            events.append(Event(datetime_to_us(ts), "session"))
             if draw(st.booleans()):
-                events.append(Event(ts + timedelta(minutes=30), "purchase",
+                events.append(Event(datetime_to_us(ts + timedelta(minutes=30)), "purchase",
                                     amount=draw(st.integers(1, 5000))))
     for idx in draw(st.sets(st.integers(0, 5), max_size=6)):
-        events.append(Event(START + timedelta(hours=1 + idx), "flag", flag_index=idx))
+        at = datetime_to_us(START + timedelta(hours=1 + idx))
+        events.append(Event(at, "flag", flag_index=idx))
     events.sort(key=lambda e: e.timestamp)
     return user_from_events(events, uid=draw(st.integers(0, 10_000)))
 
@@ -357,7 +364,7 @@ KERNEL_SCHEMAS = [
 def edge_user(draw, uid=0):
     """Events at sub-second instants, stepping by 0, 24h, 24h +- 1us or to a midnight edge."""
     t = draw(st.one_of(st.integers(0, 2 * DAY_US), st.sampled_from([DAY_US - 1, DAY_US])))
-    events = [Event(REGISTRATION + timedelta(microseconds=t), "session")]
+    events = [Event(datetime_to_us(REGISTRATION + timedelta(microseconds=t)), "session")]
     for _ in range(draw(st.integers(0, 14))):
         step = draw(st.one_of(
             st.sampled_from([0, DAY_US - 1, DAY_US, DAY_US + 1, "midnight", "midnight-1us"]),
@@ -372,11 +379,11 @@ def edge_user(draw, uid=0):
         ts = REGISTRATION + timedelta(microseconds=t)
         kind = draw(st.sampled_from([SESSION, PURCHASE, FLAG]))
         if kind == PURCHASE:
-            events.append(Event(ts, kind, amount=draw(st.integers(1, 3000))))
+            events.append(Event(datetime_to_us(ts), kind, amount=draw(st.integers(1, 3000))))
         elif kind == FLAG:
-            events.append(Event(ts, kind, flag_index=draw(st.integers(0, 5))))
+            events.append(Event(datetime_to_us(ts), kind, flag_index=draw(st.integers(0, 5))))
         else:
-            events.append(Event(ts, kind))
+            events.append(Event(datetime_to_us(ts), kind))
     return UserRecord(uid, REGISTRATION.date(), encode_alpha(0, uid % 3), tuple(events), "G")
 
 
@@ -399,8 +406,8 @@ class TestReplayKernel:
         # Float seconds put this gap a hair over 24h, which froze the trace at [0].
         schema = schema_from_text("kind=RI;layout=TTTCCC;horizon=7")
         first = datetime.fromisoformat("2024-01-01T18:30:20.417634")
-        user = user_from_events([Event(first, "session"),
-                                 Event(first + timedelta(hours=24), "session")])
+        user = user_from_events([Event(datetime_to_us(first), "session"),
+                                 Event(datetime_to_us(first + timedelta(hours=24)), "session")])
         assert [v for _, v in simulate_updates(user, schema).committed] == [0, 8]
         second_us = (first + timedelta(hours=24) - REGISTRATION) // timedelta(microseconds=1)
         assert simulate_traces(prepare_users([user]), schema) == {0: (8, second_us)}
@@ -447,7 +454,7 @@ def delivered_at(uid, when, seed, group):
     """A user whose only event is first open, timed so the postback arrives at ``when``."""
     first_open = when - timedelta(seconds=86_400 + substream(seed, "postback", uid).random() * 86_400)
     return UserRecord(uid, first_open.date(), encode_alpha(0, uid % 3),
-                      (Event(first_open, SESSION),), group)
+                      (Event(datetime_to_us(first_open), SESSION),), group)
 
 
 class TestPostbackTable:

@@ -1,10 +1,15 @@
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skattr.errors import ConfigError
 from skattr.model import FLAG, PURCHASE, SESSION, cumulative_revenue
-from skattr.synthgen import GenConfig, generate_dataset, homogeneous_fixture
+from skattr.io_files import save_dataset
+from skattr.synthgen import GenConfig, generate_dataset
+from oracles import homogeneous_fixture, reference_generate_dataset
 
 
 def small_cfg(**kw):
@@ -113,6 +118,38 @@ class TestConfigValidation:
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             small_cfg(**kw)
+
+
+class TestReferenceGenerator:
+    @given(
+        n_users=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        n_weeks=st.integers(1, 4),
+        max_sessions=st.integers(1, 4),
+        horizon=st.integers(1, 40),
+        spender_rate=st.sampled_from((0.0, 0.3, 1.0)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_datetime_reference(self, n_users, seed, n_weeks, max_sessions, horizon,
+                                        spender_rate):
+        """The integer-time generator makes the users, and the files, of the datetime one."""
+        cfg = GenConfig(n_users=n_users, n_weeks=n_weeks, event_horizon_days=horizon, seed=seed,
+                        max_sessions_per_day=max_sessions, spender_rate=spender_rate)
+        users, meta = generate_dataset(cfg)
+        reference = reference_generate_dataset(cfg)
+        assert [u.id for u in users] == [r.id for r in reference]
+        for u, r in zip(users, reference):
+            assert (u.registration_date, u.origin, u.group) == (
+                r.registration_date, r.origin, r.group
+            )
+            assert [(e.us, e.timestamp, e.kind, e.amount, e.flag_index) for e in u.events] == [
+                (e.us, e.timestamp, e.kind, e.amount, e.flag_index) for e in r.events
+            ]
+        with tempfile.TemporaryDirectory() as tmp:
+            ours = save_dataset(Path(tmp) / "ours", users, meta)
+            theirs = save_dataset(Path(tmp) / "reference", reference, meta)
+            for name, path in ours.items():
+                assert path.read_bytes() == theirs[name].read_bytes(), name
 
 
 class TestHomogeneousFixture:
