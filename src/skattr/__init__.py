@@ -7,6 +7,7 @@ schemas -> postback simulation -> privacy thresholding -> revenue attribution
 
 from .attribution import (
     AttributionFunction,
+    CellAttribution,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means,
@@ -55,6 +56,7 @@ __all__ = [
     "AttributionReport",
     "BitLayout",
     "CampaignKey",
+    "CellAttribution",
     "CellResult",
     "CountMatrix",
     "Event",

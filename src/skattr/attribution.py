@@ -16,24 +16,33 @@ cell. The totals, the number of users with each value, belong to one
 (group, week) cell and are an explicit argument of ``attribute_with_null``:
 a suppressed row redistributes exactly the users that cell contains.
 
+The kernels are lambda-free. ``attribute_plain`` and ``attribute_with_null``
+each build one ``CellAttribution`` per cell: integer numerators ``a`` and
+``b`` per column over one integer denominator ``D``, so that column j
+attributes (a_j + lambda * b_j) / D cents. The plain estimator and an empty
+null row have b = 0. Every lambda of one (cell, threshold) is therefore an
+evaluation of one build: with lambda = ln / ld, column j is the integer
+ld * a_j + ln * b_j over ld * D, rounded to cents half to even by integer
+``divmod``, the rule ``round(Fraction)`` applies.
+
 An ``AttributionFunction`` names one estimator, ``plain`` included, and
 holds the lambda it uses; ``metrics.attribute_cells`` is the one place that
 dispatches on it to ``attribute_plain`` or ``attribute_with_null``.
 
 Computation is exact and integer-only. Per matrix, the bucket means in use
 are scaled to one common denominator (the lcm of their denominators), each
-campaign column accumulates one integer numerator, the null weights are
-integer numerators over one shared denominator, and one Fraction is built
-per column at the end; rounding happens only when reports are emitted. The
-conservation identity sum_over_campaigns(attributed) ==
-sum_over_values(mean * total) holds exactly, over the cell's totals, for
-any lambda and any threshold.
+campaign column accumulates one integer numerator, and the null weights
+enter as integer numerators over the null row's sum; a Fraction is built
+only when a caller asks for one. The conservation identity
+sum_over_campaigns(attributed) == sum_over_values(mean * total) holds
+exactly, over the cell's totals, for any lambda and any threshold: the
+b_j sum to zero across the columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -137,15 +146,56 @@ def _visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[
     return acc
 
 
-def attribute_plain(
-    matrix: CountMatrix, means: Mapping[int, Fraction]
-) -> dict[CampaignKey, Fraction]:
+def _round_half_even(num: int, den: int) -> int:
+    """``round(Fraction(num, den))`` for ``den > 0``, without building the Fraction."""
+    q, r = divmod(num, den)
+    twice = 2 * r
+    if twice > den or (twice == den and q & 1):
+        q += 1
+    return q
+
+
+@dataclass(frozen=True, slots=True)
+class CellAttribution:
+    """One cell's attribution, exact and affine in lambda.
+
+    Column ``j`` attributes ``(a[j] + lam * b[j]) / den`` cents, with
+    ``den > 0``. With ``lam = ln / ld`` in lowest terms that is the integer
+    ``ld * a[j] + ln * b[j]`` over ``ld * den``. ``b`` is all zero for the
+    plain estimator and for an empty null row, where lambda changes
+    nothing.
+    """
+
+    columns: tuple[CampaignKey, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    den: int
+
+    def _numerators(self, lam: Real) -> tuple[Sequence[int], int]:
+        """The columns at ``lam`` as integer numerators over one denominator."""
+        ln, ld = lam.as_integer_ratio()
+        if ln == 0:
+            return self.a, self.den
+        return [ld * x + ln * y for x, y in zip(self.a, self.b)], ld * self.den
+
+    def fractions(self, lam: Real = 0.0) -> dict[CampaignKey, Fraction]:
+        """Exact attributed cents per column at ``lam``."""
+        nums, den = self._numerators(lam)
+        return {k: Fraction(n, den) for k, n in zip(self.columns, nums)}
+
+    def cents(self, lam: Real = 0.0) -> list[int]:
+        """Attributed cents per column at ``lam``, each rounded half to even."""
+        nums, den = self._numerators(lam)
+        return [_round_half_even(n, den) for n in nums]
+
+
+def attribute_plain(matrix: CountMatrix, means: Mapping[int, Fraction]) -> CellAttribution:
     """Optimal attribution without suppression: count times bucket mean.
 
     Accepts a privatized matrix only when its null row carries no users
     (thresholds below 2 fold nothing), since a loaded null row would need
     the null-aware estimator. Suppressed rows of such a matrix are provably
-    empty and are skipped.
+    empty and are skipped. The result has ``b = 0``.
     """
     if matrix.privacy_applied and sum(matrix.null_row) > 0:
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
@@ -154,16 +204,15 @@ def attribute_plain(
     ]
     scaled, den = _scaled_means(means, visible, f"{matrix.group}, {matrix.week}")
     acc = _visible_numerators(matrix, scaled)
-    return {k: Fraction(a, den) for k, a in zip(matrix.columns, acc)}
+    return CellAttribution(matrix.columns, tuple(acc), (0,) * len(acc), den)
 
 
 def attribute_with_null(
     matrix: CountMatrix,
     means: Mapping[int, Fraction],
     totals: Mapping[int, int],
-    fn: AttributionFunction,
-) -> dict[CampaignKey, Fraction]:
-    """Null-aware attribution over a privatized matrix, for any mode but ``plain``.
+) -> CellAttribution:
+    """Null-aware attribution over a privatized matrix, for every lambda at once.
 
     Visible cells contribute count times mean. Each suppressed value row
     contributes mean * weight_j * total users with that value, where the
@@ -173,23 +222,18 @@ def attribute_with_null(
     (group, week) cell, not the counts behind ``means``; a value absent
     from the map has no users, and the map must cover at least the mass the
     null row proves was folded.
+
+    With acc_j the visible numerator over the means' denominator ``den``,
+    F the folded numerator and N the null row's sum, column j is
+    (a_j + lambda * b_j) / D with a_j = acc_j * beta * N + F * N,
+    b_j = F * (beta * null_j - N) and D = den * beta * N. An empty null
+    row has a_j = acc_j * beta + F, b_j = 0 and D = den * beta.
     """
-    if fn.mode == "plain":
-        raise ConfigError("plain attribution redistributes nothing; use attribute_plain")
     if not matrix.privacy_applied:
         raise ConfigError("matrix is not privatized; use attribute_plain")
     beta = len(matrix.columns)
     null_row = matrix.null_row
     null_sum = sum(null_row)
-    # weight_j = weight_num[j] / weight_den
-    if null_sum == 0:
-        weight_num = [1] * beta
-        weight_den = beta
-    else:
-        lam_num, lam_den = Fraction(fn.lam).as_integer_ratio()
-        uniform = (lam_den - lam_num) * null_sum
-        weight_num = [uniform + lam_num * beta * c for c in null_row]
-        weight_den = lam_den * beta * null_sum
 
     for v in matrix.suppressed:
         if totals.get(v, 0) < 0:
@@ -209,7 +253,15 @@ def attribute_with_null(
     scaled, den = _scaled_means(means, used, f"{matrix.group}, {matrix.week}")
     acc = _visible_numerators(matrix, scaled)
     folded = sum(scaled[v] * totals[v] for v in used if v in matrix.suppressed)
-    return {
-        k: Fraction(a * weight_den + folded * w, den * weight_den)
-        for k, a, w in zip(matrix.columns, acc, weight_num)
-    }
+    if null_sum == 0:
+        return CellAttribution(
+            matrix.columns, tuple([x * beta + folded for x in acc]), (0,) * beta, den * beta
+        )
+    scale = beta * null_sum
+    mass = folded * null_sum
+    return CellAttribution(
+        matrix.columns,
+        tuple([x * scale + mass for x in acc]),
+        tuple([folded * (beta * c - null_sum) for c in null_row]),
+        den * scale,
+    )

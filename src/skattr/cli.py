@@ -52,9 +52,10 @@ from .metrics import (
     attribute_cells,
     benchmark_matrix,
     score_level,
+    truth_vectors,
     window_error_curve,
 )
-from .model import CampaignKey, ground_truth, usd
+from .model import ground_truth, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .postback import PostbackTable
 from .postback_view import dataset_hashes, load_postback_view, save_postback_view
@@ -166,7 +167,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     attributed = {
         (group, week, key): cents
         for (group, week), res in cells.items()
-        for key, cents in res.items()
+        for key, cents in zip(res.columns, res.cents(fn.lam))
     }
 
     meta = {
@@ -192,14 +193,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")
     columns = column_keys(ameta)
-    by_alpha = {k.alpha: k for k in columns}
-    attr_weekly: dict[str, dict[CampaignKey, int]] = {}
+    by_alpha = {k.alpha: j for j, k in enumerate(columns)}
+    attr_weekly: dict[str, list[int]] = {}
     for (_, week, alpha), cents in attributed.items():
-        key = by_alpha.get(alpha)
-        if key is None:
+        j = by_alpha.get(alpha)
+        if j is None:
             raise ConfigError(f"attributed alpha {alpha} is not in the declared columns")
-        acc = attr_weekly.setdefault(week, {})
-        acc[key] = acc.get(key, 0) + cents
+        acc = attr_weekly.get(week)
+        if acc is None:
+            acc = attr_weekly[week] = [0] * len(columns)
+        acc[j] += cents
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     postbacks = _postback_table(ameta, users_csv, events_csv)
@@ -211,7 +214,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "was the attribution produced from this dataset?"
         )
 
-    weekly, agg = score_level(attr_weekly, truth, columns, include_organic=True, level="campaign")
+    weekly, agg = score_level(
+        attr_weekly, truth_vectors(truth, columns), columns, include_organic=True, level="campaign"
+    )
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},

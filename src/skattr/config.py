@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
-from .metrics import validate_windows, window_estimator
+from .metrics import check_grid_axes, validate_windows, window_estimator
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
@@ -48,9 +48,10 @@ class RunConfig:
     The dataset comes either from a generator config (``gen``) or from
     ``users_csv``/``events_csv`` paths. Weeks start Monday; that is the only
     supported origin and kept explicit so files record it. Every estimator,
-    threshold and window is checked here, so a bad one fails before any
-    dataset is generated or read; with ``gen``, a window starting at or
-    after its ``event_horizon_days`` holds no event and is rejected too.
+    threshold and window is checked here, as is a p value, g mode or lambda
+    listed twice, so a bad one fails before any dataset is generated or
+    read; with ``gen``, a window starting at or after its
+    ``event_horizon_days`` holds no event and is rejected too.
     """
 
     gen: GenConfig | None = None
@@ -96,6 +97,7 @@ class RunConfig:
             AttributionFunction("null_convex", lam)
         for p in (*self.p_values, self.window_p):
             PrivacyConfig(p)
+        check_grid_axes(self.p_values, self.g_modes, self.lambda_grid)
         if self.windows:
             validate_windows(self.windows)
             window_estimator(self.window_g, self.window_p)

@@ -8,16 +8,28 @@ grids normalize against the omniscient-schema baseline per privacy level:
 
 Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
-``attribute_cells`` (estimator output in cents per cell and campaign, and
-the one place that dispatches on the ``AttributionFunction``),
-``model.ground_truth`` (actual window revenue per postback week and origin) and
-``score_level`` (weekly and aggregate error at one level). Bucket means
-(``{value: Fraction}``, fitted per window and shared by every cell) and
-truth aggregate a schema's ``PostbackTable`` by cell id and origin column
-over the cohort's window-revenue memo, so each user's revenue in a window
-is computed once however many schemas and estimators use it; each cell's
-developer totals come from ``SimArtifacts.cell_totals`` and reach the
-null-aware estimator as their own argument.
+``attribute_cells`` (the one place that dispatches on the
+``AttributionFunction``; it returns each cell's exact ``CellAttribution``,
+affine in lambda), ``model.ground_truth`` (actual window revenue per postback
+week and origin) and ``score_level`` (weekly and aggregate error at one
+level). A ``CellAttribution`` holds integer numerators a and b per column
+over one denominator D, and column j at lambda is (a_j + lambda * b_j) / D.
+The kernels do not read lambda, so the grid builds them once per (schema, p,
+plain or null-aware) and evaluates ``null_uniform``, ``null_empirical`` and
+every ``null_convex`` lambda as integer cents from that one build.
+
+Scoring works on integer cents per column index, aligned with the cohort's
+origins (or the columns a file declares); ``truth_vectors`` turns
+``ground_truth``'s week -> origin map into such lists once per schema and
+window, and ``score_level`` maps each column to its label index at the
+campaign or network level. ``CampaignKey`` maps are left to the file
+readers and writers. Bucket means (``{value: Fraction}``, fitted per window
+and shared by every cell) and truth aggregate a schema's ``PostbackTable``
+by cell id and origin column over the cohort's window-revenue memo, so each
+user's revenue in a window is computed once however many schemas and
+estimators use it; each cell's developer totals come from
+``SimArtifacts.cell_totals`` and reach the null-aware estimator as their
+own argument.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from fractions import Fraction
 
 from .attribution import (
     AttributionFunction,
+    CellAttribution,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means_window,
@@ -147,31 +160,64 @@ def _simulation(cohort: Cohort, schema: SchemaSpec, seed: int) -> SimArtifacts:
     return artifacts
 
 
+def _level_index(
+    columns: Sequence[CampaignKey], include_organic: bool, level: str
+) -> tuple[list[int], list[int]]:
+    """The scored columns, and for each the index of its label at ``level``.
+
+    Columns are scored in their order, organic last or left out; a
+    network's label index is the order in which its first column comes.
+    """
+    scored = [j for j, k in enumerate(columns) if include_organic or not k.organic]
+    if level == "campaign":
+        return scored, list(range(len(scored)))
+    labels: dict[str, int] = {}
+    for j in scored:
+        labels.setdefault(_network_label(columns[j]), len(labels))
+    return scored, [labels[_network_label(columns[j])] for j in scored]
+
+
+def truth_vectors(
+    truth: Mapping[str, Mapping[CampaignKey, int]], columns: Sequence[CampaignKey]
+) -> dict[str, list[int]]:
+    """``ground_truth``'s week -> origin -> cents as week -> cents per column index."""
+    index = {k: j for j, k in enumerate(columns)}
+    out: dict[str, list[int]] = {}
+    for week, by_origin in truth.items():
+        vec = out[week] = [0] * len(columns)
+        for k, cents in by_origin.items():
+            vec[index[k]] += cents
+    return out
+
+
 def score_level(
-    attributed: Mapping[str, Mapping[CampaignKey, int]],
-    truth: Mapping[str, Mapping[CampaignKey, int]],
+    attributed: Mapping[str, Sequence[int]],
+    truth: Mapping[str, Sequence[int]],
     columns: Sequence[CampaignKey],
     include_organic: bool,
     level: str,
 ) -> tuple[tuple[tuple[str, float], ...], float]:
     """Weekly errors and their revenue-weighted aggregate at one level.
 
-    Both sides map week -> campaign -> cents. Every week either side has is
-    scored; a side without that week counts as zero revenue there.
-    ``level`` is "campaign", or "network" to sum campaigns per network first.
+    Both sides map week -> cents per column, aligned with ``columns``.
+    Every week either side has is scored; a side without that week counts
+    as zero revenue there. ``level`` is "campaign", or "network" to sum
+    campaigns per network first. Each week's ``weekly_error`` sees both
+    vectors keyed by label index.
     """
-    keys = [k for k in columns if include_organic or not k.organic]
+    scored, label_of = _level_index(columns, include_organic, level)
+    width = max(label_of, default=-1) + 1
+    zero = [0] * len(columns)
     weekly: list[tuple[str, float]] = []
     weights: list[float] = []
     for week in sorted(attributed.keys() | truth.keys()):
-        att = attributed.get(week, {})
-        tru = truth.get(week, {})
-        a: dict = {}
-        y: dict = {}
-        for k in keys:
-            label = k if level == "campaign" else _network_label(k)
-            a[label] = a.get(label, 0) + att.get(k, 0)
-            y[label] = y.get(label, 0) + tru.get(k, 0)
+        att = attributed.get(week, zero)
+        tru = truth.get(week, zero)
+        a = dict.fromkeys(range(width), 0)
+        y = dict.fromkeys(range(width), 0)
+        for j, i in zip(scored, label_of):
+            a[i] += att[j]
+            y[i] += tru[j]
         weekly.append((week, weekly_error(a, y)))
         weights.append(float(sum(y.values())))
     agg = aggregate_error(zip((e for _, e in weekly), weights))
@@ -183,28 +229,29 @@ def attribute_cells(
     profiles: Mapping[str | None, Mapping[int, Fraction]],
     totals: Mapping[CellKey, Mapping[int, int]],
     fn: AttributionFunction,
-) -> dict[CellKey, dict[CampaignKey, int]]:
-    """Attribute every cell, in cents rounded per (group, week, campaign).
+) -> dict[CellKey, CellAttribution]:
+    """Every cell's exact attribution, affine in lambda, in cell order.
 
     This is the one dispatch on the estimator: ``plain`` goes to
-    ``attribute_plain``, every other mode to ``attribute_with_null``.
-    ``profiles`` maps a group label to its bucket means, with None as the
-    pooled fallback; ``totals`` maps each cell to the developer's per-value
-    user counts in it, which the null-aware modes pass through as that
-    cell's totals. Cents are the grain the attribution files hold, so a
-    grid cell scores exactly what a stage-wise run writes.
+    ``attribute_plain``, every other mode to ``attribute_with_null``. The
+    result does not depend on ``fn.lam``, so one build serves every lambda
+    of a null-aware mode; ``CellAttribution.cents(fn.lam)`` gives the
+    cents per campaign that the attribution files hold, so a grid cell
+    scores exactly what a stage-wise run writes. ``profiles`` maps a group
+    label to its bucket means, with None as the pooled fallback; ``totals``
+    maps each cell to the developer's per-value user counts in it, which
+    the null-aware modes pass through as that cell's totals.
     """
-    out: dict[CellKey, dict[CampaignKey, int]] = {}
+    out: dict[CellKey, CellAttribution] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
         means = profiles.get(cell[0], profiles.get(None))
         if fn.mode == "plain":
-            res = attribute_plain(matrix, means)
+            out[cell] = attribute_plain(matrix, means)
         else:
             if cell not in totals:
                 raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
-            res = attribute_with_null(matrix, means, totals[cell], fn)
-        out[cell] = {k: round(val) for k, val in res.items()}
+            out[cell] = attribute_with_null(matrix, means, totals[cell])
     return out
 
 
@@ -230,26 +277,17 @@ def _expand_modes(
 
 
 def _estimator_matrices(
-    artifacts: SimArtifacts,
-    p: int,
-    fn: AttributionFunction,
-    thresholded: dict[tuple[SchemaSpec, int], dict[CellKey, CountMatrix]],
+    artifacts: SimArtifacts, p: int, fn: AttributionFunction
 ) -> Mapping[CellKey, CountMatrix]:
     """The matrices ``fn`` reads at threshold ``p``.
 
     ``plain`` reads the simulated matrices; every other mode reads their
-    copy thresholded at ``p``, memoised in ``thresholded`` per (schema, p).
+    copy thresholded at ``p``.
     """
     if fn.mode == "plain":
         return artifacts.matrices
-    key = (artifacts.schema, p)
-    out = thresholded.get(key)
-    if out is None:
-        cfg = PrivacyConfig(p)
-        out = thresholded[key] = {
-            cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()
-        }
-    return out
+    cfg = PrivacyConfig(p)
+    return {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
 
 
 def _group_profiles(
@@ -267,27 +305,28 @@ def _group_profiles(
 
 def _grid_error(
     artifacts: SimArtifacts,
-    matrices: Mapping[CellKey, CountMatrix],
-    profiles: Mapping[str | None, Mapping[int, Fraction]],
+    cells: Mapping[CellKey, CellAttribution],
     fn: AttributionFunction,
-    truth: Mapping[str, Mapping[CampaignKey, int]],
+    truth: Mapping[str, Sequence[int]],
     include_organic: bool,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
     """Weekly and aggregate errors at both levels for one estimator.
 
-    ``truth`` is ``ground_truth`` over the artifacts' postbacks and the
-    window the profiles were fitted on.
+    ``cells`` is ``attribute_cells`` over the artifacts' matrices, whose
+    columns are the cohort's origins, evaluated here at ``fn.lam``.
+    ``truth`` is ``truth_vectors`` of ``ground_truth`` over the artifacts'
+    postbacks and the window the profiles were fitted on.
     """
-    by_week: dict[str, dict[CampaignKey, int]] = {}
-    for (_, week), res in attribute_cells(matrices, profiles, artifacts.cell_totals, fn).items():
-        acc = by_week.setdefault(week, {})
-        for k, cents in res.items():
-            acc[k] = acc.get(k, 0) + cents
+    origins = artifacts.postbacks.cohort.origins
+    by_week: dict[str, list[int]] = {}
+    for (_, week), res in cells.items():
+        acc = by_week.get(week)
+        if acc is None:
+            acc = by_week[week] = [0] * len(origins)
+        for j, cents in enumerate(res.cents(fn.lam)):
+            acc[j] += cents
     return {
-        level: score_level(
-            by_week, truth, artifacts.postbacks.cohort.origins, include_organic, level
-        )
-        for level in LEVELS
+        level: score_level(by_week, truth, origins, include_organic, level) for level in LEVELS
     }
 
 
@@ -326,11 +365,12 @@ def benchmark_matrix(
         _check_schema(schema)
     for p in p_values:
         PrivacyConfig(p)  # a negative threshold fails before anything is simulated
+    check_grid_axes(p_values, g_modes, lambda_grid)
 
     cohort = cohort_of(users, prepared)
     artifacts: dict[str, SimArtifacts] = {}
     profiles: dict[str, dict[str | None, dict[int, Fraction]]] = {}
-    truths: dict[str, dict[str, dict[CampaignKey, int]]] = {}
+    truths: dict[str, dict[str, list[int]]] = {}
     for schema in schemas:
         label = schema.label
         if label in artifacts:
@@ -343,12 +383,13 @@ def benchmark_matrix(
             ) from exc
         artifacts[label] = art
         profiles[label] = _group_profiles(art.postbacks, 0, t, profile_per_group)
-        truths[label] = ground_truth(art.postbacks, 0, t)
+        truths[label] = truth_vectors(ground_truth(art.postbacks, 0, t), cohort.origins)
     labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
 
-    thresholded: dict[tuple[SchemaSpec, int], dict[CellKey, CountMatrix]] = {}
+    # One kernel build per (schema, p, plain or null-aware) serves every lambda.
+    built: dict[tuple[str, int, bool], dict[CellKey, CellAttribution]] = {}
     scored: dict[tuple[str, int, str, float | None], dict] = {}
 
     def cell_errors(label: str, p: int, mode: str, lam: float | None):
@@ -356,14 +397,14 @@ def benchmark_matrix(
         if key not in scored:
             try:
                 fn = AttributionFunction(mode, lam)
-                scored[key] = _grid_error(
-                    artifacts[label],
-                    _estimator_matrices(artifacts[label], p, fn, thresholded),
-                    profiles[label],
-                    fn,
-                    truths[label],
-                    include_organic,
-                )
+                art = artifacts[label]
+                kernel = (label, p, fn.mode == "plain")
+                cells = built.get(kernel)
+                if cells is None:
+                    cells = built[kernel] = attribute_cells(
+                        _estimator_matrices(art, p, fn), profiles[label], art.cell_totals, fn
+                    )
+                scored[key] = _grid_error(art, cells, fn, truths[label], include_organic)
             except SkattrError as exc:
                 raise GridCellError(
                     f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
@@ -428,6 +469,19 @@ def benchmark_matrix(
     return AttributionReport(cells=cells, metadata=metadata)
 
 
+def check_grid_axes(
+    p_values: Sequence[int], g_modes: Sequence[str], lambda_grid: Sequence[float]
+) -> None:
+    """Reject a p value, g mode or lambda the grid lists twice.
+
+    A repeated coordinate would score and write the same cells again.
+    """
+    for what, values in (("p value", p_values), ("g mode", g_modes), ("lambda", lambda_grid)):
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ConfigError(f"duplicate {what} {x!r} in benchmark grid")
+
+
 def _check_schema(schema: SchemaSpec) -> None:
     if not isinstance(schema, SchemaSpec):
         raise ConfigError(f"schema must be a SchemaSpec, got {schema!r}")
@@ -480,13 +534,15 @@ def window_error_curve(
     wins = validate_windows(windows)
     g = window_estimator(g, p)
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)
-    matrices = _estimator_matrices(artifacts, p, g, {})
+    origins = artifacts.postbacks.cohort.origins
+    matrices = _estimator_matrices(artifacts, p, g)
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
-        truth = ground_truth(artifacts.postbacks, lo, hi)
+        truth = truth_vectors(ground_truth(artifacts.postbacks, lo, hi), origins)
+        cells = attribute_cells(matrices, profiles, artifacts.cell_totals, g)
         try:
-            by_level = _grid_error(artifacts, matrices, profiles, g, truth, include_organic)
+            by_level = _grid_error(artifacts, cells, g, truth, include_organic)
         except UndefinedWeightsError as exc:
             raise UndefinedWeightsError(f"window [{lo}, {hi}): {exc}") from exc
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from functools import cached_property
 
 from .errors import ConfigError, InconsistentTotalsError
 from .model import MICROSECOND, CampaignKey, Cohort, iso_week
@@ -105,8 +106,10 @@ class CountMatrix:
             return None
         return self.rows[v][j]
 
-    def row_total(self, v: int) -> int:
-        return sum(self.rows[v])
+    @cached_property
+    def row_sums(self) -> tuple[int, ...]:
+        """Each value row's total over all columns, computed once per matrix."""
+        return tuple(map(sum, self.rows))
 
     def column_sums(self) -> tuple[int, ...]:
         """Per-column totals over all value rows plus the null row."""
@@ -175,7 +178,7 @@ def estimate_organic(
         raise ConfigError("matrix already has an organic column")
     new_rows = []
     for v in range(VALUE_RANGE):
-        paid = matrix.row_total(v)
+        paid = matrix.row_sums[v]
         total = developer_totals.get(v, 0)
         residual = total - paid
         if residual < 0:

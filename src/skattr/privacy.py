@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .postback import CountMatrix
-from .schema import VALUE_RANGE
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,20 +35,25 @@ class PrivacyConfig:
 
 
 def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
-    """Suppress every value row with total below p into the null row."""
+    """Suppress every value row with total below p into the null row.
+
+    The row totals are the source matrix's ``row_sums``, computed once
+    however many thresholds read them.
+    """
     if matrix.privacy_applied:
         raise ConfigError("privacy threshold already applied to this matrix")
     n = len(matrix.columns)
+    zero = (0,) * n
     null_row = [0] * n
     suppressed: set[int] = set()
     new_rows: list[tuple[int, ...]] = []
-    for v in range(VALUE_RANGE):
-        row = matrix.rows[v]
-        if sum(row) < cfg.p:
+    for v, (row, total) in enumerate(zip(matrix.rows, matrix.row_sums)):
+        if total < cfg.p:
             suppressed.add(v)
-            for j, c in enumerate(row):
-                null_row[j] += c
-            new_rows.append((0,) * n)
+            if total:
+                for j, c in enumerate(row):
+                    null_row[j] += c
+            new_rows.append(zero)
         else:
             new_rows.append(row)
     return replace(

@@ -3,10 +3,18 @@
 Everything here is deliberately brute force: sort-and-slice quantiles,
 linear event scans, a conversion-value replay that rescans the events at
 every instant and keeps every commit, exhaustive enumeration of user-to-campaign assignments,
-attribution as a plain Fraction loop over every matrix cell, and a CSV
+attribution as a plain Fraction loop over every matrix cell, a CSV
 loader that reads the whole file into a list and checks each field in turn,
 and a cohort generator that builds every event from a ``datetime``. None
 of it shares code with the implementation paths it verifies.
+
+The reference attribution kernels (``reference_attribute_plain`` and
+``reference_attribute_with_null``) are the integer kernels as they stood
+before the lambda-free (a, b, D) form: the null-aware one rebuilds its
+weights for each lambda. ``reference_grid_cells`` scores the benchmark grid
+on them with ``CampaignKey``-keyed maps, one kernel call per (cell, mode,
+lambda). ``optimal_lambda`` is the exact minimiser of one cell's squared
+error over lambda in [0, 1], from the kernel's (a, b, D).
 """
 
 from __future__ import annotations
@@ -14,14 +22,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
 
-from skattr.attribution import AttributionFunction
+from skattr.attribution import AttributionFunction, estimate_bucket_means_window
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
 from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
+from skattr.metrics import CellResult, aggregate_error, normalize_vs_baseline, weekly_error
 from skattr.model import (
     FLAG,
     PURCHASE,
@@ -31,8 +41,10 @@ from skattr.model import (
     Event,
     UserRecord,
     encode_alpha,
+    ground_truth,
     organic_key,
 )
+from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
@@ -589,6 +601,240 @@ def fraction_attribute_with_null(
             for j, count in enumerate(row):
                 if count:
                     out[matrix.columns[j]] += count * mean
+    return out
+
+
+def _reference_scaled_means(
+    means: Mapping[int, Fraction], values: Iterable[int], context: str
+) -> tuple[dict[int, int], int]:
+    """The means of ``values`` as integer numerators over their common denominator."""
+    used: dict[int, Fraction] = {}
+    for v in values:
+        mean = means.get(v)
+        if mean is None:
+            raise MissingProfileError(f"no revenue profile for value {v} ({context})")
+        used[v] = mean
+    den = math.lcm(*(m.denominator for m in used.values()))
+    return {v: m.numerator * (den // m.denominator) for v, m in used.items()}, den
+
+
+def _reference_visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[int]:
+    """Per column, the sum of count * scaled mean over the visible rows."""
+    acc = [0] * len(matrix.columns)
+    for v, mean in scaled.items():
+        if v in matrix.suppressed:
+            continue
+        for j, count in enumerate(matrix.rows[v]):
+            if count:
+                acc[j] += count * mean
+    return acc
+
+
+def reference_attribute_plain(
+    matrix: CountMatrix, means: Mapping[int, Fraction]
+) -> dict[CampaignKey, Fraction]:
+    """The integer plain kernel that read no lambda form: one Fraction per column."""
+    if matrix.privacy_applied and sum(matrix.null_row) > 0:
+        raise ConfigError("matrix has a loaded null row; use attribute_with_null")
+    visible = [
+        v for v in range(VALUE_RANGE) if v not in matrix.suppressed and any(matrix.rows[v])
+    ]
+    scaled, den = _reference_scaled_means(means, visible, f"{matrix.group}, {matrix.week}")
+    acc = _reference_visible_numerators(matrix, scaled)
+    return {k: Fraction(a, den) for k, a in zip(matrix.columns, acc)}
+
+
+def reference_attribute_with_null(
+    matrix: CountMatrix,
+    means: Mapping[int, Fraction],
+    totals: Mapping[int, int],
+    fn: AttributionFunction,
+) -> dict[CampaignKey, Fraction]:
+    """The integer null-aware kernel rebuilt for each lambda: weights over one denominator.
+
+    The per-column weight is (1 - lambda)/beta + lambda * null_j / sum(null),
+    uniform when the null row is empty.
+    """
+    if fn.mode == "plain":
+        raise ConfigError("plain attribution redistributes nothing; use attribute_plain")
+    if not matrix.privacy_applied:
+        raise ConfigError("matrix is not privatized; use attribute_plain")
+    beta = len(matrix.columns)
+    null_row = matrix.null_row
+    null_sum = sum(null_row)
+    # weight_j = weight_num[j] / weight_den
+    if null_sum == 0:
+        weight_num = [1] * beta
+        weight_den = beta
+    else:
+        lam_num, lam_den = Fraction(fn.lam).as_integer_ratio()
+        uniform = (lam_den - lam_num) * null_sum
+        weight_num = [uniform + lam_num * beta * c for c in null_row]
+        weight_den = lam_den * beta * null_sum
+
+    for v in matrix.suppressed:
+        if totals.get(v, 0) < 0:
+            raise ConfigError(f"negative total for value {v}")
+    covered = sum(totals.get(v, 0) for v in matrix.suppressed)
+    if covered < null_sum:
+        raise MissingProfileError(
+            f"developer totals cover {covered} suppressed users but the null row "
+            f"folded {null_sum} ({matrix.group}, {matrix.week})"
+        )
+
+    used = [
+        v
+        for v in range(VALUE_RANGE)
+        if (totals.get(v, 0) if v in matrix.suppressed else any(matrix.rows[v]))
+    ]
+    scaled, den = _reference_scaled_means(means, used, f"{matrix.group}, {matrix.week}")
+    acc = _reference_visible_numerators(matrix, scaled)
+    folded = sum(scaled[v] * totals[v] for v in used if v in matrix.suppressed)
+    return {
+        k: Fraction(a * weight_den + folded * w, den * weight_den)
+        for k, a, w in zip(matrix.columns, acc, weight_num)
+    }
+
+
+def reference_threshold(matrix: CountMatrix, p: int) -> CountMatrix:
+    """Fold every value row whose total is below ``p`` into the null row, row by row."""
+    null_row = [0] * len(matrix.columns)
+    rows = []
+    suppressed = set()
+    for v, row in enumerate(matrix.rows):
+        if sum(row) < p:
+            suppressed.add(v)
+            null_row = [n + c for n, c in zip(null_row, row)]
+            rows.append((0,) * len(row))
+        else:
+            rows.append(row)
+    return replace(matrix, rows=tuple(rows), suppressed=frozenset(suppressed),
+                   null_row=tuple(null_row))
+
+
+def reference_score_level(
+    attributed: Mapping[str, Mapping[CampaignKey, int]],
+    truth: Mapping[str, Mapping[CampaignKey, int]],
+    columns: Sequence[CampaignKey],
+    include_organic: bool,
+    level: str,
+) -> tuple[tuple[tuple[str, float], ...], float]:
+    """Weekly and aggregate errors with both sides keyed by ``CampaignKey`` or label."""
+    keys = [k for k in columns if include_organic or not k.organic]
+    weekly: list[tuple[str, float]] = []
+    weights: list[float] = []
+    for week in sorted(attributed.keys() | truth.keys()):
+        att = attributed.get(week, {})
+        tru = truth.get(week, {})
+        a: dict = {}
+        y: dict = {}
+        for k in keys:
+            label = k if level == "campaign" else network_label(k)
+            a[label] = a.get(label, 0) + att.get(k, 0)
+            y[label] = y.get(label, 0) + tru.get(k, 0)
+        weekly.append((week, weekly_error(a, y)))
+        weights.append(float(sum(y.values())))
+    return tuple(weekly), aggregate_error(zip((e for _, e in weekly), weights))
+
+
+def network_label(key: CampaignKey) -> str:
+    return "organic" if key.organic else f"n{key.network}"
+
+
+def reference_grid_cells(
+    cohort: Cohort,
+    schemas: Sequence[SchemaSpec],
+    p_values: Sequence[int],
+    g_modes: Sequence[str],
+    t: int,
+    *,
+    seed: int,
+    lambda_grid: Sequence[float],
+) -> list[CellResult]:
+    """The benchmark grid's cells, one reference kernel call per (cell, mode, lambda).
+
+    Pooled bucket means, organic columns scored, both levels normalized
+    against D30 PV (plain below p = 2, null_uniform from p = 2).
+    """
+    def errors(art, p, mode, lam):
+        fn = AttributionFunction(mode, lam)
+        means = estimate_bucket_means_window(art.postbacks, 0, t)
+        by_week: dict[str, dict[CampaignKey, int]] = {}
+        for cell, matrix in sorted(art.matrices.items()):
+            if mode == "plain":
+                res = reference_attribute_plain(matrix, means)
+            else:
+                res = reference_attribute_with_null(
+                    reference_threshold(matrix, p), means, art.cell_totals[cell], fn
+                )
+            acc = by_week.setdefault(cell[1], {})
+            for k, val in res.items():
+                acc[k] = acc.get(k, 0) + round(val)
+        truth = ground_truth(art.postbacks, 0, t)
+        return {
+            level: reference_score_level(by_week, truth, cohort.origins, True, level)
+            for level in ("campaign", "network")
+        }
+
+    def modes(p):
+        out = []
+        for mode in g_modes:
+            if mode == "null_convex":
+                out.extend((mode, float(lam)) for lam in lambda_grid)
+            elif mode != "plain":
+                out.append((mode, 0.0 if mode == "null_uniform" else 1.0))
+            elif p < 2:
+                out.append((mode, None))
+        return out
+
+    sims = [run_schema(cohort, schema, seed) for schema in schemas]
+    pv = next(art for art in sims if art.schema.kind == "PV")
+    cells = []
+    for art in sims:
+        for p in sorted(p_values):
+            base = errors(pv, p, "plain", None) if p < 2 else errors(pv, p, "null_uniform", 0.0)
+            for mode, lam in modes(p):
+                by_level = errors(art, p, mode, lam)
+                for level, (weekly, agg) in by_level.items():
+                    base_agg = base[level][1]
+                    score = normalize_vs_baseline(agg, base_agg) if base_agg else None
+                    cells.append(CellResult(art.schema.label, p, mode, lam, level, weekly, agg,
+                                            score))
+    return cells
+
+
+def optimal_lambda(a: Sequence[int], b: Sequence[int], den: int, y: Sequence[int]) -> Fraction:
+    """The exact minimiser over [0, 1] of sum_j ((a_j + lambda * b_j) / den - y_j)^2.
+
+    It is clamp(sum b * (den * y - a) / sum b^2, 0, 1), and 0 when every
+    b_j is 0 (then every lambda is optimal).
+    """
+    bb = sum(x * x for x in b)
+    if bb == 0:
+        return Fraction(0)
+    lam = Fraction(sum(bj * (den * yj - aj) for aj, bj, yj in zip(a, b, y)), bb)
+    return min(max(lam, Fraction(0)), Fraction(1))
+
+
+def squared_error(
+    a: Sequence[int], b: Sequence[int], den: int, y: Sequence[int], lam: Fraction
+) -> Fraction:
+    """Exact sum_j ((a_j + lam * b_j) / den - y_j)^2, before any rounding to cents."""
+    return sum(((Fraction(aj + lam * bj, den) - yj) ** 2 for aj, bj, yj in zip(a, b, y)),
+               Fraction(0))
+
+
+def by_network(columns: Sequence[CampaignKey], *vectors: Sequence) -> list[list]:
+    """Each vector summed per network label, labels in order of first column."""
+    labels: dict[str, int] = {}
+    for k in columns:
+        labels.setdefault(network_label(k), len(labels))
+    out = []
+    for vec in vectors:
+        acc = [0] * len(labels)
+        for k, x in zip(columns, vec):
+            acc[labels[network_label(k)]] += x
+        out.append(acc)
     return out
 
 

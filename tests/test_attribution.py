@@ -4,7 +4,7 @@ from datetime import date, datetime, timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skattr.attribution import (
     AttributionFunction,
@@ -23,10 +23,15 @@ from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import (
     Postback,
+    by_network,
     enumeration_expected_sq_error,
     enumeration_mean,
     fraction_attribute_plain,
     fraction_attribute_with_null,
+    optimal_lambda,
+    reference_attribute_plain,
+    reference_attribute_with_null,
+    squared_error,
     table_of,
 )
 
@@ -79,18 +84,18 @@ class TestEstimateBucketMeans:
 class TestAttributePlain:
     def test_single_cell_product(self):
         m = matrix_from({4: (3, 0, 0)})
-        out = attribute_plain(m, means_of({4: 200}))
+        out = attribute_plain(m, means_of({4: 200})).fractions()
         assert out[A] == Fraction(600)
         assert out[B] == 0
 
     def test_all_zero_matrix(self):
-        out = attribute_plain(matrix_from({}), {})
+        out = attribute_plain(matrix_from({}), {}).fractions()
         assert all(v == 0 for v in out.values())
 
     def test_matches_enumeration_mean(self):
         # bucket with revenues {100, 300} split one per campaign
         m = matrix_from({7: (1, 1, 0)})
-        out = attribute_plain(m, means_of({7: 200}))
+        out = attribute_plain(m, means_of({7: 200})).fractions()
         oracle = enumeration_mean({7: [100, 300]}, {7: {A: 1, B: 1}}, [A, B])
         assert out[A] == oracle[A] == Fraction(200)
         assert out[B] == oracle[B] == Fraction(200)
@@ -108,7 +113,7 @@ class TestAttributePlain:
 
     def test_accepts_privatized_with_empty_null(self):
         m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(2))
-        out = attribute_plain(m, means_of({9: 100}))
+        out = attribute_plain(m, means_of({9: 100})).fractions()
         assert out[A] == Fraction(500)
 
 
@@ -117,28 +122,23 @@ class TestAttributeWithNull:
         raw = matrix_from({4: (3, 1, 2), 9: (1, 0, 1)})
         means = means_of({4: 200, 9: 50})
         privatized = apply_threshold(raw, PrivacyConfig(0))
-        for mode, lam in (("null_uniform", 0.0), ("null_empirical", 1.0), ("null_convex", 0.5)):
-            out = attribute_with_null(
-                privatized, means, {4: 6, 9: 2}, AttributionFunction(mode, lam)
-            )
-            assert out == attribute_plain(raw, means)
+        res = attribute_with_null(privatized, means, {4: 6, 9: 2})
+        assert not any(res.b)
+        for lam in (0.0, 1.0, 0.5):
+            assert res.fractions(lam) == attribute_plain(raw, means).fractions()
 
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(0, 0, 0, 0))
-        out = attribute_with_null(
-            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_uniform")
-        )
+        out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(0.0)
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(3, 1, 0, 0))
-        out = attribute_with_null(
-            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_empirical")
-        )
+        out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(1.0)
         assert out[cols[0]] == Fraction(600)
         assert out[cols[1]] == Fraction(200)
         assert out[cols[2]] == out[cols[3]] == 0
@@ -147,38 +147,42 @@ class TestAttributeWithNull:
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
                     null_row=(0, 0, 0, 0))
-        out = attribute_with_null(
-            m, means_of({5: 100}), {5: 8}, AttributionFunction("null_empirical")
-        )
-        assert all(out[c] == Fraction(200) for c in cols)
+        res = attribute_with_null(m, means_of({5: 100}), {5: 8})
+        assert not any(res.b)
+        assert all(res.fractions(1.0)[c] == Fraction(200) for c in cols)
 
     def test_missing_totals_for_suppressed_value(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
         with pytest.raises(MissingProfileError):
-            attribute_with_null(m, means_of({9: 100}), {}, AttributionFunction("null_uniform"))
+            attribute_with_null(m, means_of({9: 100}), {})
 
     def test_negative_total_for_suppressed_value(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0), 4: (3, 0, 0)}), PrivacyConfig(2))
         means = means_of({4: 100, 9: 100})
         fn = AttributionFunction("null_uniform")
         with pytest.raises(ConfigError, match="negative total for value 9"):
-            attribute_with_null(m, means, {9: -1}, fn)
+            attribute_with_null(m, means, {9: -1})
         with pytest.raises(ConfigError, match="negative total for value 9"):
             fraction_attribute_with_null(m, means, {9: -1}, fn)
 
     def test_totals_are_an_explicit_argument(self):
         m = apply_threshold(matrix_from({9: (1, 0, 0)}), PrivacyConfig(2))
         with pytest.raises(TypeError):
-            attribute_with_null(m, means_of({9: 100}), AttributionFunction("null_uniform"))
+            attribute_with_null(m, means_of({9: 100}))
 
     def test_requires_privatized_matrix(self):
         with pytest.raises(ConfigError):
-            attribute_with_null(matrix_from({}), {}, {}, AttributionFunction("null_uniform"))
+            attribute_with_null(matrix_from({}), {}, {})
 
     def test_rejects_plain(self):
-        m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(2))
-        with pytest.raises(ConfigError):
-            attribute_with_null(m, means_of({9: 100}), {9: 5}, AttributionFunction("plain"))
+        """The kernel reads no estimator; the plain one, dispatched, refuses a loaded null row."""
+        m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(6))
+        plain = AttributionFunction("plain")
+        with pytest.raises(TypeError):
+            attribute_with_null(m, means_of({9: 100}), {9: 5}, plain)
+        with pytest.raises(ConfigError, match="loaded null row"):
+            attribute_cells({("G", "w"): m}, {None: means_of({9: 100})}, {("G", "w"): {9: 5}},
+                            plain)
 
     def test_lambda_validation(self):
         with pytest.raises(ConfigError):
@@ -256,11 +260,10 @@ def test_conservation_any_p_any_lambda(inst):
     m, means, totals, _ = instance_pieces(campaigns, users)
     total = sum(r for _, _, r in users)
     for p in (0, 2, 5):
-        privatized = apply_threshold(m, PrivacyConfig(p))
+        res = attribute_with_null(apply_threshold(m, PrivacyConfig(p)), means, totals)
+        assert sum(res.b) == 0
         for lam in (0.0, 0.3, 1.0):
-            fn = AttributionFunction("null_convex", lam)
-            out = attribute_with_null(privatized, means, totals, fn)
-            assert sum(out.values()) == Fraction(total)
+            assert sum(res.fractions(lam).values()) == Fraction(total)
 
 
 @given(inst=small_instance(), k=st.integers(2, 9))
@@ -270,8 +273,8 @@ def test_scale_equivariance(inst, k):
     m, means, _, _ = instance_pieces(campaigns, users)
     scaled = [(key, v, r * k) for key, v, r in users]
     _, means_k, _, _ = instance_pieces(campaigns, scaled)
-    base = attribute_plain(m, means)
-    scaled_out = attribute_plain(m, means_k)
+    base = attribute_plain(m, means).fractions()
+    scaled_out = attribute_plain(m, means_k).fractions()
     for key in campaigns:
         assert scaled_out[key] == k * base[key]
 
@@ -308,9 +311,9 @@ def kernel_case(draw):
     return matrix, means, totals, p, fn
 
 
-def kernel_outcome(kernel, *args):
+def kernel_outcome(run):
     try:
-        return kernel(*args)
+        return run()
     except MissingProfileError as exc:
         return ("MissingProfileError", str(exc))
 
@@ -319,11 +322,13 @@ def kernel_outcome(kernel, *args):
 @settings(max_examples=500, deadline=None)
 def test_integer_kernel_matches_fraction_reference(case):
     matrix, means, totals, p, fn = case
-    plain = kernel_outcome(attribute_plain, matrix, means)
-    assert plain == kernel_outcome(fraction_attribute_plain, matrix, means)
+    plain = kernel_outcome(lambda: attribute_plain(matrix, means).fractions())
+    assert plain == kernel_outcome(lambda: fraction_attribute_plain(matrix, means))
     privatized = apply_threshold(matrix, PrivacyConfig(p))
-    out = kernel_outcome(attribute_with_null, privatized, means, totals, fn)
-    assert out == kernel_outcome(fraction_attribute_with_null, privatized, means, totals, fn)
+    out = kernel_outcome(lambda: attribute_with_null(privatized, means, totals).fractions(fn.lam))
+    assert out == kernel_outcome(
+        lambda: fraction_attribute_with_null(privatized, means, totals, fn)
+    )
     if isinstance(out, dict):
         assert all(type(x) is Fraction for x in out.values())
         assert list(out) == list(matrix.columns)
@@ -349,20 +354,20 @@ def test_conservation_with_pooled_means_and_cell_totals(schema_text):
         cfg = PrivacyConfig(p)
         matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
         for fn in fns:
-            cents = attribute_cells(matrices, {None: means}, artifacts.cell_totals, fn)
+            cells = attribute_cells(matrices, {None: means}, artifacts.cell_totals, fn)
             for cell, matrix in matrices.items():
                 totals = artifacts.cell_totals[cell]
                 expected = sum(means[v] * n for v, n in totals.items() if n)
-                exact = sum(attribute_with_null(matrix, means, totals, fn).values())
-                rounded = sum(cents[cell].values())
+                exact = sum(attribute_with_null(matrix, means, totals).fractions(fn.lam).values())
+                rounded = sum(cells[cell].cents(fn.lam))
                 if exact != expected or abs(rounded - expected) > Fraction(len(matrix.columns), 2):
                     mismatches.append((p, cell, fn.mode, exact, rounded, expected))
     assert mismatches == []
 
 
-def random_instance(rng):
+def random_instance(rng, networks=1):
     n_campaigns = rng.randint(1, 3)
-    campaigns = [encode_alpha(0, c) for c in range(n_campaigns)]
+    campaigns = [encode_alpha(c % networks, c) for c in range(n_campaigns)]
     users = [
         (rng.choice(campaigns), rng.randrange(3), rng.randrange(0, 3000))
         for _ in range(rng.randint(1, 10))
@@ -376,7 +381,7 @@ class TestEnumerationOptimality:
         for _ in range(40):
             campaigns, users = random_instance(rng)
             m, means, _, _ = instance_pieces(campaigns, users)
-            out = attribute_plain(m, means)
+            out = attribute_plain(m, means).fractions()
 
             buckets: dict[int, list[int]] = {}
             counts: dict[int, dict] = {}
@@ -404,20 +409,93 @@ class TestEnumerationOptimality:
 
 class TestConvexMixBracket:
     def test_best_lambda_in_unit_interval(self):
-        from skattr.metrics import weekly_error
+        """The exact optimal lambda beats every grid lambda, at both levels, before rounding.
 
+        Campaigns span two networks, so the network level is not one label.
+        """
         rng = random.Random(7)
-        checked = 0
+        checked = interior = 0
         for _ in range(60):
-            campaigns, users = random_instance(rng)
+            campaigns, users = random_instance(rng, networks=2)
             m, means, totals, truth = instance_pieces(campaigns, users)
             privatized = apply_threshold(m, PrivacyConfig(2))
             if sum(privatized.null_row) == 0:
                 continue
             checked += 1
-            errs = {}
-            for lam in [i / 10 for i in range(11)]:
-                fn = AttributionFunction("null_convex", lam)
-                errs[lam] = weekly_error(attribute_with_null(privatized, means, totals, fn), truth)
-            assert min(errs.values()) <= min(errs[0.0], errs[1.0]) + 1e-9
+            res = attribute_with_null(privatized, means, totals)
+            y = [truth[k] for k in res.columns]
+            levels = [(res.a, res.b, y), by_network(res.columns, res.a, res.b, y)]
+            for a, b, yy in levels:
+                star = optimal_lambda(a, b, res.den, yy)
+                assert 0 <= star <= 1
+                best = squared_error(a, b, res.den, yy, star)
+                assert all(
+                    best <= squared_error(a, b, res.den, yy, Fraction(k / 100)) for k in range(101)
+                )
+                interior += best < min(squared_error(a, b, res.den, yy, e) for e in (0, 1))
+            # The cents the estimator writes are the kernel at lambda, rounded.
+            for k in range(0, 101, 10):
+                exact = res.fractions(k / 100)
+                assert res.cents(k / 100) == [round(exact[c]) for c in res.columns]
         assert checked >= 10
+        assert interior >= 2  # 4 of the 72 checks: lambda* strictly beats both endpoints
+
+
+@st.composite
+def affine_case(draw):
+    """``kernel_case`` at a few float lambdas, and means on halves and quarters now and then."""
+    matrix, means, totals, p, _ = draw(kernel_case())
+    if draw(st.booleans()):
+        means = {v: Fraction(draw(st.integers(0, 4000)), draw(st.sampled_from((1, 2, 4))))
+                 for v in means}
+    lams = draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))
+    return matrix, means, totals, p, lams
+
+
+@given(case=affine_case())
+@settings(max_examples=400, deadline=None)
+def test_affine_kernel_matches_reference_kernels(case):
+    """One lambda-free build gives, at every lambda, the reference kernels' Fractions.
+
+    The reference null-aware kernel rebuilds its weights for each lambda.
+    The cents are ``round()`` of those Fractions: half to even.
+    """
+    matrix, means, totals, p, lams = case
+    plain = kernel_outcome(lambda: attribute_plain(matrix, means))
+    expected = kernel_outcome(lambda: reference_attribute_plain(matrix, means))
+    if isinstance(plain, tuple):
+        assert plain == expected
+    else:
+        assert plain.fractions() == expected
+        assert plain.cents() == [round(x) for x in expected.values()]
+    privatized = apply_threshold(matrix, PrivacyConfig(p))
+    res = kernel_outcome(lambda: attribute_with_null(privatized, means, totals))
+    for lam in lams:
+        fn = AttributionFunction("null_convex", lam)
+        expected = kernel_outcome(
+            lambda: reference_attribute_with_null(privatized, means, totals, fn)
+        )
+        if isinstance(res, tuple):
+            assert res == expected
+            continue
+        assert res.fractions(lam) == expected
+        assert list(expected) == list(res.columns)
+        assert res.cents(lam) == [round(x) for x in expected.values()]
+
+
+@given(q=st.integers(0, 10**9), lam=st.floats(0, 1))
+@example(q=2, lam=0.5)
+@example(q=3, lam=0.5)
+@settings(max_examples=100, deadline=None)
+def test_cents_round_half_cent_ties_to_even(q, lam):
+    """A column at exactly q + 1/2 cents rounds to the even neighbour, as ``round()`` does."""
+    half = Fraction(2 * q + 1, 2)
+    plain = attribute_plain(matrix_from({4: (1, 0, 0)}), {4: half})
+    assert plain.fractions()[A] == half
+    # A suppressed value with an empty null row splits 2q + 1 cents over two columns.
+    m = replace(empty_matrix("G", "w", (A, B)), suppressed=frozenset({5}), null_row=(0, 0))
+    split = attribute_with_null(m, {5: Fraction(2 * q + 1)}, {5: 1})
+    assert split.fractions(lam) == {A: half, B: half}
+    even = q if q % 2 == 0 else q + 1
+    assert plain.cents()[0] == round(half) == even
+    assert split.cents(lam) == [even, even]

@@ -771,6 +771,25 @@ class TestCliErrors:
             assert message.startswith(f"{key} must fit ")
         assert not (out / "dataset").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param({"p_values": [0, 10, 10], "lambda_grid": [0.5, 0.5]},
+                     "duplicate p value 10 in benchmark grid", id="p"),
+        pytest.param({"g_modes": ["plain", "null_uniform", "null_uniform"]},
+                     "duplicate g mode 'null_uniform' in benchmark grid", id="g"),
+        pytest.param({"g_modes": ["null_convex"], "lambda_grid": [0.5, 0.5]},
+                     "duplicate lambda 0.5 in benchmark grid", id="lambda"),
+        pytest.param({"lambda_grid": [0, 0.0]},
+                     "duplicate lambda 0.0 in benchmark grid", id="lambda_int_and_float"),
+    ])
+    def test_repeated_grid_coordinate_fails_before_any_work(self, tmp_path, capsys, bad,
+                                                            message):
+        (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN} | bad))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        assert config_error(capsys) == message
+        assert not (out / "report.json").exists()
+        assert not (out / "dataset").exists()
+
     @pytest.mark.parametrize("stage", ["benchmark", "generate"])
     @pytest.mark.parametrize("make, message", [
         pytest.param(lambda path: path.mkdir(), "cannot be read: Is a directory", id="directory"),

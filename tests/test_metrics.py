@@ -18,6 +18,7 @@ from skattr.metrics import (
     benchmark_matrix,
     normalize_vs_baseline,
     score_level,
+    truth_vectors,
     validate_windows,
     weekly_error,
     window_error_curve,
@@ -26,7 +27,7 @@ from skattr.model import CampaignKey, organic_key
 from skattr.privacy import PrivacyConfig
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
-from oracles import homogeneous_fixture
+from oracles import homogeneous_fixture, reference_grid_cells
 
 
 class TestWeeklyError:
@@ -87,8 +88,9 @@ class TestScoreLevel:
     def test_weeks_missing_on_either_side_count_as_zero(self):
         a, b, org = CampaignKey(101), CampaignKey(205), organic_key(900)
         columns = (a, b, org)
-        attributed = {"W1": {a: 300, b: 100}, "W3": {a: 50}}
-        truth = {"W1": {a: 300, org: 100}, "W2": {b: 400}}
+        attributed = {"W1": [300, 100, 0], "W3": [50, 0, 0]}
+        truth = truth_vectors({"W1": {a: 300, org: 100}, "W2": {b: 400}}, columns)
+        assert truth == {"W1": [300, 0, 100], "W2": [0, 400, 0]}
         weekly, agg = score_level(attributed, truth, columns, True, "campaign")
         assert weekly == (("W1", math.sqrt(2 * 100**2)), ("W2", 400.0), ("W3", 50.0))
         assert agg == pytest.approx((math.sqrt(2 * 100**2) * 400 + 400 * 400) / 800)
@@ -191,6 +193,36 @@ class TestBenchmarkMatrix:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             benchmark_matrix(small_dataset(), [], [0], ["plain"], 30, seed=0)
+
+    @pytest.mark.parametrize("p_values, g_modes, lambda_grid, message", [
+        ([0, 10, 10], ["plain"], (0.5,), "duplicate p value 10"),
+        ([0], ["plain", "null_uniform", "plain"], (0.5,), "duplicate g mode 'plain'"),
+        ([0], ["null_convex"], (0.5, 0.5), "duplicate lambda 0.5"),
+    ])
+    def test_repeated_coordinate_rejected_before_simulating(
+        self, p_values, g_modes, lambda_grid, message
+    ):
+        users = small_dataset(n=300)
+        prepared = prepare_users(users)
+        with pytest.raises(ConfigError, match=f"^{message} in benchmark grid$"):
+            benchmark_matrix(users, [schema_from_text(UD)], p_values, g_modes, 30, seed=0,
+                             lambda_grid=lambda_grid, prepared=prepared)
+        assert prepared.simulations == {}
+
+    def test_cells_equal_the_reference_scoring(self):
+        """One kernel build per (schema, p) scores as one reference call per lambda did."""
+        users = small_dataset(seed=7, n=1500)
+        schemas = [schema_from_text(t) for t in (PV, D7RR, "kind=EV;layout=CCCCCC", UD)]
+        p_values = [0, 2, 10, 100]
+        g_modes = ["plain", "null_uniform", "null_empirical", "null_convex"]
+        lambdas = (0.1, 0.5, 0.9)
+        prepared = prepare_users(users)
+        report = benchmark_matrix(users, schemas, p_values, g_modes, 30, seed=7,
+                                  lambda_grid=lambdas, prepared=prepared)
+        expected = reference_grid_cells(prepared, schemas, p_values, g_modes, 30, seed=7,
+                                        lambda_grid=lambdas)
+        assert len(report.cells) == 4 * (2 * 6 + 3 * 2 * 5) == len(expected)
+        assert report.cells == expected
 
 
 @pytest.mark.parametrize("run", [
