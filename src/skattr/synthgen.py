@@ -21,8 +21,17 @@ Times are drawn as integer seconds since registration midnight. A user's
 events are sorted once, as integer keys, and each ``Event`` is built in
 final order with its instant on the model's integer clock
 (``model.Event.us``); no ``datetime`` is made per event. ``tests/oracles.py``
-keeps a generator that builds every event from a ``datetime`` and checks
-that both make the same users.
+keeps a generator that builds every event from a ``datetime`` and draws
+with ``randrange``, and checks that both make the same users.
+
+Every integer draw in [0, n) is ``getrandbits(k)`` with k = n.bit_length(),
+drawn again while it is n or more (``_below``, written out in the
+per-session loop). That is the rejection loop CPython's ``randrange`` runs
+(``Random._randbelow_with_getrandbits``), so the draws, and the generator
+state after each, are ``randrange``'s, without its pure-Python frames.
+Values that depend only on the config (bit widths, registration dates,
+purchase probabilities by tenure day, flag thresholds) are computed once
+per dataset (``_tables``).
 """
 
 from __future__ import annotations
@@ -104,6 +113,17 @@ class GenConfig:
             raise ConfigError("event_horizon_days must be at least 1")
         if self.start_date.isoweekday() != 1:
             raise ConfigError("start_date must be a Monday (weeks start Monday)")
+        seen: set[str] = set()
+        for label, weight in self.groups:
+            # The dataset reader refuses an empty group label, and a
+            # repeated label would merge two groups' users in every file.
+            if not label:
+                raise ConfigError(f"group {label!r}: label must be non-empty")
+            if label in seen:
+                raise ConfigError(f"group {label!r}: label listed twice")
+            seen.add(label)
+            if not 0.0 <= weight <= 1.0:
+                raise ConfigError(f"group {label!r}: weight must be in [0, 1], got {weight}")
         if not self.groups or abs(sum(w for _, w in self.groups) - 1.0) > 1e-9:
             raise ConfigError("group weights must sum to 1")
         if self.max_sessions_per_day < 1:
@@ -174,14 +194,82 @@ def _pick_group(groups: tuple[tuple[str, float], ...], x: float) -> str:
     return groups[-1][0]
 
 
-def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> UserRecord:
-    rng = substream(cfg.seed, "user", uid)
-    seg = _pick_segment(segments, rng.random())
-    group = _pick_group(cfg.groups, rng.random())
-    reg_day = rng.randrange(cfg.n_weeks * 7)
-    reg_date = cfg.start_date + timedelta(days=reg_day)
+# Draw ranges that do not depend on the config: the habitual check-in
+# second (08:00 to 22:00) and a purchase's delay after the day's last
+# session (60 s to 30 min), each with its bit width for ``_below``.
+_HABIT_FIRST, _HABIT_SPAN = 28_800, 79_200 - 28_800
+_HABIT_BITS = _HABIT_SPAN.bit_length()
+_BUY_DELAY_FIRST, _BUY_DELAY_SPAN = 60, 1_800 - 60
+_BUY_DELAY_BITS = _BUY_DELAY_SPAN.bit_length()
 
-    spender = rng.random() < min(1.0, cfg.spender_rate * seg.spender_mult)
+
+def _below(getrandbits, n: int, k: int) -> int:
+    """A uniform integer in [0, n), drawn as ``Random.randrange(n)`` draws it.
+
+    ``k`` must be ``n.bit_length()``. The rule is the rejection loop of
+    CPython's ``Random._randbelow_with_getrandbits``, which ``randrange(n)``
+    runs for n >= 1 (``randrange(a, b)`` is ``a + _randbelow(b - a)``), so
+    the value and the generator state after it are ``randrange``'s.
+    """
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """What each user's draws need that depends only on the config."""
+
+    segments: tuple[_Segment, ...]
+    # Registration day -> (date, midnight in microseconds), and the bit
+    # width of the day draw.
+    registrations: tuple[tuple[date, int], ...]
+    registration_bits: int
+    session_bits: int  # bit width of the extra-session count draw
+    # Purchase probability by tenure day 0, 1, 2 and 3; it stays at the
+    # day-3 value from then on.
+    buy_probs: tuple[float, ...]
+    # Per-flag firing thresholds ``min(1, p * boost)``, by spender (1) or not (0).
+    flag_thresholds: tuple[tuple[float, ...], tuple[float, ...]]
+
+
+def _tables(cfg: GenConfig) -> _Tables:
+    n_days = cfg.n_weeks * 7
+    dates = [cfg.start_date + timedelta(days=d) for d in range(n_days)]
+    buy_probs = []
+    for d in range(4):
+        # Spend ramps up over the first days: players buy once the game
+        # has proven itself, rarely on the install day.
+        ramp = min(1.0, d / 3) if d else 0.0
+        buy_probs.append(
+            cfg.purchase_day0_prob + (cfg.purchase_prob - cfg.purchase_day0_prob) * ramp
+        )
+    return _Tables(
+        segments=_segments(cfg),
+        registrations=tuple((d, d.toordinal() * US_PER_DAY) for d in dates),
+        registration_bits=n_days.bit_length(),
+        session_bits=cfg.max_sessions_per_day.bit_length(),
+        buy_probs=tuple(buy_probs),
+        flag_thresholds=tuple(
+            tuple(min(1.0, p * boost) for p in cfg.flag_probs)
+            for boost in (1.0, cfg.flag_spender_boost)
+        ),
+    )
+
+
+def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
+    rng = substream(cfg.seed, "user", uid)
+    random = rng.random
+    getrandbits = rng.getrandbits
+    seg = _pick_segment(tables.segments, random())
+    group = _pick_group(cfg.groups, random())
+    registrations = tables.registrations
+    reg_date, midnight = registrations[
+        _below(getrandbits, len(registrations), tables.registration_bits)
+    ]
+
+    spender = random() < min(1.0, cfg.spender_rate * seg.spender_mult)
     whale_shift = rng.gauss(0.0, cfg.whale_sigma) if spender else 0.0
     mu = cfg.amount_mu + seg.amount_shift + whale_shift
 
@@ -189,8 +277,9 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
     # Spenders retain much longer than free users, the core stylized fact
     # that concentrates late revenue in few long-lived payers.
     continue_p = cfg.spender_retention_continue if spender else cfg.retention_continue
+    last_day = cfg.event_horizon_days - 1
     lifetime = 0
-    while lifetime < cfg.event_horizon_days - 1 and rng.random() < continue_p:
+    while lifetime < last_day and random() < continue_p:
         lifetime += 1
 
     # Habitual daily check-in at a fixed per-user second: routine play is
@@ -198,7 +287,13 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
     # exactly 24h still commits). The first open happens at that hour and
     # later sessions never precede it within a day, so the commit anchor
     # does not drift earlier over time.
-    habit_sec = rng.randrange(28_800, 79_200)  # between 08:00 and 22:00
+    habit_sec = _HABIT_FIRST + _below(getrandbits, _HABIT_SPAN, _HABIT_BITS)
+    # Extra sessions fall in [habit_sec, 86_400) of their day.
+    span = 86_400 - habit_sec
+    span_bits = span.bit_length()
+    max_extra, extra_bits = cfg.max_sessions_per_day, tables.session_bits
+    activity_rate, habit_prob = cfg.activity_rate, cfg.habit_prob
+    buy_probs = tables.buy_probs
 
     # Each event is drawn as one integer, second * 8 + rank, with rank 0
     # for a session, 1 for a purchase and 2 + i for flag i. Sorting these
@@ -209,39 +304,41 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
     amounts: list[int] = []
     for d in range(lifetime + 1):
         # Day 0 is always played; later alive days at the activity rate.
-        if d > 0 and rng.random() >= cfg.activity_rate:
+        if d and random() >= activity_rate:
             continue
         day = d * 86_400
-        secs = [
-            day + rng.randrange(habit_sec, 86_400)
-            for _ in range(rng.randrange(cfg.max_sessions_per_day))
-        ]
-        if d == 0 or rng.random() < cfg.habit_prob:
-            secs.append(day + habit_sec)
-        elif not secs:
-            secs.append(day + rng.randrange(habit_sec, 86_400))
-        keys += [s << 3 for s in secs]
-        if spender:
-            # Spend ramps up over the first days: players buy once the game
-            # has proven itself, rarely on the install day.
-            ramp = min(1.0, d / 3) if d else 0.0
-            p_buy = cfg.purchase_day0_prob + (cfg.purchase_prob - cfg.purchase_day0_prob) * ramp
-            if rng.random() < p_buy:
-                # Purchases land near the day's last session; spend per
-                # purchase drifts up with tenure as players progress.
-                buy_sec = min(max(secs) + rng.randrange(60, 1800), day + 86_399)
-                mu_d = mu + cfg.tenure_amount_slope * d
-                amounts.append(max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma)))))
-                keys.append(buy_sec << 3 | 1)
-    boost = cfg.flag_spender_boost if spender else 1.0
-    for i, p in enumerate(cfg.flag_probs):
-        if rng.random() < min(1.0, p * boost):
+        first = day + habit_sec
+        # The session draws are ``_below`` written out: they are most of
+        # the generator's draws.
+        n = getrandbits(extra_bits)
+        while n >= max_extra:
+            n = getrandbits(extra_bits)
+        sessions = []  # the day's session keys
+        for _ in range(n):
+            r = getrandbits(span_bits)
+            while r >= span:
+                r = getrandbits(span_bits)
+            sessions.append((first + r) << 3)
+        if d == 0 or random() < habit_prob:
+            sessions.append(first << 3)
+        elif not sessions:
+            sessions.append((first + _below(getrandbits, span, span_bits)) << 3)
+        keys += sessions
+        if spender and random() < buy_probs[d if d < 3 else 3]:
+            # Purchases land near the day's last session; spend per
+            # purchase drifts up with tenure as players progress.
+            delay = _BUY_DELAY_FIRST + _below(getrandbits, _BUY_DELAY_SPAN, _BUY_DELAY_BITS)
+            buy_sec = min((max(sessions) >> 3) + delay, day + 86_399)
+            mu_d = mu + cfg.tenure_amount_slope * d
+            amounts.append(max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma)))))
+            keys.append(buy_sec << 3 | 1)
+    for i, threshold in enumerate(tables.flag_thresholds[spender]):
+        if random() < threshold:
             keys.append(min(habit_sec + 30 * (i + 1), 86_399) << 3 | 2 + i)
 
     # The first-open session always sorts first: nothing is generated before
     # the earliest day-0 session second.
     keys.sort()
-    midnight = reg_date.toordinal() * US_PER_DAY
     cents = iter(amounts)
     events = []
     for key in keys:
@@ -265,8 +362,8 @@ def _generate_user(cfg: GenConfig, segments: tuple[_Segment, ...], uid: int) -> 
 
 def generate_dataset(cfg: GenConfig) -> tuple[list[UserRecord], dict]:
     """Generate the cohort and provenance metadata, reproducible from seed."""
-    segments = _segments(cfg)
-    users = [_generate_user(cfg, segments, uid) for uid in range(cfg.n_users)]
+    tables = _tables(cfg)
+    users = [_generate_user(cfg, tables, uid) for uid in range(cfg.n_users)]
     meta = {
         "generator": "skattr.synthgen",
         "seed": cfg.seed,

@@ -804,6 +804,21 @@ class TestCliErrors:
         assert message in config_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("groups, message", [
+        pytest.param([["", 1.0]], "group '': label must be non-empty", id="empty_label"),
+        pytest.param([["A", -0.5], ["B", 1.5]], "group 'A': weight must be in [0, 1], got -0.5",
+                     id="negative_weight"),
+        pytest.param([["A", 0.5], ["A", 0.5]], "group 'A': label listed twice", id="duplicate"),
+    ])
+    def test_generate_refuses_a_group_the_reader_refuses(self, tmp_path, capsys, groups,
+                                                         message):
+        (tmp_path / "gen.json").write_text(json.dumps({"n_users": 50, "seed": 1,
+                                                       "groups": groups}))
+        out = tmp_path / "d1"
+        assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", out) == 1
+        assert config_error(capsys) == message
+        assert not out.exists()
+
     def test_cohort_without_spenders(self, tmp_path, capsys):
         """No spender: the first cell that fits buckets fails the run, after the dataset is written.
 

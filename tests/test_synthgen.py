@@ -1,3 +1,4 @@
+import random
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skattr.errors import ConfigError
 from skattr.model import FLAG, PURCHASE, SESSION, cumulative_revenue
 from skattr.io_files import save_dataset
-from skattr.synthgen import GenConfig, generate_dataset
+from skattr.synthgen import GenConfig, _below, generate_dataset
 from oracles import homogeneous_fixture, reference_generate_dataset
 
 
@@ -112,6 +113,9 @@ class TestConfigValidation:
             dict(flag_probs=(0.5,) * 5),
             dict(start_date=date(2024, 1, 2)),  # not a Monday
             dict(groups=(("A", 0.7), ("B", 0.7))),
+            dict(groups=(("", 1.0),)),
+            dict(groups=(("A", -0.5), ("B", 1.5))),  # sums to 1
+            dict(groups=(("A", 0.5), ("A", 0.5))),
             dict(n_weeks=0),
         ],
     )
@@ -120,21 +124,70 @@ class TestConfigValidation:
             small_cfg(**kw)
 
 
+class TestBelow:
+    """``_below`` makes ``Random.randrange``'s draws, and leaves its state, draw for draw.
+
+    One bit consumed differently would shift every later draw of the user,
+    so the state is compared after each draw, not only the values.
+    """
+
+    # The generator's ranges: registration day (12 weeks), habit second,
+    # purchase delay, the extra-session span 86_400 - habit_sec at both
+    # ends, and the extra-session count for 1 to 4 sessions a day.
+    GENERATOR_RANGES = (84, 50_400, 1_740, 7_201, 57_600, 1, 2, 3, 4)
+    EDGE_RANGES = tuple(
+        n for k in (1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 53, 64) for n in (2**k - 1, 2**k, 2**k + 1)
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**32 - 1, 12345678901234])
+    def test_matches_randrange_and_its_state(self, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for n in self.GENERATOR_RANGES + self.EDGE_RANGES:
+            for _ in range(40):
+                assert _below(ours.getrandbits, n, n.bit_length()) == reference.randrange(n)
+                assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_offset_ranges_match_two_argument_randrange(self, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for lo, hi in ((28_800, 79_200), (60, 1_800), (79_199, 86_400), (28_800, 86_400)):
+            for _ in range(100):
+                n = hi - lo
+                drawn = lo + _below(ours.getrandbits, n, n.bit_length())
+                assert drawn == reference.randrange(lo, hi)
+                assert ours.getstate() == reference.getstate()
+
+
+probability = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
 class TestReferenceGenerator:
     @given(
         n_users=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
         n_weeks=st.integers(1, 4),
         max_sessions=st.integers(1, 4),
-        horizon=st.integers(1, 40),
+        # 1 to 3 days end inside the purchase ramp, before its constant tail.
+        horizon=st.integers(1, 3) | st.integers(4, 40),
         spender_rate=st.sampled_from((0.0, 0.3, 1.0)),
+        day0_prob=probability,
+        purchase_prob=probability,
+        activity_rate=probability,
+        habit_prob=probability,
+        flag_probs=st.lists(probability, min_size=6, max_size=6),
+        # Above 1 / p a flag's spender threshold p * boost clamps at 1.
+        boost=st.sampled_from((1.0, 2.0)) | st.floats(0.0, 20.0),
     )
     @settings(max_examples=50, deadline=None)
     def test_matches_datetime_reference(self, n_users, seed, n_weeks, max_sessions, horizon,
-                                        spender_rate):
+                                        spender_rate, day0_prob, purchase_prob, activity_rate,
+                                        habit_prob, flag_probs, boost):
         """The integer-time generator makes the users, and the files, of the datetime one."""
         cfg = GenConfig(n_users=n_users, n_weeks=n_weeks, event_horizon_days=horizon, seed=seed,
-                        max_sessions_per_day=max_sessions, spender_rate=spender_rate)
+                        max_sessions_per_day=max_sessions, spender_rate=spender_rate,
+                        purchase_day0_prob=day0_prob, purchase_prob=purchase_prob,
+                        activity_rate=activity_rate, habit_prob=habit_prob,
+                        flag_probs=tuple(flag_probs), flag_spender_boost=boost)
         users, meta = generate_dataset(cfg)
         reference = reference_generate_dataset(cfg)
         assert [u.id for u in users] == [r.id for r in reference]
