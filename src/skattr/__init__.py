@@ -27,7 +27,6 @@ from .model import (
     CampaignKey,
     Event,
     UserRecord,
-    cumulative_revenue,
     decode_alpha,
     encode_alpha,
     organic_key,
@@ -38,7 +37,7 @@ from .postback import (
     build_counts,
     estimate_organic,
 )
-from .privacy import PrivacyConfig, apply_threshold, suppression_report
+from .privacy import PrivacyConfig, apply_threshold
 from .schema import (
     BitLayout,
     SchemaSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "attribute_with_null",
     "benchmark_matrix",
     "build_counts",
-    "cumulative_revenue",
     "decode_alpha",
     "encode_alpha",
     "estimate_bucket_means",
@@ -85,7 +83,6 @@ __all__ = [
     "parse_layout",
     "schema_from_text",
     "schema_to_text",
-    "suppression_report",
     "weekly_error",
     "window_error_curve",
 ]

@@ -51,6 +51,7 @@ from .io_files import (
 from .metrics import (
     attribute_cells,
     benchmark_matrix,
+    check_window_days,
     score_level,
     truth_vectors,
     window_error_curve,
@@ -158,6 +159,7 @@ def _postback_table(meta: dict, users_csv: Path, events_csv: Path | None) -> Pos
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
+    check_window_days(args.t)
     fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
@@ -189,6 +191,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    check_window_days(args.t)
     attributed, ameta = load_attribution(args.attr)
     if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")

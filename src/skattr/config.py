@@ -213,7 +213,7 @@ def _load_json_object(path: str | Path, what: str) -> dict:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")

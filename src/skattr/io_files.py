@@ -32,7 +32,7 @@ from datetime import date, datetime
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
+from typing import IO, NoReturn
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
@@ -88,9 +88,7 @@ def _csv_rows(
     raises part way through it; a ``rows`` kept alive by that traceback then
     holds only a closed file.
     """
-    if not path.exists():
-        raise ConfigError(f"input file {path} does not exist")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         line_no = 1
         try:
@@ -98,7 +96,7 @@ def _csv_rows(
             if first.startswith(META_PREFIX):
                 try:
                     meta = json.loads(first[len(META_PREFIX):])
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
                     raise CsvFormatError(f"{path}:1: bad meta line: {exc}") from exc
                 if not isinstance(meta, dict):
                     raise CsvFormatError(f"{path}:1: meta line is not a JSON object")
@@ -119,6 +117,16 @@ def _csv_rows(
             raise _undecodable(path, exc) from exc
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise CsvFormatError(f"{path}:{line_no + reader.line_num}: {exc}") from exc
+
+
+def _open_input(path: Path, mode: str = "r", **kwargs) -> IO:
+    """Open an input file; a missing or unreadable one (a directory, say) is a ``ConfigError``."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"input file {path} does not exist") from exc
+    except OSError as exc:
+        raise ConfigError(f"input file {path} cannot be read: {exc.strerror}") from exc
 
 
 def _undecodable(path: Path, exc: UnicodeDecodeError) -> CsvFormatError:
@@ -536,18 +544,15 @@ def save_attribution(
 
 
 def parse_usd(text: str) -> int:
-    """Parse a USD decimal string into exact cents."""
+    """Parse a USD decimal string, at least one dollar digit, into exact cents."""
     neg = text.startswith("-")
-    body = text[1:] if neg else text
-    if "." in body:
-        dollars, _, cents = body.partition(".")
-        if len(cents) != 2 or not (dollars + cents).isdigit():
-            raise CsvFormatError(f"bad USD amount {text!r}")
-        value = int(dollars) * 100 + int(cents)
-    else:
-        if not body.isdigit():
-            raise CsvFormatError(f"bad USD amount {text!r}")
-        value = int(body) * 100
+    dollars, dot, cents = (text[1:] if neg else text).partition(".")
+    if not dollars.isdigit() or (dot and (len(cents) != 2 or not cents.isdigit())):
+        raise CsvFormatError(f"bad USD amount {text!r}")
+    try:  # isdigit() admits digits int() refuses, and int() refuses over 4300 digits
+        value = int(dollars) * 100 + (int(cents) if dot else 0)
+    except ValueError as exc:
+        raise CsvFormatError(f"bad USD amount {text!r}") from exc
     return -value if neg else value
 
 

@@ -357,10 +357,7 @@ def benchmark_matrix(
     """
     if not schemas or not p_values or not g_modes:
         raise ConfigError("benchmark needs at least one schema, p value, and g mode")
-    if type(t) is not int:
-        raise ConfigError(f"revenue window t must be a whole number of days, got {t!r}")
-    if t < 1:
-        raise ConfigError("revenue window t must be at least one day")
+    check_window_days(t)
     for schema in schemas:
         _check_schema(schema)
     for p in p_values:
@@ -480,6 +477,17 @@ def check_grid_axes(
         for i, x in enumerate(values):
             if x in values[:i]:
                 raise ConfigError(f"duplicate {what} {x!r} in benchmark grid")
+
+
+def check_window_days(t: int) -> None:
+    """Reject a revenue window ``t`` that is not a whole number of days, at least one.
+
+    The grid and the ``attribute`` and ``evaluate`` stages check it before any work.
+    """
+    if type(t) is not int:
+        raise ConfigError(f"revenue window t must be a whole number of days, got {t!r}")
+    if t < 1:
+        raise ConfigError("revenue window t must be at least one day")
 
 
 def _check_schema(schema: SchemaSpec) -> None:

@@ -10,9 +10,7 @@ days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
 (Monday start). Campaign keys, users and events are immutable after
 construction. ``check_event`` is the rule on an event's kind and fields,
-kept by ``Event`` and by the dataset reader. Each user's purchases are
-digested on first use into ``UserRecord.purchases``, (day offset, cents)
-pairs, so window revenue walks only purchases.
+kept by ``Event`` and by the dataset reader.
 
 A ``Cohort`` is the one handle the pipeline takes for a user list. It is
 built from columns in cohort order (ids, registration date ordinals, group
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, timedelta
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -218,24 +216,11 @@ class UserRecord:
         """Registration midnight on the model's clock."""
         return self.registration_date.toordinal() * US_PER_DAY
 
-    @property
-    def registration_instant(self) -> datetime:
-        return datetime.combine(self.registration_date, time.min)
-
-    @cached_property
-    def purchases(self) -> tuple[tuple[int, int], ...]:
-        """(day offset, cents) of each purchase in event order, built on first use."""
-        midnight = self.registration_us
-        return tuple(
-            ((e.us - midnight) // US_PER_DAY, e.amount) for e in self.events if e.kind == PURCHASE
-        )
-
 
 def revenue_between(purchases: Iterable[tuple[int, int]], lo_day: int, hi_day: int) -> int:
     """Cents of the (day offset, cents) pairs with day in [lo_day, hi_day).
 
-    ``purchases`` are in day order, as ``UserRecord.purchases`` and
-    ``Cohort.purchases`` hold them.
+    ``purchases`` are in day order, as ``Cohort.purchases`` holds them.
     """
     if lo_day < 0 or hi_day < lo_day:
         raise ConfigError(f"invalid revenue window [{lo_day}, {hi_day})")
@@ -246,13 +231,6 @@ def revenue_between(purchases: Iterable[tuple[int, int]], lo_day: int, hi_day: i
         if day >= lo_day:
             total += cents
     return total
-
-
-def cumulative_revenue(user: UserRecord, t: int) -> int:
-    """Revenue in the user's first ``t`` days (cents); 0 for no purchases."""
-    if t < 0:
-        raise ConfigError(f"window days must be >= 0, got {t}")
-    return revenue_between(user.purchases, 0, t)
 
 
 def iso_week(d: date) -> str:

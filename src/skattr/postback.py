@@ -71,8 +71,8 @@ class CountMatrix:
 
     ``rows`` has one 64-entry-per-column tuple per conversion value. After
     privacy is applied, suppressed rows are zeroed with their indices listed
-    in ``suppressed`` (their cells read as None) and the folded counts live
-    in ``null_row``, which is None before.
+    in ``suppressed`` and the folded counts live in ``null_row``, which is
+    None before.
     """
 
     group: str
@@ -100,12 +100,6 @@ class CountMatrix:
     def privacy_applied(self) -> bool:
         return self.null_row is not None
 
-    def cell(self, v: int, j: int) -> int | None:
-        """Count at (value, column index); None when the cell is suppressed."""
-        if v in self.suppressed:
-            return None
-        return self.rows[v][j]
-
     @cached_property
     def row_sums(self) -> tuple[int, ...]:
         """Each value row's total over all columns, computed once per matrix."""
@@ -121,9 +115,6 @@ class CountMatrix:
             for j, c in enumerate(self.null_row):
                 sums[j] += c
         return tuple(sums)
-
-    def total(self) -> int:
-        return sum(self.column_sums())
 
 
 def empty_matrix(group: str, week: str, columns: Sequence[CampaignKey]) -> CountMatrix:

@@ -22,7 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ConfigError, CsvFormatError
-from .io_files import _csv_rows, _write_csv, config_hash
+from .io_files import _csv_rows, _open_input, _write_csv, config_hash
 from .model import US_PER_DAY, Cohort
 from .postback import PostbackTable
 from .schema import VALUE_RANGE
@@ -35,7 +35,10 @@ VIEW_FIELDS = (
 def dataset_hashes(
     users_csv: str | Path, events_csv: str | Path | None
 ) -> dict[str, str | None]:
-    """The sha256 of the users file and of the events file; None for a missing file."""
+    """The sha256 of the users file and of the events file; None for a missing file.
+
+    A path that exists but cannot be read, such as a directory, is a ``ConfigError``.
+    """
     return {"users_sha256": _sha256(users_csv), "events_sha256": _sha256(events_csv)}
 
 
@@ -43,7 +46,7 @@ def _sha256(path: str | Path | None) -> str | None:
     if path is None or not Path(path).exists():
         return None
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _open_input(Path(path), "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

@@ -62,36 +62,3 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
         suppressed=frozenset(suppressed),
         null_row=tuple(null_row),
     )
-
-
-@dataclass(frozen=True)
-class SuppressionSummary:
-    suppressed_rows: int
-    suppressed_users: int
-    total_users: int
-    null_mass: tuple[int, ...]  # per column, aligned with matrix.columns
-
-    @property
-    def suppressed_fraction(self) -> float:
-        if self.total_users == 0:
-            return 0.0
-        return self.suppressed_users / self.total_users
-
-
-def suppression_report(matrix: CountMatrix, cfg: PrivacyConfig) -> SuppressionSummary:
-    """Summarize what the threshold folds away.
-
-    Works on a pre-privacy matrix (by evaluating the rule) or on an already
-    privatized one (by reading its null row).
-    """
-    if matrix.privacy_applied:
-        applied = matrix
-    else:
-        applied = apply_threshold(matrix, cfg)
-    null = applied.null_row or ()
-    return SuppressionSummary(
-        suppressed_rows=len(applied.suppressed),
-        suppressed_users=sum(null),
-        total_users=applied.total(),
-        null_mass=tuple(null),
-    )

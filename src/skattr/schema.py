@@ -71,10 +71,6 @@ class BitLayout:
     def n_v(self) -> int:
         return self.bits.count("V")
 
-    @property
-    def n_c(self) -> int:
-        return self.bits.count("C")
-
     def __str__(self) -> str:
         return self.bits
 

@@ -51,10 +51,15 @@ from skattr.schema import VALUE_RANGE, SchemaSpec
 from skattr.synthgen import GenConfig, _pick_group, _pick_segment, _segments
 
 
+def registration_midnight(user: UserRecord) -> datetime:
+    """The user's registration midnight as a naive ``datetime``."""
+    return datetime.combine(user.registration_date, datetime.min.time())
+
+
 def scan_revenue(user: UserRecord, t: int) -> int:
     """Linear scan: purchase cents strictly before registration midnight + t days."""
     total = 0
-    midnight = user.registration_instant
+    midnight = registration_midnight(user)
     for e in user.events:
         if e.kind == PURCHASE and 0 <= (e.timestamp - midnight).total_seconds() < t * 86_400:
             total += e.amount
@@ -64,7 +69,7 @@ def scan_revenue(user: UserRecord, t: int) -> int:
 def scan_revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
     """Event walk: purchase cents from lo_day midnights up to hi_day midnights."""
     total = 0
-    midnight = user.registration_instant
+    midnight = registration_midnight(user)
     for e in user.events:
         if e.kind == PURCHASE:
             seconds = (e.timestamp - midnight).total_seconds()
@@ -107,7 +112,7 @@ def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
     per-user draw; PV is the full-horizon revenue bucket regardless of
     ``at``. A bucket is one plus the number of boundaries below the amount.
     """
-    if at < user.registration_instant:
+    if at < registration_midnight(user):
         raise ConfigError("candidate instant precedes registration")
     kind = schema.kind
     if kind == "UD":
@@ -280,7 +285,7 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
         postbacks = postbacks.values()
     digests = [
         tuple(
-            ((e.timestamp - u.registration_instant) // _MICROSECOND, e.amount, 1, 0)
+            ((e.timestamp - registration_midnight(u)) // _MICROSECOND, e.amount, 1, 0)
             for e in u.events
             if e.kind == PURCHASE
         )

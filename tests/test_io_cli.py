@@ -22,6 +22,7 @@ from skattr.io_files import (
     load_counts,
     load_users,
     parse_usd,
+    save_attribution,
     save_counts,
     save_dataset,
     save_events,
@@ -42,6 +43,7 @@ from skattr.model import (
     us_to_datetime,
 )
 from skattr.pipeline import run_schema
+from skattr.postback import CountMatrix
 from skattr.postback_view import load_postback_view
 from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
@@ -525,8 +527,10 @@ class TestCountsRoundTrip:
         assert parse_usd("0.00") == 0
         assert parse_usd("7") == 700
         assert parse_usd("-3.05") == -305
-        with pytest.raises(CsvFormatError):
-            parse_usd("1.2.3")
+        # No dollar digit, a digit int() refuses, or more than int()'s 4300 digits.
+        for bad in ("1.2.3", ".50", "-.50", "-", "1.", "²", "9" * 5000, "9" * 5000 + ".00"):
+            with pytest.raises(CsvFormatError, match="^bad USD amount "):
+                parse_usd(bad)
 
 
 def run_cli(*argv):
@@ -1413,3 +1417,186 @@ class TestClosedFiles:
             load(tmp_path / "s")
         assert str(excinfo.value).startswith(f"{path}:{mid + 1}: ")
         assert opened and all(fh.closed for fh in opened)
+
+
+HUGE = "9" * 5000  # over CPython's 4300-digit limit on int <-> str conversion
+
+
+def json_with(data: dict, key: str, raw: str) -> str:
+    """``data`` as JSON text with the value of ``key`` replaced by the raw text ``raw``."""
+    return json.dumps(data | {key: "@raw@"}).replace('"@raw@"', raw)
+
+
+class TestUnreadableInputs:
+    """Malformed numbers, directories and empty windows exit 1 with a typed error."""
+
+    @pytest.mark.parametrize("amount", [".50", "-.50", HUGE, HUGE + ".00"],
+                             ids=["no_dollar_digit", "negative_no_dollar_digit", "huge",
+                                  "huge_with_cents"])
+    def test_attributed_amount(self, staged, tmp_path, capsys, amount):
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        rows=lambda body: body + [f"ROW,1999-W01,0,{amount}"])
+        out = tmp_path / "r.json"
+        code = run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
+                       "--t", 30, "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        line = len(attr.read_text().splitlines())
+        assert err == {"error": "CsvFormatError",
+                       "message": f"{attr}:{line}: bad USD amount {amount!r}"}
+        assert not out.exists()
+
+    def test_huge_integer_in_a_config_file(self, tmp_path, capsys):
+        (tmp_path / "gen.json").write_text(json_with({"seed": 1}, "n_users", HUGE))
+        out = tmp_path / "d"
+        assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", out) == 1
+        assert config_error(capsys).startswith(f"config file {tmp_path / 'gen.json'} "
+                                               "is not valid JSON: Exceeds the limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "organic_alpha", "p"])
+    def test_huge_integer_in_a_meta_line(self, staged, tmp_path, capsys, key):
+        head, *rest = (staged / "cp.csv").read_text().split("\n")
+        meta = json.loads(head.removeprefix(META_PREFIX))
+        counts = tmp_path / "cp.csv"
+        counts.write_text("\n".join([META_PREFIX + json_with(meta, key, HUGE), *rest]))
+        out = tmp_path / "o.csv"
+        assert run_cli("privatize", "--counts", counts, "--p", 5, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CsvFormatError"
+        assert err["message"].startswith(f"{counts}:1: bad meta line: Exceeds the limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["privatize", "evaluate", "simulate"])
+    def test_directory_as_input_file(self, staged, tmp_path, capsys, stage):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        args = {
+            "privatize": ("--counts", adir, "--p", 5),
+            "evaluate": ("--attr", adir, "--truth-from", staged / "data", "--t", 30),
+            "simulate": ("--users", staged / "data", "--events", adir, "--schema", "kind=UD",
+                         "--seed", 9),
+        }[stage]
+        out = tmp_path / "out.csv"
+        assert run_cli(stage, *args, "--out", out) == 1
+        assert config_error(capsys) == f"input file {adir} cannot be read: Is a directory"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", [0, -3])
+    @pytest.mark.parametrize("stage", ["attribute", "evaluate"])
+    def test_window_under_one_day_fails_before_any_read(self, tmp_path, capsys, stage, t):
+        missing = tmp_path / "missing"
+        args = {
+            "attribute": ("--counts", missing / "c.csv", "--profile-from", missing,
+                          "--g", "plain"),
+            "evaluate": ("--attr", missing / "a.csv", "--truth-from", missing),
+        }[stage]
+        out = tmp_path / "out"
+        assert run_cli(stage, *args, "--t", t, "--out", out) == 1
+        assert config_error(capsys) == "revenue window t must be at least one day"
+        assert not out.exists()
+
+
+FUZZ_META = {"schema": D7RR, "seed": 1, "horizon": None}
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Valid counts (before and after privacy) and attribution files, as bytes."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    columns = (CampaignKey(0), CampaignKey(100, organic=True))
+    zero = ((0, 0),) * 64
+    rows = list(zero)
+    rows[3], rows[9], rows[40] = (2, 1), (1, 0), (0, 4)
+    matrices = {
+        ("G", "2024-W01"): CountMatrix("G", "2024-W01", columns, tuple(rows)),
+        ("H", "2024-W02"): CountMatrix("H", "2024-W02", columns, zero),
+    }
+    save_counts(tmp / "counts.csv", matrices, FUZZ_META | {"kind": "counts"})
+    cfg = PrivacyConfig(2)
+    save_counts(tmp / "privatized.csv", {c: apply_threshold(m, cfg) for c, m in matrices.items()},
+                FUZZ_META | {"kind": "counts", "p": 2})
+    attributed = {("G", "2024-W01", columns[0]): 1234, ("G", "2024-W01", columns[1]): 5,
+                  ("H", "2024-W02", columns[0]): 0}
+    save_attribution(tmp / "attribution.csv", attributed,
+                     FUZZ_META | {"kind": "attribution", "columns": [0, 100],
+                                  "organic_alpha": 100, "p": 2, "t": 30})
+    return tmp, {p.stem: p.read_bytes() for p in tmp.glob("*.csv")}
+
+
+def mutated(text: bytes, mutation: tuple) -> bytes:
+    """``text`` with one mutation; byte positions and data line numbers wrap around."""
+    kind, *args = mutation
+    if kind == "bytes":
+        out = bytearray(text)
+        for pos, byte in args[0]:
+            out[pos % len(out)] = byte
+        return bytes(out)
+    if kind == "truncate":
+        return text[:args[0] % len(text)]
+    if kind == "bom":
+        return "\ufeff".encode() + text
+    if kind == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    lines = text.decode().splitlines()
+    if kind == "field":  # one field of one data row
+        line, col, value = args
+        i = 2 + line % (len(lines) - 2)
+        fields = lines[i].split(",")
+        fields[col % len(fields)] = value
+        lines[i] = ",".join(fields)
+    else:  # "meta": one meta value replaced by raw JSON text
+        key, raw = args
+        meta = json.loads(lines[0].removeprefix(META_PREFIX))
+        lines[0] = META_PREFIX + json_with(meta, key, raw)
+    return ("\n".join(lines) + "\n").encode()
+
+
+FIELD_TEXTS = (HUGE, "-" + HUGE, HUGE + ".00", ".50", "-.50", "-0", "1.5", "", "null", "²",
+               "\ufeff1")
+META_TEXTS = (HUGE, "-" + HUGE, f"[{HUGE}]", f"[0, {HUGE}]", "1e999", "-1", "null", '"1"')
+MUTATIONS = st.one_of(
+    st.tuples(st.just("bytes"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                                         min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(("bom", "crlf"))),
+    st.tuples(st.just("field"), st.integers(0, 10**3), st.integers(0, 4),
+              st.sampled_from(FIELD_TEXTS)),
+    st.tuples(st.just("meta"),
+              st.sampled_from(("columns", "organic_alpha", "privacy_applied", "schema", "seed",
+                               "horizon", "p", "t")),
+              st.sampled_from(META_TEXTS)),
+)
+
+
+class TestFuzzedFiles:
+    """A mutated counts or attribution file loads, or raises a ``SkattrError``."""
+
+    @pytest.mark.parametrize("base, load", [
+        ("counts", load_counts), ("privatized", load_counts), ("attribution", load_attribution),
+    ])
+    @given(mutation=MUTATIONS)
+    @example(mutation=("field", 0, 3, ".50"))
+    @example(mutation=("field", 1, 3, "-.50"))
+    @example(mutation=("field", 2, 3, HUGE))
+    @example(mutation=("field", 0, 4, HUGE))
+    @example(mutation=("meta", "seed", HUGE))
+    @example(mutation=("meta", "columns", f"[0, {HUGE}]"))
+    @example(mutation=("bom",))
+    @example(mutation=("crlf",))
+    @example(mutation=("truncate", 100))
+    @settings(max_examples=150, deadline=None)
+    def test_loads_or_raises_a_typed_error(self, fuzz_bases, base, load, mutation):
+        tmp, texts = fuzz_bases
+        path = tmp / f"mutated-{base}.csv"
+        path.write_bytes(mutated(texts[base], mutation))
+        outcome(load, path)  # any other exception fails the test
+
+    @pytest.mark.parametrize("base, load", [
+        ("counts", load_counts), ("privatized", load_counts), ("attribution", load_attribution),
+    ])
+    def test_crlf_file_loads_the_same(self, fuzz_bases, base, load):
+        tmp, texts = fuzz_bases
+        path = tmp / f"mutated-{base}.csv"
+        path.write_bytes(mutated(texts[base], ("crlf",)))
+        assert load(path) == load(tmp / f"{base}.csv")

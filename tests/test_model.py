@@ -8,7 +8,6 @@ from skattr.model import (
     CampaignKey,
     Event,
     UserRecord,
-    cumulative_revenue,
     datetime_to_us,
     decode_alpha,
     encode_alpha,
@@ -18,14 +17,16 @@ from skattr.model import (
     revenue_between,
     usd,
 )
+from skattr.schema import prepare_users
 from oracles import Postback, groupby_truth, scan_revenue, scan_revenue_between, table_of
 
 MONDAY = date(2024, 1, 1)
 
 
-def make_user(uid=0, purchases=(), origin=encode_alpha(4, 5), group="G", reg=MONDAY, flags=()):
-    """User with a first-open session and purchases given as (day, hour, cents)."""
-    start = datetime(reg.year, reg.month, reg.day, 9)
+def make_user(uid=0, purchases=(), origin=encode_alpha(4, 5), group="G", reg=MONDAY, flags=(),
+              open_hour=9):
+    """User with a first-open session at ``open_hour`` and purchases given as (day, hour, cents)."""
+    start = datetime(reg.year, reg.month, reg.day, open_hour)
     events = [Event(datetime_to_us(start), "session")]
     midnight = start.replace(hour=0)
     for day, hour, cents in purchases:
@@ -87,32 +88,41 @@ class TestCampaignKey:
 
 
 class TestCumulativeRevenue:
+    """t-day revenue, read as the pipeline reads it: ``Cohort.window_revenue(0, t)``."""
+
+    @staticmethod
+    def revenue(user, t):
+        return prepare_users([user]).window_revenue(0, t)[0]
+
     def test_no_purchases(self):
-        assert cumulative_revenue(make_user(), 30) == 0
+        assert self.revenue(make_user(), 30) == 0
 
     def test_single_purchase_inside_window(self):
         user = make_user(purchases=[(1, 12, 299)])
-        assert cumulative_revenue(user, 7) == 299
+        assert self.revenue(user, 7) == 299
 
     def test_scan_oracle_case(self):
         user = make_user(purchases=[(2, 10, 100), (9, 10, 500)])
         assert scan_revenue(user, 7) == 100
-        assert cumulative_revenue(user, 7) == 100
+        assert self.revenue(user, 7) == 100
 
     def test_half_open_boundary(self):
         # A purchase exactly t days after registration midnight is excluded.
         user = make_user(purchases=[(7, 0, 123)])
-        assert cumulative_revenue(user, 7) == 0
-        assert cumulative_revenue(user, 8) == 123
+        assert self.revenue(user, 7) == 0
+        assert self.revenue(user, 8) == 123
 
     def test_negative_window_rejected(self):
-        with pytest.raises(ConfigError):
-            cumulative_revenue(make_user(), -1)
+        with pytest.raises(ConfigError, match=r"^invalid revenue window \[0, -1\)$"):
+            self.revenue(make_user(), -1)
+        with pytest.raises(ConfigError, match=r"^invalid revenue window \[-1, 7\)$"):
+            revenue_between([], -1, 7)
 
     def test_revenue_between_window(self):
         user = make_user(purchases=[(1, 12, 100), (5, 12, 200), (10, 12, 400)])
-        assert revenue_between(user.purchases, 2, 7) == 200
-        assert revenue_between(user.purchases, 0, 30) == 700
+        cohort = prepare_users([user])
+        assert cohort.window_revenue(2, 7) == [200]
+        assert revenue_between(cohort.purchases[0], 0, 30) == 700
 
     @given(
         st.lists(
@@ -122,17 +132,19 @@ class TestCumulativeRevenue:
         st.integers(0, 45),
     )
     def test_monotone_in_window(self, purchases, t):
-        user = make_user(purchases=sorted(purchases))
-        assert cumulative_revenue(user, t) <= cumulative_revenue(user, t + 1)
-        assert cumulative_revenue(user, t) == scan_revenue(user, t)
+        user = make_user(purchases=sorted(purchases), open_hour=0)
+        cohort = prepare_users([user])
+        assert cohort.window_revenue(0, t) <= cohort.window_revenue(0, t + 1)
+        assert cohort.window_revenue(0, t) == [scan_revenue(user, t)]
 
     def test_purchase_digest(self):
-        user = make_user(purchases=[(0, 0, 50), (3, 12, 100), (3, 12, 25)], flags=[(0, 10, 2)])
-        assert user.purchases == ((0, 50), (3, 100), (3, 25))
-        assert make_user().purchases == ()
+        # Purchases at one instant fold into one digest entry, and so into one pair.
+        user = make_user(purchases=[(0, 10, 50), (3, 12, 100), (3, 12, 25)], flags=[(0, 10, 2)])
+        assert prepare_users([user, make_user(uid=1)]).purchases == [((0, 50), (3, 125)), ()]
 
     # Hour 0 puts a purchase exactly on a day edge; repeated tuples are
-    # purchases at the same instant.
+    # purchases at the same instant. The session opens at midnight, so a
+    # day-0 purchase or flag never precedes it.
     @given(
         st.lists(
             st.tuples(st.integers(0, 40), st.sampled_from((0, 1, 12, 23)), st.integers(1, 10_000)),
@@ -147,9 +159,10 @@ class TestCumulativeRevenue:
     @example(purchases=[(5, 0, 100), (5, 0, 100), (5, 0, 7)], a=5, b=6)
     def test_revenue_between_matches_event_walk(self, purchases, a, b):
         lo, hi = min(a, b), max(a, b)
-        user = make_user(purchases=purchases, flags=[(0, 9, 1), (lo, 0, 3)])
-        assert revenue_between(user.purchases, lo, hi) == scan_revenue_between(user, lo, hi)
-        assert revenue_between(user.purchases, lo, lo) == 0
+        user = make_user(purchases=purchases, flags=[(0, 9, 1), (lo, 0, 3)], open_hour=0)
+        cohort = prepare_users([user])
+        assert cohort.window_revenue(lo, hi) == [scan_revenue_between(user, lo, hi)]
+        assert revenue_between(cohort.purchases[0], lo, lo) == 0
 
 
 class TestUserRecordInvariants:
@@ -238,7 +251,7 @@ class TestGroundTruth:
         truth = truth_of(users, postbacks, 0, 30)
         assert sorted(truth) == ["2024-W01", "2024-W02"]
         total = sum(sum(week.values()) for week in truth.values())
-        assert total == sum(cumulative_revenue(u, 30) for u in users[:7])
+        assert total == sum(scan_revenue(u, 30) for u in users[:7])
 
 
 class TestWeeks:

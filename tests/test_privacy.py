@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from skattr.errors import ConfigError
 from skattr.model import encode_alpha, organic_key
 from skattr.postback import CountMatrix, empty_matrix
-from skattr.privacy import PrivacyConfig, apply_threshold, suppression_report
+from skattr.privacy import PrivacyConfig, apply_threshold
 
 COLUMNS = (encode_alpha(0, 0), encode_alpha(0, 1), organic_key(100))
 
@@ -42,7 +42,7 @@ class TestApplyThreshold:
         m = matrix_from(rows)
         out = apply_threshold(m, PrivacyConfig(2))
         assert out.suppressed == {17}
-        assert out.cell(17, 1) is None
+        assert out.rows[17] == (0, 0, 0)
         # the null row exposes exactly that user's column
         assert out.null_row == (0, 1, 0)
 
@@ -53,6 +53,11 @@ class TestApplyThreshold:
         assert 1 not in out.suppressed
         assert out.null_row == (2, 1, 1)
         assert out.column_sums() == m.column_sums()
+        # every row below the threshold: the null row holds all the mass
+        sparse = matrix_from({3: (1, 0, 0), 7: (0, 1, 0)})
+        out = apply_threshold(sparse, PrivacyConfig(5))
+        assert out.suppressed == frozenset(range(64))
+        assert out.null_row == sparse.column_sums() == (1, 1, 0)
 
     def test_reapplication_rejected(self):
         m = apply_threshold(matrix_from({1: (3, 3, 3)}), PrivacyConfig(2))
@@ -80,38 +85,19 @@ def test_threshold_properties(m, p):
     out = apply_threshold(m, PrivacyConfig(p))
     # column sums preserved exactly
     assert out.column_sums() == m.column_sums()
-    # a row is suppressed iff its pre-privacy total is below p
+    # a row is suppressed iff its pre-privacy total is below p; a suppressed
+    # row reads zero and its counts are in the null row
+    null = [0] * len(m.columns)
     for v in range(64):
         assert (v in out.suppressed) == (sum(m.rows[v]) < p)
-        if v not in out.suppressed:
+        if v in out.suppressed:
+            assert not any(out.rows[v])
+            null = [a + b for a, b in zip(null, m.rows[v])]
+        else:
             assert out.rows[v] == m.rows[v]
+    assert out.null_row == tuple(null)
     # p < 2 changes no observable counts
     if p < 2:
         assert out.rows == m.rows
         assert sum(out.null_row) == 0
 
-
-class TestSuppressionReport:
-    def test_p0_nothing_suppressed(self):
-        m = matrix_from({3: (5, 2, 1)})
-        rep = suppression_report(m, PrivacyConfig(0))
-        assert rep.suppressed_users == 0
-        assert rep.suppressed_fraction == 0.0
-
-    def test_everything_below_threshold(self):
-        m = matrix_from({3: (1, 0, 0), 7: (0, 1, 0)})
-        rep = suppression_report(m, PrivacyConfig(5))
-        assert rep.suppressed_users == rep.total_users == 2
-        assert rep.suppressed_fraction == 1.0
-
-    def test_matches_apply_threshold_recount(self):
-        m = matrix_from({0: (1, 0, 0), 1: (4, 4, 4), 2: (2, 0, 1)})
-        cfg = PrivacyConfig(4)
-        rep = suppression_report(m, cfg)
-        applied = apply_threshold(m, cfg)
-        assert rep.null_mass == applied.null_row
-        assert rep.suppressed_users == sum(applied.null_row)
-        assert rep.suppressed_rows == len(applied.suppressed)
-        # reading the already-applied matrix gives the same summary
-        rep2 = suppression_report(applied, cfg)
-        assert rep2 == rep

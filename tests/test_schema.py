@@ -11,7 +11,6 @@ from skattr.model import (
     SESSION,
     Event,
     UserRecord,
-    cumulative_revenue,
     datetime_to_us,
     encode_alpha,
     iso_week,
@@ -35,6 +34,7 @@ from oracles import (
     candidate_value,
     oracle_postbacks,
     oracle_view,
+    scan_revenue,
     simulate_updates,
     sort_slice_quantiles,
 )
@@ -63,7 +63,7 @@ class TestLayout:
     )
     def test_parse(self, text, n_t, n_v, n_c):
         lay = parse_layout(text)
-        assert (lay.n_t, lay.n_v, lay.n_c) == (n_t, n_v, n_c)
+        assert (lay.n_t, lay.n_v, lay.bits.count("C")) == (n_t, n_v, n_c)
 
     @pytest.mark.parametrize("bad", ["TTTVV", "TTTVVVV", "TTTXXX", "VTTVVV", "VVTVVV"])
     def test_rejects(self, bad):
@@ -100,7 +100,7 @@ class TestFitBuckets:
     def test_uniform_split_matches_sort_oracle(self):
         users = [spender(i, (i + 1) * 100) for i in range(7)]  # 1..7 USD
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        fitted = fit_buckets([cumulative_revenue(u, 7) for u in users], schema)
+        fitted = fit_buckets([scan_revenue(u, 7) for u in users], schema)
         assert list(fitted.bucket_boundaries) == sort_slice_quantiles(
             [100, 200, 300, 400, 500, 600, 700], 7
         )
@@ -111,14 +111,14 @@ class TestFitBuckets:
     def test_identical_amounts_degenerate(self):
         users = [spender(i, 500) for i in range(5)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
-        fitted = fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
+        fitted = fit_buckets([scan_revenue(u, 30) for u in users], schema)
         assert set(fitted.bucket_boundaries) == {500}
         assert bucket_of(500, fitted.bucket_boundaries) == 1  # ties take the lowest
 
     def test_single_spender(self):
         users = [spender(0, 999)] + [spender(i, 0) for i in range(1, 4)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
-        fitted = fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
+        fitted = fit_buckets([scan_revenue(u, 30) for u in users], schema)
         assert bucket_of(999, fitted.bucket_boundaries) == 1
         assert bucket_of(0, fitted.bucket_boundaries) == 0
 
@@ -126,7 +126,7 @@ class TestFitBuckets:
         users = [spender(i, 0) for i in range(3)]
         schema = schema_from_text("kind=PV;layout=VVVVVV;horizon=30")
         with pytest.raises(DegenerateFitError):
-            fit_buckets([cumulative_revenue(u, 30) for u in users], schema)
+            fit_buckets([scan_revenue(u, 30) for u in users], schema)
 
     def test_boundary_tie_rule(self):
         # strictly greater than boundary k lands in bucket k+1
@@ -177,7 +177,7 @@ class TestCandidateValue:
                      "kind=PV;layout=VVVVVV;horizon=30"):
             schema = schema_from_text(text)
             if schema.needs_boundaries():
-                schema = fit_buckets([cumulative_revenue(spender(99, 100), 30)], schema)
+                schema = fit_buckets([scan_revenue(spender(99, 100), 30)], schema)
             assert candidate_value(user, schema, START) == 0
 
     def test_ud_reproducible_and_in_range(self):
@@ -214,7 +214,7 @@ class TestSimulateUpdates:
 
     def test_d7_rr_daily_sessions_advance_t_bits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
+        schema = fit_buckets([scan_revenue(spender(99, 100), 7)], schema)
         events = [Event(datetime_to_us(START + timedelta(days=d)), "session") for d in range(9)]
         trace = simulate_updates(user_from_events(events), schema)
         assert [v for _, v in trace.committed] == [0, 8, 16, 24, 32, 40, 48, 56]
@@ -225,7 +225,7 @@ class TestSimulateUpdates:
 
     def test_timer_expiry_freezes_trace(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
+        schema = fit_buckets([scan_revenue(spender(99, 100), 7)], schema)
         events = [
             Event(datetime_to_us(START), "session"),
             Event(datetime_to_us(START + timedelta(days=2)), "session"),
@@ -236,7 +236,7 @@ class TestSimulateUpdates:
 
     def test_exact_24h_gap_still_commits(self):
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = fit_buckets([cumulative_revenue(spender(99, 100), 7)], schema)
+        schema = fit_buckets([scan_revenue(spender(99, 100), 7)], schema)
         events = [
             Event(datetime_to_us(START), "session"),
             Event(datetime_to_us(START + timedelta(hours=24)), "session"),
@@ -262,7 +262,7 @@ class TestSimulateUpdates:
     def test_pv_single_commit_at_first_open(self):
         users = [spender(i, 100 * (i + 1)) for i in range(7)]
         schema = fit_buckets(
-            [cumulative_revenue(u, 30) for u in users],
+            [scan_revenue(u, 30) for u in users],
             schema_from_text("kind=PV;layout=VVVVVV;horizon=30"),
         )
         trace = simulate_updates(users[3], schema)
@@ -299,7 +299,7 @@ def test_trace_invariants(text, user):
     schema = schema_from_text(text)
     if schema.needs_boundaries():
         schema = fit_buckets(
-            [cumulative_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]], schema
+            [scan_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]], schema
         )
     trace = simulate_updates(user, schema)
     values = [v for _, v in trace.committed]
@@ -317,7 +317,7 @@ def test_trace_invariants(text, user):
 @settings(max_examples=60, deadline=None)
 def test_rolling_candidates_non_decreasing(user, hours):
     schema = fit_buckets(
-        [cumulative_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]],
+        [scan_revenue(u, 7) for u in [spender(99, 100), spender(98, 900)]],
         schema_from_text("kind=RR;layout=TTTVVV;horizon=7"),
     )
     instants = sorted(START + timedelta(hours=h) for h in hours)
@@ -331,11 +331,11 @@ def test_pv_buckets_respect_quantile_ranges():
 
     rng = random.Random(0)
     users = [spender(i, rng.randrange(0, 5000)) for i in range(300)]
-    schema = fit_buckets([cumulative_revenue(u, 30) for u in users],
+    schema = fit_buckets([scan_revenue(u, 30) for u in users],
                          schema_from_text("kind=PV;layout=VVVVVV;horizon=30"))
     b = schema.bucket_boundaries
     for u in users:
-        r = cumulative_revenue(u, 30)
+        r = scan_revenue(u, 30)
         v = bucket_of(r, b)
         if v == 0:
             assert r == 0

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skattr.errors import ConfigError
-from skattr.model import FLAG, PURCHASE, SESSION, cumulative_revenue
+from skattr.model import FLAG, PURCHASE, SESSION
 from skattr.io_files import save_dataset
 from skattr.synthgen import GenConfig, _below, generate_dataset
-from oracles import homogeneous_fixture, reference_generate_dataset
+from oracles import (
+    homogeneous_fixture,
+    reference_generate_dataset,
+    registration_midnight,
+    scan_revenue,
+)
 
 
 def small_cfg(**kw):
@@ -44,7 +49,7 @@ class TestGenerateDataset:
             assert u.events[0].kind == SESSION
             times = [e.timestamp for e in u.events]
             assert times == sorted(times)
-            assert all(e.timestamp >= u.registration_instant for e in u.events)
+            assert all(e.timestamp >= registration_midnight(u) for e in u.events)
             for e in u.events:
                 if e.kind == PURCHASE:
                     assert e.amount > 0
@@ -54,7 +59,7 @@ class TestGenerateDataset:
 
     def test_spender_rate_zero(self):
         users, _ = generate_dataset(small_cfg(spender_rate=0.0))
-        assert all(cumulative_revenue(u, 30) == 0 for u in users)
+        assert all(scan_revenue(u, 30) == 0 for u in users)
 
     def test_organic_share_one(self):
         users, _ = generate_dataset(small_cfg(organic_share=1.0))
@@ -209,21 +214,21 @@ class TestHomogeneousFixture:
     def test_constructed_case(self):
         users = homogeneous_fixture(2, 3, [1000, 2000])
         assert len(users) == 9  # bucket 0 plus two paid buckets, 3 users each
-        revs = sorted({cumulative_revenue(u, 30) for u in users})
+        revs = sorted({scan_revenue(u, 30) for u in users})
         assert revs == [0, 1000, 2000]
 
     def test_single_bucket_identical(self):
         users = homogeneous_fixture(1, 4, [500])
-        spenders = [u for u in users if cumulative_revenue(u, 30) > 0]
+        spenders = [u for u in users if scan_revenue(u, 30) > 0]
         assert len(spenders) == 4
-        assert {cumulative_revenue(u, 30) for u in spenders} == {500}
+        assert {scan_revenue(u, 30) for u in spenders} == {500}
 
     def test_zero_variance_per_bucket(self):
         users = homogeneous_fixture(5, 6, None)
         by_rev: dict[int, int] = {}
         for u in users:
-            by_rev.setdefault(cumulative_revenue(u, 30), 0)
-            by_rev[cumulative_revenue(u, 30)] += 1
+            by_rev.setdefault(scan_revenue(u, 30), 0)
+            by_rev[scan_revenue(u, 30)] += 1
         assert all(count == 6 for count in by_rev.values())
         assert len(by_rev) == 6  # zero bucket + 5 constants
 
