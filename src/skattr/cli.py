@@ -64,6 +64,8 @@ from .privacy import PrivacyConfig, apply_threshold
 from .schema import prepare_users, schema_from_text, schema_to_text
 from .synthgen import generate_dataset
 
+EVENTS_HELP = "events CSV, an existing file (default: the events.csv beside the users CSV)"
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -71,10 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dataset_paths(source: str, events: str | None) -> tuple[Path, Path | None]:
-    """Resolve a users path or dataset directory to (users_csv, events_csv)."""
+    """Resolve a users path or dataset directory to (users_csv, events_csv).
+
+    An explicit ``--events`` path must be an existing file: a mistyped one
+    is a ``ConfigError`` naming it, not a dataset without events.
+    """
     p = Path(source)
     if events is not None:
         epath = Path(events)
+        if not epath.exists():
+            raise ConfigError(f"input file {epath} does not exist")
     elif p.is_dir():
         epath = p / "events.csv"
     else:
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate traces and postback counts")
     p.add_argument("--users", required=True, help="users CSV or dataset directory")
-    p.add_argument("--events", default=None, help="events CSV (default: sibling events.csv)")
+    p.add_argument("--events", default=None, help=EVENTS_HELP)
     p.add_argument("--schema", required=True, help='e.g. "kind=RR;layout=TTTVVV;horizon=7"')
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--horizon", default=None,
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--profile-from", required=True, dest="profile_from",
                    help="users CSV or dataset directory for the revenue profile")
-    p.add_argument("--events", default=None)
+    p.add_argument("--events", default=None, help=EVENTS_HELP)
     p.add_argument("--t", type=int, required=True, help="revenue window in days")
     p.add_argument("--g", required=True, choices=ATTRIBUTION_MODES)
     p.add_argument("--lambda", type=float, default=None, dest="lam",
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attr", required=True)
     p.add_argument("--truth-from", required=True, dest="truth_from",
                    help="users CSV or dataset directory with true origins")
-    p.add_argument("--events", default=None)
+    p.add_argument("--events", default=None, help=EVENTS_HELP)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

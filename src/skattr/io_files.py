@@ -19,6 +19,13 @@ Bytes that are not UTF-8 and fields over the csv size limit are reported
 the same way, as ``CsvFormatError``. Only a user whose events are out of
 order, or do not start with a session, sends ``load_cohort`` back to
 ``load_users`` and ``schema.prepare_users``, whose messages name it.
+
+Every file's meta line and header are written by ``_open_csv``, and the
+rows of every file but one by ``csv.writer``. ``save_events`` writes each
+events row as one line of text from the event's integer instant, with no
+``datetime`` per event: no events field ever needs quoting, so the text is
+byte for byte what ``csv.writer`` writes for the same rows, which
+``tests/oracles.reference_save_events`` still does.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from datetime import date, datetime
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, NoReturn
@@ -38,7 +44,6 @@ from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
 from .model import (
     EVENT_KINDS,
-    MICROSECOND,
     US_PER_DAY,
     CampaignKey,
     Cohort,
@@ -67,11 +72,17 @@ def config_hash(params: object) -> str:
 
 
 def _write_csv(path: Path, meta: Mapping, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _open_csv(path, meta, header) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@contextmanager
+def _open_csv(path: Path, meta: Mapping, header: Sequence[str]) -> Iterator[IO[str]]:
+    """Open ``path`` for writing with its meta line and header written, and give the file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(META_PREFIX + json.dumps(dict(meta), sort_keys=True, default=str) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        yield fh
 
 
 @contextmanager
@@ -163,27 +174,40 @@ def save_users(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> 
 def save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> None:
     """Write every user's events, in user id order.
 
-    A timestamp is written as its ``datetime``'s ``isoformat()``: whole
-    seconds as ``YYYY-MM-DDTHH:MM:SS`` (every generated event), and a
-    sub-second instant with six fraction digits. Rows are made one user at
-    a time as they are written, so the file is never held in memory as a
-    list of rows.
+    Each row is one line of text made from the event's integer instant,
+    ``{id},{date}T{HH:MM:}{SS}[.ffffff],{kind},{amount},{flag}``. The date
+    is ``date.fromordinal(us // US_PER_DAY).isoformat()``, kept per call
+    for each day seen; ``THH:MM:`` and ``SS`` come from tables of the 1,440
+    minutes and 60 seconds of a day; the six fraction digits follow only
+    an instant that is not a whole second, ``datetime.isoformat()``'s rule.
+    No field needs csv quoting: the id is an int (``UserRecord``), the kind
+    one of ``EVENT_KINDS`` and the amount and flag an int or empty
+    (``check_event``). So the bytes are those ``csv.writer`` writes for the
+    same rows, as ``tests/oracles.reference_save_events`` does. Each user's
+    lines are joined and written at once, so the file is never held in
+    memory.
     """
-    epoch, tick = datetime.min, MICROSECOND  # model.us_to_datetime, inlined for the row loop
-    rows = chain.from_iterable(
-        [
-            (
-                u.id,
-                (epoch + tick * (e.us - US_PER_DAY)).isoformat(),
-                e.kind,
-                e.amount if e.amount is not None else "",
-                e.flag_index if e.flag_index is not None else "",
-            )
-            for e in u.events
-        ]
-        for u in sorted(users, key=lambda u: u.id)
-    )
-    _write_csv(Path(path), meta, EVENT_FIELDS, rows)
+    dates: dict[int, str] = {}
+    minutes = [f"T{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
+    seconds = [f"{s:02d}" for s in range(60)]
+    with _open_csv(Path(path), meta, EVENT_FIELDS) as fh:
+        for u in sorted(users, key=lambda u: u.id):
+            uid, lines = u.id, []
+            for e in u.events:
+                day, us = divmod(e.us, US_PER_DAY)
+                date_text = dates.get(day)
+                if date_text is None:
+                    date_text = dates[day] = date.fromordinal(day).isoformat()
+                sec, frac = divmod(us, 1_000_000)
+                minute, sec = divmod(sec, 60)
+                amount, flag_index = e.amount, e.flag_index
+                lines.append(
+                    f"{uid},{date_text}{minutes[minute]}{seconds[sec]}"
+                    f"{f'.{frac:06d}' if frac else ''},{e.kind},"
+                    f"{'' if amount is None else amount},"
+                    f"{'' if flag_index is None else flag_index}\n"
+                )
+            fh.write("".join(lines))
 
 
 def load_users(

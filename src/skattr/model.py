@@ -129,9 +129,10 @@ class Event:
     ``us`` is the event's instant in integer microseconds on the model's
     clock (registration midnight is ``date.toordinal() * US_PER_DAY``);
     ``timestamp`` is the same instant as a naive ``datetime``. The fields
-    are checked by ``check_event`` and then fixed: ``__init__`` fills the
-    slots directly, which costs well under the frozen dataclass's generated
-    ``__init__``, and assigning a field afterwards raises.
+    are checked (``us`` an ``int``, the others by ``check_event``) and then
+    fixed: ``__init__`` fills the slots directly, which costs well under
+    the frozen dataclass's generated ``__init__``, and assigning a field
+    afterwards raises.
     """
 
     us: int
@@ -142,6 +143,8 @@ class Event:
     def __init__(
         self, us: int, kind: str, amount: int | None = None, flag_index: int | None = None
     ) -> None:
+        if type(us) is not int:
+            raise ConfigError(f"event instant must be an int, got {us!r}")
         check_event(kind, amount, flag_index)
         _set_us(self, us)
         _set_kind(self, kind)
@@ -162,19 +165,21 @@ def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
     """Raise ``ConfigError`` unless ``kind`` carries exactly the fields it needs.
 
     A session carries neither field, a purchase a positive cent ``amount``
-    and a flag a ``flag_index`` in [0, 5].
+    and a flag a ``flag_index`` in [0, 5]. Both are ``int`` itself, not a
+    ``bool`` or a float, so every event can be written to a file and read
+    back.
     """
     if kind == SESSION:
         if amount is not None or flag_index is not None:
             raise ConfigError("session events carry no amount or flag_index")
     elif kind == PURCHASE:
-        if amount is None or amount <= 0:
+        if type(amount) is not int or amount <= 0:
             raise ConfigError("purchase amount must be a positive cent count")
         if flag_index is not None:
             raise ConfigError("purchase events carry no flag_index")
     elif kind == FLAG:
-        if flag_index is None or not 0 <= flag_index <= 5:
-            raise ConfigError("flag_index must be in [0, 5]")
+        if type(flag_index) is not int or not 0 <= flag_index <= 5:
+            raise ConfigError("flag_index must be an int in [0, 5]")
         if amount is not None:
             raise ConfigError("flag events carry no amount")
     else:
@@ -196,6 +201,8 @@ class UserRecord:
     group: str
 
     def __post_init__(self) -> None:
+        if type(self.id) is not int:
+            raise ConfigError(f"user id must be an int, got {self.id!r}")
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
         if not self.events:

@@ -15,6 +15,8 @@ weights for each lambda. ``reference_grid_cells`` scores the benchmark grid
 on them with ``CampaignKey``-keyed maps, one kernel call per (cell, mode,
 lambda). ``optimal_lambda`` is the exact minimiser of one cell's squared
 error over lambda in [0, 1], from the kernel's (a, b, D).
+``reference_save_events`` is the events writer as it stood before rows
+became text: a ``datetime`` per event and a row tuple for ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -26,16 +28,19 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from skattr.attribution import AttributionFunction, estimate_bucket_means_window
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
-from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS
+from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS, _write_csv
 from skattr.metrics import CellResult, aggregate_error, normalize_vs_baseline, weekly_error
 from skattr.model import (
     FLAG,
+    MICROSECOND,
     PURCHASE,
     SESSION,
+    US_PER_DAY,
     CampaignKey,
     Cohort,
     Event,
@@ -959,3 +964,29 @@ def reference_load_users(
         except ConfigError as exc:
             raise CsvFormatError(f"{Path(events_csv)}: {exc}") from exc
     return users, meta
+
+
+def reference_save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> None:
+    """Write every user's events, in user id order.
+
+    A timestamp is written as its ``datetime``'s ``isoformat()``: whole
+    seconds as ``YYYY-MM-DDTHH:MM:SS`` (every generated event), and a
+    sub-second instant with six fraction digits. Rows are made one user at
+    a time as they are written, so the file is never held in memory as a
+    list of rows.
+    """
+    epoch, tick = datetime.min, MICROSECOND  # model.us_to_datetime, inlined for the row loop
+    rows = chain.from_iterable(
+        [
+            (
+                u.id,
+                (epoch + tick * (e.us - US_PER_DAY)).isoformat(),
+                e.kind,
+                e.amount if e.amount is not None else "",
+                e.flag_index if e.flag_index is not None else "",
+            )
+            for e in u.events
+        ]
+        for u in sorted(users, key=lambda u: u.id)
+    )
+    _write_csv(Path(path), meta, EVENT_FIELDS, rows)

@@ -49,7 +49,7 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import reference_load_users
+from oracles import reference_load_users, reference_save_events
 
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
@@ -209,6 +209,74 @@ class TestTimestampEdges:
         save_dataset(tmp_path / "out", users, meta)
         for name, text in texts.items():
             assert (tmp_path / "out" / name).read_text() == text
+
+
+FIRST_US = date.min.toordinal() * US_PER_DAY  # 0001-01-01T00:00:00
+LAST_US = (date.max.toordinal() + 1) * US_PER_DAY - 1  # 9999-12-31T23:59:59.999999
+
+
+def written_events(tmp_path, users, meta=META) -> tuple[bytes, bytes]:
+    """The events file ``save_events`` writes for ``users``, and the one the oracle writes."""
+    save_events(tmp_path / "e.csv", users, meta)
+    reference_save_events(tmp_path / "ref.csv", users, meta)
+    return (tmp_path / "e.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+
+class TestEventsWriter:
+    """``save_events``' text rows are the bytes ``csv.writer`` writes for the same events."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(FIRST_US, LAST_US),
+        st.integers(FIRST_US // 10**6, LAST_US // 10**6).map(lambda s: s * 10**6),  # whole seconds
+    ), min_size=1, max_size=8))
+    def test_timestamp_text_is_isoformat(self, instants):
+        instants.sort()
+        user = UserRecord(7, date.min, CampaignKey(0), [Event(us, SESSION) for us in instants], "G")
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = written_events(Path(tmp), [user])
+        rows = ours.decode().splitlines()[2:]
+        stamps = [row.split(",")[1] for row in rows]
+        assert stamps == [us_to_datetime(us).isoformat() for us in instants]
+        assert ours == reference
+
+    def test_generated_cohort(self, dataset, tmp_path):
+        users, meta = dataset
+        ours, reference = written_events(tmp_path, users, meta)
+        assert ours == reference
+
+    def test_hand_built_users(self, tmp_path):
+        day = date(2024, 2, 29)
+        midnight = day.toordinal() * US_PER_DAY
+        last = midnight + US_PER_DAY - 1  # 23:59:59.999999
+        events = [
+            Event(midnight, SESSION),
+            Event(midnight, PURCHASE, 1),
+            Event(midnight, FLAG, None, 0),  # three events at one instant
+            Event(midnight + 1, SESSION),  # 00:00:00.000001
+            Event(midnight + 999_999, PURCHASE, 123_456_789),  # 00:00:00.999999
+            Event(midnight + 10**6, SESSION),  # 00:00:01
+            *(Event(midnight + 3_600_000_000 * i + 500_000, FLAG, None, i) for i in range(1, 6)),
+            Event(last - 10**6 + 1, PURCHASE, 99),  # 23:59:58.000001
+            Event(last, SESSION),
+            Event(last, PURCHASE, 5),
+            Event(last + 1, SESSION),  # the next midnight
+        ]
+        users = [
+            UserRecord(12, day, CampaignKey(3), events, "ROW"),
+            UserRecord(3, day, CampaignKey(9, organic=True), [Event(last, SESSION)], "US"),
+            UserRecord(5, day, CampaignKey(0), [], "US"),
+        ]
+        ours, reference = written_events(tmp_path, users)
+        assert ours == reference
+        text = ours.decode()
+        by_id = "\n3,2024-02-29T23:59:59.999999,session,,\n12,2024-02-29T00:00:00,session,,\n"
+        assert by_id in text
+        assert "\n12,2024-02-29T00:00:00.999999,purchase,123456789,\n" in text
+        assert "\n12,2024-02-29T05:00:00.500000,flag,,5\n" in text
+        assert text.endswith("\n12,2024-03-01T00:00:00,session,,\n")
+
+
 INT_TEXTS = ("x", "", "-1", "2.0", "1_0", " 1", "9" * 30, "9" * 5000)
 TIMESTAMPS = ("2024-01-01T00:00:00", "2023-12-31T23:59:59", "2024-01-09", "2024-02-30T00:00:00",
               "soon", "")
@@ -1481,6 +1549,23 @@ class TestUnreadableInputs:
         assert run_cli(stage, *args, "--out", out) == 1
         assert config_error(capsys) == f"input file {adir} cannot be read: Is a directory"
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["simulate", "attribute", "evaluate"])
+    def test_missing_events_file(self, staged, tmp_path, capsys, stage):
+        data = tmp_path / "data"
+        shutil.copytree(staged / "data", data, ignore=shutil.ignore_patterns("postbacks-*"))
+        missing = data / "evnts.csv"
+        args = {
+            "simulate": ("--users", data, "--schema", D7RR, "--seed", 9),
+            "attribute": ("--counts", staged / "cp.csv", "--profile-from", data, "--t", 30,
+                          "--g", "null_uniform"),
+            "evaluate": ("--attr", staged / "attr.csv", "--truth-from", data, "--t", 30),
+        }[stage]
+        out = tmp_path / "out"
+        assert run_cli(stage, *args, "--events", missing, "--out", out) == 1
+        assert config_error(capsys) == f"input file {missing} does not exist"
+        assert not out.exists()
+        assert views(data) == []
 
     @pytest.mark.parametrize("t", [0, -3])
     @pytest.mark.parametrize("stage", ["attribute", "evaluate"])

@@ -188,6 +188,27 @@ class TestUserRecordInvariants:
         with pytest.raises(ConfigError):
             Event(datetime_to_us(datetime(2024, 1, 1, 9)), "flag", flag_index=6)
 
+    @pytest.mark.parametrize("kind, amount, flag_index", [
+        ("purchase", 1.5, None),
+        ("purchase", True, None),
+        ("flag", None, True),
+        ("flag", None, 2.0),
+    ])
+    def test_amount_and_flag_index_are_ints(self, kind, amount, flag_index):
+        """A field the events file could not read back as an integer is refused."""
+        with pytest.raises(ConfigError):
+            Event(datetime_to_us(datetime(2024, 1, 1, 9)), kind, amount, flag_index)
+
+    @pytest.mark.parametrize("us", [float(datetime_to_us(datetime(2024, 1, 1, 9))), True, None])
+    def test_instant_is_an_int(self, us):
+        with pytest.raises(ConfigError, match="event instant must be an int"):
+            Event(us, "session")
+
+    @pytest.mark.parametrize("uid", ["1", 1.0, True])
+    def test_id_is_an_int(self, uid):
+        with pytest.raises(ConfigError, match="user id must be an int"):
+            UserRecord(uid, MONDAY, encode_alpha(0, 0), (), "G")
+
 
 def postbacks_at(users, when=datetime(2024, 1, 3, 12)):
     """One postback per user, all delivered at ``when``."""

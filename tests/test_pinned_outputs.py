@@ -3,7 +3,9 @@
 Every refactor of the pipeline must leave the outputs byte-identical. The
 workload bodies, sizes and seed are the benchmark's own (``perfbench/``);
 this runs them without its timing harness and compares each output's
-sha256 with ``perfbench/expected.json``.
+sha256 with ``perfbench/expected.json``. The dataset files ``skattr
+generate`` writes are pinned here too, on two seeds, since the workloads
+hash only what is computed from them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,20 @@ import workload  # noqa: E402
 
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 SEED = EXPECTED["pinned_seed"]
+
+DATASET_USERS = 5000
+DATASET_HASHES = {
+    1: {
+        "users.csv": "40310583246d82ed227e4437c40f3077ad4f4a23b6e6ec3621831600414f2015",
+        "events.csv": "2d8bb38448efabfd768bba0396a5959f328ade3f30f25d4e11563c0d580332f8",
+        "meta.json": "a70423673e6c0edbec93362950b99c4802f56475481c6cf607130659036870fd",
+    },
+    2: {
+        "users.csv": "3a0c71db9eb30763a135113090d9f1fae7e8f65ae9632c03743667bfcc150cee",
+        "events.csv": "d7357784fef1f189b02616415576fbe8158fe9bdc762ff23e2429d9e70520699",
+        "meta.json": "51c9e25ea86b74b6fbdf9177255aeb78082244cf342863ea5b0ae806929d2fc3",
+    },
+}
 
 
 def sha256(path: Path) -> str:
@@ -77,3 +93,12 @@ def test_stagewise(work):
 
 def test_stagewise_without_view(work):
     assert stagewise_hashes(work, keep_view=False) == EXPECTED["stagewise"]["hashes"]
+
+
+@pytest.mark.parametrize("seed", sorted(DATASET_HASHES))
+def test_generated_dataset(work, seed):
+    gen = workload.gen_config(DATASET_USERS, seed)
+    (work / "gen.json").write_text(json.dumps(gen), encoding="utf-8")
+    assert skattr.cli.main(["generate", "--config", "gen.json", "--out", "data"]) == 0
+    hashes = {label: sha256(work / "data" / label) for label in DATASET_HASHES[seed]}
+    assert hashes == DATASET_HASHES[seed]
