@@ -17,8 +17,10 @@ files. `attribute` and `evaluate` read that view and neither the events
 file nor the replay. When the view is missing, or its key or hashes do not
 match the files, they read the dataset and simulate again, which gives the
 same table. A view that cannot be written (a read-only dataset directory,
-say) does not fail `simulate`; the later stages then simulate again. `benchmark` on dataset
-paths reads `UserRecord`s with `load_users`.
+say) does not fail `simulate`; the later stages then simulate again.
+`simulate` that counts no postback (every one after `--horizon`, or no
+users) is a `ConfigError` and writes nothing. `benchmark` on dataset paths
+resolves them as the stages do and reads `UserRecord`s with `load_users`.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
@@ -119,6 +121,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     hashes = dataset_hashes(users_csv, events_csv)
     cohort = load_cohort(users_csv, events_csv, args.organic_alpha)
     artifacts = run_schema(cohort, schema, args.seed, horizon)
+    if not artifacts.matrices:
+        # A counts file without cells has no column list, so no later stage could read it.
+        after = f" before the horizon {args.horizon}" if args.horizon is not None else ""
+        raise ConfigError(f"no postback was counted{after}; no counts file is written")
     meta = {
         "kind": "counts",
         "schema": schema_to_text(artifacts.schema),
@@ -253,7 +259,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         dmeta["config_hash"] = run_hash
         save_dataset(out_dir / "dataset", users, dmeta)
     else:
-        users, _ = load_users(cfg.users_csv, cfg.events_csv, cfg.organic_alpha)
+        users, _ = load_users(*_dataset_paths(cfg.users_csv, cfg.events_csv), cfg.organic_alpha)
 
     schemas = cfg.parsed_schemas()
     # One cohort for the grid and the curve, so the curve reuses the grid's

@@ -12,13 +12,11 @@ is held in memory as a list of rows. Events rows are read by one
 generator, ``_event_rows``, for both dataset loaders: ``load_users`` builds
 an ``Event`` from each row it yields, and ``load_cohort`` folds each into
 its user's replay digest with ``schema.fold_event``, building no ``Event``
-or ``UserRecord``. A row the generator refuses goes to
-``_raise_row_error``, which runs every check in order and raises the typed
-error, with the file and line, that names the first one the row fails.
-Bytes that are not UTF-8 and fields over the csv size limit are reported
-the same way, as ``CsvFormatError``. Only a user whose events are out of
-order, or do not start with a session, sends ``load_cohort`` back to
-``load_users`` and ``schema.prepare_users``, whose messages name it.
+or ``UserRecord``. Bytes that are not UTF-8 and fields over the csv size
+limit are a ``CsvFormatError`` naming the file and line. Only a user whose
+events are out of order, or do not start with a session, sends
+``load_cohort`` back to ``load_users`` and ``schema.prepare_users``, whose
+messages name it.
 
 Every file's meta line and header are written by ``_open_csv``, and the
 rows of every file but one by ``csv.writer``. ``save_events`` writes each
@@ -38,7 +36,7 @@ from contextlib import contextmanager
 from datetime import date, datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, NoReturn
+from typing import IO
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
 from .metrics import AttributionReport, WindowPoint
@@ -326,9 +324,10 @@ def _event_rows(
 
     The instant is the naive ISO timestamp in microseconds on the model's
     clock (``model.datetime_to_us``). Nothing when there is no events file.
-    A row must name a known user, a naive ISO timestamp and integer fields
-    that ``model.check_event`` accepts; the first row that does not is
-    handed to ``_raise_row_error``.
+    Each row is checked in one order: its column count, a known integer
+    user id, a naive ISO timestamp, a known kind, integer amount and
+    flag fields, and ``model.check_event``. The first check a row fails
+    raises its typed error with the file and line.
     """
     if events_csv is None or not Path(events_csv).exists():
         return
@@ -337,50 +336,31 @@ def _event_rows(
     uid_text = None
     with _csv_rows(path, EVENT_FIELDS) as (_, rows):
         for line, row in rows:
+            if len(row) != len(EVENT_FIELDS):
+                raise CsvFormatError(f"{path}:{line}: expected {len(EVENT_FIELDS)} columns")
+            row_uid, ts_text, kind, amount, flag_index = row
             # The file is grouped by user, so the user id is parsed and looked
             # up only when its text changes.
+            if row_uid != uid_text:
+                uid = _parse_int(row_uid, path, line, "user_id")
+                if uid not in users:
+                    raise ReferentialError(f"{path}:{line}: event references unknown user {uid}")
+                uid_text = row_uid
             try:
-                row_uid, ts_text, kind, amount, flag_index = row
-                if row_uid != uid_text:
-                    uid = int(row_uid)
-                    if uid not in users:
-                        raise KeyError(uid)
-                    uid_text = row_uid
                 ts = parse_ts(ts_text)
-                amount = int(amount) if amount else None
-                flag_index = int(flag_index) if flag_index else None
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}:{line}: bad timestamp {ts_text!r}") from exc
+            if ts.tzinfo is not None:
+                raise CsvFormatError(f"{path}:{line}: timestamp {ts_text!r} has a UTC offset")
+            if kind not in EVENT_KINDS:  # named before a malformed number
+                raise CsvFormatError(f"{path}:{line}: unknown event kind {kind!r}")
+            amount = _parse_int(amount, path, line, "amount_cents") if amount else None
+            flag_index = _parse_int(flag_index, path, line, "flag_index") if flag_index else None
+            try:
                 check_event(kind, amount, flag_index)
-                valid = ts.tzinfo is None
-            except (ValueError, KeyError):  # ConfigError is a ValueError
-                valid = False
-            if not valid:
-                _raise_row_error(path, line, row, users)
+            except ConfigError as exc:
+                raise CsvFormatError(f"{path}:{line}: {exc}") from exc
             yield uid, datetime_to_us(ts), kind, amount, flag_index
-
-
-def _raise_row_error(path: Path, line: int, row: list[str], users: Mapping) -> NoReturn:
-    """Raise the error, with the file and line, naming the first check an events row fails."""
-    if len(row) != len(EVENT_FIELDS):
-        raise CsvFormatError(f"{path}:{line}: expected {len(EVENT_FIELDS)} columns")
-    uid = _parse_int(row[0], path, line, "user_id")
-    if uid not in users:
-        raise ReferentialError(f"{path}:{line}: event references unknown user {uid}")
-    try:
-        ts = datetime.fromisoformat(row[1])
-    except ValueError as exc:
-        raise CsvFormatError(f"{path}:{line}: bad timestamp {row[1]!r}") from exc
-    if ts.tzinfo is not None:
-        raise CsvFormatError(f"{path}:{line}: timestamp {row[1]!r} has a UTC offset")
-    kind = row[2]
-    if kind not in EVENT_KINDS:  # named before a malformed number
-        raise CsvFormatError(f"{path}:{line}: unknown event kind {kind!r}")
-    amount = _parse_int(row[3], path, line, "amount_cents") if row[3] else None
-    flag_index = _parse_int(row[4], path, line, "flag_index") if row[4] else None
-    try:
-        check_event(kind, amount, flag_index)
-    except ConfigError as exc:
-        raise CsvFormatError(f"{path}:{line}: {exc}") from exc
-    raise AssertionError(f"{path}:{line}: events row refused, yet it passes every check")
 
 
 def save_dataset(out_dir: str | Path, users: Sequence[UserRecord], meta: Mapping) -> dict[str, Path]:

@@ -113,6 +113,20 @@ class GenConfig:
             raise ConfigError("event_horizon_days must be at least 1")
         if self.start_date.isoweekday() != 1:
             raise ConfigError("start_date must be a Monday (weeks start Monday)")
+        # The last registration day plus the last event day of its user.
+        last_day = self.start_date.toordinal() + 7 * self.n_weeks + self.event_horizon_days - 2
+        if last_day > date.max.toordinal():
+            raise ConfigError(
+                f"start_date {self.start_date}, n_weeks {self.n_weeks} and event_horizon_days "
+                f"{self.event_horizon_days} put events after {date.max}"
+            )
+        max_paid = 100 * (self.n_networks - 1) + self.campaigns_per_network - 1
+        if self.organic_alpha is not None and self.organic_alpha <= max_paid:
+            # The users file refuses any alpha above the organic sentinel.
+            raise ConfigError(
+                f"organic_alpha must exceed every paid alpha, the largest being {max_paid}, "
+                f"got {self.organic_alpha}"
+            )
         seen: set[str] = set()
         for label, weight in self.groups:
             # The dataset reader refuses an empty group label, and a

@@ -288,6 +288,9 @@ CELL_TEXTS = (
     INT_TEXTS + ("0", "250"),
     INT_TEXTS + ("0", "5", "6"),
 )
+# Texts that int() and datetime.fromisoformat() refuse.
+BAD_INTS = ("x", "2.0", "9" * 5000)
+BAD_TIMESTAMPS = ("2024-01-09", "2024-02-30T00:00:00", "soon", "")
 # Inputs the list-then-validate loader lets escape as bare exceptions.
 ESCAPES = {"utc_offset": TypeError, "bad_bytes": UnicodeDecodeError, "oversized": csv.Error}
 
@@ -313,6 +316,12 @@ def cohorts(draw):
         origin = CampaignKey(alpha, organic=alpha == META["organic_alpha"])
         users.append(UserRecord(uid, reg, origin, tuple(events), draw(st.sampled_from("GH"))))
     return users
+
+
+TWO_CHECKS = (
+    "columns_and_user", "user_and_timestamp", "kind_and_amount", "amount_and_flag",
+    "flag_and_event",
+)
 
 
 def mutate(lines: list[str], i: int, edit: str, data) -> str:
@@ -343,6 +352,18 @@ def mutate(lines: list[str], i: int, edit: str, data) -> str:
         fields[data.draw(st.integers(0, 4))] += "\udcff"  # written back as the byte 0xff
     elif edit == "oversized":
         fields[data.draw(st.integers(0, 4))] = "1" * (csv.field_size_limit() + 1)
+    # Two adjacent checks broken at once: the error names the earlier one.
+    elif edit == "columns_and_user":
+        fields = [data.draw(st.sampled_from(BAD_INTS))] + fields[1:data.draw(st.integers(1, 4))]
+    elif edit == "user_and_timestamp":
+        fields[:2] = ["99", data.draw(st.sampled_from(BAD_TIMESTAMPS))]
+    elif edit == "kind_and_amount":
+        fields[2:4] = [data.draw(st.sampled_from(("click", "Session", ""))),
+                       data.draw(st.sampled_from(BAD_INTS))]
+    elif edit == "amount_and_flag":
+        fields[3:] = [data.draw(st.sampled_from(BAD_INTS)), data.draw(st.sampled_from(BAD_INTS))]
+    elif edit == "flag_and_event":  # a session with an amount also fails check_event
+        fields[2:] = [SESSION, "250", data.draw(st.sampled_from(BAD_INTS))]
     lines = lines[:i] + [",".join(fields)] + lines[i + 1:]
     return ("\r\n" if edit == "crlf" else "\n").join(lines)
 
@@ -367,6 +388,7 @@ class TestStreamingLoader:
     @pytest.mark.parametrize("edit", [
         "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
         "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
+        *TWO_CHECKS,
     ])
     @given(cohort=cohorts(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -393,6 +415,7 @@ class TestStreamingLoader:
     @pytest.mark.parametrize("edit", [
         "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
         "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
+        *TWO_CHECKS,
     ])
     @given(cohort=cohorts(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -457,6 +480,14 @@ class TestLoadCohort:
         result = outcome(load_cohort, *paths)
         assert (result if isinstance(result, tuple) else cohort_facts(result)) == expected
         return result
+
+    def test_utc_offset_is_named_before_a_bad_kind(self, tmp_path):
+        """The reference loader lets a UTC offset escape, so it cannot check this order."""
+        result = self.load(tmp_path, "1,2024-01-01T09:00:00+00:00,click,,\n")
+        assert result == (
+            CsvFormatError,
+            f"{tmp_path / 'e.csv'}:2: timestamp '2024-01-01T09:00:00+00:00' has a UTC offset",
+        )
 
     def test_generated_dataset(self, dataset, dataset_dir):
         cohort = load_cohort(dataset_dir / "users.csv", dataset_dir / "events.csv")
@@ -657,6 +688,23 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["aggregate_error_usd"] >= 0
         assert data["weekly_errors_usd"]
+
+    def test_benchmark_finds_the_events_file_beside_the_users_file(self, dataset_dir, tmp_path):
+        grid = {"schemas": ["kind=UD"], "p_values": [0], "g_modes": ["plain"], "windows": []}
+        sources = {
+            "both": {"users_csv": str(dataset_dir / "users.csv"),
+                     "events_csv": str(dataset_dir / "events.csv")},
+            "users": {"users_csv": str(dataset_dir / "users.csv")},
+            "directory": {"users_csv": str(dataset_dir)},
+        }
+        cells = {}
+        for name, source in sources.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(source | grid))
+            out = tmp_path / name
+            assert run_cli("benchmark", "--config", tmp_path / f"{name}.json", "--out", out) == 0
+            cells[name] = json.loads((out / "report.json").read_text())["cells"]
+        assert cells["both"]
+        assert cells["users"] == cells["directory"] == cells["both"]
 
     def test_plain_equals_null_uniform_at_p0(self, tmp_path):
         gen_cfg = {"n_users": 1000, "n_weeks": 2, "event_horizon_days": 35, "seed": 6}
@@ -890,6 +938,48 @@ class TestCliErrors:
         assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", out) == 1
         assert config_error(capsys) == message
         assert not out.exists()
+
+    @pytest.mark.parametrize("gen, message", [
+        pytest.param({"n_users": 300, "seed": 2, "organic_alpha": 3},
+                     "organic_alpha must exceed every paid alpha, the largest being 104, got 3",
+                     id="organic_alpha"),
+        pytest.param({"n_users": 50, "start_date": "9999-12-27", "n_weeks": 1},
+                     "start_date 9999-12-27, n_weeks 1 and event_horizon_days 90 "
+                     "put events after 9999-12-31", id="registration_past_year_9999"),
+        pytest.param({"n_users": 50, "start_date": "9999-12-20", "n_weeks": 1,
+                      "event_horizon_days": 30},
+                     "start_date 9999-12-20, n_weeks 1 and event_horizon_days 30 "
+                     "put events after 9999-12-31", id="events_past_year_9999"),
+    ])
+    def test_generate_refuses_a_dataset_the_stages_cannot_read(self, tmp_path, capsys, gen,
+                                                               message):
+        (tmp_path / "gen.json").write_text(json.dumps(gen))
+        out = tmp_path / "d1"
+        assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", out) == 1
+        assert config_error(capsys) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("users_text, schema, horizon, message", [
+        pytest.param(None, D7RR, "2000-01-01T00:00:00",
+                     "no postback was counted before the horizon 2000-01-01T00:00:00; "
+                     "no counts file is written", id="all_after_the_horizon"),
+        pytest.param(USERS_TEXT.splitlines()[0] + "\n", "kind=UD", None,
+                     "no postback was counted; no counts file is written", id="no_users"),
+    ])
+    def test_simulate_without_a_postback_writes_nothing(self, dataset_dir, tmp_path, capsys,
+                                                        users_text, schema, horizon, message):
+        """A counts file without cells lacks the column list that the later stages need."""
+        if users_text is not None:
+            (dataset_dir / "users.csv").write_text(users_text)
+            (dataset_dir / "events.csv").unlink()
+        argv = ["simulate", "--users", dataset_dir, "--schema", schema, "--seed", 1,
+                "--out", tmp_path / "c.csv"]
+        if horizon is not None:
+            argv += ["--horizon", horizon]
+        assert run_cli(*argv) == 1
+        assert config_error(capsys) == message
+        assert not (tmp_path / "c.csv").exists()
+        assert not list(dataset_dir.glob("postbacks-*.csv"))
 
     def test_cohort_without_spenders(self, tmp_path, capsys):
         """No spender: the first cell that fits buckets fails the run, after the dataset is written.

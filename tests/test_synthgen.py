@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skattr.errors import ConfigError
 from skattr.model import FLAG, PURCHASE, SESSION
-from skattr.io_files import save_dataset
+from skattr.io_files import load_users, save_dataset
 from skattr.synthgen import GenConfig, _below, generate_dataset
 from oracles import (
     homogeneous_fixture,
@@ -122,11 +122,31 @@ class TestConfigValidation:
             dict(groups=(("A", -0.5), ("B", 1.5))),  # sums to 1
             dict(groups=(("A", 0.5), ("A", 0.5))),
             dict(n_weeks=0),
+            # The users file refuses an alpha above the sentinel; the largest paid one is 104.
+            dict(organic_alpha=3),
+            dict(organic_alpha=104),
+            # Events after 9999-12-31 cannot be dated.
+            dict(start_date=date(9999, 12, 27), n_weeks=1),
+            dict(start_date=date(9999, 12, 20), n_weeks=1, event_horizon_days=30),
+            dict(start_date=date(9999, 11, 1), n_weeks=1, event_horizon_days=56),
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             small_cfg(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(organic_alpha=105),
+            dict(start_date=date(9999, 11, 1), n_weeks=1, event_horizon_days=55),
+        ],
+    )
+    def test_accepts_the_limits(self, kw, tmp_path):
+        """The dataset is written and read back."""
+        users, meta = generate_dataset(small_cfg(n_users=50, **kw))
+        paths = save_dataset(tmp_path, users, meta)
+        assert load_users(paths["users"], paths["events"])[0] == users
 
 
 class TestBelow:
