@@ -21,6 +21,8 @@ say) does not fail `simulate`; the later stages then simulate again.
 `simulate` that counts no postback (every one after `--horizon`, or no
 users) is a `ConfigError` and writes nothing. `benchmark` on dataset paths
 resolves them as the stages do and reads `UserRecord`s with `load_users`.
+A users file that lists a user needs its events file: every command that
+reads a dataset names a missing one in a `ConfigError`.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
@@ -55,7 +57,6 @@ from .metrics import (
     benchmark_matrix,
     check_window_days,
     score_level,
-    truth_vectors,
     window_error_curve,
 )
 from .model import ground_truth, usd
@@ -223,22 +224,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     postbacks = _postback_table(ameta, users_csv, events_csv)
-    truth = ground_truth(postbacks, 0, args.t)
-    stray = sorted({key for week_truth in truth.values() for key in week_truth} - set(columns))
+    origins, column = postbacks.cohort.origins, postbacks.cohort.column
+    delivered = {origins[j] for cell, j in zip(postbacks.cells, column) if cell >= 0}
+    stray = sorted(delivered - set(columns))
     if stray:
         raise ConfigError(
             f"true origin {stray[0].alpha} is not in the declared columns; "
             "was the attribution produced from this dataset?"
         )
+    # The truth's columns are the cohort's origins; every delivered one is declared.
+    declared = {k: j for j, k in enumerate(columns)}
+    truth: dict[str, list[int]] = {}
+    for week, by_origin in ground_truth(postbacks, 0, args.t).items():
+        vec = truth[week] = [0] * len(columns)
+        for k, cents in zip(origins, by_origin):
+            if cents:
+                vec[declared[k]] += cents
 
-    weekly, agg = score_level(
-        attr_weekly, truth_vectors(truth, columns), columns, include_organic=True, level="campaign"
-    )
+    weekly, agg = score_level(attr_weekly, truth, columns, include_organic=True, level="campaign")
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},
         "aggregate_error_usd": agg / 100.0,
-        "total_truth_usd": usd(sum(sum(w.values()) for w in truth.values())),
+        "total_truth_usd": usd(sum(map(sum, truth.values()))),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -259,7 +267,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         dmeta["config_hash"] = run_hash
         save_dataset(out_dir / "dataset", users, dmeta)
     else:
-        users, _ = load_users(*_dataset_paths(cfg.users_csv, cfg.events_csv), cfg.organic_alpha)
+        users_csv, events_csv = _dataset_paths(cfg.users_csv, cfg.events_csv)
+        users, _ = load_users(users_csv, events_csv, cfg.organic_alpha)
+        if users and not events_csv.exists():  # as ``load_cohort`` refuses it for the stages
+            raise ConfigError(f"input file {events_csv} does not exist")
 
     schemas = cfg.parsed_schemas()
     # One cohort for the grid and the curve, so the curve reuses the grid's

@@ -10,13 +10,18 @@ Every loader reads its file in one pass through ``_csv_rows``, which checks
 the meta line and header up front and then yields rows lazily, so no file
 is held in memory as a list of rows. Events rows are read by one
 generator, ``_event_rows``, for both dataset loaders: ``load_users`` builds
-an ``Event`` from each row it yields, and ``load_cohort`` folds each into
-its user's replay digest with ``schema.fold_event``, building no ``Event``
-or ``UserRecord``. Bytes that are not UTF-8 and fields over the csv size
-limit are a ``CsvFormatError`` naming the file and line. Only a user whose
-events are out of order, or do not start with a session, sends
-``load_cohort`` back to ``load_users`` and ``schema.prepare_users``, whose
-messages name it.
+an ``Event`` from each row it yields, and ``load_cohort`` hands them all to
+``schema.fold_events``, which folds each into its user's replay digest,
+building no ``Event`` or ``UserRecord``, and names each user's defect
+itself: a row error first, where the row is read, then an event before
+registration or out of order (smallest user id first, naming the events
+file), then a user without a first-open session. So ``load_cohort`` never
+reads the dataset again to name a defect. Bytes that are not UTF-8 and
+fields over the csv size limit are a ``CsvFormatError`` naming the file
+and line; only to find the first line that is not UTF-8 is a file read
+again, by any loader. A missing events file is a ``ConfigError`` naming it
+for ``load_cohort`` when the users file lists a user; ``load_users`` gives
+users without events.
 
 Every file's meta line and header are written by ``_open_csv``, and the
 rows of every file but one by ``csv.writer``. ``save_events`` writes each
@@ -53,7 +58,7 @@ from .model import (
     usd,
 )
 from .postback import CountMatrix
-from .schema import VALUE_RANGE, fold_event, prepare_users
+from .schema import VALUE_RANGE, fold_events
 
 META_PREFIX = "# skattr-meta "
 
@@ -224,6 +229,8 @@ def load_users(
     """
     upath = Path(user_csv)
     raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
+    if events_csv is not None and not Path(events_csv).exists():
+        events_csv = None
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
     for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
         events[uid].append(Event(us, kind, amount, flag_index))
@@ -287,34 +294,23 @@ def load_cohort(
     """The dataset's ``Cohort``, reading each CSV once, with no ``Event`` or ``UserRecord``.
 
     The result, or the error, is that of
-    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``.
-    Each row from ``_event_rows`` is folded into its user's digest by
-    ``schema.fold_event``, so a bad row raises its own error in this pass.
-    Only when some user's events are out of order, or do not start with a
-    session, is the dataset read again by that checked path, whose
-    ``UserRecord`` and ``prepare_user`` name the defect.
+    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``,
+    but for a missing events file: that is a ``ConfigError`` naming it when
+    the users file lists a user. ``schema.fold_events`` folds the rows of
+    ``_event_rows`` into the digests and names each user's defect.
     """
-    upath = Path(user_csv)
-    raw, _, sentinel = _user_rows(upath, organic_alpha)
-    digests: dict[int, list[tuple[int, int, int, int]]] = {uid: [] for uid in raw}
-    prev = None
-    for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
-        if uid != prev:
-            digest, start, prev = digests[uid], raw[uid][0].toordinal() * US_PER_DAY, uid
-        if not fold_event(digest, us - start, kind, amount, flag_index):
-            break
-    else:
-        if all(digests.values()):
-            ids = sorted(raw)
-            rows = [raw[uid] for uid in ids]
-            return Cohort(
-                ids,
-                [reg.toordinal() for reg, _, _ in rows],
-                [group for _, _, group in rows],
-                [(alpha == sentinel, alpha) for _, alpha, _ in rows],
-                [tuple(digests[uid]) for uid in ids],
-            )
-    return prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])
+    raw, _, sentinel = _user_rows(Path(user_csv), organic_alpha)
+    epath = None if events_csv is None else Path(events_csv)
+    ids = sorted(raw)
+    rows = [raw[uid] for uid in ids]
+    ordinals = [reg.toordinal() for reg, _, _ in rows]
+    return Cohort(
+        ids,
+        ordinals,
+        [group for _, _, group in rows],
+        [(alpha == sentinel, alpha) for _, alpha, _ in rows],
+        fold_events(ids, ordinals, _event_rows(epath, raw), epath),
+    )
 
 
 def _event_rows(
@@ -323,13 +319,15 @@ def _event_rows(
     """``(user id, instant, kind, amount, flag_index)`` of each events row, in file order.
 
     The instant is the naive ISO timestamp in microseconds on the model's
-    clock (``model.datetime_to_us``). Nothing when there is no events file.
+    clock (``model.datetime_to_us``). Nothing when ``events_csv`` is None, or
+    when the file is missing and there is no user to read events for; a
+    file missing for some user is a ``ConfigError`` naming it.
     Each row is checked in one order: its column count, a known integer
     user id, a naive ISO timestamp, a known kind, integer amount and
     flag fields, and ``model.check_event``. The first check a row fails
     raises its typed error with the file and line.
     """
-    if events_csv is None or not Path(events_csv).exists():
+    if events_csv is None or (not users and not Path(events_csv).exists()):
         return
     path = Path(events_csv)
     parse_ts = datetime.fromisoformat

@@ -11,7 +11,7 @@ the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
 ``attribute_cells`` (the one place that dispatches on the
 ``AttributionFunction``; it returns each cell's exact ``CellAttribution``,
 affine in lambda), ``model.ground_truth`` (actual window revenue per postback
-week and origin) and ``score_level`` (weekly and aggregate error at one
+week and origin column) and ``score_level`` (weekly and aggregate error at one
 level). A ``CellAttribution`` holds integer numerators a and b per column
 over one denominator D, and column j at lambda is (a_j + lambda * b_j) / D.
 The kernels do not read lambda, so the grid builds them once per (schema, p,
@@ -19,17 +19,16 @@ plain or null-aware) and evaluates ``null_uniform``, ``null_empirical`` and
 every ``null_convex`` lambda as integer cents from that one build.
 
 Scoring works on integer cents per column index, aligned with the cohort's
-origins (or the columns a file declares); ``truth_vectors`` turns
-``ground_truth``'s week -> origin map into such lists once per schema and
-window, and ``score_level`` maps each column to its label index at the
-campaign or network level. ``CampaignKey`` maps are left to the file
-readers and writers. Bucket means (``{value: Fraction}``, fitted per window
-and shared by every cell) and truth aggregate a schema's ``PostbackTable``
-by cell id and origin column over the cohort's window-revenue memo, so each
-user's revenue in a window is computed once however many schemas and
-estimators use it; each cell's developer totals come from
-``SimArtifacts.cell_totals`` and reach the null-aware estimator as their
-own argument.
+origins (or the columns a file declares): ``ground_truth`` returns such
+lists per week, once per schema and window, and ``score_level`` maps each
+column to its label index at the campaign or network level.
+``CampaignKey`` maps are left to the file readers and writers. Bucket
+means (``{value: Fraction}``, fitted per window and shared by every cell)
+and truth aggregate a schema's ``PostbackTable`` by cell id and origin
+column over the cohort's window-revenue memo, so each user's revenue in a
+window is computed once however many schemas and estimators use it; each
+cell's developer totals come from ``SimArtifacts.cell_totals`` and reach
+the null-aware estimator as their own argument.
 """
 
 from __future__ import annotations
@@ -177,19 +176,6 @@ def _level_index(
     return scored, [labels[_network_label(columns[j])] for j in scored]
 
 
-def truth_vectors(
-    truth: Mapping[str, Mapping[CampaignKey, int]], columns: Sequence[CampaignKey]
-) -> dict[str, list[int]]:
-    """``ground_truth``'s week -> origin -> cents as week -> cents per column index."""
-    index = {k: j for j, k in enumerate(columns)}
-    out: dict[str, list[int]] = {}
-    for week, by_origin in truth.items():
-        vec = out[week] = [0] * len(columns)
-        for k, cents in by_origin.items():
-            vec[index[k]] += cents
-    return out
-
-
 def score_level(
     attributed: Mapping[str, Sequence[int]],
     truth: Mapping[str, Sequence[int]],
@@ -314,8 +300,8 @@ def _grid_error(
 
     ``cells`` is ``attribute_cells`` over the artifacts' matrices, whose
     columns are the cohort's origins, evaluated here at ``fn.lam``.
-    ``truth`` is ``truth_vectors`` of ``ground_truth`` over the artifacts'
-    postbacks and the window the profiles were fitted on.
+    ``truth`` is ``ground_truth`` over the artifacts' postbacks and the
+    window the profiles were fitted on.
     """
     origins = artifacts.postbacks.cohort.origins
     by_week: dict[str, list[int]] = {}
@@ -380,7 +366,7 @@ def benchmark_matrix(
             ) from exc
         artifacts[label] = art
         profiles[label] = _group_profiles(art.postbacks, 0, t, profile_per_group)
-        truths[label] = truth_vectors(ground_truth(art.postbacks, 0, t), cohort.origins)
+        truths[label] = ground_truth(art.postbacks, 0, t)
     labels = list(artifacts)
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
@@ -542,12 +528,11 @@ def window_error_curve(
     wins = validate_windows(windows)
     g = window_estimator(g, p)
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)
-    origins = artifacts.postbacks.cohort.origins
     matrices = _estimator_matrices(artifacts, p, g)
     points: list[WindowPoint] = []
     for lo, hi in wins:
         profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
-        truth = truth_vectors(ground_truth(artifacts.postbacks, lo, hi), origins)
+        truth = ground_truth(artifacts.postbacks, lo, hi)
         cells = attribute_cells(matrices, profiles, artifacts.cell_totals, g)
         try:
             by_level = _grid_error(artifacts, cells, g, truth, include_organic)

@@ -16,18 +16,21 @@ A ``Cohort`` is the one handle the pipeline takes for a user list. It is
 built from columns in cohort order (ids, registration date ordinals, group
 labels, ``(organic, alpha)`` origins and the replay digests), either by
 ``schema.prepare_users`` from ``UserRecord``s or by ``io_files.load_cohort``
-straight from the dataset CSVs, both folding each event in with
-``schema.fold_event``, and holds the schema-independent facts as
-plain integer lists: registration midnight in microseconds (date ordinal x
-``US_PER_DAY``), group index and origin column. It fixes the count-matrix
-columns (paid campaigns by alpha, then the organic key) and memoises, on
-first use, window revenue per ``[lo, hi)``, postback delay per seed and each
-schema's simulation. Window revenue reads each user's (day offset, cents)
-purchase pairs, taken once from the digests' purchase entries, or given
-as they are when ``postback_view.load_postback_view`` reads the cohort from a
-postback view (such a cohort has no digests and is never replayed). Every
-schema simulated over the cohort reads these instead of recomputing them
-per user.
+straight from the dataset CSVs. Both digest the events with one function,
+``schema.fold_events``, which also names a user's defect in one order,
+whichever builder feeds it. The cohort holds the schema-independent facts
+as plain integer lists: registration midnight in microseconds (date
+ordinal x ``US_PER_DAY``), group index and origin column. It fixes the
+count-matrix columns (paid campaigns by alpha, then the organic key) and
+memoises, on first use, window revenue per ``[lo, hi)``, postback delay per
+seed and each schema's simulation. Window revenue reads each user's (day
+offset, cents) purchase pairs, taken once from the digests' purchase
+entries, or given as they are when ``postback_view.load_postback_view``
+reads the cohort from a postback view (such a cohort has no digests and is
+never replayed). Every schema simulated over the cohort reads these
+instead of recomputing them per user. ``ground_truth`` sums the window
+revenue of a schema's postbacks per postback week into one list of cents
+indexed like the cohort's ``origins``, the columns scoring works on.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class Cohort:
     The columns are one entry per user: ``ids``, registration date
     ``ordinals``, ``groups`` (labels), ``origins`` as ``(organic, alpha)``
     and ``digests``, the replay kernel's per-user event digests (see
-    ``schema.fold_event``). ``users`` are the records the columns were
+    ``schema.fold_events``). ``users`` are the records the columns were
     taken from, when ``schema.prepare_users`` built the cohort, and None
     when ``io_files.load_cohort`` read it from files. A cohort that
     ``postback_view.load_postback_view`` reads from a postback view has no
@@ -333,29 +336,26 @@ class Cohort:
         return out
 
 
-def ground_truth(
-    postbacks: PostbackTable, lo_day: int, hi_day: int
-) -> dict[str, dict[CampaignKey, int]]:
-    """Last-click revenue in ``[lo_day, hi_day)`` per (postback week, true origin).
+def ground_truth(postbacks: PostbackTable, lo_day: int, hi_day: int) -> dict[str, list[int]]:
+    """Last-click revenue in ``[lo_day, hi_day)`` per postback week, as cents per origin column.
 
-    Sums over groups; users without a postback are not counted. An origin
-    with a postback in a week has an entry there even at zero revenue.
+    Each week's list is indexed like ``postbacks.cohort.origins``. Sums over
+    groups; users without a postback are not counted, and only weeks with a
+    postback have a list.
     """
     cohort = postbacks.cohort
     width = len(cohort.origins)
-    acc: dict[int, int] = {}
+    out: dict[str, list[int]] = {}
+    by_cell: dict[int, list[int]] = {}  # each cell's week list
     for cell, j, cents in zip(
         postbacks.cells, cohort.column, cohort.window_revenue(lo_day, hi_day)
     ):
         if cell >= 0:
-            k = cell * width + j
-            acc[k] = acc.get(k, 0) + cents
-    out: dict[str, dict[CampaignKey, int]] = {}
-    for k, cents in acc.items():
-        cell, j = divmod(k, width)
-        bucket = out.setdefault(postbacks.cell_keys[cell][1], {})
-        origin = cohort.origins[j]
-        bucket[origin] = bucket.get(origin, 0) + cents
+            vec = by_cell.get(cell)
+            if vec is None:
+                week = postbacks.cell_keys[cell][1]
+                vec = by_cell[cell] = out.setdefault(week, [0] * width)
+            vec[j] += cents
     return out
 
 

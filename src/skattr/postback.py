@@ -14,7 +14,7 @@ developer-side per-value totals.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from functools import cached_property
 
@@ -95,6 +95,18 @@ class CountMatrix:
                 raise ConfigError("null row width must match the column count")
             if self.columns and min(self.null_row) < 0:
                 raise ConfigError("null row counts must be non-negative")
+
+    def _derive(self, **changes) -> CountMatrix:
+        """A copy with ``changes``, without running ``__post_init__``'s checks again.
+
+        The caller derives ``changes`` from this checked matrix so that the
+        copy passes them, as ``privacy.apply_threshold`` and
+        ``estimate_organic`` do. Loaded and hand-built matrices go through
+        the constructor, which keeps every check.
+        """
+        copy = object.__new__(CountMatrix)
+        vars(copy).update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        return copy
 
     @property
     def privacy_applied(self) -> bool:
@@ -178,4 +190,4 @@ def estimate_organic(
                 f"{total} is below the paid count {paid}"
             )
         new_rows.append(matrix.rows[v] + (residual,))
-    return replace(matrix, columns=matrix.columns + (organic,), rows=tuple(new_rows))
+    return matrix._derive(columns=matrix.columns + (organic,), rows=tuple(new_rows))

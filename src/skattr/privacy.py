@@ -15,7 +15,7 @@ null row's single nonzero column. That behavior is asserted by tests, not
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .postback import CountMatrix
@@ -38,7 +38,8 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
     """Suppress every value row with total below p into the null row.
 
     The row totals are the source matrix's ``row_sums``, computed once
-    however many thresholds read them.
+    however many thresholds read them, and the copy skips the checks the
+    source's rows already passed.
     """
     if matrix.privacy_applied:
         raise ConfigError("privacy threshold already applied to this matrix")
@@ -56,9 +57,6 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
             new_rows.append(zero)
         else:
             new_rows.append(row)
-    return replace(
-        matrix,
-        rows=tuple(new_rows),
-        suppressed=frozenset(suppressed),
-        null_row=tuple(null_row),
+    return matrix._derive(
+        rows=tuple(new_rows), suppressed=frozenset(suppressed), null_row=tuple(null_row)
     )

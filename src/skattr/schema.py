@@ -20,23 +20,24 @@ Only the final value matters downstream, so ``simulate_traces`` keeps no
 list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Events
 carry their instants on the model's integer clock (``Event.us``), so each
-is digested by one subtraction and ``fold_event``, one event at a time,
-for both builders of the ``model.Cohort`` that ``simulate_traces`` and
-every later pipeline step take: ``prepare_users`` per user list and
-``io_files.load_cohort`` per dataset. So day indices (calendar-day offsets
-from the registration date) and the 24h timer are exact integer
-arithmetic, also for timestamps with sub-second parts. PV values and
-fitted bucket boundaries read the cohort's window-revenue memo.
+is digested by one subtraction in ``fold_events``, which builds, and
+names the defects of, every replayable ``model.Cohort``: ``prepare_users``
+feeds it each record's events and ``io_files.load_cohort`` each events
+row. So day indices (calendar-day offsets from the registration date) and
+the 24h timer are exact integer arithmetic, also for timestamps with
+sub-second parts. PV values and fitted bucket boundaries read the cohort's
+window-revenue memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from pathlib import Path
 
-from .errors import ConfigError, DegenerateFitError, LayoutError
-from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord
+from .errors import ConfigError, CsvFormatError, DegenerateFitError, LayoutError
+from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord, us_to_datetime
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
@@ -223,73 +224,86 @@ def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:
     return schema.bucket_boundaries
 
 
-def fold_event(
-    digest: list, us: int, kind: str, amount: int | None, flag_index: int | None
-) -> bool:
-    """Fold one event, ``us`` microseconds after registration midnight, into a digest.
+def fold_events(
+    ids: Sequence[int],
+    ordinals: Sequence[int],
+    rows: Iterable[tuple[int, int, str, int | None, int | None]],
+    source: Path | None = None,
+) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """The replay digest of each user in ``ids``, registered on date ``ordinals``.
 
-    A digest has one entry per distinct instant: (microseconds since
-    registration midnight, purchase cents, purchase count, day-0 flag bits)
-    summed over the events at that instant. Returns False, leaving the
-    digest as it was, for an event that cannot come next: a first event
-    that is not a session at or after midnight, or one earlier than the
-    entry before it.
+    ``rows`` are ``(user id, instant, kind, amount, flag_index)``, users
+    possibly interleaved. A digest has one (microseconds since registration
+    midnight, purchase cents, purchase count, day-0 flag bits) entry per
+    distinct instant. Defects are raised once every row is read, so after
+    any error the rows raise: first the smallest user id whose first event
+    precedes registration midnight or whose events go back in time, as a
+    ``CsvFormatError`` naming ``source`` (a ``ConfigError`` without one);
+    then the first user in ``ids`` with no event, or whose first event is
+    not a session, as a ``ConfigError``.
     """
-    if kind == PURCHASE:
-        cents, n_purch, flags = amount, 1, 0
-    elif kind == FLAG and us < US_PER_DAY:
-        cents, n_purch, flags = 0, 0, 1 << flag_index
-    else:
-        cents = n_purch = flags = 0
-    if digest:
-        last = digest[-1]
-        if us > last[0]:
-            digest.append((us, cents, n_purch, flags))
-        elif us == last[0]:
-            digest[-1] = (us, last[1] + cents, last[2] + n_purch, last[3] | flags)
-        else:
-            return False
-    elif kind == SESSION and us >= 0:
-        digest.append((us, cents, n_purch, flags))
-    else:
-        return False
-    return True
-
-
-def prepare_user(user: UserRecord) -> tuple[tuple[int, int, int, int], ...]:
-    """One user's event digest, each event folded in by ``fold_event``.
-
-    An event's instant ``Event.us`` and registration midnight are on the
-    model's integer clock, so the offset is one subtraction. ``UserRecord``
-    keeps the events in order from registration midnight on, so the fold
-    refuses only a first event that is not a session.
-    """
-    start = user.registration_us
-    digest: list[tuple[int, int, int, int]] = []
-    for e in user.events:
-        if not fold_event(digest, e.us - start, e.kind, e.amount, e.flag_index):
-            break
-    else:
-        if digest:
-            return tuple(digest)
-    raise ConfigError(f"user {user.id} lacks a first-open session event")
+    digests: list[list[tuple[int, int, int, int]]] = [[] for _ in ids]
+    slots, days = dict(zip(ids, digests)), dict(zip(ids, ordinals))
+    if len(slots) != len(ids):
+        raise ConfigError("a cohort lists some user id more than once")
+    defects: dict[int, str] = {}  # each user's first order defect
+    no_open: set[int] = set()
+    prev, session, purchase, day = None, SESSION, PURCHASE, US_PER_DAY  # locals, for speed
+    for uid, us, kind, amount, flag_index in rows:
+        if uid != prev:
+            digest, start = slots[uid], days[uid] * day
+            prev, last, append = uid, digest[-1][0] if digest else -1, digest.append
+            if not digest and kind != session:
+                no_open.add(uid)
+        us -= start
+        if us > last:
+            last = us
+            if kind == session:
+                append((us, 0, 0, 0))
+            elif kind == purchase:
+                append((us, amount, 1, 0))
+            else:  # a flag counts on day 0 only
+                append((us, 0, 0, 1 << flag_index if us < day else 0))
+        elif us == last and digest:
+            e = digest[-1]
+            if kind == purchase:
+                digest[-1] = (us, e[1] + amount, e[2] + 1, e[3])
+            elif kind == FLAG and us < day:
+                digest[-1] = (us, e[1], e[2], e[3] | 1 << flag_index)
+        elif uid not in defects:
+            defects[uid] = "event precedes registration" if not digest else (
+                f"events out of order at {us_to_datetime(us + start).isoformat()}"
+            )
+    if defects:
+        message = f"user {min(defects)}: {defects[min(defects)]}"
+        raise ConfigError(message) if source is None else CsvFormatError(f"{source}: {message}")
+    for uid, digest in zip(ids, digests):
+        if not digest or uid in no_open:
+            raise ConfigError(f"user {uid} lacks a first-open session event")
+    return list(map(tuple, digests))
 
 
 def prepare_users(users: Iterable[UserRecord]) -> Cohort:
-    """Digest a user list into the ``Cohort`` every schema run over it takes.
-
-    ``io_files.load_cohort`` builds the same cohort straight from the
-    dataset CSVs, with the same ``fold_event``.
-    """
+    """Digest a user list, its events folded by ``fold_events``, into the ``Cohort`` it runs on."""
     users = tuple(users)
+    ids = [u.id for u in users]
+    ordinals = [u.registration_date.toordinal() for u in users]
     return Cohort(
-        [u.id for u in users],
-        [u.registration_date.toordinal() for u in users],
+        ids,
+        ordinals,
         [u.group for u in users],
         [(u.origin.organic, u.origin.alpha) for u in users],
-        [prepare_user(u) for u in users],
+        fold_events(ids, ordinals, _record_rows(users)),
         users,
     )
+
+
+def _record_rows(users: Iterable[UserRecord]) -> Iterator[tuple]:
+    """``fold_events``' rows of the records' events, user by user."""
+    for u in users:
+        uid = u.id
+        for e in u.events:
+            yield uid, e.us, e.kind, e.amount, e.flag_index
 
 
 def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:

@@ -46,7 +46,6 @@ from skattr.model import (
     Event,
     UserRecord,
     encode_alpha,
-    ground_truth,
     organic_key,
 )
 from skattr.pipeline import run_schema
@@ -751,6 +750,23 @@ def network_label(key: CampaignKey) -> str:
     return "organic" if key.organic else f"n{key.network}"
 
 
+def reference_truth(
+    postbacks: PostbackTable, lo_day: int, hi_day: int
+) -> dict[str, dict[CampaignKey, int]]:
+    """Window revenue per (postback week, true origin), summed one record at a time.
+
+    Walks each delivered user's events (``scan_revenue_between``); the
+    cohort must hold its ``UserRecord``s.
+    """
+    out: dict[str, dict[CampaignKey, int]] = {}
+    for user, cell in zip(postbacks.cohort.users, postbacks.cells):
+        if cell >= 0:
+            by_origin = out.setdefault(postbacks.cell_keys[cell][1], {})
+            cents = scan_revenue_between(user, lo_day, hi_day)
+            by_origin[user.origin] = by_origin.get(user.origin, 0) + cents
+    return out
+
+
 def reference_grid_cells(
     cohort: Cohort,
     schemas: Sequence[SchemaSpec],
@@ -780,7 +796,7 @@ def reference_grid_cells(
             acc = by_week.setdefault(cell[1], {})
             for k, val in res.items():
                 acc[k] = acc.get(k, 0) + round(val)
-        truth = ground_truth(art.postbacks, 0, t)
+        truth = reference_truth(art.postbacks, 0, t)
         return {
             level: reference_score_level(by_week, truth, cohort.origins, True, level)
             for level in ("campaign", "network")

@@ -368,6 +368,32 @@ def mutate(lines: list[str], i: int, edit: str, data) -> str:
     return ("\r\n" if edit == "crlf" else "\n").join(lines)
 
 
+USER_EDITS = ("swap_rows", "first_before_midnight", "first_is_flag", "drop_user")
+
+
+def mutate_user(lines: list[str], i: int, edit: str, users) -> str:
+    """The events file text with the rows of the user of data line ``lines[i]`` edited."""
+    uid = lines[i].split(",")[0]
+    mine = [j for j in range(2, len(lines) - 1) if lines[j].split(",")[0] == uid]
+    lines = list(lines)
+    first = lines[mine[0]].split(",")
+    if edit == "swap_rows":  # with the user's next row, or its previous one
+        k = mine.index(i)
+        j = mine[k + 1] if k + 1 < len(mine) else mine[k - 1] if k else i
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "first_before_midnight":
+        reg = next(u.registration_date for u in users if str(u.id) == uid)
+        midnight = datetime.combine(reg, datetime.min.time())
+        first[1] = (midnight - timedelta(microseconds=1)).isoformat()
+        lines[mine[0]] = ",".join(first)
+    elif edit == "first_is_flag":
+        first[2:] = [FLAG, "", "0"]
+        lines[mine[0]] = ",".join(first)
+    elif edit == "drop_user":
+        lines = [line for j, line in enumerate(lines) if j not in mine]
+    return "\n".join(lines)
+
+
 def outcome(load, *args):
     try:
         return load(*args)
@@ -415,7 +441,7 @@ class TestStreamingLoader:
     @pytest.mark.parametrize("edit", [
         "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
         "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
-        *TWO_CHECKS,
+        *TWO_CHECKS, *USER_EDITS,
     ])
     @given(cohort=cohorts(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -431,7 +457,11 @@ class TestStreamingLoader:
             save_events(epath, cohort, META)
             lines = epath.read_text().split("\n")
             i = data.draw(st.integers(2, len(lines) - 2))
-            epath.write_bytes(mutate(lines, i, edit, data).encode("utf-8", "surrogateescape"))
+            if edit in USER_EDITS:
+                text = mutate_user(lines, i, edit, cohort)
+            else:
+                text = mutate(lines, i, edit, data)
+            epath.write_bytes(text.encode("utf-8", "surrogateescape"))
             if edit in ESCAPES:
                 expected = outcome(load_users, upath, epath)
                 assert expected[0] is CsvFormatError
@@ -518,8 +548,14 @@ class TestLoadCohort:
         assert cohort.window_revenue(0, 1) == [125, 0]
 
     def test_missing_events_file(self, tmp_path):
-        error = self.load(tmp_path, None)
-        assert error == (ConfigError, "user 1 lacks a first-open session event")
+        """Unlike ``load_users``, a missing events file is an error when a user needs it."""
+        (tmp_path / "u.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
+        assert outcome(load_cohort, tmp_path / "u.csv", tmp_path / "e.csv") == (
+            ConfigError, f"input file {tmp_path / 'e.csv'} does not exist"
+        )
+        assert outcome(load_cohort, tmp_path / "u.csv") == (
+            ConfigError, "user 1 lacks a first-open session event"
+        )
         (tmp_path / "u.csv").write_text(USERS_TEXT.splitlines()[0] + "\n")
         assert load_cohort(tmp_path / "u.csv", tmp_path / "e.csv").ids == []
 
@@ -563,27 +599,79 @@ class TestLoadCohort:
             CsvFormatError, f"{tmp_path / 'e.csv'}: user 2: event precedes registration"
         )
 
+    @pytest.mark.parametrize("events, error", [
+        pytest.param(
+            "1,2024-01-01T09:00:00,flag,,0\n"
+            "2,2024-01-03T09:00:00,session,,\n"
+            "2,2024-01-03T08:00:00,session,,\n",
+            (CsvFormatError, ": user 2: events out of order at 2024-01-03T08:00:00"),
+            id="order_defect_before_a_missing_first_open"),
+        pytest.param(
+            "2,2024-01-02T23:00:00,session,,\n"
+            "1,2024-01-01T09:00:00,session,,\n"
+            "1,2024-01-01T08:00:00,session,,\n",
+            (CsvFormatError, ": user 1: events out of order at 2024-01-01T08:00:00"),
+            id="smallest_id_first"),
+        pytest.param(
+            "1,2024-01-01T09:00:00,flag,,0\n"
+            "1,2024-01-01T08:00:00,session,,\n"
+            "2,2024-01-03T09:00:00,session,,\n",
+            (CsvFormatError, ": user 1: events out of order at 2024-01-01T08:00:00"),
+            id="flag_first_then_out_of_order"),
+        pytest.param(
+            "1,2024-01-01T09:00:00,flag,,1\n"
+            "1,2024-01-01T10:00:00,session,,\n",
+            (ConfigError, "user 1 lacks a first-open session event"),
+            id="flag_first_and_a_user_without_events"),
+    ])
+    def test_two_users_with_different_defects(self, tmp_path, events, error):
+        """Order defects come first, the smallest user id first; a missing first open last."""
+        kind, message = error
+        if kind is CsvFormatError:
+            message = f"{tmp_path / 'e.csv'}{message}"
+        assert self.load(tmp_path, events) == (kind, message)
+
     @pytest.mark.parametrize("row, error", [
         pytest.param("1,2024-01-01T10:00:00,purchase,0,", (
-            CsvFormatError, "3: purchase amount must be a positive cent count"), id="amount"),
+            CsvFormatError, ":3: purchase amount must be a positive cent count"), id="amount"),
         pytest.param("7,2024-01-01T10:00:00,session,,", (
-            ReferentialError, "3: event references unknown user 7"), id="unknown_user"),
+            ReferentialError, ":3: event references unknown user 7"), id="unknown_user"),
         pytest.param("1,2024-01-01T10:00:00,click,,", (
-            CsvFormatError, "3: unknown event kind 'click'"), id="kind"),
+            CsvFormatError, ":3: unknown event kind 'click'"), id="kind"),
+        pytest.param("1,2024-01-01T08:00:00,session,,", (
+            CsvFormatError, ": user 1: events out of order at 2024-01-01T08:00:00"),
+            id="out_of_order"),
+        pytest.param("2,2024-01-02T23:00:00,session,,", (
+            CsvFormatError, ": user 2: event precedes registration"), id="before_registration"),
+        pytest.param("2,2024-01-03T08:00:00,flag,,0", (
+            ConfigError, "user 2 lacks a first-open session event"), id="first_not_a_session"),
+        pytest.param(None, (ConfigError, "user 1 lacks a first-open session event"),
+                     id="no_events"),
     ])
     def test_bad_row_raises_without_a_second_read(self, tmp_path, monkeypatch, row, error):
+        """A bad row, and each user defect, is raised in one read of each file."""
         def second_read(*args):
             raise AssertionError("load_cohort read the dataset again")
 
         (tmp_path / "u.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
-        (tmp_path / "e.csv").write_text(
-            EVENTS_HEADER + "1,2024-01-01T09:00:00,session,,\n" + row + "\n"
-            "2,2024-01-03T09:00:00,session,,\n"
-        )
+        first = "" if row is None else "1,2024-01-01T09:00:00,session,,\n" + row + "\n"
+        (tmp_path / "e.csv").write_text(EVENTS_HEADER + first + "2,2024-01-03T09:00:00,session,,\n")
+        opened = []
+        open_input = skattr.io_files._open_input
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(path)
+            return open_input(path, *args, **kwargs)
+
+        monkeypatch.setattr(skattr.io_files, "_open_input", counted_open)
         monkeypatch.setattr(skattr.io_files, "load_users", second_read)
-        assert outcome(load_cohort, tmp_path / "u.csv", tmp_path / "e.csv") == (
-            error[0], f"{tmp_path / 'e.csv'}:{error[1]}"
-        )
+        monkeypatch.setattr(skattr.schema, "prepare_users", second_read)
+        assert not hasattr(skattr.io_files, "prepare_users")
+        kind, message = error
+        if kind is not ConfigError:
+            message = f"{tmp_path / 'e.csv'}{message}"
+        assert outcome(load_cohort, tmp_path / "u.csv", tmp_path / "e.csv") == (kind, message)
+        assert sorted(opened) == [tmp_path / "e.csv", tmp_path / "u.csv"]
 
     def test_shared_cohort_must_be_built_from_the_users(self, dataset, dataset_dir):
         cohort = load_cohort(dataset_dir / "users.csv", dataset_dir / "events.csv")
@@ -981,6 +1069,34 @@ class TestCliErrors:
         assert not (tmp_path / "c.csv").exists()
         assert not list(dataset_dir.glob("postbacks-*.csv"))
 
+    @pytest.mark.parametrize("command", ["simulate", "attribute", "evaluate", "benchmark"])
+    def test_missing_events_file_is_named(self, tmp_path, capsys, command):
+        """A users file that lists a user needs its events file, whichever command reads it."""
+        (tmp_path / "gen.json").write_text(json.dumps({"n_users": 50, "seed": 1}))
+        data, counts, attr = tmp_path / "d", tmp_path / "c.csv", tmp_path / "a.csv"
+        assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", data) == 0
+        assert run_cli("simulate", "--users", data, "--schema", "kind=UD", "--seed", 1,
+                       "--out", counts) == 0
+        assert run_cli("attribute", "--counts", counts, "--profile-from", data, "--t", 30,
+                       "--g", "plain", "--out", attr) == 0
+        grid = {"users_csv": str(data / "users.csv"), "schemas": ["kind=UD"], "p_values": [0],
+                "g_modes": ["plain"], "windows": []}
+        (tmp_path / "run.json").write_text(json.dumps(grid))
+        (data / "events.csv").unlink()
+        argv = {
+            "simulate": ["--users", data, "--schema", "kind=UD", "--seed", 1,
+                         "--out", tmp_path / "c2.csv"],
+            "attribute": ["--counts", counts, "--profile-from", data, "--t", 30, "--g", "plain",
+                          "--out", tmp_path / "a2.csv"],
+            "evaluate": ["--attr", attr, "--truth-from", data, "--t", 30,
+                         "--out", tmp_path / "r.json"],
+            "benchmark": ["--config", tmp_path / "run.json", "--out", tmp_path / "out"],
+        }[command]
+        assert run_cli(command, *argv) == 1
+        assert config_error(capsys) == f"input file {data / 'events.csv'} does not exist"
+        assert not {"c2.csv", "a2.csv", "r.json"} & {p.name for p in tmp_path.iterdir()}
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_cohort_without_spenders(self, tmp_path, capsys):
         """No spender: the first cell that fits buckets fails the run, after the dataset is written.
 
@@ -1087,7 +1203,7 @@ class TestCliErrors:
         schema = schema_from_text(meta["schema"])
         postbacks = run_schema(prepare_users(users), schema, meta["seed"]).postbacks
         truth = ground_truth(postbacks, 0, 30)[gone]
-        assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth.values())) / 100)
+        assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth)) / 100)
         assert cut[gone] != full[gone]
 
 

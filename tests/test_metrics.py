@@ -18,7 +18,6 @@ from skattr.metrics import (
     benchmark_matrix,
     normalize_vs_baseline,
     score_level,
-    truth_vectors,
     validate_windows,
     weekly_error,
     window_error_curve,
@@ -89,8 +88,7 @@ class TestScoreLevel:
         a, b, org = CampaignKey(101), CampaignKey(205), organic_key(900)
         columns = (a, b, org)
         attributed = {"W1": [300, 100, 0], "W3": [50, 0, 0]}
-        truth = truth_vectors({"W1": {a: 300, org: 100}, "W2": {b: 400}}, columns)
-        assert truth == {"W1": [300, 0, 100], "W2": [0, 400, 0]}
+        truth = {"W1": [300, 0, 100], "W2": [0, 400, 0]}
         weekly, agg = score_level(attributed, truth, columns, True, "campaign")
         assert weekly == (("W1", math.sqrt(2 * 100**2)), ("W2", 400.0), ("W3", 50.0))
         assert agg == pytest.approx((math.sqrt(2 * 100**2) * 400 + 400 * 400) / 800)

@@ -216,26 +216,34 @@ def postbacks_at(users, when=datetime(2024, 1, 3, 12)):
 
 
 def truth_of(users, postbacks, lo_day, hi_day):
-    return ground_truth(table_of(users, postbacks), lo_day, hi_day)
+    """``ground_truth`` over the table of these postbacks, and the origins its lists follow."""
+    table = table_of(users, postbacks)
+    return ground_truth(table, lo_day, hi_day), table.cohort.origins
 
 
 class TestGroundTruth:
     def test_single_user(self):
         user = make_user(purchases=[(1, 12, 300)])
-        truth = truth_of([user], postbacks_at([user]), 0, 7)
-        assert truth == {"2024-W01": {encode_alpha(4, 5): 300}}
+        truth, origins = truth_of([user], postbacks_at([user]), 0, 7)
+        assert origins == (encode_alpha(4, 5), organic_key(406))
+        assert truth == {"2024-W01": [300, 0]}
 
     def test_origin_without_revenue_has_an_entry(self):
+        """Every origin column has an entry in a week, zero without revenue or postback."""
         spender = make_user(uid=1, purchases=[(1, 12, 300)], origin=encode_alpha(4, 5))
         idle = make_user(uid=2, origin=encode_alpha(4, 6))
-        truth = truth_of([spender, idle], postbacks_at([spender, idle]), 0, 7)
-        assert truth == {"2024-W01": {encode_alpha(4, 5): 300, encode_alpha(4, 6): 0}}
+        unsent = make_user(uid=3, purchases=[(0, 12, 900)], origin=encode_alpha(4, 7))
+        truth, origins = truth_of([spender, idle, unsent], postbacks_at([spender, idle]), 0, 7)
+        assert origins[:3] == (encode_alpha(4, 5), encode_alpha(4, 6), encode_alpha(4, 7))
+        assert truth == {"2024-W01": [300, 0, 0, 0]}
 
     def test_disjoint_origins(self):
         u1 = make_user(uid=1, purchases=[(0, 12, 200)], origin=encode_alpha(4, 5))
         u2 = make_user(uid=2, purchases=[(0, 12, 500)], origin=organic_key(700))
-        truth = truth_of([u1, u2], postbacks_at([u1, u2]), 0, 7)
-        assert truth["2024-W01"] == {encode_alpha(4, 5): 200, organic_key(700): 500}
+        truth, origins = truth_of([u1, u2], postbacks_at([u1, u2]), 0, 7)
+        assert dict(zip(origins, truth["2024-W01"])) == {
+            encode_alpha(4, 5): 200, organic_key(700): 500
+        }
 
     def test_matches_groupby_oracle(self):
         import random
@@ -250,12 +258,12 @@ class TestGroundTruth:
             users.append(
                 make_user(uid=uid, purchases=sorted(purchases), origin=encode_alpha(0, uid % 3))
             )
-        truth = truth_of(users, postbacks_at(users), 0, 7)
+        truth, origins = truth_of(users, postbacks_at(users), 0, 7)
         oracle = groupby_truth(users, 7)
         assert list(truth) == ["2024-W01"]
-        for key, cents in oracle.items():
-            assert truth["2024-W01"].get(key, 0) == cents
-        assert sum(truth["2024-W01"].values()) == sum(oracle.values())
+        by_origin = dict(zip(origins, truth["2024-W01"]))
+        assert {k: c for k, c in by_origin.items() if c} == {k: c for k, c in oracle.items() if c}
+        assert sum(truth["2024-W01"]) == sum(oracle.values())
 
     def test_conservation(self):
         users = [
@@ -269,10 +277,9 @@ class TestGroundTruth:
         ]
         # Two postback weeks, and user 7 has no postback at all.
         postbacks = postbacks_at(users[:4]) | postbacks_at(users[4:7], datetime(2024, 1, 10))
-        truth = truth_of(users, postbacks, 0, 30)
+        truth, _ = truth_of(users, postbacks, 0, 30)
         assert sorted(truth) == ["2024-W01", "2024-W02"]
-        total = sum(sum(week.values()) for week in truth.values())
-        assert total == sum(scan_revenue(u, 30) for u in users[:7])
+        assert sum(map(sum, truth.values())) == sum(scan_revenue(u, 30) for u in users[:7])
 
 
 class TestWeeks:

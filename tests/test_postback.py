@@ -1,8 +1,9 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, datetime, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skattr.errors import ConfigError, InconsistentTotalsError
 from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, iso_week, organic_key
@@ -175,6 +176,26 @@ class TestEstimateOrganic:
         out = estimate_organic(m, {}, organic_key(100))
         with pytest.raises(ConfigError):
             estimate_organic(out, {}, organic_key(100))
+
+
+@given(
+    paid=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2), st.integers(0, 9)), max_size=12),
+    extra=st.dictionaries(st.integers(0, 63), st.integers(0, 9), max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_organic_copy_equals_a_checked_matrix(paid, extra):
+    """``estimate_organic`` skips the constructor's checks, so its copy must pass them."""
+    columns = (encode_alpha(0, 0), encode_alpha(0, 1), encode_alpha(1, 0))
+    rows = [[0] * len(columns) for _ in range(64)]
+    for v, j, count in paid:
+        rows[v][j] += count
+    m = replace(empty_matrix("G", "2024-W01", columns), rows=tuple(map(tuple, rows)))
+    totals = {v: m.row_sums[v] + extra.get(v, 0) for v in range(64) if m.row_sums[v] or v in extra}
+    out = estimate_organic(m, totals, organic_key(200))
+    fresh = CountMatrix(**{f.name: getattr(out, f.name) for f in fields(out)})
+    assert out == fresh and hash(out) == hash(fresh)
+    assert out.row_sums == fresh.row_sums
+    assert m.columns == columns  # the source is untouched
 
 
 def test_paid_campaigns_sorted_distinct():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,3 +101,14 @@ def test_threshold_properties(m, p):
         assert out.rows == m.rows
         assert sum(out.null_row) == 0
 
+
+
+@given(m=random_matrix(), p=st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_threshold_copy_equals_a_checked_matrix(m, p):
+    """``apply_threshold`` skips the constructor's checks, so its copy must pass them."""
+    out = apply_threshold(m, PrivacyConfig(p))
+    fresh = CountMatrix(**{f.name: getattr(out, f.name) for f in fields(out)})
+    assert out == fresh and hash(out) == hash(fresh)
+    assert out.row_sums == fresh.row_sums
+    assert m.privacy_applied is False and m.null_row is None  # the source is untouched
