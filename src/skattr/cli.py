@@ -18,11 +18,14 @@ file nor the replay. When the view is missing, or its key or hashes do not
 match the files, they read the dataset and simulate again, which gives the
 same table. A view that cannot be written (a read-only dataset directory,
 say) does not fail `simulate`; the later stages then simulate again.
+`--horizon` (and the horizon a counts file records) is naive ISO text: a
+UTC offset is refused before any file is read, and the pipeline gets it
+once converted, as microseconds on the model's clock.
 `simulate` that counts no postback (every one after `--horizon`, or no
 users) is a `ConfigError` and writes nothing. `benchmark` on dataset paths
 resolves them as the stages do and reads `UserRecord`s with `load_users`.
-A users file that lists a user needs its events file: every command that
-reads a dataset names a missing one in a `ConfigError`.
+A users file that lists a user needs its events file: both dataset
+loaders name a missing one in a `ConfigError`, for every command.
 Any failure exits nonzero with a one-line JSON error on stderr.
 """
 
@@ -59,7 +62,7 @@ from .metrics import (
     score_level,
     window_error_curve,
 )
-from .model import ground_truth, usd
+from .model import datetime_to_us, ground_truth, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .postback import PostbackTable
 from .postback_view import dataset_hashes, load_postback_view, save_postback_view
@@ -93,7 +96,8 @@ def _dataset_paths(source: str, events: str | None) -> tuple[Path, Path | None]:
     return (p / "users.csv" if p.is_dir() else p), epath
 
 
-def _parse_horizon(text: str | None) -> datetime | None:
+def _parse_horizon(text: str | None) -> int | None:
+    """A naive ISO horizon as microseconds on the model's clock (``model.datetime_to_us``)."""
     if text is None:
         return None
     try:
@@ -102,7 +106,7 @@ def _parse_horizon(text: str | None) -> datetime | None:
         raise ConfigError(f"bad horizon timestamp {text!r}") from exc
     if horizon.utcoffset() is not None:
         raise ConfigError(f"horizon timestamp {text!r} has a UTC offset; skattr times are naive")
-    return horizon
+    return datetime_to_us(horizon)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -269,8 +273,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     else:
         users_csv, events_csv = _dataset_paths(cfg.users_csv, cfg.events_csv)
         users, _ = load_users(users_csv, events_csv, cfg.organic_alpha)
-        if users and not events_csv.exists():  # as ``load_cohort`` refuses it for the stages
-            raise ConfigError(f"input file {events_csv} does not exist")
 
     schemas = cfg.parsed_schemas()
     # One cohort for the grid and the curve, so the curve reuses the grid's

@@ -9,8 +9,9 @@ USD decimal its consumers expect. CSVs are RFC-4180 with header rows.
 Every loader reads its file in one pass through ``_csv_rows``, which checks
 the meta line and header up front and then yields rows lazily, so no file
 is held in memory as a list of rows. Events rows are read by one
-generator, ``_event_rows``, for both dataset loaders: ``load_users`` builds
-an ``Event`` from each row it yields, and ``load_cohort`` hands them all to
+generator, ``_event_rows``, for both dataset loaders. Each row it yields is
+``(user id, *model.Event)``: ``load_users`` keeps the ``Event`` part in
+its user's record, and ``load_cohort`` hands them all to
 ``schema.fold_events``, which folds each into its user's replay digest,
 building no ``Event`` or ``UserRecord``, and names each user's defect
 itself: a row error first, where the row is read, then an event before
@@ -20,8 +21,7 @@ reads the dataset again to name a defect. Bytes that are not UTF-8 and
 fields over the csv size limit are a ``CsvFormatError`` naming the file
 and line; only to find the first line that is not UTF-8 is a file read
 again, by any loader. A missing events file is a ``ConfigError`` naming it
-for ``load_cohort`` when the users file lists a user; ``load_users`` gives
-users without events.
+for both loaders when the users file lists a user.
 
 Every file's meta line and header are written by ``_open_csv``, and the
 rows of every file but one by ``csv.writer``. ``save_events`` writes each
@@ -41,10 +41,9 @@ from contextlib import contextmanager
 from datetime import date, datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from .errors import ConfigError, CsvFormatError, ReferentialError
-from .metrics import AttributionReport, WindowPoint
 from .model import (
     EVENT_KINDS,
     US_PER_DAY,
@@ -59,6 +58,9 @@ from .model import (
 )
 from .postback import CountMatrix
 from .schema import VALUE_RANGE, fold_events
+
+if TYPE_CHECKING:
+    from .metrics import AttributionReport, WindowPoint
 
 META_PREFIX = "# skattr-meta "
 
@@ -196,17 +198,16 @@ def save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) ->
     with _open_csv(Path(path), meta, EVENT_FIELDS) as fh:
         for u in sorted(users, key=lambda u: u.id):
             uid, lines = u.id, []
-            for e in u.events:
-                day, us = divmod(e.us, US_PER_DAY)
+            for us, kind, amount, flag_index in u.events:
+                day, us = divmod(us, US_PER_DAY)
                 date_text = dates.get(day)
                 if date_text is None:
                     date_text = dates[day] = date.fromordinal(day).isoformat()
                 sec, frac = divmod(us, 1_000_000)
                 minute, sec = divmod(sec, 60)
-                amount, flag_index = e.amount, e.flag_index
                 lines.append(
                     f"{uid},{date_text}{minutes[minute]}{seconds[sec]}"
-                    f"{f'.{frac:06d}' if frac else ''},{e.kind},"
+                    f"{f'.{frac:06d}' if frac else ''},{kind},"
                     f"{'' if amount is None else amount},"
                     f"{'' if flag_index is None else flag_index}\n"
                 )
@@ -222,15 +223,13 @@ def load_users(
 
     The organic sentinel comes from the argument or the file meta; rows with
     alpha beyond the sentinel are rejected (the combined id space is bounded
-    by it). An empty or missing events file yields zero-revenue users. Each
-    events row comes from ``_event_rows``; a user whose events are out of
-    order, or start before registration, is a ``CsvFormatError`` naming
-    the events file.
+    by it). Each events row comes from ``_event_rows``, which names a
+    missing events file as ``load_cohort`` does, and becomes the user's
+    ``Event``; a user whose events are out of order, or start before
+    registration, is a ``CsvFormatError`` naming the events file.
     """
     upath = Path(user_csv)
     raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
-    if events_csv is not None and not Path(events_csv).exists():
-        events_csv = None
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
     for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
         events[uid].append(Event(us, kind, amount, flag_index))
@@ -294,10 +293,9 @@ def load_cohort(
     """The dataset's ``Cohort``, reading each CSV once, with no ``Event`` or ``UserRecord``.
 
     The result, or the error, is that of
-    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``,
-    but for a missing events file: that is a ``ConfigError`` naming it when
-    the users file lists a user. ``schema.fold_events`` folds the rows of
-    ``_event_rows`` into the digests and names each user's defect.
+    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``.
+    ``schema.fold_events`` folds the rows of ``_event_rows`` into the
+    digests and names each user's defect.
     """
     raw, _, sentinel = _user_rows(Path(user_csv), organic_alpha)
     epath = None if events_csv is None else Path(events_csv)

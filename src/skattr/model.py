@@ -9,8 +9,10 @@ only file text and messages use. Revenue windows are half-open in whole
 days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
 (Monday start). Campaign keys, users and events are immutable after
-construction. ``check_event`` is the rule on an event's kind and fields,
-kept by ``Event`` and by the dataset reader.
+construction. An ``Event`` is a plain named tuple ``(us, kind, amount,
+flag_index)``, the events row less its user id; ``UserRecord`` checks its
+events, and the dataset reader each row, with ``check_event``, the rule on
+an event's kind and fields.
 
 A ``Cohort`` is the one handle the pipeline takes for a user list. It is
 built from columns in cohort order (ids, registration date ordinals, group
@@ -39,7 +41,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError, InvalidCampaignError, OrganicKeyError
 
@@ -125,17 +127,14 @@ def us_to_datetime(us: int) -> datetime:
     return datetime.min + MICROSECOND * (us - US_PER_DAY)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
+class Event(NamedTuple):
     """One user event: a session, a purchase (amount in cents), or a flag.
 
     ``us`` is the event's instant in integer microseconds on the model's
     clock (registration midnight is ``date.toordinal() * US_PER_DAY``);
-    ``timestamp`` is the same instant as a naive ``datetime``. The fields
-    are checked (``us`` an ``int``, the others by ``check_event``) and then
-    fixed: ``__init__`` fills the slots directly, which costs well under
-    the frozen dataclass's generated ``__init__``, and assigning a field
-    afterwards raises.
+    ``timestamp`` is the same instant as a naive ``datetime``. An event is
+    the row ``io_files._event_rows`` yields less its user id. Its fields
+    are checked where a ``UserRecord`` takes it.
     """
 
     us: int
@@ -143,25 +142,9 @@ class Event:
     amount: int | None = None
     flag_index: int | None = None
 
-    def __init__(
-        self, us: int, kind: str, amount: int | None = None, flag_index: int | None = None
-    ) -> None:
-        if type(us) is not int:
-            raise ConfigError(f"event instant must be an int, got {us!r}")
-        check_event(kind, amount, flag_index)
-        _set_us(self, us)
-        _set_kind(self, kind)
-        _set_amount(self, amount)
-        _set_flag_index(self, flag_index)
-
     @property
     def timestamp(self) -> datetime:
         return us_to_datetime(self.us)
-
-
-_set_us, _set_kind, _set_amount, _set_flag_index = (
-    Event.__dict__[name].__set__ for name in ("us", "kind", "amount", "flag_index")
-)
 
 
 def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
@@ -193,8 +176,10 @@ def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
 class UserRecord:
     """One user: registration date, true origin, event stream, group label.
 
-    Events must be non-decreasing in time and start no earlier than
-    registration midnight. Origin is unique per user (last-click semantics).
+    The events are checked here, in one pass: each instant an ``int``, each
+    event's fields by ``check_event``, the first no earlier than
+    registration midnight and none earlier than the one before it. Origin
+    is unique per user (last-click semantics).
     """
 
     id: int
@@ -208,16 +193,17 @@ class UserRecord:
             raise ConfigError(f"user id must be an int, got {self.id!r}")
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
-        if not self.events:
-            return
-        prev = self.events[0].us
-        if prev < self.registration_us:
-            raise ConfigError(f"user {self.id}: event precedes registration")
-        for e in self.events:
-            us = e.us
-            if us < prev:
+        prev = None
+        for us, kind, amount, flag_index in self.events:
+            if type(us) is not int:
+                raise ConfigError(f"event instant must be an int, got {us!r}")
+            check_event(kind, amount, flag_index)
+            if prev is None:
+                if us < self.registration_us:
+                    raise ConfigError(f"user {self.id}: event precedes registration")
+            elif us < prev:
                 raise ConfigError(
-                    f"user {self.id}: events out of order at {e.timestamp.isoformat()}"
+                    f"user {self.id}: events out of order at {us_to_datetime(us).isoformat()}"
                 )
             prev = us
 

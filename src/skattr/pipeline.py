@@ -6,10 +6,12 @@ identical numbers for the same seed. Every step takes the cohort
 (``schema.prepare_users``, a ``model.Cohort``), which fixes the users, the
 organic key and the matrix columns, and works in integers: a postback is
 delivered at registration midnight + last commit + delay microseconds,
-dropped when that is after the horizon, and counted in the (group, ISO
-week) cell of its delivery. A cell id is arithmetic on the delivery
-instant: whole weeks since the Monday on or before the cohort's first
-registration, times the group count, plus the group index. Postback delay
+dropped when that is after the horizon, itself microseconds on the model's
+clock (``cli`` converts the naive ``--horizon`` text once, with
+``model.datetime_to_us``), and counted in the (group, ISO week) cell of
+its delivery. A cell id is arithmetic on the delivery instant: whole
+weeks since the Monday on or before the cohort's first registration,
+times the group count, plus the group index. Postback delay
 randomness is one Uniform[0, 1) draw per user from the substream (seed,
 "postback", user_id); it does not depend on the schema, so it is drawn
 once per (seed, user) and kept on the cohort as microseconds.
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from datetime import date, datetime
+from datetime import date
 
 from .errors import ConfigError
-from .model import US_PER_DAY, US_PER_WEEK, Cohort, datetime_to_us
+from .model import US_PER_DAY, US_PER_WEEK, Cohort
 from .postback import (
     CellKey,
     CountMatrix,
@@ -53,38 +55,27 @@ def resolve_schema(schema: SchemaSpec, cohort: Cohort, seed: int) -> SchemaSpec:
     return schema
 
 
-def horizon_us(horizon: datetime) -> int:
-    """A naive horizon instant in microseconds on the cohort's clock.
-
-    The clock counts from midnight of date ordinal 0, so registration
-    midnight is ``date.toordinal() * US_PER_DAY``.
-    """
-    if horizon.utcoffset() is not None:
-        raise ConfigError(
-            f"horizon {horizon.isoformat()!r} has a UTC offset; skattr times are naive"
-        )
-    return datetime_to_us(horizon)
-
-
 def simulate_postbacks(
-    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None = None
+    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: int | None = None
 ) -> PostbackTable:
     """One postback per user (organic users included: the developer's view).
 
     ``simulate_traces`` gives each user's final value and last commit as
     microseconds since registration midnight; the postback is delivered
     ``postback_delay_us`` later. Users whose postback would land after
-    ``horizon`` get cell -1: they count neither in matrices nor in ground
-    truth. The delay per (seed, user) is memoised on the cohort; the table's
-    ``cell_keys`` name each cell id it uses, one ``cell_of`` call per id.
+    ``horizon`` (integer microseconds on the model's clock) get cell -1:
+    they count neither in matrices nor in ground truth. The delay per
+    (seed, user) is memoised on the cohort; the table's ``cell_keys`` name
+    each cell id it uses, one ``cell_of`` call per id.
     """
+    if horizon is not None and type(horizon) is not int:
+        raise ConfigError(f"horizon must be integer microseconds, got {horizon!r}")
     finals = simulate_traces(cohort, schema)
     delays = cohort.delays.get(seed)
     if delays is None:
         delays = cohort.delays[seed] = [
             postback_delay_us(substream(seed, "postback", uid).random()) for uid in cohort.ids
         ]
-    limit = horizon_us(horizon) if horizon is not None else None
     labels = cohort.group_labels
     n_groups = len(labels)
     first_day = min(cohort.midnight_us, default=0) // US_PER_DAY
@@ -99,7 +90,7 @@ def simulate_postbacks(
         sent = midnight + last_us + delay
         values.append(value)
         sent_us.append(sent)
-        if limit is not None and sent > limit:
+        if horizon is not None and sent > horizon:
             cells.append(-1)
             continue
         cells.append((sent - week0) // US_PER_WEEK * n_groups + group)
@@ -160,9 +151,9 @@ class SimArtifacts:
 
 
 def run_schema(
-    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: datetime | None = None
+    cohort: Cohort, schema: SchemaSpec, seed: int, horizon: int | None = None
 ) -> SimArtifacts:
-    """Fit, simulate and aggregate one schema over the cohort."""
+    """Fit, simulate and aggregate one schema over the cohort, up to ``horizon`` microseconds."""
     fitted = resolve_schema(schema, cohort, seed)
     postbacks = simulate_postbacks(cohort, fitted, seed, horizon)
     totals = developer_totals(postbacks)

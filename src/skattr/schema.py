@@ -21,11 +21,12 @@ list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Events
 carry their instants on the model's integer clock (``Event.us``), so each
 is digested by one subtraction in ``fold_events``, which builds, and
-names the defects of, every replayable ``model.Cohort``: ``prepare_users``
-feeds it each record's events and ``io_files.load_cohort`` each events
-row. So day indices (calendar-day offsets from the registration date) and
-the 24h timer are exact integer arithmetic, also for timestamps with
-sub-second parts. PV values and fitted bucket boundaries read the cohort's
+names the defects of, every replayable ``model.Cohort``. Its rows are
+``(user id, *Event)``: ``prepare_users`` feeds it each record's events
+after the user's id and ``io_files.load_cohort`` each events row. So day
+indices (calendar-day offsets from the registration date) and the 24h
+timer are exact integer arithmetic, also for timestamps with sub-second
+parts. PV values and fitted bucket boundaries read the cohort's
 window-revenue memo.
 """
 
@@ -299,11 +300,11 @@ def prepare_users(users: Iterable[UserRecord]) -> Cohort:
 
 
 def _record_rows(users: Iterable[UserRecord]) -> Iterator[tuple]:
-    """``fold_events``' rows of the records' events, user by user."""
+    """``fold_events``' rows of the records' events: each ``Event`` after its user's id."""
     for u in users:
         uid = u.id
-        for e in u.events:
-            yield uid, e.us, e.kind, e.amount, e.flag_index
+        for us, kind, amount, flag_index in u.events:
+            yield uid, us, kind, amount, flag_index
 
 
 def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:

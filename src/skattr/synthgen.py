@@ -20,9 +20,12 @@ byte.
 Times are drawn as integer seconds since registration midnight. A user's
 events are sorted once, as integer keys, and each ``Event`` is built in
 final order with its instant on the model's integer clock
-(``model.Event.us``); no ``datetime`` is made per event. ``tests/oracles.py``
-keeps a generator that builds every event from a ``datetime`` and draws
-with ``randrange``, and checks that both make the same users.
+(``model.Event.us``); no ``datetime`` is made per event. An ``Event`` is a
+plain named tuple, the row ``save_events`` writes less the user id, and
+the ``UserRecord`` built from a user's events checks each of them once.
+``tests/oracles.py`` keeps a generator that builds every event from a
+``datetime`` and draws with ``randrange``, and checks that both make the
+same users. Segments and groups are drawn by one weighted pick, ``_pick``.
 
 Every integer draw in [0, n) is ``getrandbits(k)`` with k = n.bit_length(),
 drawn again while it is n or more (``_below``, written out in the
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import TypeVar
 
 from .errors import ConfigError
 from .model import (
@@ -53,6 +57,8 @@ from .model import (
     organic_key,
 )
 from .rng import substream
+
+T = TypeVar("T")
 
 DEFAULT_FLAG_PROBS = (0.55, 0.30, 0.16, 0.08, 0.04, 0.02)
 DEFAULT_GROUPS = (("US", 0.5), ("ROW", 0.5))
@@ -161,16 +167,15 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class _Segment:
-    """One origin segment: its draw weight and quality multipliers."""
+    """One origin segment: its quality multipliers."""
 
     key: CampaignKey
-    weight: float
     spender_mult: float
     amount_shift: float
 
 
-def _segments(cfg: GenConfig) -> tuple[_Segment, ...]:
-    """Origin segments with seeded quality multipliers.
+def _segments(cfg: GenConfig) -> tuple[tuple[_Segment, float], ...]:
+    """Origin segments with seeded quality multipliers, each with its draw weight.
 
     Multipliers are log-normal and then rescaled so the expected global
     spender rate equals ``spender_rate`` exactly, keeping the headline rate
@@ -185,27 +190,19 @@ def _segments(cfg: GenConfig) -> tuple[_Segment, ...]:
     mean_mult = sum(w * m for w, m in zip(weights, raw))
     scale = 1.0 / mean_mult if mean_mult > 0 else 1.0
     return tuple(
-        _Segment(key=k, weight=w, spender_mult=m * scale, amount_shift=s)
+        (_Segment(key=k, spender_mult=m * scale, amount_shift=s), w)
         for k, w, m, s in zip(keys, weights, raw, shifts)
     )
 
 
-def _pick_segment(segments: tuple[_Segment, ...], x: float) -> _Segment:
+def _pick(choices: tuple[tuple[T, float], ...], x: float) -> T:
+    """The first choice whose cumulative weight, summed in order, exceeds ``x``; else the last."""
     acc = 0.0
-    for seg in segments:
-        acc += seg.weight
+    for choice, weight in choices:
+        acc += weight
         if x < acc:
-            return seg
-    return segments[-1]
-
-
-def _pick_group(groups: tuple[tuple[str, float], ...], x: float) -> str:
-    acc = 0.0
-    for label, w in groups:
-        acc += w
-        if x < acc:
-            return label
-    return groups[-1][0]
+            return choice
+    return choices[-1][0]
 
 
 # Draw ranges that do not depend on the config: the habitual check-in
@@ -235,7 +232,7 @@ def _below(getrandbits, n: int, k: int) -> int:
 class _Tables:
     """What each user's draws need that depends only on the config."""
 
-    segments: tuple[_Segment, ...]
+    segments: tuple[tuple[_Segment, float], ...]  # with their draw weights
     # Registration day -> (date, midnight in microseconds), and the bit
     # width of the day draw.
     registrations: tuple[tuple[date, int], ...]
@@ -276,8 +273,8 @@ def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
     rng = substream(cfg.seed, "user", uid)
     random = rng.random
     getrandbits = rng.getrandbits
-    seg = _pick_segment(tables.segments, random())
-    group = _pick_group(cfg.groups, random())
+    seg = _pick(tables.segments, random())
+    group = _pick(cfg.groups, random())
     registrations = tables.registrations
     reg_date, midnight = registrations[
         _below(getrandbits, len(registrations), tables.registration_bits)

@@ -17,6 +17,8 @@ lambda). ``optimal_lambda`` is the exact minimiser of one cell's squared
 error over lambda in [0, 1], from the kernel's (a, b, D).
 ``reference_save_events`` is the events writer as it stood before rows
 became text: a ``datetime`` per event and a row tuple for ``csv.writer``.
+``reference_cohort`` digests checked records by rescanning each user's
+events at every distinct instant, and names a user without a first open.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from skattr.model import (
     Cohort,
     Event,
     UserRecord,
+    check_event,
     encode_alpha,
     organic_key,
 )
@@ -52,7 +55,7 @@ from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
-from skattr.synthgen import GenConfig, _pick_group, _pick_segment, _segments
+from skattr.synthgen import GenConfig, _pick, _segments
 
 
 def registration_midnight(user: UserRecord) -> datetime:
@@ -332,8 +335,8 @@ def reference_generate_dataset(cfg: GenConfig) -> list[UserRecord]:
 
 def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
     rng = substream(cfg.seed, "user", uid)
-    seg = _pick_segment(segments, rng.random())
-    group = _pick_group(cfg.groups, rng.random())
+    seg = _pick(segments, rng.random())
+    group = _pick(cfg.groups, rng.random())
     reg_day = rng.randrange(cfg.n_weeks * 7)
     reg_date = cfg.start_date + timedelta(days=reg_day)
     midnight = datetime.combine(reg_date, datetime.min.time())
@@ -907,9 +910,10 @@ def reference_load_users(
 ) -> tuple[list[UserRecord], dict]:
     """``io_files.load_users`` as a list-then-validate loader, every field checked in turn.
 
-    It does not reject timezone-aware timestamps, bytes that are not UTF-8
-    or fields over the csv module's size limit: those escape it as
-    ``TypeError``, ``UnicodeDecodeError`` and ``csv.Error``.
+    A missing events file is a ``ConfigError`` when some user could have
+    events. It does not reject timezone-aware timestamps, bytes that are
+    not UTF-8 or fields over the csv module's size limit: those escape it
+    as ``TypeError``, ``UnicodeDecodeError`` and ``csv.Error``.
     """
     upath = Path(user_csv)
     meta, rows = _read_csv_rows(upath, USER_FIELDS)
@@ -938,7 +942,7 @@ def reference_load_users(
         raw[uid] = (reg, alpha, row[3])
 
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
-    if events_csv is not None and Path(events_csv).exists():
+    if events_csv is not None and (raw or Path(events_csv).exists()):
         epath = Path(events_csv)
         _, erows = _read_csv_rows(epath, EVENT_FIELDS)
         for line, row in erows:
@@ -957,11 +961,10 @@ def reference_load_users(
             amount = _parse_int(row[3], epath, line, "amount_cents") if row[3] else None
             flag_index = _parse_int(row[4], epath, line, "flag_index") if row[4] else None
             try:
-                events[uid].append(
-                    Event(instant_us(ts), kind, amount=amount, flag_index=flag_index)
-                )
+                check_event(kind, amount, flag_index)
             except ConfigError as exc:
                 raise CsvFormatError(f"{epath}:{line}: {exc}") from exc
+            events[uid].append(Event(instant_us(ts), kind, amount=amount, flag_index=flag_index))
 
     users: list[UserRecord] = []
     for uid in sorted(raw):
@@ -980,6 +983,40 @@ def reference_load_users(
         except ConfigError as exc:
             raise CsvFormatError(f"{Path(events_csv)}: {exc}") from exc
     return users, meta
+
+
+def reference_cohort(users: Sequence[UserRecord]) -> Cohort:
+    """The ``Cohort`` of checked records, each digest made by rescanning the user's events.
+
+    The first user in list order with no events, or whose first event is
+    not a session, is a ``ConfigError``. A digest has one entry per
+    distinct instant, in time order: (microseconds since registration
+    midnight, the cents and the count of the purchases at that instant,
+    the bits of its flags when it falls on day 0).
+    """
+    digests = []
+    for u in users:
+        if not u.events or u.events[0].kind != SESSION:
+            raise ConfigError(f"user {u.id} lacks a first-open session event")
+        midnight = instant_us(registration_midnight(u))
+        digest = []
+        for us in sorted({e.us for e in u.events}):
+            at = [e for e in u.events if e.us == us]
+            cents = [e.amount for e in at if e.kind == PURCHASE]
+            bits = 0
+            if us - midnight < DAY_US:
+                for e in at:
+                    if e.kind == FLAG:
+                        bits |= 1 << e.flag_index
+            digest.append((us - midnight, sum(cents), len(cents), bits))
+        digests.append(tuple(digest))
+    return Cohort(
+        [u.id for u in users],
+        [u.registration_date.toordinal() for u in users],
+        [u.group for u in users],
+        [(u.origin.organic, u.origin.alpha) for u in users],
+        digests,
+    )
 
 
 def reference_save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) -> None:

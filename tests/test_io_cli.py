@@ -49,7 +49,7 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import reference_load_users, reference_save_events
+from oracles import reference_cohort, reference_load_users, reference_save_events
 
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
@@ -88,11 +88,14 @@ class TestUserEventRoundTrip:
         assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "u2.csv").read_bytes()
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
 
-    def test_missing_events_file_gives_zero_revenue(self, dataset, tmp_path):
+    def test_missing_events_file_is_a_config_error(self, dataset, tmp_path):
+        """``load_users`` names a missing events file as ``load_cohort`` does."""
         users, meta = dataset
         save_users(tmp_path / "u.csv", users, meta)
-        loaded, _ = load_users(tmp_path / "u.csv", tmp_path / "nonexistent.csv")
-        assert all(not u.events for u in loaded)
+        missing = tmp_path / "nonexistent.csv"
+        for load in (load_users, load_cohort):
+            with pytest.raises(ConfigError, match=f"^input file {missing} does not exist$"):
+                load(tmp_path / "u.csv", missing)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -468,7 +471,7 @@ class TestStreamingLoader:
                 assert expected[1].startswith(f"{epath}:{i + 1}: ")
             else:
                 expected = outcome(
-                    lambda *paths: cohort_facts(prepare_users(reference_load_users(*paths)[0])),
+                    lambda *paths: cohort_facts(reference_cohort(reference_load_users(*paths)[0])),
                     upath, epath,
                 )
             loaded = outcome(lambda *paths: cohort_facts(load_cohort(*paths)), upath, epath)
@@ -1297,7 +1300,7 @@ class TestPostbackView:
         users, events = dataset_dir / "users.csv", dataset_dir / "events.csv"
         table = load_postback_view(users, events, meta)
         cohort = load_cohort(users, events, meta["organic_alpha"])
-        horizon = meta["horizon"] and datetime.fromisoformat(meta["horizon"])
+        horizon = meta["horizon"] and datetime_to_us(datetime.fromisoformat(meta["horizon"]))
         expected = run_schema(cohort, schema_from_text(meta["schema"]), 9, horizon).postbacks
         if "--horizon" in args:
             assert 0 < expected.cells.count(-1) < len(expected.cells)

@@ -165,6 +165,11 @@ class TestCumulativeRevenue:
         assert revenue_between(cohort.purchases[0], lo, lo) == 0
 
 
+def record_of(*events):
+    """A Monday-registered user with the given events."""
+    return UserRecord(1, MONDAY, encode_alpha(0, 0), events, "G")
+
+
 class TestUserRecordInvariants:
     def test_events_must_be_ordered(self):
         start = datetime(2024, 1, 1, 9)
@@ -172,21 +177,21 @@ class TestUserRecordInvariants:
             Event(datetime_to_us(start), "session"),
             Event(datetime_to_us(start - timedelta(hours=1)), "session"),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^user 1: events out of order at 2024-01-01T08:00:00$"):
             UserRecord(1, MONDAY, encode_alpha(0, 0), events, "G")
 
     def test_event_before_registration_rejected(self):
         events = (Event(datetime_to_us(datetime(2023, 12, 31, 23)), "session"),)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^user 1: event precedes registration$"):
             UserRecord(1, MONDAY, encode_alpha(0, 0), events, "G")
 
     def test_purchase_amount_positive(self):
-        with pytest.raises(ConfigError):
-            Event(datetime_to_us(datetime(2024, 1, 1, 9)), "purchase", amount=0)
+        with pytest.raises(ConfigError, match="^purchase amount must be a positive cent count$"):
+            record_of(Event(datetime_to_us(datetime(2024, 1, 1, 9)), "purchase", amount=0))
 
     def test_flag_index_range(self):
-        with pytest.raises(ConfigError):
-            Event(datetime_to_us(datetime(2024, 1, 1, 9)), "flag", flag_index=6)
+        with pytest.raises(ConfigError, match=r"^flag_index must be an int in \[0, 5\]$"):
+            record_of(Event(datetime_to_us(datetime(2024, 1, 1, 9)), "flag", flag_index=6))
 
     @pytest.mark.parametrize("kind, amount, flag_index", [
         ("purchase", 1.5, None),
@@ -197,12 +202,18 @@ class TestUserRecordInvariants:
     def test_amount_and_flag_index_are_ints(self, kind, amount, flag_index):
         """A field the events file could not read back as an integer is refused."""
         with pytest.raises(ConfigError):
-            Event(datetime_to_us(datetime(2024, 1, 1, 9)), kind, amount, flag_index)
+            record_of(Event(datetime_to_us(datetime(2024, 1, 1, 9)), kind, amount, flag_index))
 
     @pytest.mark.parametrize("us", [float(datetime_to_us(datetime(2024, 1, 1, 9))), True, None])
     def test_instant_is_an_int(self, us):
         with pytest.raises(ConfigError, match="event instant must be an int"):
-            Event(us, "session")
+            record_of(Event(us, "session"))
+
+    def test_each_event_is_checked(self):
+        """A bad event after good ones is refused, with the rule it breaks."""
+        first = datetime_to_us(datetime(2024, 1, 1, 9))
+        with pytest.raises(ConfigError, match="^flag events carry no amount$"):
+            record_of(Event(first, "session"), Event(first + 1, "flag", 5, 0))
 
     @pytest.mark.parametrize("uid", ["1", 1.0, True])
     def test_id_is_an_int(self, uid):

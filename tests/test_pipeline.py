@@ -9,7 +9,7 @@ import skattr.metrics
 from skattr import model, postback, rng
 from skattr.errors import ConfigError
 from skattr.metrics import benchmark_matrix, window_error_curve
-from skattr.model import iso_week, organic_key
+from skattr.model import datetime_to_us, iso_week, organic_key
 from skattr.pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
@@ -70,14 +70,19 @@ class TestHorizon:
         all_pbs = by_user(simulate_postbacks(cohort, schema, 3))
         assert len(all_pbs) == len(users)
         horizon = datetime(2024, 1, 10)
-        cut = by_user(simulate_postbacks(cohort, schema, 3, horizon=horizon))
+        cut = by_user(simulate_postbacks(cohort, schema, 3, horizon=datetime_to_us(horizon)))
         assert 0 < len(cut) < len(users)
         assert all(sent <= horizon for _, sent, _ in cut.values())
         # identical postbacks for the users that remain
         assert all(all_pbs[uid] == pb for uid, pb in cut.items())
 
+    @pytest.mark.parametrize("horizon", [datetime(2024, 1, 12), 1.5e17, True, "2024-01-12"])
+    def test_horizon_is_integer_microseconds(self, cohort, horizon):
+        with pytest.raises(ConfigError, match="^horizon must be integer microseconds, got "):
+            run_schema(cohort, schema_from_text("kind=UD"), 3, horizon=horizon)
+
     def test_matrix_mass_matches_included_users(self, cohort):
-        horizon = datetime(2024, 1, 12)
+        horizon = datetime_to_us(datetime(2024, 1, 12))
         artifacts = run_schema(cohort, schema_from_text("kind=UD"), 3, horizon=horizon)
         mass = sum(sum(m.column_sums()) for m in artifacts.matrices.values())
         assert mass == len(artifacts.postbacks)
