@@ -194,14 +194,11 @@ def attribute_plain(matrix: CountMatrix, means: Mapping[int, Fraction]) -> CellA
 
     Accepts a privatized matrix only when its null row carries no users
     (thresholds below 2 fold nothing), since a loaded null row would need
-    the null-aware estimator. Suppressed rows of such a matrix are provably
-    empty and are skipped. The result has ``b = 0``.
+    the null-aware estimator. The result has ``b = 0``.
     """
     if matrix.privacy_applied and sum(matrix.null_row) > 0:
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
-    visible = [
-        v for v in range(VALUE_RANGE) if v not in matrix.suppressed and any(matrix.rows[v])
-    ]
+    visible = [v for v in range(VALUE_RANGE) if any(matrix.rows[v])]
     scaled, den = _scaled_means(means, visible, f"{matrix.group}, {matrix.week}")
     acc = _visible_numerators(matrix, scaled)
     return CellAttribution(matrix.columns, tuple(acc), (0,) * len(acc), den)

@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
-from .metrics import check_grid_axes, validate_windows, window_estimator
+from .metrics import check_grid_axes, check_window_days, validate_windows, window_estimator
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
@@ -83,8 +83,7 @@ class RunConfig:
             raise ConfigError(f"events_csv {self.events_csv!r} does not exist")
         if not self.schemas or not self.p_values or not self.g_modes:
             raise ConfigError("need at least one schema, one p value and one g mode")
-        if self.t < 1:
-            raise ConfigError("t must be at least one day")
+        check_window_days(self.t)
         if self.week_start.lower() != "monday":
             raise ConfigError("weeks start Monday; other origins are not supported")
         for text in self.schemas:

@@ -28,7 +28,8 @@ rows of every file but one by ``csv.writer``. ``save_events`` writes each
 events row as one line of text from the event's integer instant, with no
 ``datetime`` per event: no events field ever needs quoting, so the text is
 byte for byte what ``csv.writer`` writes for the same rows, which
-``tests/oracles.reference_save_events`` still does.
+``tests/oracles.reference_save_events`` still does. A counts file holds only
+nonzero counts, null rows and the meta line's ``p``; a suppressed value has no row.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def save_counts(
     matrices: Mapping[tuple[str, str], CountMatrix],
     meta: Mapping,
 ) -> None:
-    """Write count matrices; suppressed cells are empty, the null row explicit."""
+    """Write count matrices: nonzero counts and, once privatized, null rows and one ``p``."""
     first = next(iter(matrices.values()), None)
     full_meta = dict(meta)
     if first is not None:
@@ -389,21 +390,21 @@ def save_counts(
         org = [k.alpha for k in first.columns if k.organic]
         if org:
             full_meta["organic_alpha"] = org[0]
+        if len({m.p for m in matrices.values()}) > 1:
+            raise ConfigError("a counts file holds matrices of one privacy threshold only")
         full_meta["privacy_applied"] = first.privacy_applied
+        if first.privacy_applied:
+            full_meta["p"] = first.p
     rows = []
     for (group, week) in sorted(matrices):
         m = matrices[(group, week)]
-        for v in range(VALUE_RANGE):
-            suppressed = v in m.suppressed
-            for j, key in enumerate(m.columns):
-                count = m.rows[v][j]
-                if suppressed:
-                    rows.append((group, week, v, key.alpha, ""))
-                elif count:
+        for v, row in enumerate(m.rows):
+            for key, count in zip(m.columns, row):
+                if count:
                     rows.append((group, week, v, key.alpha, count))
         if m.null_row is not None:
-            for j, key in enumerate(m.columns):
-                rows.append((group, week, "null", key.alpha, m.null_row[j]))
+            for key, count in zip(m.columns, m.null_row):
+                rows.append((group, week, "null", key.alpha, count))
     _write_csv(Path(path), full_meta, COUNT_FIELDS, rows)
 
 
@@ -457,7 +458,6 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
     cpath = Path(path)
     grids: dict[tuple[str, str], list[list[int]]] = {}
     nulls: dict[tuple[str, str], list[int]] = {}
-    suppressed: dict[tuple[str, str], set[int]] = {}
     with _csv_rows(cpath, COUNT_FIELDS) as (meta, rows):
         if "columns" not in meta:
             raise CsvFormatError(f"{cpath}: meta line lacks the column list")
@@ -470,6 +470,9 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             raise CsvFormatError(
                 f"{cpath}:1: meta privacy_applied must be true or false, got {privacy_applied!r}"
             )
+        p = meta.get("p") if privacy_applied else None
+        if privacy_applied and (type(p) is not int or p < 0):
+            raise CsvFormatError(f"{cpath}:1: meta p must be an integer >= 0, got {p!r}")
         seen: dict[tuple[str, str, int, int], int] = {}  # (cell, value, alpha) -> line
         for line, row in rows:
             if len(row) != len(COUNT_FIELDS):
@@ -482,7 +485,6 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             if cell not in grids:
                 grids[cell] = [[0] * len(columns) for _ in range(VALUE_RANGE)]
                 nulls[cell] = [0] * len(columns)
-                suppressed[cell] = set()
             if v_text == "null":
                 if not privacy_applied:
                     raise CsvFormatError(f"{cpath}:{line}: null row in a pre-privacy file")
@@ -497,30 +499,19 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
                     f"{cpath}:{line}: duplicate row for ({group}, {week}) value {v_text} "
                     f"alpha {alpha}, first at line {first}"
                 )
-            if v < 0:
-                nulls[cell][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
-            elif count_text == "":
-                if not privacy_applied:
-                    raise CsvFormatError(f"{cpath}:{line}: suppressed count in a pre-privacy file")
-                suppressed[cell].add(v)
-            else:
-                grids[cell][v][col_index[alpha]] = _parse_int(count_text, cpath, line, "count")
+            count = _parse_int(count_text, cpath, line, "count")
+            (nulls[cell] if v < 0 else grids[cell][v])[col_index[alpha]] = count
 
     matrices: dict[tuple[str, str], CountMatrix] = {}
     for cell in sorted(grids):
         group, week = cell
-        for v in suppressed[cell]:
-            if any(grids[cell][v]):
-                raise CsvFormatError(
-                    f"{cpath}: ({group}, {week}) value {v} mixes counts and suppression"
-                )
         try:
             matrices[cell] = CountMatrix(
                 group=group,
                 week=week,
                 columns=columns,
                 rows=tuple(tuple(r) for r in grids[cell]),
-                suppressed=frozenset(suppressed[cell]),
+                p=p,
                 null_row=tuple(nulls[cell]) if privacy_applied else None,
             )
         except ConfigError as exc:

@@ -8,7 +8,8 @@ postback is counted in, named by the table's ``cell_keys``; -1 when it was
 delivered after the horizon) and delivery instant in microseconds. Counts
 are aggregated per cell over paid campaigns by origin column index; the
 organic column is estimated afterwards by subtracting paid counts from the
-developer-side per-value totals.
+developer-side per-value totals. A privatized matrix keeps the threshold p
+it was given; its suppressed values are derived from its rows, not stored.
 """
 
 from __future__ import annotations
@@ -70,16 +71,16 @@ class CountMatrix:
     """Counts of conversion values per campaign for one (group, week).
 
     ``rows`` has one 64-entry-per-column tuple per conversion value. After
-    privacy is applied, suppressed rows are zeroed with their indices listed
-    in ``suppressed`` and the folded counts live in ``null_row``, which is
-    None before.
+    privacy is applied, ``p`` is the threshold and ``null_row`` holds the
+    folded counts; both are None before. A value row below ``p`` holds no
+    count, so the suppressed values are derived from the rows alone.
     """
 
     group: str
     week: str
     columns: tuple[CampaignKey, ...]
     rows: tuple[tuple[int, ...], ...]
-    suppressed: frozenset[int] = frozenset()
+    p: int | None = None
     null_row: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -90,11 +91,18 @@ class CountMatrix:
             raise ConfigError("row width must match the column count")
         if self.columns and min(map(min, rows)) < 0:
             raise ConfigError("counts must be non-negative")
+        if (self.p is None) != (self.null_row is None):
+            raise ConfigError("a privatized matrix needs both its threshold p and its null row")
         if self.null_row is not None:
+            if type(self.p) is not int or self.p < 0:
+                raise ConfigError(f"threshold p must be an integer >= 0, got {self.p!r}")
             if len(self.null_row) != len(self.columns):
                 raise ConfigError("null row width must match the column count")
             if self.columns and min(self.null_row) < 0:
                 raise ConfigError("null row counts must be non-negative")
+            low = next((v for v, n in enumerate(self.row_sums) if 0 < n < self.p), None)
+            if low is not None:
+                raise ConfigError(f"value {low} keeps {self.row_sums[low]} users, below p={self.p}")
 
     def _derive(self, **changes) -> CountMatrix:
         """A copy with ``changes``, without running ``__post_init__``'s checks again.
@@ -116,6 +124,14 @@ class CountMatrix:
     def row_sums(self) -> tuple[int, ...]:
         """Each value row's total over all columns, computed once per matrix."""
         return tuple(map(sum, self.rows))
+
+    @cached_property
+    def suppressed(self) -> frozenset[int]:
+        """The values withheld by the threshold: once ``p >= 1``, the rows with no count."""
+        if not self.p:
+            return frozenset()
+        zero = (0,) * len(self.columns)
+        return frozenset(v for v, row in enumerate(self.rows) if row == zero)
 
     def column_sums(self) -> tuple[int, ...]:
         """Per-column totals over all value rows plus the null row."""

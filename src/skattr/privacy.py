@@ -5,7 +5,8 @@ included) is below the threshold p; the suppressed counts are added to the
 null row per campaign, so column sums are preserved exactly. Thresholds
 below 2 change nothing observable: p=0 suppresses no row and p=1 only
 relabels empty rows. The scope is one (group, week) matrix: country-level
-protection with weekly reporting.
+protection with weekly reporting. The result records only p: its
+suppressed values, the rows left without a count, are derived from it.
 
 The mechanism deliberately does not give hide-in-the-crowd guarantees: a
 singleton value ends up suppressed but still exposes its user through the
@@ -38,25 +39,21 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
     """Suppress every value row with total below p into the null row.
 
     The row totals are the source matrix's ``row_sums``, computed once
-    however many thresholds read them, and the copy skips the checks the
-    source's rows already passed.
+    however many thresholds read them, and the copy, which records ``p``,
+    skips the checks the source's rows already passed.
     """
     if matrix.privacy_applied:
         raise ConfigError("privacy threshold already applied to this matrix")
     n = len(matrix.columns)
     zero = (0,) * n
     null_row = [0] * n
-    suppressed: set[int] = set()
     new_rows: list[tuple[int, ...]] = []
-    for v, (row, total) in enumerate(zip(matrix.rows, matrix.row_sums)):
+    for row, total in zip(matrix.rows, matrix.row_sums):
         if total < cfg.p:
-            suppressed.add(v)
             if total:
                 for j, c in enumerate(row):
                     null_row[j] += c
             new_rows.append(zero)
         else:
             new_rows.append(row)
-    return matrix._derive(
-        rows=tuple(new_rows), suppressed=frozenset(suppressed), null_row=tuple(null_row)
-    )
+    return matrix._derive(rows=tuple(new_rows), p=cfg.p, null_row=tuple(null_row))

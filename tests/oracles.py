@@ -720,8 +720,9 @@ def reference_threshold(matrix: CountMatrix, p: int) -> CountMatrix:
             rows.append((0,) * len(row))
         else:
             rows.append(row)
-    return replace(matrix, rows=tuple(rows), suppressed=frozenset(suppressed),
-                   null_row=tuple(null_row))
+    out = replace(matrix, rows=tuple(rows), p=p, null_row=tuple(null_row))
+    assert out.suppressed == suppressed
+    return out
 
 
 def reference_score_level(

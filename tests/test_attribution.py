@@ -129,15 +129,13 @@ class TestAttributeWithNull:
 
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(0, 0, 0, 0))
+        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(0, 0, 0, 0))
         out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(0.0)
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(3, 1, 0, 0))
+        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(3, 1, 0, 0))
         out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(1.0)
         assert out[cols[0]] == Fraction(600)
         assert out[cols[1]] == Fraction(200)
@@ -145,8 +143,7 @@ class TestAttributeWithNull:
 
     def test_empty_null_row_falls_back_to_uniform(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), suppressed=frozenset({5}),
-                    null_row=(0, 0, 0, 0))
+        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(0, 0, 0, 0))
         res = attribute_with_null(m, means_of({5: 100}), {5: 8})
         assert not any(res.b)
         assert all(res.fractions(1.0)[c] == Fraction(200) for c in cols)
@@ -493,7 +490,7 @@ def test_cents_round_half_cent_ties_to_even(q, lam):
     plain = attribute_plain(matrix_from({4: (1, 0, 0)}), {4: half})
     assert plain.fractions()[A] == half
     # A suppressed value with an empty null row splits 2q + 1 cents over two columns.
-    m = replace(empty_matrix("G", "w", (A, B)), suppressed=frozenset({5}), null_row=(0, 0))
+    m = replace(empty_matrix("G", "w", (A, B)), p=1, null_row=(0, 0))
     split = attribute_with_null(m, {5: Fraction(2 * q + 1)}, {5: 1})
     assert split.fractions(lam) == {A: half, B: half}
     even = q if q % 2 == 0 else q + 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import skattr.io_files
 from skattr.cli import main
-from skattr.config import run_config_from_dict
+from skattr.config import RunConfig, run_config_from_dict
 from skattr.errors import ConfigError, CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
     META_PREFIX,
@@ -697,20 +698,22 @@ class TestCountsRoundTrip:
         save_counts(tmp_path / "cp.csv", post, {"schema": "x", "seed": 9, "p": 10})
         loaded_p, meta_p = load_counts(tmp_path / "cp.csv")
         assert loaded_p == post
-        assert meta_p["privacy_applied"] is True
+        assert meta_p["privacy_applied"] is True and meta_p["p"] == 10
 
-    def test_suppressed_cells_written_empty(self, dataset, tmp_path):
+    def test_suppressed_values_have_no_row(self, dataset, tmp_path):
         users, _ = dataset
         artifacts = run_schema(prepare_users(users), schema_from_text(D7RR), 9)
         post = {cell: apply_threshold(m, PrivacyConfig(10)) for cell, m in artifacts.matrices.items()}
         save_counts(tmp_path / "cp.csv", post, {})
         text = (tmp_path / "cp.csv").read_text()
         assert ',"' not in text  # plain scalars, no quoting needed
-        suppressed_lines = [
-            line for line in text.splitlines()[2:] if line.endswith(",")
-        ]
-        assert suppressed_lines  # some cells are suppressed at p=10
-        assert any(line.split(",")[2] == "null" for line in text.splitlines()[2:])
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert all(count not in ("", "0") for _, _, v, _, count in rows if v != "null")
+        written = {(g, w, int(v)) for g, w, v, _, _ in rows if v != "null"}
+        suppressed = {(*cell, v) for cell, m in post.items() for v in m.suppressed}
+        assert suppressed  # some values are suppressed at p=10
+        assert not written & suppressed
+        assert {(g, w) for g, w, v, _, _ in rows if v == "null"} == set(post)
 
     def test_usd_parsing(self):
         assert parse_usd("12.34") == 1234
@@ -1133,6 +1136,16 @@ class TestCliErrors:
         # A window only partly past the horizon is kept.
         assert run_config_from_dict({"gen": self.GEN, "windows": [[30, 60]]}).windows == ((30, 60),)
 
+    @pytest.mark.parametrize("t, message", [
+        pytest.param(True, "revenue window t must be a whole number of days, got True", id="bool"),
+        pytest.param(1.5, "revenue window t must be a whole number of days, got 1.5", id="float"),
+        pytest.param(0, "revenue window t must be at least one day", id="zero"),
+    ])
+    def test_run_config_built_in_python_checks_t(self, t, message):
+        """The check a JSON config gets from its key types holds for one built in Python."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(gen=GenConfig(n_users=10), t=t)
+
     def test_integer_where_a_float_is_expected_keeps_the_config(self):
         data = {"gen": {"n_users": 600, "organic_share": 0}, "lambda_grid": [0, 1]}
         cfg = run_config_from_dict(data)
@@ -1529,6 +1542,14 @@ class TestMetaColumns:
          {"privacy_applied": "false"}, "meta privacy_applied must be true or false, got 'false'"),
         (load_counts, "group,week,conversion_value,alpha,count",
          {"privacy_applied": 0}, "meta privacy_applied must be true or false, got 0"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": True}, "meta p must be an integer >= 0, got None"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": True, "p": True}, "meta p must be an integer >= 0, got True"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": True, "p": -1}, "meta p must be an integer >= 0, got -1"),
+        (load_counts, "group,week,conversion_value,alpha,count",
+         {"privacy_applied": True, "p": "10"}, "meta p must be an integer >= 0, got '10'"),
         (load_users, "id,registration_date,alpha,group",
          {"organic_alpha": "105"}, "meta organic_alpha must be an integer, got '105'"),
         (load_users, "id,registration_date,alpha,group",
@@ -1550,7 +1571,8 @@ class TestMetaColumns:
         (load_attribution, "group,week,alpha,attributed_usd",
          {"horizon": ["2024-01-20"]}, r"meta horizon must be a string or null, got \['2024-01-20'\]"),
     ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
-            "counts-privacy_str", "counts-privacy_int", "users-organic_str", "users-organic_bool",
+            "counts-privacy_str", "counts-privacy_int", "counts-p_missing", "counts-p_bool",
+            "counts-p_negative", "counts-p_str", "users-organic_str", "users-organic_bool",
             "counts-schema_int", "counts-seed_float", "counts-seed_bool", "counts-seed_str",
             "counts-horizon_int", "attr-schema_null", "attr-seed_bool", "attr-horizon_list"])
     def test_bad_meta_value(self, tmp_path, load, header, meta, message):
@@ -1622,13 +1644,14 @@ class TestRowChecks:
     ])
     def test_negative_count(self, tmp_path, privatized, row, message):
         meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized}
+        if privatized:
+            meta["p"] = 0
         path = self.write(tmp_path, meta, self.COUNTS, [row])
         with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): {message}"):
             load_counts(path)
 
     @pytest.mark.parametrize("row, message", [
         ("G,2024-W01,null,0,1", "null row in a pre-privacy file"),
-        ("G,2024-W01,5,0,", "suppressed count in a pre-privacy file"),
     ])
     def test_privatized_row_in_pre_privacy_file(self, tmp_path, row, message):
         meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": False}
@@ -1640,12 +1663,27 @@ class TestRowChecks:
         ["G,2024-W01,5,0,2", "G,2024-W01,5,0,7"],
         ["G,2024-W01,5,0,2", "G,2024-W01,05,0,2"],
         ["G,2024-W01,null,0,1", "G,2024-W01,null,0,1"],
-        ["G,2024-W01,5,0,", "G,2024-W01,5,0,"],
+        ["G,2024-W01,5,9,4", "G,2024-W01,5,9,4"],
     ])
     def test_duplicate_counts_row(self, tmp_path, rows):
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True}
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": 0}
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,1", *rows])
         with pytest.raises(CsvFormatError, match=r"f\.csv:5: duplicate row .* first at line 4"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("privatized", [False, True])
+    def test_empty_count(self, tmp_path, privatized):
+        """A suppressed value has no row, so an empty count is refused at its line."""
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized, "p": 10}
+        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,10", "G,2024-W01,5,0,"])
+        with pytest.raises(CsvFormatError, match=r"f\.csv:4: count must be an integer, got ''"):
+            load_counts(path)
+
+    def test_kept_row_below_p(self, tmp_path):
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": 10}
+        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,4", "G,2024-W01,6,9,5"])
+        with pytest.raises(CsvFormatError,
+                           match=r"f\.csv: \(G, 2024-W01\): value 6 keeps 9 users, below p=10"):
             load_counts(path)
 
     def test_duplicate_attribution_row(self, tmp_path):

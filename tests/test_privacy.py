@@ -1,9 +1,15 @@
+import re
+import tempfile
 from dataclasses import fields, replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skattr.attribution import attribute_with_null
 from skattr.errors import ConfigError
+from skattr.io_files import load_counts, save_counts
 from skattr.model import encode_alpha, organic_key
 from skattr.postback import CountMatrix, empty_matrix
 from skattr.privacy import PrivacyConfig, apply_threshold
@@ -69,6 +75,43 @@ class TestApplyThreshold:
             PrivacyConfig(-1)
 
 
+class TestThresholdOfAMatrix:
+    """A matrix keeps its threshold p; the suppressed values are the rows it left empty."""
+
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"null_row": (0, 0, 0)},
+                     "a privatized matrix needs both its threshold p and its null row",
+                     id="null_row_without_p"),
+        pytest.param({"p": 2}, "a privatized matrix needs both its threshold p and its null row",
+                     id="p_without_null_row"),
+        pytest.param({"p": True, "null_row": (0, 0, 0)},
+                     "threshold p must be an integer >= 0, got True", id="p_bool"),
+        pytest.param({"p": -1, "null_row": (0, 0, 0)},
+                     "threshold p must be an integer >= 0, got -1", id="p_negative"),
+        pytest.param({"p": 6, "null_row": (0, 0, 0)}, "value 3 keeps 5 users, below p=6",
+                     id="row_below_p"),
+    ])
+    def test_refused(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(matrix_from({3: (5, 0, 0)}), **changes)
+
+    def test_row_with_users_is_not_split_as_suppressed(self):
+        """A row holding users is visible, so its value is credited to its own column."""
+        m = replace(matrix_from({3: (5, 0)}, COLUMNS[:2]), p=1, null_row=(0, 0))
+        assert m.suppressed == frozenset(range(64)) - {3}
+        res = attribute_with_null(m, {3: Fraction(100)}, {3: 5})
+        assert res.cents(0.0) == [500, 0]
+
+    def test_one_threshold_per_counts_file(self, tmp_path):
+        m = matrix_from({3: (5, 0, 0)})
+        for other in (m, apply_threshold(m, PrivacyConfig(3))):
+            cells = {("G", "2024-W01"): apply_threshold(m, PrivacyConfig(2)),
+                     ("G", "2024-W02"): replace(other, week="2024-W02")}
+            with pytest.raises(ConfigError, match="one privacy threshold only"):
+                save_counts(tmp_path / "c.csv", cells, {})
+        assert not (tmp_path / "c.csv").exists()
+
+
 @st.composite
 def random_matrix(draw):
     n_cols = draw(st.integers(1, 4))
@@ -112,3 +155,18 @@ def test_threshold_copy_equals_a_checked_matrix(m, p):
     assert out == fresh and hash(out) == hash(fresh)
     assert out.row_sums == fresh.row_sums
     assert m.privacy_applied is False and m.null_row is None  # the source is untouched
+
+
+@given(m=random_matrix(), p=st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_privatized_matrix_round_trips_through_the_counts_file(m, p):
+    """The file holds the threshold, not one marker per suppressed value."""
+    out = apply_threshold(m, PrivacyConfig(p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        save_counts(path, {("G", "2024-W01"): out}, {})
+        loaded, meta = load_counts(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    assert loaded == {("G", "2024-W01"): out} and meta["p"] == p
+    assert loaded["G", "2024-W01"].suppressed == out.suppressed
+    assert all(row[4] for row in rows)
