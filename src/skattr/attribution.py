@@ -11,8 +11,8 @@ and the optimal redistribution always lies on that segment.
 
 The estimators read two developer-side inputs with different scopes. The
 bucket means, ``{value: Fraction}`` from ``estimate_bucket_means``, are
-fitted once over a whole window (pooled or per group) and shared by every
-cell. The totals, the number of users with each value, belong to one
+fitted once over a whole window, pooled over every group, and shared by
+every cell. The totals, the number of users with each value, belong to one
 (group, week) cell and are an explicit argument of ``attribute_with_null``:
 a suppressed row redistributes exactly the users that cell contains.
 
@@ -58,22 +58,18 @@ ATTRIBUTION_MODES = ("plain", "null_uniform", "null_empirical", "null_convex")
 
 
 def estimate_bucket_means_window(
-    postbacks: PostbackTable, lo_day: int, hi_day: int, group: str | None = None
+    postbacks: PostbackTable, lo_day: int, hi_day: int
 ) -> dict[int, Fraction]:
     """Exact mean window revenue (cents) per final value of delivered postbacks.
 
-    Every value with a delivered postback has an entry. ``group`` restricts
-    the means to users of that group label.
+    The means pool every group. Every value with a delivered postback has
+    an entry.
     """
-    cohort = postbacks.cohort
-    labels = cohort.group_labels
-    want = labels.index(group) if group in labels else -1  # -1 matches no user
     sums = [0] * VALUE_RANGE
     counts = [0] * VALUE_RANGE
-    for cell, value, cents, g in zip(
-        postbacks.cells, postbacks.values, cohort.window_revenue(lo_day, hi_day), cohort.group
-    ):
-        if cell >= 0 and (group is None or g == want):
+    revenue = postbacks.cohort.window_revenue(lo_day, hi_day)
+    for cell, value, cents in zip(postbacks.cells, postbacks.values, revenue):
+        if cell >= 0:
             sums[value] += cents
             counts[value] += 1
     return {v: Fraction(sums[v], counts[v]) for v in range(VALUE_RANGE) if counts[v]}

@@ -8,6 +8,8 @@ pipeline split into stages therefore reproduces the benchmark's numbers
 exactly. `attribute` passes `--g`/`--lambda` straight to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
 rejects one the mode contradicts), and records that lambda in the file.
+`evaluate` scores over the window `t` that file records: a different
+`--t` is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
 postback table it simulated beside the dataset, as a postback view
 (`postback_view.save_postback_view`): per user, the final value, delivery
@@ -184,7 +186,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
     postbacks = _postback_table(cmeta, users_csv, events_csv)
     profile = estimate_bucket_means(postbacks, args.t)
-    cells = attribute_cells(matrices, {None: profile}, developer_totals(postbacks), fn)
+    cells = attribute_cells(matrices, profile, developer_totals(postbacks), fn)
     attributed = {
         (group, week, key): cents
         for (group, week), res in cells.items()
@@ -212,6 +214,9 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     check_window_days(args.t)
     attributed, ameta = load_attribution(args.attr)
+    if ameta.get("t", args.t) != args.t:
+        # Truth over another window than the attribution's would score the wrong target.
+        raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
     if ameta.get("columns") is None:
         raise ConfigError("attribution file meta lacks the column list")
     columns = column_keys(ameta)
@@ -245,7 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if cents:
                 vec[declared[k]] += cents
 
-    weekly, agg = score_level(attr_weekly, truth, columns, include_organic=True, level="campaign")
+    weekly, agg = score_level(attr_weekly, truth, columns, level="campaign")
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},
@@ -286,8 +291,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         cfg.t,
         seed=seed,
         lambda_grid=cfg.lambda_grid,
-        include_organic=cfg.include_organic_in_error,
-        profile_per_group=cfg.profile_per_group,
         prepared=prepared,
     )
     report.metadata["config_hash"] = run_hash
@@ -300,8 +303,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             cfg.window_g,
             cfg.windows,
             seed=seed,
-            include_organic=cfg.include_organic_in_error,
-            profile_per_group=cfg.profile_per_group,
             prepared=prepared,
         )
         save_window_csv(

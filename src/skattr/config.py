@@ -16,7 +16,13 @@ from typing import get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
-from .metrics import check_grid_axes, check_window_days, validate_windows, window_estimator
+from .metrics import (
+    SCORING_POLICY,
+    check_grid_axes,
+    check_window_days,
+    validate_windows,
+    window_estimator,
+)
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
@@ -46,8 +52,9 @@ class RunConfig:
     """Everything a benchmark run needs, JSON-loadable.
 
     The dataset comes either from a generator config (``gen``) or from
-    ``users_csv``/``events_csv`` paths. Weeks start Monday; that is the only
-    supported origin and kept explicit so files record it. Every estimator,
+    ``users_csv``/``events_csv`` paths. How a run is scored is fixed
+    (``metrics.SCORING_POLICY``), not configured; ``to_jsonable`` records
+    that policy, so the config hash covers it. Every estimator,
     threshold and window is checked here, as is a p value, g mode or lambda
     listed twice, so a bad one fails before any dataset is generated or
     read; with ``gen``, a window starting at or after its
@@ -68,9 +75,6 @@ class RunConfig:
     window_g: str = "plain"
     seed: int = 0
     organic_alpha: int | None = None
-    include_organic_in_error: bool = True
-    profile_per_group: bool = False
-    week_start: str = "monday"
 
     def __post_init__(self) -> None:
         if self.gen is None and self.users_csv is None:
@@ -84,8 +88,6 @@ class RunConfig:
         if not self.schemas or not self.p_values or not self.g_modes:
             raise ConfigError("need at least one schema, one p value and one g mode")
         check_window_days(self.t)
-        if self.week_start.lower() != "monday":
-            raise ConfigError("weeks start Monday; other origins are not supported")
         for text in self.schemas:
             schema_from_text(text)  # raises on bad grammar
         if self.window_schema is not None:
@@ -131,7 +133,7 @@ class RunConfig:
                 out["gen"] = gen
             else:
                 out[f.name] = value
-        return out
+        return out | SCORING_POLICY
 
 
 def _fits(value, hint) -> bool:
@@ -147,8 +149,8 @@ def _fits(value, hint) -> bool:
         return isinstance(value, (str, date))
     if hint is GenConfig:  # its own keys are checked when it is built
         return isinstance(value, dict)
-    if hint in (str, bool):
-        return isinstance(value, hint)
+    if hint is str:
+        return isinstance(value, str)
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):

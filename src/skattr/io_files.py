@@ -432,6 +432,7 @@ _META_TYPES = {
     "schema": ((str,), "a string"),
     "seed": ((int,), "an integer"),
     "horizon": ((str, type(None)), "a string or null"),
+    "t": ((int,), "an integer"),
 }
 
 
@@ -553,7 +554,7 @@ def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int],
     with _csv_rows(apath, ATTR_FIELDS) as (meta, rows):
         if "columns" in meta:
             _check_columns(apath, meta)
-        _check_meta(apath, meta, "schema", "seed", "horizon")
+        _check_meta(apath, meta, "schema", "seed", "horizon", "t")
         for line, row in rows:
             if len(row) != len(ATTR_FIELDS):
                 raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")

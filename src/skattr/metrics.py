@@ -1,10 +1,11 @@
 """Attribution error metrics, the benchmark grid, and the window curve.
 
 The weekly error is the Euclidean distance between attributed and actual
-revenue vectors over campaigns (square root of the summed squared gaps), so
-it carries money units. Weeks aggregate by a revenue-weighted average and
-grids normalize against the omniscient-schema baseline per privacy level:
-100 * (1 - err / baseline_err), positive is better than baseline.
+revenue vectors over campaigns, organic included (square root of the
+summed squared gaps), so it carries money units. Weeks aggregate by a
+revenue-weighted average and grids normalize against the omniscient-schema
+baseline per privacy level: 100 * (1 - err / baseline_err), positive is
+better than baseline.
 
 Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
@@ -17,6 +18,11 @@ over one denominator D, and column j at lambda is (a_j + lambda * b_j) / D.
 The kernels do not read lambda, so the grid builds them once per (schema, p,
 plain or null-aware) and evaluates ``null_uniform``, ``null_empirical`` and
 every ``null_convex`` lambda as integer cents from that one build.
+
+The scoring policy is fixed, not configured (``SCORING_POLICY``): the
+paper's optimal estimator, count x bucket mean of one revenue profile per
+schema and window pooled over groups, scored over every column in ISO
+weeks that start Monday.
 
 Scoring works on integer cents per column index, aligned with the cohort's
 origins (or the columns a file declares): ``ground_truth`` returns such
@@ -57,11 +63,18 @@ from .errors import (
 # checks that the tracer patches this module's binding of it.
 from .model import CampaignKey, Cohort, UserRecord, ground_truth, revenue_between  # noqa: F401
 from .pipeline import CellKey, SimArtifacts, run_schema
-from .postback import CountMatrix, PostbackTable
+from .postback import CountMatrix
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import SchemaSpec, prepare_users
 
 LEVELS = ("campaign", "network")
+
+# Report metadata and run-config hashes record the fixed policy under these keys.
+SCORING_POLICY = {
+    "include_organic_in_error": True,
+    "profile_per_group": False,
+    "week_start": "monday",
+}
 
 
 def weekly_error(attributed: Mapping, truth: Mapping) -> float:
@@ -159,39 +172,33 @@ def _simulation(cohort: Cohort, schema: SchemaSpec, seed: int) -> SimArtifacts:
     return artifacts
 
 
-def _level_index(
-    columns: Sequence[CampaignKey], include_organic: bool, level: str
-) -> tuple[list[int], list[int]]:
-    """The scored columns, and for each the index of its label at ``level``.
+def _level_index(columns: Sequence[CampaignKey], level: str) -> list[int]:
+    """For each column, the index of its label at ``level``.
 
-    Columns are scored in their order, organic last or left out; a
-    network's label index is the order in which its first column comes.
+    A network's label index is the order in which its first column comes.
     """
-    scored = [j for j, k in enumerate(columns) if include_organic or not k.organic]
     if level == "campaign":
-        return scored, list(range(len(scored)))
+        return list(range(len(columns)))
     labels: dict[str, int] = {}
-    for j in scored:
-        labels.setdefault(_network_label(columns[j]), len(labels))
-    return scored, [labels[_network_label(columns[j])] for j in scored]
+    return [labels.setdefault(_network_label(k), len(labels)) for k in columns]
 
 
 def score_level(
     attributed: Mapping[str, Sequence[int]],
     truth: Mapping[str, Sequence[int]],
     columns: Sequence[CampaignKey],
-    include_organic: bool,
     level: str,
 ) -> tuple[tuple[tuple[str, float], ...], float]:
     """Weekly errors and their revenue-weighted aggregate at one level.
 
-    Both sides map week -> cents per column, aligned with ``columns``.
-    Every week either side has is scored; a side without that week counts
-    as zero revenue there. ``level`` is "campaign", or "network" to sum
-    campaigns per network first. Each week's ``weekly_error`` sees both
+    Both sides map week -> cents per column, aligned with ``columns``, and
+    every column is scored, organic included. Every week either side has
+    is scored; a side without that week counts as zero revenue there.
+    ``level`` is "campaign", or "network" to sum campaigns per network
+    first. Each week's ``weekly_error`` sees both
     vectors keyed by label index.
     """
-    scored, label_of = _level_index(columns, include_organic, level)
+    label_of = _level_index(columns, level)
     width = max(label_of, default=-1) + 1
     zero = [0] * len(columns)
     weekly: list[tuple[str, float]] = []
@@ -201,7 +208,7 @@ def score_level(
         tru = truth.get(week, zero)
         a = dict.fromkeys(range(width), 0)
         y = dict.fromkeys(range(width), 0)
-        for j, i in zip(scored, label_of):
+        for j, i in enumerate(label_of):
             a[i] += att[j]
             y[i] += tru[j]
         weekly.append((week, weekly_error(a, y)))
@@ -212,7 +219,7 @@ def score_level(
 
 def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
-    profiles: Mapping[str | None, Mapping[int, Fraction]],
+    means: Mapping[int, Fraction],
     totals: Mapping[CellKey, Mapping[int, int]],
     fn: AttributionFunction,
 ) -> dict[CellKey, CellAttribution]:
@@ -223,15 +230,14 @@ def attribute_cells(
     result does not depend on ``fn.lam``, so one build serves every lambda
     of a null-aware mode; ``CellAttribution.cents(fn.lam)`` gives the
     cents per campaign that the attribution files hold, so a grid cell
-    scores exactly what a stage-wise run writes. ``profiles`` maps a group
-    label to its bucket means, with None as the pooled fallback; ``totals``
-    maps each cell to the developer's per-value user counts in it, which
-    the null-aware modes pass through as that cell's totals.
+    scores exactly what a stage-wise run writes. ``means`` are the bucket
+    means every cell shares; ``totals`` maps each cell to the developer's
+    per-value user counts in it, which the null-aware modes pass through as
+    that cell's totals.
     """
     out: dict[CellKey, CellAttribution] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
-        means = profiles.get(cell[0], profiles.get(None))
         if fn.mode == "plain":
             out[cell] = attribute_plain(matrix, means)
         else:
@@ -276,32 +282,18 @@ def _estimator_matrices(
     return {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
 
 
-def _group_profiles(
-    postbacks: PostbackTable, lo_day: int, hi_day: int, per_group: bool
-) -> dict[str | None, dict[int, Fraction]]:
-    """Pooled bucket means, optionally split per group label."""
-    profiles: dict[str | None, dict[int, Fraction]] = {
-        None: estimate_bucket_means_window(postbacks, lo_day, hi_day)
-    }
-    if per_group:
-        for group in postbacks.cohort.group_labels:
-            profiles[group] = estimate_bucket_means_window(postbacks, lo_day, hi_day, group)
-    return profiles
-
-
 def _grid_error(
     artifacts: SimArtifacts,
     cells: Mapping[CellKey, CellAttribution],
     fn: AttributionFunction,
     truth: Mapping[str, Sequence[int]],
-    include_organic: bool,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
     """Weekly and aggregate errors at both levels for one estimator.
 
     ``cells`` is ``attribute_cells`` over the artifacts' matrices, whose
     columns are the cohort's origins, evaluated here at ``fn.lam``.
     ``truth`` is ``ground_truth`` over the artifacts' postbacks and the
-    window the profiles were fitted on.
+    window the bucket means were fitted on.
     """
     origins = artifacts.postbacks.cohort.origins
     by_week: dict[str, list[int]] = {}
@@ -311,9 +303,7 @@ def _grid_error(
             acc = by_week[week] = [0] * len(origins)
         for j, cents in enumerate(res.cents(fn.lam)):
             acc[j] += cents
-    return {
-        level: score_level(by_week, truth, origins, include_organic, level) for level in LEVELS
-    }
+    return {level: score_level(by_week, truth, origins, level) for level in LEVELS}
 
 
 def benchmark_matrix(
@@ -325,8 +315,6 @@ def benchmark_matrix(
     *,
     seed: int,
     lambda_grid: Sequence[float] = (0.0, 0.5, 1.0),
-    include_organic: bool = True,
-    profile_per_group: bool = False,
     prepared: Cohort | None = None,
 ) -> AttributionReport:
     """Run the full schema x threshold x estimator grid.
@@ -336,7 +324,7 @@ def benchmark_matrix(
     scores 0 by construction; the campaign and network aggregation levels
     are normalized against their own baselines. Any cell failure aborts the
     run with a GridCellError that carries the failing coordinates. Each
-    schema's simulation, revenue profiles and window truth are built once
+    schema's simulation, revenue profile and window truth are built once
     and shared by all of its cells. ``prepared`` is
     ``schema.prepare_users(users)`` when the caller shares one cohort across
     calls; the simulations stay memoised on it.
@@ -352,7 +340,7 @@ def benchmark_matrix(
 
     cohort = cohort_of(users, prepared)
     artifacts: dict[str, SimArtifacts] = {}
-    profiles: dict[str, dict[str | None, dict[int, Fraction]]] = {}
+    means: dict[str, dict[int, Fraction]] = {}
     truths: dict[str, dict[str, list[int]]] = {}
     for schema in schemas:
         label = schema.label
@@ -365,7 +353,7 @@ def benchmark_matrix(
                 f"schema {label}: {type(exc).__name__}: {exc}", schema=label
             ) from exc
         artifacts[label] = art
-        profiles[label] = _group_profiles(art.postbacks, 0, t, profile_per_group)
+        means[label] = estimate_bucket_means_window(art.postbacks, 0, t)
         truths[label] = ground_truth(art.postbacks, 0, t)
     labels = list(artifacts)
 
@@ -385,9 +373,9 @@ def benchmark_matrix(
                 cells = built.get(kernel)
                 if cells is None:
                     cells = built[kernel] = attribute_cells(
-                        _estimator_matrices(art, p, fn), profiles[label], art.cell_totals, fn
+                        _estimator_matrices(art, p, fn), means[label], art.cell_totals, fn
                     )
-                scored[key] = _grid_error(art, cells, fn, truths[label], include_organic)
+                scored[key] = _grid_error(art, cells, fn, truths[label])
             except SkattrError as exc:
                 raise GridCellError(
                     f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
@@ -442,12 +430,10 @@ def benchmark_matrix(
         "lambda_grid": [float(x) for x in lambda_grid],
         "schemas": [lab for lab in labels],
         "baseline": baseline_label,
-        "include_organic_in_error": include_organic,
-        "profile_per_group": profile_per_group,
         "hypothetical_schemas": [lab for lab in labels if artifacts[lab].schema.kind == "PV"],
         "normalization": "aggregate",
-        "week_start": "monday",
         "substreams": ["campaigns", "user", "postback", "ud"],
+        **SCORING_POLICY,
     }
     return AttributionReport(cells=cells, metadata=metadata)
 
@@ -512,8 +498,6 @@ def window_error_curve(
     windows: Sequence[tuple[int, int]],
     *,
     seed: int,
-    include_organic: bool = True,
-    profile_per_group: bool = False,
     prepared: Cohort | None = None,
 ) -> list[WindowPoint]:
     """Campaign-level error of attributing revenue accrued per day window.
@@ -531,11 +515,11 @@ def window_error_curve(
     matrices = _estimator_matrices(artifacts, p, g)
     points: list[WindowPoint] = []
     for lo, hi in wins:
-        profiles = _group_profiles(artifacts.postbacks, lo, hi, profile_per_group)
+        means = estimate_bucket_means_window(artifacts.postbacks, lo, hi)
         truth = ground_truth(artifacts.postbacks, lo, hi)
-        cells = attribute_cells(matrices, profiles, artifacts.cell_totals, g)
+        cells = attribute_cells(matrices, means, artifacts.cell_totals, g)
         try:
-            by_level = _grid_error(artifacts, cells, g, truth, include_organic)
+            by_level = _grid_error(artifacts, cells, g, truth)
         except UndefinedWeightsError as exc:
             raise UndefinedWeightsError(f"window [{lo}, {hi}): {exc}") from exc
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))

@@ -73,7 +73,8 @@ class CountMatrix:
     ``rows`` has one 64-entry-per-column tuple per conversion value. After
     privacy is applied, ``p`` is the threshold and ``null_row`` holds the
     folded counts; both are None before. A value row below ``p`` holds no
-    count, so the suppressed values are derived from the rows alone.
+    count, so the suppressed values are derived from the rows alone, and
+    below p=2, which folds no user, the null row is empty.
     """
 
     group: str
@@ -100,6 +101,10 @@ class CountMatrix:
                 raise ConfigError("null row width must match the column count")
             if self.columns and min(self.null_row) < 0:
                 raise ConfigError("null row counts must be non-negative")
+            if self.p < 2 and any(self.null_row):
+                raise ConfigError(
+                    f"null row holds {sum(self.null_row)} users, but p={self.p} folds none"
+                )
             low = next((v for v, n in enumerate(self.row_sums) if 0 < n < self.p), None)
             if low is not None:
                 raise ConfigError(f"value {low} keeps {self.row_sums[low]} users, below p={self.p}")

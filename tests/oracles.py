@@ -729,11 +729,9 @@ def reference_score_level(
     attributed: Mapping[str, Mapping[CampaignKey, int]],
     truth: Mapping[str, Mapping[CampaignKey, int]],
     columns: Sequence[CampaignKey],
-    include_organic: bool,
     level: str,
 ) -> tuple[tuple[tuple[str, float], ...], float]:
-    """Weekly and aggregate errors with both sides keyed by ``CampaignKey`` or label."""
-    keys = [k for k in columns if include_organic or not k.organic]
+    """Weekly and aggregate errors over every column, both sides keyed by ``CampaignKey``."""
     weekly: list[tuple[str, float]] = []
     weights: list[float] = []
     for week in sorted(attributed.keys() | truth.keys()):
@@ -741,7 +739,7 @@ def reference_score_level(
         tru = truth.get(week, {})
         a: dict = {}
         y: dict = {}
-        for k in keys:
+        for k in columns:
             label = k if level == "campaign" else network_label(k)
             a[label] = a.get(label, 0) + att.get(k, 0)
             y[label] = y.get(label, 0) + tru.get(k, 0)
@@ -802,7 +800,7 @@ def reference_grid_cells(
                 acc[k] = acc.get(k, 0) + round(val)
         truth = reference_truth(art.postbacks, 0, t)
         return {
-            level: reference_score_level(by_week, truth, cohort.origins, True, level)
+            level: reference_score_level(by_week, truth, cohort.origins, level)
             for level in ("campaign", "network")
         }
 

@@ -135,7 +135,7 @@ class TestAttributeWithNull:
 
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(3, 1, 0, 0))
+        m = replace(empty_matrix("G", "w", cols), p=2, null_row=(3, 1, 0, 0))
         out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(1.0)
         assert out[cols[0]] == Fraction(600)
         assert out[cols[1]] == Fraction(200)
@@ -178,8 +178,7 @@ class TestAttributeWithNull:
         with pytest.raises(TypeError):
             attribute_with_null(m, means_of({9: 100}), {9: 5}, plain)
         with pytest.raises(ConfigError, match="loaded null row"):
-            attribute_cells({("G", "w"): m}, {None: means_of({9: 100})}, {("G", "w"): {9: 5}},
-                            plain)
+            attribute_cells({("G", "w"): m}, means_of({9: 100}), {("G", "w"): {9: 5}}, plain)
 
     def test_lambda_validation(self):
         with pytest.raises(ConfigError):
@@ -351,7 +350,7 @@ def test_conservation_with_pooled_means_and_cell_totals(schema_text):
         cfg = PrivacyConfig(p)
         matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
         for fn in fns:
-            cells = attribute_cells(matrices, {None: means}, artifacts.cell_totals, fn)
+            cells = attribute_cells(matrices, means, artifacts.cell_totals, fn)
             for cell, matrix in matrices.items():
                 totals = artifacts.cell_totals[cell]
                 expected = sum(means[v] * n for v, n in totals.items() if n)

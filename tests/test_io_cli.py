@@ -954,7 +954,7 @@ class TestCliErrors:
 
     GEN = {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 1}
 
-    @pytest.mark.parametrize("bad,key", [
+    @pytest.mark.parametrize("bad,prefix", [
         pytest.param({"g_modes": ["plain", "bogus"]}, None, id="g_mode"),
         pytest.param({"lambda_grid": [1.5]}, None, id="lambda"),
         pytest.param({"window_g": "bogus"}, None, id="window_g"),
@@ -962,27 +962,36 @@ class TestCliErrors:
         pytest.param({"window_p": -3}, None, id="window_p"),
         pytest.param({"windows": [[14, 7]]}, None, id="window"),
         pytest.param({"window_g": "plain", "window_p": 2}, None, id="window_plain"),
-        pytest.param({"lambda_grid": ["0.5"]}, "run config key 'lambda_grid'", id="lambda_str"),
-        pytest.param({"p_values": ["2"]}, "run config key 'p_values'", id="p_str"),
-        pytest.param({"t": "30"}, "run config key 't'", id="t_str"),
-        pytest.param({"t": True}, "run config key 't'", id="t_bool"),
-        pytest.param({"gen": GEN | {"n_users": "600"}}, "generator config key 'n_users'",
+        pytest.param({"lambda_grid": ["0.5"]}, "run config key 'lambda_grid' must fit ",
+                     id="lambda_str"),
+        pytest.param({"p_values": ["2"]}, "run config key 'p_values' must fit ", id="p_str"),
+        pytest.param({"t": "30"}, "run config key 't' must fit ", id="t_str"),
+        pytest.param({"t": True}, "run config key 't' must fit ", id="t_bool"),
+        pytest.param({"gen": GEN | {"n_users": "600"}}, "generator config key 'n_users' must fit ",
                      id="n_users_str"),
-        pytest.param({"gen": GEN | {"n_users": True}}, "generator config key 'n_users'",
+        pytest.param({"gen": GEN | {"n_users": True}}, "generator config key 'n_users' must fit ",
                      id="n_users_bool"),
         pytest.param({"gen": GEN | {"start_date": "2024-13-01"}},
-                     "generator config key 'start_date'", id="start_date"),
-        pytest.param({"windows": [[7.5, 14]]}, "run config key 'windows'", id="window_float"),
-        pytest.param({"include_organic_in_error": 1}, "run config key 'include_organic_in_error'",
-                     id="organic_int"),
+                     "generator config key 'start_date' must fit ", id="start_date"),
+        pytest.param({"windows": [[7.5, 14]]}, "run config key 'windows' must fit ",
+                     id="window_float"),
+        # The scoring policy is fixed (metrics.SCORING_POLICY): its keys are no run-config
+        # keys, even at the policy's own values.
+        pytest.param({"include_organic_in_error": True},
+                     "unknown run config keys: ['include_organic_in_error']",
+                     id="include_organic_in_error"),
+        pytest.param({"profile_per_group": False}, "unknown run config keys: ['profile_per_group']",
+                     id="profile_per_group"),
+        pytest.param({"week_start": "monday"}, "unknown run config keys: ['week_start']",
+                     id="week_start"),
     ])
-    def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad, key):
+    def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad, prefix):
         (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN} | bad))
         out = tmp_path / "out"
         assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
         message = config_error(capsys)
-        if key is not None:
-            assert message.startswith(f"{key} must fit ")
+        if prefix is not None:
+            assert message.startswith(prefix)
         assert not (out / "dataset").exists()
 
     @pytest.mark.parametrize("bad, message", [
@@ -1184,6 +1193,18 @@ class TestCliErrors:
                        "--t", 30, "--out", tmp_path / "r.json")
         assert code == 1
         assert "column list" in config_error(capsys)
+
+    def test_evaluate_refuses_another_window_than_the_attribution(self, staged, tmp_path,
+                                                                  capsys):
+        """An attribution made over t=30 days is never scored against 7-day truth.
+
+        The missing dataset shows that the refusal comes before it is read.
+        """
+        code = run_cli("evaluate", "--attr", staged / "attr.csv", "--truth-from",
+                       staged / "missing", "--t", 7, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert config_error(capsys) == "--t 7 differs from the attribution file's t 30"
+        assert not (tmp_path / "r.json").exists()
 
     def test_attributed_alpha_not_declared(self, staged, tmp_path, capsys):
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
@@ -1570,11 +1591,16 @@ class TestMetaColumns:
          {"seed": False}, "meta seed must be an integer, got False"),
         (load_attribution, "group,week,alpha,attributed_usd",
          {"horizon": ["2024-01-20"]}, r"meta horizon must be a string or null, got \['2024-01-20'\]"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"t": "30"}, "meta t must be an integer, got '30'"),
+        (load_attribution, "group,week,alpha,attributed_usd",
+         {"t": True}, "meta t must be an integer, got True"),
     ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
             "counts-privacy_str", "counts-privacy_int", "counts-p_missing", "counts-p_bool",
             "counts-p_negative", "counts-p_str", "users-organic_str", "users-organic_bool",
             "counts-schema_int", "counts-seed_float", "counts-seed_bool", "counts-seed_str",
-            "counts-horizon_int", "attr-schema_null", "attr-seed_bool", "attr-horizon_list"])
+            "counts-horizon_int", "attr-schema_null", "attr-seed_bool", "attr-horizon_list",
+            "attr-t_str", "attr-t_bool"])
     def test_bad_meta_value(self, tmp_path, load, header, meta, message):
         path = tmp_path / "f.csv"
         meta = {"columns": [0, 9]} | meta
@@ -1684,6 +1710,15 @@ class TestRowChecks:
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,4", "G,2024-W01,6,9,5"])
         with pytest.raises(CsvFormatError,
                            match=r"f\.csv: \(G, 2024-W01\): value 6 keeps 9 users, below p=10"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_null_row_below_p_2(self, tmp_path, p):
+        """A threshold below 2 folds no user, so a file whose null row holds some is refused."""
+        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": p}
+        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,4", "G,2024-W01,null,9,3"])
+        with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): null row holds 3 "
+                                                 rf"users, but p={p} folds none"):
             load_counts(path)
 
     def test_duplicate_attribution_row(self, tmp_path):

@@ -89,12 +89,17 @@ class TestScoreLevel:
         columns = (a, b, org)
         attributed = {"W1": [300, 100, 0], "W3": [50, 0, 0]}
         truth = {"W1": [300, 0, 100], "W2": [0, 400, 0]}
-        weekly, agg = score_level(attributed, truth, columns, True, "campaign")
+        weekly, agg = score_level(attributed, truth, columns, "campaign")
         assert weekly == (("W1", math.sqrt(2 * 100**2)), ("W2", 400.0), ("W3", 50.0))
         assert agg == pytest.approx((math.sqrt(2 * 100**2) * 400 + 400 * 400) / 800)
-        # Networks 1 and 2 without the organic column.
-        weekly, _ = score_level(attributed, truth, columns, False, "network")
-        assert weekly == (("W1", 100.0), ("W2", 400.0), ("W3", 50.0))
+        # Campaign 101's cents split over 101 and 102 of network 1: the network
+        # level sums them back, and the organic column is scored at both levels.
+        columns = (a, CampaignKey(102), b, org)
+        attributed = {"W1": [100, 200, 100, 0], "W3": [50, 0, 0, 0]}
+        truth = {"W1": [300, 0, 0, 100], "W2": [0, 0, 400, 0]}
+        weekly, agg = score_level(attributed, truth, columns, "network")
+        assert weekly == (("W1", math.sqrt(2 * 100**2)), ("W2", 400.0), ("W3", 50.0))
+        assert agg == pytest.approx((math.sqrt(2 * 100**2) * 400 + 400 * 400) / 800)
 
 
 class TestNormalize:

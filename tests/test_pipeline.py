@@ -104,25 +104,6 @@ class TestDeveloperTotals:
                 assert sum(matrix.rows[v]) == artifacts.cell_totals[cell][v]
 
 
-class TestPerGroupProfiles:
-    def test_single_group_matches_pooled(self):
-        cfg = GenConfig(n_users=2000, n_weeks=3, event_horizon_days=40, seed=15,
-                        groups=(("ALL", 1.0),))
-        users, _ = generate_dataset(cfg)
-        pooled = benchmark_matrix(users, [schema_from_text(PV)], [0], ["plain"], 30, seed=15)
-        split = benchmark_matrix(users, [schema_from_text(PV)], [0], ["plain"], 30, seed=15,
-                                 profile_per_group=True)
-        assert [c.aggregate_error for c in pooled.cells] == [
-            c.aggregate_error for c in split.cells
-        ]
-
-    def test_two_groups_run(self, users):
-        report = benchmark_matrix(users, [schema_from_text(PV)], [0], ["plain"], 30,
-                                  seed=14, profile_per_group=True)
-        assert report.metadata["profile_per_group"] is True
-        assert all(c.aggregate_error >= 0 for c in report.cells)
-
-
 class TestPostbackDraws:
     """The delay draw depends on (seed, user) only and is drawn once per prepared digest."""
 

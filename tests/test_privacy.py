@@ -90,6 +90,10 @@ class TestThresholdOfAMatrix:
                      "threshold p must be an integer >= 0, got -1", id="p_negative"),
         pytest.param({"p": 6, "null_row": (0, 0, 0)}, "value 3 keeps 5 users, below p=6",
                      id="row_below_p"),
+        pytest.param({"p": 1, "null_row": (2, 0, 1)}, "null row holds 3 users, but p=1 folds none",
+                     id="null_mass_at_p1"),
+        pytest.param({"p": 0, "null_row": (0, 4, 0)}, "null row holds 4 users, but p=0 folds none",
+                     id="null_mass_at_p0"),
     ])
     def test_refused(self, changes, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
