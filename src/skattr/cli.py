@@ -8,14 +8,16 @@ pipeline split into stages therefore reproduces the benchmark's numbers
 exactly. `attribute` passes `--g`/`--lambda` straight to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
 rejects one the mode contradicts), and records that lambda in the file.
-`evaluate` scores over the window `t` that file records: a different
-`--t` is a `ConfigError` before the dataset is read.
+`evaluate` scores over the window `t` that file records: a file without
+one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
 postback table it simulated beside the dataset, as a postback view
 (`postback_view.save_postback_view`): per user, the final value, delivery
 instant, cell week and purchases, keyed by the users file's name, schema
 text, seed, horizon and organic alpha, with the sha256 of both dataset
-files. `attribute` and `evaluate` read that view and neither the events
+files. The organic alpha is the users file's own sentinel, from its meta
+line; no option overrides it, and the view's key checks that the counts
+file agrees. `attribute` and `evaluate` read that view and neither the events
 file nor the replay. When the view is missing, or its key or hashes do not
 match the files, they read the dataset and simulate again, which gives the
 same table. A view that cannot be written (a read-only dataset directory,
@@ -25,7 +27,10 @@ UTC offset is refused before any file is read, and the pipeline gets it
 once converted, as microseconds on the model's clock.
 `simulate` that counts no postback (every one after `--horizon`, or no
 users) is a `ConfigError` and writes nothing. `benchmark` on dataset paths
-resolves them as the stages do and reads `UserRecord`s with `load_users`.
+resolves them as the stages do and reads `UserRecord`s with `load_users`
+before it makes the output directory, so a missing file leaves none. Its
+window curve runs `RunConfig.parsed_window_schema()` at the p and g of
+`config.FIXED_SETTINGS`.
 A users file that lists a user needs its events file: both dataset
 loaders name a missing one in a `ConfigError`, for every command.
 Any failure exits nonzero with a one-line JSON error on stderr.
@@ -41,7 +46,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket_means
-from .config import load_gen_config, load_run_config
+from .config import FIXED_SETTINGS, load_gen_config, load_run_config
 from .errors import ConfigError, SkattrError
 from .io_files import (
     column_keys,
@@ -126,7 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     users_csv, events_csv = _dataset_paths(args.users, args.events)
     # Hashed before the read, so a file edited during it cannot match the view.
     hashes = dataset_hashes(users_csv, events_csv)
-    cohort = load_cohort(users_csv, events_csv, args.organic_alpha)
+    cohort = load_cohort(users_csv, events_csv)
     artifacts = run_schema(cohort, schema, args.seed, horizon)
     if not artifacts.matrices:
         # A counts file without cells has no column list, so no later stage could read it.
@@ -173,7 +178,7 @@ def _postback_table(meta: dict, users_csv: Path, events_csv: Path | None) -> Pos
     horizon = _parse_horizon(meta.get("horizon"))
     postbacks = load_postback_view(users_csv, events_csv, meta)
     if postbacks is None:
-        cohort = load_cohort(users_csv, events_csv, meta.get("organic_alpha"))
+        cohort = load_cohort(users_csv, events_csv)
         schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
         postbacks = simulate_postbacks(cohort, schema, meta["seed"], horizon)
     return postbacks
@@ -214,7 +219,9 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     check_window_days(args.t)
     attributed, ameta = load_attribution(args.attr)
-    if ameta.get("t", args.t) != args.t:
+    if "t" not in ameta:
+        raise ConfigError("attribution file meta lacks the window t")
+    if ameta["t"] != args.t:
         # Truth over another window than the attribution's would score the wrong target.
         raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
     if ameta.get("columns") is None:
@@ -268,7 +275,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_hash = config_hash(cfg.to_jsonable() | {"seed": seed})
 
     if cfg.gen is not None:
@@ -277,7 +283,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         save_dataset(out_dir / "dataset", users, dmeta)
     else:
         users_csv, events_csv = _dataset_paths(cfg.users_csv, cfg.events_csv)
-        users, _ = load_users(users_csv, events_csv, cfg.organic_alpha)
+        users, _ = load_users(users_csv, events_csv)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     schemas = cfg.parsed_schemas()
     # One cohort for the grid and the curve, so the curve reuses the grid's
@@ -299,8 +306,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         report.window_curve = window_error_curve(
             users,
             window_schema,
-            cfg.window_p,
-            cfg.window_g,
+            FIXED_SETTINGS["window_p"],
+            FIXED_SETTINGS["window_g"],
             cfg.windows,
             seed=seed,
             prepared=prepared,
@@ -332,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--horizon", default=None,
                    help="naive ISO timestamp; postbacks after it are dropped")
-    p.add_argument("--organic-alpha", type=int, default=None, dest="organic_alpha")
     p.add_argument("--out", required=True, help="output counts CSV")
     p.set_defaults(func=cmd_simulate)
 

@@ -16,13 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
-from .metrics import (
-    SCORING_POLICY,
-    check_grid_axes,
-    check_window_days,
-    validate_windows,
-    window_estimator,
-)
+from .metrics import SCORING_POLICY, check_grid_axes, check_window_days, validate_windows
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
@@ -46,15 +40,23 @@ DEFAULT_G_MODES = ("plain", "null_uniform", "null_empirical")
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0)
 DEFAULT_WINDOWS = ((7, 14), (14, 30), (30, 60), (60, 90))
 
+# Run inputs that no config sets. The users file's meta line names the
+# organic sentinel; the window curve runs ``parsed_window_schema()`` at p=0
+# with ``plain``. ``to_jsonable`` records them, so the config hash covers
+# them as it covers every field.
+FIXED_SETTINGS = {"organic_alpha": None, "window_g": "plain", "window_p": 0, "window_schema": None}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a benchmark run needs, JSON-loadable.
 
     The dataset comes either from a generator config (``gen``) or from
-    ``users_csv``/``events_csv`` paths. How a run is scored is fixed
-    (``metrics.SCORING_POLICY``), not configured; ``to_jsonable`` records
-    that policy, so the config hash covers it. Every estimator,
+    ``users_csv``/``events_csv`` paths, which the loaders check. How a run
+    is scored is fixed (``metrics.SCORING_POLICY``), not configured, and so
+    are the organic sentinel and the window curve's schema, p and g
+    (``FIXED_SETTINGS``); ``to_jsonable`` records both, so the config hash
+    covers them. Every estimator,
     threshold and window is checked here, as is a p value, g mode or lambda
     listed twice, so a bad one fails before any dataset is generated or
     read; with ``gen``, a window starting at or after its
@@ -70,38 +72,27 @@ class RunConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     t: int = 30
     windows: tuple[tuple[int, int], ...] = DEFAULT_WINDOWS
-    window_schema: str | None = None
-    window_p: int = 0
-    window_g: str = "plain"
     seed: int = 0
-    organic_alpha: int | None = None
 
     def __post_init__(self) -> None:
         if self.gen is None and self.users_csv is None:
             raise ConfigError("config needs either a generator block or dataset paths")
         if self.gen is not None and self.users_csv is not None:
             raise ConfigError("config cannot mix a generator block with dataset paths")
-        if self.users_csv is not None and not Path(self.users_csv).exists():
-            raise ConfigError(f"users_csv {self.users_csv!r} does not exist")
-        if self.events_csv is not None and not Path(self.events_csv).exists():
-            raise ConfigError(f"events_csv {self.events_csv!r} does not exist")
         if not self.schemas or not self.p_values or not self.g_modes:
             raise ConfigError("need at least one schema, one p value and one g mode")
         check_window_days(self.t)
         for text in self.schemas:
             schema_from_text(text)  # raises on bad grammar
-        if self.window_schema is not None:
-            schema_from_text(self.window_schema)
-        for mode in (*self.g_modes, self.window_g):
+        for mode in self.g_modes:
             AttributionFunction(mode)
         for lam in self.lambda_grid:
             AttributionFunction("null_convex", lam)
-        for p in (*self.p_values, self.window_p):
+        for p in self.p_values:
             PrivacyConfig(p)
         check_grid_axes(self.p_values, self.g_modes, self.lambda_grid)
         if self.windows:
             validate_windows(self.windows)
-            window_estimator(self.window_g, self.window_p)
             horizon = self.gen.event_horizon_days if self.gen is not None else None
             for lo, hi in self.windows:
                 # A window holding no generated day has no revenue to weigh.
@@ -115,8 +106,7 @@ class RunConfig:
         return [schema_from_text(s) for s in self.schemas]
 
     def parsed_window_schema(self) -> SchemaSpec:
-        if self.window_schema is not None:
-            return schema_from_text(self.window_schema)
+        """The window curve's schema: the grid's D7 RR schema, else its first schema."""
         for text in self.schemas:
             spec = schema_from_text(text)
             if spec.kind == "RR" and spec.horizon_days == 7:
@@ -133,7 +123,7 @@ class RunConfig:
                 out["gen"] = gen
             else:
                 out[f.name] = value
-        return out | SCORING_POLICY
+        return out | FIXED_SETTINGS | SCORING_POLICY
 
 
 def _fits(value, hint) -> bool:

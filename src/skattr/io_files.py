@@ -21,7 +21,8 @@ reads the dataset again to name a defect. Bytes that are not UTF-8 and
 fields over the csv size limit are a ``CsvFormatError`` naming the file
 and line; only to find the first line that is not UTF-8 is a file read
 again, by any loader. A missing events file is a ``ConfigError`` naming it
-for both loaders when the users file lists a user.
+for both loaders when the users file lists a user. Both take the organic
+sentinel from the users file's meta line, and from nowhere else.
 
 Every file's meta line and header are written by ``_open_csv``, and the
 rows of every file but one by ``csv.writer``. ``save_events`` writes each
@@ -216,21 +217,19 @@ def save_events(path: str | Path, users: Sequence[UserRecord], meta: Mapping) ->
 
 
 def load_users(
-    user_csv: str | Path,
-    events_csv: str | Path | None = None,
-    organic_alpha: int | None = None,
+    user_csv: str | Path, events_csv: str | Path | None = None
 ) -> tuple[list[UserRecord], dict]:
     """Load and validate the user table, attaching events when given.
 
-    The organic sentinel comes from the argument or the file meta; rows with
-    alpha beyond the sentinel are rejected (the combined id space is bounded
-    by it). Each events row comes from ``_event_rows``, which names a
+    The organic sentinel is the file meta's ``organic_alpha``; rows with
+    alpha beyond it are rejected (the combined id space is bounded by it).
+    Each events row comes from ``_event_rows``, which names a
     missing events file as ``load_cohort`` does, and becomes the user's
     ``Event``; a user whose events are out of order, or start before
     registration, is a ``CsvFormatError`` naming the events file.
     """
     upath = Path(user_csv)
-    raw, meta, organic_alpha = _user_rows(upath, organic_alpha)
+    raw, meta, organic_alpha = _user_rows(upath)
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
     for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
         events[uid].append(Event(us, kind, amount, flag_index))
@@ -254,15 +253,12 @@ def load_users(
     return users, meta
 
 
-def _user_rows(
-    upath: Path, organic_alpha: int | None
-) -> tuple[dict[int, tuple[date, int, str]], dict, int | None]:
+def _user_rows(upath: Path) -> tuple[dict[int, tuple[date, int, str]], dict, int | None]:
     """The users file as ``{id: (registration date, alpha, group)}``, its meta and the sentinel."""
     raw: dict[int, tuple[date, int, str]] = {}
     with _csv_rows(upath, USER_FIELDS) as (meta, rows):
         _check_meta(upath, meta, "organic_alpha")
-        if organic_alpha is None:
-            organic_alpha = meta.get("organic_alpha")
+        organic_alpha = meta.get("organic_alpha")
         for line, row in rows:
             if len(row) != len(USER_FIELDS):
                 raise CsvFormatError(f"{upath}:{line}: expected {len(USER_FIELDS)} columns")
@@ -286,19 +282,15 @@ def _user_rows(
     return raw, meta, organic_alpha
 
 
-def load_cohort(
-    user_csv: str | Path,
-    events_csv: str | Path | None = None,
-    organic_alpha: int | None = None,
-) -> Cohort:
+def load_cohort(user_csv: str | Path, events_csv: str | Path | None = None) -> Cohort:
     """The dataset's ``Cohort``, reading each CSV once, with no ``Event`` or ``UserRecord``.
 
     The result, or the error, is that of
-    ``schema.prepare_users(load_users(user_csv, events_csv, organic_alpha)[0])``.
+    ``schema.prepare_users(load_users(user_csv, events_csv)[0])``.
     ``schema.fold_events`` folds the rows of ``_event_rows`` into the
     digests and names each user's defect.
     """
-    raw, _, sentinel = _user_rows(Path(user_csv), organic_alpha)
+    raw, _, sentinel = _user_rows(Path(user_csv))
     epath = None if events_csv is None else Path(events_csv)
     ids = sorted(raw)
     rows = [raw[uid] for uid in ids]

@@ -481,15 +481,6 @@ def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]
     return out
 
 
-def window_estimator(g: AttributionFunction | str, p: int) -> AttributionFunction:
-    """The window curve's estimator at threshold ``p``; ``plain`` needs p < 2."""
-    PrivacyConfig(p)
-    fn = g if isinstance(g, AttributionFunction) else AttributionFunction(g)
-    if fn.mode == "plain" and p >= 2:
-        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
-    return fn
-
-
 def window_error_curve(
     users: Sequence[UserRecord],
     schema: SchemaSpec,
@@ -506,11 +497,15 @@ def window_error_curve(
     its per-window bucket means move, so the curve isolates how revenue
     maturing away from the early signal degrades attribution. With the
     ``prepared`` cohort a grid ran on, the grid's simulation of the schema
-    is reused; otherwise the schema is simulated here.
+    is reused; otherwise the schema is simulated here. ``plain`` needs
+    ``p < 2``.
     """
     _check_schema(schema)
     wins = validate_windows(windows)
-    g = window_estimator(g, p)
+    PrivacyConfig(p)
+    g = g if isinstance(g, AttributionFunction) else AttributionFunction(g)
+    if g.mode == "plain" and p >= 2:
+        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)
     matrices = _estimator_matrices(artifacts, p, g)
     points: list[WindowPoint] = []

@@ -904,9 +904,7 @@ def _parse_int(text: str, path: Path, line: int, field: str) -> int:
         raise CsvFormatError(f"{path}:{line}: {field} must be an integer, got {text!r}") from exc
 
 
-def reference_load_users(
-    user_csv, events_csv=None, organic_alpha: int | None = None
-) -> tuple[list[UserRecord], dict]:
+def reference_load_users(user_csv, events_csv=None) -> tuple[list[UserRecord], dict]:
     """``io_files.load_users`` as a list-then-validate loader, every field checked in turn.
 
     A missing events file is a ``ConfigError`` when some user could have
@@ -916,8 +914,7 @@ def reference_load_users(
     """
     upath = Path(user_csv)
     meta, rows = _read_csv_rows(upath, USER_FIELDS)
-    if organic_alpha is None:
-        organic_alpha = meta.get("organic_alpha")
+    organic_alpha = meta.get("organic_alpha")
     raw: dict[int, tuple[date, int, str]] = {}
     for line, row in rows:
         if len(row) != len(USER_FIELDS):

@@ -125,10 +125,11 @@ class TestUserEventRoundTrip:
 
     def test_alpha_beyond_sentinel_rejected(self, tmp_path):
         (tmp_path / "u.csv").write_text(
+            '# skattr-meta {"organic_alpha": 700}\n'
             "id,registration_date,alpha,group\n1,2024-01-01,705,G\n"
         )
-        with pytest.raises(ReferentialError):
-            load_users(tmp_path / "u.csv", organic_alpha=700)
+        with pytest.raises(ReferentialError, match="alpha 705 exceeds the organic sentinel 700"):
+            load_users(tmp_path / "u.csv")
 
     def test_duplicate_id_rejected(self, tmp_path):
         (tmp_path / "u.csv").write_text(
@@ -957,11 +958,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("bad,prefix", [
         pytest.param({"g_modes": ["plain", "bogus"]}, None, id="g_mode"),
         pytest.param({"lambda_grid": [1.5]}, None, id="lambda"),
-        pytest.param({"window_g": "bogus"}, None, id="window_g"),
         pytest.param({"p_values": [-1], "g_modes": ["plain"]}, None, id="p"),
-        pytest.param({"window_p": -3}, None, id="window_p"),
         pytest.param({"windows": [[14, 7]]}, None, id="window"),
-        pytest.param({"window_g": "plain", "window_p": 2}, None, id="window_plain"),
         pytest.param({"lambda_grid": ["0.5"]}, "run config key 'lambda_grid' must fit ",
                      id="lambda_str"),
         pytest.param({"p_values": ["2"]}, "run config key 'p_values' must fit ", id="p_str"),
@@ -984,6 +982,15 @@ class TestCliErrors:
                      id="profile_per_group"),
         pytest.param({"week_start": "monday"}, "unknown run config keys: ['week_start']",
                      id="week_start"),
+        # Nor are the fixed run inputs (config.FIXED_SETTINGS): the users file names the
+        # organic sentinel, and the window curve's schema, p and g are fixed.
+        pytest.param({"organic_alpha": None}, "unknown run config keys: ['organic_alpha']",
+                     id="organic_alpha"),
+        pytest.param({"window_g": "plain"}, "unknown run config keys: ['window_g']",
+                     id="window_g"),
+        pytest.param({"window_p": 0}, "unknown run config keys: ['window_p']", id="window_p"),
+        pytest.param({"window_schema": None}, "unknown run config keys: ['window_schema']",
+                     id="window_schema"),
     ])
     def test_bad_run_config_fails_before_any_work(self, tmp_path, capsys, bad, prefix):
         (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN} | bad))
@@ -1206,6 +1213,40 @@ class TestCliErrors:
         assert config_error(capsys) == "--t 7 differs from the attribution file's t 30"
         assert not (tmp_path / "r.json").exists()
 
+    def test_evaluate_refuses_an_attribution_without_its_window(self, staged, tmp_path, capsys):
+        """Without the file's ``t``, no ``--t`` can be checked against it; the missing
+        dataset shows that the refusal comes before it is read."""
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        meta=lambda m: {k: v for k, v in m.items() if k != "t"})
+        code = run_cli("evaluate", "--attr", attr, "--truth-from", staged / "missing",
+                       "--t", 30, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert config_error(capsys) == "attribution file meta lacks the window t"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("missing", ["users_csv", "events_csv"])
+    def test_benchmark_names_a_missing_dataset_file(self, dataset_dir, tmp_path, capsys,
+                                                    missing):
+        """The loaders name a missing dataset file, as for the stages, and no ``out/`` is left."""
+        paths = {"users_csv": str(dataset_dir / "users.csv"),
+                 "events_csv": str(dataset_dir / "events.csv")}
+        paths[missing] = str(tmp_path / "nowhere.csv")
+        (tmp_path / "run.json").write_text(json.dumps(
+            paths | {"schemas": ["kind=UD"], "p_values": [0], "g_modes": ["plain"]}
+        ))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        assert config_error(capsys) == f"input file {tmp_path / 'nowhere.csv'} does not exist"
+        assert not out.exists()
+
+    def test_simulate_has_no_organic_alpha_option(self, staged, tmp_path, capsys):
+        """The users file's meta line names the organic sentinel; no option overrides it."""
+        code = run_cli("simulate", "--users", staged / "data", "--schema", D7RR, "--seed", 9,
+                       "--organic-alpha", 1, "--out", tmp_path / "c.csv")
+        assert code == 1
+        assert config_error(capsys).startswith("unrecognized arguments: --organic-alpha 1")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_attributed_alpha_not_declared(self, staged, tmp_path, capsys):
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         rows=lambda body: body + ["G0,2024-W01,98765,1.00"])
@@ -1320,20 +1361,29 @@ def rebuilds(monkeypatch):
 class TestPostbackView:
     """``simulate`` leaves the postback table beside the dataset, and the later stages read it."""
 
-    @pytest.mark.parametrize("args", [
-        pytest.param((), id="plain"),
-        pytest.param(("--horizon", "2024-01-20T00:00:00"), id="horizon"),
-        pytest.param(("--organic-alpha", 999), id="organic_alpha"),
-        pytest.param(("--schema", "kind=UD"), id="UD"),
+    @pytest.mark.parametrize("args, gen", [
+        pytest.param((), {}, id="plain"),
+        pytest.param(("--horizon", "2024-01-20T00:00:00"), {}, id="horizon"),
+        # A sentinel other than the generator's default, named by the users file alone.
+        pytest.param((), {"organic_alpha": 999}, id="organic_alpha"),
+        pytest.param(("--schema", "kind=UD"), {}, id="UD"),
     ])
-    def test_view_holds_the_simulated_table(self, dataset_dir, tmp_path, args):
+    def test_view_holds_the_simulated_table(self, dataset_dir, tmp_path, args, gen):
+        if gen:
+            users, meta = generate_dataset(
+                GenConfig(n_users=1500, n_weeks=3, event_horizon_days=40, seed=9, **gen)
+            )
+            dataset_dir = tmp_path / "gen"
+            save_dataset(dataset_dir, users, meta)
         args = ("--schema", D7RR, *args) if "--schema" not in args else args
         assert run_cli("simulate", "--users", dataset_dir, "--seed", 9, *args,
                        "--out", tmp_path / "c.csv") == 0
         _, meta = load_counts(tmp_path / "c.csv")
+        if gen:
+            assert meta["organic_alpha"] == gen["organic_alpha"]
         users, events = dataset_dir / "users.csv", dataset_dir / "events.csv"
         table = load_postback_view(users, events, meta)
-        cohort = load_cohort(users, events, meta["organic_alpha"])
+        cohort = load_cohort(users, events)
         horizon = meta["horizon"] and datetime_to_us(datetime.fromisoformat(meta["horizon"]))
         expected = run_schema(cohort, schema_from_text(meta["schema"]), 9, horizon).postbacks
         if "--horizon" in args:
@@ -1415,7 +1465,6 @@ class TestPostbackView:
     @pytest.mark.parametrize("args", [
         pytest.param(("--seed", 10), id="seed"),
         pytest.param(("--seed", 9, "--horizon", "2024-01-20T00:00:00"), id="horizon"),
-        pytest.param(("--seed", 9, "--organic-alpha", 999), id="organic_alpha"),
     ])
     def test_view_of_another_key_is_not_read(self, staged, tmp_path, rebuilds, args):
         """A view whose meta key differs from the counts' is not read, even under their file name."""

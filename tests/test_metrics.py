@@ -244,6 +244,16 @@ def test_negative_p_rejected_before_simulating(run):
     assert prepared.simulations == {}
 
 
+def test_window_curve_refuses_plain_from_p_2_before_simulating():
+    """``plain`` reads the counts unthresholded, so it stands for no threshold from p=2 on."""
+    users = small_dataset(n=300)
+    prepared = prepare_users(users)
+    with pytest.raises(ConfigError, match="^plain attribution requires p < 2; pick a null-aware"):
+        window_error_curve(users, schema_from_text(D7RR), 2, "plain", [(0, 30)], seed=0,
+                           prepared=prepared)
+    assert prepared.simulations == {}
+
+
 @pytest.mark.parametrize("build, value", [
     pytest.param(lambda: PrivacyConfig("2"), "'2'", id="p_str"),
     pytest.param(lambda: PrivacyConfig(True), "True", id="p_bool"),
