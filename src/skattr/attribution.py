@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from typing import NamedTuple
 
 from .errors import ConfigError, MissingProfileError
 # revenue_between is not called here but stays bound: perfbench's tracer test
 # checks that the tracer patches this module's binding of it.
-from .model import CampaignKey, revenue_between  # noqa: F401
+from .model import CampaignKey, remake, revenue_between  # noqa: F401
 from .postback import CountMatrix, PostbackTable
 from .schema import VALUE_RANGE
 
@@ -84,8 +84,12 @@ def estimate_bucket_means(postbacks: PostbackTable, t: int) -> dict[int, Fractio
 _FIXED_LAMBDA = {"plain": 0.0, "null_uniform": 0.0, "null_empirical": 1.0}
 
 
-@dataclass(frozen=True)
-class AttributionFunction:
+class _AttributionFunctionFields(NamedTuple):
+    mode: str
+    lam: float | None = None
+
+
+class AttributionFunction(_AttributionFunctionFields):
     """One estimator: its mode and the lambda it redistributes with.
 
     ``lam`` is resolved here, once: ``null_uniform`` fixes it at 0 and
@@ -97,23 +101,22 @@ class AttributionFunction:
     columns, organic included.
     """
 
-    mode: str
-    lam: float | None = None
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
-        if self.mode not in ATTRIBUTION_MODES:
-            raise ConfigError(f"unknown attribution mode {self.mode!r}")
-        fixed = _FIXED_LAMBDA.get(self.mode)
-        lam = self.lam
+    def __new__(cls, mode: str, lam: float | None = None) -> AttributionFunction:
+        if mode not in ATTRIBUTION_MODES:
+            raise ConfigError(f"unknown attribution mode {mode!r}")
+        fixed = _FIXED_LAMBDA.get(mode)
         if lam is None:
             lam = 0.0 if fixed is None else fixed
         elif not isinstance(lam, Real) or isinstance(lam, bool):
             raise ConfigError(f"lambda must be a real number, got {lam!r}")
         elif fixed is not None and lam != fixed:
-            raise ConfigError(f"{self.mode} fixes lambda at {fixed:g}, got {lam}")
+            raise ConfigError(f"{mode} fixes lambda at {fixed:g}, got {lam}")
         elif not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-        object.__setattr__(self, "lam", float(lam))
+        return tuple.__new__(cls, (mode, float(lam)))
 
 
 def _scaled_means(
@@ -151,8 +154,7 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-@dataclass(frozen=True, slots=True)
-class CellAttribution:
+class CellAttribution(NamedTuple):
     """One cell's attribution, exact and affine in lambda.
 
     Column ``j`` attributes ``(a[j] + lam * b[j]) / den`` cents, with

@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -278,7 +277,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     run_hash = config_hash(cfg.to_jsonable() | {"seed": seed})
 
     if cfg.gen is not None:
-        users, dmeta = generate_dataset(replace(cfg.gen, seed=seed))
+        users, dmeta = generate_dataset(cfg.gen._replace(seed=seed))
         dmeta["config_hash"] = run_hash
         save_dataset(out_dir / "dataset", users, dmeta)
     else:

@@ -9,14 +9,14 @@ conversion, so a valid config is stored (and hashed) exactly as written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .attribution import AttributionFunction
 from .errors import ConfigError
 from .metrics import SCORING_POLICY, check_grid_axes, check_window_days, validate_windows
+from .model import remake
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
 from .synthgen import GenConfig
@@ -47,8 +47,20 @@ DEFAULT_WINDOWS = ((7, 14), (14, 30), (30, 60), (60, 90))
 FIXED_SETTINGS = {"organic_alpha": None, "window_g": "plain", "window_p": 0, "window_schema": None}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
+    gen: GenConfig | None = None
+    users_csv: str | None = None
+    events_csv: str | None = None
+    schemas: tuple[str, ...] = DEFAULT_SCHEMAS
+    p_values: tuple[int, ...] = DEFAULT_P_VALUES
+    g_modes: tuple[str, ...] = DEFAULT_G_MODES
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
+    t: int = 30
+    windows: tuple[tuple[int, int], ...] = DEFAULT_WINDOWS
+    seed: int = 0
+
+
+class RunConfig(_RunConfigFields):
     """Everything a benchmark run needs, JSON-loadable.
 
     The dataset comes either from a generator config (``gen``) or from
@@ -63,18 +75,11 @@ class RunConfig:
     ``event_horizon_days`` holds no event and is rejected too.
     """
 
-    gen: GenConfig | None = None
-    users_csv: str | None = None
-    events_csv: str | None = None
-    schemas: tuple[str, ...] = DEFAULT_SCHEMAS
-    p_values: tuple[int, ...] = DEFAULT_P_VALUES
-    g_modes: tuple[str, ...] = DEFAULT_G_MODES
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    t: int = 30
-    windows: tuple[tuple[int, int], ...] = DEFAULT_WINDOWS
-    seed: int = 0
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.gen is None and self.users_csv is None:
             raise ConfigError("config needs either a generator block or dataset paths")
         if self.gen is not None and self.users_csv is not None:
@@ -101,6 +106,7 @@ class RunConfig:
                         f"windows: [{lo}, {hi}) starts at or after the generator's "
                         f"event_horizon_days {horizon}"
                     )
+        return self
 
     def parsed_schemas(self) -> list[SchemaSpec]:
         return [schema_from_text(s) for s in self.schemas]
@@ -114,15 +120,9 @@ class RunConfig:
         return schema_from_text(self.schemas[0])
 
     def to_jsonable(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "gen" and value is not None:
-                gen = {g.name: getattr(value, g.name) for g in fields(GenConfig)}
-                gen["start_date"] = value.start_date.isoformat()
-                out["gen"] = gen
-            else:
-                out[f.name] = value
+        out = self._asdict()
+        if self.gen is not None:
+            out["gen"] = self.gen._asdict() | {"start_date": self.gen.start_date.isoformat()}
         return out | FIXED_SETTINGS | SCORING_POLICY
 
 
@@ -154,13 +154,19 @@ def _fits(value, hint) -> bool:
 
 def _check_keys(cls: type, data: dict, what: str) -> None:
     """Reject unknown keys, and values whose JSON type does not fit the field."""
-    unknown = set(data) - {f.name for f in fields(cls)}
+    unknown = set(data) - set(cls._fields)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     hints = get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in data and not _fits(data[f.name], hints[f.name]):
-            raise ConfigError(f"{what} key {f.name!r} must fit {f.type}, got {data[f.name]!r}")
+    # The NamedTuple that declares the fields keeps each annotation as
+    # written, in a ForwardRef.
+    written = cls.__mro__[1].__annotations__
+    for name in cls._fields:
+        if name in data and not _fits(data[name], hints[name]):
+            raise ConfigError(
+                f"{what} key {name!r} must fit {written[name].__forward_arg__}, "
+                f"got {data[name]!r}"
+            )
 
 
 def gen_config_from_dict(data: dict) -> GenConfig:

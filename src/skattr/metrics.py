@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .attribution import (
     AttributionFunction,
@@ -110,8 +110,7 @@ def normalize_vs_baseline(err: float, baseline_err: float) -> float:
     return 100.0 * (1.0 - err / baseline_err)
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """One benchmark grid cell at one aggregation level."""
 
     schema: str
@@ -124,26 +123,30 @@ class CellResult:
     normalized_score: float | None
 
 
-@dataclass(frozen=True)
-class WindowPoint:
+class WindowPoint(NamedTuple):
     lo_day: int
     hi_day: int
     error: float  # cents
 
 
-@dataclass
 class AttributionReport:
-    """Full benchmark output: grid cells, optional window curve, metadata."""
+    """Full benchmark output: grid cells, optional window curve, metadata.
 
-    cells: list[CellResult]
-    metadata: dict
-    window_curve: list[WindowPoint] | None = None
+    ``cmd_benchmark`` adds the window curve and the config hash after the
+    grid is built.
+    """
 
-    def cell(self, schema: str, p: int, mode: str, lam: float | None, level: str) -> CellResult:
-        for c in self.cells:
-            if (c.schema, c.p, c.mode, c.lam, c.level) == (schema, p, mode, lam, level):
-                return c
-        raise KeyError((schema, p, mode, lam, level))
+    __slots__ = ("cells", "metadata", "window_curve")
+
+    def __init__(
+        self,
+        cells: list[CellResult],
+        metadata: dict,
+        window_curve: list[WindowPoint] | None = None,
+    ) -> None:
+        self.cells = cells
+        self.metadata = metadata
+        self.window_curve = window_curve
 
 
 def _network_label(key: CampaignKey) -> str:

@@ -8,11 +8,13 @@ the microseconds since that midnight. ``datetime_to_us`` and
 only file text and messages use. Revenue windows are half-open in whole
 days from the registration date: a purchase exactly ``t`` days after
 registration midnight falls outside ``[0, t)``. Weeks are ISO year-weeks
-(Monday start). Campaign keys, users and events are immutable after
-construction. An ``Event`` is a plain named tuple ``(us, kind, amount,
-flag_index)``, the events row less its user id; ``UserRecord`` checks its
-events, and the dataset reader each row, with ``check_event``, the rule on
-an event's kind and fields.
+(Monday start). Campaign keys, users and events are immutable named
+tuples; a record whose constructor checks its fields does so in its
+``__new__``, and its ``_replace`` runs the same checks (``remake``). An
+``Event`` is a plain named tuple ``(us, kind, amount, flag_index)``, the
+events row less its user id; ``UserRecord`` checks its events, and the
+dataset reader each row, with ``check_event``, the rule on an event's kind
+and fields.
 
 A ``Cohort`` is the one handle the pipeline takes for a user list. It is
 built from columns in cohort order (ids, registration date ordinals, group
@@ -38,7 +40,6 @@ indexed like the cohort's ``origins``, the columns scoring works on.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -60,8 +61,22 @@ FLAG = "flag"
 EVENT_KINDS = (SESSION, PURCHASE, FLAG)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CampaignKey:
+def remake(cls: type[tuple], fields: Iterable) -> tuple:
+    """A ``cls`` record of ``fields``, built by its constructor.
+
+    Every record class whose constructor checks its fields binds this as
+    its ``_make``, so that ``record._replace(**changes)`` runs those checks
+    on the copy, as the constructor would. ``tuple.__new__`` skips them.
+    """
+    return cls(*fields)
+
+
+class _CampaignKeyFields(NamedTuple):
+    alpha: int
+    organic: bool = False
+
+
+class CampaignKey(_CampaignKeyFields):
     """Combined network/campaign id, or the organic sentinel.
 
     Paid keys satisfy ``alpha = 100 * network + campaign`` with the campaign
@@ -69,12 +84,13 @@ class CampaignKey:
     decodes to neither a network nor a campaign.
     """
 
-    alpha: int
-    organic: bool = False
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise InvalidCampaignError(f"alpha must be >= 0, got {self.alpha}")
+    def __new__(cls, alpha: int, organic: bool = False) -> CampaignKey:
+        if alpha < 0:
+            raise InvalidCampaignError(f"alpha must be >= 0, got {alpha}")
+        return tuple.__new__(cls, (alpha, organic))
 
     @property
     def network(self) -> int:
@@ -172,8 +188,15 @@ def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:
         raise ConfigError(f"unknown event kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class UserRecord:
+class _UserRecordFields(NamedTuple):
+    id: int
+    registration_date: date
+    origin: CampaignKey
+    events: tuple[Event, ...]
+    group: str
+
+
+class UserRecord(_UserRecordFields):
     """One user: registration date, true origin, event stream, group label.
 
     The events are checked here, in one pass: each instant an ``int``, each
@@ -182,30 +205,29 @@ class UserRecord:
     is unique per user (last-click semantics).
     """
 
-    id: int
-    registration_date: date
-    origin: CampaignKey
-    events: tuple[Event, ...]
-    group: str
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
-        if type(self.id) is not int:
-            raise ConfigError(f"user id must be an int, got {self.id!r}")
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
+    def __new__(cls, id: int, registration_date: date, origin: CampaignKey,
+                events: Iterable[Event], group: str) -> UserRecord:
+        if type(id) is not int:
+            raise ConfigError(f"user id must be an int, got {id!r}")
+        if not isinstance(events, tuple):
+            events = tuple(events)
         prev = None
-        for us, kind, amount, flag_index in self.events:
+        for us, kind, amount, flag_index in events:
             if type(us) is not int:
                 raise ConfigError(f"event instant must be an int, got {us!r}")
             check_event(kind, amount, flag_index)
             if prev is None:
-                if us < self.registration_us:
-                    raise ConfigError(f"user {self.id}: event precedes registration")
+                if us < registration_date.toordinal() * US_PER_DAY:
+                    raise ConfigError(f"user {id}: event precedes registration")
             elif us < prev:
                 raise ConfigError(
-                    f"user {self.id}: events out of order at {us_to_datetime(us).isoformat()}"
+                    f"user {id}: events out of order at {us_to_datetime(us).isoformat()}"
                 )
             prev = us
+        return tuple.__new__(cls, (id, registration_date, origin, events, group))
 
     @property
     def registration_us(self) -> int:
@@ -286,8 +308,8 @@ class Cohort:
         self.group_labels = tuple(sorted(set(groups)))
         group_index = {g: i for i, g in enumerate(self.group_labels)}
         self.group = [group_index[g] for g in groups]
-        # Keyed by (organic, alpha) rather than by the key itself: the
-        # dataclass hash runs in Python, once per user and lookup.
+        # Keyed by the (organic, alpha) pairs the builders pass, so that no
+        # CampaignKey is built per user.
         distinct = set(origins)
         paid = sorted(alpha for organic, alpha in distinct if not organic)
         sentinels = sorted(alpha for organic, alpha in distinct if organic)

@@ -24,8 +24,8 @@ derived substream seed (seed, "ud").
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from datetime import date
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .model import US_PER_DAY, US_PER_WEEK, Cohort
@@ -49,7 +49,7 @@ def resolve_schema(schema: SchemaSpec, cohort: Cohort, seed: int) -> SchemaSpec:
     Boundaries are fitted on the cohort's ``[0, horizon)`` revenue memo.
     """
     if schema.kind == "UD" and schema.seed is None:
-        schema = replace(schema, seed=hash64(seed, "ud") & 0x7FFFFFFF)
+        schema = schema._replace(seed=hash64(seed, "ud") & 0x7FFFFFFF)
     if schema.needs_boundaries() and schema.bucket_boundaries is None:
         schema = fit_buckets(cohort.window_revenue(0, schema.horizon_days), schema)
     return schema
@@ -137,8 +137,7 @@ def build_cell_matrices(
     return out
 
 
-@dataclass(frozen=True)
-class SimArtifacts:
+class SimArtifacts(NamedTuple):
     """Everything downstream stages need from one schema simulation.
 
     The matrix columns are ``postbacks.cohort.origins``.

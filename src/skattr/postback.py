@@ -15,12 +15,12 @@ it was given; its suppressed values are derived from its rows, not stored.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigError, InconsistentTotalsError
-from .model import MICROSECOND, CampaignKey, Cohort, iso_week
+from .model import MICROSECOND, CampaignKey, Cohort, iso_week, remake
 from .schema import VALUE_RANGE
 
 POSTBACK_QUIET_SECONDS = 86_400.0
@@ -44,7 +44,6 @@ def cell_of(group: str, day: date) -> CellKey:
     return (group, iso_week(day))
 
 
-@dataclass(frozen=True, eq=False)
 class PostbackTable:
     """One schema's postbacks: the developer's view, as lists in cohort order.
 
@@ -53,30 +52,31 @@ class PostbackTable:
     ``US_PER_DAY`` + time of day) and ``cells[i]`` the id of the cell it
     is counted in, or -1 when the postback came after the horizon and counts
     nowhere. ``cell_keys`` maps each id in ``cells`` to its (group, week).
+    A table is read-only and equal only to itself.
     """
 
-    cohort: Cohort
-    values: list[int]
-    cells: list[int]
-    sent_us: list[int]
-    cell_keys: dict[int, CellKey]
+    __slots__ = ("cohort", "values", "cells", "sent_us", "cell_keys")
+
+    def __init__(
+        self,
+        cohort: Cohort,
+        values: list[int],
+        cells: list[int],
+        sent_us: list[int],
+        cell_keys: dict[int, CellKey],
+    ) -> None:
+        for name, value in zip(self.__slots__, (cohort, values, cells, sent_us, cell_keys)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to PostbackTable field {name!r}")
 
     def __len__(self) -> int:
         """The number of postbacks delivered by the horizon."""
         return len(self.cells) - self.cells.count(-1)
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Counts of conversion values per campaign for one (group, week).
-
-    ``rows`` has one 64-entry-per-column tuple per conversion value. After
-    privacy is applied, ``p`` is the threshold and ``null_row`` holds the
-    folded counts; both are None before. A value row below ``p`` holds no
-    count, so the suppressed values are derived from the rows alone, and
-    below p=2, which folds no user, the null row is empty.
-    """
-
+class _CountMatrixFields(NamedTuple):
     group: str
     week: str
     columns: tuple[CampaignKey, ...]
@@ -84,7 +84,22 @@ class CountMatrix:
     p: int | None = None
     null_row: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class CountMatrix(_CountMatrixFields):
+    """Counts of conversion values per campaign for one (group, week).
+
+    ``rows`` has one 64-entry-per-column tuple per conversion value. After
+    privacy is applied, ``p`` is the threshold and ``null_row`` holds the
+    folded counts; both are None before. A value row below ``p`` holds no
+    count, so the suppressed values are derived from the rows alone, and
+    below p=2, which folds no user, the null row is empty. A matrix keeps
+    an instance ``__dict__`` for its cached ``row_sums`` and ``suppressed``.
+    """
+
+    _make = classmethod(remake)
+
+    def __new__(cls, *args, **kwargs) -> CountMatrix:
+        self = super().__new__(cls, *args, **kwargs)
         rows = self.rows
         if len(rows) != VALUE_RANGE:
             raise ConfigError(f"count matrix must have {VALUE_RANGE} rows")
@@ -108,18 +123,18 @@ class CountMatrix:
             low = next((v for v, n in enumerate(self.row_sums) if 0 < n < self.p), None)
             if low is not None:
                 raise ConfigError(f"value {low} keeps {self.row_sums[low]} users, below p={self.p}")
+        return self
 
     def _derive(self, **changes) -> CountMatrix:
-        """A copy with ``changes``, without running ``__post_init__``'s checks again.
+        """A copy with ``changes``, without running the constructor's checks again.
 
         The caller derives ``changes`` from this checked matrix so that the
         copy passes them, as ``privacy.apply_threshold`` and
-        ``estimate_organic`` do. Loaded and hand-built matrices go through
-        the constructor, which keeps every check.
+        ``estimate_organic`` do. Loaded and hand-built matrices, and
+        ``_replace`` copies, go through the constructor, which keeps every
+        check.
         """
-        copy = object.__new__(CountMatrix)
-        vars(copy).update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
-        return copy
+        return tuple.__new__(CountMatrix, (self._asdict() | changes).values())
 
     @property
     def privacy_applied(self) -> bool:

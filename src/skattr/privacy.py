@@ -16,23 +16,29 @@ null row's single nonzero column. That behavior is asserted by tests, not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
+from .model import remake
 from .postback import CountMatrix
 
 
-@dataclass(frozen=True, slots=True)
-class PrivacyConfig:
-    """Threshold p, enforced per (group, week) matrix."""
-
+class _PrivacyConfigFields(NamedTuple):
     p: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ConfigError(f"privacy threshold must be an integer, got {self.p!r}")
-        if self.p < 0:
-            raise ConfigError(f"privacy threshold must be >= 0, got {self.p}")
+
+class PrivacyConfig(_PrivacyConfigFields):
+    """Threshold p, enforced per (group, week) matrix."""
+
+    __slots__ = ()
+    _make = classmethod(remake)
+
+    def __new__(cls, p: int) -> PrivacyConfig:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ConfigError(f"privacy threshold must be an integer, got {p!r}")
+        if p < 0:
+            raise ConfigError(f"privacy threshold must be >= 0, got {p}")
+        return tuple.__new__(cls, (p,))
 
 
 def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, CsvFormatError, DegenerateFitError, LayoutError
-from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord, us_to_datetime
+from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord, remake, us_to_datetime
 from .rng import uniform_value
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
@@ -46,24 +46,29 @@ VALUE_RANGE = 64  # 6 bits
 COMMIT_WINDOW_US = US_PER_DAY
 
 
-@dataclass(frozen=True, slots=True)
-class BitLayout:
+class _BitLayoutFields(NamedTuple):
+    bits: str
+
+
+class BitLayout(_BitLayoutFields):
     """Six bit roles, most-significant first, from {T, V, C}.
 
     Time bits, when present, must form the most-significant prefix so that
     day increments always raise the value regardless of the low bits.
     """
 
-    bits: str
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != 6:
-            raise LayoutError(f"layout must have exactly 6 bits, got {self.bits!r}")
-        if any(ch not in "TVC" for ch in self.bits):
-            raise LayoutError(f"layout characters must be T, V or C, got {self.bits!r}")
-        n_t = self.bits.count("T")
-        if n_t and self.bits[:n_t] != "T" * n_t:
-            raise LayoutError(f"T bits must be a most-significant prefix, got {self.bits!r}")
+    def __new__(cls, bits: str) -> BitLayout:
+        if len(bits) != 6:
+            raise LayoutError(f"layout must have exactly 6 bits, got {bits!r}")
+        if any(ch not in "TVC" for ch in bits):
+            raise LayoutError(f"layout characters must be T, V or C, got {bits!r}")
+        n_t = bits.count("T")
+        if n_t and bits[:n_t] != "T" * n_t:
+            raise LayoutError(f"T bits must be a most-significant prefix, got {bits!r}")
+        return tuple.__new__(cls, (bits,))
 
     @property
     def n_t(self) -> int:
@@ -84,8 +89,15 @@ def parse_layout(spec: str) -> BitLayout:
     return BitLayout(spec.upper())
 
 
-@dataclass(frozen=True)
-class SchemaSpec:
+class _SchemaSpecFields(NamedTuple):
+    kind: str
+    layout: BitLayout | None = None
+    horizon_days: int = 0
+    bucket_boundaries: tuple[int, ...] | None = None
+    seed: int | None = None
+
+
+class SchemaSpec(_SchemaSpecFields):
     """A conversion-value schema: kind, bit layout, fitted boundaries.
 
     ``bucket_boundaries`` (cents, one per inter-bucket cut) apply to the V
@@ -94,49 +106,52 @@ class SchemaSpec:
     drives the per-user draw for UD only.
     """
 
-    kind: str
-    layout: BitLayout | None = None
-    horizon_days: int = 0
-    bucket_boundaries: tuple[int, ...] | None = None
-    seed: int | None = None
+    __slots__ = ()
+    _make = classmethod(remake)
 
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEMA_KINDS:
-            raise ConfigError(f"unknown schema kind {self.kind!r}")
-        if self.bucket_boundaries is not None:
-            bb = tuple(self.bucket_boundaries)
-            object.__setattr__(self, "bucket_boundaries", bb)
+    def __new__(
+        cls,
+        kind: str,
+        layout: BitLayout | None = None,
+        horizon_days: int = 0,
+        bucket_boundaries: Iterable[int] | None = None,
+        seed: int | None = None,
+    ) -> SchemaSpec:
+        if kind not in SCHEMA_KINDS:
+            raise ConfigError(f"unknown schema kind {kind!r}")
+        if bucket_boundaries is not None:
+            bucket_boundaries = bb = tuple(bucket_boundaries)
             if any(b <= 0 for b in bb):
                 raise ConfigError("bucket boundaries must be positive cents")
             if any(b2 < b1 for b1, b2 in zip(bb, bb[1:])):
                 raise ConfigError("bucket boundaries must be ascending")
-        if self.kind == "EV":
-            if self.layout is None:
-                object.__setattr__(self, "layout", BitLayout("CCCCCC"))
-            elif self.layout.bits != "CCCCCC":
+        if kind == "EV":
+            if layout is None:
+                layout = BitLayout("CCCCCC")
+            elif layout.bits != "CCCCCC":
                 raise ConfigError("EV requires the CCCCCC layout")
-        elif self.kind == "PV":
-            if self.layout is None:
-                object.__setattr__(self, "layout", BitLayout("VVVVVV"))
-            elif self.layout.bits != "VVVVVV":
+        elif kind == "PV":
+            if layout is None:
+                layout = BitLayout("VVVVVV")
+            elif layout.bits != "VVVVVV":
                 raise ConfigError("PV requires the VVVVVV layout")
-            if self.horizon_days < 1:
+            if horizon_days < 1:
                 raise ConfigError("PV requires a revenue horizon of at least one day")
-        elif self.kind in ("RR", "RI"):
-            lay = self.layout
-            if lay is None:
-                raise ConfigError(f"{self.kind} requires an explicit layout")
-            low = "V" if self.kind == "RR" else "C"
-            if lay.n_t < 1 or lay.bits != "T" * lay.n_t + low * (6 - lay.n_t):
+        elif kind in ("RR", "RI"):
+            if layout is None:
+                raise ConfigError(f"{kind} requires an explicit layout")
+            low = "V" if kind == "RR" else "C"
+            if layout.n_t < 1 or layout.bits != "T" * layout.n_t + low * (6 - layout.n_t):
                 raise ConfigError(
-                    f"{self.kind} layout must be a T prefix followed by {low} bits, got {lay.bits!r}"
+                    f"{kind} layout must be a T prefix followed by {low} bits, got {layout.bits!r}"
                 )
-            if self.horizon_days != 2 ** lay.n_t - 1:
+            if horizon_days != 2 ** layout.n_t - 1:
                 raise ConfigError(
-                    f"{self.kind} horizon must be 2**n_t - 1 = {2 ** lay.n_t - 1} "
-                    f"for {lay.bits!r}, got {self.horizon_days}"
+                    f"{kind} horizon must be 2**n_t - 1 = {2 ** layout.n_t - 1} "
+                    f"for {layout.bits!r}, got {horizon_days}"
                 )
         # UD ignores layout and boundaries entirely.
+        return tuple.__new__(cls, (kind, layout, horizon_days, bucket_boundaries, seed))
 
     @property
     def n_value_bits(self) -> int:
@@ -216,7 +231,7 @@ def fit_buckets(revenues: Iterable[int], schema: SchemaSpec) -> SchemaSpec:
     m = 2**b - 1
     n = len(spends)
     boundaries = tuple(spends[-(-k * n // m) - 1] for k in range(1, m))
-    return replace(schema, bucket_boundaries=boundaries)
+    return schema._replace(bucket_boundaries=boundaries)
 
 
 def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:

@@ -40,9 +40,8 @@ per dataset (``_tables``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import ConfigError
 from .model import (
@@ -55,6 +54,7 @@ from .model import (
     UserRecord,
     encode_alpha,
     organic_key,
+    remake,
 )
 from .rng import substream
 
@@ -64,16 +64,7 @@ DEFAULT_FLAG_PROBS = (0.55, 0.30, 0.16, 0.08, 0.04, 0.02)
 DEFAULT_GROUPS = (("US", 0.5), ("ROW", 0.5))
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Knobs for the synthetic cohort generator.
-
-    Probabilities are in [0, 1]; money parameters are in log-cents. The
-    cohort window spans ``n_weeks`` ISO weeks starting at ``start_date``
-    (must be a Monday); events are generated through ``event_horizon_days``
-    per user so long revenue windows stay observable.
-    """
-
+class _GenConfigFields(NamedTuple):
     n_users: int = 50_000
     n_networks: int = 2
     campaigns_per_network: int = 5
@@ -100,7 +91,21 @@ class GenConfig:
     organic_alpha: int | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class GenConfig(_GenConfigFields):
+    """Knobs for the synthetic cohort generator.
+
+    Probabilities are in [0, 1]; money parameters are in log-cents. The
+    cohort window spans ``n_weeks`` ISO weeks starting at ``start_date``
+    (must be a Monday); events are generated through ``event_horizon_days``
+    per user so long revenue windows stay observable.
+    """
+
+    __slots__ = ()
+    _make = classmethod(remake)
+
+    def __new__(cls, *args, **kwargs) -> GenConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_users < 1:
             raise ConfigError("n_users must be at least 1")
         if self.n_networks < 1 or not 1 <= self.campaigns_per_network <= 100:
@@ -148,6 +153,7 @@ class GenConfig:
             raise ConfigError("group weights must sum to 1")
         if self.max_sessions_per_day < 1:
             raise ConfigError("max_sessions_per_day must be at least 1")
+        return self
 
     @property
     def campaigns(self) -> tuple[CampaignKey, ...]:
@@ -165,8 +171,7 @@ class GenConfig:
         return organic_key(100 * (self.n_networks - 1) + self.campaigns_per_network)
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     """One origin segment: its quality multipliers."""
 
     key: CampaignKey
@@ -228,8 +233,7 @@ def _below(getrandbits, n: int, k: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     """What each user's draws need that depends only on the config."""
 
     segments: tuple[tuple[_Segment, float], ...]  # with their draw weights

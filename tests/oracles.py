@@ -27,7 +27,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 from itertools import chain
@@ -720,7 +720,7 @@ def reference_threshold(matrix: CountMatrix, p: int) -> CountMatrix:
             rows.append((0,) * len(row))
         else:
             rows.append(row)
-    out = replace(matrix, rows=tuple(rows), p=p, null_row=tuple(null_row))
+    out = matrix._replace(rows=tuple(rows), p=p, null_row=tuple(null_row))
     assert out.suppressed == suppressed
     return out
 

@@ -8,7 +8,6 @@ a module fixture and take a few minutes; everything else is fast.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
@@ -93,7 +92,7 @@ def instance_pieces(campaigns, users):
     grid = [list(r) for r in m.rows]
     for v in counts:
         grid[v] = [counts[v][k] for k in campaigns]
-    matrix = replace(m, rows=tuple(tuple(r) for r in grid))
+    matrix = m._replace(rows=tuple(tuple(r) for r in grid))
     means = {v: Fraction(sums[v], ns[v]) for v in ns}
     return matrix, means, ns, truth, counts
 
@@ -171,7 +170,7 @@ def test_c3_privacy_gate_on_random_matrices():
             for _ in range(rng.randrange(12)):
                 v = rng.randrange(64)
                 grid[v] = [rng.randrange(0, 12) for _ in columns]
-            matrix = replace(m, rows=tuple(tuple(r) for r in grid))
+            matrix = m._replace(rows=tuple(tuple(r) for r in grid))
             p = rng.choice([0, 1, 2, 3, 5, 10, 25])
             out = apply_threshold(matrix, PrivacyConfig(p))
             assert out.column_sums() == matrix.column_sums()

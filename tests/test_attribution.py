@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from skattr.attribution import (
     AttributionFunction,
+    CellAttribution,
     attribute_plain,
     attribute_with_null,
     estimate_bucket_means,
@@ -45,7 +45,7 @@ def matrix_from(rows, columns=(A, B, ORG)):
     grid = [list(r) for r in m.rows]
     for v, row in rows.items():
         grid[v] = list(row)
-    return replace(m, rows=tuple(tuple(r) for r in grid))
+    return m._replace(rows=tuple(tuple(r) for r in grid))
 
 
 def means_of(means):
@@ -129,13 +129,13 @@ class TestAttributeWithNull:
 
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(0, 0, 0, 0))
+        m = empty_matrix("G", "w", cols)._replace(p=1, null_row=(0, 0, 0, 0))
         out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(0.0)
         assert all(out[c] == Fraction(200) for c in cols)
 
     def test_empirical_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), p=2, null_row=(3, 1, 0, 0))
+        m = empty_matrix("G", "w", cols)._replace(p=2, null_row=(3, 1, 0, 0))
         out = attribute_with_null(m, means_of({5: 100}), {5: 8}).fractions(1.0)
         assert out[cols[0]] == Fraction(600)
         assert out[cols[1]] == Fraction(200)
@@ -143,7 +143,7 @@ class TestAttributeWithNull:
 
     def test_empty_null_row_falls_back_to_uniform(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
-        m = replace(empty_matrix("G", "w", cols), p=1, null_row=(0, 0, 0, 0))
+        m = empty_matrix("G", "w", cols)._replace(p=1, null_row=(0, 0, 0, 0))
         res = attribute_with_null(m, means_of({5: 100}), {5: 8})
         assert not any(res.b)
         assert all(res.fractions(1.0)[c] == Fraction(200) for c in cols)
@@ -459,7 +459,7 @@ def test_affine_kernel_matches_reference_kernels(case):
     matrix, means, totals, p, lams = case
     plain = kernel_outcome(lambda: attribute_plain(matrix, means))
     expected = kernel_outcome(lambda: reference_attribute_plain(matrix, means))
-    if isinstance(plain, tuple):
+    if not isinstance(plain, CellAttribution):  # a refusal; a CellAttribution is a tuple too
         assert plain == expected
     else:
         assert plain.fractions() == expected
@@ -471,7 +471,7 @@ def test_affine_kernel_matches_reference_kernels(case):
         expected = kernel_outcome(
             lambda: reference_attribute_with_null(privatized, means, totals, fn)
         )
-        if isinstance(res, tuple):
+        if not isinstance(res, CellAttribution):
             assert res == expected
             continue
         assert res.fractions(lam) == expected
@@ -489,7 +489,7 @@ def test_cents_round_half_cent_ties_to_even(q, lam):
     plain = attribute_plain(matrix_from({4: (1, 0, 0)}), {4: half})
     assert plain.fractions()[A] == half
     # A suppressed value with an empty null row splits 2q + 1 cents over two columns.
-    m = replace(empty_matrix("G", "w", (A, B)), p=1, null_row=(0, 0))
+    m = empty_matrix("G", "w", (A, B))._replace(p=1, null_row=(0, 0))
     split = attribute_with_null(m, {5: Fraction(2 * q + 1)}, {5: 1})
     assert split.fractions(lam) == {A: half, B: half}
     even = q if q % 2 == 0 else q + 1

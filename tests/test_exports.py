@@ -3,6 +3,7 @@ import functools
 import importlib
 import inspect
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,6 +18,25 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 def test_every_exported_name_resolves():
     missing = [name for name in skattr.__all__ if not hasattr(skattr, name)]
     assert missing == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every stage process imports ``skattr.cli``; its records are named tuples.
+
+    Creating dataclasses, and importing ``dataclasses`` with the ``inspect``
+    it loads, would cost about a quarter of that import. A deprecation warning
+    the import raises on this interpreter fails the test too.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import skattr.cli;"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def traced_names() -> list[str]:

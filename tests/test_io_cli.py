@@ -5,7 +5,6 @@ import re
 import shutil
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -453,7 +452,7 @@ class TestStreamingLoader:
     def test_cohort_matches_reference_loader(self, edit, cohort, data):
         if data.draw(st.booleans()):  # a first open for every user, so that the cohort loads
             cohort = [
-                replace(u, events=(Event(u.registration_us, SESSION), *u.events))
+                u._replace(events=(Event(u.registration_us, SESSION), *u.events))
                 for u in cohort
             ]
         with tempfile.TemporaryDirectory() as tmp:

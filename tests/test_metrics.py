@@ -29,6 +29,14 @@ from skattr.synthgen import GenConfig, generate_dataset
 from oracles import homogeneous_fixture, reference_grid_cells
 
 
+def grid_cell(report, schema, p, mode, lam, level):
+    """The report's cell at (schema, p, mode, lambda, level)."""
+    for c in report.cells:
+        if (c.schema, c.p, c.mode, c.lam, c.level) == (schema, p, mode, lam, level):
+            return c
+    raise KeyError((schema, p, mode, lam, level))
+
+
 class TestWeeklyError:
     def test_perfect_attribution(self):
         assert weekly_error({"a": 3, "b": 0}, {"a": 3, "b": 0}) == 0.0
@@ -169,8 +177,8 @@ class TestBenchmarkMatrix:
         users = small_dataset(seed=3, n=10_000)
         report = benchmark_matrix(users, [schema_from_text(PV), schema_from_text(UD)],
                                   [0], ["plain"], 30, seed=3)
-        pv = report.cell("D30 PV", 0, "plain", None, "campaign")
-        ud = report.cell("UD", 0, "plain", None, "campaign")
+        pv = grid_cell(report, "D30 PV", 0, "plain", None, "campaign")
+        ud = grid_cell(report, "UD", 0, "plain", None, "campaign")
         assert ud.normalized_score < pv.normalized_score == 0.0
 
     def test_network_scores_beat_campaign_scores_on_average(self):
@@ -181,15 +189,15 @@ class TestBenchmarkMatrix:
             users = small_dataset(seed=seed, n=8000)
             report = benchmark_matrix(users, [schema_from_text(PV), schema_from_text(UD)],
                                       [0], ["plain"], 30, seed=seed)
-            ud_c = report.cell("UD", 0, "plain", None, "campaign").normalized_score
-            ud_n = report.cell("UD", 0, "plain", None, "network").normalized_score
+            ud_c = grid_cell(report, "UD", 0, "plain", None, "campaign").normalized_score
+            ud_n = grid_cell(report, "UD", 0, "plain", None, "network").normalized_score
             diffs.append(ud_n - ud_c)
         assert sum(diffs) / len(diffs) > 0
 
     def test_weekly_errors_populated(self):
         users = small_dataset(seed=4)
         report = benchmark_matrix(users, [schema_from_text(PV)], [0], ["plain"], 30, seed=4)
-        cell = report.cell("D30 PV", 0, "plain", None, "campaign")
+        cell = grid_cell(report, "D30 PV", 0, "plain", None, "campaign")
         assert len(cell.weekly_errors) >= 3
         assert report.metadata["beta"] == 11  # 10 campaigns + organic
 
@@ -345,7 +353,7 @@ class TestWindowCurve:
         users = small_dataset(seed=5)
         schema = schema_from_text(D7RR)
         report = benchmark_matrix(users, [schema], [0], ["plain"], 30, seed=5)
-        cell = report.cell("D7 RR", 0, "plain", None, "campaign")
+        cell = grid_cell(report, "D7 RR", 0, "plain", None, "campaign")
         curve = window_error_curve(users, schema, 0, "plain", [(0, 30)], seed=5)
         assert curve[0].error == pytest.approx(cell.aggregate_error)
 

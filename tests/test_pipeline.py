@@ -1,6 +1,5 @@
 import sys
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime
 
 import pytest
@@ -45,7 +44,7 @@ class TestResolve:
         assert key.organic and key.alpha == max(u.origin.alpha for u in paid_only) + 1
 
     def test_mixed_organic_sentinels_rejected(self, users):
-        stray = replace(users[0], id=-1, origin=organic_key(9999))
+        stray = users[0]._replace(id=-1, origin=organic_key(9999))
         with pytest.raises(ConfigError, match="mixes organic sentinels"):
             prepare_users([*users, stray])
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields, replace
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -144,7 +143,7 @@ class TestEstimateOrganic:
         m = empty_matrix("G", "2024-W01", [encode_alpha(0, 0), encode_alpha(0, 1)])
         rows = [list(r) for r in m.rows]
         rows[5] = [4, 3]
-        m = replace(m, rows=tuple(tuple(r) for r in rows))
+        m = m._replace(rows=tuple(tuple(r) for r in rows))
         out = estimate_organic(m, {5: 10}, organic_key(100))
         assert out.columns[-1] == organic_key(100)
         assert out.rows[5] == (4, 3, 3)
@@ -159,7 +158,7 @@ class TestEstimateOrganic:
         m = empty_matrix("G", "2024-W01", [encode_alpha(0, 0)])
         rows = [list(r) for r in m.rows]
         rows[1] = [6]
-        m = replace(m, rows=tuple(tuple(r) for r in rows))
+        m = m._replace(rows=tuple(tuple(r) for r in rows))
         out = estimate_organic(m, {1: 6}, organic_key(100))
         assert out.rows[1] == (6, 0)
 
@@ -167,7 +166,7 @@ class TestEstimateOrganic:
         m = empty_matrix("G", "2024-W01", [encode_alpha(0, 0)])
         rows = [list(r) for r in m.rows]
         rows[1] = [6]
-        m = replace(m, rows=tuple(tuple(r) for r in rows))
+        m = m._replace(rows=tuple(tuple(r) for r in rows))
         with pytest.raises(InconsistentTotalsError):
             estimate_organic(m, {1: 5}, organic_key(100))
 
@@ -189,10 +188,10 @@ def test_organic_copy_equals_a_checked_matrix(paid, extra):
     rows = [[0] * len(columns) for _ in range(64)]
     for v, j, count in paid:
         rows[v][j] += count
-    m = replace(empty_matrix("G", "2024-W01", columns), rows=tuple(map(tuple, rows)))
+    m = empty_matrix("G", "2024-W01", columns)._replace(rows=tuple(map(tuple, rows)))
     totals = {v: m.row_sums[v] + extra.get(v, 0) for v in range(64) if m.row_sums[v] or v in extra}
     out = estimate_organic(m, totals, organic_key(200))
-    fresh = CountMatrix(**{f.name: getattr(out, f.name) for f in fields(out)})
+    fresh = CountMatrix(*out)
     assert out == fresh and hash(out) == hash(fresh)
     assert out.row_sums == fresh.row_sums
     assert m.columns == columns  # the source is untouched

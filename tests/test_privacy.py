@@ -1,6 +1,5 @@
 import re
 import tempfile
-from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +21,7 @@ def matrix_from(rows: dict[int, tuple[int, ...]], columns=COLUMNS) -> CountMatri
     grid = [list(r) for r in m.rows]
     for v, row in rows.items():
         grid[v] = list(row)
-    return replace(m, rows=tuple(tuple(r) for r in grid))
+    return m._replace(rows=tuple(tuple(r) for r in grid))
 
 
 class TestApplyThreshold:
@@ -97,11 +96,11 @@ class TestThresholdOfAMatrix:
     ])
     def test_refused(self, changes, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            replace(matrix_from({3: (5, 0, 0)}), **changes)
+            matrix_from({3: (5, 0, 0)})._replace(**changes)
 
     def test_row_with_users_is_not_split_as_suppressed(self):
         """A row holding users is visible, so its value is credited to its own column."""
-        m = replace(matrix_from({3: (5, 0)}, COLUMNS[:2]), p=1, null_row=(0, 0))
+        m = matrix_from({3: (5, 0)}, COLUMNS[:2])._replace(p=1, null_row=(0, 0))
         assert m.suppressed == frozenset(range(64)) - {3}
         res = attribute_with_null(m, {3: Fraction(100)}, {3: 5})
         assert res.cents(0.0) == [500, 0]
@@ -110,7 +109,7 @@ class TestThresholdOfAMatrix:
         m = matrix_from({3: (5, 0, 0)})
         for other in (m, apply_threshold(m, PrivacyConfig(3))):
             cells = {("G", "2024-W01"): apply_threshold(m, PrivacyConfig(2)),
-                     ("G", "2024-W02"): replace(other, week="2024-W02")}
+                     ("G", "2024-W02"): other._replace(week="2024-W02")}
             with pytest.raises(ConfigError, match="one privacy threshold only"):
                 save_counts(tmp_path / "c.csv", cells, {})
         assert not (tmp_path / "c.csv").exists()
@@ -155,7 +154,7 @@ def test_threshold_properties(m, p):
 def test_threshold_copy_equals_a_checked_matrix(m, p):
     """``apply_threshold`` skips the constructor's checks, so its copy must pass them."""
     out = apply_threshold(m, PrivacyConfig(p))
-    fresh = CountMatrix(**{f.name: getattr(out, f.name) for f in fields(out)})
+    fresh = CountMatrix(*out)
     assert out == fresh and hash(out) == hash(fresh)
     assert out.row_sums == fresh.row_sums
     assert m.privacy_applied is False and m.null_row is None  # the source is untouched

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -159,10 +158,8 @@ class TestCandidateValue:
 
     def test_rr_layout_arithmetic(self):
         # day 3, revenue bucket 5 with TTTVVV: 3 * 8 + 5 = 29
-        from dataclasses import replace
-
         schema = schema_from_text("kind=RR;layout=TTTVVV;horizon=7")
-        schema = replace(schema, bucket_boundaries=(100, 200, 300, 400, 500, 600))
+        schema = schema._replace(bucket_boundaries=(100, 200, 300, 400, 500, 600))
         events = [
             Event(datetime_to_us(START), "session"),
             Event(datetime_to_us(START + timedelta(days=1)), "purchase", amount=450),
@@ -390,7 +387,7 @@ def edge_user(draw, uid=0):
 def edge_schema(text, boundaries):
     schema = schema_from_text(text)
     if schema.needs_boundaries():
-        schema = replace(schema, bucket_boundaries=tuple(sorted(boundaries)))
+        schema = schema._replace(bucket_boundaries=tuple(sorted(boundaries)))
     return schema
 
 
