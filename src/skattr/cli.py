@@ -3,11 +3,14 @@
 Stage commands (generate, simulate, privatize, attribute, evaluate) and the
 one-shot `benchmark` share the same library calls and seed substreams:
 `attribute` runs the grid's `metrics.attribute_cells`, and `evaluate` builds
-truth with `model.ground_truth` and scores with `metrics.score_level`. A
-pipeline split into stages therefore reproduces the benchmark's numbers
-exactly. `attribute` passes `--g`/`--lambda` straight to
-`AttributionFunction`, which resolves the lambda the estimator uses (or
-rejects one the mode contradicts), and records that lambda in the file.
+truth with `model.ground_truth` and scores the file's cents per cell with
+the grid's `metrics.score_cells`. A pipeline split into stages therefore
+reproduces the benchmark's numbers exactly. The file's declared `columns`
+must be the dataset's origin alphas, in order, as `attribute` writes them;
+any other list is a `ConfigError` naming both. `attribute` passes
+`--g`/`--lambda` straight to `AttributionFunction`, which resolves the
+lambda the estimator uses (or rejects one the mode contradicts), and
+records that lambda in the file.
 `evaluate` scores over the window `t` that file records: a file without
 one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
@@ -16,12 +19,13 @@ postback table it simulated beside the dataset, as a postback view
 instant, cell week and purchases, keyed by the users file's name, schema
 text, seed, horizon and organic alpha, with the sha256 of both dataset
 files. The organic alpha is the users file's own sentinel, from its meta
-line; no option overrides it, and the view's key checks that the counts
-file agrees. `attribute` and `evaluate` read that view and neither the events
-file nor the replay. When the view is missing, or its key or hashes do not
-match the files, they read the dataset and simulate again, which gives the
-same table. A view that cannot be written (a read-only dataset directory,
-say) does not fail `simulate`; the later stages then simulate again.
+line, also when no user is organic; no option overrides it, and the view's
+key checks that the counts file agrees. `attribute` and `evaluate` read
+that view and neither the events file nor the replay. When the view is
+missing, or its key or hashes do not match the files, they read the
+dataset and simulate again, which gives the same table. A view that cannot
+be written (a read-only dataset directory, say) does not fail `simulate`;
+the later stages then simulate again.
 `--horizon` (and the horizon a counts file records) is naive ISO text: a
 UTC offset is refused before any file is read, and the pipeline gets it
 once converted, as microseconds on the model's clock.
@@ -29,7 +33,8 @@ once converted, as microseconds on the model's clock.
 users) is a `ConfigError` and writes nothing. `benchmark` on dataset paths
 resolves them as the stages do and reads `UserRecord`s with `load_users`
 before it makes the output directory, so a missing file leaves none. Its
-window curve runs `RunConfig.parsed_window_schema()` at the p and g of
+organic sentinel is the users' meta's, as for the stages, and its window
+curve runs `RunConfig.parsed_window_schema()` at the p and g of
 `config.FIXED_SETTINGS`.
 A users file that lists a user needs its events file: both dataset
 loaders name a missing one in a `ConfigError`, for every command.
@@ -48,7 +53,6 @@ from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket
 from .config import FIXED_SETTINGS, load_gen_config, load_run_config
 from .errors import ConfigError, SkattrError
 from .io_files import (
-    column_keys,
     config_hash,
     load_attribution,
     load_cohort,
@@ -58,6 +62,7 @@ from .io_files import (
     save_counts,
     save_dataset,
     save_grid_csv,
+    save_json,
     save_report,
     save_window_csv,
 )
@@ -65,7 +70,7 @@ from .metrics import (
     attribute_cells,
     benchmark_matrix,
     check_window_days,
-    score_level,
+    score_cells,
     window_error_curve,
 )
 from .model import datetime_to_us, ground_truth, usd
@@ -223,79 +228,62 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if ameta["t"] != args.t:
         # Truth over another window than the attribution's would score the wrong target.
         raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
-    if ameta.get("columns") is None:
+    declared = ameta.get("columns")
+    if declared is None:
         raise ConfigError("attribution file meta lacks the column list")
-    columns = column_keys(ameta)
-    by_alpha = {k.alpha: j for j, k in enumerate(columns)}
-    attr_weekly: dict[str, list[int]] = {}
-    for (_, week, alpha), cents in attributed.items():
-        j = by_alpha.get(alpha)
-        if j is None:
+    column = {alpha: j for j, alpha in enumerate(declared)}
+    cents: dict[tuple[str, str], list[int]] = {}
+    for (group, week, alpha), amount in attributed.items():
+        if alpha not in column:
             raise ConfigError(f"attributed alpha {alpha} is not in the declared columns")
-        acc = attr_weekly.get(week)
-        if acc is None:
-            acc = attr_weekly[week] = [0] * len(columns)
-        acc[j] += cents
+        cents.setdefault((group, week), [0] * len(declared))[column[alpha]] = amount
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     postbacks = _postback_table(ameta, users_csv, events_csv)
-    origins, column = postbacks.cohort.origins, postbacks.cohort.column
-    delivered = {origins[j] for cell, j in zip(postbacks.cells, column) if cell >= 0}
-    stray = sorted(delivered - set(columns))
-    if stray:
+    origins = postbacks.cohort.origins
+    if declared != [k.alpha for k in origins]:
         raise ConfigError(
-            f"true origin {stray[0].alpha} is not in the declared columns; "
-            "was the attribution produced from this dataset?"
+            f"declared columns {declared} differ from the dataset's origin columns "
+            f"{[k.alpha for k in origins]}; was the attribution produced from this dataset?"
         )
-    # The truth's columns are the cohort's origins; every delivered one is declared.
-    declared = {k: j for j, k in enumerate(columns)}
-    truth: dict[str, list[int]] = {}
-    for week, by_origin in ground_truth(postbacks, 0, args.t).items():
-        vec = truth[week] = [0] * len(columns)
-        for k, cents in zip(origins, by_origin):
-            if cents:
-                vec[declared[k]] += cents
-
-    weekly, agg = score_level(attr_weekly, truth, columns, level="campaign")
+    truth = ground_truth(postbacks, 0, args.t)
+    weekly, agg = score_cells(cents, truth, origins, ("campaign",))["campaign"]
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},
         "aggregate_error_usd": agg / 100.0,
         "total_truth_usd": usd(sum(map(sum, truth.values()))),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(args.out, report)
     print(json.dumps({"report": str(args.out), "aggregate_error_usd": agg / 100.0}))
     return 0
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
     out_dir = Path(args.out)
-    run_hash = config_hash(cfg.to_jsonable() | {"seed": seed})
+    run_hash = config_hash(cfg.to_jsonable())
 
     if cfg.gen is not None:
-        users, dmeta = generate_dataset(cfg.gen._replace(seed=seed))
+        users, dmeta = generate_dataset(cfg.gen._replace(seed=cfg.seed))
         dmeta["config_hash"] = run_hash
         save_dataset(out_dir / "dataset", users, dmeta)
     else:
         users_csv, events_csv = _dataset_paths(cfg.users_csv, cfg.events_csv)
-        users, _ = load_users(users_csv, events_csv)
+        users, dmeta = load_users(users_csv, events_csv)
         out_dir.mkdir(parents=True, exist_ok=True)
 
     schemas = cfg.parsed_schemas()
     # One cohort for the grid and the curve, so the curve reuses the grid's
     # simulation of the window schema when it is one of the grid's schemas.
-    prepared = prepare_users(users)
+    prepared = prepare_users(users, dmeta.get("organic_alpha"))
     report = benchmark_matrix(
         users,
         schemas,
         cfg.p_values,
         cfg.g_modes,
         cfg.t,
-        seed=seed,
+        seed=cfg.seed,
         lambda_grid=cfg.lambda_grid,
         prepared=prepared,
     )
@@ -308,13 +296,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             FIXED_SETTINGS["window_p"],
             FIXED_SETTINGS["window_g"],
             cfg.windows,
-            seed=seed,
+            seed=cfg.seed,
             prepared=prepared,
         )
         save_window_csv(
             out_dir / "window_curve.csv",
             report.window_curve,
-            {"seed": seed, "config_hash": run_hash, "schema": schema_to_text(window_schema)},
+            {"seed": cfg.seed, "config_hash": run_hash, "schema": schema_to_text(window_schema)},
         )
     save_report(out_dir / "report.json", report)
     save_grid_csv(out_dir / "grid.csv", report)
@@ -371,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the full grid and window curve")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_benchmark)
     return parser
 

@@ -64,15 +64,16 @@ class RunConfig(_RunConfigFields):
     """Everything a benchmark run needs, JSON-loadable.
 
     The dataset comes either from a generator config (``gen``) or from
-    ``users_csv``/``events_csv`` paths, which the loaders check. How a run
-    is scored is fixed (``metrics.SCORING_POLICY``), not configured, and so
-    are the organic sentinel and the window curve's schema, p and g
-    (``FIXED_SETTINGS``); ``to_jsonable`` records both, so the config hash
-    covers them. Every estimator,
-    threshold and window is checked here, as is a p value, g mode or lambda
-    listed twice, so a bad one fails before any dataset is generated or
-    read; with ``gen``, a window starting at or after its
-    ``event_horizon_days`` holds no event and is rejected too.
+    ``users_csv``/``events_csv`` paths, which the loaders check. ``seed``
+    seeds the run and its generator; a JSON ``gen`` seed that differs is
+    refused. How a run is scored is fixed (``metrics.SCORING_POLICY``), not
+    configured, and so are the organic sentinel and the window curve's
+    schema, p and g (``FIXED_SETTINGS``); ``to_jsonable`` records both, so
+    the config hash covers them. Every estimator, threshold and window is
+    checked here, as is a p value, g mode or lambda listed twice, so a bad
+    one fails before any dataset is generated or read; with ``gen``, a
+    window starting at or after its ``event_horizon_days`` holds no event
+    and is rejected too.
     """
 
     __slots__ = ()
@@ -196,7 +197,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
             kwargs[key] = tuple(kwargs[key])
     if "windows" in kwargs:
         kwargs["windows"] = tuple(map(tuple, kwargs["windows"]))
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    gen_seed = (data.get("gen") or {}).get("seed")
+    if gen_seed is not None and gen_seed != cfg.seed:
+        raise ConfigError(f"generator config seed {gen_seed} differs from the run seed {cfg.seed}")
+    return cfg
 
 
 def _load_json_object(path: str | Path, what: str) -> dict:

@@ -285,8 +285,9 @@ def _user_rows(upath: Path) -> tuple[dict[int, tuple[date, int, str]], dict, int
 def load_cohort(user_csv: str | Path, events_csv: str | Path | None = None) -> Cohort:
     """The dataset's ``Cohort``, reading each CSV once, with no ``Event`` or ``UserRecord``.
 
-    The result, or the error, is that of
-    ``schema.prepare_users(load_users(user_csv, events_csv)[0])``.
+    The result, or the error, is that of ``schema.prepare_users(users,
+    meta.get("organic_alpha"))`` for the ``users, meta`` that
+    ``load_users(user_csv, events_csv)`` returns.
     ``schema.fold_events`` folds the rows of ``_event_rows`` into the
     digests and names each user's defect.
     """
@@ -301,6 +302,7 @@ def load_cohort(user_csv: str | Path, events_csv: str | Path | None = None) -> C
         [group for _, _, group in rows],
         [(alpha == sentinel, alpha) for _, alpha, _ in rows],
         fold_events(ids, ordinals, _event_rows(epath, raw), epath),
+        organic_alpha=sentinel,
     )
 
 
@@ -362,9 +364,7 @@ def save_dataset(out_dir: str | Path, users: Sequence[UserRecord], meta: Mapping
     }
     save_users(paths["users"], users, meta)
     save_events(paths["events"], users, meta)
-    with open(paths["meta"], "w", encoding="utf-8") as fh:
-        json.dump(dict(meta), fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    save_json(paths["meta"], dict(meta))
     return paths
 
 
@@ -439,14 +439,6 @@ def _check_meta(path: Path, meta: Mapping, *keys: str) -> None:
             raise CsvFormatError(f"{path}:1: meta {key} must be {name}, got {meta[key]!r}")
 
 
-def column_keys(meta: Mapping) -> tuple[CampaignKey, ...]:
-    """The meta line's ``columns`` as campaign keys; ``organic_alpha`` marks the organic one."""
-    organic_alpha = meta.get("organic_alpha")
-    return tuple(
-        organic_key(a) if a == organic_alpha else CampaignKey(a) for a in meta["columns"]
-    )
-
-
 def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], dict]:
     cpath = Path(path)
     grids: dict[tuple[str, str], list[list[int]]] = {}
@@ -456,7 +448,8 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             raise CsvFormatError(f"{cpath}: meta line lacks the column list")
         _check_columns(cpath, meta)
         _check_meta(cpath, meta, "schema", "seed", "horizon")
-        columns = column_keys(meta)
+        organic = meta.get("organic_alpha")
+        columns = tuple(CampaignKey(a, organic=a == organic) for a in meta["columns"])
         col_index = {k.alpha: j for j, k in enumerate(columns)}
         privacy_applied = meta.get("privacy_applied", False)
         if type(privacy_applied) is not bool:
@@ -589,10 +582,15 @@ def report_to_dict(report: AttributionReport) -> dict:
     }
 
 
-def save_report(path: str | Path, report: AttributionReport) -> None:
+def save_json(path: str | Path, data: Mapping) -> None:
+    """Write ``meta.json`` or a report: indent 2, sorted keys, ``str`` of a non-JSON value."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def save_report(path: str | Path, report: AttributionReport) -> None:
+    save_json(path, report_to_dict(report))
 
 
 def save_grid_csv(path: str | Path, report: AttributionReport) -> None:

@@ -12,12 +12,13 @@ the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
 ``attribute_cells`` (the one place that dispatches on the
 ``AttributionFunction``; it returns each cell's exact ``CellAttribution``,
 affine in lambda), ``model.ground_truth`` (actual window revenue per postback
-week and origin column) and ``score_level`` (weekly and aggregate error at one
-level). A ``CellAttribution`` holds integer numerators a and b per column
-over one denominator D, and column j at lambda is (a_j + lambda * b_j) / D.
-The kernels do not read lambda, so the grid builds them once per (schema, p,
-plain or null-aware) and evaluates ``null_uniform``, ``null_empirical`` and
-every ``null_convex`` lambda as integer cents from that one build.
+week and origin column) and ``score_cells`` (weekly and aggregate error per
+level, the one caller of ``score_level``). A ``CellAttribution`` holds
+integer numerators a and b per column over one denominator D, and column j
+at lambda is (a_j + lambda * b_j) / D. The kernels do not read lambda, so
+the grid builds them once per (schema, p, plain or null-aware) and
+evaluates ``null_uniform``, ``null_empirical`` and every ``null_convex``
+lambda as integer cents from that one build.
 
 The scoring policy is fixed, not configured (``SCORING_POLICY``): the
 paper's optimal estimator, count x bucket mean of one revenue profile per
@@ -25,7 +26,7 @@ schema and window pooled over groups, scored over every column in ISO
 weeks that start Monday.
 
 Scoring works on integer cents per column index, aligned with the cohort's
-origins (or the columns a file declares): ``ground_truth`` returns such
+origins (an attribution file declares them): ``ground_truth`` returns such
 lists per week, once per schema and window, and ``score_level`` maps each
 column to its label index at the campaign or network level.
 ``CampaignKey`` maps are left to the file readers and writers. Bucket
@@ -285,28 +286,25 @@ def _estimator_matrices(
     return {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
 
 
-def _grid_error(
-    artifacts: SimArtifacts,
-    cells: Mapping[CellKey, CellAttribution],
-    fn: AttributionFunction,
+def score_cells(
+    cents: Mapping[CellKey, Sequence[int]],
     truth: Mapping[str, Sequence[int]],
+    columns: Sequence[CampaignKey],
+    levels: Sequence[str] = LEVELS,
 ) -> dict[str, tuple[tuple[tuple[str, float], ...], float]]:
-    """Weekly and aggregate errors at both levels for one estimator.
+    """Weekly and aggregate errors per level of cents per (group, week) cell and column.
 
-    ``cells`` is ``attribute_cells`` over the artifacts' matrices, whose
-    columns are the cohort's origins, evaluated here at ``fn.lam``.
-    ``truth`` is ``ground_truth`` over the artifacts' postbacks and the
-    window the bucket means were fitted on.
+    The cells are summed per week over groups, and each level is scored by
+    ``score_level`` against ``truth``, ``ground_truth`` over the same columns.
     """
-    origins = artifacts.postbacks.cohort.origins
     by_week: dict[str, list[int]] = {}
-    for (_, week), res in cells.items():
+    for (_, week), row in cents.items():
         acc = by_week.get(week)
         if acc is None:
-            acc = by_week[week] = [0] * len(origins)
-        for j, cents in enumerate(res.cents(fn.lam)):
-            acc[j] += cents
-    return {level: score_level(by_week, truth, origins, level) for level in LEVELS}
+            acc = by_week[week] = [0] * len(columns)
+        for j, c in enumerate(row):
+            acc[j] += c
+    return {level: score_level(by_week, truth, columns, level) for level in levels}
 
 
 def benchmark_matrix(
@@ -378,7 +376,8 @@ def benchmark_matrix(
                     cells = built[kernel] = attribute_cells(
                         _estimator_matrices(art, p, fn), means[label], art.cell_totals, fn
                     )
-                scored[key] = _grid_error(art, cells, fn, truths[label])
+                cents = {cell: res.cents(fn.lam) for cell, res in cells.items()}
+                scored[key] = score_cells(cents, truths[label], art.postbacks.cohort.origins)
             except SkattrError as exc:
                 raise GridCellError(
                     f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
@@ -516,8 +515,9 @@ def window_error_curve(
         means = estimate_bucket_means_window(artifacts.postbacks, lo, hi)
         truth = ground_truth(artifacts.postbacks, lo, hi)
         cells = attribute_cells(matrices, means, artifacts.cell_totals, g)
+        cents = {cell: res.cents(g.lam) for cell, res in cells.items()}
         try:
-            by_level = _grid_error(artifacts, cells, g, truth)
+            by_level = score_cells(cents, truth, artifacts.postbacks.cohort.origins, ("campaign",))
         except UndefinedWeightsError as exc:
             raise UndefinedWeightsError(f"window [{lo}, {hi}): {exc}") from exc
         points.append(WindowPoint(lo_day=lo, hi_day=hi, error=by_level["campaign"][1]))

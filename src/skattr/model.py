@@ -272,10 +272,11 @@ class Cohort:
 
     ``origins`` becomes the count-matrix columns: the paid ``campaigns``
     sorted by alpha, then the ``organic`` key; ``column[i]`` indexes the
-    origin of user ``i``. The organic key is the sentinel the organic users
-    carry, or one past the largest paid alpha when there are none; a list
-    mixing two sentinels is a ``ConfigError``. ``delays`` (seed -> delivery
-    delay in microseconds per user) is filled by
+    origin of user ``i``. The organic key is ``organic_alpha``, the sentinel
+    the dataset declares; without one, the sentinel the organic users carry,
+    or one past the largest paid alpha when there are none. Two sentinels
+    are a ``ConfigError``. ``delays`` (seed -> delivery delay in
+    microseconds per user) is filled by
     ``pipeline.simulate_postbacks`` on first use, and ``simulations``
     ((input schema, seed) -> ``pipeline.SimArtifacts``) by the metrics
     layer, so every schema and call over the cohort shares them.
@@ -291,6 +292,7 @@ class Cohort:
         users: tuple[UserRecord, ...] | None = None,
         *,
         purchases: Sequence[tuple[tuple[int, int], ...]] | None = None,
+        organic_alpha: int | None = None,
     ) -> None:
         self.ids = list(ids)
         if (digests is None) == (purchases is None):
@@ -312,7 +314,8 @@ class Cohort:
         # CampaignKey is built per user.
         distinct = set(origins)
         paid = sorted(alpha for organic, alpha in distinct if not organic)
-        sentinels = sorted(alpha for organic, alpha in distinct if organic)
+        declared = () if organic_alpha is None else (organic_alpha,)
+        sentinels = sorted({*declared, *(alpha for organic, alpha in distinct if organic)})
         if len(sentinels) > 1:
             raise ConfigError(f"dataset mixes organic sentinels: {sentinels}")
         self.campaigns = tuple(CampaignKey(alpha) for alpha in paid)

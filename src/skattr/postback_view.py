@@ -178,7 +178,8 @@ def load_postback_view(
             f"{path}: {len(ids)} rows, but the meta line says {view_meta.get('users')!r}"
         )
     try:
-        cohort = Cohort(ids, ordinals, groups, origins, None, purchases=purchases)
+        cohort = Cohort(ids, ordinals, groups, origins, None, purchases=purchases,
+                        organic_alpha=organic)
     except ConfigError as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
     return PostbackTable(cohort, values, cells, sent_us, {i: k for k, i in cell_ids.items()})

@@ -299,8 +299,11 @@ def fold_events(
     return list(map(tuple, digests))
 
 
-def prepare_users(users: Iterable[UserRecord]) -> Cohort:
-    """Digest a user list, its events folded by ``fold_events``, into the ``Cohort`` it runs on."""
+def prepare_users(users: Iterable[UserRecord], organic_alpha: int | None = None) -> Cohort:
+    """Digest a user list, its events folded by ``fold_events``, into the ``Cohort`` it runs on.
+
+    ``organic_alpha`` is the organic sentinel the records' dataset declares, if it has one.
+    """
     users = tuple(users)
     ids = [u.id for u in users]
     ordinals = [u.registration_date.toordinal() for u in users]
@@ -311,6 +314,7 @@ def prepare_users(users: Iterable[UserRecord]) -> Cohort:
         [(u.origin.organic, u.origin.alpha) for u in users],
         fold_events(ids, ordinals, _record_rows(users)),
         users,
+        organic_alpha=organic_alpha,
     )
 
 

@@ -981,8 +981,10 @@ def reference_load_users(user_csv, events_csv=None) -> tuple[list[UserRecord], d
     return users, meta
 
 
-def reference_cohort(users: Sequence[UserRecord]) -> Cohort:
+def reference_cohort(users: Sequence[UserRecord], organic_alpha: int | None = None) -> Cohort:
     """The ``Cohort`` of checked records, each digest made by rescanning the user's events.
+
+    ``organic_alpha`` is the sentinel the records' users file declares.
 
     The first user in list order with no events, or whose first event is
     not a session, is a ``ConfigError``. A digest has one entry per
@@ -1012,6 +1014,7 @@ def reference_cohort(users: Sequence[UserRecord]) -> Cohort:
         [u.group for u in users],
         [(u.origin.organic, u.origin.alpha) for u in users],
         digests,
+        organic_alpha=organic_alpha,
     )
 
 

@@ -125,6 +125,16 @@ class _KernelUses(ast.NodeVisitor):
 
     KERNELS = ("attribute_plain", "attribute_with_null")
 
+    @classmethod
+    def in_src(cls) -> list[tuple[str, str]]:
+        """Every use in ``src/skattr``, sorted."""
+        uses = []
+        for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
+            visitor = cls(path.stem)
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            uses.extend(visitor.uses)
+        return sorted(uses)
+
     def __init__(self, module: str) -> None:
         self.scope = [module]
         self.uses: list[tuple[str, str]] = []
@@ -146,14 +156,27 @@ class _KernelUses(ast.NodeVisitor):
 
 def test_estimator_kernels_are_used_only_by_attribute_cells():
     """``metrics.attribute_cells`` is the one dispatch on the estimator."""
-    uses = []
-    for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
-        visitor = _KernelUses(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        uses.extend(visitor.uses)
-    assert sorted(uses) == [
+    assert _KernelUses.in_src() == [
         ("attribute_plain", "metrics.attribute_cells"),
         ("attribute_with_null", "metrics.attribute_cells"),
+    ]
+
+
+class _ScorerUses(_KernelUses):
+    KERNELS = ("score_cells", "score_level")
+
+
+def test_scoring_runs_only_through_score_cells():
+    """``metrics.score_cells`` is the one scorer: the grid, the curve and ``evaluate`` call it.
+
+    It alone sums attributed cents per week and calls ``score_level``, so
+    ``evaluate`` keeps no accumulator of its own.
+    """
+    assert _ScorerUses.in_src() == [
+        ("score_cells", "cli.cmd_evaluate"),
+        ("score_cells", "metrics.benchmark_matrix.cell_errors"),
+        ("score_cells", "metrics.window_error_curve"),
+        ("score_level", "metrics.score_cells"),
     ]
 
 

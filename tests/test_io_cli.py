@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -9,7 +11,7 @@ from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import skattr.io_files
 from skattr.cli import main
@@ -471,10 +473,11 @@ class TestStreamingLoader:
                 assert expected[0] is CsvFormatError
                 assert expected[1].startswith(f"{epath}:{i + 1}: ")
             else:
-                expected = outcome(
-                    lambda *paths: cohort_facts(reference_cohort(reference_load_users(*paths)[0])),
-                    upath, epath,
-                )
+                def reference(*paths):
+                    users, meta = reference_load_users(*paths)
+                    return cohort_facts(reference_cohort(users, meta.get("organic_alpha")))
+
+                expected = outcome(reference, upath, epath)
             loaded = outcome(lambda *paths: cohort_facts(load_cohort(*paths)), upath, epath)
             assert loaded == expected
 
@@ -503,14 +506,18 @@ EVENTS_HEADER = "user_id,timestamp,kind,amount_cents,flag_index\n"
 
 
 class TestLoadCohort:
-    """``load_cohort`` is ``prepare_users(load_users(...)[0])`` read in one pass."""
+    """``load_cohort`` is ``prepare_users`` of ``load_users``' records and sentinel, in a pass."""
 
     def load(self, tmp_path, events: str | None):
         (tmp_path / "u.csv").write_text("# skattr-meta " + json.dumps(META) + "\n" + USERS_TEXT)
         if events is not None:
             (tmp_path / "e.csv").write_text(EVENTS_HEADER + events)
         paths = (tmp_path / "u.csv", tmp_path / "e.csv")
-        expected = outcome(lambda: cohort_facts(prepare_users(load_users(*paths)[0])))
+        def expected_facts():
+            users, meta = load_users(*paths)
+            return cohort_facts(prepare_users(users, meta["organic_alpha"]))
+
+        expected = outcome(expected_facts)
         result = outcome(load_cohort, *paths)
         assert (result if isinstance(result, tuple) else cohort_facts(result)) == expected
         return result
@@ -874,6 +881,66 @@ class TestCli:
         assert stage["aggregate_error_usd"] == bench_cell["aggregate_error_usd"]
         assert stage["weekly_errors_usd"] == bench_cell["weekly_errors_usd"]
 
+    @given(
+        n_users=st.integers(20, 400),
+        seed=st.integers(0, 2**16),
+        n_weeks=st.integers(1, 3),
+        groups=st.sampled_from(([["G", 1.0]], [["US", 0.5], ["ROW", 0.5]])),
+        estimator=st.sampled_from([
+            (0, "plain", None), (0, "null_uniform", 0.0), (0, "null_empirical", 1.0),
+            *[(p, g, lam) for p in (2, 10) for g, lam in (("null_uniform", 0.0),
+                                                          ("null_empirical", 1.0))],
+            *[(p, "null_convex", lam) for p in (0, 2, 10) for lam in (0.25, 0.5)],
+        ]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_stagewise_evaluate_is_the_grid_cell(self, n_users, seed, n_weeks, groups,
+                                                 estimator):
+        """simulate -> privatize -> attribute -> evaluate reports the grid's campaign cell.
+
+        Over small random cohorts and every estimator at p 0, 2 and 10, the
+        evaluation's weekly and aggregate errors equal the grid's exactly. A
+        cohort the grid refuses fails its stages with the same error type.
+        """
+        p, g, lam = estimator
+        gen = GenConfig(n_users=n_users, n_weeks=n_weeks, event_horizon_days=35, seed=seed,
+                        groups=tuple(map(tuple, groups)))
+        users, meta = generate_dataset(gen)
+        try:
+            report = benchmark_matrix(
+                users, [schema_from_text(D7RR)], [p], [g], 30, seed=seed,
+                lambda_grid=(0.5 if lam is None else lam,),
+                prepared=prepare_users(users, meta["organic_alpha"]),
+            )
+        except SkattrError as exc:
+            refused, report = type(exc.__cause__).__name__, None
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_dataset(tmp / "data", users, meta)
+            stages = [
+                ["simulate", "--users", tmp / "data", "--schema", D7RR, "--seed", seed,
+                 "--out", tmp / "c.csv"],
+                ["privatize", "--counts", tmp / "c.csv", "--p", p, "--out", tmp / "cp.csv"],
+                ["attribute", "--counts", tmp / ("c.csv" if g == "plain" else "cp.csv"),
+                 "--profile-from", tmp / "data", "--t", 30, "--g", g,
+                 *(["--lambda", lam] if g == "null_convex" else []), "--out", tmp / "a.csv"],
+                ["evaluate", "--attr", tmp / "a.csv", "--truth-from", tmp / "data", "--t", 30,
+                 "--out", tmp / "r.json"],
+            ]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                codes = [run_cli(*argv) for argv in stages]
+            event("refused" if report is None else "scored")
+            if report is None:
+                assert 1 in codes
+                assert json.loads(stderr.getvalue().splitlines()[0])["error"] == refused
+                return
+            assert codes == [0, 0, 0, 0], stderr.getvalue()
+            stage = json.loads((tmp / "r.json").read_text())
+        (cell,) = [c for c in report.cells if c.level == "campaign"]
+        assert stage["aggregate_error_usd"] == cell.aggregate_error / 100.0
+        assert stage["weekly_errors_usd"] == {w: e / 100.0 for w, e in cell.weekly_errors}
+
     def test_benchmark_rerun_byte_identical(self, tmp_path):
         run_cfg = {
             "gen": {"n_users": 800, "n_weeks": 2, "event_horizon_days": 35, "seed": 8},
@@ -952,7 +1019,8 @@ class TestCliErrors:
         return run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
                        "--t", 30, "--out", out)
 
-    GEN = {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35, "seed": 1}
+    # No seed of its own: the run seed (0 by default) seeds the generator too.
+    GEN = {"n_users": 600, "n_weeks": 2, "event_horizon_days": 35}
 
     @pytest.mark.parametrize("bad,prefix", [
         pytest.param({"g_modes": ["plain", "bogus"]}, None, id="g_mode"),
@@ -1124,7 +1192,7 @@ class TestCliErrors:
         The default schemas start with D30 PV, whose buckets are fitted on
         spender revenue; no EV or UD cell runs, and no report is written.
         """
-        gen = {"n_users": 500, "spender_rate": 0, "seed": 1}
+        gen = {"n_users": 500, "spender_rate": 0}
         (tmp_path / "run.json").write_text(json.dumps({"gen": gen}))
         out = tmp_path / "out"
         assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
@@ -1138,6 +1206,31 @@ class TestCliErrors:
         assert sorted(p.name for p in (out / "dataset").iterdir()) == [
             "events.csv", "meta.json", "users.csv"
         ]
+
+    @pytest.mark.parametrize("top", [{}, {"seed": 4}])
+    def test_generator_seed_other_than_the_run_seed(self, tmp_path, capsys, top):
+        """The run seed seeds the generator; a different ``gen.seed`` is refused, not replaced."""
+        (tmp_path / "run.json").write_text(
+            json.dumps({"gen": self.GEN | {"seed": 5}, "windows": []} | top)
+        )
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        run_seed = top.get("seed", 0)
+        message = f"generator config seed 5 differs from the run seed {run_seed}"
+        assert config_error(capsys) == message
+        assert not out.exists()
+        # The same seed in both places is one seed.
+        cfg = run_config_from_dict({"gen": self.GEN | {"seed": 4}, "seed": 4, "windows": []})
+        assert cfg.seed == cfg.gen.seed == 4
+
+    def test_benchmark_has_no_seed_option(self, tmp_path, capsys):
+        """The run config's ``seed`` is the run's only seed."""
+        (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN, "windows": []}))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out,
+                       "--seed", 1) == 1
+        assert config_error(capsys).startswith("unrecognized arguments: --seed 1")
+        assert not out.exists()
 
     def test_window_past_the_generator_horizon(self, tmp_path, capsys):
         # GEN has 35 days of events; the last default window is [60, 90).
@@ -1261,7 +1354,29 @@ class TestCliErrors:
             rows=lambda body: [r for r in body if r.split(",")[2] != str(dropped)],
         )
         assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
-        assert f"true origin {dropped} " in config_error(capsys)
+        assert config_error(capsys) == (
+            f"declared columns {meta['columns'][1:]} differ from the dataset's origin columns "
+            f"{meta['columns']}; was the attribution produced from this dataset?"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda cols: cols[1:] + cols[:1], id="permuted"),
+        pytest.param(lambda cols: cols + [max(cols) + 1], id="extra_alpha"),
+    ])
+    def test_declared_columns_must_be_the_origins_in_order(self, staged, tmp_path, capsys,
+                                                            edit):
+        """``evaluate`` scores on the dataset's origin columns; it re-indexes nothing."""
+        _, meta = load_attribution(staged / "attr.csv")
+        declared = edit(meta["columns"])
+        attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
+                        meta=lambda m: m | {"columns": declared})
+        assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
+        assert config_error(capsys) == (
+            f"declared columns {declared} differ from the dataset's origin columns "
+            f"{meta['columns']}; was the attribution produced from this dataset?"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_week_scores_against_zero(self, dataset, staged, tmp_path):
         rows, meta = load_attribution(staged / "attr.csv")
@@ -1282,6 +1397,51 @@ class TestCliErrors:
         truth = ground_truth(postbacks, 0, 30)[gone]
         assert cut[gone] == pytest.approx(math.sqrt(sum(c * c for c in truth)) / 100)
         assert cut[gone] != full[gone]
+
+
+class TestDeclaredOrganicSentinel:
+    """The users file's ``organic_alpha`` names the organic column, also when no user is organic.
+
+    Without it the cohort would fall back to one past the largest paid alpha
+    present, 105 for this cohort.
+    """
+
+    GEN = {"n_users": 300, "seed": 1, "organic_share": 0, "organic_alpha": 999}
+    GRID = {"schemas": [D7RR], "p_values": [0], "g_modes": ["plain"], "windows": [[0, 30]],
+            "seed": 1}
+
+    def test_every_stage_and_benchmark_name_it(self, tmp_path):
+        (tmp_path / "gen.json").write_text(json.dumps(self.GEN))
+        data = tmp_path / "data"
+        assert run_cli("generate", "--config", tmp_path / "gen.json", "--out", data) == 0
+        users, umeta = load_users(data / "users.csv", data / "events.csv")
+        assert umeta["organic_alpha"] == 999
+        assert not any(u.origin.organic for u in users)
+        assert max(u.origin.alpha for u in users) + 1 != 999
+
+        counts, attr, report = tmp_path / "c.csv", tmp_path / "a.csv", tmp_path / "r.json"
+        assert run_cli("simulate", "--users", data, "--schema", D7RR, "--seed", 1,
+                       "--out", counts) == 0
+        matrices, cmeta = load_counts(counts)
+        assert cmeta["organic_alpha"] == 999 and cmeta["columns"][-1] == 999
+        assert {m.columns[-1] for m in matrices.values()} == {CampaignKey(999, organic=True)}
+        assert run_cli("attribute", "--counts", counts, "--profile-from", data, "--t", 30,
+                       "--g", "plain", "--out", attr) == 0
+        assert run_cli("evaluate", "--attr", attr, "--truth-from", data, "--t", 30,
+                       "--out", report) == 0
+        stage = json.loads(report.read_text())
+
+        (tmp_path / "gen_run.json").write_text(json.dumps({"gen": self.GEN} | self.GRID))
+        (tmp_path / "csv_run.json").write_text(
+            json.dumps({"users_csv": str(data / "users.csv")} | self.GRID)
+        )
+        for run in ("gen_run", "csv_run"):
+            out = tmp_path / run
+            assert run_cli("benchmark", "--config", tmp_path / f"{run}.json", "--out", out) == 0
+            bench = json.loads((out / "report.json").read_text())
+            assert bench["metadata"]["organic_alpha"] == 999
+            cell = [c for c in bench["cells"] if c["level"] == "campaign"][0]
+            assert cell["aggregate_error_usd"] == stage["aggregate_error_usd"]
 
 
 class TestAttributeLambda:
