@@ -19,7 +19,7 @@ from .metrics import SCORING_POLICY, check_grid_axes, check_window_days, validat
 from .model import remake
 from .privacy import PrivacyConfig
 from .schema import SchemaSpec, schema_from_text
-from .synthgen import GenConfig
+from .synthgen import MODEL, GenConfig
 
 # The benchmark's stock schema set: the omniscient 30-day baseline, the
 # day-0 action schema, rolling revenue/count at 1, 3 and 7 days, and the
@@ -65,11 +65,13 @@ class RunConfig(_RunConfigFields):
 
     The dataset comes either from a generator config (``gen``) or from
     ``users_csv``/``events_csv`` paths, which the loaders check. ``seed``
-    seeds the run and its generator; a JSON ``gen`` seed that differs is
-    refused. How a run is scored is fixed (``metrics.SCORING_POLICY``), not
-    configured, and so are the organic sentinel and the window curve's
-    schema, p and g (``FIXED_SETTINGS``); ``to_jsonable`` records both, so
-    the config hash covers them. Every estimator, threshold and window is
+    seeds the run and its generator; a ``gen`` seed that differs is refused,
+    unless it is ``GenConfig``'s default 0 (a JSON ``gen`` block that leaves
+    its seed out). How a run is scored is fixed (``metrics.SCORING_POLICY``),
+    not configured, and so are the organic sentinel and the window curve's
+    schema, p and g (``FIXED_SETTINGS``) and the generator's behaviour model
+    (``synthgen.MODEL``); ``to_jsonable`` records all three, so the config
+    hash covers them. Every estimator, threshold and window is
     checked here, as is a p value, g mode or lambda listed twice, so a bad
     one fails before any dataset is generated or read; with ``gen``, a
     window starting at or after its ``event_horizon_days`` holds no event
@@ -85,6 +87,8 @@ class RunConfig(_RunConfigFields):
             raise ConfigError("config needs either a generator block or dataset paths")
         if self.gen is not None and self.users_csv is not None:
             raise ConfigError("config cannot mix a generator block with dataset paths")
+        if self.gen is not None and self.gen.seed not in (0, self.seed):
+            raise _seed_mismatch(self.gen.seed, self.seed)
         if not self.schemas or not self.p_values or not self.g_modes:
             raise ConfigError("need at least one schema, one p value and one g mode")
         check_window_days(self.t)
@@ -123,7 +127,7 @@ class RunConfig(_RunConfigFields):
     def to_jsonable(self) -> dict:
         out = self._asdict()
         if self.gen is not None:
-            out["gen"] = self.gen._asdict() | {"start_date": self.gen.start_date.isoformat()}
+            out["gen"] = self.gen._asdict() | MODEL | {"start_date": str(self.gen.start_date)}
         return out | FIXED_SETTINGS | SCORING_POLICY
 
 
@@ -181,9 +185,8 @@ def gen_config_from_dict(data: dict) -> GenConfig:
                 f"generator config key 'start_date' must fit an ISO date, "
                 f"got {kwargs['start_date']!r}"
             ) from exc
-    for key in ("flag_probs", "groups"):
-        if key in kwargs:
-            kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in kwargs[key])
+    if "groups" in kwargs:
+        kwargs["groups"] = tuple(map(tuple, kwargs["groups"]))
     return GenConfig(**kwargs)
 
 
@@ -198,10 +201,15 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if "windows" in kwargs:
         kwargs["windows"] = tuple(map(tuple, kwargs["windows"]))
     cfg = RunConfig(**kwargs)
+    # ``RunConfig`` takes a gen seed of 0 for one left out; here it is written.
     gen_seed = (data.get("gen") or {}).get("seed")
     if gen_seed is not None and gen_seed != cfg.seed:
-        raise ConfigError(f"generator config seed {gen_seed} differs from the run seed {cfg.seed}")
+        raise _seed_mismatch(gen_seed, cfg.seed)
     return cfg
+
+
+def _seed_mismatch(gen_seed: int, seed: int) -> ConfigError:
+    return ConfigError(f"generator config seed {gen_seed} differs from the run seed {seed}")
 
 
 def _load_json_object(path: str | Path, what: str) -> dict:

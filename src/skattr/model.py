@@ -147,20 +147,15 @@ class Event(NamedTuple):
     """One user event: a session, a purchase (amount in cents), or a flag.
 
     ``us`` is the event's instant in integer microseconds on the model's
-    clock (registration midnight is ``date.toordinal() * US_PER_DAY``);
-    ``timestamp`` is the same instant as a naive ``datetime``. An event is
-    the row ``io_files._event_rows`` yields less its user id. Its fields
-    are checked where a ``UserRecord`` takes it.
+    clock (registration midnight is ``date.toordinal() * US_PER_DAY``). An
+    event is the row ``io_files._event_rows`` yields less its user id. Its
+    fields are checked where a ``UserRecord`` takes it.
     """
 
     us: int
     kind: str
     amount: int | None = None
     flag_index: int | None = None
-
-    @property
-    def timestamp(self) -> datetime:
-        return us_to_datetime(self.us)
 
 
 def check_event(kind: str, amount: int | None, flag_index: int | None) -> None:

@@ -153,17 +153,6 @@ class CountMatrix(_CountMatrixFields):
         zero = (0,) * len(self.columns)
         return frozenset(v for v, row in enumerate(self.rows) if row == zero)
 
-    def column_sums(self) -> tuple[int, ...]:
-        """Per-column totals over all value rows plus the null row."""
-        sums = [0] * len(self.columns)
-        for row in self.rows:
-            for j, c in enumerate(row):
-                sums[j] += c
-        if self.null_row is not None:
-            for j, c in enumerate(self.null_row):
-                sums[j] += c
-        return tuple(sums)
-
 
 def empty_matrix(group: str, week: str, columns: Sequence[CampaignKey]) -> CountMatrix:
     cols = tuple(columns)

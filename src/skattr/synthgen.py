@@ -32,9 +32,9 @@ drawn again while it is n or more (``_below``, written out in the
 per-session loop). That is the rejection loop CPython's ``randrange`` runs
 (``Random._randbelow_with_getrandbits``), so the draws, and the generator
 state after each, are ``randrange``'s, without its pure-Python frames.
-Values that depend only on the config (bit widths, registration dates,
-purchase probabilities by tenure day, flag thresholds) are computed once
-per dataset (``_tables``).
+Values that depend only on the config (origin segments, registration
+dates) are computed once per dataset (``_tables``). How users behave is
+fixed, not configured: ``MODEL`` is the only source of its values.
 """
 
 from __future__ import annotations
@@ -60,8 +60,26 @@ from .rng import substream
 
 T = TypeVar("T")
 
-DEFAULT_FLAG_PROBS = (0.55, 0.30, 0.16, 0.08, 0.04, 0.02)
 DEFAULT_GROUPS = (("US", 0.5), ("ROW", 0.5))
+
+# The behaviour model. Retention and activity are per alive day, the habit
+# check-in and a spender's purchase per played day; money is in log-cents.
+MODEL = {
+    "retention_continue": 0.72,
+    "spender_retention_continue": 0.985,
+    "activity_rate": 0.92,
+    "habit_prob": 0.88,
+    "max_sessions_per_day": 3,
+    "purchase_prob": 0.30,
+    "purchase_day0_prob": 0.08,
+    "amount_mu": 5.8,
+    "amount_sigma": 0.7,
+    "whale_sigma": 0.6,
+    "tenure_amount_slope": 0.012,
+    "flag_probs": (0.55, 0.30, 0.16, 0.08, 0.04, 0.02),
+    "flag_spender_boost": 2.0,
+    "campaign_quality_sigma": 0.4,
+}
 
 
 class _GenConfigFields(NamedTuple):
@@ -70,20 +88,6 @@ class _GenConfigFields(NamedTuple):
     campaigns_per_network: int = 5
     organic_share: float = 0.30
     spender_rate: float = 0.05
-    retention_continue: float = 0.72
-    spender_retention_continue: float = 0.985
-    activity_rate: float = 0.92
-    habit_prob: float = 0.88
-    max_sessions_per_day: int = 3
-    purchase_prob: float = 0.30
-    purchase_day0_prob: float = 0.08
-    amount_mu: float = 5.8
-    amount_sigma: float = 0.7
-    whale_sigma: float = 0.6
-    tenure_amount_slope: float = 0.012
-    flag_probs: tuple[float, ...] = DEFAULT_FLAG_PROBS
-    flag_spender_boost: float = 2.0
-    campaign_quality_sigma: float = 0.4
     n_weeks: int = 12
     event_horizon_days: int = 90
     start_date: date = date(2024, 1, 1)
@@ -93,12 +97,13 @@ class _GenConfigFields(NamedTuple):
 
 
 class GenConfig(_GenConfigFields):
-    """Knobs for the synthetic cohort generator.
+    """What the synthetic cohort generator makes: its users, origins, groups and days.
 
-    Probabilities are in [0, 1]; money parameters are in log-cents. The
-    cohort window spans ``n_weeks`` ISO weeks starting at ``start_date``
-    (must be a Monday); events are generated through ``event_horizon_days``
-    per user so long revenue windows stay observable.
+    ``organic_share`` and ``spender_rate`` are in [0, 1]. The cohort window
+    spans ``n_weeks`` ISO weeks starting at ``start_date`` (must be a
+    Monday); events are generated through ``event_horizon_days`` per user
+    so long revenue windows stay observable. How users behave is fixed
+    (``MODEL``).
     """
 
     __slots__ = ()
@@ -110,14 +115,10 @@ class GenConfig(_GenConfigFields):
             raise ConfigError("n_users must be at least 1")
         if self.n_networks < 1 or not 1 <= self.campaigns_per_network <= 100:
             raise ConfigError("need >= 1 network and 1..100 campaigns per network")
-        for name in ("organic_share", "spender_rate", "retention_continue",
-                     "spender_retention_continue", "activity_rate", "habit_prob",
-                     "purchase_prob", "purchase_day0_prob"):
+        for name in ("organic_share", "spender_rate"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if len(self.flag_probs) != 6 or any(not 0.0 <= p <= 1.0 for p in self.flag_probs):
-            raise ConfigError("flag_probs must be six probabilities")
         if self.n_weeks < 1:
             raise ConfigError("n_weeks must be at least 1")
         if self.event_horizon_days < 1:
@@ -151,8 +152,6 @@ class GenConfig(_GenConfigFields):
                 raise ConfigError(f"group {label!r}: weight must be in [0, 1], got {weight}")
         if not self.groups or abs(sum(w for _, w in self.groups) - 1.0) > 1e-9:
             raise ConfigError("group weights must sum to 1")
-        if self.max_sessions_per_day < 1:
-            raise ConfigError("max_sessions_per_day must be at least 1")
         return self
 
     @property
@@ -190,8 +189,9 @@ def _segments(cfg: GenConfig) -> tuple[tuple[_Segment, float], ...]:
     keys = list(cfg.campaigns) + [cfg.organic]
     paid_w = (1.0 - cfg.organic_share) / len(cfg.campaigns)
     weights = [paid_w] * len(cfg.campaigns) + [cfg.organic_share]
-    raw = [math.exp(rng.gauss(0.0, cfg.campaign_quality_sigma)) for _ in keys]
-    shifts = [rng.gauss(0.0, 0.5 * cfg.campaign_quality_sigma) for _ in keys]
+    sigma = MODEL["campaign_quality_sigma"]
+    raw = [math.exp(rng.gauss(0.0, sigma)) for _ in keys]
+    shifts = [rng.gauss(0.0, 0.5 * sigma) for _ in keys]
     mean_mult = sum(w * m for w, m in zip(weights, raw))
     scale = 1.0 / mean_mult if mean_mult > 0 else 1.0
     return tuple(
@@ -211,12 +211,26 @@ def _pick(choices: tuple[tuple[T, float], ...], x: float) -> T:
 
 
 # Draw ranges that do not depend on the config: the habitual check-in
-# second (08:00 to 22:00) and a purchase's delay after the day's last
-# session (60 s to 30 min), each with its bit width for ``_below``.
+# second (08:00 to 22:00), a purchase's delay after the day's last session
+# (60 s to 30 min) and the count of extra sessions, each with its bit width
+# for ``_below``.
 _HABIT_FIRST, _HABIT_SPAN = 28_800, 79_200 - 28_800
 _HABIT_BITS = _HABIT_SPAN.bit_length()
 _BUY_DELAY_FIRST, _BUY_DELAY_SPAN = 60, 1_800 - 60
 _BUY_DELAY_BITS = _BUY_DELAY_SPAN.bit_length()
+_SESSION_BITS = MODEL["max_sessions_per_day"].bit_length()
+# Purchase probability by tenure day 0, 1, 2 and 3, then constant: players
+# buy once the game has proven itself, rarely on the install day.
+_BUY_PROBS = tuple(
+    MODEL["purchase_day0_prob"]
+    + (MODEL["purchase_prob"] - MODEL["purchase_day0_prob"]) * (min(1.0, d / 3) if d else 0.0)
+    for d in range(4)
+)
+# Per-flag firing thresholds ``min(1, p * boost)``, by spender (1) or not (0).
+_FLAG_THRESHOLDS = tuple(
+    tuple(min(1.0, p * boost) for p in MODEL["flag_probs"])
+    for boost in (1.0, MODEL["flag_spender_boost"])
+)
 
 
 def _below(getrandbits, n: int, k: int) -> int:
@@ -241,35 +255,15 @@ class _Tables(NamedTuple):
     # width of the day draw.
     registrations: tuple[tuple[date, int], ...]
     registration_bits: int
-    session_bits: int  # bit width of the extra-session count draw
-    # Purchase probability by tenure day 0, 1, 2 and 3; it stays at the
-    # day-3 value from then on.
-    buy_probs: tuple[float, ...]
-    # Per-flag firing thresholds ``min(1, p * boost)``, by spender (1) or not (0).
-    flag_thresholds: tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def _tables(cfg: GenConfig) -> _Tables:
     n_days = cfg.n_weeks * 7
     dates = [cfg.start_date + timedelta(days=d) for d in range(n_days)]
-    buy_probs = []
-    for d in range(4):
-        # Spend ramps up over the first days: players buy once the game
-        # has proven itself, rarely on the install day.
-        ramp = min(1.0, d / 3) if d else 0.0
-        buy_probs.append(
-            cfg.purchase_day0_prob + (cfg.purchase_prob - cfg.purchase_day0_prob) * ramp
-        )
     return _Tables(
         segments=_segments(cfg),
         registrations=tuple((d, d.toordinal() * US_PER_DAY) for d in dates),
         registration_bits=n_days.bit_length(),
-        session_bits=cfg.max_sessions_per_day.bit_length(),
-        buy_probs=tuple(buy_probs),
-        flag_thresholds=tuple(
-            tuple(min(1.0, p * boost) for p in cfg.flag_probs)
-            for boost in (1.0, cfg.flag_spender_boost)
-        ),
     )
 
 
@@ -285,13 +279,13 @@ def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
     ]
 
     spender = random() < min(1.0, cfg.spender_rate * seg.spender_mult)
-    whale_shift = rng.gauss(0.0, cfg.whale_sigma) if spender else 0.0
-    mu = cfg.amount_mu + seg.amount_shift + whale_shift
+    whale_shift = rng.gauss(0.0, MODEL["whale_sigma"]) if spender else 0.0
+    mu = MODEL["amount_mu"] + seg.amount_shift + whale_shift
 
     # Lifetime: day 0 always; continue each following day geometrically.
     # Spenders retain much longer than free users, the core stylized fact
     # that concentrates late revenue in few long-lived payers.
-    continue_p = cfg.spender_retention_continue if spender else cfg.retention_continue
+    continue_p = MODEL["spender_retention_continue" if spender else "retention_continue"]
     last_day = cfg.event_horizon_days - 1
     lifetime = 0
     while lifetime < last_day and random() < continue_p:
@@ -306,9 +300,8 @@ def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
     # Extra sessions fall in [habit_sec, 86_400) of their day.
     span = 86_400 - habit_sec
     span_bits = span.bit_length()
-    max_extra, extra_bits = cfg.max_sessions_per_day, tables.session_bits
-    activity_rate, habit_prob = cfg.activity_rate, cfg.habit_prob
-    buy_probs = tables.buy_probs
+    max_extra, extra_bits = MODEL["max_sessions_per_day"], _SESSION_BITS
+    activity_rate, habit_prob = MODEL["activity_rate"], MODEL["habit_prob"]
 
     # Each event is drawn as one integer, second * 8 + rank, with rank 0
     # for a session, 1 for a purchase and 2 + i for flag i. Sorting these
@@ -339,15 +332,15 @@ def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
         elif not sessions:
             sessions.append((first + _below(getrandbits, span, span_bits)) << 3)
         keys += sessions
-        if spender and random() < buy_probs[d if d < 3 else 3]:
+        if spender and random() < _BUY_PROBS[d if d < 3 else 3]:
             # Purchases land near the day's last session; spend per
             # purchase drifts up with tenure as players progress.
             delay = _BUY_DELAY_FIRST + _below(getrandbits, _BUY_DELAY_SPAN, _BUY_DELAY_BITS)
             buy_sec = min((max(sessions) >> 3) + delay, day + 86_399)
-            mu_d = mu + cfg.tenure_amount_slope * d
-            amounts.append(max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma)))))
+            mu_d = mu + MODEL["tenure_amount_slope"] * d
+            amounts.append(max(1, round(math.exp(rng.gauss(mu_d, MODEL["amount_sigma"])))))
             keys.append(buy_sec << 3 | 1)
-    for i, threshold in enumerate(tables.flag_thresholds[spender]):
+    for i, threshold in enumerate(_FLAG_THRESHOLDS[spender]):
         if random() < threshold:
             keys.append(min(habit_sec + 30 * (i + 1), 86_399) << 3 | 2 + i)
 

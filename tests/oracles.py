@@ -55,7 +55,7 @@ from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, PostbackTable
 from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
-from skattr.synthgen import GenConfig, _pick, _segments
+from skattr.synthgen import MODEL, GenConfig, _pick, _segments
 
 
 def registration_midnight(user: UserRecord) -> datetime:
@@ -68,7 +68,7 @@ def scan_revenue(user: UserRecord, t: int) -> int:
     total = 0
     midnight = registration_midnight(user)
     for e in user.events:
-        if e.kind == PURCHASE and 0 <= (e.timestamp - midnight).total_seconds() < t * 86_400:
+        if e.kind == PURCHASE and 0 <= (timestamp(e) - midnight).total_seconds() < t * 86_400:
             total += e.amount
     return total
 
@@ -79,7 +79,7 @@ def scan_revenue_between(user: UserRecord, lo_day: int, hi_day: int) -> int:
     midnight = registration_midnight(user)
     for e in user.events:
         if e.kind == PURCHASE:
-            seconds = (e.timestamp - midnight).total_seconds()
+            seconds = (timestamp(e) - midnight).total_seconds()
             if lo_day * 86_400 <= seconds < hi_day * 86_400:
                 total += e.amount
     return total
@@ -110,6 +110,17 @@ def instant_us(ts: datetime) -> int:
     return (ts - datetime(1, 1, 1)) // _MICROSECOND + DAY_US
 
 
+def timestamp(event: Event) -> datetime:
+    """An event's instant as a naive ``datetime``, the inverse of ``instant_us``."""
+    return datetime(1, 1, 1) + _MICROSECOND * (event.us - DAY_US)
+
+
+def column_sums(matrix: CountMatrix) -> tuple[int, ...]:
+    """Per-column totals over all value rows plus the null row."""
+    rows = list(matrix.rows) + ([matrix.null_row] if matrix.null_row is not None else [])
+    return tuple(sum(row[j] for row in rows) for j in range(len(matrix.columns)))
+
+
 def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
     """The value the schema would assign at instant ``at``, by a fresh event scan.
 
@@ -137,16 +148,16 @@ def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
     if kind == "EV":
         flags = 0
         for e in user.events:
-            if e.timestamp > at:
+            if timestamp(e) > at:
                 break
-            if e.kind == FLAG and e.timestamp.date() == user.registration_date:
+            if e.kind == FLAG and timestamp(e).date() == user.registration_date:
                 flags |= 1 << e.flag_index
         return flags
     # RR / RI share the rolling structure.
     revenue = 0
     purchases = 0
     for e in user.events:
-        if e.timestamp > at:
+        if timestamp(e) > at:
             break
         if e.kind == PURCHASE:
             revenue += e.amount
@@ -210,7 +221,7 @@ def simulate_updates(user: UserRecord, schema: SchemaSpec) -> UpdateTrace:
     """
     if not user.events or user.events[0].kind != SESSION:
         raise ConfigError(f"user {user.id} lacks a first-open session event")
-    instants = sorted({e.timestamp for e in user.events})
+    instants = sorted({timestamp(e) for e in user.events})
     committed: list[tuple[datetime, int]] = []
     for at in instants:
         if committed and (at - committed[-1][0]) // _MICROSECOND > COMMIT_WINDOW_US:
@@ -292,7 +303,7 @@ def table_of(users: list[UserRecord], postbacks) -> PostbackTable:
         postbacks = postbacks.values()
     digests = [
         tuple(
-            ((e.timestamp - registration_midnight(u)) // _MICROSECOND, e.amount, 1, 0)
+            ((timestamp(e) - registration_midnight(u)) // _MICROSECOND, e.amount, 1, 0)
             for e in u.events
             if e.kind == PURCHASE
         )
@@ -327,7 +338,8 @@ def reference_generate_dataset(cfg: GenConfig) -> list[UserRecord]:
     Each event is ``midnight + timedelta(seconds=...)``, and a user's events
     are sorted by (timestamp, kind rank) before the record is built. The
     draws are those of the library generator, call for call; the origin
-    segments and the group and segment picks are the library's.
+    segments and the group and segment picks are the library's; the
+    behaviour model's values are ``synthgen.MODEL``'s.
     """
     segments = _segments(cfg)
     return [_reference_user(cfg, segments, uid) for uid in range(cfg.n_users)]
@@ -342,9 +354,9 @@ def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
     midnight = datetime.combine(reg_date, datetime.min.time())
 
     spender = rng.random() < min(1.0, cfg.spender_rate * seg.spender_mult)
-    whale_shift = rng.gauss(0.0, cfg.whale_sigma) if spender else 0.0
-    mu = cfg.amount_mu + seg.amount_shift + whale_shift
-    continue_p = cfg.spender_retention_continue if spender else cfg.retention_continue
+    whale_shift = rng.gauss(0.0, MODEL["whale_sigma"]) if spender else 0.0
+    mu = MODEL["amount_mu"] + seg.amount_shift + whale_shift
+    continue_p = MODEL["spender_retention_continue"] if spender else MODEL["retention_continue"]
     lifetime = 0
     while lifetime < cfg.event_horizon_days - 1 and rng.random() < continue_p:
         lifetime += 1
@@ -352,13 +364,13 @@ def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
 
     events: list[tuple[datetime, str, int | None, int | None]] = []
     for d in range(lifetime + 1):
-        if d > 0 and rng.random() >= cfg.activity_rate:
+        if d > 0 and rng.random() >= MODEL["activity_rate"]:
             continue
         secs = sorted(
             d * 86_400 + rng.randrange(habit_sec, 86_400)
-            for _ in range(rng.randint(0, cfg.max_sessions_per_day - 1))
+            for _ in range(rng.randint(0, MODEL["max_sessions_per_day"] - 1))
         )
-        if d == 0 or rng.random() < cfg.habit_prob:
+        if d == 0 or rng.random() < MODEL["habit_prob"]:
             secs = sorted([d * 86_400 + habit_sec] + secs)
         if not secs:
             secs = [d * 86_400 + rng.randrange(habit_sec, 86_400)]
@@ -366,14 +378,15 @@ def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
             events.append((midnight + timedelta(seconds=s), SESSION, None, None))
         if spender:
             ramp = min(1.0, d / 3) if d else 0.0
-            p_buy = cfg.purchase_day0_prob + (cfg.purchase_prob - cfg.purchase_day0_prob) * ramp
+            day0, later = MODEL["purchase_day0_prob"], MODEL["purchase_prob"]
+            p_buy = day0 + (later - day0) * ramp
             if rng.random() < p_buy:
                 buy_sec = min(secs[-1] + rng.randrange(60, 1800), (d + 1) * 86_400 - 1)
-                mu_d = mu + cfg.tenure_amount_slope * d
-                amount = max(1, round(math.exp(rng.gauss(mu_d, cfg.amount_sigma))))
+                mu_d = mu + MODEL["tenure_amount_slope"] * d
+                amount = max(1, round(math.exp(rng.gauss(mu_d, MODEL["amount_sigma"]))))
                 events.append((midnight + timedelta(seconds=buy_sec), PURCHASE, amount, None))
-    boost = cfg.flag_spender_boost if spender else 1.0
-    for i, p in enumerate(cfg.flag_probs):
+    boost = MODEL["flag_spender_boost"] if spender else 1.0
+    for i, p in enumerate(MODEL["flag_probs"]):
         if rng.random() < min(1.0, p * boost):
             fsec = min(habit_sec + 30 * (i + 1), 86_399)
             events.append((midnight + timedelta(seconds=fsec), FLAG, None, i))

@@ -51,7 +51,7 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import reference_cohort, reference_load_users, reference_save_events
+from oracles import reference_cohort, reference_load_users, reference_save_events, timestamp
 
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
@@ -144,7 +144,7 @@ META = {"organic_alpha": 9, "seed": 1}
 
 
 class TestTimestampEdges:
-    """``Event.us``, ``Event.timestamp`` and the events file's text agree at the edges of a day."""
+    """``Event.us``, its ``datetime`` and the events file's text agree at the edges of a day."""
 
     @pytest.mark.parametrize("text", [
         "2024-01-01T00:00:00",
@@ -160,7 +160,7 @@ class TestTimestampEdges:
         seconds = (ts.hour * 60 + ts.minute) * 60 + ts.second
         assert us == ts.date().toordinal() * US_PER_DAY + seconds * 10**6 + ts.microsecond
         assert us_to_datetime(us) == ts
-        assert Event(us, SESSION).timestamp.isoformat() == text
+        assert timestamp(Event(us, SESSION)).isoformat() == text
 
         midnight = date(2024, 1, 1).toordinal() * US_PER_DAY
         user = UserRecord(1, date(2024, 1, 1), CampaignKey(0),

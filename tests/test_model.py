@@ -18,7 +18,14 @@ from skattr.model import (
     usd,
 )
 from skattr.schema import prepare_users
-from oracles import Postback, groupby_truth, scan_revenue, scan_revenue_between, table_of
+from oracles import (
+    Postback,
+    groupby_truth,
+    scan_revenue,
+    scan_revenue_between,
+    table_of,
+    timestamp,
+)
 
 MONDAY = date(2024, 1, 1)
 
@@ -35,7 +42,7 @@ def make_user(uid=0, purchases=(), origin=encode_alpha(4, 5), group="G", reg=MON
     for day, hour, idx in flags:
         at = datetime_to_us(midnight + timedelta(days=day, hours=hour))
         events.append(Event(at, "flag", flag_index=idx))
-    events.sort(key=lambda e: e.timestamp)
+    events.sort(key=timestamp)
     return UserRecord(id=uid, registration_date=reg, origin=origin, events=tuple(events), group=group)
 
 

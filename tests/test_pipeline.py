@@ -13,7 +13,7 @@ from skattr.pipeline import developer_totals, resolve_schema, run_schema, simula
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import by_user, oracle_postbacks, oracle_view
+from oracles import by_user, column_sums, oracle_postbacks, oracle_view
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -83,7 +83,7 @@ class TestHorizon:
     def test_matrix_mass_matches_included_users(self, cohort):
         horizon = datetime_to_us(datetime(2024, 1, 12))
         artifacts = run_schema(cohort, schema_from_text("kind=UD"), 3, horizon=horizon)
-        mass = sum(sum(m.column_sums()) for m in artifacts.matrices.values())
+        mass = sum(sum(column_sums(m)) for m in artifacts.matrices.values())
         assert mass == len(artifacts.postbacks)
 
 

@@ -9,7 +9,7 @@ from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, iso_we
 from skattr.postback import CountMatrix, build_counts, empty_matrix, estimate_organic, postback_delay_us
 from skattr.schema import prepare_users
 
-from oracles import Postback, UpdateTrace, table_of
+from oracles import Postback, UpdateTrace, column_sums, table_of
 
 MONDAY = date(2024, 1, 1)
 T0 = datetime(2024, 1, 1, 10)
@@ -66,7 +66,7 @@ class TestBuildCounts:
         matrices = build_counts(table_of(users, [pb(i, 7, when) for i in range(3)]))
         m = matrices[("G", iso_week(when.date()))]
         assert m.rows[7][0] == 3
-        assert sum(m.column_sums()) == 3
+        assert sum(column_sums(m)) == 3
 
     def test_week_boundary_sunday_monday(self):
         users = [user(0, encode_alpha(0, 0)), user(1, encode_alpha(0, 0))]
@@ -96,7 +96,7 @@ class TestBuildCounts:
         matrices = build_counts(table_of(users, [pb(0, 1, when), pb(1, 1, when)]))
         m = matrices[("G", iso_week(when.date()))]
         assert m.columns == (encode_alpha(0, 0),)
-        assert sum(m.column_sums()) == 1
+        assert sum(column_sums(m)) == 1
 
     def test_each_user_in_exactly_one_cell(self):
         rng = random.Random(11)
@@ -107,7 +107,7 @@ class TestBuildCounts:
             for i, u in enumerate(users)
         ]
         matrices = build_counts(table_of(users, pbs))
-        assert sum(sum(m.column_sums()) for m in matrices.values()) == len(users)
+        assert sum(sum(column_sums(m)) for m in matrices.values()) == len(users)
 
 
 class TestCountMatrixValidation:
@@ -117,8 +117,8 @@ class TestCountMatrixValidation:
         return CountMatrix(group="G", week="2024-W01", columns=self.COLS, rows=tuple(rows), **kw)
 
     def test_valid_and_zero_column_matrices(self):
-        assert sum(self.matrix([(1, 0)] * 64).column_sums()) == 64
-        assert sum(empty_matrix("G", "2024-W01", []).column_sums()) == 0
+        assert sum(column_sums(self.matrix([(1, 0)] * 64))) == 64
+        assert sum(column_sums(empty_matrix("G", "2024-W01", []))) == 0
 
     @pytest.mark.parametrize(
         "rows, kw",

@@ -174,15 +174,15 @@ def test_derive_skips_the_checks():
 @pytest.mark.parametrize("build, data, message", [
     (gen_config_from_dict, {"n_users": "600"},
      "generator config key 'n_users' must fit int, got '600'"),
-    (gen_config_from_dict, {"flag_probs": "x"},
-     "generator config key 'flag_probs' must fit tuple[float, ...], got 'x'"),
+    (gen_config_from_dict, {"groups": "x"},
+     "generator config key 'groups' must fit tuple[tuple[str, float], ...], got 'x'"),
     (gen_config_from_dict, {"organic_alpha": 1.5},
      "generator config key 'organic_alpha' must fit int | None, got 1.5"),
     (run_config_from_dict, {"gen": {}, "t": "30"}, "run config key 't' must fit int, got '30'"),
     (run_config_from_dict, {"gen": 5}, "run config key 'gen' must fit GenConfig | None, got 5"),
     (run_config_from_dict, {"gen": {}, "windows": [[7.5, 14]]},
      "run config key 'windows' must fit tuple[tuple[int, int], ...], got [[7.5, 14]]"),
-], ids=["n_users", "flag_probs", "organic_alpha", "t", "gen", "windows"])
+], ids=["n_users", "groups", "organic_alpha", "t", "gen", "windows"])
 def test_config_type_error_names_the_type_as_written(build, data, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build(data)

@@ -36,6 +36,7 @@ from oracles import (
     scan_revenue,
     simulate_updates,
     sort_slice_quantiles,
+    timestamp,
 )
 
 MONDAY = date(2024, 1, 1)
@@ -282,7 +283,7 @@ def random_user(draw):
     for idx in draw(st.sets(st.integers(0, 5), max_size=6)):
         at = datetime_to_us(START + timedelta(hours=1 + idx))
         events.append(Event(at, "flag", flag_index=idx))
-    events.sort(key=lambda e: e.timestamp)
+    events.sort(key=timestamp)
     return user_from_events(events, uid=draw(st.integers(0, 10_000)))
 
 
@@ -304,7 +305,7 @@ def test_trace_invariants(text, user):
     assert all(0 <= v <= 63 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all((b - a).total_seconds() <= 86_400 for a, b in zip(times, times[1:]))
-    assert trace.committed[0][0] == trace.first_open == user.events[0].timestamp
+    assert trace.committed[0][0] == trace.first_open == timestamp(user.events[0])
     # committed values replay to the candidate at that instant
     for ts, v in trace.committed:
         assert candidate_value(user, schema, ts) == v

@@ -15,6 +15,7 @@ from oracles import (
     reference_generate_dataset,
     registration_midnight,
     scan_revenue,
+    timestamp,
 )
 
 
@@ -47,15 +48,15 @@ class TestGenerateDataset:
         users, _ = generate_dataset(small_cfg())
         for u in users:
             assert u.events[0].kind == SESSION
-            times = [e.timestamp for e in u.events]
+            times = [timestamp(e) for e in u.events]
             assert times == sorted(times)
-            assert all(e.timestamp >= registration_midnight(u) for e in u.events)
+            assert all(timestamp(e) >= registration_midnight(u) for e in u.events)
             for e in u.events:
                 if e.kind == PURCHASE:
                     assert e.amount > 0
                 if e.kind == FLAG:
                     # flags only fire on the registration day
-                    assert e.timestamp.date() == u.registration_date
+                    assert timestamp(e).date() == u.registration_date
 
     def test_spender_rate_zero(self):
         users, _ = generate_dataset(small_cfg(spender_rate=0.0))
@@ -115,7 +116,6 @@ class TestConfigValidation:
             dict(n_users=0),
             dict(campaigns_per_network=101),
             dict(organic_share=1.5),
-            dict(flag_probs=(0.5,) * 5),
             dict(start_date=date(2024, 1, 2)),  # not a Monday
             dict(groups=(("A", 0.7), ("B", 0.7))),
             dict(groups=(("", 1.0),)),
@@ -183,36 +183,20 @@ class TestBelow:
                 assert ours.getstate() == reference.getstate()
 
 
-probability = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
-
-
 class TestReferenceGenerator:
     @given(
         n_users=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
         n_weeks=st.integers(1, 4),
-        max_sessions=st.integers(1, 4),
         # 1 to 3 days end inside the purchase ramp, before its constant tail.
         horizon=st.integers(1, 3) | st.integers(4, 40),
         spender_rate=st.sampled_from((0.0, 0.3, 1.0)),
-        day0_prob=probability,
-        purchase_prob=probability,
-        activity_rate=probability,
-        habit_prob=probability,
-        flag_probs=st.lists(probability, min_size=6, max_size=6),
-        # Above 1 / p a flag's spender threshold p * boost clamps at 1.
-        boost=st.sampled_from((1.0, 2.0)) | st.floats(0.0, 20.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_matches_datetime_reference(self, n_users, seed, n_weeks, max_sessions, horizon,
-                                        spender_rate, day0_prob, purchase_prob, activity_rate,
-                                        habit_prob, flag_probs, boost):
+    def test_matches_datetime_reference(self, n_users, seed, n_weeks, horizon, spender_rate):
         """The integer-time generator makes the users, and the files, of the datetime one."""
         cfg = GenConfig(n_users=n_users, n_weeks=n_weeks, event_horizon_days=horizon, seed=seed,
-                        max_sessions_per_day=max_sessions, spender_rate=spender_rate,
-                        purchase_day0_prob=day0_prob, purchase_prob=purchase_prob,
-                        activity_rate=activity_rate, habit_prob=habit_prob,
-                        flag_probs=tuple(flag_probs), flag_spender_boost=boost)
+                        spender_rate=spender_rate)
         users, meta = generate_dataset(cfg)
         reference = reference_generate_dataset(cfg)
         assert [u.id for u in users] == [r.id for r in reference]
@@ -220,8 +204,8 @@ class TestReferenceGenerator:
             assert (u.registration_date, u.origin, u.group) == (
                 r.registration_date, r.origin, r.group
             )
-            assert [(e.us, e.timestamp, e.kind, e.amount, e.flag_index) for e in u.events] == [
-                (e.us, e.timestamp, e.kind, e.amount, e.flag_index) for e in r.events
+            assert [(e.us, timestamp(e), e.kind, e.amount, e.flag_index) for e in u.events] == [
+                (e.us, timestamp(e), e.kind, e.amount, e.flag_index) for e in r.events
             ]
         with tempfile.TemporaryDirectory() as tmp:
             ours = save_dataset(Path(tmp) / "ours", users, meta)
