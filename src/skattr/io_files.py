@@ -9,9 +9,10 @@ USD decimal its consumers expect. CSVs are RFC-4180 with header rows.
 Every loader reads its file in one pass through ``_csv_rows``, which checks
 the meta line and header up front and then yields rows lazily, so no file
 is held in memory as a list of rows. Events rows are read by one
-generator, ``_event_rows``, for both dataset loaders. Each row it yields is
-``(user id, *model.Event)``: ``load_users`` keeps the ``Event`` part in
-its user's record, and ``load_cohort`` hands them all to
+generator, ``_event_rows``, for both dataset loaders. It yields one
+``(user id, events)`` run per block of consecutive rows of one user, each
+event the fields of a ``model.Event``: ``load_users`` makes each an
+``Event`` of its user's record, and ``load_cohort`` hands the runs to
 ``schema.fold_events``, which folds each into its user's replay digest,
 building no ``Event`` or ``UserRecord``, and names each user's defect
 itself: a row error first, where the row is read, then an event before
@@ -223,16 +224,16 @@ def load_users(
 
     The organic sentinel is the file meta's ``organic_alpha``; rows with
     alpha beyond it are rejected (the combined id space is bounded by it).
-    Each events row comes from ``_event_rows``, which names a
-    missing events file as ``load_cohort`` does, and becomes the user's
-    ``Event``; a user whose events are out of order, or start before
-    registration, is a ``CsvFormatError`` naming the events file.
+    The events come in blocks from ``_event_rows``, which names a
+    missing events file as ``load_cohort`` does, and each becomes an
+    ``Event`` of its user; a user whose events are out of order, or start
+    before registration, is a ``CsvFormatError`` naming the events file.
     """
     upath = Path(user_csv)
     raw, meta, organic_alpha = _user_rows(upath)
     events: dict[int, list[Event]] = {uid: [] for uid in raw}
-    for uid, us, kind, amount, flag_index in _event_rows(events_csv, raw):
-        events[uid].append(Event(us, kind, amount, flag_index))
+    for uid, run in _event_rows(events_csv, raw):
+        events[uid] += map(Event._make, run)
 
     users: list[UserRecord] = []
     for uid in sorted(raw):
@@ -288,7 +289,7 @@ def load_cohort(user_csv: str | Path, events_csv: str | Path | None = None) -> C
     The result, or the error, is that of ``schema.prepare_users(users,
     meta.get("organic_alpha"))`` for the ``users, meta`` that
     ``load_users(user_csv, events_csv)`` returns.
-    ``schema.fold_events`` folds the rows of ``_event_rows`` into the
+    ``schema.fold_events`` folds the runs of ``_event_rows`` into the
     digests and names each user's defect.
     """
     raw, _, sentinel = _user_rows(Path(user_csv))
@@ -308,13 +309,16 @@ def load_cohort(user_csv: str | Path, events_csv: str | Path | None = None) -> C
 
 def _event_rows(
     events_csv: str | Path | None, users: Mapping[int, object]
-) -> Iterator[tuple[int, int, str, int | None, int | None]]:
-    """``(user id, instant, kind, amount, flag_index)`` of each events row, in file order.
+) -> Iterator[tuple[int, list[tuple[int, str, int | None, int | None]]]]:
+    """``(user id, events)`` of each block of consecutive events rows of one user, in file order.
 
-    The instant is the naive ISO timestamp in microseconds on the model's
-    clock (``model.datetime_to_us``). Nothing when ``events_csv`` is None, or
-    when the file is missing and there is no user to read events for; a
-    file missing for some user is a ``ConfigError`` naming it.
+    Each event is ``(instant, kind, amount, flag_index)``, the fields of a
+    ``model.Event``; the instant is the naive ISO timestamp in microseconds
+    on the model's clock (``model.datetime_to_us``). A user whose rows are
+    split by another user's has one block per part. Nothing when
+    ``events_csv`` is None, or when the file is missing and there is no
+    user to read events for; a file missing for some user is a
+    ``ConfigError`` naming it.
     Each row is checked in one order: its column count, a known integer
     user id, a naive ISO timestamp, a known kind, integer amount and
     flag fields, and ``model.check_event``. The first check a row fails
@@ -324,19 +328,22 @@ def _event_rows(
         return
     path = Path(events_csv)
     parse_ts = datetime.fromisoformat
-    uid_text = None
+    uid_text, run = None, []
     with _csv_rows(path, EVENT_FIELDS) as (_, rows):
         for line, row in rows:
             if len(row) != len(EVENT_FIELDS):
                 raise CsvFormatError(f"{path}:{line}: expected {len(EVENT_FIELDS)} columns")
             row_uid, ts_text, kind, amount, flag_index = row
             # The file is grouped by user, so the user id is parsed and looked
-            # up only when its text changes.
+            # up only when its text changes, where the user's block ends.
             if row_uid != uid_text:
+                if run:
+                    yield uid, run
                 uid = _parse_int(row_uid, path, line, "user_id")
                 if uid not in users:
                     raise ReferentialError(f"{path}:{line}: event references unknown user {uid}")
-                uid_text = row_uid
+                uid_text, run = row_uid, []
+                append = run.append
             try:
                 ts = parse_ts(ts_text)
             except ValueError as exc:
@@ -351,7 +358,9 @@ def _event_rows(
                 check_event(kind, amount, flag_index)
             except ConfigError as exc:
                 raise CsvFormatError(f"{path}:{line}: {exc}") from exc
-            yield uid, datetime_to_us(ts), kind, amount, flag_index
+            append((datetime_to_us(ts), kind, amount, flag_index))
+    if run:
+        yield uid, run
 
 
 def save_dataset(out_dir: str | Path, users: Sequence[UserRecord], meta: Mapping) -> dict[str, Path]:

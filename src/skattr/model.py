@@ -148,8 +148,9 @@ class Event(NamedTuple):
 
     ``us`` is the event's instant in integer microseconds on the model's
     clock (registration midnight is ``date.toordinal() * US_PER_DAY``). An
-    event is the row ``io_files._event_rows`` yields less its user id. Its
-    fields are checked where a ``UserRecord`` takes it.
+    event holds the fields of one events row less its user id, as a run of
+    ``io_files._event_rows`` holds them. Its fields are checked where a
+    ``UserRecord`` takes it.
     """
 
     us: int

@@ -4,28 +4,43 @@ All randomness in a run flows from one top-level seed through named
 substreams so that per-entity draws are independent of processing order.
 Stream identity is hashed with SHA-256, which is stable across platforms
 and Python versions (unlike the builtin ``hash``).
+
+A substream is the ``random.Random(hash64(seed, *path))`` the stdlib would
+build, made without ``Random.__init__`` and ``Random.seed``, the two
+pure-Python frames of that call: the object is allocated, seeded by the C
+seed that ``Random.seed`` delegates to for an int, and given
+``gauss_next = None`` as ``Random.seed`` gives it. So its state, and every
+draw, are those of ``random.Random(hash64(seed, *path))``; the generator
+and the postback delays take one substream per user.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
+
+# Before CPython 3.11 the C ``__new__`` also seeds from its argument; from
+# 3.11 on it only allocates, and ``_seed`` is the one seeding.
+_new = random.Random.__new__
+_seed = _random.Random.seed
 
 
 def hash64(*parts: object) -> int:
     """Map a path of labels to a stable 64-bit integer."""
-    text = ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def substream(seed: int, *path: object) -> random.Random:
     """Return an independent ``random.Random`` for (seed, *path)."""
-    return random.Random(hash64(seed, *path))
+    key = hash64(seed, *path)
+    rng = _new(random.Random, key)
+    _seed(rng, key)
+    rng.gauss_next = None
+    return rng
 
 
-def uniform_value(seed: int, *path: object, n: int = 64) -> int:
-    """Stable uniform draw in [0, n) for (seed, *path); n must divide 2**64."""
-    if (1 << 64) % n != 0:
-        raise ValueError("n must divide 2**64 for an exactly uniform draw")
-    return hash64(seed, *path) % n
+def uniform_value(seed: int, *path: object) -> int:
+    """Stable uniform draw in [0, 64) for (seed, *path): the UD schema's value."""
+    return hash64(seed, *path) % 64

@@ -21,9 +21,10 @@ list of commits: per user it returns (final value, last-commit instant),
 the instant as integer microseconds since registration midnight. Events
 carry their instants on the model's integer clock (``Event.us``), so each
 is digested by one subtraction in ``fold_events``, which builds, and
-names the defects of, every replayable ``model.Cohort``. Its rows are
-``(user id, *Event)``: ``prepare_users`` feeds it each record's events
-after the user's id and ``io_files.load_cohort`` each events row. So day
+names the defects of, every replayable ``model.Cohort``. It takes
+``(user id, events)`` runs: ``prepare_users`` passes each record's
+``events`` tuple as one run, and ``io_files.load_cohort`` each block of
+consecutive events rows of one user. So day
 indices (calendar-day offsets from the registration date) and the 24h
 timer are exact integer arithmetic, also for timestamps with sub-second
 parts. PV values and fitted bucket boundaries read the cohort's
@@ -33,7 +34,7 @@ window-revenue memo.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -243,20 +244,23 @@ def _require_boundaries(schema: SchemaSpec) -> tuple[int, ...]:
 def fold_events(
     ids: Sequence[int],
     ordinals: Sequence[int],
-    rows: Iterable[tuple[int, int, str, int | None, int | None]],
+    runs: Iterable[tuple[int, Sequence[tuple[int, str, int | None, int | None]]]],
     source: Path | None = None,
 ) -> list[tuple[tuple[int, int, int, int], ...]]:
     """The replay digest of each user in ``ids``, registered on date ``ordinals``.
 
-    ``rows`` are ``(user id, instant, kind, amount, flag_index)``, users
-    possibly interleaved. A digest has one (microseconds since registration
-    midnight, purchase cents, purchase count, day-0 flag bits) entry per
-    distinct instant. Defects are raised once every row is read, so after
-    any error the rows raise: first the smallest user id whose first event
-    precedes registration midnight or whose events go back in time, as a
-    ``CsvFormatError`` naming ``source`` (a ``ConfigError`` without one);
-    then the first user in ``ids`` with no event, or whose first event is
-    not a session, as a ``ConfigError``.
+    ``runs`` are ``(user id, events)``, each event ``(instant, kind,
+    amount, flag_index)`` as a ``model.Event`` holds it. A user's events may
+    come in more than one run, other users' runs between them; a run goes
+    on from where the user's last one stopped. A digest has one
+    (microseconds since registration midnight, purchase cents, purchase
+    count, day-0 flag bits) entry per distinct instant. Defects are raised
+    once every run is read, so after any error the runs raise: first the
+    smallest user id whose first event precedes registration midnight or
+    whose events go back in time, as a ``CsvFormatError`` naming
+    ``source`` (a ``ConfigError`` without one); then the first user in
+    ``ids`` with no event, or whose first event is not a session, as a
+    ``ConfigError``.
     """
     digests: list[list[tuple[int, int, int, int]]] = [[] for _ in ids]
     slots, days = dict(zip(ids, digests)), dict(zip(ids, ordinals))
@@ -264,32 +268,32 @@ def fold_events(
         raise ConfigError("a cohort lists some user id more than once")
     defects: dict[int, str] = {}  # each user's first order defect
     no_open: set[int] = set()
-    prev, session, purchase, day = None, SESSION, PURCHASE, US_PER_DAY  # locals, for speed
-    for uid, us, kind, amount, flag_index in rows:
-        if uid != prev:
-            digest, start = slots[uid], days[uid] * day
-            prev, last, append = uid, digest[-1][0] if digest else -1, digest.append
-            if not digest and kind != session:
-                no_open.add(uid)
-        us -= start
-        if us > last:
-            last = us
-            if kind == session:
-                append((us, 0, 0, 0))
-            elif kind == purchase:
-                append((us, amount, 1, 0))
-            else:  # a flag counts on day 0 only
-                append((us, 0, 0, 1 << flag_index if us < day else 0))
-        elif us == last and digest:
-            e = digest[-1]
-            if kind == purchase:
-                digest[-1] = (us, e[1] + amount, e[2] + 1, e[3])
-            elif kind == FLAG and us < day:
-                digest[-1] = (us, e[1], e[2], e[3] | 1 << flag_index)
-        elif uid not in defects:
-            defects[uid] = "event precedes registration" if not digest else (
-                f"events out of order at {us_to_datetime(us + start).isoformat()}"
-            )
+    session, purchase, day = SESSION, PURCHASE, US_PER_DAY  # locals, for speed
+    for uid, events in runs:
+        digest, start = slots[uid], days[uid] * day
+        last, append = digest[-1][0] if digest else -1, digest.append
+        if not digest and events and events[0][1] != session:
+            no_open.add(uid)
+        for us, kind, amount, flag_index in events:
+            us -= start
+            if us > last:
+                last = us
+                if kind == session:
+                    append((us, 0, 0, 0))
+                elif kind == purchase:
+                    append((us, amount, 1, 0))
+                else:  # a flag counts on day 0 only
+                    append((us, 0, 0, 1 << flag_index if us < day else 0))
+            elif us == last and digest:
+                e = digest[-1]
+                if kind == purchase:
+                    digest[-1] = (us, e[1] + amount, e[2] + 1, e[3])
+                elif kind == FLAG and us < day:
+                    digest[-1] = (us, e[1], e[2], e[3] | 1 << flag_index)
+            elif uid not in defects:
+                defects[uid] = "event precedes registration" if not digest else (
+                    f"events out of order at {us_to_datetime(us + start).isoformat()}"
+                )
     if defects:
         message = f"user {min(defects)}: {defects[min(defects)]}"
         raise ConfigError(message) if source is None else CsvFormatError(f"{source}: {message}")
@@ -300,7 +304,7 @@ def fold_events(
 
 
 def prepare_users(users: Iterable[UserRecord], organic_alpha: int | None = None) -> Cohort:
-    """Digest a user list, its events folded by ``fold_events``, into the ``Cohort`` it runs on.
+    """Digest a user list, each record's events one run of ``fold_events``, into its ``Cohort``.
 
     ``organic_alpha`` is the organic sentinel the records' dataset declares, if it has one.
     """
@@ -312,18 +316,10 @@ def prepare_users(users: Iterable[UserRecord], organic_alpha: int | None = None)
         ordinals,
         [u.group for u in users],
         [(u.origin.organic, u.origin.alpha) for u in users],
-        fold_events(ids, ordinals, _record_rows(users)),
+        fold_events(ids, ordinals, zip(ids, [u.events for u in users])),
         users,
         organic_alpha=organic_alpha,
     )
-
-
-def _record_rows(users: Iterable[UserRecord]) -> Iterator[tuple]:
-    """``fold_events``' rows of the records' events: each ``Event`` after its user's id."""
-    for u in users:
-        uid = u.id
-        for us, kind, amount, flag_index in u.events:
-            yield uid, us, kind, amount, flag_index
 
 
 def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:

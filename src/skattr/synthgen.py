@@ -21,8 +21,10 @@ Times are drawn as integer seconds since registration midnight. A user's
 events are sorted once, as integer keys, and each ``Event`` is built in
 final order with its instant on the model's integer clock
 (``model.Event.us``); no ``datetime`` is made per event. An ``Event`` is a
-plain named tuple, the row ``save_events`` writes less the user id, and
-the ``UserRecord`` built from a user's events checks each of them once.
+plain named tuple, the row ``save_events`` writes less the user id. Each
+is built by ``tuple.__new__(Event, row)``, which is all the named tuple's
+generated ``__new__`` does, without that Python frame; the ``UserRecord``
+built from a user's events checks each of them once.
 ``tests/oracles.py`` keeps a generator that builds every event from a
 ``datetime`` and draws with ``randrange``, and checks that both make the
 same users. Segments and groups are drawn by one weighted pick, ``_pick``.
@@ -349,15 +351,17 @@ def _generate_user(cfg: GenConfig, tables: _Tables, uid: int) -> UserRecord:
     keys.sort()
     cents = iter(amounts)
     events = []
+    # ``Event(*row)`` without its Python frame; ``UserRecord`` checks each event.
+    new = tuple.__new__
     for key in keys:
         us = midnight + (key >> 3) * 1_000_000
         rank = key & 7
         if rank == 0:
-            events.append(Event(us, SESSION))
+            events.append(new(Event, (us, SESSION, None, None)))
         elif rank == 1:
-            events.append(Event(us, PURCHASE, next(cents)))
+            events.append(new(Event, (us, PURCHASE, next(cents), None)))
         else:
-            events.append(Event(us, FLAG, None, rank - 2))
+            events.append(new(Event, (us, FLAG, None, rank - 2)))
 
     return UserRecord(
         id=uid,

@@ -19,13 +19,18 @@ error over lambda in [0, 1], from the kernel's (a, b, D).
 became text: a ``datetime`` per event and a row tuple for ``csv.writer``.
 ``reference_cohort`` digests checked records by rescanning each user's
 events at every distinct instant, and names a user without a first open.
+``reference_substream`` builds each substream from ``hashlib.sha256`` and
+``random.Random(seed)`` alone, and the generator and postback oracles
+draw from it.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -53,9 +58,19 @@ from skattr.model import (
 )
 from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, PostbackTable
-from skattr.rng import substream, uniform_value
 from skattr.schema import VALUE_RANGE, SchemaSpec
 from skattr.synthgen import MODEL, GenConfig, _pick, _segments
+
+
+def reference_hash64(*parts: object) -> int:
+    """The first 8 bytes, big-endian, of the SHA-256 of the ``:``-joined labels."""
+    text = ":".join(str(part) for part in parts)
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+
+
+def reference_substream(seed: int, *path: object) -> random.Random:
+    """``rng.substream`` by its definition: ``random.Random`` of the path's hash."""
+    return random.Random(reference_hash64(seed, *path))
 
 
 def registration_midnight(user: UserRecord) -> datetime:
@@ -136,7 +151,7 @@ def candidate_value(user: UserRecord, schema: SchemaSpec, at: datetime) -> int:
     if kind == "UD":
         if schema.seed is None:
             raise ConfigError("UD schema needs a seed")
-        return uniform_value(schema.seed, "ud", user.id)
+        return reference_hash64(schema.seed, "ud", user.id) % VALUE_RANGE
     if kind in ("RR", "PV") and schema.bucket_boundaries is None:
         raise ConfigError(f"schema {schema.label} has no fitted bucket boundaries")
 
@@ -260,7 +275,7 @@ def oracle_postbacks(
     out = {}
     for u in sorted(users, key=lambda u: u.id):
         trace = simulate_updates(u, schema)
-        draw = substream(seed, "postback", u.id).random()
+        draw = reference_substream(seed, "postback", u.id).random()
         pb = finalize_postback(u.id, trace.final_value, trace.last_commit, draw, u.group)
         if horizon is None or pb.postback_time <= horizon:
             out[u.id] = pb
@@ -346,7 +361,7 @@ def reference_generate_dataset(cfg: GenConfig) -> list[UserRecord]:
 
 
 def _reference_user(cfg: GenConfig, segments, uid: int) -> UserRecord:
-    rng = substream(cfg.seed, "user", uid)
+    rng = reference_substream(cfg.seed, "user", uid)
     seg = _pick(segments, rng.random())
     group = _pick(cfg.groups, rng.random())
     reg_day = rng.randrange(cfg.n_weeks * 7)

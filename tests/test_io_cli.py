@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import skattr.io_files
 from skattr.cli import main
-from skattr.config import RunConfig, run_config_from_dict
+from skattr.config import DEFAULT_SCHEMAS, RunConfig, run_config_from_dict
 from skattr.errors import ConfigError, CsvFormatError, ReferentialError, SkattrError
 from skattr.io_files import (
     META_PREFIX,
@@ -374,7 +374,7 @@ def mutate(lines: list[str], i: int, edit: str, data) -> str:
     return ("\r\n" if edit == "crlf" else "\n").join(lines)
 
 
-USER_EDITS = ("swap_rows", "first_before_midnight", "first_is_flag", "drop_user")
+USER_EDITS = ("swap_rows", "first_before_midnight", "first_is_flag", "drop_user", "interleave")
 
 
 def mutate_user(lines: list[str], i: int, edit: str, users) -> str:
@@ -397,6 +397,17 @@ def mutate_user(lines: list[str], i: int, edit: str, users) -> str:
         lines[mine[0]] = ",".join(first)
     elif edit == "drop_user":
         lines = [line for j, line in enumerate(lines) if j not in mine]
+    elif edit == "interleave":  # the row moves past the next user's block, else the previous one
+        owners = [line.split(",")[0] for line in lines]
+        # Where each user's block starts, then where the rows end.
+        starts = [j for j in range(2, len(lines) - 1) if owners[j] != owners[j - 1]]
+        starts.append(len(lines) - 1)
+        k = starts.index(mine[0])
+        if k + 2 < len(starts):
+            lines.insert(starts[k + 2], lines[i])
+            del lines[i]
+        elif k:
+            lines.insert(starts[k - 1], lines.pop(i))
     return "\n".join(lines)
 
 
@@ -420,7 +431,7 @@ class TestStreamingLoader:
     @pytest.mark.parametrize("edit", [
         "truncate", "extra_column", "bad_integer", "unknown_user", "bad_kind",
         "amount_on_session", "flag_index_6", "timestamp", "any_cell", "crlf", *ESCAPES,
-        *TWO_CHECKS,
+        *TWO_CHECKS, *USER_EDITS,
     ])
     @given(cohort=cohorts(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -431,7 +442,11 @@ class TestStreamingLoader:
             save_events(epath, cohort, META)
             lines = epath.read_text().split("\n")  # meta, header, rows, ""
             i = data.draw(st.integers(2, len(lines) - 2))
-            epath.write_bytes(mutate(lines, i, edit, data).encode("utf-8", "surrogateescape"))
+            if edit in USER_EDITS:
+                text = mutate_user(lines, i, edit, cohort)
+            else:
+                text = mutate(lines, i, edit, data)
+            epath.write_bytes(text.encode("utf-8", "surrogateescape"))
             if edit in ESCAPES:
                 with pytest.raises(ESCAPES[edit]):
                     reference_load_users(upath, epath)
@@ -886,6 +901,7 @@ class TestCli:
         seed=st.integers(0, 2**16),
         n_weeks=st.integers(1, 3),
         groups=st.sampled_from(([["G", 1.0]], [["US", 0.5], ["ROW", 0.5]])),
+        schema=st.sampled_from(DEFAULT_SCHEMAS),
         estimator=st.sampled_from([
             (0, "plain", None), (0, "null_uniform", 0.0), (0, "null_empirical", 1.0),
             *[(p, g, lam) for p in (2, 10) for g, lam in (("null_uniform", 0.0),
@@ -895,12 +911,13 @@ class TestCli:
     )
     @settings(max_examples=50, deadline=None)
     def test_stagewise_evaluate_is_the_grid_cell(self, n_users, seed, n_weeks, groups,
-                                                 estimator):
+                                                 schema, estimator):
         """simulate -> privatize -> attribute -> evaluate reports the grid's campaign cell.
 
-        Over small random cohorts and every estimator at p 0, 2 and 10, the
-        evaluation's weekly and aggregate errors equal the grid's exactly. A
-        cohort the grid refuses fails its stages with the same error type.
+        Over small random cohorts, each of the grid's default schemas and
+        every estimator at p 0, 2 and 10, the evaluation's weekly and
+        aggregate errors equal the grid's exactly. A cohort the grid
+        refuses fails its stages with the same error type.
         """
         p, g, lam = estimator
         gen = GenConfig(n_users=n_users, n_weeks=n_weeks, event_horizon_days=35, seed=seed,
@@ -908,7 +925,7 @@ class TestCli:
         users, meta = generate_dataset(gen)
         try:
             report = benchmark_matrix(
-                users, [schema_from_text(D7RR)], [p], [g], 30, seed=seed,
+                users, [schema_from_text(schema)], [p], [g], 30, seed=seed,
                 lambda_grid=(0.5 if lam is None else lam,),
                 prepared=prepare_users(users, meta["organic_alpha"]),
             )
@@ -918,7 +935,7 @@ class TestCli:
             tmp = Path(tmp)
             save_dataset(tmp / "data", users, meta)
             stages = [
-                ["simulate", "--users", tmp / "data", "--schema", D7RR, "--seed", seed,
+                ["simulate", "--users", tmp / "data", "--schema", schema, "--seed", seed,
                  "--out", tmp / "c.csv"],
                 ["privatize", "--counts", tmp / "c.csv", "--p", p, "--out", tmp / "cp.csv"],
                 ["attribute", "--counts", tmp / ("c.csv" if g == "plain" else "cp.csv"),

@@ -15,7 +15,6 @@ from skattr.model import (
     iso_week,
 )
 from skattr.pipeline import simulate_postbacks
-from skattr.rng import substream
 from skattr.schema import (
     BitLayout,
     SchemaSpec,
@@ -33,6 +32,7 @@ from oracles import (
     candidate_value,
     oracle_postbacks,
     oracle_view,
+    reference_substream,
     scan_revenue,
     simulate_updates,
     sort_slice_quantiles,
@@ -450,7 +450,8 @@ WEEK_EDGES = [
 
 def delivered_at(uid, when, seed, group):
     """A user whose only event is first open, timed so the postback arrives at ``when``."""
-    first_open = when - timedelta(seconds=86_400 + substream(seed, "postback", uid).random() * 86_400)
+    draw = reference_substream(seed, "postback", uid).random()
+    first_open = when - timedelta(seconds=86_400 + draw * 86_400)
     return UserRecord(uid, first_open.date(), encode_alpha(0, uid % 3),
                       (Event(datetime_to_us(first_open), SESSION),), group)
 
