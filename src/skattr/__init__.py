@@ -10,7 +10,6 @@ from .attribution import (
     CellAttribution,
     attribute_plain,
     attribute_with_null,
-    estimate_bucket_means,
 )
 from .errors import SkattrError
 from .metrics import (
@@ -74,7 +73,6 @@ __all__ = [
     "build_counts",
     "decode_alpha",
     "encode_alpha",
-    "estimate_bucket_means",
     "estimate_organic",
     "fit_buckets",
     "generate_dataset",

@@ -10,11 +10,13 @@ the mixing weight lambda spans the uniform (0) and null-based (1) endpoints,
 and the optimal redistribution always lies on that segment.
 
 The estimators read two developer-side inputs with different scopes. The
-bucket means, ``{value: Fraction}`` from ``estimate_bucket_means``, are
-fitted once over a whole window, pooled over every group, and shared by
-every cell. The totals, the number of users with each value, belong to one
-(group, week) cell and are an explicit argument of ``attribute_with_null``:
-a suppressed row redistributes exactly the users that cell contains.
+bucket means, ``{value: Fraction}`` from ``estimate_bucket_means_window``,
+the one call by which the grid, the window curve and the ``attribute``
+stage fit them, cover one window of days, pool every group and are shared
+by every cell. The totals, the number of users with each value, belong to
+one (group, week) cell and are an explicit argument of
+``attribute_with_null``: a suppressed row redistributes exactly the users
+that cell contains.
 
 The kernels are lambda-free. ``attribute_plain`` and ``attribute_with_null``
 each build one ``CellAttribution`` per cell: integer numerators ``a`` and
@@ -73,11 +75,6 @@ def estimate_bucket_means_window(
             sums[value] += cents
             counts[value] += 1
     return {v: Fraction(sums[v], counts[v]) for v in range(VALUE_RANGE) if counts[v]}
-
-
-def estimate_bucket_means(postbacks: PostbackTable, t: int) -> dict[int, Fraction]:
-    """Bucket means over the first ``t`` days (the developer-side table)."""
-    return estimate_bucket_means_window(postbacks, 0, t)
 
 
 # The lambda each endpoint mode fixes; ``plain`` redistributes nothing.

@@ -2,12 +2,15 @@
 
 Stage commands (generate, simulate, privatize, attribute, evaluate) and the
 one-shot `benchmark` share the same library calls and seed substreams:
-`attribute` runs the grid's `metrics.attribute_cells`, and `evaluate` builds
-truth with `model.ground_truth` and scores the file's cents per cell with
-the grid's `metrics.score_cells`. A pipeline split into stages therefore
-reproduces the benchmark's numbers exactly. The file's declared `columns`
-must be the dataset's origin alphas, in order, as `attribute` writes them;
-any other list is a `ConfigError` naming both. `attribute` passes
+`attribute` fits its means with `estimate_bucket_means_window(postbacks, 0,
+t)` and runs `metrics.attribute_cells`, as the grid does, and saves the map
+the grid scores, `{(group, week): res.cents(lam)}`, one row per cell and
+declared column. `evaluate` passes that map, as `io_files.load_attribution`
+reads it (a missing row is 0 cents; no `columns`, or an undeclared alpha,
+fails the load), to the grid's `metrics.score_cells`. A pipeline split into
+stages therefore reproduces the benchmark's numbers exactly. The declared
+`columns` must be the dataset's origin alphas, in order, as `attribute`
+writes them; any other list is a `ConfigError` naming both. `attribute` passes
 `--g`/`--lambda` straight to `AttributionFunction`, which resolves the
 lambda the estimator uses (or rejects one the mode contradicts), and
 records that lambda in the file.
@@ -49,7 +52,7 @@ import sys
 from datetime import datetime
 from pathlib import Path
 
-from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket_means
+from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket_means_window
 from .config import FIXED_SETTINGS, load_gen_config, load_run_config
 from .errors import ConfigError, SkattrError
 from .io_files import (
@@ -194,13 +197,9 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     matrices, cmeta = load_counts(args.counts)
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
     postbacks = _postback_table(cmeta, users_csv, events_csv)
-    profile = estimate_bucket_means(postbacks, args.t)
-    cells = attribute_cells(matrices, profile, developer_totals(postbacks), fn)
-    attributed = {
-        (group, week, key): cents
-        for (group, week), res in cells.items()
-        for key, cents in zip(res.columns, res.cents(fn.lam))
-    }
+    means = estimate_bucket_means_window(postbacks, 0, args.t)
+    cells = attribute_cells(matrices, means, developer_totals(postbacks), fn)
+    cents = {cell: res.cents(fn.lam) for cell, res in cells.items()}
 
     meta = {
         "kind": "attribution",
@@ -208,39 +207,31 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         "seed": cmeta.get("seed"),
         "horizon": cmeta.get("horizon"),
         "organic_alpha": cmeta.get("organic_alpha"),
-        "columns": cmeta.get("columns"),
+        "columns": cmeta["columns"],
         "p": cmeta.get("p", 0),
         "g": args.g,
         "lambda": fn.lam,
         "t": args.t,
     }
     meta["config_hash"] = config_hash(meta)
-    save_attribution(args.out, attributed, meta)
-    print(json.dumps({"attribution": str(args.out), "rows": len(attributed)}))
+    save_attribution(args.out, cents, meta)
+    print(json.dumps({"attribution": str(args.out), "rows": sum(map(len, cents.values()))}))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     check_window_days(args.t)
-    attributed, ameta = load_attribution(args.attr)
+    cents, ameta = load_attribution(args.attr)
     if "t" not in ameta:
         raise ConfigError("attribution file meta lacks the window t")
     if ameta["t"] != args.t:
         # Truth over another window than the attribution's would score the wrong target.
         raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
-    declared = ameta.get("columns")
-    if declared is None:
-        raise ConfigError("attribution file meta lacks the column list")
-    column = {alpha: j for j, alpha in enumerate(declared)}
-    cents: dict[tuple[str, str], list[int]] = {}
-    for (group, week, alpha), amount in attributed.items():
-        if alpha not in column:
-            raise ConfigError(f"attributed alpha {alpha} is not in the declared columns")
-        cents.setdefault((group, week), [0] * len(declared))[column[alpha]] = amount
 
     users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
     postbacks = _postback_table(ameta, users_csv, events_csv)
     origins = postbacks.cohort.origins
+    declared = ameta["columns"]
     if declared != [k.alpha for k in origins]:
         raise ConfigError(
             f"declared columns {declared} differ from the dataset's origin columns "

@@ -32,6 +32,9 @@ events row as one line of text from the event's integer instant, with no
 byte for byte what ``csv.writer`` writes for the same rows, which
 ``tests/oracles.reference_save_events`` still does. A counts file holds only
 nonzero counts, null rows and the meta line's ``p``; a suppressed value has no row.
+An attribution file is the grid's ``{(group, week): cents per column}``, a
+row per cell and declared column, where a missing row reads 0. Both loaders
+refuse a meta line without ``columns`` and a row alpha it does not declare.
 """
 
 from __future__ import annotations
@@ -409,12 +412,14 @@ def save_counts(
     _write_csv(Path(path), full_meta, COUNT_FIELDS, rows)
 
 
-def _check_columns(path: Path, meta: Mapping) -> None:
-    """Check the meta line's ``columns`` and ``organic_alpha``.
+def _check_columns(path: Path, meta: Mapping) -> dict[int, int]:
+    """The meta line's ``columns`` as ``{alpha: index}``, with ``organic_alpha`` checked.
 
     ``columns`` must be a list of distinct alphas (integers >= 0) and
     ``organic_alpha``, when present, an integer.
     """
+    if "columns" not in meta:
+        raise CsvFormatError(f"{path}: meta line lacks the column list")
     columns = meta["columns"]
     if (
         not isinstance(columns, list)
@@ -425,6 +430,15 @@ def _check_columns(path: Path, meta: Mapping) -> None:
             f"{path}:1: meta columns must be a list of distinct integers >= 0, got {columns!r}"
         )
     _check_meta(path, meta, "organic_alpha")
+    return {alpha: j for j, alpha in enumerate(columns)}
+
+
+def _declared_alpha(text: str, index: Mapping[int, int], path: Path, line: int) -> int:
+    """The row's alpha, which must be one of the declared ``columns`` (``_check_columns``)."""
+    alpha = _parse_int(text, path, line, "alpha")
+    if alpha not in index:
+        raise ReferentialError(f"{path}:{line}: alpha {alpha} not in declared columns")
+    return alpha
 
 
 # The meta values a later read trusts, and the types each must have.
@@ -453,13 +467,10 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
     grids: dict[tuple[str, str], list[list[int]]] = {}
     nulls: dict[tuple[str, str], list[int]] = {}
     with _csv_rows(cpath, COUNT_FIELDS) as (meta, rows):
-        if "columns" not in meta:
-            raise CsvFormatError(f"{cpath}: meta line lacks the column list")
-        _check_columns(cpath, meta)
+        col_index = _check_columns(cpath, meta)
         _check_meta(cpath, meta, "schema", "seed", "horizon")
         organic = meta.get("organic_alpha")
         columns = tuple(CampaignKey(a, organic=a == organic) for a in meta["columns"])
-        col_index = {k.alpha: j for j, k in enumerate(columns)}
         privacy_applied = meta.get("privacy_applied", False)
         if type(privacy_applied) is not bool:
             raise CsvFormatError(
@@ -473,9 +484,7 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
             if len(row) != len(COUNT_FIELDS):
                 raise CsvFormatError(f"{cpath}:{line}: expected {len(COUNT_FIELDS)} columns")
             group, week, v_text, alpha_text, count_text = row
-            alpha = _parse_int(alpha_text, cpath, line, "alpha")
-            if alpha not in col_index:
-                raise ReferentialError(f"{cpath}:{line}: alpha {alpha} not in declared columns")
+            alpha = _declared_alpha(alpha_text, col_index, cpath, line)
             cell = (group, week)
             if cell not in grids:
                 grids[cell] = [[0] * len(columns) for _ in range(VALUE_RANGE)]
@@ -516,16 +525,15 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
 
 def save_attribution(
     path: str | Path,
-    attributed: Mapping[tuple[str, str, CampaignKey], int],
+    cents: Mapping[tuple[str, str], Sequence[int]],
     meta: Mapping,
 ) -> None:
-    """Write `group,week,alpha,attributed_usd` rows (cents already rounded)."""
-    rows = [
-        (group, week, key.alpha, usd(cents))
-        for (group, week, key), cents in sorted(
-            attributed.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].alpha)
-        )
-    ]
+    """Write each cell's cents per ``meta["columns"]`` as rows sorted by group, week and alpha."""
+    columns = meta["columns"]
+    by_alpha = sorted(range(len(columns)), key=columns.__getitem__)
+    rows = []
+    for (group, week), row in sorted(cents.items()):
+        rows.extend((group, week, columns[j], usd(row[j])) for j in by_alpha)
     _write_csv(Path(path), meta, ATTR_FIELDS, rows)
 
 
@@ -542,25 +550,27 @@ def parse_usd(text: str) -> int:
     return -value if neg else value
 
 
-def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str, int], int], dict]:
+def load_attribution(path: str | Path) -> tuple[dict[tuple[str, str], list[int]], dict]:
+    """``{(group, week): cents per column}`` and the meta; a column without a row reads 0."""
     apath = Path(path)
-    out: dict[tuple[str, str, int], int] = {}
+    out: dict[tuple[str, str], list[int]] = {}
+    seen: set[tuple[str, str, int]] = set()
     with _csv_rows(apath, ATTR_FIELDS) as (meta, rows):
-        if "columns" in meta:
-            _check_columns(apath, meta)
+        col_index = _check_columns(apath, meta)
         _check_meta(apath, meta, "schema", "seed", "horizon", "t")
         for line, row in rows:
             if len(row) != len(ATTR_FIELDS):
                 raise CsvFormatError(f"{apath}:{line}: expected {len(ATTR_FIELDS)} columns")
             group, week, alpha_text, amount = row
-            alpha = _parse_int(alpha_text, apath, line, "alpha")
-            key = (group, week, alpha)
-            if key in out:
+            alpha = _declared_alpha(alpha_text, col_index, apath, line)
+            if (group, week, alpha) in seen:
                 raise CsvFormatError(
                     f"{apath}:{line}: duplicate row for ({group}, {week}) alpha {alpha}"
                 )
+            seen.add((group, week, alpha))
+            cents = out.setdefault((group, week), [0] * len(col_index))
             try:
-                out[key] = parse_usd(amount)
+                cents[col_index[alpha]] = parse_usd(amount)
             except CsvFormatError as exc:
                 raise CsvFormatError(f"{apath}:{line}: {exc}") from exc
     return out, meta

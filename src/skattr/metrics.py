@@ -477,9 +477,11 @@ def validate_windows(windows: Sequence[tuple[int, int]]) -> list[tuple[int, int]
         if lo < 0 or hi <= lo:
             raise ConfigError(f"invalid window [{lo}, {hi})")
         out.append((lo, hi))
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(out, out[1:]):
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(out, out[1:]):  # the curve keeps this order
         if b_lo < a_hi:
-            raise ConfigError(f"windows overlap: [{a_lo},{a_hi}) and [{b_lo},{b_hi})")
+            raise ConfigError(
+                f"windows must ascend without overlap: [{a_lo},{a_hi}) then [{b_lo},{b_hi})"
+            )
     return out
 
 

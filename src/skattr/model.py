@@ -225,11 +225,6 @@ class UserRecord(_UserRecordFields):
             prev = us
         return tuple.__new__(cls, (id, registration_date, origin, events, group))
 
-    @property
-    def registration_us(self) -> int:
-        """Registration midnight on the model's clock."""
-        return self.registration_date.toordinal() * US_PER_DAY
-
 
 def revenue_between(purchases: Iterable[tuple[int, int]], lo_day: int, hi_day: int) -> int:
     """Cents of the (day offset, cents) pairs with day in [lo_day, hi_day).

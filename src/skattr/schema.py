@@ -79,9 +79,6 @@ class BitLayout(_BitLayoutFields):
     def n_v(self) -> int:
         return self.bits.count("V")
 
-    def __str__(self) -> str:
-        return self.bits
-
 
 def parse_layout(spec: str) -> BitLayout:
     """Parse a layout string such as 'TTTVVV'."""

@@ -16,7 +16,7 @@ import pytest
 from skattr.attribution import (
     attribute_plain,
     attribute_with_null,
-    estimate_bucket_means,
+    estimate_bucket_means_window,
 )
 from skattr.cli import main as cli_main
 from skattr.metrics import benchmark_matrix, window_error_curve
@@ -142,7 +142,7 @@ def test_c2_conservation_full_grid():
         start = time.monotonic()
         for text in CONSERVATION_SCHEMAS:
             artifacts = run_schema(prepared, schema_from_text(text), 77)
-            means = estimate_bucket_means(artifacts.postbacks, 30)
+            means = estimate_bucket_means_window(artifacts.postbacks, 0, 30)
             for p in (0, 2, 10, 100):
                 cells = [
                     attribute_with_null(

@@ -10,7 +10,7 @@ from skattr.attribution import (
     CellAttribution,
     attribute_plain,
     attribute_with_null,
-    estimate_bucket_means,
+    estimate_bucket_means_window,
 )
 from skattr.errors import ConfigError, MissingProfileError
 from skattr.metrics import attribute_cells
@@ -63,22 +63,22 @@ class TestEstimateBucketMeans:
     def test_arithmetic_mean(self):
         users = [spender(0, 0), spender(1, 0), spender(2, 600)]
         pbs = [Postback(i, 4, T0 + timedelta(days=2), "G") for i in range(3)]
-        assert estimate_bucket_means(table_of(users, pbs), 30) == {4: Fraction(200)}
+        assert estimate_bucket_means_window(table_of(users, pbs), 0, 30) == {4: Fraction(200)}
 
     def test_all_zero_revenue(self):
         users = [spender(i, 0) for i in range(4)]
         pbs = [Postback(i, 0, T0 + timedelta(days=2), "G") for i in range(4)]
-        assert estimate_bucket_means(table_of(users, pbs), 30) == {0: Fraction(0)}
+        assert estimate_bucket_means_window(table_of(users, pbs), 0, 30) == {0: Fraction(0)}
 
     def test_single_user_value_63(self):
         users = [spender(0, 499)]
         pbs = [Postback(0, 63, T0 + timedelta(days=2), "G")]
-        assert estimate_bucket_means(table_of(users, pbs), 30) == {63: Fraction(499)}
+        assert estimate_bucket_means_window(table_of(users, pbs), 0, 30) == {63: Fraction(499)}
 
     def test_users_without_postback_excluded(self):
         users = [spender(0, 100), spender(1, 900)]
         pbs = [Postback(0, 2, T0 + timedelta(days=2), "G")]
-        assert estimate_bucket_means(table_of(users, pbs), 30) == {2: Fraction(100)}
+        assert estimate_bucket_means_window(table_of(users, pbs), 0, 30) == {2: Fraction(100)}
 
 
 class TestAttributePlain:
@@ -342,7 +342,7 @@ def test_conservation_with_pooled_means_and_cell_totals(schema_text):
     """
     users, _ = generate_dataset(GenConfig(n_users=1500, seed=5))
     artifacts = run_schema(prepare_users(users), schema_from_text(schema_text), 5)
-    means = estimate_bucket_means(artifacts.postbacks, 30)
+    means = estimate_bucket_means_window(artifacts.postbacks, 0, 30)
     fns = [AttributionFunction(m, lam) for m, lam in
            (("null_uniform", None), ("null_empirical", None), ("null_convex", 0.5))]
     mismatches = []

@@ -180,6 +180,23 @@ def test_scoring_runs_only_through_score_cells():
     ]
 
 
+class _MeansUses(_KernelUses):
+    KERNELS = ("estimate_bucket_means_window",)
+
+
+def test_bucket_means_are_fitted_only_where_cells_are_attributed():
+    """The grid, the window curve and ``attribute`` fit their means with one call.
+
+    No wrapper stands between a caller and ``estimate_bucket_means_window``,
+    so the stage fits the means the grid fits for the same window.
+    """
+    assert _MeansUses.in_src() == [
+        ("estimate_bucket_means_window", "cli.cmd_attribute"),
+        ("estimate_bucket_means_window", "metrics.benchmark_matrix"),
+        ("estimate_bucket_means_window", "metrics.window_error_curve"),
+    ]
+
+
 class _EventsReads(ast.NodeVisitor):
     """Each ``_csv_rows(..., EVENT_FIELDS)`` call, by the function that makes it."""
 

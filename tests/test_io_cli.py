@@ -469,7 +469,9 @@ class TestStreamingLoader:
     def test_cohort_matches_reference_loader(self, edit, cohort, data):
         if data.draw(st.booleans()):  # a first open for every user, so that the cohort loads
             cohort = [
-                u._replace(events=(Event(u.registration_us, SESSION), *u.events))
+                u._replace(events=(
+                    Event(u.registration_date.toordinal() * US_PER_DAY, SESSION), *u.events
+                ))
                 for u in cohort
             ]
         with tempfile.TemporaryDirectory() as tmp:
@@ -746,6 +748,53 @@ class TestCountsRoundTrip:
         for bad in ("1.2.3", ".50", "-.50", "-", "1.", "²", "9" * 5000, "9" * 5000 + ".00"):
             with pytest.raises(CsvFormatError, match="^bad USD amount "):
                 parse_usd(bad)
+
+
+LABELS = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+
+@st.composite
+def attribution_maps(draw):
+    """``(cents, columns)``: a map ``save_attribution`` writes, and its declared alphas."""
+    columns = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True))
+    amounts = st.one_of(st.just(0), st.integers(-10**9, 10**9))
+    row = st.lists(amounts, min_size=len(columns), max_size=len(columns))
+    return draw(st.dictionaries(st.tuples(LABELS, LABELS), row, max_size=5)), columns
+
+
+class TestAttributionRoundTrip:
+    """An attribution file is the grid's ``{(group, week): cents per column}`` map."""
+
+    @given(drawn=attribution_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_load_returns_what_was_saved(self, drawn):
+        cents, columns = drawn
+        meta = {"kind": "attribution", "columns": columns, "seed": 1, "t": 30}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "attr.csv"
+            save_attribution(path, cents, meta)
+            assert load_attribution(path) == (cents, meta)
+
+    @given(drawn=attribution_maps(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_dropped_row_reads_zero(self, drawn, data):
+        cents, columns = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "attr.csv"
+            save_attribution(path, cents, {"columns": columns})
+            head, header, *body = path.read_text().split("\n")[:-1]
+            dropped = data.draw(st.sets(st.integers(0, max(len(body) - 1, 0))))
+            expected = {cell: list(row) for cell, row in cents.items()}
+            kept = set()
+            for i, (group, week, alpha, _) in enumerate(csv.reader(body)):
+                if i in dropped:
+                    expected[(group, week)][columns.index(int(alpha))] = 0
+                else:
+                    kept.add((group, week))
+            path.write_text("\n".join([head, header, *(r for i, r in enumerate(body)
+                                                        if i not in dropped)]) + "\n")
+            loaded, _ = load_attribution(path)
+        assert loaded == {cell: row for cell, row in expected.items() if cell in kept}
 
 
 def run_cli(*argv):
@@ -1025,9 +1074,10 @@ def edit_csv(src, dst, meta=lambda m: m, rows=lambda body: body):
     return dst
 
 
-def config_error(capsys) -> str:
+def config_error(capsys, kind: str = "ConfigError") -> str:
+    """The message of the CLI's one-line JSON error, which must be a ``kind``."""
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError"
+    assert err["error"] == kind
     return err["message"]
 
 
@@ -1300,7 +1350,8 @@ class TestCliErrors:
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         meta=lambda m: {k: v for k, v in m.items() if k != "columns"})
         assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
-        assert "column list" in config_error(capsys)
+        message = config_error(capsys, "CsvFormatError")
+        assert message == f"{attr}: meta line lacks the column list"
 
     def test_attribution_checked_before_the_dataset_is_read(self, staged, tmp_path, capsys):
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
@@ -1308,7 +1359,7 @@ class TestCliErrors:
         code = run_cli("evaluate", "--attr", attr, "--truth-from", staged / "missing",
                        "--t", 30, "--out", tmp_path / "r.json")
         assert code == 1
-        assert "column list" in config_error(capsys)
+        assert "column list" in config_error(capsys, "CsvFormatError")
 
     def test_evaluate_refuses_another_window_than_the_attribution(self, staged, tmp_path,
                                                                   capsys):
@@ -1360,7 +1411,10 @@ class TestCliErrors:
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         rows=lambda body: body + ["G0,2024-W01,98765,1.00"])
         assert self.evaluate(staged, attr, tmp_path / "r.json") == 1
-        assert "attributed alpha 98765" in config_error(capsys)
+        line = len(attr.read_text().splitlines())
+        assert config_error(capsys, "ReferentialError") == (
+            f"{attr}:{line}: alpha 98765 not in declared columns"
+        )
 
     def test_true_origin_not_declared(self, staged, tmp_path, capsys):
         _, meta = load_attribution(staged / "attr.csv")
@@ -1397,7 +1451,7 @@ class TestCliErrors:
 
     def test_missing_week_scores_against_zero(self, dataset, staged, tmp_path):
         rows, meta = load_attribution(staged / "attr.csv")
-        weeks = sorted({week for _, week, _ in rows})
+        weeks = sorted({week for _, week in rows})
         gone = weeks[-1]
         attr = edit_csv(staged / "attr.csv", tmp_path / "a.csv",
                         rows=lambda body: [r for r in body if r.split(",")[1] != gone])
@@ -2108,8 +2162,7 @@ def fuzz_bases(tmp_path_factory):
     cfg = PrivacyConfig(2)
     save_counts(tmp / "privatized.csv", {c: apply_threshold(m, cfg) for c, m in matrices.items()},
                 FUZZ_META | {"kind": "counts", "p": 2})
-    attributed = {("G", "2024-W01", columns[0]): 1234, ("G", "2024-W01", columns[1]): 5,
-                  ("H", "2024-W02", columns[0]): 0}
+    attributed = {("G", "2024-W01"): [1234, 5], ("H", "2024-W02"): [0, 0]}
     save_attribution(tmp / "attribution.csv", attributed,
                      FUZZ_META | {"kind": "attribution", "columns": [0, 100],
                                   "organic_alpha": 100, "p": 2, "t": 30})

@@ -343,10 +343,19 @@ class TestWindowCurve:
     def test_paper_windows_validate(self):
         assert validate_windows([(7, 14), (14, 30), (30, 60), (60, 90)])
 
-    @pytest.mark.parametrize("bad", [[(7, 7)], [(10, 5)], [(-1, 5)], [(0, 10), (5, 15)],
-                                     [(7.5, 14)], [(7, 14.0)], [(False, 14)]])
-    def test_invalid_windows(self, bad):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("bad, message", [
+        ([(7, 7)], "invalid window [7, 7)"),
+        ([(10, 5)], "invalid window [10, 5)"),
+        ([(-1, 5)], "invalid window [-1, 5)"),
+        ([(0, 10), (5, 15)], "windows must ascend without overlap: [0,10) then [5,15)"),
+        ([(7.5, 14)], "window bounds must be whole days, got [7.5, 14)"),
+        ([(7, 14.0)], "window bounds must be whole days, got [7, 14.0)"),
+        ([(False, 14)], "window bounds must be whole days, got [False, 14)"),
+        # Disjoint but out of order: the curve keeps the config's order, so it is refused.
+        ([(14, 30), (7, 14)], "windows must ascend without overlap: [14,30) then [7,14)"),
+    ], ids=[f"bad{i}" for i in range(8)])
+    def test_invalid_windows(self, bad, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             validate_windows(bad)
 
     def test_full_window_matches_benchmark_cell(self):

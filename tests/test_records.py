@@ -15,7 +15,15 @@ from skattr.attribution import AttributionFunction, CellAttribution, attribute_p
 from skattr.config import RunConfig, gen_config_from_dict, run_config_from_dict
 from skattr.errors import ConfigError, InvalidCampaignError, LayoutError
 from skattr.metrics import benchmark_matrix, window_error_curve
-from skattr.model import SESSION, CampaignKey, Event, UserRecord, encode_alpha, organic_key
+from skattr.model import (
+    SESSION,
+    US_PER_DAY,
+    CampaignKey,
+    Event,
+    UserRecord,
+    encode_alpha,
+    organic_key,
+)
 from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, empty_matrix
 from skattr.privacy import PrivacyConfig
@@ -131,7 +139,7 @@ class TestReplaceRunsTheChecks:
 
     def test_user_record(self):
         user = UserRecord(1, date(2024, 1, 2), CampaignKey(0), (), "G")
-        before = Event(user.registration_us - 1, SESSION)
+        before = Event(user.registration_date.toordinal() * US_PER_DAY - 1, SESSION)
         with pytest.raises(ConfigError, match="^user 1: event precedes registration$"):
             user._replace(events=(before,))
         with pytest.raises(ConfigError, match="^user id must be an int"):
