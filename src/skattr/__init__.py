@@ -26,7 +26,6 @@ from .model import (
     CampaignKey,
     Event,
     UserRecord,
-    decode_alpha,
     encode_alpha,
     organic_key,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "attribute_with_null",
     "benchmark_matrix",
     "build_counts",
-    "decode_alpha",
     "encode_alpha",
     "estimate_organic",
     "fit_buckets",

@@ -28,8 +28,9 @@ ld * a_j + ln * b_j over ld * D, rounded to cents half to even by integer
 ``divmod``, the rule ``round(Fraction)`` applies.
 
 An ``AttributionFunction`` names one estimator, ``plain`` included, and
-holds the lambda it uses; ``metrics.attribute_cells`` is the one place that
-dispatches on it to ``attribute_plain`` or ``attribute_with_null``.
+holds the lambda it uses. ``metrics.attribute_cells`` picks the kernel by
+the matrix, not by the mode: ``attribute_plain`` for one without a null
+row, ``attribute_with_null`` for a thresholded one.
 
 Computation is exact and integer-only. Per matrix, the bucket means in use
 are scaled to one common denominator (the lcm of their denominators), each

@@ -13,7 +13,9 @@ stages therefore reproduces the benchmark's numbers exactly. The declared
 writes them; any other list is a `ConfigError` naming both. `attribute` passes
 `--g`/`--lambda` straight to `AttributionFunction`, which resolves the
 lambda the estimator uses (or rejects one the mode contradicts), and
-records that lambda in the file.
+records that lambda in the file. Below the counts file's p=2 (0 unprivatized)
+every mode writes `plain`'s rows; `metrics.check_estimator` refuses `plain`
+from p=2 up before the dataset is read.
 `evaluate` scores over the window `t` that file records: a file without
 one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
@@ -72,6 +74,7 @@ from .io_files import (
 from .metrics import (
     attribute_cells,
     benchmark_matrix,
+    check_estimator,
     check_window_days,
     score_cells,
     window_error_curve,
@@ -195,6 +198,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     check_window_days(args.t)
     fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
+    check_estimator(fn, cmeta.get("p", 0))  # before the dataset or the view is read
     users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
     postbacks = _postback_table(cmeta, users_csv, events_csv)
     means = estimate_bucket_means_window(postbacks, 0, args.t)

@@ -71,8 +71,8 @@ class RunConfig(_RunConfigFields):
     not configured, and so are the organic sentinel and the window curve's
     schema, p and g (``FIXED_SETTINGS``) and the generator's behaviour model
     (``synthgen.MODEL``); ``to_jsonable`` records all three, so the config
-    hash covers them. Every estimator, threshold and window is
-    checked here, as is a p value, g mode or lambda listed twice, so a bad
+    hash covers them. Every estimator, threshold and window is checked
+    here, as are the grid's axes (``metrics.check_grid_axes``), so a bad
     one fails before any dataset is generated or read; with ``gen``, a
     window starting at or after its ``event_horizon_days`` holds no event
     and is rejected too.

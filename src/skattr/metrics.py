@@ -9,16 +9,15 @@ better than baseline.
 
 Three functions are the only implementation of scoring, shared by the grid,
 the window curve and the CLI's ``attribute`` and ``evaluate`` stages:
-``attribute_cells`` (the one place that dispatches on the
-``AttributionFunction``; it returns each cell's exact ``CellAttribution``,
-affine in lambda), ``model.ground_truth`` (actual window revenue per postback
-week and origin column) and ``score_cells`` (weekly and aggregate error per
-level, the one caller of ``score_level``). A ``CellAttribution`` holds
-integer numerators a and b per column over one denominator D, and column j
-at lambda is (a_j + lambda * b_j) / D. The kernels do not read lambda, so
-the grid builds them once per (schema, p, plain or null-aware) and
-evaluates ``null_uniform``, ``null_empirical`` and every ``null_convex``
-lambda as integer cents from that one build.
+``attribute_cells`` (each cell's exact ``CellAttribution``, affine in
+lambda), ``model.ground_truth`` (actual window revenue per postback week
+and origin column) and ``score_cells`` (weekly and aggregate error per
+level, the one caller of ``score_level``). The threshold, not the mode,
+picks the kernel: below p=2 it folds no user, so every mode is the plain
+estimator over the simulated matrices; from p=2 up ``attribute_with_null``
+reads their thresholded copies and ``check_estimator`` refuses ``plain``.
+The grid builds once per (schema, p) and scores once per (schema, p,
+lambda), lambda read as 0 below p=2.
 
 The scoring policy is fixed, not configured (``SCORING_POLICY``): the
 paper's optimal estimator, count x bucket mean of one revenue profile per
@@ -221,6 +220,12 @@ def score_level(
     return tuple(weekly), agg
 
 
+def check_estimator(fn: AttributionFunction, p: int) -> None:
+    """Refuse ``plain``, which redistributes no null row, from p=2 up."""
+    if fn.mode == "plain" and p >= 2:
+        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
+
+
 def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
     means: Mapping[int, Fraction],
@@ -229,25 +234,25 @@ def attribute_cells(
 ) -> dict[CellKey, CellAttribution]:
     """Every cell's exact attribution, affine in lambda, in cell order.
 
-    This is the one dispatch on the estimator: ``plain`` goes to
-    ``attribute_plain``, every other mode to ``attribute_with_null``. The
-    result does not depend on ``fn.lam``, so one build serves every lambda
-    of a null-aware mode; ``CellAttribution.cents(fn.lam)`` gives the
-    cents per campaign that the attribution files hold, so a grid cell
-    scores exactly what a stage-wise run writes. ``means`` are the bucket
-    means every cell shares; ``totals`` maps each cell to the developer's
-    per-value user counts in it, which the null-aware modes pass through as
-    that cell's totals.
+    The one place that picks an estimator kernel, by the matrix: one without
+    a null row goes to ``attribute_plain``, a thresholded one to
+    ``attribute_with_null`` once ``check_estimator`` passes ``fn`` at its p.
+    The result does not depend on ``fn.lam``; ``CellAttribution.cents(fn.lam)``
+    gives the cents per campaign that the attribution files hold, so a grid
+    cell scores exactly what a stage-wise run writes. ``means`` are the
+    bucket means every cell shares; ``totals`` maps each cell to the
+    developer's per-value user counts in it.
     """
     out: dict[CellKey, CellAttribution] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
-        if fn.mode == "plain":
+        if matrix.null_row is None:
             out[cell] = attribute_plain(matrix, means)
-        else:
-            if cell not in totals:
-                raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
-            out[cell] = attribute_with_null(matrix, means, totals[cell])
+            continue
+        check_estimator(fn, matrix.p)
+        if cell not in totals:
+            raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
+        out[cell] = attribute_with_null(matrix, means, totals[cell])
     return out
 
 
@@ -272,15 +277,9 @@ def _expand_modes(
     return out
 
 
-def _estimator_matrices(
-    artifacts: SimArtifacts, p: int, fn: AttributionFunction
-) -> Mapping[CellKey, CountMatrix]:
-    """The matrices ``fn`` reads at threshold ``p``.
-
-    ``plain`` reads the simulated matrices; every other mode reads their
-    copy thresholded at ``p``.
-    """
-    if fn.mode == "plain":
+def _estimator_matrices(artifacts: SimArtifacts, p: int) -> Mapping[CellKey, CountMatrix]:
+    """The simulated matrices below p=2, which folds no user; from p=2 up, thresholded copies."""
+    if p < 2:
         return artifacts.matrices
     cfg = PrivacyConfig(p)
     return {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
@@ -360,40 +359,38 @@ def benchmark_matrix(
 
     baseline_label = next((lab for lab in labels if artifacts[lab].schema.kind == "PV"), None)
 
-    # One kernel build per (schema, p, plain or null-aware) serves every lambda.
-    built: dict[tuple[str, int, bool], dict[CellKey, CellAttribution]] = {}
-    scored: dict[tuple[str, int, str, float | None], dict] = {}
+    # One build per (schema, p) serves every mode; one score per (schema, p,
+    # lambda) every mode with that lambda, read as 0 below p=2, where b = 0.
+    built: dict[tuple[str, int], dict[CellKey, CellAttribution]] = {}
+    scored: dict[tuple[str, int, float], dict] = {}
 
     def cell_errors(label: str, p: int, mode: str, lam: float | None):
-        key = (label, p, mode, lam)
-        if key not in scored:
-            try:
-                fn = AttributionFunction(mode, lam)
+        try:
+            fn = AttributionFunction(mode, lam)
+            key = (label, p, fn.lam if p >= 2 else 0.0)
+            if key not in scored:
                 art = artifacts[label]
-                kernel = (label, p, fn.mode == "plain")
-                cells = built.get(kernel)
-                if cells is None:
-                    cells = built[kernel] = attribute_cells(
-                        _estimator_matrices(art, p, fn), means[label], art.cell_totals, fn
+                if (label, p) not in built:
+                    built[(label, p)] = attribute_cells(
+                        _estimator_matrices(art, p), means[label], art.cell_totals, fn
                     )
-                cents = {cell: res.cents(fn.lam) for cell, res in cells.items()}
+                cents = {cell: res.cents(fn.lam) for cell, res in built[(label, p)].items()}
                 scored[key] = score_cells(cents, truths[label], art.postbacks.cohort.origins)
-            except SkattrError as exc:
-                raise GridCellError(
-                    f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
-                    f"{type(exc).__name__}: {exc}",
-                    schema=label,
-                    p=p,
-                    g=mode,
-                    lam=lam,
-                ) from exc
+        except SkattrError as exc:
+            raise GridCellError(
+                f"grid cell (schema={label}, p={p}, g={mode}, lambda={lam}): "
+                f"{type(exc).__name__}: {exc}",
+                schema=label,
+                p=p,
+                g=mode,
+                lam=lam,
+            ) from exc
         return scored[key]
 
     baselines: dict[tuple[int, str], float] = {}
     if baseline_label is not None:
         for p in p_values:
-            base_mode, base_lam = _expand_modes(["plain" if p < 2 else "null_uniform"], (), p)[0]
-            by_level = cell_errors(baseline_label, p, base_mode, base_lam)
+            by_level = cell_errors(baseline_label, p, "null_uniform", None)
             for level in LEVELS:
                 baselines[(p, level)] = by_level[level][1]
 
@@ -443,14 +440,21 @@ def benchmark_matrix(
 def check_grid_axes(
     p_values: Sequence[int], g_modes: Sequence[str], lambda_grid: Sequence[float]
 ) -> None:
-    """Reject a p value, g mode or lambda the grid lists twice.
+    """Reject a p value, g mode or lambda the grid lists twice, and an axis with no cell.
 
-    A repeated coordinate would score and write the same cells again.
+    A repeated coordinate would score and write the same cells again; a
+    ``null_convex`` without a lambda, or a p value at which no listed mode
+    runs, would write none for a coordinate the run lists.
     """
     for what, values in (("p value", p_values), ("g mode", g_modes), ("lambda", lambda_grid)):
         for i, x in enumerate(values):
             if x in values[:i]:
                 raise ConfigError(f"duplicate {what} {x!r} in benchmark grid")
+    if "null_convex" in g_modes and not lambda_grid:
+        raise ConfigError("g mode null_convex needs at least one lambda in the benchmark grid")
+    for p in p_values:
+        if not _expand_modes(g_modes, lambda_grid, p):
+            raise ConfigError(f"no g mode runs at p={p}: plain runs only below p=2")
 
 
 def check_window_days(t: int) -> None:
@@ -501,17 +505,16 @@ def window_error_curve(
     its per-window bucket means move, so the curve isolates how revenue
     maturing away from the early signal degrades attribution. With the
     ``prepared`` cohort a grid ran on, the grid's simulation of the schema
-    is reused; otherwise the schema is simulated here. ``plain`` needs
-    ``p < 2``.
+    is reused; otherwise the schema is simulated here. ``plain`` is
+    refused from p=2 up (``check_estimator``).
     """
     _check_schema(schema)
     wins = validate_windows(windows)
     PrivacyConfig(p)
     g = g if isinstance(g, AttributionFunction) else AttributionFunction(g)
-    if g.mode == "plain" and p >= 2:
-        raise ConfigError("plain attribution requires p < 2; pick a null-aware mode")
+    check_estimator(g, p)
     artifacts = _simulation(cohort_of(users, prepared), schema, seed)
-    matrices = _estimator_matrices(artifacts, p, g)
+    matrices = _estimator_matrices(artifacts, p)
     points: list[WindowPoint] = []
     for lo, hi in wins:
         means = estimate_bucket_means_window(artifacts.postbacks, lo, hi)

@@ -121,13 +121,6 @@ def encode_alpha(network: int, campaign: int) -> CampaignKey:
     return CampaignKey(100 * network + campaign)
 
 
-def decode_alpha(key: CampaignKey | int) -> tuple[int, int]:
-    """Split a combined key back into (network, campaign)."""
-    if isinstance(key, int):
-        key = CampaignKey(key)
-    return key.network, key.campaign
-
-
 def organic_key(alpha: int) -> CampaignKey:
     """Build the organic sentinel key with the given numeric encoding."""
     return CampaignKey(alpha, organic=True)

@@ -59,6 +59,49 @@ def spender(uid, cents, value=None):
     return UserRecord(uid, MONDAY, A, tuple(events), "G")
 
 
+# Every mode, and null_convex at each lambda the grid runs by default.
+EVERY_ESTIMATOR = (
+    AttributionFunction("plain"),
+    AttributionFunction("null_uniform"),
+    AttributionFunction("null_empirical"),
+    *(AttributionFunction("null_convex", lam) for lam in (0.0, 0.5, 1.0)),
+)
+
+
+@st.composite
+def small_instance(draw):
+    n_users = draw(st.integers(1, 12))
+    n_campaigns = draw(st.integers(1, 3))
+    campaigns = [encode_alpha(0, c) for c in range(n_campaigns)]
+    users = []
+    for uid in range(n_users):
+        users.append(
+            (
+                draw(st.sampled_from(campaigns)),
+                draw(st.integers(0, 3)),  # conversion value
+                draw(st.integers(0, 5000)),  # window revenue in cents
+            )
+        )
+    return campaigns, users
+
+
+def instance_pieces(campaigns, users):
+    """CountMatrix, exact bucket means, per-value totals and truth of a raw instance."""
+    counts: dict[int, dict] = {}
+    sums: dict[int, int] = {}
+    ns: dict[int, int] = {}
+    truth = {k: 0 for k in campaigns}
+    for key, v, r in users:
+        counts.setdefault(v, {k: 0 for k in campaigns})[key] += 1
+        sums[v] = sums.get(v, 0) + r
+        ns[v] = ns.get(v, 0) + 1
+        truth[key] += r
+    rows = {v: tuple(counts[v][k] for k in campaigns) for v in counts}
+    m = matrix_from(rows, columns=tuple(campaigns))
+    means = {v: Fraction(sums[v], ns[v]) for v in ns}
+    return m, means, ns, truth
+
+
 class TestEstimateBucketMeans:
     def test_arithmetic_mean(self):
         users = [spender(0, 0), spender(1, 0), spender(2, 600)]
@@ -118,14 +161,24 @@ class TestAttributePlain:
 
 
 class TestAttributeWithNull:
-    def test_p0_reduces_to_plain(self):
-        raw = matrix_from({4: (3, 1, 2), 9: (1, 0, 1)})
-        means = means_of({4: 200, 9: 50})
-        privatized = apply_threshold(raw, PrivacyConfig(0))
-        res = attribute_with_null(privatized, means, {4: 6, 9: 2})
-        assert not any(res.b)
-        for lam in (0.0, 1.0, 0.5):
-            assert res.fractions(lam) == attribute_plain(raw, means).fractions()
+    @given(inst=small_instance())
+    @example(inst=([A, B], []))  # no user: every row empty
+    @settings(max_examples=100, deadline=None)
+    def test_p0_reduces_to_plain(self, inst):
+        """Below p=2 the threshold folds no user: every mode and lambda is the plain estimator.
+
+        Each instance leaves most value rows empty, and p=1 relabels them
+        suppressed; the totals still cover them with no user.
+        """
+        raw, means, totals, _ = instance_pieces(*inst)
+        expected = attribute_plain(raw, means).cents()
+        cell = (raw.group, raw.week)
+        for p in (0, 1):
+            privatized = apply_threshold(raw, PrivacyConfig(p))
+            for fn in EVERY_ESTIMATOR:
+                res = attribute_cells({cell: privatized}, means, {cell: totals}, fn)[cell]
+                assert not any(res.b)
+                assert res.cents(fn.lam) == expected, (p, fn)
 
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
@@ -172,12 +225,12 @@ class TestAttributeWithNull:
             attribute_with_null(matrix_from({}), {}, {})
 
     def test_rejects_plain(self):
-        """The kernel reads no estimator; the plain one, dispatched, refuses a loaded null row."""
+        """The kernel reads no estimator; dispatched, ``plain`` is refused from p=2 up."""
         m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(6))
         plain = AttributionFunction("plain")
         with pytest.raises(TypeError):
             attribute_with_null(m, means_of({9: 100}), {9: 5}, plain)
-        with pytest.raises(ConfigError, match="loaded null row"):
+        with pytest.raises(ConfigError, match="^plain attribution requires p < 2; pick a"):
             attribute_cells({("G", "w"): m}, means_of({9: 100}), {("G", "w"): {9: 5}}, plain)
 
     def test_lambda_validation(self):
@@ -213,40 +266,6 @@ class TestAttributionFunction:
     def test_lambda_contradicting_the_mode_rejected(self, mode, lam):
         with pytest.raises(ConfigError):
             AttributionFunction(mode, lam)
-
-
-@st.composite
-def small_instance(draw):
-    n_users = draw(st.integers(1, 12))
-    n_campaigns = draw(st.integers(1, 3))
-    campaigns = [encode_alpha(0, c) for c in range(n_campaigns)]
-    users = []
-    for uid in range(n_users):
-        users.append(
-            (
-                draw(st.sampled_from(campaigns)),
-                draw(st.integers(0, 3)),  # conversion value
-                draw(st.integers(0, 5000)),  # window revenue in cents
-            )
-        )
-    return campaigns, users
-
-
-def instance_pieces(campaigns, users):
-    """CountMatrix, exact bucket means, per-value totals and truth of a raw instance."""
-    counts: dict[int, dict] = {}
-    sums: dict[int, int] = {}
-    ns: dict[int, int] = {}
-    truth = {k: 0 for k in campaigns}
-    for key, v, r in users:
-        counts.setdefault(v, {k: 0 for k in campaigns})[key] += 1
-        sums[v] = sums.get(v, 0) + r
-        ns[v] = ns.get(v, 0) + 1
-        truth[key] += r
-    rows = {v: tuple(counts[v][k] for k in campaigns) for v in counts}
-    m = matrix_from(rows, columns=tuple(campaigns))
-    means = {v: Fraction(sums[v], ns[v]) for v in ns}
-    return m, means, ns, truth
 
 
 @given(inst=small_instance())

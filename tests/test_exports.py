@@ -155,10 +155,38 @@ class _KernelUses(ast.NodeVisitor):
 
 
 def test_estimator_kernels_are_used_only_by_attribute_cells():
-    """``metrics.attribute_cells`` is the one dispatch on the estimator."""
+    """``metrics.attribute_cells`` is the one place that picks an estimator kernel."""
     assert _KernelUses.in_src() == [
         ("attribute_plain", "metrics.attribute_cells"),
         ("attribute_with_null", "metrics.attribute_cells"),
+    ]
+
+
+class _EstimatorChecks(_KernelUses):
+    KERNELS = ("check_estimator",)
+
+
+def test_plain_is_refused_only_by_check_estimator():
+    """One function refuses ``plain`` from p=2 up, so the grid, the curve and ``attribute`` agree.
+
+    Its message is written nowhere else in ``src``. Its callers are the
+    kernel dispatch, the window curve (before it simulates) and the
+    ``attribute`` stage (before it reads the dataset).
+    """
+    holders = []
+    for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        functions = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for number, line in enumerate(text.splitlines(), 1):
+            if "requires p < 2" in line:
+                # ast.walk yields an enclosing function before the ones it holds.
+                inner = [f.name for f in functions if f.lineno <= number <= f.end_lineno]
+                holders.append(".".join([path.stem, *inner[-1:]]))
+    assert holders == ["metrics.check_estimator"]
+    assert _EstimatorChecks.in_src() == [
+        ("check_estimator", "cli.cmd_attribute"),
+        ("check_estimator", "metrics.attribute_cells"),
+        ("check_estimator", "metrics.window_error_curve"),
     ]
 
 

@@ -1154,6 +1154,22 @@ class TestCliErrors:
         assert not (out / "report.json").exists()
         assert not (out / "dataset").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param({"g_modes": ["null_convex"], "lambda_grid": []},
+                     "g mode null_convex needs at least one lambda in the benchmark grid",
+                     id="convex_without_lambda"),
+        pytest.param({"g_modes": ["plain"], "p_values": [0, 10]},
+                     "no g mode runs at p=10: plain runs only below p=2", id="p_without_mode"),
+    ])
+    def test_grid_axis_without_a_cell_fails_before_any_work(self, tmp_path, capsys, bad,
+                                                            message):
+        (tmp_path / "run.json").write_text(json.dumps({"gen": self.GEN} | bad))
+        out = tmp_path / "out"
+        assert run_cli("benchmark", "--config", tmp_path / "run.json", "--out", out) == 1
+        assert config_error(capsys) == message
+        assert not (out / "grid.csv").exists()
+        assert not (out / "dataset").exists()
+
     @pytest.mark.parametrize("stage", ["benchmark", "generate"])
     @pytest.mark.parametrize("make, message", [
         pytest.param(lambda path: path.mkdir(), "cannot be read: Is a directory", id="directory"),
@@ -1532,6 +1548,31 @@ class TestAttributeLambda:
         assert self.attribute(staged, counts, out, "--g", g, "--lambda", lam) == 1
         assert f"{g} fixes lambda" in config_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("data", ["data", "missing"])
+    def test_plain_refused_from_p_2_before_the_dataset_is_read(self, staged, tmp_path, capsys,
+                                                                data):
+        out = tmp_path / "a.csv"
+        code = run_cli("attribute", "--counts", staged / "cp.csv", "--profile-from",
+                       staged / data, "--t", 30, "--g", "plain", "--out", out)
+        assert code == 1
+        assert config_error(capsys) == "plain attribution requires p < 2; pick a null-aware mode"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("g_args", [["--g", "null_uniform"], ["--g", "null_empirical"],
+                                        ["--g", "null_convex", "--lambda", "0.5"]])
+    def test_null_aware_mode_on_unprivatized_counts_is_plain(self, staged, tmp_path, g_args):
+        """An unprivatized file is read as p=0, where no mode redistributes anything."""
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        assert self.attribute(staged, "c.csv", plain, "--g", "plain") == 0
+        assert self.attribute(staged, "c.csv", other, *g_args) == 0
+        (plain_cents, plain_meta), (cents, meta) = load_attribution(plain), load_attribution(other)
+        assert cents == plain_cents
+        assert meta["p"] == 0 and meta["g"] == g_args[1]
+        differ = {k for k in plain_meta.keys() | meta.keys() if plain_meta.get(k) != meta.get(k)}
+        assert differ <= {"g", "lambda", "config_hash"}
+        # The rows, not only the map they load as, are plain's.
+        assert other.read_text().splitlines()[1:] == plain.read_text().splitlines()[1:]
 
     @pytest.mark.parametrize(
         "g, counts, recorded",

@@ -252,6 +252,20 @@ def test_negative_p_rejected_before_simulating(run):
     assert prepared.simulations == {}
 
 
+@pytest.mark.parametrize("p_values, g_modes, lambda_grid, message", [
+    ([0, 10], ["null_convex"], (), "g mode null_convex needs at least one lambda"),
+    ([0, 10], ["plain"], (0.5,), "no g mode runs at p=10: plain runs only below p=2"),
+], ids=["convex_without_lambda", "p_without_mode"])
+def test_grid_axis_without_a_cell_rejected_before_simulating(p_values, g_modes, lambda_grid,
+                                                             message):
+    users = small_dataset(n=300)
+    prepared = prepare_users(users)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        benchmark_matrix(users, [schema_from_text(D7RR)], p_values, g_modes, 30, seed=0,
+                         lambda_grid=lambda_grid, prepared=prepared)
+    assert prepared.simulations == {}
+
+
 def test_window_curve_refuses_plain_from_p_2_before_simulating():
     """``plain`` reads the counts unthresholded, so it stands for no threshold from p=2 on."""
     users = small_dataset(n=300)

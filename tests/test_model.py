@@ -9,7 +9,6 @@ from skattr.model import (
     Event,
     UserRecord,
     datetime_to_us,
-    decode_alpha,
     encode_alpha,
     ground_truth,
     iso_week,
@@ -67,8 +66,8 @@ class TestCampaignKey:
 
     @pytest.mark.parametrize("alpha,n,c", [(405, 4, 5), (0, 0, 0), (171, 1, 71)])
     def test_decode(self, alpha, n, c):
-        assert decode_alpha(CampaignKey(alpha)) == (n, c)
-        assert decode_alpha(alpha) == (n, c)
+        key = CampaignKey(alpha)
+        assert (key.network, key.campaign) == (n, c)
 
     @pytest.mark.parametrize("n,c", [(0, 100), (0, -1), (-1, 5), (2, 150)])
     def test_encode_rejects_out_of_range(self, n, c):
@@ -78,7 +77,7 @@ class TestCampaignKey:
     def test_organic_does_not_decode(self):
         key = organic_key(700)
         with pytest.raises(OrganicKeyError):
-            decode_alpha(key)
+            key.campaign
         with pytest.raises(OrganicKeyError):
             key.network
 
@@ -91,7 +90,8 @@ class TestCampaignKey:
 
     @given(st.integers(0, 999), st.integers(0, 99))
     def test_round_trip(self, n, c):
-        assert decode_alpha(encode_alpha(n, c)) == (n, c)
+        key = encode_alpha(n, c)
+        assert (key.network, key.campaign) == (n, c)
 
 
 class TestCumulativeRevenue:
