@@ -8,14 +8,15 @@ the grid scores, `{(group, week): res.cents(lam)}`, one row per cell and
 declared column. `evaluate` passes that map, as `io_files.load_attribution`
 reads it (a missing row is 0 cents; no `columns`, or an undeclared alpha,
 fails the load), to the grid's `metrics.score_cells`. A pipeline split into
-stages therefore reproduces the benchmark's numbers exactly. The declared
-`columns` must be the dataset's origin alphas, in order, as `attribute`
-writes them; any other list is a `ConfigError` naming both. `attribute` passes
-`--g`/`--lambda` straight to `AttributionFunction`, which resolves the
-lambda the estimator uses (or rejects one the mode contradicts), and
-records that lambda in the file. Below the counts file's p=2 (0 unprivatized)
-every mode writes `plain`'s rows; `metrics.check_estimator` refuses `plain`
-from p=2 up before the dataset is read.
+stages therefore reproduces the benchmark's numbers exactly. Both reach
+their file's simulation through `_postback_table`, which refuses a file
+whose declared `columns` are not the dataset's origin alphas, in order,
+with a `ConfigError` naming both. `attribute` passes `--g`/`--lambda` to
+`AttributionFunction`, which resolves the lambda the estimator uses (or
+rejects one the mode contradicts), and records that lambda in the file.
+Below the counts file's p=2 (0 unprivatized) every mode writes `plain`'s
+rows; `metrics.check_estimator` refuses `plain` from p=2 up before the
+dataset is read.
 `evaluate` scores over the window `t` that file records: a file without
 one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
@@ -28,9 +29,9 @@ line, also when no user is organic; no option overrides it, and the view's
 key checks that the counts file agrees. `attribute` and `evaluate` read
 that view and neither the events file nor the replay. When the view is
 missing, or its key or hashes do not match the files, they read the
-dataset and simulate again, which gives the same table. A view that cannot
-be written (a read-only dataset directory, say) does not fail `simulate`;
-the later stages then simulate again.
+dataset and run `simulate`'s `run_schema` call again, which gives the same
+table. A view that cannot be written (a read-only dataset directory, say)
+does not fail `simulate`; the later stages then simulate again.
 `--horizon` (and the horizon a counts file records) is naive ISO text: a
 UTC offset is refused before any file is read, and the pipeline gets it
 once converted, as microseconds on the model's clock.
@@ -80,7 +81,7 @@ from .metrics import (
     window_error_curve,
 )
 from .model import datetime_to_us, ground_truth, usd
-from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
+from .pipeline import developer_totals, run_schema
 from .postback import PostbackTable
 from .postback_view import dataset_hashes, load_postback_view, save_postback_view
 from .privacy import PrivacyConfig, apply_threshold
@@ -176,21 +177,31 @@ def cmd_privatize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _postback_table(meta: dict, users_csv: Path, events_csv: Path | None) -> PostbackTable:
-    """The postback table a counts/attr file was produced from.
+def _postback_table(meta: dict, source: str, events: str | None) -> PostbackTable:
+    """The postback table of the dataset ``source`` that a counts or attribution ``meta`` came from.
 
     It is the view ``simulate`` wrote beside the dataset when that view's
-    key and dataset hashes match; otherwise the dataset is read and
-    simulated again, which gives the same table.
+    key and dataset hashes match; otherwise the dataset is read and given
+    ``simulate``'s own ``run_schema`` call, which gives the same table. A
+    file whose ``columns`` are not the dataset's origin alphas, in order,
+    is a ``ConfigError`` naming both lists.
     """
+    users_csv, events_csv = _dataset_paths(source, events)
     if "schema" not in meta or "seed" not in meta:
         raise ConfigError("file meta lacks schema/seed; cannot rebuild the postback view")
     horizon = _parse_horizon(meta.get("horizon"))
     postbacks = load_postback_view(users_csv, events_csv, meta)
     if postbacks is None:
         cohort = load_cohort(users_csv, events_csv)
-        schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
-        postbacks = simulate_postbacks(cohort, schema, meta["seed"], horizon)
+        schema = schema_from_text(meta["schema"])
+        postbacks = run_schema(cohort, schema, meta["seed"], horizon).postbacks
+    origins = [k.alpha for k in postbacks.cohort.origins]
+    if meta["columns"] != origins:
+        what = "the counts file" if meta.get("kind") == "counts" else "the attribution"
+        raise ConfigError(
+            f"declared columns {meta['columns']} differ from the dataset's origin columns "
+            f"{origins}; was {what} produced from this dataset?"
+        )
     return postbacks
 
 
@@ -199,10 +210,9 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
     check_estimator(fn, cmeta.get("p", 0))  # before the dataset or the view is read
-    users_csv, events_csv = _dataset_paths(args.profile_from, args.events)
-    postbacks = _postback_table(cmeta, users_csv, events_csv)
+    postbacks = _postback_table(cmeta, args.profile_from, args.events)
     means = estimate_bucket_means_window(postbacks, 0, args.t)
-    cells = attribute_cells(matrices, means, developer_totals(postbacks), fn)
+    cells = attribute_cells(matrices, means, developer_totals(postbacks))
     cents = {cell: res.cents(fn.lam) for cell, res in cells.items()}
 
     meta = {
@@ -232,17 +242,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # Truth over another window than the attribution's would score the wrong target.
         raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
 
-    users_csv, events_csv = _dataset_paths(args.truth_from, args.events)
-    postbacks = _postback_table(ameta, users_csv, events_csv)
-    origins = postbacks.cohort.origins
-    declared = ameta["columns"]
-    if declared != [k.alpha for k in origins]:
-        raise ConfigError(
-            f"declared columns {declared} differ from the dataset's origin columns "
-            f"{[k.alpha for k in origins]}; was the attribution produced from this dataset?"
-        )
+    postbacks = _postback_table(ameta, args.truth_from, args.events)
     truth = ground_truth(postbacks, 0, args.t)
-    weekly, agg = score_cells(cents, truth, origins, ("campaign",))["campaign"]
+    weekly, agg = score_cells(cents, truth, postbacks.cohort.origins, ("campaign",))["campaign"]
     report = {
         "metadata": dict(ameta) | {"t": args.t, "kind": "evaluation"},
         "weekly_errors_usd": {w: e / 100.0 for w, e in weekly},

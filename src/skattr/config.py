@@ -72,8 +72,8 @@ class RunConfig(_RunConfigFields):
     schema, p and g (``FIXED_SETTINGS``) and the generator's behaviour model
     (``synthgen.MODEL``); ``to_jsonable`` records all three, so the config
     hash covers them. Every estimator, threshold and window is checked
-    here, as are the grid's axes (``metrics.check_grid_axes``), so a bad
-    one fails before any dataset is generated or read; with ``gen``, a
+    here, as are the grid's axes and schema labels (``metrics.check_grid_axes``),
+    so a bad one fails before any dataset is generated or read; with ``gen``, a
     window starting at or after its ``event_horizon_days`` holds no event
     and is rejected too.
     """
@@ -92,15 +92,14 @@ class RunConfig(_RunConfigFields):
         if not self.schemas or not self.p_values or not self.g_modes:
             raise ConfigError("need at least one schema, one p value and one g mode")
         check_window_days(self.t)
-        for text in self.schemas:
-            schema_from_text(text)  # raises on bad grammar
+        schemas = self.parsed_schemas()  # raises on bad grammar
         for mode in self.g_modes:
             AttributionFunction(mode)
         for lam in self.lambda_grid:
             AttributionFunction("null_convex", lam)
         for p in self.p_values:
             PrivacyConfig(p)
-        check_grid_axes(self.p_values, self.g_modes, self.lambda_grid)
+        check_grid_axes(schemas, self.p_values, self.g_modes, self.lambda_grid)
         if self.windows:
             validate_windows(self.windows)
             horizon = self.gen.event_horizon_days if self.gen is not None else None

@@ -230,18 +230,17 @@ def attribute_cells(
     matrices: Mapping[CellKey, CountMatrix],
     means: Mapping[int, Fraction],
     totals: Mapping[CellKey, Mapping[int, int]],
-    fn: AttributionFunction,
 ) -> dict[CellKey, CellAttribution]:
     """Every cell's exact attribution, affine in lambda, in cell order.
 
     The one place that picks an estimator kernel, by the matrix: one without
     a null row goes to ``attribute_plain``, a thresholded one to
-    ``attribute_with_null`` once ``check_estimator`` passes ``fn`` at its p.
-    The result does not depend on ``fn.lam``; ``CellAttribution.cents(fn.lam)``
-    gives the cents per campaign that the attribution files hold, so a grid
-    cell scores exactly what a stage-wise run writes. ``means`` are the
-    bucket means every cell shares; ``totals`` maps each cell to the
-    developer's per-value user counts in it.
+    ``attribute_with_null``; callers refuse ``plain`` there first
+    (``check_estimator``). ``CellAttribution.cents(lam)`` gives the cents
+    per campaign that the attribution files hold, so a grid cell scores
+    exactly what a stage-wise run writes. ``means`` are the bucket means
+    every cell shares; ``totals`` maps each cell to the developer's
+    per-value user counts in it.
     """
     out: dict[CellKey, CellAttribution] = {}
     for cell in sorted(matrices):
@@ -249,7 +248,6 @@ def attribute_cells(
         if matrix.null_row is None:
             out[cell] = attribute_plain(matrix, means)
             continue
-        check_estimator(fn, matrix.p)
         if cell not in totals:
             raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
         out[cell] = attribute_with_null(matrix, means, totals[cell])
@@ -336,7 +334,7 @@ def benchmark_matrix(
         _check_schema(schema)
     for p in p_values:
         PrivacyConfig(p)  # a negative threshold fails before anything is simulated
-    check_grid_axes(p_values, g_modes, lambda_grid)
+    check_grid_axes(schemas, p_values, g_modes, lambda_grid)
 
     cohort = cohort_of(users, prepared)
     artifacts: dict[str, SimArtifacts] = {}
@@ -344,8 +342,6 @@ def benchmark_matrix(
     truths: dict[str, dict[str, list[int]]] = {}
     for schema in schemas:
         label = schema.label
-        if label in artifacts:
-            raise ConfigError(f"duplicate schema {label} in benchmark grid")
         try:
             art = _simulation(cohort, schema, seed)
         except SkattrError as exc:
@@ -372,7 +368,7 @@ def benchmark_matrix(
                 art = artifacts[label]
                 if (label, p) not in built:
                     built[(label, p)] = attribute_cells(
-                        _estimator_matrices(art, p), means[label], art.cell_totals, fn
+                        _estimator_matrices(art, p), means[label], art.cell_totals
                     )
                 cents = {cell: res.cents(fn.lam) for cell, res in built[(label, p)].items()}
                 scored[key] = score_cells(cents, truths[label], art.postbacks.cohort.origins)
@@ -438,14 +434,21 @@ def benchmark_matrix(
 
 
 def check_grid_axes(
-    p_values: Sequence[int], g_modes: Sequence[str], lambda_grid: Sequence[float]
+    schemas: Sequence[SchemaSpec],
+    p_values: Sequence[int],
+    g_modes: Sequence[str],
+    lambda_grid: Sequence[float],
 ) -> None:
-    """Reject a p value, g mode or lambda the grid lists twice, and an axis with no cell.
+    """Reject a schema label, p value, g mode or lambda listed twice, and an axis with no cell.
 
-    A repeated coordinate would score and write the same cells again; a
-    ``null_convex`` without a lambda, or a p value at which no listed mode
-    runs, would write none for a coordinate the run lists.
+    A repeated coordinate would score and write the same cells again (the
+    grid keys its rows by schema label); a ``null_convex`` without a
+    lambda, or a p value at which no listed mode runs, would write none for
+    a coordinate the run lists.
     """
+    for i, schema in enumerate(schemas):
+        if schema.label in [s.label for s in schemas[:i]]:
+            raise ConfigError(f"duplicate schema {schema.label} in benchmark grid")
     for what, values in (("p value", p_values), ("g mode", g_modes), ("lambda", lambda_grid)):
         for i, x in enumerate(values):
             if x in values[:i]:
@@ -519,7 +522,7 @@ def window_error_curve(
     for lo, hi in wins:
         means = estimate_bucket_means_window(artifacts.postbacks, lo, hi)
         truth = ground_truth(artifacts.postbacks, lo, hi)
-        cells = attribute_cells(matrices, means, artifacts.cell_totals, g)
+        cells = attribute_cells(matrices, means, artifacts.cell_totals)
         cents = {cell: res.cents(g.lam) for cell, res in cells.items()}
         try:
             by_level = score_cells(cents, truth, artifacts.postbacks.cohort.origins, ("campaign",))

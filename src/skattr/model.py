@@ -104,9 +104,6 @@ class CampaignKey(_CampaignKeyFields):
             raise OrganicKeyError("organic key has no campaign id")
         return self.alpha % 100
 
-    def __str__(self) -> str:
-        return f"{self.alpha}*" if self.organic else str(self.alpha)
-
 
 def encode_alpha(network: int, campaign: int) -> CampaignKey:
     """Combine a network id and a campaign id into one key.

@@ -60,9 +60,10 @@ def simulate_postbacks(
 ) -> PostbackTable:
     """One postback per user (organic users included: the developer's view).
 
-    ``simulate_traces`` gives each user's final value and last commit as
-    microseconds since registration midnight; the postback is delivered
-    ``postback_delay_us`` later. Users whose postback would land after
+    ``simulate_traces`` gives the final values, which the table adopts as
+    they are, and the last commits as microseconds since registration
+    midnight; each postback is delivered ``postback_delay_us`` after its
+    last commit. Users whose postback would land after
     ``horizon`` (integer microseconds on the model's clock) get cell -1:
     they count neither in matrices nor in ground truth. The delay per
     (seed, user) is memoised on the cohort; the table's ``cell_keys`` name
@@ -70,7 +71,7 @@ def simulate_postbacks(
     """
     if horizon is not None and type(horizon) is not int:
         raise ConfigError(f"horizon must be integer microseconds, got {horizon!r}")
-    finals = simulate_traces(cohort, schema)
+    values, last_us = simulate_traces(cohort, schema)
     delays = cohort.delays.get(seed)
     if delays is None:
         delays = cohort.delays[seed] = [
@@ -81,14 +82,10 @@ def simulate_postbacks(
     first_day = min(cohort.midnight_us, default=0) // US_PER_DAY
     week0_day = first_day - (first_day - 1) % 7  # date ordinal 1 is a Monday
     week0 = week0_day * US_PER_DAY
-    values: list[int] = []
     cells: list[int] = []
     sent_us: list[int] = []
-    for (value, last_us), midnight, delay, group in zip(
-        finals.values(), cohort.midnight_us, delays, cohort.group
-    ):
-        sent = midnight + last_us + delay
-        values.append(value)
+    for last, midnight, delay, group in zip(last_us, cohort.midnight_us, delays, cohort.group):
+        sent = midnight + last + delay
         sent_us.append(sent)
         if horizon is not None and sent > horizon:
             cells.append(-1)
@@ -104,8 +101,8 @@ def simulate_postbacks(
 def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:
     """Per-(group, week) user counts per conversion value, all origins.
 
-    Every cell carries entries for all 64 values (zeros included) so the
-    null-aware estimator can distinguish "no users" from "missing data".
+    Every cell a delivered postback counts in carries all 64 values, zeros
+    included; its readers take a missing value as 0 all the same.
     """
     rows: dict[int, list[int]] = {}
     for cell, value in zip(postbacks.cells, postbacks.values):

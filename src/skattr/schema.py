@@ -17,8 +17,8 @@ non-commits do not). Once 24h pass without a commit the trace is final;
 an event exactly 24h after the previous commit still commits.
 
 Only the final value matters downstream, so ``simulate_traces`` keeps no
-list of commits: per user it returns (final value, last-commit instant),
-the instant as integer microseconds since registration midnight. Events
+list of commits: it returns the final values and the last-commit instants,
+as integer microseconds since registration midnight, in cohort order. Events
 carry their instants on the model's integer clock (``Event.us``), so each
 is digested by one subtraction in ``fold_events``, which builds, and
 names the defects of, every replayable ``model.Cohort``. It takes
@@ -319,18 +319,18 @@ def prepare_users(users: Iterable[UserRecord], organic_alpha: int | None = None)
     )
 
 
-def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, int]]:
+def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> tuple[list[int], list[int]]:
     """Replay every cohort user's events through the platform update rules.
 
-    Returns ``{user_id: (final value, last-commit microseconds since
-    registration midnight)}`` in cohort order. Simultaneous events are
-    absorbed before the candidate is evaluated, so at most one commit
-    happens per distinct instant, and a user's replay stops at the first
-    instant more than 24h (in whole microseconds) after the previous
-    commit: the value is final from there. UD and PV candidates do not
-    change over time, so they are committed once at first open. A cohort
-    read from a postback view holds no digests, and replaying it is a
-    ``ConfigError``.
+    Returns ``(values, last_commit_us)``, two lists in cohort order: the final
+    values, and the last commits as microseconds since registration midnight.
+    Simultaneous events are absorbed before the candidate is evaluated, so
+    at most one commit happens per distinct instant, and a user's replay
+    stops at the first instant more than 24h (in whole microseconds) after
+    the previous commit: the value is final from there. UD and PV candidates
+    do not change over time, so they are committed once at first open. A
+    cohort read from a postback view holds no digests, and replaying it is
+    a ``ConfigError``.
     """
     if cohort.digests is None:
         raise ConfigError("the cohort holds purchases only, read from a postback view; "
@@ -340,19 +340,15 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, 
         raise ConfigError("UD schema needs a seed")
     if kind in ("RR", "PV"):
         boundaries = _require_boundaries(schema)
-    out: dict[int, tuple[int, int]] = {}
-    if kind == "UD":
-        for uid, groups in zip(cohort.ids, cohort.digests):
-            out[uid] = (uniform_value(schema.seed, "ud", uid), groups[0][0])
-        return out
-    if kind == "PV":
+    if kind in ("UD", "PV"):
+        firsts = [groups[0][0] for groups in cohort.digests]
+        if kind == "UD":
+            return [uniform_value(schema.seed, "ud", uid) for uid in cohort.ids], firsts
         revenue = cohort.window_revenue(0, schema.horizon_days)
-        for uid, groups, cents in zip(cohort.ids, cohort.digests, revenue):
-            value = bucket_of(cents, boundaries)
-            if value >= VALUE_RANGE:
-                raise ConfigError(f"conversion value {value} out of range")
-            out[uid] = (value, groups[0][0])
-        return out
+        values = [bucket_of(cents, boundaries) for cents in revenue]
+        if max(values, default=0) >= VALUE_RANGE:
+            raise ConfigError(f"conversion value {max(values)} out of range")
+        return values, firsts
     rolling = kind in ("RR", "RI")
     if rolling:
         n_t = schema.layout.n_t
@@ -361,7 +357,9 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, 
         day_cap = min(schema.horizon_days, 2**n_t - 1)
         is_rr = kind == "RR"
 
-    for uid, groups in zip(cohort.ids, cohort.digests):
+    values: list[int] = []
+    lasts: list[int] = []
+    for groups in cohort.digests:
         last, revenue, purchases, value = groups[0]  # value: day-0 flag bits
         if rolling:
             low = bucket_of(revenue, boundaries) if is_rr else purchases
@@ -394,5 +392,6 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> dict[int, tuple[int, 
                 if fbits | value != value:
                     value |= fbits
                     last = us
-        out[uid] = (value, last)
-    return out
+        values.append(value)
+        lasts.append(last)
+    return values, lasts

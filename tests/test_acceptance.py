@@ -274,13 +274,14 @@ def test_c8_mechanics(tmp_path):
         by_group = {u.id: u.group for u in users}
         for text in TREND_SCHEMAS:
             artifacts = run_schema(prepared, schema_from_text(text), 12)
-            finals = simulate_traces(prepared, artifacts.schema)
+            finals, lasts = simulate_traces(prepared, artifacts.schema)
             traces = {u.id: simulate_updates(u, artifacts.schema) for u in users}
             delivered = by_user(artifacts.postbacks)
-            for u in users:
+            assert len(finals) == len(lasts) == len(users)
+            for u, final, last in zip(users, finals, lasts):
                 trace = traces[u.id]
                 last_us = (trace.last_commit - registration_midnight(u)) // timedelta(microseconds=1)
-                assert finals[u.id] == (trace.final_value, last_us)
+                assert (final, last) == (trace.final_value, last_us)
             for uid, trace in traces.items():
                 values = [v for _, v in trace.committed]
                 assert all(0 <= v <= 63 for v in values)

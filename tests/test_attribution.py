@@ -13,7 +13,7 @@ from skattr.attribution import (
     estimate_bucket_means_window,
 )
 from skattr.errors import ConfigError, MissingProfileError
-from skattr.metrics import attribute_cells
+from skattr.metrics import attribute_cells, check_estimator
 from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, organic_key
 from skattr.pipeline import run_schema
 from skattr.postback import empty_matrix
@@ -175,9 +175,9 @@ class TestAttributeWithNull:
         cell = (raw.group, raw.week)
         for p in (0, 1):
             privatized = apply_threshold(raw, PrivacyConfig(p))
+            res = attribute_cells({cell: privatized}, means, {cell: totals})[cell]
+            assert not any(res.b)
             for fn in EVERY_ESTIMATOR:
-                res = attribute_cells({cell: privatized}, means, {cell: totals}, fn)[cell]
-                assert not any(res.b)
                 assert res.cents(fn.lam) == expected, (p, fn)
 
     def test_uniform_split(self):
@@ -225,13 +225,13 @@ class TestAttributeWithNull:
             attribute_with_null(matrix_from({}), {}, {})
 
     def test_rejects_plain(self):
-        """The kernel reads no estimator; dispatched, ``plain`` is refused from p=2 up."""
+        """The kernel reads no estimator; ``check_estimator`` refuses ``plain`` from p=2 up."""
         m = apply_threshold(matrix_from({9: (5, 0, 0)}), PrivacyConfig(6))
         plain = AttributionFunction("plain")
         with pytest.raises(TypeError):
             attribute_with_null(m, means_of({9: 100}), {9: 5}, plain)
         with pytest.raises(ConfigError, match="^plain attribution requires p < 2; pick a"):
-            attribute_cells({("G", "w"): m}, means_of({9: 100}), {("G", "w"): {9: 5}}, plain)
+            check_estimator(plain, 6)
 
     def test_lambda_validation(self):
         with pytest.raises(ConfigError):
@@ -368,8 +368,8 @@ def test_conservation_with_pooled_means_and_cell_totals(schema_text):
     for p in (0, 2, 10):
         cfg = PrivacyConfig(p)
         matrices = {cell: apply_threshold(m, cfg) for cell, m in artifacts.matrices.items()}
+        cells = attribute_cells(matrices, means, artifacts.cell_totals)
         for fn in fns:
-            cells = attribute_cells(matrices, means, artifacts.cell_totals, fn)
             for cell, matrix in matrices.items():
                 totals = artifacts.cell_totals[cell]
                 expected = sum(means[v] * n for v, n in totals.items() if n)

@@ -166,27 +166,49 @@ class _EstimatorChecks(_KernelUses):
     KERNELS = ("check_estimator",)
 
 
-def test_plain_is_refused_only_by_check_estimator():
-    """One function refuses ``plain`` from p=2 up, so the grid, the curve and ``attribute`` agree.
-
-    Its message is written nowhere else in ``src``. Its callers are the
-    kernel dispatch, the window curve (before it simulates) and the
-    ``attribute`` stage (before it reads the dataset).
-    """
+def holders_of(message: str) -> list[str]:
+    """The innermost function of each ``src/skattr`` line that holds ``message``."""
     holders = []
     for path in sorted((ROOT / "src" / "skattr").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         functions = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
         for number, line in enumerate(text.splitlines(), 1):
-            if "requires p < 2" in line:
+            if message in line:
                 # ast.walk yields an enclosing function before the ones it holds.
                 inner = [f.name for f in functions if f.lineno <= number <= f.end_lineno]
                 holders.append(".".join([path.stem, *inner[-1:]]))
-    assert holders == ["metrics.check_estimator"]
+    return holders
+
+
+def test_plain_is_refused_only_by_check_estimator():
+    """One function refuses ``plain`` from p=2 up, so the curve and ``attribute`` agree.
+
+    Its message is written nowhere else in ``src``. Its callers are the
+    window curve (before it simulates) and the ``attribute`` stage (before
+    it reads the dataset); the grid never schedules ``plain`` from p=2 up.
+    """
+    assert holders_of("requires p < 2") == ["metrics.check_estimator"]
     assert _EstimatorChecks.in_src() == [
         ("check_estimator", "cli.cmd_attribute"),
-        ("check_estimator", "metrics.attribute_cells"),
         ("check_estimator", "metrics.window_error_curve"),
+    ]
+
+
+class _PostbackTableUses(_KernelUses):
+    KERNELS = ("_postback_table",)
+
+
+def test_stage_files_meet_their_dataset_in_one_step():
+    """``attribute`` and ``evaluate`` reach their simulation, and its column check, in one step.
+
+    The check's message is written only in ``cli._postback_table``, and the
+    two stages that read a dataset for a counts or attribution file are its
+    only callers.
+    """
+    assert holders_of("differ from the dataset's origin columns") == ["cli._postback_table"]
+    assert _PostbackTableUses.in_src() == [
+        ("_postback_table", "cli.cmd_attribute"),
+        ("_postback_table", "cli.cmd_evaluate"),
     ]
 
 

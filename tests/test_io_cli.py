@@ -193,8 +193,10 @@ class TestTimestampEdges:
         midnight = datetime(2024, 1, 1)
         at = (datetime.fromisoformat(text) if commits else datetime(2024, 1, 1, 9)) - midnight
         value = (1 << 5) | 1 if commits else 0  # day 1, one purchase
-        final = simulate_traces(cohort, schema_from_text("kind=RI;layout=TCCCCC;horizon=1"))
-        assert final[1] == (value, at // timedelta(microseconds=1))
+        schema = schema_from_text("kind=RI;layout=TCCCCC;horizon=1")
+        values, lasts = simulate_traces(cohort, schema)
+        assert cohort.ids[0] == 1
+        assert (values[0], lasts[0]) == (value, at // timedelta(microseconds=1))
 
     def test_sub_second_events_file_is_rewritten_byte_for_byte(self, tmp_path):
         meta_line = META_PREFIX + json.dumps(META, sort_keys=True) + "\n"
@@ -1144,6 +1146,9 @@ class TestCliErrors:
                      "duplicate lambda 0.5 in benchmark grid", id="lambda"),
         pytest.param({"lambda_grid": [0, 0.0]},
                      "duplicate lambda 0.0 in benchmark grid", id="lambda_int_and_float"),
+        pytest.param({"schemas": ["kind=PV;layout=VVVVVV;horizon=30", "kind=UD", "kind=UD;seed=5"],
+                      "windows": []},
+                     "duplicate schema UD in benchmark grid", id="schema_label"),
     ])
     def test_repeated_grid_coordinate_fails_before_any_work(self, tmp_path, capsys, bad,
                                                             message):
@@ -1585,6 +1590,52 @@ class TestAttributeLambda:
         assert load_attribution(out)[1]["lambda"] == recorded
 
 
+class TestCountsOfAnotherDataset:
+    """``attribute`` refuses counts whose columns are not the profile dataset's origins.
+
+    Dataset B has one network and A's organic alpha 105, so B simulated
+    under the key of A's counts leaves a view that A's counts find.
+    """
+
+    A_COLUMNS = [0, 1, 2, 3, 4, 100, 101, 102, 103, 104, 105]
+    B_COLUMNS = [0, 1, 2, 3, 4, 105]
+
+    @pytest.fixture(scope="class")
+    def other(self, tmp_path_factory):
+        users, meta = generate_dataset(GenConfig(n_users=1500, n_weeks=3, event_horizon_days=40,
+                                                 seed=9, n_networks=1, organic_alpha=105))
+        data = tmp_path_factory.mktemp("other") / "data"
+        save_dataset(data, users, meta)
+        return data
+
+    @pytest.mark.parametrize("view", [True, False], ids=["view_hit", "view_missed"])
+    @pytest.mark.parametrize("counts, g_args", [
+        pytest.param("c.csv", ["--g", "plain"], id="plain_p0"),
+        pytest.param("cp.csv", ["--g", "null_convex", "--lambda", "0.5"], id="null_convex_p10"),
+    ])
+    def test_refused_before_attributing(self, staged, other, tmp_path, capsys, rebuilds, counts,
+                                        g_args, view):
+        data = tmp_path / "b"
+        shutil.copytree(other, data)
+        _, meta = load_counts(staged / counts)
+        assert meta["columns"] == self.A_COLUMNS
+        if view:
+            assert run_cli("simulate", "--users", data, "--schema", meta["schema"],
+                           "--seed", meta["seed"], "--out", tmp_path / "cb.csv") == 0
+            assert load_counts(tmp_path / "cb.csv")[1]["columns"] == self.B_COLUMNS
+            assert len(views(data)) == 1
+        rebuilds.clear()
+        out = tmp_path / "a.csv"
+        assert run_cli("attribute", "--counts", staged / counts, "--profile-from", data,
+                       "--t", 30, *g_args, "--out", out) == 1
+        assert config_error(capsys) == (
+            f"declared columns {self.A_COLUMNS} differ from the dataset's origin columns "
+            f"{self.B_COLUMNS}; was the counts file produced from this dataset?"
+        )
+        assert rebuilds == ({} if view else {"load_cohort": 1, "simulate_traces": 1})
+        assert not out.exists()
+
+
 def stage_outputs(counts_dir, data, out) -> dict[str, bytes]:
     """Attribute the counts in ``counts_dir`` (plain at p=0, null_convex at p=10), evaluate both.
 
@@ -1786,7 +1837,7 @@ class TestPostbackView:
             raise AssertionError("a stage simulated again instead of reading its view")
 
         with monkeypatch.context() as patch:
-            patch.setattr(skattr.cli, "simulate_postbacks", no_replay)
+            patch.setattr(skattr.cli, "run_schema", no_replay)
             viewed = attribute_both(tmp_path / "viewed")
         assert viewed["c.csv"] != viewed["c_other.csv"]
         for view in views(data):

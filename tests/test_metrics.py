@@ -220,6 +220,15 @@ class TestBenchmarkMatrix:
                              lambda_grid=lambda_grid, prepared=prepared)
         assert prepared.simulations == {}
 
+    def test_repeated_schema_label_rejected_before_simulating(self):
+        """Two UD schemas share the label the grid keys its rows by; PV is not simulated first."""
+        users = small_dataset(n=300)
+        prepared = prepare_users(users)
+        schemas = [schema_from_text(text) for text in (PV, UD, "kind=UD;seed=5")]
+        with pytest.raises(ConfigError, match="^duplicate schema UD in benchmark grid$"):
+            benchmark_matrix(users, schemas, [0], ["plain"], 30, seed=0, prepared=prepared)
+        assert prepared.simulations == {}
+
     def test_cells_equal_the_reference_scoring(self):
         """One kernel build per (schema, p) scores as one reference call per lambda did."""
         users = small_dataset(seed=7, n=1500)

@@ -398,7 +398,7 @@ def oracle_final(user, schema):
 
 
 class TestReplayKernel:
-    """``simulate_traces`` gives the oracle replay's (final value, last commit)."""
+    """``simulate_traces`` gives the oracle replay's final values and last commits."""
 
     def test_exact_24h_gap_with_subsecond_timestamps(self):
         # Float seconds put this gap a hair over 24h, which froze the trace at [0].
@@ -408,15 +408,15 @@ class TestReplayKernel:
                                  Event(datetime_to_us(first + timedelta(hours=24)), "session")])
         assert [v for _, v in simulate_updates(user, schema).committed] == [0, 8]
         second_us = (first + timedelta(hours=24) - REGISTRATION) // timedelta(microseconds=1)
-        assert simulate_traces(prepare_users([user]), schema) == {0: (8, second_us)}
+        assert simulate_traces(prepare_users([user]), schema) == ([8], [second_us])
 
     @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
     @given(user=edge_user(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_oracle(self, text, user, boundaries):
         schema = edge_schema(text, boundaries)
-        expected = {user.id: oracle_final(user, schema)}
-        assert simulate_traces(prepare_users([user]), schema) == expected
+        value, last_us = oracle_final(user, schema)
+        assert simulate_traces(prepare_users([user]), schema) == ([value], [last_us])
 
     @pytest.mark.parametrize("text", KERNEL_SCHEMAS)
     @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
