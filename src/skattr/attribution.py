@@ -18,8 +18,10 @@ one (group, week) cell and are an explicit argument of
 ``attribute_with_null``: a suppressed row redistributes exactly the users
 that cell contains.
 
-The kernels are lambda-free. ``attribute_plain`` and ``attribute_with_null``
-each build one ``CellAttribution`` per cell: integer numerators ``a`` and
+One kernel, lambda-free, serves both estimators: ``attribute_with_null``
+reads a matrix at any threshold p, and ``attribute_plain`` is that kernel
+with no developer totals, for a matrix whose null row is all zero. Each
+builds one ``CellAttribution`` per cell: integer numerators ``a`` and
 ``b`` per column over one integer denominator ``D``, so that column j
 attributes (a_j + lambda * b_j) / D cents. The plain estimator and an empty
 null row have b = 0. Every lambda of one (cell, threshold) is therefore an
@@ -28,9 +30,9 @@ ld * a_j + ln * b_j over ld * D, rounded to cents half to even by integer
 ``divmod``, the rule ``round(Fraction)`` applies.
 
 An ``AttributionFunction`` names one estimator, ``plain`` included, and
-holds the lambda it uses. ``metrics.attribute_cells`` picks the kernel by
-the matrix, not by the mode: ``attribute_plain`` for one without a null
-row, ``attribute_with_null`` for a thresholded one.
+holds the lambda it uses. ``metrics.attribute_cells`` picks the entry point
+by the matrix's p, not by the mode: ``attribute_plain`` below p=2, which
+folds no user, ``attribute_with_null`` from p=2 up.
 
 Computation is exact and integer-only. Per matrix, the bucket means in use
 are scaled to one common denominator (the lcm of their denominators), each
@@ -45,7 +47,7 @@ b_j sum to zero across the columns.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple
@@ -117,32 +119,6 @@ class AttributionFunction(_AttributionFunctionFields):
         return tuple.__new__(cls, (mode, float(lam)))
 
 
-def _scaled_means(
-    means: Mapping[int, Fraction], values: Iterable[int], context: str
-) -> tuple[dict[int, int], int]:
-    """The means of ``values`` as integer numerators over their common denominator."""
-    used: dict[int, Fraction] = {}
-    for v in values:
-        mean = means.get(v)
-        if mean is None:
-            raise MissingProfileError(f"no revenue profile for value {v} ({context})")
-        used[v] = mean
-    den = math.lcm(*(m.denominator for m in used.values()))
-    return {v: m.numerator * (den // m.denominator) for v, m in used.items()}, den
-
-
-def _visible_numerators(matrix: CountMatrix, scaled: Mapping[int, int]) -> list[int]:
-    """Per column, the sum of count * scaled mean over the visible rows."""
-    acc = [0] * len(matrix.columns)
-    for v, mean in scaled.items():
-        if v in matrix.suppressed:
-            continue
-        for j, count in enumerate(matrix.rows[v]):
-            if count:
-                acc[j] += count * mean
-    return acc
-
-
 def _round_half_even(num: int, den: int) -> int:
     """``round(Fraction(num, den))`` for ``den > 0``, without building the Fraction."""
     q, r = divmod(num, den)
@@ -188,16 +164,14 @@ class CellAttribution(NamedTuple):
 def attribute_plain(matrix: CountMatrix, means: Mapping[int, Fraction]) -> CellAttribution:
     """Optimal attribution without suppression: count times bucket mean.
 
-    Accepts a privatized matrix only when its null row carries no users
-    (thresholds below 2 fold nothing), since a loaded null row would need
-    the null-aware estimator. The result has ``b = 0``.
+    It is ``attribute_with_null`` with no developer totals, so it accepts a
+    matrix only when its null row carries no users (thresholds below 2 fold
+    nothing), since a loaded null row needs those totals. The result has
+    ``b = 0``.
     """
-    if matrix.privacy_applied and sum(matrix.null_row) > 0:
+    if any(matrix.null_row):
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
-    visible = [v for v in range(VALUE_RANGE) if any(matrix.rows[v])]
-    scaled, den = _scaled_means(means, visible, f"{matrix.group}, {matrix.week}")
-    acc = _visible_numerators(matrix, scaled)
-    return CellAttribution(matrix.columns, tuple(acc), (0,) * len(acc), den)
+    return _attribute(matrix, means, {})
 
 
 def attribute_with_null(
@@ -205,7 +179,7 @@ def attribute_with_null(
     means: Mapping[int, Fraction],
     totals: Mapping[int, int],
 ) -> CellAttribution:
-    """Null-aware attribution over a privatized matrix, for every lambda at once.
+    """Null-aware attribution over a count matrix at any p, for every lambda at once.
 
     Visible cells contribute count times mean. Each suppressed value row
     contributes mean * weight_j * total users with that value, where the
@@ -220,40 +194,64 @@ def attribute_with_null(
     F the folded numerator and N the null row's sum, column j is
     (a_j + lambda * b_j) / D with a_j = acc_j * beta * N + F * N,
     b_j = F * (beta * null_j - N) and D = den * beta * N. An empty null
-    row has a_j = acc_j * beta + F, b_j = 0 and D = den * beta.
+    row has a_j = acc_j * beta + F, b_j = 0 and D = den * beta, and with
+    F = 0, as below p=2, that is a_j = acc_j over D = den.
     """
-    if not matrix.privacy_applied:
-        raise ConfigError("matrix is not privatized; use attribute_plain")
-    beta = len(matrix.columns)
-    null_row = matrix.null_row
-    null_sum = sum(null_row)
+    return _attribute(matrix, means, totals)
 
-    for v in matrix.suppressed:
-        if totals.get(v, 0) < 0:
+
+def _attribute(
+    matrix: CountMatrix,
+    means: Mapping[int, Fraction],
+    totals: Mapping[int, int],
+) -> CellAttribution:
+    """The one estimator kernel, behind ``attribute_plain`` and ``attribute_with_null``."""
+    columns, rows, null_row = matrix.columns, matrix.rows, matrix.null_row
+    null_sum = sum(null_row)
+    suppressed = matrix.suppressed
+    covered = 0
+    for v in suppressed:
+        total = totals.get(v, 0)
+        if total < 0:
             raise ConfigError(f"negative total for value {v}")
-    covered = sum(totals.get(v, 0) for v in matrix.suppressed)
+        covered += total
     if covered < null_sum:
         raise MissingProfileError(
             f"developer totals cover {covered} suppressed users but the null row "
             f"folded {null_sum} ({matrix.group}, {matrix.week})"
         )
 
-    used = [
-        v
-        for v in range(VALUE_RANGE)
-        if (totals.get(v, 0) if v in matrix.suppressed else any(matrix.rows[v]))
-    ]
-    scaled, den = _scaled_means(means, used, f"{matrix.group}, {matrix.week}")
-    acc = _visible_numerators(matrix, scaled)
-    folded = sum(scaled[v] * totals[v] for v in used if v in matrix.suppressed)
+    # A suppressed row holds no count: its mean is used only for the users it folded.
+    used: dict[int, Fraction] = {}
+    for v in range(VALUE_RANGE):
+        if any(rows[v]) or (v in suppressed and totals.get(v, 0)):
+            used[v] = mean = means.get(v)
+            if mean is None:
+                raise MissingProfileError(
+                    f"no revenue profile for value {v} ({matrix.group}, {matrix.week})"
+                )
+    den = math.lcm(*(m.denominator for m in used.values()))
+    beta = len(columns)
+    acc = [0] * beta
+    folded = 0
+    for v, m in used.items():
+        mean = m.numerator * (den // m.denominator)
+        if v in suppressed:
+            folded += mean * totals[v]
+            continue
+        for j, count in enumerate(rows[v]):
+            if count:
+                acc[j] += count * mean
+    if not folded:
+        return CellAttribution(columns, tuple(acc), (0,) * beta, den)
     if null_sum == 0:
         return CellAttribution(
-            matrix.columns, tuple([x * beta + folded for x in acc]), (0,) * beta, den * beta
+            columns, tuple([x * beta + folded for x in acc]), (0,) * beta, den * beta
         )
     scale = beta * null_sum
     mass = folded * null_sum
     return CellAttribution(
-        matrix.columns,
+        columns,
         tuple([x * scale + mass for x in acc]),
         tuple([folded * (beta * c - null_sum) for c in null_row]),
         den * scale,

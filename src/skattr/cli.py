@@ -14,9 +14,9 @@ whose declared `columns` are not the dataset's origin alphas, in order,
 with a `ConfigError` naming both. `attribute` passes `--g`/`--lambda` to
 `AttributionFunction`, which resolves the lambda the estimator uses (or
 rejects one the mode contradicts), and records that lambda in the file.
-Below the counts file's p=2 (0 unprivatized) every mode writes `plain`'s
-rows; `metrics.check_estimator` refuses `plain` from p=2 up before the
-dataset is read.
+Below the counts file's p=2 (0 as simulated, and when a file omits it)
+every mode writes `plain`'s rows; `metrics.check_estimator` refuses
+`plain` from p=2 up before the dataset is read.
 `evaluate` scores over the window `t` that file records: a file without
 one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
@@ -29,9 +29,10 @@ line, also when no user is organic; no option overrides it, and the view's
 key checks that the counts file agrees. `attribute` and `evaluate` read
 that view and neither the events file nor the replay. When the view is
 missing, or its key or hashes do not match the files, they read the
-dataset and run `simulate`'s `run_schema` call again, which gives the same
-table. A view that cannot be written (a read-only dataset directory, say)
-does not fail `simulate`; the later stages then simulate again.
+dataset and make the table as `simulate`'s `run_schema` does, with no
+matrices or totals, so `attribute` counts the cell totals once either way
+and `evaluate` never. A view that cannot be written (a read-only dataset
+directory, say) does not fail `simulate`; the later stages then simulate again.
 `--horizon` (and the horizon a counts file records) is naive ISO text: a
 UTC offset is refused before any file is read, and the pipeline gets it
 once converted, as microseconds on the model's clock.
@@ -81,7 +82,7 @@ from .metrics import (
     window_error_curve,
 )
 from .model import datetime_to_us, ground_truth, usd
-from .pipeline import developer_totals, run_schema
+from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
 from .postback import PostbackTable
 from .postback_view import dataset_hashes, load_postback_view, save_postback_view
 from .privacy import PrivacyConfig, apply_threshold
@@ -170,7 +171,6 @@ def cmd_privatize(args: argparse.Namespace) -> int:
     out = {cell: apply_threshold(m, cfg) for cell, m in matrices.items()}
     meta = dict(meta)
     meta["p"] = args.p
-    meta["privacy_applied"] = True
     meta["config_hash"] = config_hash(meta)
     save_counts(args.out, out, meta)
     print(json.dumps({"counts": str(args.out), "p": args.p}))
@@ -182,9 +182,9 @@ def _postback_table(meta: dict, source: str, events: str | None) -> PostbackTabl
 
     It is the view ``simulate`` wrote beside the dataset when that view's
     key and dataset hashes match; otherwise the dataset is read and given
-    ``simulate``'s own ``run_schema`` call, which gives the same table. A
-    file whose ``columns`` are not the dataset's origin alphas, in order,
-    is a ``ConfigError`` naming both lists.
+    ``run_schema``'s two table steps, which give the same table and no
+    matrix or totals. A file whose ``columns`` are not the dataset's origin
+    alphas, in order, is a ``ConfigError`` naming both lists.
     """
     users_csv, events_csv = _dataset_paths(source, events)
     if "schema" not in meta or "seed" not in meta:
@@ -193,8 +193,8 @@ def _postback_table(meta: dict, source: str, events: str | None) -> PostbackTabl
     postbacks = load_postback_view(users_csv, events_csv, meta)
     if postbacks is None:
         cohort = load_cohort(users_csv, events_csv)
-        schema = schema_from_text(meta["schema"])
-        postbacks = run_schema(cohort, schema, meta["seed"], horizon).postbacks
+        schema = resolve_schema(schema_from_text(meta["schema"]), cohort, meta["seed"])
+        postbacks = simulate_postbacks(cohort, schema, meta["seed"], horizon)
     origins = [k.alpha for k in postbacks.cohort.origins]
     if meta["columns"] != origins:
         what = "the counts file" if meta.get("kind") == "counts" else "the attribution"
@@ -209,7 +209,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     check_window_days(args.t)
     fn = AttributionFunction(args.g, args.lam)
     matrices, cmeta = load_counts(args.counts)
-    check_estimator(fn, cmeta.get("p", 0))  # before the dataset or the view is read
+    check_estimator(fn, cmeta["p"])  # before the dataset or the view is read
     postbacks = _postback_table(cmeta, args.profile_from, args.events)
     means = estimate_bucket_means_window(postbacks, 0, args.t)
     cells = attribute_cells(matrices, means, developer_totals(postbacks))
@@ -222,7 +222,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         "horizon": cmeta.get("horizon"),
         "organic_alpha": cmeta.get("organic_alpha"),
         "columns": cmeta["columns"],
-        "p": cmeta.get("p", 0),
+        "p": cmeta["p"],
         "g": args.g,
         "lambda": fn.lam,
         "t": args.t,

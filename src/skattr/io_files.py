@@ -30,8 +30,9 @@ rows of every file but one by ``csv.writer``. ``save_events`` writes each
 events row as one line of text from the event's integer instant, with no
 ``datetime`` per event: no events field ever needs quoting, so the text is
 byte for byte what ``csv.writer`` writes for the same rows, which
-``tests/oracles.reference_save_events`` still does. A counts file holds only
-nonzero counts, null rows and the meta line's ``p``; a suppressed value has no row.
+``tests/oracles.reference_save_events`` still does. A counts file holds its
+``p`` (0 when the meta line omits it) and only nonzero counts and null
+entries; a suppressed value has no row.
 An attribution file is the grid's ``{(group, week): cents per column}``, a
 row per cell and declared column, where a missing row reads 0. Both loaders
 refuse a meta line without ``columns`` and a row alpha it does not declare.
@@ -385,7 +386,7 @@ def save_counts(
     matrices: Mapping[tuple[str, str], CountMatrix],
     meta: Mapping,
 ) -> None:
-    """Write count matrices: nonzero counts and, once privatized, null rows and one ``p``."""
+    """Write count matrices: their one ``p`` (else the meta's, else 0), nonzero counts and nulls."""
     first = next(iter(matrices.values()), None)
     full_meta = dict(meta)
     if first is not None:
@@ -396,9 +397,8 @@ def save_counts(
             full_meta["organic_alpha"] = org[0]
         if len({m.p for m in matrices.values()}) > 1:
             raise ConfigError("a counts file holds matrices of one privacy threshold only")
-        full_meta["privacy_applied"] = first.privacy_applied
-        if first.privacy_applied:
-            full_meta["p"] = first.p
+        full_meta["p"] = first.p
+    full_meta.setdefault("p", 0)
     rows = []
     for (group, week) in sorted(matrices):
         m = matrices[(group, week)]
@@ -406,8 +406,8 @@ def save_counts(
             for key, count in zip(m.columns, row):
                 if count:
                     rows.append((group, week, v, key.alpha, count))
-        if m.null_row is not None:
-            for key, count in zip(m.columns, m.null_row):
+        for key, count in zip(m.columns, m.null_row):
+            if count:
                 rows.append((group, week, "null", key.alpha, count))
     _write_csv(Path(path), full_meta, COUNT_FIELDS, rows)
 
@@ -471,13 +471,8 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
         _check_meta(cpath, meta, "schema", "seed", "horizon")
         organic = meta.get("organic_alpha")
         columns = tuple(CampaignKey(a, organic=a == organic) for a in meta["columns"])
-        privacy_applied = meta.get("privacy_applied", False)
-        if type(privacy_applied) is not bool:
-            raise CsvFormatError(
-                f"{cpath}:1: meta privacy_applied must be true or false, got {privacy_applied!r}"
-            )
-        p = meta.get("p") if privacy_applied else None
-        if privacy_applied and (type(p) is not int or p < 0):
+        p = meta.setdefault("p", 0)  # an unprivatized file may omit it
+        if type(p) is not int or p < 0:
             raise CsvFormatError(f"{cpath}:1: meta p must be an integer >= 0, got {p!r}")
         seen: dict[tuple[str, str, int, int], int] = {}  # (cell, value, alpha) -> line
         for line, row in rows:
@@ -490,8 +485,6 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
                 grids[cell] = [[0] * len(columns) for _ in range(VALUE_RANGE)]
                 nulls[cell] = [0] * len(columns)
             if v_text == "null":
-                if not privacy_applied:
-                    raise CsvFormatError(f"{cpath}:{line}: null row in a pre-privacy file")
                 v = -1
             else:
                 v = _parse_int(v_text, cpath, line, "conversion_value")
@@ -516,7 +509,7 @@ def load_counts(path: str | Path) -> tuple[dict[tuple[str, str], CountMatrix], d
                 columns=columns,
                 rows=tuple(tuple(r) for r in grids[cell]),
                 p=p,
-                null_row=tuple(nulls[cell]) if privacy_applied else None,
+                null_row=tuple(nulls[cell]),
             )
         except ConfigError as exc:
             raise CsvFormatError(f"{cpath}: ({group}, {week}): {exc}") from exc

@@ -233,8 +233,8 @@ def attribute_cells(
 ) -> dict[CellKey, CellAttribution]:
     """Every cell's exact attribution, affine in lambda, in cell order.
 
-    The one place that picks an estimator kernel, by the matrix: one without
-    a null row goes to ``attribute_plain``, a thresholded one to
+    The one place that picks an estimator kernel, by the matrix's p: below
+    p=2, which folds no user, ``attribute_plain``, from p=2 up
     ``attribute_with_null``; callers refuse ``plain`` there first
     (``check_estimator``). ``CellAttribution.cents(lam)`` gives the cents
     per campaign that the attribution files hold, so a grid cell scores
@@ -245,12 +245,12 @@ def attribute_cells(
     out: dict[CellKey, CellAttribution] = {}
     for cell in sorted(matrices):
         matrix = matrices[cell]
-        if matrix.null_row is None:
-            out[cell] = attribute_plain(matrix, means)
-            continue
         if cell not in totals:
             raise ConfigError(f"counts cell {cell} is absent from the dataset's postbacks")
-        out[cell] = attribute_with_null(matrix, means, totals[cell])
+        if matrix.p < 2:
+            out[cell] = attribute_plain(matrix, means)
+        else:
+            out[cell] = attribute_with_null(matrix, means, totals[cell])
     return out
 
 

@@ -8,8 +8,9 @@ postback is counted in, named by the table's ``cell_keys``; -1 when it was
 delivered after the horizon) and delivery instant in microseconds. Counts
 are aggregated per cell over paid campaigns by origin column index; the
 organic column is estimated afterwards by subtracting paid counts from the
-developer-side per-value totals. A privatized matrix keeps the threshold p
-it was given; its suppressed values are derived from its rows, not stored.
+developer-side per-value totals. Every matrix carries its threshold p, 0
+as simulated, and its null row, all zero below p=2; its suppressed values
+are derived from its rows, not stored.
 """
 
 from __future__ import annotations
@@ -81,48 +82,48 @@ class _CountMatrixFields(NamedTuple):
     week: str
     columns: tuple[CampaignKey, ...]
     rows: tuple[tuple[int, ...], ...]
-    p: int | None = None
-    null_row: tuple[int, ...] | None = None
+    p: int = 0
+    null_row: tuple[int, ...] = ()
 
 
 class CountMatrix(_CountMatrixFields):
     """Counts of conversion values per campaign for one (group, week).
 
-    ``rows`` has one 64-entry-per-column tuple per conversion value. After
-    privacy is applied, ``p`` is the threshold and ``null_row`` holds the
-    folded counts; both are None before. A value row below ``p`` holds no
-    count, so the suppressed values are derived from the rows alone, and
-    below p=2, which folds no user, the null row is empty. A matrix keeps
-    an instance ``__dict__`` for its cached ``row_sums`` and ``suppressed``.
+    ``rows`` has one 64-entry-per-column tuple per conversion value. ``p``
+    is the privacy threshold the counts went through, 0 for simulated ones,
+    and ``null_row`` holds the counts it folded, one per column; an empty
+    one reads as all zero. A value row below ``p`` holds no count, so the
+    suppressed values are derived from the rows alone, and below p=2, which
+    folds no user, the null row is all zero. A matrix keeps an instance
+    ``__dict__`` for its cached ``row_sums`` and ``suppressed``.
     """
 
     _make = classmethod(remake)
 
     def __new__(cls, *args, **kwargs) -> CountMatrix:
         self = super().__new__(cls, *args, **kwargs)
-        rows = self.rows
+        if not self.null_row:
+            self = self._derive(null_row=(0,) * len(self.columns))
+        rows, p, null_row = self.rows, self.p, self.null_row
         if len(rows) != VALUE_RANGE:
             raise ConfigError(f"count matrix must have {VALUE_RANGE} rows")
         if set(map(len, rows)) != {len(self.columns)}:
             raise ConfigError("row width must match the column count")
         if self.columns and min(map(min, rows)) < 0:
             raise ConfigError("counts must be non-negative")
-        if (self.p is None) != (self.null_row is None):
-            raise ConfigError("a privatized matrix needs both its threshold p and its null row")
-        if self.null_row is not None:
-            if type(self.p) is not int or self.p < 0:
-                raise ConfigError(f"threshold p must be an integer >= 0, got {self.p!r}")
-            if len(self.null_row) != len(self.columns):
-                raise ConfigError("null row width must match the column count")
-            if self.columns and min(self.null_row) < 0:
-                raise ConfigError("null row counts must be non-negative")
-            if self.p < 2 and any(self.null_row):
-                raise ConfigError(
-                    f"null row holds {sum(self.null_row)} users, but p={self.p} folds none"
-                )
-            low = next((v for v, n in enumerate(self.row_sums) if 0 < n < self.p), None)
+        if type(p) is not int or p < 0:
+            raise ConfigError(f"threshold p must be an integer >= 0, got {p!r}")
+        if len(null_row) != len(self.columns):
+            raise ConfigError("null row width must match the column count")
+        if self.columns and min(null_row) < 0:
+            raise ConfigError("null row counts must be non-negative")
+        if p < 2:
+            if any(null_row):
+                raise ConfigError(f"null row holds {sum(null_row)} users, but p={p} folds none")
+        else:
+            low = next((v for v, n in enumerate(self.row_sums) if 0 < n < p), None)
             if low is not None:
-                raise ConfigError(f"value {low} keeps {self.row_sums[low]} users, below p={self.p}")
+                raise ConfigError(f"value {low} keeps {self.row_sums[low]} users, below p={p}")
         return self
 
     def _derive(self, **changes) -> CountMatrix:
@@ -135,10 +136,6 @@ class CountMatrix(_CountMatrixFields):
         check.
         """
         return tuple.__new__(CountMatrix, (self._asdict() | changes).values())
-
-    @property
-    def privacy_applied(self) -> bool:
-        return self.null_row is not None
 
     @cached_property
     def row_sums(self) -> tuple[int, ...]:
@@ -200,7 +197,7 @@ def estimate_organic(
     ``developer_totals`` are the developer-side per-value user counts for the
     same (group, week); a negative residual means the inputs disagree.
     """
-    if matrix.privacy_applied:
+    if matrix.p:
         raise ConfigError("organic estimation must happen before privacy is applied")
     if any(k.organic for k in matrix.columns):
         raise ConfigError("matrix already has an organic column")
@@ -215,4 +212,6 @@ def estimate_organic(
                 f"{total} is below the paid count {paid}"
             )
         new_rows.append(matrix.rows[v] + (residual,))
-    return matrix._derive(columns=matrix.columns + (organic,), rows=tuple(new_rows))
+    return matrix._derive(
+        columns=matrix.columns + (organic,), rows=tuple(new_rows), null_row=matrix.null_row + (0,)
+    )

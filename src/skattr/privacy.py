@@ -5,8 +5,9 @@ included) is below the threshold p; the suppressed counts are added to the
 null row per campaign, so column sums are preserved exactly. Thresholds
 below 2 change nothing observable: p=0 suppresses no row and p=1 only
 relabels empty rows. The scope is one (group, week) matrix: country-level
-protection with weekly reporting. The result records only p: its
-suppressed values, the rows left without a count, are derived from it.
+protection with weekly reporting. The input is a matrix at p=0, as
+simulated; the result records only p: its suppressed values, the rows
+left without a count, are derived from it.
 
 The mechanism deliberately does not give hide-in-the-crowd guarantees: a
 singleton value ends up suppressed but still exposes its user through the
@@ -48,8 +49,8 @@ def apply_threshold(matrix: CountMatrix, cfg: PrivacyConfig) -> CountMatrix:
     however many thresholds read them, and the copy, which records ``p``,
     skips the checks the source's rows already passed.
     """
-    if matrix.privacy_applied:
-        raise ConfigError("privacy threshold already applied to this matrix")
+    if matrix.p:
+        raise ConfigError(f"privacy threshold already applied to this matrix (p={matrix.p})")
     n = len(matrix.columns)
     zero = (0,) * n
     null_row = [0] * n

@@ -148,6 +148,10 @@ class SchemaSpec(_SchemaSpecFields):
                     f"{kind} horizon must be 2**n_t - 1 = {2 ** layout.n_t - 1} "
                     f"for {layout.bits!r}, got {horizon_days}"
                 )
+        if horizon_days and kind in ("EV", "UD"):
+            raise ConfigError(f"{kind} takes no horizon, got {horizon_days}")
+        if seed is not None and kind != "UD":
+            raise ConfigError(f"only UD takes a seed, got {seed} for {kind}")
         # UD ignores layout and boundaries entirely.
         return tuple.__new__(cls, (kind, layout, horizon_days, bucket_boundaries, seed))
 
@@ -174,7 +178,10 @@ def schema_from_text(text: str) -> SchemaSpec:
         if "=" not in part:
             raise LayoutError(f"schema text part {part!r} is not key=value")
         k, v = part.split("=", 1)
-        fields[k.strip().lower()] = v.strip()
+        k = k.strip().lower()
+        if k in fields:
+            raise LayoutError(f"schema text {text!r} repeats the key {k!r}")
+        fields[k] = v.strip()
     if "kind" not in fields:
         raise LayoutError(f"schema text {text!r} lacks kind=")
     kind = fields.pop("kind").upper()

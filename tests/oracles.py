@@ -17,6 +17,9 @@ lambda). ``optimal_lambda`` is the exact minimiser of one cell's squared
 error over lambda in [0, 1], from the kernel's (a, b, D).
 ``reference_save_events`` is the events writer as it stood before rows
 became text: a ``datetime`` per event and a row tuple for ``csv.writer``.
+``flagged_save_counts`` is the counts writer as it stood before every
+file recorded ``p``: a ``privacy_applied`` flag, ``p`` only once privatized,
+and then every null entry, zeros included.
 ``reference_cohort`` digests checked records by rescanning each user's
 events at every distinct instant, and names a user without a first open.
 ``reference_substream`` builds each substream from ``hashlib.sha256`` and
@@ -40,7 +43,7 @@ from pathlib import Path
 
 from skattr.attribution import AttributionFunction, estimate_bucket_means_window
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
-from skattr.io_files import EVENT_FIELDS, META_PREFIX, USER_FIELDS, _write_csv
+from skattr.io_files import COUNT_FIELDS, EVENT_FIELDS, META_PREFIX, USER_FIELDS, _write_csv
 from skattr.metrics import CellResult, aggregate_error, normalize_vs_baseline, weekly_error
 from skattr.model import (
     FLAG,
@@ -132,7 +135,7 @@ def timestamp(event: Event) -> datetime:
 
 def column_sums(matrix: CountMatrix) -> tuple[int, ...]:
     """Per-column totals over all value rows plus the null row."""
-    rows = list(matrix.rows) + ([matrix.null_row] if matrix.null_row is not None else [])
+    rows = [*matrix.rows, matrix.null_row]
     return tuple(sum(row[j] for row in rows) for j in range(len(matrix.columns)))
 
 
@@ -573,7 +576,7 @@ def fraction_attribute_plain(
     matrix: CountMatrix, means: dict[int, Fraction]
 ) -> dict[CampaignKey, Fraction]:
     """Plain attribution as a Fraction loop over every (value, column) cell."""
-    if matrix.privacy_applied and sum(matrix.null_row) > 0:
+    if sum(matrix.null_row) > 0:
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
     out: dict[CampaignKey, Fraction] = {k: Fraction(0) for k in matrix.columns}
     for v in range(VALUE_RANGE):
@@ -597,10 +600,9 @@ def fraction_attribute_with_null(
 ) -> dict[CampaignKey, Fraction]:
     """Null-aware attribution with one Fraction weight per column, summed cell by cell.
 
-    ``totals`` are the cell's developer-side user counts per value.
+    ``totals`` are the cell's developer-side user counts per value. The
+    matrix may be at any threshold p; at p=0 nothing is suppressed.
     """
-    if not matrix.privacy_applied:
-        raise ConfigError("matrix is not privatized; use attribute_plain")
     if fn.mode == "plain":
         return fraction_attribute_plain(matrix, means)
     n = beta = len(matrix.columns)
@@ -674,7 +676,7 @@ def reference_attribute_plain(
     matrix: CountMatrix, means: Mapping[int, Fraction]
 ) -> dict[CampaignKey, Fraction]:
     """The integer plain kernel that read no lambda form: one Fraction per column."""
-    if matrix.privacy_applied and sum(matrix.null_row) > 0:
+    if sum(matrix.null_row) > 0:
         raise ConfigError("matrix has a loaded null row; use attribute_with_null")
     visible = [
         v for v in range(VALUE_RANGE) if v not in matrix.suppressed and any(matrix.rows[v])
@@ -693,12 +695,10 @@ def reference_attribute_with_null(
     """The integer null-aware kernel rebuilt for each lambda: weights over one denominator.
 
     The per-column weight is (1 - lambda)/beta + lambda * null_j / sum(null),
-    uniform when the null row is empty.
+    uniform when the null row is empty. The matrix may be at any threshold p.
     """
     if fn.mode == "plain":
         raise ConfigError("plain attribution redistributes nothing; use attribute_plain")
-    if not matrix.privacy_applied:
-        raise ConfigError("matrix is not privatized; use attribute_plain")
     beta = len(matrix.columns)
     null_row = matrix.null_row
     null_sum = sum(null_row)
@@ -1070,3 +1070,26 @@ def reference_save_events(path: str | Path, users: Sequence[UserRecord], meta: M
         for u in sorted(users, key=lambda u: u.id)
     )
     _write_csv(Path(path), meta, EVENT_FIELDS, rows)
+
+
+def flagged_save_counts(
+    path: str | Path,
+    matrices: Mapping[tuple[str, str], CountMatrix],
+    meta: Mapping,
+    privatized: bool,
+) -> None:
+    """Write counts with a ``privacy_applied`` flag: ``p`` and every null entry only when set."""
+    first = next(iter(matrices.values()))
+    full = {k: v for k, v in meta.items() if k != "p"}
+    full["columns"] = [k.alpha for k in first.columns]
+    full["organic_alpha"] = next(k.alpha for k in first.columns if k.organic)
+    full["privacy_applied"] = privatized
+    if privatized:
+        full["p"] = first.p
+    rows = []
+    for (group, week), m in sorted(matrices.items()):
+        for v, row in enumerate(m.rows):
+            rows.extend((group, week, v, k.alpha, c) for k, c in zip(m.columns, row) if c)
+        if privatized:
+            rows.extend((group, week, "null", k.alpha, c) for k, c in zip(m.columns, m.null_row))
+    _write_csv(Path(path), full, COUNT_FIELDS, rows)

@@ -180,6 +180,14 @@ class TestAttributeWithNull:
             for fn in EVERY_ESTIMATOR:
                 assert res.cents(fn.lam) == expected, (p, fn)
 
+    def test_cell_without_totals_is_refused_at_every_p(self):
+        """A counts cell the dataset has no postback in is refused by both entry points' caller."""
+        raw = matrix_from({9: (1, 2, 0)})
+        for p in (0, 1, 2):
+            m = apply_threshold(raw, PrivacyConfig(p))
+            with pytest.raises(ConfigError, match=r"^counts cell \('G', '2024-W01'\) is absent"):
+                attribute_cells({(m.group, m.week): m}, means_of({9: 100}), {})
+
     def test_uniform_split(self):
         cols = tuple(encode_alpha(0, c) for c in range(4))
         m = empty_matrix("G", "w", cols)._replace(p=1, null_row=(0, 0, 0, 0))
@@ -220,9 +228,15 @@ class TestAttributeWithNull:
         with pytest.raises(TypeError):
             attribute_with_null(m, means_of({9: 100}))
 
-    def test_requires_privatized_matrix(self):
-        with pytest.raises(ConfigError):
-            attribute_with_null(matrix_from({}), {}, {})
+    def test_reads_a_matrix_at_p0(self):
+        """A simulated matrix is at p=0: nothing is suppressed, and the kernel is the plain one."""
+        empty = matrix_from({})
+        assert empty.p == 0 and empty.null_row == (0, 0, 0)
+        assert attribute_with_null(empty, {}, {}) == attribute_plain(empty, {})
+        m = matrix_from({9: (1, 2, 0), 4: (3, 0, 1)})
+        means = means_of({9: 100, 4: 50})
+        for totals in ({}, {9: 3, 4: 4}):
+            assert attribute_with_null(m, means, totals) == attribute_plain(m, means)
 
     def test_rejects_plain(self):
         """The kernel reads no estimator; ``check_estimator`` refuses ``plain`` from p=2 up."""

@@ -51,7 +51,13 @@ from skattr.privacy import PrivacyConfig, apply_threshold
 from skattr.schema import prepare_users, schema_from_text, simulate_traces
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import reference_cohort, reference_load_users, reference_save_events, timestamp
+from oracles import (
+    flagged_save_counts,
+    reference_cohort,
+    reference_load_users,
+    reference_save_events,
+    timestamp,
+)
 
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
 
@@ -718,13 +724,13 @@ class TestCountsRoundTrip:
         save_counts(tmp_path / "c.csv", pre, {"schema": "x", "seed": 9})
         loaded, meta = load_counts(tmp_path / "c.csv")
         assert loaded == pre
-        assert meta["privacy_applied"] is False
+        assert meta["p"] == 0 and "privacy_applied" not in meta
 
         post = {cell: apply_threshold(m, PrivacyConfig(10)) for cell, m in pre.items()}
         save_counts(tmp_path / "cp.csv", post, {"schema": "x", "seed": 9, "p": 10})
         loaded_p, meta_p = load_counts(tmp_path / "cp.csv")
         assert loaded_p == post
-        assert meta_p["privacy_applied"] is True and meta_p["p"] == 10
+        assert meta_p["p"] == 10 and "privacy_applied" not in meta_p
 
     def test_suppressed_values_have_no_row(self, dataset, tmp_path):
         users, _ = dataset
@@ -734,12 +740,62 @@ class TestCountsRoundTrip:
         text = (tmp_path / "cp.csv").read_text()
         assert ',"' not in text  # plain scalars, no quoting needed
         rows = [line.split(",") for line in text.splitlines()[2:]]
-        assert all(count not in ("", "0") for _, _, v, _, count in rows if v != "null")
+        assert all(count not in ("", "0") for *_, count in rows)  # null entries too
         written = {(g, w, int(v)) for g, w, v, _, _ in rows if v != "null"}
         suppressed = {(*cell, v) for cell, m in post.items() for v in m.suppressed}
         assert suppressed  # some values are suppressed at p=10
         assert not written & suppressed
-        assert {(g, w) for g, w, v, _, _ in rows if v == "null"} == set(post)
+        nulls = {(g, w, int(a)) for g, w, v, a, _ in rows if v == "null"}
+        assert nulls == {(*cell, k.alpha) for cell, m in post.items()
+                         for k, c in zip(m.columns, m.null_row) if c}
+        assert nulls  # some users are folded at p=10
+
+    def test_flagged_file_loads_to_the_same_matrices(self, dataset, tmp_path):
+        """A file with ``privacy_applied`` and no ``p`` when unset loads as one that records ``p``.
+
+        Unset, it reads as p=0; set, its zero null entries read as the zeros
+        the current writer leaves out.
+        """
+        users, _ = dataset
+        pre = run_schema(prepare_users(users), schema_from_text(D7RR), 9).matrices
+        post = {cell: apply_threshold(m, PrivacyConfig(10)) for cell, m in pre.items()}
+        meta = {"kind": "counts", "schema": D7RR, "seed": 9, "horizon": None}
+        for name, matrices, p in (("c", pre, 0), ("cp", post, 10)):
+            flagged_save_counts(tmp_path / f"old_{name}.csv", matrices, meta, privatized=p > 0)
+            save_counts(tmp_path / f"{name}.csv", matrices, meta)
+            old, old_meta = load_counts(tmp_path / f"old_{name}.csv")
+            new, new_meta = load_counts(tmp_path / f"{name}.csv")
+            assert old == new == matrices
+            assert old_meta["p"] == new_meta["p"] == p
+        old_text = (tmp_path / "old_cp.csv").read_text()
+        assert '"privacy_applied": true' in old_text and ",null," in old_text
+        assert any(line.endswith(",0") for line in old_text.splitlines() if ",null," in line)
+        # The flagged files go through the stages as the current ones do.
+        dataset_dir = tmp_path / "data"
+        save_dataset(dataset_dir, *dataset)
+        outputs = []
+        for prefix in ("old_", ""):
+            assert run_cli("privatize", "--counts", tmp_path / f"{prefix}c.csv", "--p", 10,
+                           "--out", tmp_path / f"{prefix}p.csv") == 0
+            assert load_counts(tmp_path / f"{prefix}p.csv")[0] == post
+            for counts in (f"{prefix}c.csv", f"{prefix}cp.csv"):
+                out = tmp_path / f"attr_{counts}"
+                assert run_cli("attribute", "--counts", tmp_path / counts, "--profile-from",
+                               dataset_dir, "--t", 30, "--g", "null_uniform", "--out", out) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[:2] == outputs[2:]
+
+    def test_privatize_without_a_cell_writes_its_p(self, tmp_path):
+        """A counts file that declares its columns and holds no cell still records the new p."""
+        meta = {"kind": "counts", "schema": D7RR, "seed": 9, "horizon": None,
+                "columns": [0, 9], "organic_alpha": 9}
+        save_counts(tmp_path / "c.csv", {}, meta)
+        assert load_counts(tmp_path / "c.csv") == ({}, meta | {"p": 0})
+        assert run_cli("privatize", "--counts", tmp_path / "c.csv", "--p", 10,
+                       "--out", tmp_path / "cp.csv") == 0
+        matrices, out_meta = load_counts(tmp_path / "cp.csv")
+        assert matrices == {} and out_meta["p"] == 10
+        assert out_meta["columns"] == [0, 9] and out_meta["organic_alpha"] == 9
 
     def test_usd_parsing(self):
         assert parse_usd("12.34") == 1234
@@ -1747,6 +1803,48 @@ class TestPostbackView:
         assert stage_outputs(tmp_path / "s", data, tmp_path / "rebuilt") == viewed
         assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
 
+    def test_cell_totals_are_counted_once(self, staged, tmp_path, monkeypatch, rebuilds):
+        """``attribute`` counts the cell totals once, with the view or without it.
+
+        ``evaluate`` counts none, and neither stage builds count matrices.
+        """
+        import skattr.cli
+        import skattr.pipeline
+
+        calls: Counter[str] = Counter()
+        for module, name in ((skattr.cli, "developer_totals"),
+                             (skattr.pipeline, "developer_totals"),
+                             (skattr.pipeline, "build_cell_matrices")):
+            def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        shutil.copytree(staged, tmp_path / "s")
+        data = tmp_path / "s" / "data"
+        outputs = {}
+        for label in ("viewed", "rebuilt"):
+            out = tmp_path / label
+            out.mkdir()
+            counted = []
+            for stage, argv in (
+                ("attribute", ("--counts", tmp_path / "s" / "cp.csv", "--profile-from", data,
+                               "--t", 30, "--g", "null_convex", "--lambda", 0.5,
+                               "--out", out / "attr.csv")),
+                ("evaluate", ("--attr", out / "attr.csv", "--truth-from", data, "--t", 30,
+                              "--out", out / "eval.json")),
+            ):
+                calls.clear()
+                assert run_cli(stage, *argv) == 0
+                counted.append(dict(calls))
+            assert counted == [{"developer_totals": 1}, {}], label
+            outputs[label] = {path.name: path.read_bytes() for path in out.iterdir()}
+            if label == "viewed":
+                assert rebuilds == {}
+                views(data)[0].unlink()
+        assert rebuilds == {"load_cohort": 2, "simulate_traces": 2}
+        assert outputs["rebuilt"] == outputs["viewed"]
+
     def test_edited_events_are_simulated_again(self, staged, tmp_path, rebuilds):
         """A view of the dataset before an edit is not read; the stages see the edited data."""
         shutil.copytree(staged, tmp_path / "s")
@@ -1931,17 +2029,17 @@ class TestMetaColumns:
         (load_counts, "group,week,conversion_value,alpha,count",
          {"organic_alpha": None}, "meta organic_alpha must be an integer, got None"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": "false"}, "meta privacy_applied must be true or false, got 'false'"),
+         {"p": False}, "meta p must be an integer >= 0, got False"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": 0}, "meta privacy_applied must be true or false, got 0"),
+         {"p": 10.0}, "meta p must be an integer >= 0, got 10.0"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": True}, "meta p must be an integer >= 0, got None"),
+         {"p": None}, "meta p must be an integer >= 0, got None"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": True, "p": True}, "meta p must be an integer >= 0, got True"),
+         {"p": True}, "meta p must be an integer >= 0, got True"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": True, "p": -1}, "meta p must be an integer >= 0, got -1"),
+         {"p": -1}, "meta p must be an integer >= 0, got -1"),
         (load_counts, "group,week,conversion_value,alpha,count",
-         {"privacy_applied": True, "p": "10"}, "meta p must be an integer >= 0, got '10'"),
+         {"p": "10"}, "meta p must be an integer >= 0, got '10'"),
         (load_users, "id,registration_date,alpha,group",
          {"organic_alpha": "105"}, "meta organic_alpha must be an integer, got '105'"),
         (load_users, "id,registration_date,alpha,group",
@@ -1967,7 +2065,7 @@ class TestMetaColumns:
         (load_attribution, "group,week,alpha,attributed_usd",
          {"t": True}, "meta t must be an integer, got True"),
     ], ids=["counts-organic_str", "attr-organic_str", "counts-organic_null",
-            "counts-privacy_str", "counts-privacy_int", "counts-p_missing", "counts-p_bool",
+            "counts-p_false", "counts-p_float", "counts-p_null", "counts-p_bool",
             "counts-p_negative", "counts-p_str", "users-organic_str", "users-organic_bool",
             "counts-schema_int", "counts-seed_float", "counts-seed_bool", "counts-seed_str",
             "counts-horizon_int", "attr-schema_null", "attr-seed_bool", "attr-horizon_list",
@@ -2040,20 +2138,11 @@ class TestRowChecks:
         (False, "G,2024-W01,5,0,-3", "counts must be non-negative"),
     ])
     def test_negative_count(self, tmp_path, privatized, row, message):
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized}
+        meta = {"columns": [0, 9], "organic_alpha": 9}
         if privatized:
-            meta["p"] = 0
+            meta["p"] = 2
         path = self.write(tmp_path, meta, self.COUNTS, [row])
         with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): {message}"):
-            load_counts(path)
-
-    @pytest.mark.parametrize("row, message", [
-        ("G,2024-W01,null,0,1", "null row in a pre-privacy file"),
-    ])
-    def test_privatized_row_in_pre_privacy_file(self, tmp_path, row, message):
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": False}
-        path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,1", row])
-        with pytest.raises(CsvFormatError, match=rf"f\.csv:4: {message}"):
             load_counts(path)
 
     @pytest.mark.parametrize("rows", [
@@ -2063,7 +2152,7 @@ class TestRowChecks:
         ["G,2024-W01,5,9,4", "G,2024-W01,5,9,4"],
     ])
     def test_duplicate_counts_row(self, tmp_path, rows):
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": 0}
+        meta = {"columns": [0, 9], "organic_alpha": 9, "p": 0}
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,1", *rows])
         with pytest.raises(CsvFormatError, match=r"f\.csv:5: duplicate row .* first at line 4"):
             load_counts(path)
@@ -2071,25 +2160,28 @@ class TestRowChecks:
     @pytest.mark.parametrize("privatized", [False, True])
     def test_empty_count(self, tmp_path, privatized):
         """A suppressed value has no row, so an empty count is refused at its line."""
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": privatized, "p": 10}
+        meta = {"columns": [0, 9], "organic_alpha": 9, "p": 10 if privatized else 0}
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,10", "G,2024-W01,5,0,"])
         with pytest.raises(CsvFormatError, match=r"f\.csv:4: count must be an integer, got ''"):
             load_counts(path)
 
     def test_kept_row_below_p(self, tmp_path):
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": 10}
+        meta = {"columns": [0, 9], "organic_alpha": 9, "p": 10}
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,4", "G,2024-W01,6,9,5"])
         with pytest.raises(CsvFormatError,
                            match=r"f\.csv: \(G, 2024-W01\): value 6 keeps 9 users, below p=10"):
             load_counts(path)
 
-    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("p", [0, 1, None])
     def test_null_row_below_p_2(self, tmp_path, p):
-        """A threshold below 2 folds no user, so a file whose null row holds some is refused."""
-        meta = {"columns": [0, 9], "organic_alpha": 9, "privacy_applied": True, "p": p}
+        """A threshold below 2 folds no user, so a file whose null row holds some is refused.
+
+        A file without ``p`` is at p=0, as ``simulate`` writes it.
+        """
+        meta = {"columns": [0, 9], "organic_alpha": 9} | ({} if p is None else {"p": p})
         path = self.write(tmp_path, meta, self.COUNTS, ["G,2024-W01,6,0,4", "G,2024-W01,null,9,3"])
         with pytest.raises(CsvFormatError, match=rf"f\.csv: \(G, 2024-W01\): null row holds 3 "
-                                                 rf"users, but p={p} folds none"):
+                                                 rf"users, but p={p or 0} folds none"):
             load_counts(path)
 
     def test_duplicate_attribution_row(self, tmp_path):

@@ -30,7 +30,7 @@ class TestApplyThreshold:
     def test_p0_identity(self):
         m = matrix_from({3: (5, 2, 1), 9: (1, 0, 0)})
         out = apply_threshold(m, PrivacyConfig(0))
-        assert out.privacy_applied
+        assert out.p == 0 and out == m  # p=0 is the simulated matrix's own state
         assert out.rows == m.rows
         assert out.suppressed == frozenset()
         assert out.null_row == (0, 0, 0)
@@ -67,9 +67,12 @@ class TestApplyThreshold:
         assert out.null_row == column_sums(sparse) == (1, 1, 0)
 
     def test_reapplication_rejected(self):
-        m = apply_threshold(matrix_from({1: (3, 3, 3)}), PrivacyConfig(2))
-        with pytest.raises(ConfigError):
-            apply_threshold(m, PrivacyConfig(2))
+        """A matrix whose p is not 0 went through a threshold already; its p is named."""
+        for p in (1, 2, 10):
+            m = apply_threshold(matrix_from({1: (3, 3, 4)}), PrivacyConfig(p))
+            with pytest.raises(ConfigError, match=rf"^privacy threshold already applied to "
+                                                  rf"this matrix \(p={p}\)$"):
+                apply_threshold(m, PrivacyConfig(2))
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -77,14 +80,16 @@ class TestApplyThreshold:
 
 
 class TestThresholdOfAMatrix:
-    """A matrix keeps its threshold p; the suppressed values are the rows it left empty."""
+    """A matrix keeps its threshold p; the suppressed values are the rows it left empty.
+
+    Every matrix has both: a simulated one is at p=0 with an all-zero null
+    row, and one built without a null row gets that row and every check.
+    """
 
     @pytest.mark.parametrize("changes, message", [
-        pytest.param({"null_row": (0, 0, 0)},
-                     "a privatized matrix needs both its threshold p and its null row",
+        pytest.param({"null_row": (0, 1, 0)}, "null row holds 1 users, but p=0 folds none",
                      id="null_row_without_p"),
-        pytest.param({"p": 2}, "a privatized matrix needs both its threshold p and its null row",
-                     id="p_without_null_row"),
+        pytest.param({"p": 6}, "value 3 keeps 5 users, below p=6", id="p_without_null_row"),
         pytest.param({"p": True, "null_row": (0, 0, 0)},
                      "threshold p must be an integer >= 0, got True", id="p_bool"),
         pytest.param({"p": -1, "null_row": (0, 0, 0)},
@@ -159,7 +164,7 @@ def test_threshold_copy_equals_a_checked_matrix(m, p):
     fresh = CountMatrix(*out)
     assert out == fresh and hash(out) == hash(fresh)
     assert out.row_sums == fresh.row_sums
-    assert m.privacy_applied is False and m.null_row is None  # the source is untouched
+    assert m.p == 0 and m.null_row == (0,) * len(m.columns)  # the source is untouched
 
 
 @given(m=random_matrix(), p=st.integers(0, 30))
@@ -172,6 +177,44 @@ def test_privatized_matrix_round_trips_through_the_counts_file(m, p):
         save_counts(path, {("G", "2024-W01"): out}, {})
         loaded, meta = load_counts(path)
         rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
-    assert loaded == {("G", "2024-W01"): out} and meta["p"] == p
+    assert meta["p"] == p
+    if not any(m.row_sums):
+        # A cell without a user writes no row, so it does not come back; a simulated cell has one.
+        assert loaded == {} and rows == []
+        return
+    assert loaded == {("G", "2024-W01"): out}
     assert loaded["G", "2024-W01"].suppressed == out.suppressed
-    assert all(row[4] for row in rows)
+    assert all(row[4] not in ("", "0") for row in rows)
+
+
+@st.composite
+def counts_file(draw):
+    """One to three cells over one column set, each holding at least one user."""
+    n_cols = draw(st.integers(1, 4))
+    columns = tuple(encode_alpha(0, c) for c in range(n_cols - 1)) + (organic_key(100),)
+    cells = {}
+    for week in range(draw(st.integers(1, 3))):
+        rows = {draw(st.integers(0, 63)): (1,) * n_cols}
+        for v in draw(st.sets(st.integers(0, 63), max_size=8)):
+            rows[v] = tuple(draw(st.integers(0, 20)) for _ in range(n_cols))
+        cell = ("G", f"2024-W{week + 1:02d}")
+        cells[cell] = matrix_from(rows, columns)._replace(week=cell[1])
+    return cells
+
+
+@given(cells=counts_file(), p=st.sampled_from((0, 1, 2, 10)))
+@settings(max_examples=100, deadline=None)
+def test_counts_file_round_trips_at_every_threshold(cells, p):
+    """``load_counts(save_counts(m)) == m`` at p=0 too; the file holds no zero count or null entry."""
+    out = {cell: apply_threshold(m, PrivacyConfig(p)) for cell, m in cells.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        save_counts(path, out, {})
+        loaded, meta = load_counts(path)
+        text = path.read_text()
+    assert loaded == out and meta["p"] == p
+    assert f'"p": {p}' in text.splitlines()[0]
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert rows and all(count not in ("", "0") for *_, count in rows)
+    nulls = sum(v == "null" for _, _, v, _, _ in rows)
+    assert nulls == sum(map(bool, (c for m in out.values() for c in m.null_row)))

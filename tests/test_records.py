@@ -97,8 +97,8 @@ def test_report_stays_mutable(run):
 @pytest.mark.parametrize("record", [
     CampaignKey(7),
     organic_key(11),
-    schema_from_text("kind=UD"),
-    SchemaSpec("RR", BitLayout("TTTVVV"), 7, (100, 250, 900), 5),
+    schema_from_text("kind=UD;seed=5"),  # only UD takes a seed
+    SchemaSpec("RR", BitLayout("TTTVVV"), 7, (100, 250, 900)),
 ], ids=repr)
 def test_hash_and_equality_are_the_field_tuples(record):
     """So every memo key and set order is that of the field tuples."""
@@ -149,8 +149,10 @@ class TestReplaceRunsTheChecks:
         m = empty_matrix("G", "2024-W01", (encode_alpha(0, 0), organic_key(1)))
         with pytest.raises(ConfigError, match="^count matrix must have 64 rows$"):
             m._replace(rows=m.rows[:3])
-        with pytest.raises(ConfigError, match="needs both its threshold p and its null row"):
-            m._replace(p=2)
+        with pytest.raises(ConfigError, match="^threshold p must be an integer >= 0, got None$"):
+            m._replace(p=None)
+        with pytest.raises(ConfigError, match="^null row holds 1 users, but p=1 folds none$"):
+            m._replace(p=1, null_row=(0, 1))
 
     def test_other_checked_records(self):
         with pytest.raises(InvalidCampaignError):
@@ -174,7 +176,7 @@ def test_derive_skips_the_checks():
     m = empty_matrix("G", "2024-W01", (encode_alpha(0, 0),))
     bad = m._derive(rows=m.rows[:3], p=1)
     assert type(bad) is CountMatrix
-    assert (bad.rows, bad.p, bad.null_row, bad.group) == (m.rows[:3], 1, None, "G")
+    assert (bad.rows, bad.p, bad.null_row, bad.group) == (m.rows[:3], 1, (0,), "G")
     assert bad.row_sums == (0, 0, 0)  # its own cache, not the source's
     assert len(m.row_sums) == 64
 

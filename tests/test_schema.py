@@ -1,8 +1,11 @@
+import re
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skattr.config import DEFAULT_SCHEMAS
 from skattr.errors import ConfigError, DegenerateFitError, LayoutError
 from skattr.model import (
     FLAG,
@@ -41,6 +44,8 @@ from oracles import (
 
 MONDAY = date(2024, 1, 1)
 START = datetime(2024, 1, 1, 10)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def user_from_events(events, uid=0):
@@ -89,6 +94,40 @@ class TestLayout:
             SchemaSpec(kind="PV", layout=BitLayout("VVVVVV"), horizon_days=0)
         with pytest.raises(ConfigError):
             schema_from_text("kind=ZZ")
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind=UD;kind=EV", "kind"),
+        ("kind=RR;layout=TTTVVV;horizon=3;horizon=7", "horizon"),
+        ("kind=RR;layout=TTTVVV;Layout=TTTVVV;horizon=7", "layout"),
+        ("kind=UD;seed=1; seed =1", "seed"),
+    ], ids=["kind", "horizon", "layout_case", "seed_spaced"])
+    def test_schema_text_refuses_a_repeated_key(self, text, key):
+        """The last value of a repeated key is not silently kept."""
+        with pytest.raises(LayoutError, match=f"repeats the key '{key}'$"):
+            schema_from_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind=EV;horizon=5", "EV takes no horizon, got 5"),
+        ("kind=UD;horizon=7", "UD takes no horizon, got 7"),
+        ("kind=RR;layout=TTTVVV;horizon=7;seed=1", "only UD takes a seed, got 1 for RR"),
+        ("kind=PV;layout=VVVVVV;horizon=30;seed=3", "only UD takes a seed, got 3 for PV"),
+        ("kind=EV;seed=0", "only UD takes a seed, got 0 for EV"),
+    ], ids=["EV_horizon", "UD_horizon", "RR_seed", "PV_seed", "EV_seed"])
+    def test_schema_refuses_a_field_its_kind_never_reads(self, text, message):
+        """Such a field would give one schema a second canonical text and config hash."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            schema_from_text(text)
+
+    def test_stock_schema_texts_keep_their_canonical_text(self):
+        """Every schema the defaults, the benchmark harness and the README name still parses."""
+        texts = set(DEFAULT_SCHEMAS)
+        for doc in ("README.md", "perfbench/workload.py", "perfbench/run.py"):
+            source = (ROOT / doc).read_text(encoding="utf-8")
+            texts |= set(re.findall(r"kind=[A-Z]{2}(?:;[a-z]+=[A-Z0-9]+)*", source))
+        assert {"kind=UD", "kind=UD;seed=5", "kind=RR;layout=TTTVVV;horizon=7"} <= texts
+        for text in texts:  # EV's layout is implied, and its canonical text names it
+            expected = "kind=EV;layout=CCCCCC" if text == "kind=EV" else text
+            assert schema_to_text(schema_from_text(text)) == expected
 
     def test_labels(self):
         assert schema_from_text("kind=RR;layout=TTTVVV;horizon=7").label == "D7 RR"
