@@ -169,7 +169,8 @@ def cmd_privatize(args: argparse.Namespace) -> int:
     matrices, meta = load_counts(args.counts)
     cfg = PrivacyConfig(args.p)
     out = {cell: apply_threshold(m, cfg) for cell, m in matrices.items()}
-    meta = dict(meta)
+    # An older file's ``privacy_applied`` flag is stale once ``p`` is written.
+    meta = {k: v for k, v in meta.items() if k != "privacy_applied"}
     meta["p"] = args.p
     meta["config_hash"] = config_hash(meta)
     save_counts(args.out, out, meta)

@@ -27,7 +27,8 @@ as plain integer lists: registration midnight in microseconds (date
 ordinal x ``US_PER_DAY``), group index and origin column. It fixes the
 count-matrix columns (paid campaigns by alpha, then the organic key) and
 memoises, on first use, window revenue per ``[lo, hi)``, postback delay per
-seed and each schema's simulation. Window revenue reads each user's (day
+(seed, user), drawn only for the users whose delay some reader needs, and
+each schema's simulation. Window revenue reads each user's (day
 offset, cents) purchase pairs, taken once from the digests' purchase
 entries, or given as they are when ``postback_view.load_postback_view``
 reads the cohort from a postback view (such a cohort has no digests and is
@@ -257,8 +258,10 @@ class Cohort:
     the dataset declares; without one, the sentinel the organic users carry,
     or one past the largest paid alpha when there are none. Two sentinels
     are a ``ConfigError``. ``delays`` (seed -> delivery delay in
-    microseconds per user) is filled by
-    ``pipeline.simulate_postbacks`` on first use, and ``simulations``
+    microseconds per user, None until drawn) is filled user by user by
+    ``postback.draw_delay_us``, for the users whose delay can move their
+    postback's cell and, when a table's ``sent_us`` is read, for the rest;
+    ``simulations``
     ((input schema, seed) -> ``pipeline.SimArtifacts``) by the metrics
     layer, so every schema and call over the cohort shares them.
     """
@@ -305,7 +308,7 @@ class Cohort:
         column = {(False, alpha): j for j, alpha in enumerate(paid)}
         column[(True, self.organic.alpha)] = len(paid)
         self.column = [column[o] for o in origins]
-        self.delays: dict[int, list[int]] = {}
+        self.delays: dict[int, list[int | None]] = {}
         self.simulations: dict[tuple, SimArtifacts] = {}
         self._revenue: dict[tuple[int, int], list[int]] = {}
 

@@ -13,8 +13,11 @@ its delivery. A cell id is arithmetic on the delivery instant: whole
 weeks since the Monday on or before the cohort's first registration,
 times the group count, plus the group index. Postback delay
 randomness is one Uniform[0, 1) draw per user from the substream (seed,
-"postback", user_id); it does not depend on the schema, so it is drawn
-once per (seed, user) and kept on the cohort as microseconds.
+"postback", user_id); it does not depend on the schema, so it is drawn at
+most once per (seed, user) and kept on the cohort as microseconds. The
+delay lies in ``[DELAY_MIN_US, DELAY_MAX_US]``, so it is drawn only for a
+user whose two bounds put the delivery in different weeks or on different
+sides of the horizon; for the others the bounds give the cell.
 ``simulate_postbacks`` returns a ``PostbackTable``, and the developer
 totals, count matrices, bucket means and ground truth aggregate its lists
 by cell id and origin column. UD schemas without an explicit seed get the
@@ -25,21 +28,25 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from datetime import date
+from math import inf
 from typing import NamedTuple
 
 from .errors import ConfigError
 from .model import US_PER_DAY, US_PER_WEEK, Cohort
 from .postback import (
+    DELAY_MAX_US,
+    DELAY_MIN_US,
     CellKey,
     CountMatrix,
     PostbackTable,
     build_counts,
     cell_of,
     empty_matrix,
+    delay_memo,
+    draw_delay_us,
     estimate_organic,
-    postback_delay_us,
 )
-from .rng import hash64, substream
+from .rng import hash64
 from .schema import VALUE_RANGE, SchemaSpec, fit_buckets, simulate_traces
 
 
@@ -62,40 +69,52 @@ def simulate_postbacks(
 
     ``simulate_traces`` gives the final values, which the table adopts as
     they are, and the last commits as microseconds since registration
-    midnight; each postback is delivered ``postback_delay_us`` after its
-    last commit. Users whose postback would land after
-    ``horizon`` (integer microseconds on the model's clock) get cell -1:
-    they count neither in matrices nor in ground truth. The delay per
-    (seed, user) is memoised on the cohort; the table's ``cell_keys`` name
-    each cell id it uses, one ``cell_of`` call per id.
+    midnight; each postback is delivered ``draw_delay_us`` after its last
+    commit. Users whose postback would land after ``horizon`` (integer
+    microseconds on the model's clock) get cell -1: they count neither in
+    matrices nor in ground truth. A user's delay is drawn only when
+    ``[base + DELAY_MIN_US, base + DELAY_MAX_US]``, ``base`` the last
+    commit's instant, spans a Monday 00:00 or the horizon; otherwise both
+    ends give the cell. Each draw is memoised on the cohort per (seed,
+    user), and the table's ``sent_us`` draws the rest when read. The
+    table's ``cell_keys`` name each cell id it uses, one ``cell_of`` call
+    per id.
     """
     if horizon is not None and type(horizon) is not int:
         raise ConfigError(f"horizon must be integer microseconds, got {horizon!r}")
     values, last_us = simulate_traces(cohort, schema)
-    delays = cohort.delays.get(seed)
-    if delays is None:
-        delays = cohort.delays[seed] = [
-            postback_delay_us(substream(seed, "postback", uid).random()) for uid in cohort.ids
-        ]
     labels = cohort.group_labels
     n_groups = len(labels)
     first_day = min(cohort.midnight_us, default=0) // US_PER_DAY
     week0_day = first_day - (first_day - 1) % 7  # date ordinal 1 is a Monday
     week0 = week0_day * US_PER_DAY
+    # Instants below count from week 0's Monday 00:00.
+    limit = inf if horizon is None else horizon - week0
+    delays, ids = delay_memo(cohort, seed), cohort.ids
     cells: list[int] = []
-    sent_us: list[int] = []
-    for last, midnight, delay, group in zip(last_us, cohort.midnight_us, delays, cohort.group):
-        sent = midnight + last + delay
-        sent_us.append(sent)
-        if horizon is not None and sent > horizon:
+    for i, (last, midnight, group) in enumerate(zip(last_us, cohort.midnight_us, cohort.group)):
+        base = midnight + last - week0
+        early = base + DELAY_MIN_US
+        if early > limit:
             cells.append(-1)
             continue
-        cells.append((sent - week0) // US_PER_WEEK * n_groups + group)
+        week = early // US_PER_WEEK
+        late = base + DELAY_MAX_US
+        if late > limit or late // US_PER_WEEK != week:
+            delay = delays[i]
+            if delay is None:
+                delay = delays[i] = draw_delay_us(seed, ids[i])
+            sent = base + delay
+            if sent > limit:
+                cells.append(-1)
+                continue
+            week = sent // US_PER_WEEK
+        cells.append(week * n_groups + group)
     keys: dict[int, CellKey] = {}
     for cell in sorted(set(cells) - {-1}):
         week, group = divmod(cell, n_groups)
         keys[cell] = cell_of(labels[group], date.fromordinal(week0_day + 7 * week))
-    return PostbackTable(cohort, values, cells, sent_us, keys)
+    return PostbackTable(cohort, values, cells, None, keys, last_us=last_us, seed=seed)
 
 
 def developer_totals(postbacks: PostbackTable) -> dict[CellKey, dict[int, int]]:

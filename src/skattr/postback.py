@@ -5,7 +5,11 @@ at a random instant between 24h and 48h after the last commit. One schema's
 postbacks form a ``PostbackTable``, the developer's view as integer lists in
 cohort order: final value, cell id (the (group, ISO week of delivery) the
 postback is counted in, named by the table's ``cell_keys``; -1 when it was
-delivered after the horizon) and delivery instant in microseconds. Counts
+delivered after the horizon) and delivery instant in microseconds, which a
+simulated table computes on first read. A user's delay lies in
+``[DELAY_MIN_US, DELAY_MAX_US]``, both ends reachable, and is drawn from
+the substream (seed, "postback", user id) by ``draw_delay_us`` only when
+some reader needs it, once per (seed, user) per cohort (``delay_memo``). Counts
 are aggregated per cell over paid campaigns by origin column index; the
 organic column is estimated afterwards by subtracting paid counts from the
 developer-side per-value totals. Every matrix carries its threshold p, 0
@@ -22,6 +26,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, InconsistentTotalsError
 from .model import MICROSECOND, CampaignKey, Cohort, iso_week, remake
+from .rng import substream
 from .schema import VALUE_RANGE
 
 POSTBACK_QUIET_SECONDS = 86_400.0
@@ -40,6 +45,29 @@ def postback_delay_us(draw: float) -> int:
     return timedelta(0, delay) // MICROSECOND
 
 
+# The delay's bounds: the draw 0.0 gives the first, and the largest draw
+# below 1, 1 - 2**-53, rounds to the second exactly.
+DELAY_MIN_US = postback_delay_us(0.0)
+DELAY_MAX_US = 2 * DELAY_MIN_US
+
+
+def delay_memo(cohort: Cohort, seed: int) -> list[int | None]:
+    """``cohort.delays[seed]``, made on first use: each user's delay once drawn, None before.
+
+    Every schema and table over the cohort shares it, since the draw does
+    not depend on the schema.
+    """
+    memo = cohort.delays.get(seed)
+    if memo is None:
+        memo = cohort.delays[seed] = [None] * len(cohort.ids)
+    return memo
+
+
+def draw_delay_us(seed: int, uid: int) -> int:
+    """User ``uid``'s postback delay in microseconds, from ``substream(seed, "postback", uid)``."""
+    return postback_delay_us(substream(seed, "postback", uid).random())
+
+
 def cell_of(group: str, day: date) -> CellKey:
     """The (group, ISO week) cell of a postback delivered on ``day``."""
     return (group, iso_week(day))
@@ -53,20 +81,32 @@ class PostbackTable:
     ``US_PER_DAY`` + time of day) and ``cells[i]`` the id of the cell it
     is counted in, or -1 when the postback came after the horizon and counts
     nowhere. ``cell_keys`` maps each id in ``cells`` to its (group, week).
+
+    A table read from a file is given its ``sent_us``. A simulated one is
+    given instead the replay's ``last_us`` (last commits, microseconds since
+    registration midnight) and the run ``seed``: its cells need a user's
+    delay only where it can move the cell, and ``sent_us`` is computed on
+    first read, drawing the delays still missing with ``draw_delay_us``.
     A table is read-only and equal only to itself.
     """
 
-    __slots__ = ("cohort", "values", "cells", "sent_us", "cell_keys")
+    __slots__ = ("cohort", "values", "cells", "cell_keys", "_sent_us", "_last_us", "_seed")
 
     def __init__(
         self,
         cohort: Cohort,
         values: list[int],
         cells: list[int],
-        sent_us: list[int],
+        sent_us: list[int] | None,
         cell_keys: dict[int, CellKey],
+        *,
+        last_us: list[int] | None = None,
+        seed: int | None = None,
     ) -> None:
-        for name, value in zip(self.__slots__, (cohort, values, cells, sent_us, cell_keys)):
+        if (sent_us is None) != (last_us is not None and seed is not None):
+            raise ConfigError("a postback table takes either sent_us or last_us with a seed")
+        fields = (cohort, values, cells, cell_keys, sent_us, last_us, seed)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -75,6 +115,20 @@ class PostbackTable:
     def __len__(self) -> int:
         """The number of postbacks delivered by the horizon."""
         return len(self.cells) - self.cells.count(-1)
+
+    @property
+    def sent_us(self) -> list[int]:
+        """Each user's delivery instant: registration midnight + last commit + delay."""
+        sent = self._sent_us
+        if sent is None:
+            cohort, seed = self.cohort, self._seed
+            delays = delay_memo(cohort, seed)
+            for i, delay in enumerate(delays):
+                if delay is None:
+                    delays[i] = draw_delay_us(seed, cohort.ids[i])
+            sent = [m + last + d for m, last, d in zip(cohort.midnight_us, self._last_us, delays)]
+            object.__setattr__(self, "_sent_us", sent)
+        return sent
 
 
 class _CountMatrixFields(NamedTuple):

@@ -10,8 +10,9 @@ build, made without ``Random.__init__`` and ``Random.seed``, the two
 pure-Python frames of that call: the object is allocated, seeded by the C
 seed that ``Random.seed`` delegates to for an int, and given
 ``gauss_next = None`` as ``Random.seed`` gives it. So its state, and every
-draw, are those of ``random.Random(hash64(seed, *path))``; the generator
-and the postback delays take one substream per user.
+draw, are those of ``random.Random(hash64(seed, *path))``. The generator
+takes one substream per user, and the postback delays at most one per
+(seed, user): only the users whose delay is read.
 """
 
 from __future__ import annotations

@@ -785,6 +785,21 @@ class TestCountsRoundTrip:
                 outputs.append(out.read_bytes())
         assert outputs[:2] == outputs[2:]
 
+    def test_privatizing_a_flagged_file_gives_the_current_bytes(self, dataset, tmp_path):
+        """The older format's ``privacy_applied`` stays out of the privatized file and its hash."""
+        users, _ = dataset
+        pre = run_schema(prepare_users(users), schema_from_text(D7RR), 9).matrices
+        meta = {"kind": "counts", "schema": D7RR, "seed": 9, "horizon": None}
+        flagged_save_counts(tmp_path / "old.csv", pre, meta, privatized=False)
+        save_counts(tmp_path / "new.csv", pre, meta)
+        assert '"privacy_applied": false' in (tmp_path / "old.csv").read_text()
+        for name in ("old", "new"):
+            assert run_cli("privatize", "--counts", tmp_path / f"{name}.csv", "--p", 10,
+                           "--out", tmp_path / f"{name}_p.csv") == 0
+        out = (tmp_path / "old_p.csv").read_bytes()
+        assert out == (tmp_path / "new_p.csv").read_bytes()
+        assert b"privacy_applied" not in out
+
     def test_privatize_without_a_cell_writes_its_p(self, tmp_path):
         """A counts file that declares its columns and holds no cell still records the new p."""
         meta = {"kind": "counts", "schema": D7RR, "seed": 9, "horizon": None,

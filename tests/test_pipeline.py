@@ -1,6 +1,6 @@
 import sys
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -13,7 +13,7 @@ from skattr.pipeline import developer_totals, resolve_schema, run_schema, simula
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import by_user, column_sums, oracle_postbacks, oracle_view
+from oracles import by_user, column_sums, oracle_postbacks, oracle_view, simulate_updates
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -128,6 +128,12 @@ class TestPostbackDraws:
         assert by_user(simulate_postbacks(prepared, schema, 3)) == a
 
     def test_one_substream_per_user_across_grid_and_curve(self, users, monkeypatch):
+        """The grid and the curve draw a delay only where its [24 h, 48 h] bounds span a Monday.
+
+        Each such user's delay is drawn once over every schema run; reading
+        the tables' ``sent_us`` afterwards draws the remaining delays, once
+        each.
+        """
         calls = []
         original = rng.substream
 
@@ -143,8 +149,22 @@ class TestPostbackDraws:
         benchmark_matrix(users, schemas, [0], ["plain"], 30, seed=3, prepared=prepared)
         window_error_curve(users, schemas[1], 0, "plain", [(7, 14), (14, 30)], seed=3,
                            prepared=prepared)
-        assert len(calls) == len(users)
         assert {path[0] for path in calls} == {"postback"}
+        drawn = Counter(uid for _, uid in calls)
+        assert max(drawn.values()) == 1
+        crossing = set()
+        for schema in schemas:
+            fitted = resolve_schema(schema, prepared, seed=3)
+            for u in users:
+                last = simulate_updates(u, fitted).last_commit
+                early, late = last + timedelta(days=1), last + timedelta(days=2)
+                if early.isocalendar()[:2] != late.isocalendar()[:2]:
+                    crossing.add(u.id)
+        assert 0 < len(crossing) < len(users)
+        assert set(drawn) == crossing
+        for artifacts in prepared.simulations.values():
+            assert len(artifacts.postbacks.sent_us) == len(users)
+        assert Counter(uid for _, uid in calls) == Counter(u.id for u in users)
 
 
 class TestCohortFacts:

@@ -1,15 +1,36 @@
 import random
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+import skattr.postback
 from skattr.errors import ConfigError, InconsistentTotalsError
 from skattr.model import Event, UserRecord, datetime_to_us, encode_alpha, iso_week, organic_key
-from skattr.postback import CountMatrix, build_counts, empty_matrix, estimate_organic, postback_delay_us
-from skattr.schema import prepare_users
+from skattr.pipeline import simulate_postbacks
+from skattr.postback import (
+    DELAY_MAX_US,
+    DELAY_MIN_US,
+    CountMatrix,
+    PostbackTable,
+    build_counts,
+    empty_matrix,
+    estimate_organic,
+    postback_delay_us,
+)
+from skattr.schema import prepare_users, schema_from_text
 
-from oracles import Postback, UpdateTrace, column_sums, table_of
+from oracles import (
+    Postback,
+    UpdateTrace,
+    by_user,
+    column_sums,
+    oracle_postbacks,
+    oracle_view,
+    table_of,
+)
 
 MONDAY = date(2024, 1, 1)
 T0 = datetime(2024, 1, 1, 10)
@@ -57,6 +78,110 @@ class TestFinalizePostback:
             p = finalize(trace(), random.Random(s).random(), "G")
             delta = (p.postback_time - T0).total_seconds()
             assert 86_400 <= delta < 2 * 86_400
+
+
+LAST_DRAW = 1 - 2**-53  # the largest float random.Random.random() returns
+
+
+class TestDelayBounds:
+    @given(st.floats(0, 1, exclude_max=True))
+    @example(0.0)
+    @example(LAST_DRAW)
+    def test_every_draw_within_the_bounds(self, draw):
+        assert DELAY_MIN_US <= postback_delay_us(draw) <= DELAY_MAX_US
+
+    def test_both_bounds_are_reached(self):
+        assert postback_delay_us(0.0) == DELAY_MIN_US == 86_400_000_000
+        assert postback_delay_us(LAST_DRAW) == DELAY_MAX_US == 172_800_000_000
+
+
+class _Draw:
+    """A substream stand-in whose one draw is fixed."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+BOUND_EDGES = {
+    "min": DELAY_MIN_US, "min-1": DELAY_MIN_US - 1, "max": DELAY_MAX_US, "max-1": DELAY_MAX_US - 1,
+}
+
+
+@st.composite
+def skip_cases(draw):
+    """Users with one session, their pinned draws and a horizon, at the rule's edges.
+
+    An edge user's last commit puts ``base + DELAY_MIN_US`` or ``base +
+    DELAY_MAX_US`` exactly on a Monday 00:00, or 1 microsecond before it;
+    the horizon is None or 1 microsecond before or at either bound of one
+    user's delivery window.
+    """
+    monday = datetime(2024, 1, 1) + timedelta(weeks=draw(st.integers(0, 3)))
+    users, draws, bases = [], {}, []
+    for uid in range(draw(st.integers(1, 6))):
+        edge = draw(st.sampled_from([*BOUND_EDGES, "any"]))
+        if edge == "any":
+            offset = draw(st.integers(0, 9 * 86_400_000_000))
+            base = monday - timedelta(days=3) + timedelta(microseconds=offset)
+        else:
+            base = monday - timedelta(microseconds=BOUND_EDGES[edge])
+        bases.append(base)
+        users.append(UserRecord(
+            uid, base.date(), encode_alpha(0, draw(st.integers(0, 2))),
+            (Event(datetime_to_us(base), "session"),), draw(st.sampled_from("AB")),
+        ))
+        draws[uid] = draw(st.sampled_from([0.0, LAST_DRAW]) | st.floats(0, 1, exclude_max=True))
+    bound = draw(st.sampled_from([None, *BOUND_EDGES]))
+    horizon = None
+    if bound is not None:
+        horizon = draw(st.sampled_from(bases)) + timedelta(microseconds=BOUND_EDGES[bound])
+    return users, draws, horizon
+
+
+class TestDelaySkipRule:
+    """A cell read off the delay's bounds is the cell of the delay that would be drawn."""
+
+    @given(case=skip_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_the_oracle(self, case):
+        users, draws, horizon = case
+
+        def pinned(seed, name, uid):
+            return _Draw(draws[uid])
+
+        schema = schema_from_text("kind=UD;seed=1")
+        cohort = prepare_users(users)
+        with mock.patch.object(skattr.postback, "substream", pinned), \
+                mock.patch.object(oracles, "reference_substream", pinned):
+            table = simulate_postbacks(cohort, schema, 5,
+                                       None if horizon is None else datetime_to_us(horizon))
+            # Drawn so far: the users whose window [+24 h, +48 h] after the
+            # last commit spans a Monday 00:00 or the horizon.
+            undecided = set()
+            for u in users:
+                early = oracles.timestamp(u.events[0]) + timedelta(days=1)
+                late = early + timedelta(days=1)
+                if horizon is not None and early > horizon:
+                    continue
+                if (horizon is not None and late > horizon
+                        or early.isocalendar()[:2] != late.isocalendar()[:2]):
+                    undecided.add(u.id)
+            drawn = {uid for uid, d in zip(cohort.ids, cohort.delays[5]) if d is not None}
+            assert drawn == undecided
+            expected = oracle_view(oracle_postbacks(users, schema, 5, horizon))
+            assert by_user(table) == expected
+        assert len(table) == len(expected)
+
+    def test_a_table_takes_sent_us_or_last_us_with_a_seed(self):
+        cohort = prepare_users([user(0, encode_alpha(0, 0))])
+        for kwargs in ({}, {"last_us": [0]}, {"seed": 1}):
+            with pytest.raises(ConfigError, match="either sent_us or last_us with a seed"):
+                PostbackTable(cohort, [0], [-1], None, {}, **kwargs)
+        with pytest.raises(ConfigError, match="either sent_us or last_us with a seed"):
+            PostbackTable(cohort, [0], [-1], [0], {}, last_us=[0], seed=1)
 
 
 class TestBuildCounts:

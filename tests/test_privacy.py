@@ -195,7 +195,7 @@ def counts_file(draw):
     cells = {}
     for week in range(draw(st.integers(1, 3))):
         rows = {draw(st.integers(0, 63)): (1,) * n_cols}
-        for v in draw(st.sets(st.integers(0, 63), max_size=8)):
+        for v in draw(st.sets(st.integers(0, 63), max_size=8)) - set(rows):
             rows[v] = tuple(draw(st.integers(0, 20)) for _ in range(n_cols))
         cell = ("G", f"2024-W{week + 1:02d}")
         cells[cell] = matrix_from(rows, columns)._replace(week=cell[1])
