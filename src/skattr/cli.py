@@ -21,12 +21,13 @@ every mode writes `plain`'s rows; `metrics.check_estimator` refuses
 one, or a different `--t`, is a `ConfigError` before the dataset is read.
 `simulate` reads the dataset with `io_files.load_cohort` and writes the
 postback table it simulated beside the dataset, as a postback view
-(`postback_view.save_postback_view`): per user, the final value, delivery
-instant, cell week and purchases, keyed by the users file's name, schema
-text, seed, horizon and organic alpha, with the sha256 of both dataset
-files. The organic alpha is the users file's own sentinel, from its meta
-line, also when no user is organic; no option overrides it, and the view's
-key checks that the counts file agrees. `attribute` and `evaluate` read
+(`postback_view.save_postback_view`): per user, the final value, last
+commit, cell week and purchases, and no delivery instant, so no delay is
+drawn that no cell needs. The view is keyed by its format, the users
+file's name, schema text, seed, horizon and organic alpha, with the sha256
+of both dataset files. The organic alpha is the users file's own
+sentinel, from its meta line, also when no user is organic; no option
+overrides it, and the view's key checks that the counts file agrees. `attribute` and `evaluate` read
 that view and neither the events file nor the replay. When the view is
 missing, or its key or hashes do not match the files, they read the
 dataset and make the table as `simulate`'s `run_schema` does, with no

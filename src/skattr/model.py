@@ -260,8 +260,8 @@ class Cohort:
     are a ``ConfigError``. ``delays`` (seed -> delivery delay in
     microseconds per user, None until drawn) is filled user by user by
     ``postback.draw_delay_us``, for the users whose delay can move their
-    postback's cell and, when a table's ``sent_us`` is read, for the rest;
-    ``simulations``
+    postback's cell and, only when a table's ``sent_us`` is read (no stage
+    and no postback view reads it), for the rest; ``simulations``
     ((input schema, seed) -> ``pipeline.SimArtifacts``) by the metrics
     layer, so every schema and call over the cohort shares them.
     """

@@ -76,9 +76,10 @@ def simulate_postbacks(
     ``[base + DELAY_MIN_US, base + DELAY_MAX_US]``, ``base`` the last
     commit's instant, spans a Monday 00:00 or the horizon; otherwise both
     ends give the cell. Each draw is memoised on the cohort per (seed,
-    user), and the table's ``sent_us`` draws the rest when read. The
-    table's ``cell_keys`` name each cell id it uses, one ``cell_of`` call
-    per id.
+    user), and the table's ``sent_us`` draws the rest when read; no stage
+    reads it, and the postback view stores ``last_us`` instead, so a run
+    draws only the delays its cells need. The table's ``cell_keys`` name
+    each cell id it uses, one ``cell_of`` call per id.
     """
     if horizon is not None and type(horizon) is not int:
         raise ConfigError(f"horizon must be integer microseconds, got {horizon!r}")

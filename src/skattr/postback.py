@@ -6,15 +6,16 @@ postbacks form a ``PostbackTable``, the developer's view as integer lists in
 cohort order: final value, cell id (the (group, ISO week of delivery) the
 postback is counted in, named by the table's ``cell_keys``; -1 when it was
 delivered after the horizon) and delivery instant in microseconds, which a
-simulated table computes on first read. A user's delay lies in
-``[DELAY_MIN_US, DELAY_MAX_US]``, both ends reachable, and is drawn from
-the substream (seed, "postback", user id) by ``draw_delay_us`` only when
-some reader needs it, once per (seed, user) per cohort (``delay_memo``). Counts
-are aggregated per cell over paid campaigns by origin column index; the
-organic column is estimated afterwards by subtracting paid counts from the
-developer-side per-value totals. Every matrix carries its threshold p, 0
-as simulated, and its null row, all zero below p=2; its suppressed values
-are derived from its rows, not stored.
+simulated table, or one read from a postback view, computes on first
+read. A user's delay lies in ``[DELAY_MIN_US, DELAY_MAX_US]``, both ends
+reachable, and is drawn from the substream (seed, "postback", user id) by
+``draw_delay_us`` only when some reader needs it, once per (seed, user)
+per cohort (``delay_memo``). Counts are aggregated per cell over paid
+campaigns by origin column index; the organic column is estimated
+afterwards by subtracting paid counts from the developer-side per-value
+totals. Every matrix carries its threshold p, 0 as simulated, and its
+null row, all zero below p=2; its suppressed values are derived from its
+rows, not stored.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ class PostbackTable:
     is counted in, or -1 when the postback came after the horizon and counts
     nowhere. ``cell_keys`` maps each id in ``cells`` to its (group, week).
 
-    A table read from a file is given its ``sent_us``. A simulated one is
-    given instead the replay's ``last_us`` (last commits, microseconds since
+    A simulated table, and one ``postback_view.load_postback_view`` reads,
+    is given the replay's ``last_us`` (last commits, microseconds since
     registration midnight) and the run ``seed``: its cells need a user's
     delay only where it can move the cell, and ``sent_us`` is computed on
     first read, drawing the delays still missing with ``draw_delay_us``.
-    A table is read-only and equal only to itself.
+    A table built from known delivery instants is given its ``sent_us``
+    instead. A table is read-only and equal only to itself.
     """
 
     __slots__ = ("cohort", "values", "cells", "cell_keys", "_sent_us", "_last_us", "_seed")

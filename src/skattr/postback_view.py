@@ -4,11 +4,14 @@
 ``postbacks-<key hash>.csv`` in the users file's directory, and
 ``attribute`` and ``evaluate`` read it back instead of reading
 ``events.csv`` and replaying every trace again. This is the developer's
-side of SKAdNetwork: per user, the final conversion value, the delivery
-instant, the (group, week) cell it counts in and the user's purchases. The
-view is keyed by the users file's name and by the schema text, seed,
-horizon and organic alpha of the counts or attribution file, so users
-files that share a directory get one view each, and it records the sha256
+side of SKAdNetwork: per user, the final conversion value, the (group,
+week) cell it counts in and the user's purchases, plus the replay's last
+commit. The delivery instant is not stored: the cell is all a stage reads,
+and a loaded table draws a user's delay, as a simulated one does, only if
+its ``sent_us`` is read. The view is keyed by its format, the users
+file's name and the schema text, seed, horizon and organic alpha of the
+counts or attribution file, so users files that share a directory get one
+view each, and a view of another format is a miss. It records the sha256
 of both dataset files; ``load_postback_view`` returns None, so the caller
 simulates again, unless all of them match.
 """
@@ -28,8 +31,11 @@ from .postback import PostbackTable
 from .schema import VALUE_RANGE
 
 VIEW_FIELDS = (
-    "id", "registration_date", "group", "alpha", "value", "sent_us", "week", "purchases"
+    "id", "registration_date", "group", "alpha", "value", "last_us", "week", "purchases"
 )
+# Part of the view's key, so a view of another layout has another file name
+# and is a miss rather than a format error. Views of format 1 have no marker.
+VIEW_FORMAT = 2
 
 
 def dataset_hashes(
@@ -53,13 +59,14 @@ def _sha256(path: str | Path | None) -> str | None:
 
 
 def _view_key(users_csv: str | Path, meta: Mapping, organic_alpha: int | None) -> dict:
-    """A postback view's key: the users file's name, ``meta``'s schema text, seed and
-    horizon, and the organic alpha.
+    """A postback view's key: its format, the users file's name, ``meta``'s schema
+    text, seed and horizon, and the organic alpha.
 
     Users files that share a directory and these values get one view each.
     """
     return {
         "kind": "postbacks",
+        "format": VIEW_FORMAT,
         "users_file": Path(users_csv).name,
         "schema": meta["schema"],
         "seed": meta["seed"],
@@ -79,15 +86,16 @@ def save_postback_view(
 
     The view is the developer's side of the simulation. Per cohort user, in
     cohort order, it holds the id, registration date, group, alpha, final
-    value, delivery instant in microseconds, the week of the cell the
-    postback counts in (empty after the horizon) and the purchases as
-    ``microseconds:cents`` entries, one per digest instant. Its key is the
-    users file's name, the counts ``meta``'s schema text, seed and horizon
-    and the cohort's organic alpha; the key names the file and opens its
-    meta line, followed by ``hashes`` (``dataset_hashes`` of the files the
-    cohort was read from) and the row count. The file is written under a temporary name and then
-    moved into place, so an interrupted write leaves nothing under the
-    view's name.
+    value, last commit in microseconds since registration midnight (the
+    table's ``last_us``), the week of the cell the postback counts in
+    (empty after the horizon) and the purchases as ``day:cents`` entries,
+    the cohort's ``purchases``. No delay is drawn to write it. Its key is
+    ``VIEW_FORMAT``, the users file's name, the counts ``meta``'s schema
+    text, seed and horizon and the cohort's organic alpha; the key names
+    the file and opens its meta line, followed by ``hashes``
+    (``dataset_hashes`` of the files the cohort was read from) and the row
+    count. The file is written under a temporary name and then moved into
+    place, so an interrupted write leaves nothing under the view's name.
     """
     cohort = postbacks.cohort
     key = _view_key(users_csv, meta, cohort.organic.alpha)
@@ -100,13 +108,13 @@ def save_postback_view(
             labels[group],
             origins[column].alpha,
             value,
-            sent,
+            last,
             weeks[cell][1] if cell >= 0 else "",
-            " ".join(f"{us}:{cents}" for us, cents, n_purch, _ in digest if n_purch),
+            " ".join(f"{day}:{cents}" for day, cents in pairs),
         )
-        for uid, midnight, group, column, value, sent, cell, digest in zip(
+        for uid, midnight, group, column, value, last, cell, pairs in zip(
             cohort.ids, cohort.midnight_us, cohort.group, cohort.column,
-            postbacks.values, postbacks.sent_us, postbacks.cells, cohort.digests,
+            postbacks.values, postbacks._last_us, postbacks.cells, cohort.purchases,
         )
     )
     view_meta = dict(key) | dict(hashes) | {"users": len(cohort.ids)}
@@ -124,12 +132,16 @@ def load_postback_view(
     """The postback table a counts or attribution file's ``meta`` was built from, or None.
 
     The table is read from the view ``save_postback_view`` wrote beside the
-    users file, keyed by the users file's name and the meta's schema text,
-    seed, horizon and organic alpha. None when there is no such view, or
-    when its meta line does not carry that key and the ``dataset_hashes``
-    of the files as they are now; the caller then simulates again. A view that matches but holds a
-    malformed row is a ``CsvFormatError`` naming its line. The table's
-    cohort holds each user's purchases and no replay digests, so
+    users file, keyed by ``VIEW_FORMAT``, the users file's name and the
+    meta's schema text, seed, horizon and organic alpha. None when there is
+    no such view, or when its meta line does not carry that key and the
+    ``dataset_hashes`` of the files as they are now; the caller then
+    simulates again. A view that matches but holds a malformed row (a
+    negative ``last_us``, say) is a ``CsvFormatError`` naming its line. The
+    table is built as ``pipeline.simulate_postbacks`` builds it, from the
+    last commits and the key's seed, so it equals the simulated table fact
+    for fact, ``sent_us`` included, which draws the delays only when read.
+    Its cohort holds each user's purchases and no replay digests, so
     ``schema.simulate_traces`` refuses it.
     """
     key = _view_key(users_csv, meta, meta.get("organic_alpha"))
@@ -144,7 +156,7 @@ def load_postback_view(
     purchases: list[tuple[tuple[int, int], ...]] = []
     values: list[int] = []
     cells: list[int] = []
-    sent_us: list[int] = []
+    last_us: list[int] = []
     cell_ids: dict[tuple[str, str], int] = {}
     organic = key["organic_alpha"]
     with _csv_rows(path, VIEW_FIELDS) as (view_meta, rows):
@@ -152,20 +164,22 @@ def load_postback_view(
             return None
         for line, row in rows:
             try:
-                uid, reg, group, alpha, value, sent, week, bought = row
-                alpha, value = int(alpha), int(value)
+                uid, reg, group, alpha, value, last, week, bought = row
+                alpha, value, last = int(alpha), int(value), int(last)
                 if not group or alpha < 0 or not 0 <= value < VALUE_RANGE:
                     raise ValueError("group, alpha or value out of range")
-                pairs, last = [], 0
+                if last < 0:
+                    raise ValueError(f"last_us {last} is negative")
+                pairs, prev = [], 0
                 for entry in bought.split():
-                    us, cents = map(int, entry.split(":"))
-                    if us < last or cents <= 0:
+                    day, cents = map(int, entry.split(":"))
+                    if day < prev or cents <= 0:
                         raise ValueError(f"purchase entry {entry!r} out of order or not positive")
-                    pairs.append((us // US_PER_DAY, cents))
-                    last = us
+                    pairs.append((day, cents))
+                    prev = day
                 ids.append(int(uid))
                 ordinals.append(date.fromisoformat(reg).toordinal())
-                sent_us.append(int(sent))
+                last_us.append(last)
             except ValueError as exc:
                 raise CsvFormatError(f"{path}:{line}: bad postback view row: {exc}") from exc
             groups.append(group)
@@ -182,4 +196,5 @@ def load_postback_view(
                         organic_alpha=organic)
     except ConfigError as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
-    return PostbackTable(cohort, values, cells, sent_us, {i: k for k, i in cell_ids.items()})
+    keys = {i: k for k, i in cell_ids.items()}
+    return PostbackTable(cohort, values, cells, None, keys, last_us=last_us, seed=key["seed"])

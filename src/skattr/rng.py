@@ -7,12 +7,15 @@ and Python versions (unlike the builtin ``hash``).
 
 A substream is the ``random.Random(hash64(seed, *path))`` the stdlib would
 build, made without ``Random.__init__`` and ``Random.seed``, the two
-pure-Python frames of that call: the object is allocated, seeded by the C
-seed that ``Random.seed`` delegates to for an int, and given
-``gauss_next = None`` as ``Random.seed`` gives it. So its state, and every
-draw, are those of ``random.Random(hash64(seed, *path))``. The generator
-takes one substream per user, and the postback delays at most one per
-(seed, user): only the users whose delay is read.
+pure-Python frames of that call: the object is allocated, seeded once by
+the C seed that ``Random.seed`` delegates to for an int, and given
+``gauss_next = None`` as ``Random.seed`` gives it. Before CPython 3.11 the C
+allocation itself seeds from its argument, so there the second seeding is
+left out. Either way its state, and every draw, are those of
+``random.Random(hash64(seed, *path))``. The generator takes one substream
+per user, and the postback delays at most one per (seed, user): only the
+users whose delay can move their postback's cell, and the rest when a
+table's ``sent_us`` is read.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import _random
 import hashlib
 import random
+import sys
 
-# Before CPython 3.11 the C ``__new__`` also seeds from its argument; from
-# 3.11 on it only allocates, and ``_seed`` is the one seeding.
 _new = random.Random.__new__
 _seed = _random.Random.seed
 
@@ -33,13 +35,22 @@ def hash64(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def substream(seed: int, *path: object) -> random.Random:
-    """Return an independent ``random.Random`` for (seed, *path)."""
-    key = hash64(seed, *path)
-    rng = _new(random.Random, key)
-    _seed(rng, key)
-    rng.gauss_next = None
-    return rng
+if sys.version_info >= (3, 11):
+    def substream(seed: int, *path: object) -> random.Random:
+        """Return an independent ``random.Random`` for (seed, *path)."""
+        key = hash64(seed, *path)
+        rng = _new(random.Random, key)
+        _seed(rng, key)
+        rng.gauss_next = None
+        return rng
+else:
+    # Here the C ``__new__`` also seeds from its argument, so ``_seed``
+    # would seed a second time.
+    def substream(seed: int, *path: object) -> random.Random:
+        """Return an independent ``random.Random`` for (seed, *path)."""
+        rng = _new(random.Random, hash64(seed, *path))
+        rng.gauss_next = None
+        return rng
 
 
 def uniform_value(seed: int, *path: object) -> int:

@@ -24,7 +24,10 @@ and then every null entry, zeros included.
 events at every distinct instant, and names a user without a first open.
 ``reference_substream`` builds each substream from ``hashlib.sha256`` and
 ``random.Random(seed)`` alone, and the generator and postback oracles
-draw from it.
+draw from it. ``undecided_users`` names, by the calendar, the users whose
+postback delay can move their cell. ``format_1_postback_view`` writes the
+postback view as it stood before its key had a ``format``: the delivery
+instant (``sent_us``) and purchases as ``microseconds:cents``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,15 @@ from pathlib import Path
 
 from skattr.attribution import AttributionFunction, estimate_bucket_means_window
 from skattr.errors import ConfigError, CsvFormatError, MissingProfileError, ReferentialError
-from skattr.io_files import COUNT_FIELDS, EVENT_FIELDS, META_PREFIX, USER_FIELDS, _write_csv
+from skattr.io_files import (
+    COUNT_FIELDS,
+    EVENT_FIELDS,
+    META_PREFIX,
+    USER_FIELDS,
+    _write_csv,
+    config_hash,
+    load_cohort,
+)
 from skattr.metrics import CellResult, aggregate_error, normalize_vs_baseline, weekly_error
 from skattr.model import (
     FLAG,
@@ -61,7 +72,8 @@ from skattr.model import (
 )
 from skattr.pipeline import run_schema
 from skattr.postback import CountMatrix, PostbackTable
-from skattr.schema import VALUE_RANGE, SchemaSpec
+from skattr.postback_view import dataset_hashes
+from skattr.schema import VALUE_RANGE, SchemaSpec, schema_from_text
 from skattr.synthgen import MODEL, GenConfig, _pick, _segments
 
 
@@ -282,6 +294,28 @@ def oracle_postbacks(
         pb = finalize_postback(u.id, trace.final_value, trace.last_commit, draw, u.group)
         if horizon is None or pb.postback_time <= horizon:
             out[u.id] = pb
+    return out
+
+
+def undecided_users(
+    users: Iterable[UserRecord], schema: SchemaSpec, horizon: datetime | None = None
+) -> set[int]:
+    """The ids of the users whose postback delay can move the postback's cell.
+
+    A postback is delivered 24 h to 48 h, both ends included, after the last
+    commit. Its cell is decided without the delay when that window starts
+    after ``horizon`` (no cell), or ends by ``horizon`` (or there is none)
+    within the ISO week it starts in; otherwise the delay decides it.
+    """
+    out = set()
+    for u in users:
+        early = simulate_updates(u, schema).last_commit + timedelta(days=1)
+        late = early + timedelta(days=1)
+        if horizon is not None and early > horizon:
+            continue
+        if (horizon is not None and late > horizon
+                or early.isocalendar()[:2] != late.isocalendar()[:2]):
+            out.add(u.id)
     return out
 
 
@@ -1093,3 +1127,50 @@ def flagged_save_counts(
         if privatized:
             rows.extend((group, week, "null", k.alpha, c) for k, c in zip(m.columns, m.null_row))
     _write_csv(Path(path), full, COUNT_FIELDS, rows)
+
+
+FORMAT_1_VIEW_FIELDS = (
+    "id", "registration_date", "group", "alpha", "value", "sent_us", "week", "purchases"
+)
+
+
+def format_1_postback_view(users_csv: Path, events_csv: Path, meta: Mapping) -> Path:
+    """Write the postback view of ``meta``'s simulation as its first format did; return its path.
+
+    That format's key had no ``format`` field, so the file has the name that
+    key hashes to. Each row held the delivery instant in microseconds
+    (``sent_us``) where the current one holds the last commit, and the
+    purchases as ``microseconds:cents`` entries, one per distinct purchase
+    instant, counted from registration midnight.
+    """
+    cohort = load_cohort(users_csv, events_csv)
+    horizon = meta["horizon"] and instant_us(datetime.fromisoformat(meta["horizon"]))
+    table = run_schema(cohort, schema_from_text(meta["schema"]), meta["seed"], horizon).postbacks
+    key = {
+        "kind": "postbacks",
+        "users_file": users_csv.name,
+        "schema": meta["schema"],
+        "seed": meta["seed"],
+        "horizon": meta["horizon"],
+        "organic_alpha": cohort.organic.alpha,
+    }
+    path = users_csv.with_name(f"postbacks-{config_hash(key)}.csv")
+    rows = (
+        (
+            uid,
+            date.fromordinal(midnight // US_PER_DAY).isoformat(),
+            cohort.group_labels[group],
+            cohort.origins[column].alpha,
+            value,
+            sent,
+            table.cell_keys[cell][1] if cell >= 0 else "",
+            " ".join(f"{us}:{cents}" for us, cents, n_purchases, _ in digest if n_purchases),
+        )
+        for uid, midnight, group, column, value, sent, cell, digest in zip(
+            cohort.ids, cohort.midnight_us, cohort.group, cohort.column,
+            table.values, table.sent_us, table.cells, cohort.digests,
+        )
+    )
+    view_meta = key | dataset_hashes(users_csv, events_csv) | {"users": len(cohort.ids)}
+    _write_csv(path, view_meta, FORMAT_1_VIEW_FIELDS, rows)
+    return path

@@ -44,7 +44,7 @@ from skattr.model import (
     ground_truth,
     us_to_datetime,
 )
-from skattr.pipeline import run_schema
+from skattr.pipeline import resolve_schema, run_schema
 from skattr.postback import CountMatrix
 from skattr.postback_view import load_postback_view
 from skattr.privacy import PrivacyConfig, apply_threshold
@@ -53,10 +53,12 @@ from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import (
     flagged_save_counts,
+    format_1_postback_view,
     reference_cohort,
     reference_load_users,
     reference_save_events,
     timestamp,
+    undecided_users,
 )
 
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -1897,6 +1899,62 @@ class TestPostbackView:
             assert (fresh / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
         assert stage_outputs(fresh, fresh / "data", tmp_path / "fresh_out") == after
 
+    def test_view_of_the_first_format_is_not_read(self, staged, tmp_path, rebuilds):
+        """A first-format view under the name its key gave it is a miss, not a format error.
+
+        That key had no ``format``, so the current key names another file,
+        and the stages simulate again, to the bytes they write from a view.
+        """
+        shutil.copytree(staged, tmp_path / "s")
+        data = tmp_path / "s" / "data"
+        expected = stage_outputs(tmp_path / "s", data, tmp_path / "viewed")
+        (view,) = views(data)
+        view.unlink()
+        _, meta = load_counts(tmp_path / "s" / "c.csv")
+        old = format_1_postback_view(data / "users.csv", data / "events.csv", meta)
+        assert old.name != view.name
+        assert old.read_text().splitlines()[1].split(",")[5] == "sent_us"
+        rebuilds.clear()
+        assert stage_outputs(tmp_path / "s", data, tmp_path / "old") == expected
+        assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
+
+    @pytest.mark.parametrize("horizon", [None, "2024-01-20T00:00:00"], ids=["plain", "horizon"])
+    def test_only_the_delays_cells_need_are_drawn(self, dataset, dataset_dir, tmp_path,
+                                                  monkeypatch, rebuilds, horizon):
+        """``simulate`` draws a delay for exactly the users whose cell it can move, once each.
+
+        Those are the users whose [+24 h, +48 h] window after the last commit
+        spans a Monday 00:00 or the horizon; ``attribute`` and ``evaluate``
+        on the view draw none.
+        """
+        import skattr.pipeline
+        import skattr.postback
+
+        drawn: Counter[int] = Counter()
+
+        def counting(seed, uid, _draw=skattr.postback.draw_delay_us):
+            drawn[uid] += 1
+            return _draw(seed, uid)
+
+        for module in (skattr.postback, skattr.pipeline):
+            monkeypatch.setattr(module, "draw_delay_us", counting)
+        cut = () if horizon is None else ("--horizon", horizon)
+        assert run_cli("simulate", "--users", dataset_dir, "--schema", D7RR, "--seed", 9, *cut,
+                       "--out", tmp_path / "c.csv") == 0
+        users, _ = dataset
+        schema = resolve_schema(schema_from_text(D7RR), prepare_users(users), 9)
+        expected = undecided_users(users, schema, horizon and datetime.fromisoformat(horizon))
+        assert 0 < len(expected) < len(users) / 2
+        assert drawn == Counter(expected)
+
+        assert run_cli("privatize", "--counts", tmp_path / "c.csv", "--p", 10,
+                       "--out", tmp_path / "cp.csv") == 0
+        drawn.clear()
+        rebuilds.clear()
+        stage_outputs(tmp_path, dataset_dir, tmp_path / "out")
+        assert rebuilds == {}
+        assert drawn == {}
+
     @pytest.mark.parametrize("args", [
         pytest.param(("--seed", 10), id="seed"),
         pytest.param(("--seed", 9, "--horizon", "2024-01-20T00:00:00"), id="horizon"),
@@ -1988,6 +2046,8 @@ class TestPostbackView:
     @pytest.mark.parametrize("column, text, message", [
         pytest.param(4, "64", "group, alpha or value out of range", id="value"),
         pytest.param(3, "x", "invalid literal for int", id="alpha"),
+        pytest.param(5, "x", "invalid literal for int", id="last_us"),
+        pytest.param(5, "-1", "last_us -1 is negative", id="negative_last_us"),
         pytest.param(1, "2024-13-01", "month must be in 1..12", id="date"),
         pytest.param(7, "5:x", "invalid literal for int", id="purchase"),
         pytest.param(7, "9:100 5:100", "out of order or not positive", id="purchase_order"),

@@ -1,6 +1,6 @@
 import sys
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import pytest
 
@@ -13,7 +13,7 @@ from skattr.pipeline import developer_totals, resolve_schema, run_schema, simula
 from skattr.schema import prepare_users, schema_from_text
 from skattr.synthgen import GenConfig, generate_dataset
 
-from oracles import by_user, column_sums, oracle_postbacks, oracle_view, simulate_updates
+from oracles import by_user, column_sums, oracle_postbacks, oracle_view, undecided_users
 
 PV = "kind=PV;layout=VVVVVV;horizon=30"
 D7RR = "kind=RR;layout=TTTVVV;horizon=7"
@@ -154,12 +154,7 @@ class TestPostbackDraws:
         assert max(drawn.values()) == 1
         crossing = set()
         for schema in schemas:
-            fitted = resolve_schema(schema, prepared, seed=3)
-            for u in users:
-                last = simulate_updates(u, fitted).last_commit
-                early, late = last + timedelta(days=1), last + timedelta(days=2)
-                if early.isocalendar()[:2] != late.isocalendar()[:2]:
-                    crossing.add(u.id)
+            crossing |= undecided_users(users, resolve_schema(schema, prepared, seed=3))
         assert 0 < len(crossing) < len(users)
         assert set(drawn) == crossing
         for artifacts in prepared.simulations.values():

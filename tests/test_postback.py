@@ -160,17 +160,8 @@ class TestDelaySkipRule:
                                        None if horizon is None else datetime_to_us(horizon))
             # Drawn so far: the users whose window [+24 h, +48 h] after the
             # last commit spans a Monday 00:00 or the horizon.
-            undecided = set()
-            for u in users:
-                early = oracles.timestamp(u.events[0]) + timedelta(days=1)
-                late = early + timedelta(days=1)
-                if horizon is not None and early > horizon:
-                    continue
-                if (horizon is not None and late > horizon
-                        or early.isocalendar()[:2] != late.isocalendar()[:2]):
-                    undecided.add(u.id)
             drawn = {uid for uid, d in zip(cohort.ids, cohort.delays[5]) if d is not None}
-            assert drawn == undecided
+            assert drawn == oracles.undecided_users(users, schema, horizon)
             expected = oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert by_user(table) == expected
         assert len(table) == len(expected)

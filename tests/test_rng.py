@@ -1,8 +1,12 @@
 """Substreams and the UD draw against references built from hashlib and random alone."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skattr import rng
 from skattr.rng import hash64, substream, uniform_value
 
 from oracles import reference_hash64, reference_substream
@@ -28,6 +32,23 @@ def test_substream_is_the_reference(seed, path):
     # The second call returns the value the first one cached in ``gauss_next``.
     assert [lib.gauss(0.0, 1.0), lib.gauss(0.0, 1.0)] == [ref.gauss(0.0, 1.0), ref.gauss(0.0, 1.0)]
     assert lib.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "parts", [(0, "user", 0), (1, "postback", 11999), (-7, "ud", "x"), (2**64, "user", -3)]
+)
+def test_substream_seeds_once(parts, monkeypatch):
+    """The stdlib generator's state, seeded once: by ``__new__`` before 3.11, by ``_seed`` after."""
+    keys = []
+    seed = rng._seed
+
+    def counting(generator, key):
+        keys.append(key)
+        seed(generator, key)
+
+    monkeypatch.setattr(rng, "_seed", counting)
+    assert substream(*parts).getstate() == random.Random(hash64(*parts)).getstate()
+    assert keys == ([] if sys.version_info < (3, 11) else [hash64(*parts)])
 
 
 @pytest.mark.parametrize("parts, expected", [
