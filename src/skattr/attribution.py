@@ -11,12 +11,14 @@ and the optimal redistribution always lies on that segment.
 
 The estimators read two developer-side inputs with different scopes. The
 bucket means, ``{value: Fraction}`` from ``estimate_bucket_means_window``,
-the one call by which the grid, the window curve and the ``attribute``
-stage fit them, cover one window of days, pool every group and are shared
-by every cell. The totals, the number of users with each value, belong to
-one (group, week) cell and are an explicit argument of
-``attribute_with_null``: a suppressed row redistributes exactly the users
-that cell contains.
+the one call by which the grid, the window curve, the ``attribute`` stage
+and ``evaluate``'s conservation check fit them, cover one window of days,
+pool every group and are shared by every cell. Their counts come from
+every delivered value, their sums from the cohort's payers alone, the only
+users whose window revenue is not 0. The totals, the number of users with
+each value, belong to one (group, week) cell and are an explicit argument
+of ``attribute_with_null``: a suppressed row redistributes exactly the
+users that cell contains.
 
 One kernel, lambda-free, serves both estimators: ``attribute_with_null``
 reads a matrix at any threshold p, and ``attribute_plain`` is that kernel
@@ -47,6 +49,7 @@ b_j sum to zero across the columns.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Real
@@ -68,16 +71,19 @@ def estimate_bucket_means_window(
     """Exact mean window revenue (cents) per final value of delivered postbacks.
 
     The means pool every group. Every value with a delivered postback has
-    an entry.
+    an entry. The counts are every user's values less those of the
+    postbacks delivered after the horizon; only the payers add cents.
     """
-    sums = [0] * VALUE_RANGE
-    counts = [0] * VALUE_RANGE
+    values, cells = postbacks.values, postbacks.cells
+    counts = Counter(values)
+    if -1 in cells:
+        counts.subtract([v for v, cell in zip(values, cells) if cell < 0])
+    sums = dict.fromkeys(counts, 0)
     revenue = postbacks.cohort.window_revenue(lo_day, hi_day)
-    for cell, value, cents in zip(postbacks.cells, postbacks.values, revenue):
-        if cell >= 0:
-            sums[value] += cents
-            counts[value] += 1
-    return {v: Fraction(sums[v], counts[v]) for v in range(VALUE_RANGE) if counts[v]}
+    for i in postbacks.cohort.payers:
+        if cells[i] >= 0:
+            sums[values[i]] += revenue[i]
+    return {v: Fraction(sums[v], counts[v]) for v in sorted(counts) if counts[v]}
 
 
 # The lambda each endpoint mode fixes; ``plain`` redistributes nothing.

@@ -31,9 +31,15 @@ overrides it, and the view's key checks that the counts file agrees. `attribute`
 that view and neither the events file nor the replay. When the view is
 missing, or its key or hashes do not match the files, they read the
 dataset and make the table as `simulate`'s `run_schema` does, with no
-matrices or totals, so `attribute` counts the cell totals once either way
-and `evaluate` never. A view that cannot be written (a read-only dataset
-directory, say) does not fail `simulate`; the later stages then simulate again.
+matrices or totals, so each of `attribute` and `evaluate` counts the cell
+totals once either way. `evaluate` then checks, before it scores, that
+each cell of the attribution file conserves the dataset's revenue: its
+cents sum to within columns / 2 of the bucket means times the cell's
+developer totals (`_check_conservation`). A file from another dataset
+with the same columns fails that in some cell, an
+`InconsistentTotalsError`. A view that cannot be written (a read-only
+dataset directory, say) does not fail `simulate`; the later stages then
+simulate again.
 `--horizon` (and the horizon a counts file records) is naive ISO text: a
 UTC offset is refused before any file is read, and the pipeline gets it
 once converted, as microseconds on the model's clock.
@@ -53,13 +59,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Mapping, Sequence
 from datetime import datetime
 from pathlib import Path
 
 from .attribution import ATTRIBUTION_MODES, AttributionFunction, estimate_bucket_means_window
 from .config import FIXED_SETTINGS, load_gen_config, load_run_config
-from .errors import ConfigError, SkattrError
+from .errors import ConfigError, InconsistentTotalsError, SkattrError
 from .io_files import (
     config_hash,
     load_attribution,
@@ -84,7 +92,7 @@ from .metrics import (
 )
 from .model import datetime_to_us, ground_truth, usd
 from .pipeline import developer_totals, resolve_schema, run_schema, simulate_postbacks
-from .postback import PostbackTable
+from .postback import CellKey, PostbackTable
 from .postback_view import dataset_hashes, load_postback_view, save_postback_view
 from .privacy import PrivacyConfig, apply_threshold
 from .schema import prepare_users, schema_from_text, schema_to_text
@@ -235,6 +243,36 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_conservation(
+    source: str, cents: Mapping[CellKey, Sequence[int]], postbacks: PostbackTable, t: int
+) -> None:
+    """Refuse an attribution whose cells do not conserve the dataset's revenue.
+
+    The optimal estimator attributes, in each cell, the sum over values of
+    the bucket mean times the cell's developer total, and rounds each
+    column half to even on its own. So every cell the file holds must sum
+    to within ``columns / 2`` cents of that, checked in integers as
+    ``|2 den sum(cents) - 2 num| <= columns den`` with ``num / den`` the
+    exact sum. A cell the dataset has no postback in sums to 0. The first
+    cell that fails is an ``InconsistentTotalsError`` naming ``source``,
+    the cell and both sums.
+    """
+    means = estimate_bucket_means_window(postbacks, 0, t)
+    totals = developer_totals(postbacks)
+    for cell in sorted(cents):
+        row = cents[cell]
+        used = [(means[v], n) for v, n in totals.get(cell, {}).items() if n]
+        den = math.lcm(*(mean.denominator for mean, _ in used))
+        num = sum(mean.numerator * (den // mean.denominator) * n for mean, n in used)
+        attributed = sum(row)
+        if abs(2 * den * attributed - 2 * num) > len(row) * den:
+            raise InconsistentTotalsError(
+                f"{source}: cell ({cell[0]}, {cell[1]}) attributes {attributed} cents, but the "
+                f"dataset's bucket means times its totals give {num / den:.2f} cents; "
+                "was the attribution produced from this dataset?"
+            )
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     check_window_days(args.t)
     cents, ameta = load_attribution(args.attr)
@@ -245,6 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--t {args.t} differs from the attribution file's t {ameta['t']}")
 
     postbacks = _postback_table(ameta, args.truth_from, args.events)
+    _check_conservation(args.attr, cents, postbacks, args.t)
     truth = ground_truth(postbacks, 0, args.t)
     weekly, agg = score_cells(cents, truth, postbacks.cohort.origins, ("campaign",))["campaign"]
     report = {

@@ -28,7 +28,11 @@ class DegenerateFitError(SkattrError):
 
 
 class InconsistentTotalsError(SkattrError):
-    """Developer-side totals are smaller than the observed paid counts."""
+    """Developer-side totals disagree with the counts or attribution they should explain.
+
+    Raised when the totals are smaller than the observed paid counts, and
+    when an attribution file's cell does not conserve the dataset's revenue.
+    """
 
 
 class MissingProfileError(SkattrError):

@@ -31,8 +31,9 @@ column to its label index at the campaign or network level.
 ``CampaignKey`` maps are left to the file readers and writers. Bucket
 means (``{value: Fraction}``, fitted per window and shared by every cell)
 and truth aggregate a schema's ``PostbackTable`` by cell id and origin
-column over the cohort's window-revenue memo, so each user's revenue in a
-window is computed once however many schemas and estimators use it; each
+column over the cohort's window-revenue memo, so each payer's revenue in a
+window is computed once however many schemas and estimators use it, and
+only the payers add cents (every other user's revenue is 0); each
 cell's developer totals come from ``SimArtifacts.cell_totals`` and reach
 the null-aware estimator as their own argument.
 """

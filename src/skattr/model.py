@@ -27,15 +27,19 @@ as plain integer lists: registration midnight in microseconds (date
 ordinal x ``US_PER_DAY``), group index and origin column. It fixes the
 count-matrix columns (paid campaigns by alpha, then the organic key) and
 memoises, on first use, window revenue per ``[lo, hi)``, postback delay per
-(seed, user), drawn only for the users whose delay some reader needs, and
-each schema's simulation. Window revenue reads each user's (day
-offset, cents) purchase pairs, taken once from the digests' purchase
-entries, or given as they are when ``postback_view.load_postback_view``
-reads the cohort from a postback view (such a cohort has no digests and is
-never replayed). Every schema simulated over the cohort reads these
-instead of recomputing them per user. ``ground_truth`` sums the window
-revenue of a schema's postbacks per postback week into one list of cents
-indexed like the cohort's ``origins``, the columns scoring works on.
+(seed, user), drawn only for the users whose delay some reader needs, the
+first rolling replay per day cap, and each schema's simulation. Window
+revenue reads each user's (day offset, cents) purchase pairs, taken once
+from the digests' purchase entries, or given as they are when
+``postback_view.load_postback_view`` reads the cohort from a postback view
+(such a cohort has no digests and is never replayed). Most users never
+pay, so the cohort lists its ``payers``, the users with a purchase, and
+per-user revenue work walks only them: each payer's revenue in a window
+is computed once, and every other user's is 0. Every schema simulated
+over the cohort reads these instead of recomputing them per user.
+``ground_truth`` sums the window revenue of a schema's postbacks per
+postback week into one list of cents indexed like the cohort's
+``origins``, the columns scoring works on.
 """
 
 from __future__ import annotations
@@ -252,6 +256,11 @@ class Cohort:
     digests (None) and is given each user's ``purchases`` instead: it
     serves window revenue but cannot be replayed.
 
+    ``payers`` lists, ascending, the indices of the users with at least
+    one purchase, taken once from ``purchases``. ``window_revenue`` fills
+    only their entries, and ``ground_truth``, the bucket means, PV values
+    and later rolling replays walk only them.
+
     ``origins`` becomes the count-matrix columns: the paid ``campaigns``
     sorted by alpha, then the ``organic`` key; ``column[i]`` indexes the
     origin of user ``i``. The organic key is ``organic_alpha``, the sentinel
@@ -261,7 +270,11 @@ class Cohort:
     microseconds per user, None until drawn) is filled user by user by
     ``postback.draw_delay_us``, for the users whose delay can move their
     postback's cell and, only when a table's ``sent_us`` is read (no stage
-    and no postback view reads it), for the rest; ``simulations``
+    and no postback view reads it), for the rest; ``replays`` (day cap ->
+    the ``values`` and ``lasts`` lists of the first RR or RI replay at that
+    cap, and its count of low bits) by ``schema.simulate_traces``, which
+    keeps the lists it returned, by reference, so that a later rolling
+    schema with that cap replays only the payers; ``simulations``
     ((input schema, seed) -> ``pipeline.SimArtifacts``) by the metrics
     layer, so every schema and call over the cohort shares them.
     """
@@ -311,6 +324,7 @@ class Cohort:
         self.delays: dict[int, list[int | None]] = {}
         self.simulations: dict[tuple, SimArtifacts] = {}
         self._revenue: dict[tuple[int, int], list[int]] = {}
+        self.replays: dict[int, tuple[list[int], list[int], int]] = {}
 
     @cached_property
     def purchases(self) -> list[tuple[tuple[int, int], ...]]:
@@ -320,14 +334,27 @@ class Cohort:
             for digest in self.digests
         ]
 
+    @cached_property
+    def payers(self) -> list[int]:
+        """The indices, ascending, of the users with at least one purchase."""
+        return [i for i, pairs in enumerate(self.purchases) if pairs]
+
     def window_revenue(self, lo_day: int, hi_day: int) -> list[int]:
-        """Each user's purchase cents in ``[lo_day, hi_day)``, computed once per window."""
+        """Each user's purchase cents in ``[lo_day, hi_day)``, computed once per window.
+
+        Only the payers' entries are computed; every other entry is 0. An
+        invalid window is a ``ConfigError``, whoever the cohort holds.
+        """
         key = (lo_day, hi_day)
         out = self._revenue.get(key)
         if out is None:
-            out = self._revenue[key] = [
-                revenue_between(pairs, lo_day, hi_day) for pairs in self.purchases
-            ]
+            if lo_day < 0 or hi_day < lo_day:
+                raise ConfigError(f"invalid revenue window [{lo_day}, {hi_day})")
+            out = [0] * len(self.ids)
+            purchases = self.purchases
+            for i in self.payers:
+                out[i] = revenue_between(purchases[i], lo_day, hi_day)
+            self._revenue[key] = out
         return out
 
 
@@ -336,21 +363,22 @@ def ground_truth(postbacks: PostbackTable, lo_day: int, hi_day: int) -> dict[str
 
     Each week's list is indexed like ``postbacks.cohort.origins``. Sums over
     groups; users without a postback are not counted, and only weeks with a
-    postback have a list.
+    postback have a list, one for each week the table's ``cell_keys`` name.
+    Only the payers add cents.
     """
     cohort = postbacks.cohort
     width = len(cohort.origins)
+    revenue = cohort.window_revenue(lo_day, hi_day)
     out: dict[str, list[int]] = {}
-    by_cell: dict[int, list[int]] = {}  # each cell's week list
-    for cell, j, cents in zip(
-        postbacks.cells, cohort.column, cohort.window_revenue(lo_day, hi_day)
-    ):
+    by_cell = {  # each cell's week list
+        cell: out.setdefault(week, [0] * width)
+        for cell, (_, week) in sorted(postbacks.cell_keys.items())
+    }
+    cells, column = postbacks.cells, cohort.column
+    for i in cohort.payers:
+        cell = cells[i]
         if cell >= 0:
-            vec = by_cell.get(cell)
-            if vec is None:
-                week = postbacks.cell_keys[cell][1]
-                vec = by_cell[cell] = out.setdefault(week, [0] * width)
-            vec[j] += cents
+            by_cell[cell][column[i]] += revenue[i]
     return out
 
 

@@ -15,7 +15,8 @@ left out. Either way its state, and every draw, are those of
 ``random.Random(hash64(seed, *path))``. The generator takes one substream
 per user, and the postback delays at most one per (seed, user): only the
 users whose delay can move their postback's cell, and the rest when a
-table's ``sent_us`` is read.
+table's ``sent_us`` is read. The UD values take no substream: they are
+``hash64(seed, "ud", uid) % 64``, hashed per cohort by ``uniform_values``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import _random
 import hashlib
 import random
 import sys
+from collections.abc import Iterable
 
 _new = random.Random.__new__
 _seed = _random.Random.seed
@@ -53,6 +55,18 @@ else:
         return rng
 
 
-def uniform_value(seed: int, *path: object) -> int:
-    """Stable uniform draw in [0, 64) for (seed, *path): the UD schema's value."""
-    return hash64(seed, *path) % 64
+def uniform_values(seed: int, label: object, ids: Iterable[object]) -> list[int]:
+    """Stable uniform draws in [0, 64), ``hash64(seed, label, uid) % 64`` per ``uid`` in ``ids``.
+
+    These are the UD schema's values. The hash of the shared prefix
+    ``"{seed}:{label}:"`` is taken once and copied per id. ``hash64`` reads
+    the digest's first eight bytes big-endian, so its low six bits are
+    those of byte 7.
+    """
+    prefix = hashlib.sha256(f"{seed}:{label}:".encode("utf-8"))
+    values = []
+    for uid in ids:
+        h = prefix.copy()
+        h.update(str(uid).encode("utf-8"))
+        values.append(h.digest()[7] & 63)
+    return values

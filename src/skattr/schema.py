@@ -28,7 +28,9 @@ consecutive events rows of one user. So day
 indices (calendar-day offsets from the registration date) and the 24h
 timer are exact integer arithmetic, also for timestamps with sub-second
 parts. PV values and fitted bucket boundaries read the cohort's
-window-revenue memo.
+window-revenue memo. A user without a purchase replays alike under every
+RR and RI schema with one day cap, so only the first such replay per cap
+walks every user (see ``simulate_traces``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, CsvFormatError, DegenerateFitError, LayoutError
 from .model import FLAG, PURCHASE, SESSION, US_PER_DAY, Cohort, UserRecord, remake, us_to_datetime
-from .rng import uniform_value
+from .rng import uniform_values
 
 SCHEMA_KINDS = ("EV", "RR", "RI", "UD", "PV")
 VALUE_RANGE = 64  # 6 bits
@@ -335,9 +337,20 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> tuple[list[int], list
     at most one commit happens per distinct instant, and a user's replay
     stops at the first instant more than 24h (in whole microseconds) after
     the previous commit: the value is final from there. UD and PV candidates
-    do not change over time, so they are committed once at first open. A
-    cohort read from a postback view holds no digests, and replaying it is
-    a ``ConfigError``.
+    do not change over time, so they are committed once at first open; a PV
+    value is bucket 0 except at the cohort's ``payers``. A cohort read from
+    a postback view holds no digests, and replaying it is a ``ConfigError``.
+
+    An RR or RI user without a purchase has low bits 0 at every instant:
+    ``bucket_of(0)`` is 0 and so is a count of no purchases. Its candidate
+    is ``min(day, day_cap) << n_low``, so its commits, and its last commit,
+    depend on ``day_cap`` alone, and its final value is ``day << n_low``.
+    The first rolling replay at a ``day_cap`` therefore keeps its own
+    ``values`` and ``lasts`` lists on the cohort (``Cohort.replays``), and
+    a later rolling schema with that cap replays only the payers; every
+    other user gets the kept ``last`` and the kept value shifted from that
+    replay's low bits to its own, which is exactly what its replay would
+    give.
     """
     if cohort.digests is None:
         raise ConfigError("the cohort holds purchases only, read from a postback view; "
@@ -350,23 +363,31 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> tuple[list[int], list
     if kind in ("UD", "PV"):
         firsts = [groups[0][0] for groups in cohort.digests]
         if kind == "UD":
-            return [uniform_value(schema.seed, "ud", uid) for uid in cohort.ids], firsts
+            return uniform_values(schema.seed, "ud", cohort.ids), firsts
         revenue = cohort.window_revenue(0, schema.horizon_days)
-        values = [bucket_of(cents, boundaries) for cents in revenue]
+        values = [0] * len(revenue)
+        for i in cohort.payers:
+            values[i] = bucket_of(revenue[i], boundaries)
         if max(values, default=0) >= VALUE_RANGE:
             raise ConfigError(f"conversion value {max(values)} out of range")
         return values, firsts
     rolling = kind in ("RR", "RI")
+    digests = cohort.digests
+    shared = None
     if rolling:
         n_t = schema.layout.n_t
         n_low = 6 - n_t
         low_cap = 2**n_low - 1
         day_cap = min(schema.horizon_days, 2**n_t - 1)
         is_rr = kind == "RR"
+        shared = cohort.replays.get(day_cap)
+        if shared is not None:
+            payers = cohort.payers
+            digests = [digests[i] for i in payers]
 
     values: list[int] = []
     lasts: list[int] = []
-    for groups in cohort.digests:
+    for groups in digests:
         last, revenue, purchases, value = groups[0]  # value: day-0 flag bits
         if rolling:
             low = bucket_of(revenue, boundaries) if is_rr else purchases
@@ -401,4 +422,14 @@ def simulate_traces(cohort: Cohort, schema: SchemaSpec) -> tuple[list[int], list
                     last = us
         values.append(value)
         lasts.append(last)
-    return values, lasts
+    if shared is None:
+        if rolling:
+            cohort.replays[day_cap] = (values, lasts, n_low)
+        return values, lasts
+    kept_values, kept_lasts, kept_low = shared
+    out_values = [v >> kept_low << n_low for v in kept_values]
+    out_lasts = kept_lasts[:]
+    for i, value, last in zip(payers, values, lasts):
+        out_values[i] = value
+        out_lasts[i] = last
+    return out_values, out_lasts

@@ -235,12 +235,13 @@ class _MeansUses(_KernelUses):
 
 
 def test_bucket_means_are_fitted_only_where_cells_are_attributed():
-    """The grid, the window curve and ``attribute`` fit their means with one call.
+    """The grid, the curve, ``attribute`` and ``evaluate``'s check fit their means with one call.
 
     No wrapper stands between a caller and ``estimate_bucket_means_window``,
-    so the stage fits the means the grid fits for the same window.
+    so the stages fit the means the grid fits for the same window.
     """
     assert _MeansUses.in_src() == [
+        ("estimate_bucket_means_window", "cli._check_conservation"),
         ("estimate_bucket_means_window", "cli.cmd_attribute"),
         ("estimate_bucket_means_window", "metrics.benchmark_matrix"),
         ("estimate_bucket_means_window", "metrics.window_error_curve"),

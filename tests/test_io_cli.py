@@ -8,12 +8,14 @@ import shutil
 import tempfile
 from collections import Counter
 from datetime import date, datetime, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import skattr.io_files
+from skattr.attribution import estimate_bucket_means_window
 from skattr.cli import main
 from skattr.config import DEFAULT_SCHEMAS, RunConfig, run_config_from_dict
 from skattr.errors import ConfigError, CsvFormatError, ReferentialError, SkattrError
@@ -44,7 +46,7 @@ from skattr.model import (
     ground_truth,
     us_to_datetime,
 )
-from skattr.pipeline import resolve_schema, run_schema
+from skattr.pipeline import developer_totals, resolve_schema, run_schema
 from skattr.postback import CountMatrix
 from skattr.postback_view import load_postback_view
 from skattr.privacy import PrivacyConfig, apply_threshold
@@ -1709,6 +1711,143 @@ class TestCountsOfAnotherDataset:
         assert not out.exists()
 
 
+def conserved_cents(users, meta, amap, t=30) -> dict[tuple[str, str], Fraction]:
+    """Per cell of the dataset ``users``: bucket mean times developer total, summed over values.
+
+    The table is simulated under the schema and seed of the attribution
+    meta ``amap``, which has no horizon.
+    """
+    assert amap["horizon"] is None
+    table = run_schema(prepare_users(users, meta["organic_alpha"]),
+                       schema_from_text(amap["schema"]), amap["seed"]).postbacks
+    means = estimate_bucket_means_window(table, 0, t)
+    return {cell: sum((means[v] * n for v, n in row.items() if n), Fraction(0))
+            for cell, row in developer_totals(table).items()}
+
+
+def first_unconserved(cents, conserved):
+    """The first cell, in order, whose cents stray more than columns / 2 from its conserved sum."""
+    for cell in sorted(cents):
+        row = cents[cell]
+        if abs(sum(row) - conserved.get(cell, 0)) > Fraction(len(row), 2):
+            return cell
+    return None
+
+
+def refusal(attr, cell, attributed, conserved) -> str:
+    return (f"{attr}: cell ({cell[0]}, {cell[1]}) attributes {attributed} cents, but the "
+            f"dataset's bucket means times its totals give {float(conserved):.2f} cents; "
+            "was the attribution produced from this dataset?")
+
+
+class TestAttributionOfAnotherDataset:
+    """``evaluate`` refuses an attribution whose cells do not conserve the dataset's revenue.
+
+    Datasets generated from one config with two seeds have the same
+    columns, so only the per-cell identity (sum of the cents = sum over
+    values of bucket mean x developer total, up to columns / 2 cents of
+    rounding) tells them apart.
+    """
+
+    @given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
+           n_users=st.integers(150, 400),
+           estimator=st.sampled_from([
+               ("kind=RI;layout=TTTCCC;horizon=7", 0, "plain", ()),
+               ("kind=RR;layout=TTTVVV;horizon=7", 10, "null_convex", ("--lambda", 0.5)),
+           ]))
+    @settings(max_examples=12, deadline=None)
+    def test_two_seeds_refuse_each_others_file(self, seeds, n_users, estimator):
+        schema, p, g, extra = estimator
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            datasets, attrs = {}, {}
+            for seed in seeds:
+                gen = GenConfig(n_users=n_users, n_weeks=2, event_horizon_days=35, seed=seed)
+                datasets[seed] = generate_dataset(gen)
+                data = tmp / f"data{seed}"
+                save_dataset(data, *datasets[seed])
+                attrs[seed] = attr = tmp / f"attr{seed}.csv"
+                stages = [
+                    ["simulate", "--users", data, "--schema", schema, "--seed", 1,
+                     "--out", tmp / "c.csv"],
+                    ["privatize", "--counts", tmp / "c.csv", "--p", p, "--out", tmp / "cp.csv"],
+                    ["attribute", "--counts", tmp / "cp.csv", "--profile-from", data,
+                     "--t", 30, "--g", g, *extra, "--out", attr],
+                ]
+                with contextlib.redirect_stderr(io.StringIO()):
+                    codes = [run_cli(*argv) for argv in stages]
+                assume(codes == [0, 0, 0])  # a cohort without spenders fits no RR bucket
+            for own, other in (seeds, seeds[::-1]):
+                cents, ameta = load_attribution(attrs[own])
+                assert first_unconserved(cents, conserved_cents(*datasets[own], ameta)) is None
+                users, meta = datasets[other]
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = run_cli("evaluate", "--attr", attrs[own], "--truth-from",
+                                   tmp / f"data{other}", "--t", 30, "--out", tmp / "r.json")
+                error = json.loads(stderr.getvalue() or "{}")
+                conserved = conserved_cents(users, meta, ameta)
+                if ameta["columns"] != [k.alpha for k in prepare_users(users).origins]:
+                    event("columns differ")
+                    assert (code, error["error"]) == (1, "ConfigError")
+                    assert error["message"].startswith("declared columns ")
+                    continue
+                cell = first_unconserved(cents, conserved)
+                if cell is None:
+                    event("every cell conserved")
+                    assert code == 0 or error["error"] == "UndefinedWeightsError"
+                    continue
+                event("refused")
+                assert (code, error["error"]) == (1, "InconsistentTotalsError")
+                assert error["message"] == refusal(attrs[own], cell, sum(cents[cell]),
+                                                   conserved.get(cell, 0))
+
+    def edited(self, dataset, staged, tmp_path, shift):
+        """The staged attribution with one cell's largest column moved by ``shift(sum, exact)``."""
+        cents, meta = load_attribution(staged / "attr.csv")
+        cell = sorted(cents)[0]
+        row = cents[cell]
+        exact = conserved_cents(*dataset, meta)[cell]
+        j = row.index(max(row))
+        row[j] += shift(sum(row), exact, len(row))
+        attr = tmp_path / "a.csv"
+        save_attribution(attr, cents, meta)
+        return attr, cell, sum(row), exact
+
+    def evaluate(self, staged, attr, tmp_path):
+        return run_cli("evaluate", "--attr", attr, "--truth-from", staged / "data",
+                       "--t", 30, "--out", tmp_path / "r.json")
+
+    def test_one_cent_moved_between_columns_passes(self, dataset, staged, tmp_path):
+        cents, meta = load_attribution(staged / "attr.csv")
+        cell = sorted(cents)[0]
+        row = cents[cell]
+        j = row.index(max(row))
+        row[j] -= 1
+        row[j - 1] += 1
+        save_attribution(tmp_path / "a.csv", cents, meta)
+        assert self.evaluate(staged, tmp_path / "a.csv", tmp_path) == 0
+
+    def test_largest_sum_inside_the_bound_passes(self, dataset, staged, tmp_path):
+        # floor(exact + columns / 2) strays at most columns / 2 from the exact sum.
+        attr, *_ = self.edited(dataset, staged, tmp_path,
+                               lambda total, exact, n: math.floor(exact + Fraction(n, 2)) - total)
+        assert self.evaluate(staged, attr, tmp_path) == 0
+
+    @pytest.mark.parametrize("shift", [
+        pytest.param(lambda total, exact, n: math.floor(exact + Fraction(n, 2)) + 1 - total,
+                     id="one_past_the_bound"),
+        pytest.param(lambda total, exact, n: (n // 2 + 1) * (1 if total >= exact else -1),
+                     id="columns_half_plus_one_more"),
+    ])
+    def test_cell_off_by_more_than_half_the_columns_is_refused(self, dataset, staged, tmp_path,
+                                                               capsys, shift):
+        attr, cell, total, exact = self.edited(dataset, staged, tmp_path, shift)
+        assert self.evaluate(staged, attr, tmp_path) == 1
+        assert config_error(capsys, "InconsistentTotalsError") == refusal(attr, cell, total, exact)
+        assert not (tmp_path / "r.json").exists()
+
+
 def stage_outputs(counts_dir, data, out) -> dict[str, bytes]:
     """Attribute the counts in ``counts_dir`` (plain at p=0, null_convex at p=10), evaluate both.
 
@@ -1821,9 +1960,10 @@ class TestPostbackView:
         assert rebuilds == {"load_cohort": 4, "simulate_traces": 4}
 
     def test_cell_totals_are_counted_once(self, staged, tmp_path, monkeypatch, rebuilds):
-        """``attribute`` counts the cell totals once, with the view or without it.
+        """``attribute`` and ``evaluate`` count the cell totals once, with the view or without it.
 
-        ``evaluate`` counts none, and neither stage builds count matrices.
+        ``evaluate`` counts them for its conservation check. Neither stage
+        builds count matrices.
         """
         import skattr.cli
         import skattr.pipeline
@@ -1854,7 +1994,7 @@ class TestPostbackView:
                 calls.clear()
                 assert run_cli(stage, *argv) == 0
                 counted.append(dict(calls))
-            assert counted == [{"developer_totals": 1}, {}], label
+            assert counted == [{"developer_totals": 1}, {"developer_totals": 1}], label
             outputs[label] = {path.name: path.read_bytes() for path in out.iterdir()}
             if label == "viewed":
                 assert rebuilds == {}

@@ -3,9 +3,11 @@ from datetime import date, datetime, timedelta
 import pytest
 from hypothesis import example, given, strategies as st
 
+from skattr.attribution import estimate_bucket_means_window
 from skattr.errors import ConfigError, InvalidCampaignError, OrganicKeyError
 from skattr.model import (
     CampaignKey,
+    Cohort,
     Event,
     UserRecord,
     datetime_to_us,
@@ -298,6 +300,42 @@ class TestGroundTruth:
         truth, _ = truth_of(users, postbacks, 0, 30)
         assert sorted(truth) == ["2024-W01", "2024-W02"]
         assert sum(map(sum, truth.values())) == sum(scan_revenue(u, 30) for u in users[:7])
+
+
+class TestCohortWithoutPayers:
+    """A cohort where no user pays: every revenue figure is zero, and nothing else changes."""
+
+    USERS = [make_user(uid=i, origin=encode_alpha(0, i % 2), group="GH"[i % 2]) for i in range(5)]
+    # Two postback weeks, and user 4 has no postback at all.
+    POSTBACKS = postbacks_at(USERS[:2]) | postbacks_at(USERS[2:4], datetime(2024, 1, 10))
+
+    def test_revenue_is_all_zero(self):
+        cohort = prepare_users(self.USERS)
+        assert cohort.payers == []
+        assert cohort.window_revenue(0, 30) == cohort.window_revenue(3, 3) == [0] * 5
+
+    def test_means_have_zero_sums(self):
+        postbacks = [Postback(pb.user_id, v, pb.postback_time, pb.group)
+                     for pb, v in zip(self.POSTBACKS.values(), [3, 3, 7, 0])]
+        means = estimate_bucket_means_window(table_of(self.USERS, postbacks), 0, 30)
+        assert means == {0: 0, 3: 0, 7: 0}
+        assert [m.denominator for m in means.values()] == [1, 1, 1]
+
+    def test_truth_weeks_are_all_zero(self):
+        table = table_of(self.USERS, self.POSTBACKS)
+        assert ground_truth(table, 0, 30) == {"2024-W01": [0, 0, 0], "2024-W02": [0, 0, 0]}
+
+    @pytest.mark.parametrize("cohort", [
+        pytest.param(lambda: prepare_users(TestCohortWithoutPayers.USERS), id="no_payer"),
+        pytest.param(lambda: Cohort([], [], [], [], []), id="empty"),
+    ])
+    def test_invalid_window_is_refused(self, cohort):
+        cohort = cohort()
+        assert cohort.window_revenue(2, 5) == [0] * len(cohort.ids)
+        with pytest.raises(ConfigError, match=r"invalid revenue window \[5, 2\)"):
+            cohort.window_revenue(5, 2)
+        with pytest.raises(ConfigError, match=r"invalid revenue window \[-1, 2\)"):
+            cohort.window_revenue(-1, 2)
 
 
 class TestWeeks:

@@ -233,12 +233,15 @@ class TestCohortFacts:
         assert sorted(simulated) == sorted(s.label for s in schemas)
 
         # [0, 30): PV fit and values, grid profiles and truth; [0, 7): D7 RR fit.
-        # Each window walks every user's purchases once, in cohort order.
+        # Each window walks each payer's purchases once, in cohort order, and
+        # no other user's.
         distinct = {(0, 30), (0, 7), (7, 14), (14, 30)}
         walked: dict[tuple[int, int], list] = {}
         for window, purchases in windows:
             walked.setdefault(window, []).append(purchases)
-        assert walked == {window: prepared.purchases for window in distinct}
+        paid = [pairs for pairs in prepared.purchases if pairs]
+        assert 0 < len(paid) < len(users)
+        assert walked == {window: paid for window in distinct}
         # One cell_of call per distinct (group, week) of each simulated table.
         delivered = Counter(
             key

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skattr import rng
-from skattr.rng import hash64, substream, uniform_value
+from skattr.rng import hash64, substream, uniform_values
 
 from oracles import reference_hash64, reference_substream
 
@@ -64,10 +64,23 @@ def test_hash64_pinned(parts, expected):
     (0, 0, 49), (1, 5, 50), (9, 123, 45), (2**31 - 1, 49_999, 14),
 ])
 def test_ud_value_pinned(seed, uid, expected):
-    assert uniform_value(seed, "ud", uid) == hash64(seed, "ud", uid) % 64 == expected
+    """One shared prefix hash, copied per id, gives each id its own ``hash64 % 64``."""
+    assert uniform_values(seed, "ud", [uid]) == [hash64(seed, "ud", uid) % 64] == [expected]
+    assert uniform_values(seed, "ud", [uid + 1, uid, uid]) == [
+        hash64(seed, "ud", uid + 1) % 64, expected, expected
+    ]
 
 
 def test_ud_value_has_no_range_argument():
     """Every UD value is in [0, 64); no caller may pick another range."""
     with pytest.raises(TypeError):
-        uniform_value(1, "ud", 5, n=-64)
+        uniform_values(1, "ud", [5], n=-64)
+
+
+@given(seed=st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1)),
+       label=LABELS, ids=st.lists(LABELS, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_ud_values_are_the_reference_hash(seed, label, ids):
+    assert uniform_values(seed, label, ids) == [
+        reference_hash64(seed, label, uid) % 64 for uid in ids
+    ]

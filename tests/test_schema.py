@@ -1,4 +1,5 @@
 import re
+import tempfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skattr.config import DEFAULT_SCHEMAS
 from skattr.errors import ConfigError, DegenerateFitError, LayoutError
+from skattr.io_files import load_cohort, save_dataset
 from skattr.model import (
     FLAG,
     PURCHASE,
@@ -29,6 +31,7 @@ from skattr.schema import (
     schema_to_text,
     simulate_traces,
 )
+from skattr.synthgen import GenConfig, generate_dataset
 
 from oracles import (
     by_user,
@@ -472,6 +475,110 @@ class TestReplayKernel:
             kept = by_user(simulate_postbacks(prepared, schema, 5, datetime_to_us(horizon)))
             assert kept == oracle_view(oracle_postbacks(users, schema, 5, horizon))
             assert (edge in kept) == (horizon == at)
+
+
+ROLLING_SCHEMAS = [
+    "kind=RR;layout=TTTVVV;horizon=7",
+    "kind=RI;layout=TTTCCC;horizon=7",
+    "kind=RR;layout=TVVVVV;horizon=1",
+    "kind=RI;layout=TCCCCC;horizon=1",
+    "kind=RR;layout=TTVVVV;horizon=3",
+    "kind=RI;layout=TTCCCC;horizon=3",
+]
+
+
+def capped(text, horizon):
+    """The schema of ``text`` with its horizon set to ``horizon``, which ``SchemaSpec`` refuses.
+
+    ``SchemaSpec`` ties a rolling horizon to ``2**n_t - 1``, so two schemas
+    it accepts share a day cap only when they share ``n_t``; the replay
+    caps days at ``min(horizon, 2**n_t - 1)`` all the same. This builds the
+    record without the check, to pair one cap with two ``n_t``.
+    """
+    kind, layout, _, boundaries, seed = schema_from_text(text)
+    return tuple.__new__(SchemaSpec, (kind, layout, horizon, boundaries, seed))
+
+
+# Each rolling layout, and day cap 3 under n_t 3 as well as n_t 2, where
+# the kept values shift by one low bit.
+SHARED_REPLAY_SCHEMAS = [schema_from_text(text) for text in ROLLING_SCHEMAS] + [
+    capped("kind=RI;layout=TTTCCC;horizon=7", 3),
+]
+
+
+def fixed_users(first_uid):
+    """Users the shared replay must get right whatever Hypothesis draws.
+
+    A payer whose only purchase comes after its chain broke (its final low
+    bits are 0, like a non-payer's), a payer with purchases at one
+    instant, and a non-payer and a payer whose events are exactly 24h apart.
+    """
+    def user(uid, *steps):
+        t, events = 0, []
+        for hours, kind, amount in steps:
+            t += hours * 3600 * 10**6
+            ts = datetime_to_us(REGISTRATION + timedelta(hours=9, microseconds=t))
+            events.append(Event(ts, kind, amount=amount))
+        return UserRecord(uid, REGISTRATION.date(), encode_alpha(0, uid % 3), tuple(events), "G")
+
+    return [
+        user(first_uid, (0, SESSION, None), (23, SESSION, None), (25, SESSION, None),
+             (1, PURCHASE, 700)),
+        user(first_uid + 1, (0, SESSION, None), (20, PURCHASE, 400), (0, PURCHASE, 900),
+             (0, PURCHASE, 5)),
+        user(first_uid + 2, *[(24 * (i > 0), SESSION, None) for i in range(9)]),
+        user(first_uid + 3, (0, SESSION, None), (24, PURCHASE, 100), (24, PURCHASE, 3000),
+             (24, SESSION, None)),
+    ]
+
+
+def fitted(schema, boundaries=(150, 600, 2500)):
+    return schema._replace(bucket_boundaries=boundaries) if schema.kind == "RR" else schema
+
+
+class TestSharedReplay:
+    """A rolling replay on a cohort other schemas replayed equals one on a fresh cohort."""
+
+    @given(data=st.data(), boundaries=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_any_schema_order_matches_a_fresh_cohort(self, data, boundaries):
+        drawn = [data.draw(edge_user(uid)) for uid in range(data.draw(st.integers(0, 6)))]
+        users = drawn + fixed_users(len(drawn))
+        order = data.draw(st.permutations(SHARED_REPLAY_SCHEMAS + [schema_from_text("kind=EV")]))
+        shared = prepare_users(users)
+        for schema in order:
+            schema = fitted(schema, tuple(sorted(boundaries)))
+            assert simulate_traces(shared, schema) == simulate_traces(prepare_users(users), schema)
+        assert set(shared.replays) == {1, 3, 7}
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_loaded_cohort_matches_a_fresh_cohort(self, reverse):
+        users, meta = generate_dataset(GenConfig(n_users=400, n_weeks=2, event_horizon_days=35,
+                                                 seed=4))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = save_dataset(tmp, users, meta)
+            shared = load_cohort(paths["users"], paths["events"])
+            fresh = lambda: load_cohort(paths["users"], paths["events"])  # noqa: E731
+            assert 0 < len(shared.payers) < len(users)
+            for schema in SHARED_REPLAY_SCHEMAS[::-1 if reverse else 1]:
+                schema = fitted(schema)
+                assert simulate_traces(shared, schema) == simulate_traces(fresh(), schema)
+
+    def test_later_replays_walk_only_the_payers(self):
+        users = fixed_users(0)
+        cohort = prepare_users(users)
+        assert cohort.payers == [0, 1, 3]
+        rr = fitted(schema_from_text(ROLLING_SCHEMAS[0]))
+        values, lasts = simulate_traces(cohort, rr)
+        assert cohort.replays[7] == (values, lasts, 3)
+        assert cohort.replays[7][0] is values
+        # Replaying with the non-payer's digest gone shows that no later
+        # replay at cap 7 reads it.
+        cohort.digests = [d if i in cohort.payers else () for i, d in enumerate(cohort.digests)]
+        ri = schema_from_text(ROLLING_SCHEMAS[1])
+        hour = 3600 * 10**6
+        expected = ([8, 11, 56, 26], [32 * hour, 29 * hour, 177 * hour, 81 * hour])
+        assert simulate_traces(cohort, ri) == simulate_traces(prepare_users(users), ri) == expected
 
 
 # Delivery instants on either side of a week change: Sunday 2024-01-07 ->
